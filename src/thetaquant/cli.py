@@ -5,11 +5,12 @@ Verbs:
     thetaquant theta eval --n 1 --k 2 --Z i --alpha 1 --z 0.3+0.2i
     thetaquant gram --n 1 --k 4 --Z i
     thetaquant toeplitz compare --k 2 --Z i --mode 1,0
-    thetaquant experiment run config.txt [--out report --workers 2 ...]
+    thetaquant experiment run config.txt [--out report --no-cache ...]
     thetaquant tqft invariant --g 1 --k 5 [--mode 1,0 --mode2 0,1]
 
 Command-line flags override configuration-file values.  The cache directory
-defaults to $THETAQUANT_CACHE_DIR.
+defaults to $THETAQUANT_CACHE_DIR.  Bad input ends with a one-line error on
+stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .config import (
     parse_matrix,
 )
 from .experiments import emit_outputs, fmt_complex, run_experiment
-from .sections import QuadratureGrid, gram_matrix, required_grid_size
+from .sections import GridError, QuadratureGrid, gram_matrix, required_grid_size
 from .siegel import InvalidPointError, SiegelPoint
 from .theta import Derivative, ThetaLabel, theta_eval
 from .toeplitz import toeplitz_mode_closed_form, toeplitz_mode_quadrature
@@ -87,7 +88,6 @@ def build_parser():
     run_p = exp_sub.add_parser("run", help="run every experiment in a config")
     run_p.add_argument("config", help="configuration file path")
     run_p.add_argument("--out", default=None)
-    run_p.add_argument("--workers", type=int, default=None)
     run_p.add_argument("--cache-dir", default=None)
     run_p.add_argument("--tol", type=float, default=None)
     run_p.add_argument("--grid", type=int, default=None)
@@ -107,8 +107,10 @@ def build_parser():
 
 def _cmd_theta_eval(args):
     p = _point_from_arg(args.Z, args.n)
-    a = tuple(int(x) for x in args.alpha.split(","))
-    label = ThetaLabel(args.k, a)
+    try:
+        label = ThetaLabel(args.k, tuple(int(x) for x in args.alpha.split(",")))
+    except ValueError as exc:
+        raise ConfigError(f"--alpha {args.alpha!r}: {exc}") from None
     z = np.array([parse_complex(c) for c in args.z.split(";")])
     if len(z) != p.n:
         raise ConfigError(f"z has {len(z)} coordinates, point has n={p.n}")
@@ -160,8 +162,6 @@ def _cmd_experiment_run(args):
         manifests = parse_config_all(fh.read())
     failures = 0
     for idx, m in enumerate(manifests):
-        if args.workers is not None:
-            m.workers = args.workers
         if args.cache_dir is not None:
             m.cache_dir = args.cache_dir
         if args.tol is not None:
@@ -214,7 +214,7 @@ def main(argv=None):
             return _cmd_experiment_run(args)
         if args.verb == "tqft":
             return _cmd_tqft_invariant(args)
-    except (ConfigError, InvalidPointError) as exc:
+    except (ConfigError, InvalidPointError, GridError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable verb")

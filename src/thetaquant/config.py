@@ -49,7 +49,6 @@ _KNOWN_KEYS = {
     "tol",
     "grid",
     "epsilon",
-    "workers",
     "out",
     "cache-dir",
     "genus",
@@ -135,7 +134,6 @@ class ExperimentManifest:
     tol: float | None = None
     grid: int | None = None
     epsilon: float = 1e-12
-    workers: int = 1
     out: str | None = None
     cache_dir: str | None = None
     genus: int = 1
@@ -171,6 +169,16 @@ def _default_points(n):
     return (SiegelPoint(np.diag([1j, 2j])),)
 
 
+def _number(pairs, line_of, key, kind):
+    """The value of ``key`` as an int or float, or a ConfigError at its line."""
+    try:
+        return kind(pairs[key])
+    except ValueError:
+        raise ConfigError(
+            f"malformed {key} {pairs[key]!r}", line_of.get(key)
+        ) from None
+
+
 def _build_manifest(pairs, line_of):
     if "experiment" not in pairs:
         raise ConfigError("missing required key 'experiment'")
@@ -183,11 +191,11 @@ def _build_manifest(pairs, line_of):
     m = ExperimentManifest(experiment=exp)
     m.k_values = _DEFAULT_K_BY_EXPERIMENT.get(exp, DEFAULT_K)
     if "n" in pairs:
-        m.n = int(pairs["n"])
+        m.n = _number(pairs, line_of, "n", int)
         if m.n < 1:
             raise ConfigError("n must be >= 1", line_of.get("n"))
     if "genus" in pairs:
-        m.genus = int(pairs["genus"])
+        m.genus = _number(pairs, line_of, "genus", int)
     if "k" in pairs:
         try:
             ks = tuple(
@@ -232,17 +240,15 @@ def _build_manifest(pairs, line_of):
             if chunk.strip()
         )
     if "tol" in pairs:
-        m.tol = float(pairs["tol"])
+        m.tol = _number(pairs, line_of, "tol", float)
         if m.tol <= 0:
             raise ConfigError("tolerance must be positive", line_of.get("tol"))
     if "grid" in pairs:
-        m.grid = int(pairs["grid"])
+        m.grid = _number(pairs, line_of, "grid", int)
     if "epsilon" in pairs:
-        m.epsilon = float(pairs["epsilon"])
+        m.epsilon = _number(pairs, line_of, "epsilon", float)
         if m.epsilon <= 0:
             raise ConfigError("epsilon must be positive", line_of.get("epsilon"))
-    if "workers" in pairs:
-        m.workers = max(1, int(pairs["workers"]))
     if "out" in pairs:
         m.out = pairs["out"].strip()
     if "cache-dir" in pairs:

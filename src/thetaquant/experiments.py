@@ -4,20 +4,23 @@ Every experiment consumes an :class:`~thetaquant.config.ExperimentManifest`
 and produces a :class:`ReportDocument` whose CSV rendering is byte-stable:
 cell values are formatted once (floats at 17 significant digits, complex as
 ``a+bi``) and the cache stores the formatted rows keyed by a content hash of
-the manifest and the package version.  Module refusals (coarse grids,
-non-normal points) become failed rows with reasons, never crashes.
+the manifest and the package sources.  Module refusals (coarse grids,
+non-normal points) become failed rows with reasons, never crashes.  A
+verdict fails when what it measured is NaN or when it measured nothing.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import glob
 import hashlib
 import io
 import json
 import os
 import platform
+import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,11 +153,28 @@ def _verdict(name, passed, observed, tolerance):
     }
 
 
-def _pmap(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _worst(values):
+    """Largest value; NaN when any value is NaN or when there are none.
+
+    The builtin max drops NaN depending on argument order (max(0.0, nan) is
+    0.0), so a verdict built on it could pass over NaN rows.
+    """
+    return float(np.max(values)) if len(values) else float("nan")
+
+
+# heat-identity, covariance and trace-lemma evaluate per label and per mode
+# pair; their sweeps stop at this level.
+_POINTWISE_MAX_K = 8
+
+
+def _pointwise_levels(m, extras):
+    """Levels of ``m`` up to the pointwise cap; skipped ones go in ``extras``."""
+    skipped = [k for k in m.k_values if k > _POINTWISE_MAX_K]
+    if skipped:
+        extras["skipped_levels"] = (
+            f"{fmt_ints(skipped)} (above k = {_POINTWISE_MAX_K})"
+        )
+    return [k for k in m.k_values if k <= _POINTWISE_MAX_K]
 
 
 def _grid_for(m, p, k, m_max=0):
@@ -198,7 +218,7 @@ def _run_gram(m):
     tol = m.tol if m.tol is not None else (1e-8 if m.n == 1 else 1e-7)
     columns = ["n", "k", "Z", "N", "max_deviation", "status"]
     rows = []
-    worst = 0.0
+    devs = []
     for p in m.points:
         for k in m.k_values:
             try:
@@ -207,12 +227,13 @@ def _run_gram(m):
                 dev = float(
                     np.max(np.abs(G - np.eye(k**p.n)))
                 )
-                worst = max(worst, dev)
+                devs.append(dev)
                 status = "pass" if dev < tol else "fail"
                 rows.append([m.n, k, fmt_point(p), grid.N, dev, status])
             except GridError as exc:
                 rows.append([m.n, k, fmt_point(p), m.grid or 0, float("nan"),
                              f"refused: {exc}"])
+    worst = _worst(devs)
     verdicts = [_verdict("gram-identity", worst < tol, worst, tol)]
     return columns, rows, verdicts, {}
 
@@ -222,29 +243,26 @@ def _run_toeplitz_compare(m):
     modes = _mode_list(m, 2)
     columns = ["k", "Z", "r", "s", "max_entry_diff", "status"]
     m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
-
-    def compare(task):
-        p, k = task
-        block = []
-        try:
-            grid = _grid_for(m, p, k, m_max)
-            quads = toeplitz_modes_quadrature(p, k, modes, grid)
+    rows = []
+    diffs = []
+    for p in m.points:
+        for k in m.k_values:
+            try:
+                grid = _grid_for(m, p, k, m_max)
+                quads = toeplitz_modes_quadrature(p, k, modes, grid)
+            except GridError as exc:
+                rows.append([k, fmt_point(p), "", "", float("nan"),
+                             f"refused: {exc}"])
+                continue
             for mm in modes:
                 closed = toeplitz_mode_closed_form(p, k, mm)
                 diff = float(np.max(np.abs(closed.entries - quads[mm].entries)))
-                block.append(
+                diffs.append(diff)
+                rows.append(
                     [k, fmt_point(p), fmt_ints(mm.r), fmt_ints(mm.s),
                      diff, "pass" if diff < tol else "fail"]
                 )
-        except GridError as exc:
-            block.append([k, fmt_point(p), "", "", float("nan"),
-                          f"refused: {exc}"])
-        return block
-
-    tasks = [(p, k) for p in m.points for k in m.k_values]
-    rows = [row for block in _pmap(compare, tasks, m.workers) for row in block]
-    diffs = [r[4] for r in rows if isinstance(r[4], float) and r[4] == r[4]]
-    worst = max(diffs) if diffs else float("nan")
+    worst = _worst(diffs)
     verdicts = [_verdict("closed-form-vs-quadrature", worst < tol, worst, tol)]
     return columns, rows, verdicts, {}
 
@@ -254,28 +272,30 @@ def _run_heat_identity(m):
     tol_fd = 1e-8
     columns = ["n", "k", "Z", "z", "i", "j", "residual", "residual_fd", "status"]
     rows = []
-    worst = worst_fd = 0.0
+    residuals, residuals_fd = [], []
+    extras = {}
     pairs = [(0, 0)] if m.n == 1 else [(0, 0), (0, 1), (1, 1)]
     for p in m.points:
-        for k in [k for k in m.k_values if k <= 8]:
+        for k in _pointwise_levels(m, extras):
             labels = theta_basis(k, p.n)
             label = labels[min(1, len(labels) - 1)]
             for z, _, _ in _probe_points(p):
                 for (i, j) in pairs:
                     res = heat_residual(p, label, z, i, j)
                     fd = heat_residual_fd(p, label, z, i, j)
-                    worst = max(worst, res)
-                    worst_fd = max(worst_fd, fd)
+                    residuals.append(res)
+                    residuals_fd.append(fd)
                     ok = res < tol and fd < tol_fd
                     rows.append(
                         [p.n, k, fmt_point(p), fmt_complex(z[0]), i, j,
                          res, fd, "pass" if ok else "fail"]
                     )
+    worst, worst_fd = _worst(residuals), _worst(residuals_fd)
     verdicts = [
         _verdict("heat-identity-termwise", worst < tol, worst, tol),
         _verdict("heat-identity-fd", worst_fd < tol_fd, worst_fd, tol_fd),
     ]
-    return columns, rows, verdicts, {}
+    return columns, rows, verdicts, extras
 
 
 def _run_covariance(m):
@@ -283,30 +303,31 @@ def _run_covariance(m):
     modes = [mm for mm in _mode_list(m, 2)]
     columns = ["k", "r", "s", "Z1", "Z2", "rescaled_diff", "raw_diff", "status"]
     rows = []
-    worst = 0.0
-    best_raw = 0.0
+    devs, raws = [], []
+    extras = {}
     pts = list(m.points)
     pairs = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))] if len(pts) > 1 else []
     if not pairs:
         raise ConfigError("covariance experiment needs at least two Siegel points")
     for (p1, p2) in pairs:
-        for k in [k for k in m.k_values if k <= 8]:
+        for k in _pointwise_levels(m, extras):
             for mm in modes:
                 dev = covariant_constancy_residual(p1, p2, k, mm)
                 raw1 = toeplitz_mode_closed_form(p1, k, mm)
                 raw2 = toeplitz_mode_closed_form(p2, k, mm)
                 raw = float(np.max(np.abs(raw1.entries - raw2.entries)))
-                worst = max(worst, dev)
-                best_raw = max(best_raw, raw)
+                devs.append(dev)
+                raws.append(raw)
                 rows.append(
                     [k, fmt_ints(mm.r), fmt_ints(mm.s), fmt_point(p1),
                      fmt_point(p2), dev, raw, "pass" if dev < tol else "fail"]
                 )
+    worst, best_raw = _worst(devs), _worst(raws)
     verdicts = [
         _verdict("rescaled-Z-independence", worst < tol, worst, tol),
         _verdict("raw-operators-vary", best_raw > 1e-2, best_raw, 1e-2),
     ]
-    return columns, rows, verdicts, {}
+    return columns, rows, verdicts, extras
 
 
 def _run_trace_lemma(m):
@@ -316,9 +337,10 @@ def _run_trace_lemma(m):
     columns = ["k", "r1", "s1", "r2", "s2", "closed", "direct", "diff",
                "congruent", "status"]
     rows = []
-    worst = worst_zero = 0.0
+    diffs, off_congruence = [], []
+    extras = {}
     for p in m.points[:1]:
-        for k in [k for k in m.k_values if k <= 8]:
+        for k in _pointwise_levels(m, extras):
             mats = {mm: toeplitz_mode_closed_form(p, k, mm) for mm in modes}
             for m1 in modes:
                 for m2 in modes:
@@ -329,9 +351,9 @@ def _run_trace_lemma(m):
                         (a - b) % k == 0 for a, b in zip(m1.r + m1.s, m2.r + m2.s)
                     )
                     if congruent:
-                        worst = max(worst, diff)
+                        diffs.append(diff)
                     else:
-                        worst_zero = max(worst_zero, abs(direct))
+                        off_congruence.append(abs(direct))
                     ok = diff < tol and (congruent or abs(direct) < tol_zero)
                     rows.append(
                         [k, fmt_ints(m1.r), fmt_ints(m1.s), fmt_ints(m2.r),
@@ -339,12 +361,13 @@ def _run_trace_lemma(m):
                          fmt_complex(direct), diff, congruent,
                          "pass" if ok else "fail"]
                     )
+    worst, worst_zero = _worst(diffs), _worst(off_congruence)
     verdicts = [
         _verdict("trace-closed-vs-direct", worst < tol, worst, tol),
         _verdict("off-congruence-vanishing", worst_zero < tol_zero,
                  worst_zero, tol_zero),
     ]
-    return columns, rows, verdicts, {}
+    return columns, rows, verdicts, extras
 
 
 def _bms_function(n):
@@ -373,9 +396,9 @@ def _run_bms(m):
     ratio_ok = bool(ratios) and all(0.3 <= r <= 0.7 for r in ratios)
     verdicts = [
         _verdict("norm-error-decreasing", decreasing,
-                 max(errors) if errors else 0.0, "strict decrease"),
+                 _worst(errors), "strict decrease"),
         _verdict("halving-ratio-in-window", ratio_ok,
-                 max(ratios) if ratios else float("nan"), "[0.3, 0.7]"),
+                 _worst(ratios), "[0.3, 0.7]"),
     ]
     return columns, rows, verdicts, {"sup": data[0]["sup"] if data else 0.0}
 
@@ -413,7 +436,7 @@ def _run_pairing_limit(m):
     monotone = all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
     order = loglog_order(ks, errors)
     verdicts = [
-        _verdict("pairing-error-monotone", monotone, max(errors), "nonincreasing"),
+        _verdict("pairing-error-monotone", monotone, _worst(errors), "nonincreasing"),
         _verdict("pairing-fit-order", order >= 0.9, order, ">= 0.9"),
     ]
     return columns, rows, verdicts, {"fit_order": order}
@@ -462,17 +485,15 @@ def _run_star_fit(m):
                  comp.condition_number, "pass" if ok else "fail"]
             )
     ref = c1_constants[0]
-    stability = max(abs(c - ref) / abs(ref) for c in c1_constants)
+    stability = _worst([abs(c - ref) / abs(ref) for c in c1_constants])
     # The c1 constant is measured against -i{f,g}; the Moyal ratio against
     # the full exponential coefficient.  Both estimate the same global
     # normalization, expected 1/(2 pi) in these units.
-    cross = max(
-        abs(sc - cc) / abs(cc) for sc, cc in zip(star_constants, c1_constants)
+    cross = _worst(
+        [abs(sc - cc) / abs(cc) for sc, cc in zip(star_constants, c1_constants)]
     )
-    worst_resid = max(
-        float(r[3]) if not isinstance(r[3], str) else 1.0 for r in rows
-    )
-    min_order = min(c0_orders)
+    worst_resid = _worst([r[3] for r in rows])
+    min_order = float(np.min(c0_orders))
     verdicts = [
         _verdict("c0-fit-order", min_order >= 0.9, min_order, ">= 0.9"),
         _verdict("c1-matches-bracket", worst_resid < tol, worst_resid, tol),
@@ -492,7 +513,7 @@ def _run_flatness(m):
     modes = _mode_list(m, 3)
     columns = ["mode_r", "mode_s", "direction", "residual_analytic", "residual_fd"]
     rows = []
-    worst = worst_fd = 0.0
+    residuals, residuals_fd = [], []
     for p in m.points:
         if p.n == 1:
             dirs = [TangentDirection(0, 0, "z"), TangentDirection(0, 0, "zbar")]
@@ -507,10 +528,11 @@ def _run_flatness(m):
             for v in dirs:
                 res = formal_hitchin_residual(p, mm, v)
                 fd = formal_hitchin_residual(p, mm, v, fd_step=1e-4)
-                worst = max(worst, res)
-                worst_fd = max(worst_fd, fd)
+                residuals.append(res)
+                residuals_fd.append(fd)
                 name = ("dZ" if v.holomorphic else "dZbar") + f"[{v.i},{v.j}]"
                 rows.append([fmt_ints(mm.r), fmt_ints(mm.s), name, res, fd])
+    worst, worst_fd = _worst(residuals), _worst(residuals_fd)
     verdicts = [
         _verdict("flatness-analytic", worst < tol, worst, tol),
         _verdict("flatness-fd", worst_fd < tol_fd, worst_fd, tol_fd),
@@ -531,7 +553,7 @@ def _run_tqft(m):
     c2 = curves[1] if len(curves) > 1 else None
     columns = ["genus", "k", "curve1", "curve2", "invariant", "expected", "status"]
     rows = []
-    worst = 0.0
+    errors = []
     for k in m.k_values:
         val = mapping_torus_invariant(p, k, c1, c2)
         if c1 is None and c2 is None:
@@ -541,7 +563,7 @@ def _run_tqft(m):
         else:
             expected = float("nan")
         err = abs(val - expected) if expected == expected else 0.0
-        worst = max(worst, err)
+        errors.append(err)
         rows.append(
             [g, k,
              f"{fmt_ints(c1.r)};{fmt_ints(c1.s)}" if c1 else "empty",
@@ -550,6 +572,7 @@ def _run_tqft(m):
              fmt_float(expected) if expected == expected else "-",
              "pass" if err < 1e-10 else "fail"]
         )
+    worst = _worst(errors)
     verdicts = [_verdict("gluing-dimension", worst < 1e-10, worst, 1e-10)]
     return columns, rows, verdicts, {}
 
@@ -579,18 +602,40 @@ def _cache_dir(m):
     )
 
 
+@functools.cache
+def _source_hash():
+    """sha256 over the package's ``*.py`` sources, read once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
+        digest.update(os.path.basename(path).encode("utf-8"))
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def _cache_key(m):
-    payload = m.canonical() + "|version=" + __version__
+    payload = m.canonical() + "|source=" + _source_hash()
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+
+
+def _write_json_atomically(path, payload):
+    """Write through a temp file in the same directory, then rename it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def run_experiment(m, use_cache=True):
     """Run (or recall) one experiment; deterministic for identical manifests."""
     if m.experiment not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {m.experiment!r}")
-    key = _cache_key(m)
     cdir = _cache_dir(m)
-    meta_path = os.path.join(cdir, key + ".json")
+    meta_path = os.path.join(cdir, _cache_key(m) + ".json") if use_cache else None
     if use_cache and os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -619,16 +664,15 @@ def run_experiment(m, use_cache=True):
     )
     if use_cache:
         os.makedirs(cdir, exist_ok=True)
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "columns": doc.columns,
-                    "rows": doc.rows,
-                    "verdicts": doc.verdicts,
-                    "extras": doc.extras,
-                },
-                fh,
-            )
+        _write_json_atomically(
+            meta_path,
+            {
+                "columns": doc.columns,
+                "rows": doc.rows,
+                "verdicts": doc.verdicts,
+                "extras": doc.extras,
+            },
+        )
     return doc
 
 

@@ -32,6 +32,8 @@ from .siegel import (
     laplace_eigenvalue,
 )
 from .toeplitz import (
+    _inverse_power_fit,
+    eta,
     hs_inner,
     rescaled_toeplitz,
     toeplitz_mode_closed_form,
@@ -47,10 +49,6 @@ __all__ = [
     "TrivializedStarFit",
     "trivialized_star_compare",
 ]
-
-
-def _mode(m):
-    return m if isinstance(m, FourierMode) else FourierMode(*m)
 
 
 @dataclass(frozen=True)
@@ -122,19 +120,8 @@ class FormalFourierSeries:
 
 
 def heat_coefficient(p, k, m):
-    """Mode damping removed: exp((pi/2k)((s-Xr).Y^-1(s-Xr) + r.Yr)) >= 1.
-
-    Reciprocal of the Gaussian factor eta and equal to
-    exp(-lambda(r,s,Z)/(4k)).
-    """
-    m = _mode(m)
-    r = np.array(m.r, dtype=float)
-    s = np.array(m.s, dtype=float)
-    u = s - p.X @ r
-    return float(
-        np.exp((np.pi / (2 * k)) * (u @ p.Yinv @ u))
-        * np.exp((np.pi / (2 * k)) * (r @ p.Y @ r))
-    )
+    """Mode damping removed: 1 / eta_k(m) = exp(-lambda(r,s,Z)/(4k)) >= 1."""
+    return 1.0 / eta(p, k, m)
 
 
 def heat_transform(p, f, h_eval=None, order=None):
@@ -189,7 +176,7 @@ def covariant_constancy_residual(p1, p2, k, m):
     """
     if p1.n != p2.n:
         raise ValueError("points have different dimension")
-    m = _mode(m)
+    m = FourierMode.coerce(m)
     A1 = heat_coefficient(p1, k, m) * toeplitz_mode_closed_form(p1, k, m)
     A2 = heat_coefficient(p2, k, m) * toeplitz_mode_closed_form(p2, k, m)
     return float(np.max(np.abs(A1.entries - A2.entries)))
@@ -203,7 +190,7 @@ def _mu_eigenvalue(p, m, v):
     the bivector is constant, so the second-order eigenvalue is the
     coefficient contraction e.G e.
     """
-    m = _mode(m)
+    m = FourierMode.coerce(m)
     r = np.array(m.r, dtype=float)
     s = np.array(m.s, dtype=float)
     w = p.Yinv @ (s - np.conj(p.Z) @ r)
@@ -224,7 +211,7 @@ def formal_hitchin_residual(p, m, v, fd_step=None):
         from .siegel import NonNormalError
 
         raise NonNormalError("flatness closed form needs a normal point")
-    m = _mode(m)
+    m = FourierMode.coerce(m)
     if fd_step is None:
         dlam = dlambda_dZ(p, m, v)
     else:
@@ -305,22 +292,17 @@ def trivialized_star_compare(p, m1, m2, k_values, order=3, other_point=None):
     constant).  A second Siegel point quantifies complex-structure
     independence.
     """
-    m1, m2 = _mode(m1), _mode(m2)
+    m1, m2 = FourierMode.coerce(m1), FourierMode.coerce(m2)
     k_values = tuple(int(k) for k in k_values)
-    if len(k_values) < order + 2:
-        raise ValueError("need at least order + 2 levels for the fit")
 
     def fitted_order1(pt):
-        samples = []
-        for k in k_values:
+        def sample(k):
             A = rescaled_toeplitz(pt, k, m1) @ rescaled_toeplitz(pt, k, m2)
             B = rescaled_toeplitz(pt, k, m1 + m2)
-            samples.append(hs_inner(A, B) / hs_inner(B, B))
-        x = 1.0 / np.asarray(k_values, dtype=float)
-        V = np.vander(x, N=order + 1, increasing=True)
-        sol, *_ = np.linalg.lstsq(V, np.asarray(samples), rcond=None)
-        sv = np.linalg.svd(V, compute_uv=False)
-        return sol[1], float(sv[0] / sv[-1])
+            return [hs_inner(A, B) / hs_inner(B, B)]
+
+        coefficients, cond = _inverse_power_fit(k_values, order, sample)
+        return coefficients[1, 0], cond
 
     c1, cond = fitted_order1(p)
     q = m1.symplectic_pairing(m2)

@@ -48,6 +48,11 @@ class FourierMode:
         if len(self.r) != len(self.s):
             raise ValueError("r and s must have equal length")
 
+    @classmethod
+    def coerce(cls, m):
+        """``m`` itself when it is a mode, else the mode of an ``(r, s)`` pair."""
+        return m if isinstance(m, cls) else cls(*m)
+
     @property
     def n(self):
         return len(self.r)
@@ -80,8 +85,7 @@ class FourierFunction:
     def __init__(self, terms, n=None, prune_tol=0.0):
         data = {}
         for mode, coeff in dict(terms).items():
-            if not isinstance(mode, FourierMode):
-                mode = FourierMode(*mode)
+            mode = FourierMode.coerce(mode)
             coeff = complex(coeff)
             if abs(coeff) > prune_tol or (prune_tol == 0.0 and coeff != 0):
                 data[mode] = data.get(mode, 0.0) + coeff
@@ -122,9 +126,7 @@ class FourierFunction:
         return list(self._terms)
 
     def coefficient(self, mode):
-        if not isinstance(mode, FourierMode):
-            mode = FourierMode(*mode)
-        return self._terms.get(mode, 0.0 + 0.0j)
+        return self._terms.get(FourierMode.coerce(mode), 0.0 + 0.0j)
 
     def max_mode_entry(self):
         """Largest |entry| among all stored frequencies; 0 for constants."""
@@ -231,6 +233,14 @@ def poisson_bracket(f, g):
     return FourierFunction(out, n=f.n)
 
 
+def _phase_on_grid(m, t):
+    """F_{r,s} on the product grid t^{2n}, axes in the order (x_1..x_n, y_1..y_n)."""
+    values = np.ones(())
+    for freq in m.r + m.s:
+        values = np.multiply.outer(values, np.exp(2j * np.pi * freq * t))
+    return values
+
+
 def dense_max_abs(f, points_per_dim=2048):
     """sup |f| approximated on a uniform grid of the unit cell.
 
@@ -242,14 +252,7 @@ def dense_max_abs(f, points_per_dim=2048):
     if n == 2:
         points_per_dim = min(points_per_dim, 256)
     t = np.arange(points_per_dim) / points_per_dim
-    axes = [t] * (2 * n)
     total = np.zeros((points_per_dim,) * (2 * n), dtype=complex)
     for m, c in f.terms.items():
-        phases = [np.exp(2j * np.pi * m.r[a] * t) for a in range(n)]
-        phases += [np.exp(2j * np.pi * m.s[a] * t) for a in range(n)]
-        if n == 1:
-            total += c * np.multiply.outer(phases[0], phases[1])
-        else:
-            total += c * np.einsum("a,b,c,d->abcd", *phases)
-    del axes
+        total += c * _phase_on_grid(m, t)
     return float(np.max(np.abs(total)))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .theta import (
     Derivative,
+    _lattice_vector,
     multiplier,
     hermitian_weight,
     theta_basis,
@@ -266,46 +267,24 @@ def lattice_weight_identity(p, z, lattice_index):
     ``lattice_index`` below n picks an x-direction basis vector (where the
     multiplier is 1 and h is periodic); n + i picks the Z-direction Ze_i.
     """
-    n = p.n
     z = np.atleast_1d(np.asarray(z, dtype=complex))
 
     def h_of_z(zz):
         y = p.Yinv @ zz.imag
         return hermitian_weight(p, y)
 
-    if not 0 <= lattice_index < 2 * n:
-        raise ValueError("lattice_index out of range")
-    if lattice_index < n:
-        shift = np.zeros(n, dtype=complex)
-        shift[lattice_index] = 1.0
-        mult = 1.0 + 0.0j
-    else:
-        e = np.zeros(n)
-        e[lattice_index - n] = 1.0
-        shift = p.Z @ e
-        mult = multiplier(p, e, z)
+    shift, b = _lattice_vector(p, lattice_index)
+    mult = multiplier(p, b, z)
     lhs = h_of_z(z + shift)
     rhs = h_of_z(z) / abs(mult) ** 2
     return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
 
-def _basis_vector_parts(n, index):
-    a = np.zeros(n)
-    b = np.zeros(n)
-    if index < n:
-        a[index] = 1.0
-    else:
-        b[index - n] = 1.0
-    return a, b
-
-
 def cocycle_residual(p, z, index1, index2):
     """Relative defect of e_{lam+lam'}(z) = e_{lam'}(z + lam) e_lam(z)."""
-    n = p.n
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    a1, b1 = _basis_vector_parts(n, index1)
-    a2, b2 = _basis_vector_parts(n, index2)
-    lam1 = a1 + p.Z @ b1
+    lam1, b1 = _lattice_vector(p, index1)
+    _, b2 = _lattice_vector(p, index2)
     combined = multiplier(p, b1 + b2, z)
     product = multiplier(p, b2, z + lam1) * multiplier(p, b1, z)
     return abs(combined - product) / max(abs(combined), 1e-300)

@@ -254,8 +254,7 @@ def laplace_eigenvalue(p, mode):
 
     vanishing only for the constant mode.
     """
-    if not isinstance(mode, FourierMode):
-        mode = FourierMode(*mode)
+    mode = FourierMode.coerce(mode)
     r = np.array(mode.r, dtype=float)
     s = np.array(mode.s, dtype=float)
     u = s - p.X @ r
@@ -272,8 +271,7 @@ def dlambda_dZ(p, mode, v):
 
     combined as (dX -/+ i dY)/2 for kind 'z' / 'zbar'.
     """
-    if not isinstance(mode, FourierMode):
-        mode = FourierMode(*mode)
+    mode = FourierMode.coerce(mode)
     r = np.array(mode.r, dtype=float)
     s = np.array(mode.s, dtype=float)
     D = _delta(p.n, v.i, v.j)

@@ -282,6 +282,21 @@ def multiplier(p, b, z):
     return complex(np.exp(-2j * np.pi * (b @ z) - 1j * np.pi * (b @ p.Z @ b)))
 
 
+def _lattice_vector(p, index):
+    """Lattice basis vector ``index`` as (shift, b): shift = a + Zb.
+
+    Index i < n is the x-direction e_i (b = 0, multiplier 1); index n + i is
+    the Z-direction Z e_i (b = e_i).
+    """
+    n = p.n
+    if not 0 <= index < 2 * n:
+        raise ValueError("lattice_index out of range")
+    a = np.zeros(n)
+    b = np.zeros(n)
+    (a if index < n else b)[index % n] = 1.0
+    return a + p.Z @ b, b
+
+
 def hermitian_weight(p, y):
     """Fibre metric weight h = exp(-2 pi y.Y y) in real torus coordinates."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -300,19 +315,8 @@ def quasi_periodicity_residual(p, label, z, lattice_index, policy=None):
     if policy is None:
         policy = truncation_radius(p, k, 1e-12)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    n = p.n
-    if not 0 <= lattice_index < 2 * n:
-        raise ValueError("lattice_index out of range")
-    if lattice_index < n:
-        shift = np.zeros(n, dtype=complex)
-        shift[lattice_index] = 1.0
-        mult = 1.0 + 0.0j
-    else:
-        i = lattice_index - n
-        e = np.zeros(n)
-        e[i] = 1.0
-        shift = p.Z @ e
-        mult = multiplier(p, e, z) ** k
+    shift, b = _lattice_vector(p, lattice_index)
+    mult = multiplier(p, b, z) ** k
     lhs = theta_eval(p, label, z + shift, Derivative.value(), policy)
     rhs = mult * theta_eval(p, label, z, Derivative.value(), policy)
     scale = max(abs(lhs), abs(rhs), 1e-300)

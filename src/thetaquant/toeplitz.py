@@ -1,31 +1,44 @@
 """Toeplitz operators in the theta frame: closed forms, a quadrature oracle,
 norms, traces, and asymptotic-expansion fits.
 
-The operator of a pure phase F_{r,s} acts on the level-k quantum space by
-multiplication followed by orthogonal projection; in the orthonormal theta
-frame its matrix has a single shifted diagonal:
+The operator of a pure phase F_m, m = (r, s), acts on the level-k quantum
+space by multiplication followed by orthogonal projection.  In the
+orthonormal theta frame it factors as
 
-    entry(b, a) = delta_{b, a + r/k mod 1}
-                  exp(-pi i/k r.Zbar r) exp(-2 pi i s.a/k)
-                  exp(-(pi/2k) (s - Zbar r).Y^-1 (s - Zbar r)),
+    T_k(m) = eta_k(m) W_k(m),   eta_k(m) = exp(lambda(r, s, Z) / 4k),
 
-and every nonzero entry has modulus eta_k(r, s).  Multiplying the symbol by
-the heat coefficient 1/eta_k removes all Z dependence and leaves a unitary
-shift-and-phase matrix.  The quadrature route computes the same entries as
-weighted frame integrals and serves as the independent oracle.
+a Gaussian factor in (0, 1] that carries all dependence on Z, times the
+unitary clock-and-shift matrix
+
+    W_k(m)[b, a] = delta_{b, a + r mod k} exp(-pi i r.s/k) exp(-2 pi i s.a/k).
+
+The heat coefficient 1/eta_k removes the Gaussian factor and leaves W_k(m),
+which satisfies the Weyl relation
+
+    W_k(m1) W_k(m2) = exp(i pi omega(m1, m2) / k) W_k(m1 + m2),
+
+with omega the symplectic pairing r1.s2 - s1.r2.  The quadrature route
+computes the same entries as weighted frame integrals and serves as the
+independent oracle.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import FourierFunction, FourierMode, dense_max_abs, poisson_bracket
+from .fourier import (
+    FourierFunction,
+    FourierMode,
+    _phase_on_grid,
+    dense_max_abs,
+    poisson_bracket,
+)
 from .sections import _check_grid, theta_frame_on_grid
+from .siegel import laplace_eigenvalue
 
 __all__ = [
     "OperatorMatrix",
@@ -49,10 +62,6 @@ __all__ = [
 ]
 
 MAX_DENSE_DIM = 4096
-
-
-def _mode(m):
-    return m if isinstance(m, FourierMode) else FourierMode(*m)
 
 
 def _check_dense(k, n):
@@ -113,86 +122,55 @@ class OperatorMatrix:
 
 
 def eta(p, k, m):
-    """Gaussian damping of the mode operator: exp(lambda(r,s,Z) / 4k).
+    """Gaussian factor of the mode operator: exp(lambda(r,s,Z) / 4k).
 
-    Equals exp(-(pi/2k)((s - Xr).Y^-1(s - Xr) + r.Yr)); lies in (0, 1],
-    increases to 1 as k grows, and is the modulus of every nonzero
-    closed-form entry.
+    Lies in (0, 1], increases to 1 as k grows, and is the modulus of every
+    nonzero closed-form entry.
     """
-    m = _mode(m)
-    r = np.array(m.r, dtype=float)
-    s = np.array(m.s, dtype=float)
-    u = s - p.X @ r
-    return float(
-        np.exp(-(np.pi / (2 * k)) * (u @ p.Yinv @ u + r @ p.Y @ r))
+    return math.exp(laplace_eigenvalue(p, m) / (4 * k))
+
+
+def _clock_shift_columns(k, n, m):
+    """Row index and value of the one nonzero entry in each column of W_k(m).
+
+    Columns are the labels a in lexicographic order; column a has its entry
+    in row a + r mod k, with value exp(-pi i r.s/k) exp(-2 pi i s.a/k).
+    """
+    shape = (k,) * n
+    labels = np.indices(shape).reshape(n, -1)
+    rows = np.ravel_multi_index((labels + np.array(m.r)[:, None]) % k, shape)
+    sa = (np.array(m.s) @ labels) % k
+    values = np.exp(-1j * np.pi * np.dot(m.r, m.s) / k) * np.exp(
+        -2j * np.pi * sa / k
     )
+    return rows, values
 
 
-def _label_tuples(k, n):
-    return list(itertools.product(range(k), repeat=n))
-
-
-def _label_index(a, k):
-    idx = 0
-    for x in a:
-        idx = idx * k + x
-    return idx
+def _closed_form(p, k, terms):
+    """The dense operator sum c W_k(m) over the (mode, c) pairs in ``terms``."""
+    n = p.n
+    _check_dense(k, n)
+    dim = k**n
+    entries = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    for m, c in terms:
+        rows, values = _clock_shift_columns(k, n, m)
+        entries[rows, cols] += c * values
+    return OperatorMatrix(k, n, p, entries, "closed_form")
 
 
 def toeplitz_mode_closed_form(p, k, m):
-    """Matrix of the mode operator from the closed-form frame integrals."""
-    m = _mode(m)
-    n = p.n
-    _check_dense(k, n)
-    r = np.array(m.r, dtype=float)
-    s = np.array(m.s, dtype=float)
-    Zb = np.conj(p.Z)
-    v = s - Zb @ r
-    const = cmath.exp(
-        -1j * np.pi / k * (r @ Zb @ r) - np.pi / (2 * k) * (v @ p.Yinv @ v)
-    )
-    dim = k**n
-    entries = np.zeros((dim, dim), dtype=complex)
-    for idx_a, a in enumerate(_label_tuples(k, n)):
-        b = tuple((x + rr) % k for x, rr in zip(a, m.r))
-        alpha = np.array(a, dtype=float) / k
-        entries[_label_index(b, k), idx_a] = const * cmath.exp(
-            -2j * np.pi * (s @ alpha)
-        )
-    return OperatorMatrix(k, n, p, entries, "closed_form")
+    """Matrix of the mode operator, eta_k(m) W_k(m), in closed form."""
+    m = FourierMode.coerce(m)
+    return _closed_form(p, k, [(m, eta(p, k, m))])
 
 
 def rescaled_toeplitz(p, k, m):
-    """Matrix of the heat-rescaled mode: unitary and independent of Z.
+    """Matrix of the heat-rescaled mode: W_k(m), unitary and independent of Z.
 
     entry(b, a) = delta_{b, a + r mod k} exp(-pi i r.s / k) exp(-2 pi i s.a/k).
     """
-    m = _mode(m)
-    n = p.n
-    _check_dense(k, n)
-    rs = sum(x * y for x, y in zip(m.r, m.s))
-    const = cmath.exp(-1j * np.pi * rs / k)
-    dim = k**n
-    entries = np.zeros((dim, dim), dtype=complex)
-    for idx_a, a in enumerate(_label_tuples(k, n)):
-        b = tuple((x + rr) % k for x, rr in zip(a, m.r))
-        phase = cmath.exp(-2j * np.pi * sum(x * y for x, y in zip(m.s, a)) / k)
-        entries[_label_index(b, k), idx_a] = const * phase
-    return OperatorMatrix(k, n, p, entries, "closed_form")
-
-
-def _mode_on_grid(m, t, n):
-    """Values of F_{r,s} on the flattened (x, y) grid used by the frame."""
-    N = len(t)
-    if n == 1:
-        fx = np.exp(2j * np.pi * m.r[0] * t)
-        fy = np.exp(2j * np.pi * m.s[0] * t)
-        return np.outer(fx, fy).ravel()
-    fx1 = np.exp(2j * np.pi * m.r[0] * t)
-    fx2 = np.exp(2j * np.pi * m.r[1] * t)
-    fy1 = np.exp(2j * np.pi * m.s[0] * t)
-    fy2 = np.exp(2j * np.pi * m.s[1] * t)
-    return np.einsum("a,b,c,d->abcd", fx1, fx2, fy1, fy2).ravel()
+    return _closed_form(p, k, [(FourierMode.coerce(m), 1.0)])
 
 
 def toeplitz_modes_quadrature(p, k, modes, grid):
@@ -202,7 +180,7 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     weighted grid integral of F_{r,s} theta_a conj(theta_b) times the
     orthonormality constant.
     """
-    modes = [_mode(m) for m in modes]
+    modes = [FourierMode.coerce(m) for m in modes]
     if not modes:
         return {}
     _check_dense(k, p.n)
@@ -214,8 +192,7 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     out = {}
     conj_frame = np.conj(frame)
     for m in modes:
-        fvals = _mode_on_grid(m, t, p.n)
-        integrand_weight = fvals * weight
+        integrand_weight = _phase_on_grid(m, t).ravel() * weight
         entries = (
             np.einsum("aP,bP,P->ba", frame, conj_frame, integrand_weight)
             / frame.shape[1]
@@ -225,25 +202,12 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
 
 
 def toeplitz_mode_quadrature(p, k, m, grid):
-    return toeplitz_modes_quadrature(p, k, [m], grid)[_mode(m)]
+    return toeplitz_modes_quadrature(p, k, [m], grid)[FourierMode.coerce(m)]
 
 
-def toeplitz_function(p, k, f, source="closed_form", grid=None):
-    """Operator of a finite Fourier combination, by linearity in the symbol."""
-    dim = k**p.n
-    total = np.zeros((dim, dim), dtype=complex)
-    if source == "closed_form":
-        for m, c in f.terms.items():
-            total += c * toeplitz_mode_closed_form(p, k, m).entries
-    elif source == "quadrature":
-        if grid is None:
-            raise ValueError("quadrature source needs a grid")
-        mats = toeplitz_modes_quadrature(p, k, list(f.terms), grid)
-        for m, c in f.terms.items():
-            total += c * mats[m].entries
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    return OperatorMatrix(k, p.n, p, total, source)
+def toeplitz_function(p, k, f):
+    """Operator of a finite Fourier combination: sum c_m eta_k(m) W_k(m)."""
+    return _closed_form(p, k, [(m, c * eta(p, k, m)) for m, c in f.terms.items()])
 
 
 def operator_norm(A):
@@ -255,7 +219,7 @@ def hs_inner(A, B):
     """tr(A B*) -- the Frobenius pairing of the two matrices."""
     if A.entries.shape != B.entries.shape:
         raise ValueError("operator shapes differ")
-    return complex(np.sum(A.entries * np.conj(B.entries)))
+    return complex(np.vdot(B.entries, A.entries))
 
 
 def hs_norm_scaled(A):
@@ -272,7 +236,7 @@ def trace_pair_sign(k, m1, m2):
     absorbs the residual unit factor exp(pi i/k r.(s-u)) left over from the
     root-of-unity sum.
     """
-    m1, m2 = _mode(m1), _mode(m2)
+    m1, m2 = FourierMode.coerce(m1), FourierMode.coerce(m2)
     r, s = np.array(m1.r), np.array(m1.s)
     t, u = np.array(m2.r), np.array(m2.s)
     phase = cmath.exp(-1j * np.pi / k * float(r @ s - 2 * s @ t + t @ u))
@@ -291,7 +255,7 @@ def trace_pair_closed_form(p, k, m1, m2):
     Zero unless (r,s) = (t,u) mod k componentwise; otherwise
     k^n eta(m1) eta(m2) sign, with the sign from :func:`trace_pair_sign`.
     """
-    m1, m2 = _mode(m1), _mode(m2)
+    m1, m2 = FourierMode.coerce(m1), FourierMode.coerce(m2)
     congruent = all((a - b) % k == 0 for a, b in zip(m1.r, m2.r)) and all(
         (a - b) % k == 0 for a, b in zip(m1.s, m2.s)
     )
@@ -329,13 +293,29 @@ def loglog_order(ks, errs):
     return float(-slope)
 
 
+def _inverse_power_fit(k_values, order, sample):
+    """Least-squares fit of ``sample(k)`` ~ sum_{l <= order} c_l k^-l.
+
+    ``sample(k)`` returns one value per fitted series at level k.  Returns
+    the coefficients (row l holds c_l of every series) and the condition
+    number of the Vandermonde matrix in 1/k.
+    """
+    if len(k_values) < order + 2:
+        raise ValueError("need at least order + 2 levels for the fit")
+    samples = np.asarray([sample(k) for k in k_values], dtype=complex)
+    x = 1.0 / np.asarray(k_values, dtype=float)
+    V = np.vander(x, N=order + 1, increasing=True)
+    coefficients, *_ = np.linalg.lstsq(V, samples, rcond=None)
+    sv = np.linalg.svd(V, compute_uv=False)
+    return coefficients, float(sv[0] / sv[-1])
+
+
 @dataclass
 class ProductExpansionFit:
     """Per-mode polynomial fit of T_f T_g in inverse powers of the level."""
 
     k_values: tuple
     coefficients: list  # FourierFunction estimates of c_0 .. c_L
-    matrices: list = field(repr=False)  # their closed-form operators at max k
     c0_residual_norms: list = field(default_factory=list)
     c0_fit_order: float = float("nan")
     condition_number: float = float("nan")
@@ -352,44 +332,30 @@ def product_expansion_fit(p, f, g, k_values, order=3):
     modes are incongruent.
     """
     k_values = tuple(int(k) for k in k_values)
-    if len(k_values) < order + 2:
-        raise ValueError("need at least order + 2 levels for the fit")
     out_modes = sorted(
         {m1 + m2 for m1 in f.terms for m2 in g.terms},
         key=lambda m: (m.r, m.s),
     )
     fg = f * g
-    samples = {m: [] for m in out_modes}
     c0_norms = []
-    for k in k_values:
-        Tf = toeplitz_function(p, k, f)
-        Tg = toeplitz_function(p, k, g)
-        prod = Tf @ Tg
+
+    def sample(k):
+        prod = toeplitz_function(p, k, f) @ toeplitz_function(p, k, g)
         c0_norms.append(operator_norm(prod - toeplitz_function(p, k, fg)))
+        out = []
         for m in out_modes:
             B = toeplitz_mode_closed_form(p, k, m)
-            samples[m].append(hs_inner(prod, B) / hs_inner(B, B))
-    x = 1.0 / np.asarray(k_values, dtype=float)
-    V = np.vander(x, N=order + 1, increasing=True)
-    sv = np.linalg.svd(V, compute_uv=False)
-    cond = float(sv[0] / sv[-1])
-    coeff_rows = {}
-    for m in out_modes:
-        sol, *_ = np.linalg.lstsq(V, np.asarray(samples[m]), rcond=None)
-        coeff_rows[m] = sol
-    coefficients = []
-    matrices = []
-    kmax = max(k_values)
-    for l in range(order + 1):
-        cl = FourierFunction(
-            {m: coeff_rows[m][l] for m in out_modes}, n=f.n, prune_tol=0.0
-        )
-        coefficients.append(cl)
-        matrices.append(toeplitz_function(p, kmax, cl))
+            out.append(hs_inner(prod, B) / hs_inner(B, B))
+        return out
+
+    coeff_rows, cond = _inverse_power_fit(k_values, order, sample)
+    coefficients = [
+        FourierFunction(dict(zip(out_modes, row)), n=f.n, prune_tol=0.0)
+        for row in coeff_rows
+    ]
     return ProductExpansionFit(
         k_values=k_values,
         coefficients=coefficients,
-        matrices=matrices,
         c0_residual_norms=c0_norms,
         c0_fit_order=loglog_order(k_values, c0_norms),
         condition_number=cond,

@@ -7,8 +7,9 @@ operator assigned to a cylinder with an embedded curve is the Toeplitz
 operator of the heat-flowed holonomy, i.e. the unitary shift-and-phase
 matrix independent of the complex structure.  Hilbert-Schmidt pairings of
 these operators recover the L2 pairing of holonomy functions as the level
-grows, and the trace of a pair realizes the invariant of the mapping torus
-with the corresponding two-component link.
+grows.  The invariant of the mapping torus with the corresponding
+two-component link is the same pairing scaled by k^g, tr(Z(c1) Z(c2)*); an
+empty curve has the identity operator W_k(0).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 
 from .fourier import FourierMode
 from .toeplitz import (
-    OperatorMatrix,
     hs_inner,
     rescaled_toeplitz,
     toeplitz_function,
@@ -111,17 +111,14 @@ def curve_pairing(p, k, c1, c2):
 def mapping_torus_invariant(p, k, c1=None, c2=None):
     """Invariant of Sigma x S^1 with the link c1 u reversed(c2) inside.
 
-    Defined by the gluing rule as tr(Z(c1) Z(c2)*); with both curves empty
-    this is the quantum dimension k^g.
+    Defined by the gluing rule as tr(Z(c1) Z(c2)*) = k^g curve_pairing; a
+    missing curve is the empty class, whose operator is the identity, so
+    with both curves empty this is the quantum dimension k^g.
     """
     g = p.n
-    A = curve_operator(p, k, c1) if c1 is not None else OperatorMatrix.identity(
-        k, g, p, "closed_form"
-    )
-    B = curve_operator(p, k, c2) if c2 is not None else OperatorMatrix.identity(
-        k, g, p, "closed_form"
-    )
-    return complex(np.trace(A.entries @ B.entries.conj().T))
+    c1 = c1 if c1 is not None else CurveClass.empty(g)
+    c2 = c2 if c2 is not None else CurveClass.empty(g)
+    return complex(k**g * curve_pairing(p, k, c1, c2))
 
 
 def pairing_limit_experiment(p, f, g, k_values):

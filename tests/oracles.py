@@ -92,6 +92,34 @@ def toeplitz_entry_brute(Z, k, r, s, a_col, a_row, N):
     return mean * math.sqrt(2 * k * Y)
 
 
+def toeplitz_mode_loop(Z, k, r, s):
+    """Closed-form mode matrix, label by label, from the frame-integral formula.
+
+    entry(b, a) = delta_{b, a + r mod k} exp(-pi i/k r.Zbar r)
+                  exp(-2 pi i s.a/k) exp(-(pi/2k) v.Y^-1 v),  v = s - Zbar r,
+
+    with labels a in lexicographic order.  ``Z`` is a scalar or an n x n
+    nested list; ``r`` and ``s`` are integer n-tuples.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    n = Z.shape[0]
+    Zb = Z.conj()
+    Yinv = np.linalg.inv(Z.imag)
+    rv = np.array(r, dtype=float)
+    v = np.array(s, dtype=float) - Zb @ rv
+    const = cmath.exp(
+        -1j * math.pi / k * (rv @ Zb @ rv) - math.pi / (2 * k) * (v @ Yinv @ v)
+    )
+    labels = list(itertools.product(range(k), repeat=n))
+    index = {a: i for i, a in enumerate(labels)}
+    M = np.zeros((k**n, k**n), dtype=complex)
+    for a in labels:
+        b = tuple((x + y) % k for x, y in zip(a, r))
+        sa = sum(x * y for x, y in zip(s, a))
+        M[index[b], index[a]] = const * cmath.exp(-2j * math.pi * sa / k)
+    return M
+
+
 def poisson_bracket_numeric(f, g, x, y, h=1e-6):
     """{f, g} at a point from central-difference partials of the evaluations."""
     n = len(np.atleast_1d(x))

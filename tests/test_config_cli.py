@@ -51,10 +51,12 @@ class TestParsing:
         assert "positive definite" in str(err.value)
 
     def test_unknown_key_reports_line(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config("experiment = gram\nbogus = 3")
-        assert "line 2" in str(err.value)
-        assert "bogus" in str(err.value)
+        # workers was a key once; it is unknown now like any other
+        for key in ("bogus", "workers"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(f"experiment = gram\n{key} = 3")
+            assert "line 2" in str(err.value)
+            assert key in str(err.value)
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -103,6 +105,18 @@ class TestRunAndCache:
         keys = {_cache_key(m) for m in (m1, m2, m3)}
         assert len(keys) == 3
 
+    def test_cache_key_tracks_sources(self, tmp_path, monkeypatch):
+        from thetaquant import experiments
+
+        m = parse_config("experiment = tqft, genus = 1, k = 5")
+        m.cache_dir = str(tmp_path)
+        before = experiments._cache_key(m)
+        run_experiment(m)
+        assert os.listdir(tmp_path) == [before + ".json"]
+        monkeypatch.setattr(experiments, "_source_hash", lambda: "0" * 64)
+        assert experiments._cache_key(m) != before
+        assert not run_experiment(m).cache_hit
+
     def test_tqft_experiment_values(self, tmp_path):
         m = parse_config("experiment = tqft, genus = 1, k = 5")
         m.cache_dir = str(tmp_path)
@@ -120,6 +134,23 @@ class TestRunAndCache:
         assert float(v["observed"]) > 1e-17
         assert float(v["tolerance"]) == 1e-17
         assert "1e-17" in doc.summary_text()
+
+    def test_nan_gram_fails(self):
+        # the n = 1 grid frame overflows at this level and point: all-NaN
+        # Gram entries must not read as a pass
+        m = parse_config("experiment = gram, n = 1, k = 32, Z = 1+2i")
+        with np.errstate(all="ignore"):
+            doc = run_experiment(m, use_cache=False)
+        assert not doc.passed
+        assert doc.verdicts[0]["observed"] == "nan"
+
+    def test_sweep_without_rows_fails(self):
+        # every level is above the pointwise cap, so nothing is measured
+        m = parse_config("experiment = trace-lemma, n = 1, k = 16")
+        doc = run_experiment(m, use_cache=False)
+        assert doc.rows == []
+        assert not any(v["passed"] for v in doc.verdicts)
+        assert doc.extras["skipped_levels"] == "16 (above k = 8)"
 
     def test_refusal_becomes_failed_row(self, tmp_path):
         # a grid below the bandwidth rule surfaces as a refused row, not a crash
@@ -212,10 +243,21 @@ class TestCli:
         assert first == second
         assert "cache: hit" in capsys.readouterr().out
 
-    def test_bad_point_is_reported(self, capsys):
-        rc = main(["gram", "--n", "1", "--k", "2", "--Z", "1-2i"])
-        assert rc == 2
-        assert "positive definite" in capsys.readouterr().err
+    def test_bad_point_is_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("experiment = gram\nn = abc\n")
+        cases = [
+            (["gram", "--n", "1", "--k", "2", "--Z", "1-2i"], "positive definite"),
+            (["experiment", "run", str(cfg)], "line 2"),
+            (["gram", "--n", "1", "--k", "2", "--Z", "i", "--grid", "4"], "too coarse"),
+            (["theta", "eval", "--k", "2", "--alpha", "5"], "label entries"),
+        ]
+        for argv, message in cases:
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert message in err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_env_cache_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("THETAQUANT_CACHE_DIR", str(tmp_path / "envcache"))

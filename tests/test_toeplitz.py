@@ -25,9 +25,14 @@ from thetaquant.toeplitz import (
     trace_pair_sign,
 )
 
-from oracles import toeplitz_entry_brute
+from oracles import toeplitz_entry_brute, toeplitz_mode_loop
 
 Z_LIST = [1j, 1 + 2j, 0.5 + 0.7j]
+# n = 2 points with X != 0 and [X, Y] != 0
+Z_N2_NON_NORMAL = [
+    [[1 + 1j, 0.5], [0.5, 2j]],
+    [[1j, 0.3 + 0.2j], [0.3 + 0.2j, 2j]],
+]
 
 
 def grid_for(p, k, m_max=0):
@@ -80,6 +85,20 @@ class TestClosedForm:
             A = toeplitz_mode_closed_form(p, k, mode).entries
             nz = np.abs(A[np.abs(A) > 0])
             assert np.max(np.abs(nz - eta(p, k, mode))) < 1e-12
+
+    @pytest.mark.parametrize("z", Z_LIST + Z_N2_NON_NORMAL)
+    def test_matches_label_loop(self, z):
+        p = SiegelPoint(z)
+        if p.n == 1:
+            levels = (1, 2, 3, 5, 8)
+            modes = [((1,), (0,)), ((2,), (-1,)), ((-3,), (2,)), ((0,), (5,))]
+        else:
+            levels = (1, 2, 3)
+            modes = [((1, 0), (0, 1)), ((2, -1), (1, 3)), ((0, 0), (-1, 2))]
+        for k in levels:
+            for r, s in modes:
+                A = toeplitz_mode_closed_form(p, k, (r, s)).entries
+                assert np.max(np.abs(A - toeplitz_mode_loop(z, k, r, s))) < 1e-13
 
     def test_single_entry_against_brute_grid(self):
         # one entry computed from scratch: (F_{1,0} theta_0, theta_1) at k=2
@@ -161,6 +180,25 @@ class TestToeplitzFunction:
         B = toeplitz_function(p, 4, f.conjugate())
         assert np.max(np.abs(A.adjoint().entries - B.entries)) < 1e-10
 
+    @pytest.mark.parametrize("z", [1 + 2j, Z_N2_NON_NORMAL[0]])
+    def test_sum_of_mode_operators(self, z):
+        # congruent modes (r = 3 and r = -1 at k = 4; 2 and -1 at k = 3)
+        # land on the same entries and must add up
+        p = SiegelPoint(z)
+        if p.n == 1:
+            k = 4
+            terms = {((1,), (2,)): 0.7 + 0.3j, ((0,), (1,)): -1.2j,
+                     ((3,), (0,)): 0.4, ((-1,), (0,)): 0.2}
+        else:
+            k = 3
+            terms = {((1, 0), (0, 1)): 0.7 + 0.3j, ((0, 1), (1, -1)): -1.2j,
+                     ((2, 0), (0, 0)): 0.4, ((-1, 0), (0, 0)): 0.2}
+        want = sum(
+            c * toeplitz_mode_closed_form(p, k, m).entries for m, c in terms.items()
+        )
+        got = toeplitz_function(p, k, FourierFunction(terms)).entries
+        assert np.max(np.abs(got - want)) < 1e-13
+
     def test_two_cosine_structure(self):
         p = SiegelPoint(1j)
         f = FourierFunction({((1,), (0,)): 1.0, ((-1,), (0,)): 1.0})
@@ -191,6 +229,31 @@ class TestRescaled:
         p = SiegelPoint(0.5 + 0.7j)
         A = rescaled_toeplitz(p, k, mode).entries
         assert np.max(np.abs(A.conj().T @ A - np.eye(k))) < 1e-12
+
+    @pytest.mark.parametrize("z", Z_LIST + Z_N2_NON_NORMAL)
+    def test_closed_form_is_eta_times_rescaled(self, z):
+        p = SiegelPoint(z)
+        mode = ((1,), (-2,)) if p.n == 1 else ((1, -1), (2, 0))
+        for k in (1, 2, 3, 5):
+            T = toeplitz_mode_closed_form(p, k, mode).entries
+            W = rescaled_toeplitz(p, k, mode).entries
+            assert np.max(np.abs(T - eta(p, k, mode) * W)) < 1e-14
+
+    @pytest.mark.parametrize("z", [0.5 + 0.7j, Z_N2_NON_NORMAL[1]])
+    def test_weyl_relation(self, z):
+        # W(m1) W(m2) = exp(i pi omega(m1, m2) / k) W(m1 + m2)
+        p = SiegelPoint(z)
+        if p.n == 1:
+            pairs = [(((1,), (0,)), ((0,), (1,))), (((2,), (-1,)), ((-3,), (2,)))]
+        else:
+            pairs = [(((1, 0), (0, 1)), ((0, 2), (1, -1)))]
+        for k in (1, 2, 3, 5):
+            for a, b in pairs:
+                m1, m2 = FourierMode(*a), FourierMode(*b)
+                lhs = rescaled_toeplitz(p, k, m1) @ rescaled_toeplitz(p, k, m2)
+                phase = np.exp(1j * np.pi * m1.symplectic_pairing(m2) / k)
+                rhs = phase * rescaled_toeplitz(p, k, m1 + m2).entries
+                assert np.max(np.abs(lhs.entries - rhs)) < 1e-13
 
     def test_z_independence(self):
         A = rescaled_toeplitz(SiegelPoint(1j), 4, ((1,), (2,))).entries
