@@ -7,11 +7,15 @@ real coordinates (x, y), z = x + Zy,
     (s1, s2) = int s1(z) conj(s2(z)) exp(-2 pi k y.Yy) dx dy,
 
 computed by the equal-weight rule on a uniform grid, which is spectrally
-accurate here because the integrand is lattice periodic.  The normalized
-variant multiplies by sqrt(2^n k^n det Y), making the theta frame
-orthonormal.  Grid sizes follow the bandwidth rule N >= 4 (k R + m_max)
-with R the theta truncation radius and m_max the largest extra Fourier
-frequency in the integrand.
+accurate here because the integrand is lattice periodic.  The grid frame
+holds theta_a(x + Zy) exp(-pi k y.Yy), half the weight per factor, built
+from lattice terms of modulus at most 1, so it cannot overflow; every
+integral is one pairing of that frame with itself under a grid weight.
+The normalized variant multiplies by sqrt(2^n k^n det Y), making the theta
+frame orthonormal.  Grid sizes follow the bandwidth rule
+N >= 4 (k R + m_max) with R the theta truncation radius and m_max the
+largest extra Fourier frequency in the integrand; frames larger than
+MAX_FRAME_BYTES are refused before allocation.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-12
+MAX_FRAME_BYTES = 1 << 30  # largest grid frame a quadrature may allocate
+_PAIRING_BLOCK = 1 << 15  # grid columns per block of a frame pairing
 
 
 class GridError(ValueError):
@@ -128,66 +134,33 @@ def section_eval(p, s, x, y, policy=None):
     return total
 
 
-def _frame_windows(p, k, policy):
-    """Lattice offsets covering the Gaussian centre for every y in [0,1)^n."""
-    halfwidth = int(math.ceil(policy.radius)) + 1
-    return np.arange(-halfwidth, halfwidth + 1)
-
-
 def theta_frame_on_grid(p, k, grid, epsilon=DEFAULT_EPSILON):
-    """Theta frame values on the uniform grid, plus the metric weight.
+    """Theta frame on the uniform grid, weighted by exp(-pi k y.Yy).
 
-    Returns ``(values, weight)`` where ``values`` has shape (k^n, N^{2n})
-    with grid axes flattened row-major in the order (x_1..x_n, y_1..y_n),
-    and ``weight`` holds exp(-2 pi k y.Yy) on the same flattening.
+    Returns an array of shape (k^n, N^{2n}) whose row a holds
+    theta_a(x + Zy) exp(-pi k y.Yy) with the grid axes flattened row-major
+    in the order (x_1..x_n, y_1..y_n).  With u = l + a/k, each lattice term
+    splits into the unit phase exp(2 pi i k u.x) and the y-part
+
+        exp(i pi k [(u+y).Z(u+y) - y.Xy]),
+
+    one exponential of modulus exp(-pi k (u+y).Y(u+y)) <= 1, so no level
+    overflows.  The frame is one batched product of the two parts over l.
     """
-    n = p.n
-    N = grid.N
-    policy = truncation_radius(p, k, epsilon)
-    t = grid.nodes_1d
-    offs = _frame_windows(p, k, policy)
-    labels = theta_basis(k, n)
-    Z = p.Z
-
-    if n == 1:
-        values = np.empty((k, N * N), dtype=complex)
-        for idx, lab in enumerate(labels):
-            u = offs + lab.alpha[0]
-            cu = np.exp(1j * np.pi * k * u * Z[0, 0] * u)
-            px = np.exp(2j * np.pi * k * np.outer(u, t))
-            w = u * Z[0, 0]
-            py = np.exp(2j * np.pi * k * np.outer(w, t))
-            values[idx] = np.einsum("l,la,lb->ab", cu, px, py).ravel()
-        yy = t * p.Y[0, 0] * t
-        weight = np.exp(-2 * np.pi * k * yy)
-        weight = np.broadcast_to(weight[None, :], (N, N)).ravel().copy()
-        return values, weight
-
-    # n == 2: accumulate lattice points through partial einsum groupings to
-    # keep memory at O(L N^2) instead of O(L N^4).
-    values = np.empty((k * k, N**4), dtype=complex)
-    mesh = np.meshgrid(offs, offs, indexing="ij")
-    L = np.stack([m.ravel() for m in mesh], axis=-1).astype(float)
-    for idx, lab in enumerate(labels):
-        u = L + lab.alpha
-        quad = np.einsum("li,ij,lj->l", u, Z, u)
-        cu = np.exp(1j * np.pi * k * quad)
-        w = u @ Z
-        px1 = np.exp(2j * np.pi * k * np.outer(u[:, 0], t))
-        px2 = np.exp(2j * np.pi * k * np.outer(u[:, 1], t))
-        py1 = np.exp(2j * np.pi * k * np.outer(w[:, 0], t))
-        py2 = np.exp(2j * np.pi * k * np.outer(w[:, 1], t))
-        xs = np.einsum("l,la,lb->lab", cu, px1, px2)
-        ys = np.einsum("lc,ld->lcd", py1, py2)
-        values[idx] = np.einsum("lab,lcd->abcd", xs, ys).ravel()
-    y1, y2 = np.meshgrid(t, t, indexing="ij")
-    ys = np.stack([y1.ravel(), y2.ravel()], axis=-1)
-    wq = np.einsum("pi,ij,pj->p", ys, p.Y, ys)
-    weight_y = np.exp(-2 * np.pi * k * wq).reshape(N, N)
-    weight = np.broadcast_to(
-        weight_y[None, None, :, :], (N, N, N, N)
-    ).ravel().copy()
-    return values, weight
+    n, N = p.n, grid.N
+    half = int(math.ceil(truncation_radius(p, k, epsilon).radius)) + 1
+    shifts = (np.indices((2 * half + 1,) * n).reshape(n, -1) - half).T
+    labels = np.indices((k,) * n).reshape(n, -1).T
+    ku = k * shifts[None, :, :] + labels[:, None, :]  # k u, integer
+    nodes = np.indices((N,) * n).reshape(n, -1).T  # node j sits at t = j/N
+    x_part = np.exp(2j * np.pi * ((ku @ nodes.T) % N) / N)
+    t = nodes / N
+    v = ku[:, :, None, :] / k + t  # u + y
+    exponent = np.einsum("alpi,ij,alpj->alp", v, p.Z, v) - np.einsum(
+        "pi,ij,pj->p", t, p.X, t
+    )
+    y_part = np.exp(1j * np.pi * k * exponent)
+    return np.matmul(x_part.transpose(0, 2, 1), y_part).reshape(k**n, -1)
 
 
 def integrand_periodicity_residual(p, s1, s2, probe=(0.3, 0.7)):
@@ -225,6 +198,38 @@ def _check_grid(p, k, grid, m_max=0):
         raise GridError(
             f"grid too coarse: N={grid.N}, bandwidth rule needs N >= {need}"
         )
+    size = k**p.n * grid.N ** (2 * p.n) * 16
+    if size > MAX_FRAME_BYTES:
+        raise GridError(
+            f"grid frame needs {size / 2**30:.1f} GiB at N={grid.N}, "
+            f"above the {MAX_FRAME_BYTES / 2**30:g} GiB limit"
+        )
+
+
+def _frame_norm(p, k):
+    """sqrt(2^n k^n det Y): the constant that makes the theta frame orthonormal."""
+    return math.sqrt(2**p.n * k**p.n * p.det_Y)
+
+
+def _frame_pairings(p, k, grid, weights):
+    """Normalized frame pairings, one k^n x k^n matrix per grid weight w.
+
+    Entry (a, b) is _frame_norm times the grid mean of
+    theta_a conj(theta_b) exp(-2 pi k y.Yy) w.  Each w is a scalar or an
+    array over the flattened grid; the sum runs over column blocks, so the
+    frame is the only array of its size.
+    """
+    frame = theta_frame_on_grid(p, k, grid)
+    scale = _frame_norm(p, k) / frame.shape[1]
+    out = []
+    for w in weights:
+        w = np.broadcast_to(w, frame.shape[1:])
+        total = np.zeros((frame.shape[0],) * 2, dtype=complex)
+        for start in range(0, frame.shape[1], _PAIRING_BLOCK):
+            block = frame[:, start : start + _PAIRING_BLOCK]
+            total += (block * w[start : start + _PAIRING_BLOCK]) @ block.conj().T
+        out.append(scale * total)
+    return out
 
 
 def l2_inner(p, s1, s2, grid, normalized=True):
@@ -243,22 +248,17 @@ def l2_inner(p, s1, s2, grid, normalized=True):
         raise RuntimeError(
             f"integrand failed the periodicity certificate: residual {res:.3e}"
         )
-    frame, weight = theta_frame_on_grid(p, k, grid)
-    v1 = s1.coeffs @ frame
-    v2 = s2.coeffs @ frame
-    value = np.mean(v1 * np.conj(v2) * weight)
-    if normalized:
-        value *= math.sqrt(2**p.n * k**p.n * p.det_Y)
+    G = _frame_pairings(p, k, grid, [1.0])[0]
+    value = s1.coeffs @ G @ np.conj(s2.coeffs)
+    if not normalized:
+        value /= _frame_norm(p, k)
     return complex(value)
 
 
 def gram_matrix(p, k, grid):
     """Matrix of normalized frame inner products; Hermitian, close to Id."""
     _check_grid(p, k, grid)
-    frame, weight = theta_frame_on_grid(p, k, grid)
-    norm = math.sqrt(2**p.n * k**p.n * p.det_Y)
-    G = np.einsum("aP,bP,P->ab", frame, np.conj(frame), weight) / frame.shape[1]
-    return norm * G
+    return _frame_pairings(p, k, grid, [1.0])[0]
 
 
 def lattice_weight_identity(p, z, lattice_index):

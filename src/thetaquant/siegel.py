@@ -59,6 +59,7 @@ class SiegelPoint:
     X: np.ndarray = field(init=False)
     Y: np.ndarray = field(init=False)
     is_normal: bool = field(init=False)
+    _Yinv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Z = np.atleast_2d(np.asarray(self.Z, dtype=complex))
@@ -75,17 +76,19 @@ class SiegelPoint:
                 "imaginary part of Z is not positive definite"
             ) from None
         normal = np.max(np.abs(X @ Y - Y @ X)) < NORMALITY_TOL
-        for arr in (Z, X, Y):
+        Yinv = np.linalg.inv(Y)
+        for arr in (Z, X, Y, Yinv):
             arr.setflags(write=False)
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "n", Z.shape[0])
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "is_normal", bool(normal))
+        object.__setattr__(self, "_Yinv", Yinv)
 
     @property
     def Yinv(self):
-        return np.linalg.inv(self.Y)
+        return self._Yinv
 
     @property
     def det_Y(self):

@@ -37,7 +37,7 @@ from .fourier import (
     dense_max_abs,
     poisson_bracket,
 )
-from .sections import _check_grid, theta_frame_on_grid
+from .sections import _check_grid, _frame_pairings
 from .siegel import laplace_eigenvalue
 
 __all__ = [
@@ -176,9 +176,9 @@ def rescaled_toeplitz(p, k, m):
 def toeplitz_modes_quadrature(p, k, modes, grid):
     """Quadrature matrices for several modes sharing one frame evaluation.
 
-    This is the independent oracle for the closed form: each entry is the
-    weighted grid integral of F_{r,s} theta_a conj(theta_b) times the
-    orthonormality constant.
+    This is the independent oracle for the closed form: entry (b, a) is the
+    normalized frame pairing of theta_a and theta_b under the grid weight
+    F_{r,s}.
     """
     modes = [FourierMode.coerce(m) for m in modes]
     if not modes:
@@ -186,19 +186,12 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     _check_dense(k, p.n)
     m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
     _check_grid(p, k, grid, m_max=m_max)
-    frame, weight = theta_frame_on_grid(p, k, grid)
-    norm = math.sqrt(2**p.n * k**p.n * p.det_Y)
-    t = grid.nodes_1d
-    out = {}
-    conj_frame = np.conj(frame)
-    for m in modes:
-        integrand_weight = _phase_on_grid(m, t).ravel() * weight
-        entries = (
-            np.einsum("aP,bP,P->ba", frame, conj_frame, integrand_weight)
-            / frame.shape[1]
-        )
-        out[m] = OperatorMatrix(k, p.n, p, norm * entries, "quadrature")
-    return out
+    phases = (_phase_on_grid(m, grid.nodes_1d).ravel() for m in modes)
+    pairings = _frame_pairings(p, k, grid, phases)
+    return {
+        m: OperatorMatrix(k, p.n, p, pairing.T, "quadrature")
+        for m, pairing in zip(modes, pairings)
+    }
 
 
 def toeplitz_mode_quadrature(p, k, m, grid):

@@ -135,14 +135,36 @@ class TestRunAndCache:
         assert float(v["tolerance"]) == 1e-17
         assert "1e-17" in doc.summary_text()
 
-    def test_nan_gram_fails(self):
-        # the n = 1 grid frame overflows at this level and point: all-NaN
-        # Gram entries must not read as a pass
+    def test_nan_gram_fails(self, monkeypatch):
+        # all-NaN Gram entries must not read as a pass
+        monkeypatch.setattr(
+            "thetaquant.experiments.gram_matrix",
+            lambda p, k, grid: np.full((k**p.n, k**p.n), np.nan, dtype=complex),
+        )
         m = parse_config("experiment = gram, n = 1, k = 32, Z = 1+2i")
         with np.errstate(all="ignore"):
             doc = run_experiment(m, use_cache=False)
         assert not doc.passed
         assert doc.verdicts[0]["observed"] == "nan"
+
+    def test_high_level_gram_passes(self):
+        # the grid frame once overflowed here and gave all-NaN Gram matrices
+        m = parse_config("experiment = gram\nn = 1\nk = 32, 64\nZ = 1+2i; i")
+        doc = run_experiment(m, use_cache=False)
+        assert doc.passed
+        assert len(doc.rows) == 4
+        for row in doc.rows:
+            assert row[-1] == "pass"
+            assert np.isfinite(float(row[4]))
+
+    def test_frame_too_large_is_refused(self):
+        # the k = 8 frame would need 16 GiB; it is refused before allocation
+        m = parse_config("experiment = gram\nn = 2\nk = 4, 8")
+        doc = run_experiment(m, use_cache=False)
+        (measured, refused) = doc.rows
+        assert measured[1] == "4" and measured[-1] == "pass"
+        assert refused[1] == "8" and refused[-1].startswith("refused:")
+        assert "GiB" in refused[-1]
 
     def test_sweep_without_rows_fails(self):
         # every level is above the pointwise cap, so nothing is measured
@@ -258,6 +280,13 @@ class TestCli:
             assert rc == 2
             assert message in err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_frame_too_large_is_reported(self, capsys):
+        rc = main(["gram", "--n", "2", "--k", "8", "--Z", "[[1i,0],[0,2i]]"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "16.0 GiB" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_env_cache_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("THETAQUANT_CACHE_DIR", str(tmp_path / "envcache"))

@@ -113,6 +113,30 @@ class TestCovariantConstancy:
         b = toeplitz_mode_closed_form(p2, 2, ((1,), (0,))).entries
         assert np.max(np.abs(a - b)) > 1e-2
 
+    @pytest.mark.parametrize(
+        "Z1, Z2, modes",
+        [
+            (1j, 1 + 2j, [((1,), (0,)), ((2,), (-3,)), ((0,), (1,))]),
+            (
+                [[1j, 0], [0, 2j]],
+                [[2j, 0.5j], [0.5j, 1j]],
+                [((1, 0), (0, 1)), ((0, 1), (1, 1)), ((2, 0), (-1, 0))],
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_raw_difference_is_eta_gap(self, Z1, Z2, modes, k):
+        # both operators are eta W_k(m) with the same unit-modulus W, so the
+        # largest entry difference is the gap between the Gaussian factors
+        p1, p2 = SiegelPoint(Z1), SiegelPoint(Z2)
+        for m in modes:
+            a = toeplitz_mode_closed_form(p1, k, m).entries
+            b = toeplitz_mode_closed_form(p2, k, m).entries
+            dense = np.max(np.abs(a - b))
+            assert abs(eta(p1, k, m) - eta(p2, k, m)) == pytest.approx(
+                dense, rel=1e-14, abs=1e-16
+            )
+
     def test_n2_diagonal(self, point_n2):
         q = SiegelPoint(np.diag([2j, 3j]))
         for m in [((1, 0), (0, 1)), ((0, 1), (1, 1))]:

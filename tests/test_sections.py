@@ -13,11 +13,12 @@ from thetaquant.sections import (
     required_grid_size,
     section_eval,
     suggest_grid,
+    theta_frame_on_grid,
 )
 from thetaquant.siegel import SiegelPoint
 from thetaquant.theta import ThetaLabel, theta_eval
 
-from oracles import inner_product_brute
+from oracles import inner_product_brute, theta_brute
 
 
 def unit(k, n, i):
@@ -85,6 +86,38 @@ class TestOrthonormality:
         grid = suggest_grid(p, 1)
         raw = l2_inner(p, unit(1, 1, 0), unit(1, 1, 0), grid, normalized=False)
         assert raw == pytest.approx(1.0 / np.sqrt(2 * 2.0), abs=1e-8)
+
+
+class TestFrame:
+    @pytest.mark.parametrize(
+        "Z, k",
+        [
+            (1j, 3),
+            (1 + 2j, 32),
+            ([[2j, 0.5j], [0.5j, 1j]], 2),
+            ([[1 + 1j, 0.3], [0.3, 0.5 + 2j]], 2),
+        ],
+    )
+    def test_entries_match_brute_sum(self, Z, k):
+        # row a, node (x, y): theta_a(x + Zy) exp(-pi k y.Yy), grid axes
+        # flattened in the order (x_1..x_n, y_1..y_n)
+        p = SiegelPoint(Z)
+        n = p.n
+        grid = suggest_grid(p, k)
+        N = grid.N
+        frame = theta_frame_on_grid(p, k, grid)
+        assert frame.shape == (k**n, N ** (2 * n))
+        Zl = p.Z.tolist()
+        for a in (0, k**n - 1):
+            label = np.unravel_index(a, (k,) * n)
+            for node in ((0,) * (2 * n), (1, N - 1) * n, (N // 3, N // 2) * n):
+                x = np.array(node[:n]) / N
+                y = np.array(node[n:]) / N
+                z = x + p.Z @ y
+                want = theta_brute(Zl, k, label, tuple(z), radius=6)
+                want *= np.exp(-np.pi * k * (y @ p.Y @ y))
+                got = frame[a, np.ravel_multi_index(node, (N,) * (2 * n))]
+                assert abs(got - want) < 1e-12
 
 
 class TestGram:

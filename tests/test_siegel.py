@@ -55,6 +55,13 @@ class TestSiegelPoint:
         with pytest.raises(ValueError):
             p.Z[0, 0] = 0
 
+    def test_inverse_is_stored_once(self):
+        p = SiegelPoint([[1j, 0.2 + 0.5j], [0.2 + 0.5j, 2j]])
+        assert p.Yinv is p.Yinv
+        assert np.allclose(p.Yinv @ p.Y, np.eye(2), atol=1e-15)
+        with pytest.raises(ValueError):
+            p.Yinv[0, 0] = 0
+
 
 class TestComplexStructure:
     def test_frozen_examples(self):
