@@ -34,6 +34,7 @@ from .sections import (
 )
 from .toeplitz import (
     OperatorMatrix,
+    WeylSymbol,
     bms_experiment,
     eta,
     hs_inner,

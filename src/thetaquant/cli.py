@@ -27,7 +27,13 @@ from .config import (
     parse_matrix,
 )
 from .experiments import emit_outputs, fmt_complex, run_experiment
-from .sections import GridError, QuadratureGrid, gram_matrix, required_grid_size
+from .sections import (
+    GridError,
+    QuadratureGrid,
+    SizeLimitError,
+    gram_matrix,
+    required_grid_size,
+)
 from .siegel import InvalidPointError, SiegelPoint
 from .theta import Derivative, ThetaLabel, theta_eval
 from .toeplitz import toeplitz_mode_closed_form, toeplitz_mode_quadrature
@@ -214,7 +220,7 @@ def main(argv=None):
             return _cmd_experiment_run(args)
         if args.verb == "tqft":
             return _cmd_tqft_invariant(args)
-    except (ConfigError, InvalidPointError, GridError) as exc:
+    except (ConfigError, InvalidPointError, GridError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable verb")

@@ -179,9 +179,9 @@ def _pointwise_levels(m, extras):
 
 
 def _grid_for(m, p, k, m_max=0):
-    if m.grid is not None:
-        return QuadratureGrid(m.grid, p.n)
-    return QuadratureGrid(required_grid_size(p, k, m_max, m.epsilon), p.n)
+    """The manifest's grid, or the bandwidth-rule grid, at its epsilon."""
+    N = m.grid if m.grid is not None else required_grid_size(p, k, m_max, m.epsilon)
+    return QuadratureGrid(N, p.n, m.epsilon)
 
 
 def _probe_points(p, count=5):
@@ -222,8 +222,8 @@ def _run_gram(m):
     devs = []
     for p in m.points:
         for k in m.k_values:
+            grid = _grid_for(m, p, k)
             try:
-                grid = _grid_for(m, p, k)
                 G = gram_matrix(p, k, grid)
                 dev = float(
                     np.max(np.abs(G - np.eye(k**p.n)))
@@ -232,7 +232,7 @@ def _run_gram(m):
                 status = "pass" if dev < tol else "fail"
                 rows.append([m.n, k, fmt_point(p), grid.N, dev, status])
             except GridError as exc:
-                rows.append([m.n, k, fmt_point(p), m.grid or 0, float("nan"),
+                rows.append([m.n, k, fmt_point(p), grid.N, float("nan"),
                              f"refused: {exc}"])
     worst = _worst(devs)
     verdicts = [_verdict("gram-identity", worst < tol, worst, tol)]
@@ -242,17 +242,17 @@ def _run_gram(m):
 def _run_toeplitz_compare(m):
     tol = m.tol if m.tol is not None else 1e-8
     modes = _mode_list(m, 2)
-    columns = ["k", "Z", "r", "s", "max_entry_diff", "status"]
+    columns = ["k", "Z", "N", "r", "s", "max_entry_diff", "status"]
     m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
     rows = []
     diffs = []
     for p in m.points:
         for k in m.k_values:
+            grid = _grid_for(m, p, k, m_max)
             try:
-                grid = _grid_for(m, p, k, m_max)
                 quads = toeplitz_modes_quadrature(p, k, modes, grid)
             except GridError as exc:
-                rows.append([k, fmt_point(p), "", "", float("nan"),
+                rows.append([k, fmt_point(p), grid.N, "", "", float("nan"),
                              f"refused: {exc}"])
                 continue
             for mm in modes:
@@ -260,7 +260,7 @@ def _run_toeplitz_compare(m):
                 diff = float(np.max(np.abs(closed.entries - quads[mm].entries)))
                 diffs.append(diff)
                 rows.append(
-                    [k, fmt_point(p), fmt_ints(mm.r), fmt_ints(mm.s),
+                    [k, fmt_point(p), grid.N, fmt_ints(mm.r), fmt_ints(mm.s),
                      diff, "pass" if diff < tol else "fail"]
                 )
     worst = _worst(diffs)

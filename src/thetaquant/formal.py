@@ -32,10 +32,9 @@ from .siegel import (
     laplace_eigenvalue,
 )
 from .toeplitz import (
+    WeylSymbol,
     _inverse_power_fit,
     eta,
-    hs_inner,
-    rescaled_toeplitz,
     toeplitz_mode_closed_form,
 )
 
@@ -297,9 +296,9 @@ def trivialized_star_compare(p, m1, m2, k_values, order=3, other_point=None):
 
     def fitted_order1(pt):
         def sample(k):
-            A = rescaled_toeplitz(pt, k, m1) @ rescaled_toeplitz(pt, k, m2)
-            B = rescaled_toeplitz(pt, k, m1 + m2)
-            return [hs_inner(A, B) / hs_inner(B, B)]
+            A = WeylSymbol(k, pt, {m1: 1.0}) @ WeylSymbol(k, pt, {m2: 1.0})
+            B = WeylSymbol(k, pt, {m1 + m2: 1.0})
+            return [A.pair(B) / B.pair(B)]
 
         coefficients, cond = _inverse_power_fit(k_values, order, sample)
         return coefficients[1, 0], cond

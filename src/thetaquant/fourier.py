@@ -245,12 +245,22 @@ def dense_max_abs(f, points_per_dim=2048):
     """sup |f| approximated on a uniform grid of the unit cell.
 
     Used as the reference value in operator-norm asymptotics experiments.
+    Grids above ``sections.MAX_FRAME_BYTES`` are refused before allocation.
     """
+    # sections imports this module (through siegel), so read its limit here
+    from .sections import MAX_FRAME_BYTES, SizeLimitError
+
     n = f.n
     if n > 2:
         raise ValueError("dense grid sup only supported for n <= 2")
     if n == 2:
         points_per_dim = min(points_per_dim, 256)
+    size = points_per_dim ** (2 * n) * 16
+    if size > MAX_FRAME_BYTES:
+        raise SizeLimitError(
+            f"sup grid needs {size / 2**30:.1f} GiB at {points_per_dim} points "
+            f"per axis, above the {MAX_FRAME_BYTES / 2**30:g} GiB limit"
+        )
     t = np.arange(points_per_dim) / points_per_dim
     total = np.zeros((points_per_dim,) * (2 * n), dtype=complex)
     for m, c in f.terms.items():

@@ -37,6 +37,7 @@ from .theta import (
 
 __all__ = [
     "GridError",
+    "SizeLimitError",
     "SectionVector",
     "QuadratureGrid",
     "required_grid_size",
@@ -57,6 +58,10 @@ _PAIRING_BLOCK = 1 << 15  # grid columns per block of a frame pairing
 
 class GridError(ValueError):
     """Raised when a quadrature grid is too coarse for the integrand."""
+
+
+class SizeLimitError(ValueError):
+    """Raised, before allocation, for an array above its fixed size limit."""
 
 
 @dataclass(frozen=True)
@@ -93,10 +98,15 @@ class SectionVector:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Uniform grid with N nodes per coordinate on [0,1)^{2n}."""
+    """Uniform grid with N nodes per coordinate on [0,1)^{2n}.
+
+    ``epsilon`` is the theta truncation tolerance the grid is meant for: the
+    bandwidth check and the grid frame both use it.
+    """
 
     N: int
     n: int
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if self.N < 1:
@@ -116,7 +126,7 @@ def required_grid_size(p, k, m_max=0, epsilon=DEFAULT_EPSILON):
 
 
 def suggest_grid(p, k, m_max=0, epsilon=DEFAULT_EPSILON):
-    return QuadratureGrid(required_grid_size(p, k, m_max, epsilon), p.n)
+    return QuadratureGrid(required_grid_size(p, k, m_max, epsilon), p.n, epsilon)
 
 
 def section_eval(p, s, x, y, policy=None):
@@ -134,7 +144,7 @@ def section_eval(p, s, x, y, policy=None):
     return total
 
 
-def theta_frame_on_grid(p, k, grid, epsilon=DEFAULT_EPSILON):
+def theta_frame_on_grid(p, k, grid):
     """Theta frame on the uniform grid, weighted by exp(-pi k y.Yy).
 
     Returns an array of shape (k^n, N^{2n}) whose row a holds
@@ -145,10 +155,11 @@ def theta_frame_on_grid(p, k, grid, epsilon=DEFAULT_EPSILON):
         exp(i pi k [(u+y).Z(u+y) - y.Xy]),
 
     one exponential of modulus exp(-pi k (u+y).Y(u+y)) <= 1, so no level
-    overflows.  The frame is one batched product of the two parts over l.
+    overflows.  The frame is one batched product of the two parts over l,
+    truncated at the grid's epsilon.
     """
     n, N = p.n, grid.N
-    half = int(math.ceil(truncation_radius(p, k, epsilon).radius)) + 1
+    half = int(math.ceil(truncation_radius(p, k, grid.epsilon).radius)) + 1
     shifts = (np.indices((2 * half + 1,) * n).reshape(n, -1) - half).T
     labels = np.indices((k,) * n).reshape(n, -1).T
     ku = k * shifts[None, :, :] + labels[:, None, :]  # k u, integer
@@ -191,7 +202,7 @@ def integrand_periodicity_residual(p, s1, s2, probe=(0.3, 0.7)):
 
 
 def _check_grid(p, k, grid, m_max=0):
-    need = required_grid_size(p, k, m_max)
+    need = required_grid_size(p, k, m_max, grid.epsilon)
     if grid.n != p.n:
         raise GridError(f"grid dimension {grid.n} != point dimension {p.n}")
     if grid.N < need:

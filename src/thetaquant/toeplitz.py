@@ -17,9 +17,25 @@ which satisfies the Weyl relation
 
     W_k(m1) W_k(m2) = exp(i pi omega(m1, m2) / k) W_k(m1 + m2),
 
-with omega the symplectic pairing r1.s2 - s1.r2.  The quadrature route
-computes the same entries as weighted frame integrals and serves as the
-independent oracle.
+with omega the symplectic pairing r1.s2 - s1.r2.  So every closed-form
+operator is a :class:`WeylSymbol` A = sum_m a_m W_k(m) over integer modes m,
+and its algebra needs no k^n x k^n matrix:
+
+* products follow the Weyl relation, and W_k(m)* = W_k(-m);
+* tr W_k(m) W_k(m')* is k^n times a sign when m = m' mod k and 0 otherwise,
+  which gives the Hilbert-Schmidt pairing tr(A B*);
+* a line symbol, whose modes are all t m0 for one primitive m0 = (r0, s0),
+  is a polynomial sum_t a_t U^t in the unitary U = W_k(m0).  U^k = eps I
+  with eps = (-1)^{k r0.s0}, and tr U^t = tr W_k(t m0) = 0 for 0 < t < k
+  (the trace vanishes unless k divides every entry of t m0, hence t), so
+  the spectrum of U is every root of lambda^k = eps with the same
+  multiplicity k^{n-1}.  The operator is normal and its norm is
+  max |sum_t a_t lambda^t| over those k roots, an O(M k) computation.
+
+The norm of any other symbol, and the public matrix constructors, go
+through :meth:`WeylSymbol.to_dense`, the one dense builder.  The quadrature
+route computes the same entries as weighted frame integrals and serves as
+the independent oracle.
 """
 
 from __future__ import annotations
@@ -37,11 +53,12 @@ from .fourier import (
     dense_max_abs,
     poisson_bracket,
 )
-from .sections import _check_grid, _frame_pairings
+from .sections import SizeLimitError, _check_grid, _frame_pairings
 from .siegel import laplace_eigenvalue
 
 __all__ = [
     "OperatorMatrix",
+    "WeylSymbol",
     "eta",
     "toeplitz_mode_closed_form",
     "toeplitz_mode_quadrature",
@@ -62,11 +79,6 @@ __all__ = [
 ]
 
 MAX_DENSE_DIM = 4096
-
-
-def _check_dense(k, n):
-    if k**n > MAX_DENSE_DIM:
-        raise ValueError(f"dense frame dimension k^n = {k ** n} exceeds {MAX_DENSE_DIM}")
 
 
 @dataclass(frozen=True)
@@ -96,12 +108,6 @@ class OperatorMatrix:
             raise ValueError("operator shapes differ")
         return OperatorMatrix(self.k, self.n, self.point, entries, "derived")
 
-    def __add__(self, other):
-        return self._combine(other, self.entries + other.entries)
-
-    def __sub__(self, other):
-        return self._combine(other, self.entries - other.entries)
-
     def __mul__(self, scalar):
         return OperatorMatrix(
             self.k, self.n, self.point, scalar * self.entries, "derived"
@@ -117,9 +123,6 @@ class OperatorMatrix:
             self.k, self.n, self.point, self.entries.conj().T, "derived"
         )
 
-    def trace(self):
-        return complex(np.trace(self.entries))
-
 
 def eta(p, k, m):
     """Gaussian factor of the mode operator: exp(lambda(r,s,Z) / 4k).
@@ -134,35 +137,153 @@ def _clock_shift_columns(k, n, m):
     """Row index and value of the one nonzero entry in each column of W_k(m).
 
     Columns are the labels a in lexicographic order; column a has its entry
-    in row a + r mod k, with value exp(-pi i r.s/k) exp(-2 pi i s.a/k).
+    in row a + r mod k, with value exp(-pi i r.s/k) exp(-2 pi i s.a/k); both
+    phases are reduced exactly, r.s mod 2k and s.a mod k.
     """
     shape = (k,) * n
     labels = np.indices(shape).reshape(n, -1)
     rows = np.ravel_multi_index((labels + np.array(m.r)[:, None]) % k, shape)
     sa = (np.array(m.s) @ labels) % k
-    values = np.exp(-1j * np.pi * np.dot(m.r, m.s) / k) * np.exp(
-        -2j * np.pi * sa / k
-    )
+    rs = int(np.dot(m.r, m.s)) % (2 * k)
+    values = np.exp(-1j * np.pi * rs / k) * np.exp(-2j * np.pi * sa / k)
     return rows, values
 
 
-def _closed_form(p, k, terms):
-    """The dense operator sum c W_k(m) over the (mode, c) pairs in ``terms``."""
-    n = p.n
-    _check_dense(k, n)
-    dim = k**n
-    entries = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for m, c in terms:
-        rows, values = _clock_shift_columns(k, n, m)
-        entries[rows, cols] += c * values
-    return OperatorMatrix(k, n, p, entries, "closed_form")
+@dataclass(frozen=True)
+class WeylSymbol:
+    """The level-k operator sum_m c_m W_k(m), kept as its mode coefficients.
+
+    ``coeffs`` maps integer modes to complex coefficients; zero coefficients
+    are dropped.  Modes are not reduced mod k: congruent modes give the same
+    W_k up to a sign, which products and pairings carry exactly.
+    """
+
+    k: int
+    point: object
+    coeffs: dict
+
+    def __post_init__(self):
+        coeffs = {}
+        for m, c in self.coeffs.items():
+            if c != 0:
+                m = FourierMode.coerce(m)
+                coeffs[m] = coeffs.get(m, 0.0) + complex(c)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def toeplitz(cls, p, k, f):
+        """T_k(f) = sum c_m eta_k(m) W_k(m) of a finite Fourier combination."""
+        return cls(k, p, {m: c * eta(p, k, m) for m, c in f.terms.items()})
+
+    @property
+    def n(self):
+        return self.point.n
+
+    def _check_level(self, other):
+        if (self.k, self.n) != (other.k, other.n):
+            raise ValueError("operator shapes differ")
+
+    def __sub__(self, other):
+        self._check_level(other)
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = out.get(m, 0.0) - c
+        return WeylSymbol(self.k, self.point, out)
+
+    def __mul__(self, scalar):
+        return WeylSymbol(
+            self.k, self.point, {m: scalar * c for m, c in self.coeffs.items()}
+        )
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        """Product by the Weyl relation; O(M1 M2) at any level."""
+        self._check_level(other)
+        k = self.k
+        out = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                omega = m1.symplectic_pairing(m2) % (2 * k)
+                m = m1 + m2
+                out[m] = out.get(m, 0.0) + c1 * c2 * cmath.exp(
+                    1j * math.pi * omega / k
+                )
+        return WeylSymbol(k, self.point, out)
+
+    def adjoint(self):
+        """W_k(m)* = W_k(-m), so the adjoint conjugates and negates modes."""
+        return WeylSymbol(
+            self.k, self.point, {-m: c.conjugate() for m, c in self.coeffs.items()}
+        )
+
+    def pair(self, other):
+        """tr(A B*): k^n a_m conj(b_m') trace_pair_sign(k, m, m') summed over
+        the componentwise congruent pairs m = m' mod k."""
+        self._check_level(other)
+        k = self.k
+        total = 0.0 + 0.0j
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                if all((a - b) % k == 0 for a, b in zip(m1.r + m1.s, m2.r + m2.s)):
+                    total += c1 * c2.conjugate() * trace_pair_sign(k, m1, m2)
+        return complex(k**self.n * total)
+
+    def to_dense(self):
+        """The k^n x k^n matrix; refused above MAX_DENSE_DIM before allocation."""
+        k, n = self.k, self.n
+        dim = k**n
+        if dim > MAX_DENSE_DIM:
+            raise SizeLimitError(
+                f"dense operator needs dimension k^n = {dim}, "
+                f"above the {MAX_DENSE_DIM} limit"
+            )
+        entries = np.zeros((dim, dim), dtype=complex)
+        cols = np.arange(dim)
+        for m, c in self.coeffs.items():
+            rows, values = _clock_shift_columns(k, n, m)
+            entries[rows, cols] += c * values
+        return OperatorMatrix(k, n, self.point, entries, "closed_form")
+
+    def _line(self):
+        """(r0.s0, t, c) when every mode is t_j m0 for one primitive m0 =
+        (r0, s0), with the powers t and coefficients c as arrays; else None."""
+        vectors = [m.r + m.s for m in self.coeffs]
+        base = next((v for v in vectors if any(v)), (0,) * (2 * self.n))
+        g = math.gcd(*base) or 1
+        m0 = tuple(a // g for a in base)
+        i = next((j for j, a in enumerate(m0) if a), 0)
+        powers = [v[i] // m0[i] if m0[i] else 0 for v in vectors]
+        if any(v != tuple(t * a for a in m0) for v, t in zip(vectors, powers)):
+            return None
+        r0s0 = sum(a * b for a, b in zip(m0[: self.n], m0[self.n :]))
+        return r0s0, np.array(powers, dtype=np.int64), np.array(
+            list(self.coeffs.values()), dtype=complex
+        )
+
+    def norm(self):
+        """Operator norm: exact on a line symbol (see the module docstring),
+        else the dense SVD."""
+        line = self._line()
+        if line is None:
+            return operator_norm(self.to_dense())
+        r0s0, t, c = line
+        k = self.k
+        odd = (k * r0s0) % 2  # U^k = (-1)^odd I
+        # the roots of lambda^k = (-1)^odd are exp(i pi (2j + odd) / k)
+        angles = np.multiply.outer(2 * np.arange(k) + odd, t) % (2 * k)
+        return float(np.max(np.abs(np.exp(1j * np.pi * angles / k) @ c)))
+
+
+def _mode_symbol(p, k, m):
+    """T_k(m) = eta_k(m) W_k(m) as a symbol."""
+    m = FourierMode.coerce(m)
+    return WeylSymbol(k, p, {m: eta(p, k, m)})
 
 
 def toeplitz_mode_closed_form(p, k, m):
     """Matrix of the mode operator, eta_k(m) W_k(m), in closed form."""
-    m = FourierMode.coerce(m)
-    return _closed_form(p, k, [(m, eta(p, k, m))])
+    return _mode_symbol(p, k, m).to_dense()
 
 
 def rescaled_toeplitz(p, k, m):
@@ -170,7 +291,7 @@ def rescaled_toeplitz(p, k, m):
 
     entry(b, a) = delta_{b, a + r mod k} exp(-pi i r.s / k) exp(-2 pi i s.a/k).
     """
-    return _closed_form(p, k, [(FourierMode.coerce(m), 1.0)])
+    return WeylSymbol(k, p, {m: 1.0}).to_dense()
 
 
 def toeplitz_modes_quadrature(p, k, modes, grid):
@@ -183,7 +304,6 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     modes = [FourierMode.coerce(m) for m in modes]
     if not modes:
         return {}
-    _check_dense(k, p.n)
     m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
     _check_grid(p, k, grid, m_max=m_max)
     phases = (_phase_on_grid(m, grid.nodes_1d).ravel() for m in modes)
@@ -200,7 +320,7 @@ def toeplitz_mode_quadrature(p, k, m, grid):
 
 def toeplitz_function(p, k, f):
     """Operator of a finite Fourier combination: sum c_m eta_k(m) W_k(m)."""
-    return _closed_form(p, k, [(m, c * eta(p, k, m)) for m, c in f.terms.items()])
+    return WeylSymbol.toeplitz(p, k, f).to_dense()
 
 
 def operator_norm(A):
@@ -243,36 +363,31 @@ def trace_pair_sign(k, m1, m2):
 
 
 def trace_pair_closed_form(p, k, m1, m2):
-    """tr(T_{m1} (T_{m2})*) from the closed form.
+    """tr(T_{m1} (T_{m2})*) = eta(m1) eta(m2) tr(W_k(m1) W_k(m2)*).
 
-    Zero unless (r,s) = (t,u) mod k componentwise; otherwise
-    k^n eta(m1) eta(m2) sign, with the sign from :func:`trace_pair_sign`.
+    The last factor is the symbol pairing: zero unless (r,s) = (t,u) mod k
+    componentwise, otherwise k^n times the sign from :func:`trace_pair_sign`.
+    The Gaussian factors are evaluated only when it is nonzero.
     """
     m1, m2 = FourierMode.coerce(m1), FourierMode.coerce(m2)
-    congruent = all((a - b) % k == 0 for a, b in zip(m1.r, m2.r)) and all(
-        (a - b) % k == 0 for a, b in zip(m1.s, m2.s)
-    )
-    if not congruent:
-        return 0.0 + 0.0j
-    return complex(
-        k**p.n * eta(p, k, m1) * eta(p, k, m2) * trace_pair_sign(k, m1, m2)
-    )
+    unit = WeylSymbol(k, p, {m1: 1.0}).pair(WeylSymbol(k, p, {m2: 1.0}))
+    return unit * eta(p, k, m1) * eta(p, k, m2) if unit else unit
 
 
 def bms_experiment(p, f, k_values, sup_points=2048):
     """Operator norms against sup |f| across levels.
 
     Returns rows ``{k, norm, sup, error}``; the errors shrink like 1/k as
-    the Gaussian damping of each mode relaxes toward 1.
+    the Gaussian damping of each mode relaxes toward 1.  The norms come
+    first, so a level that needs a refused dense matrix stops the run
+    before the sup grid is allocated.
     """
+    norms = [WeylSymbol.toeplitz(p, k, f).norm() for k in k_values]
     sup = dense_max_abs(f, sup_points)
-    rows = []
-    for k in k_values:
-        nrm = operator_norm(toeplitz_function(p, k, f))
-        rows.append(
-            {"k": int(k), "norm": nrm, "sup": sup, "error": abs(nrm - sup)}
-        )
-    return rows
+    return [
+        {"k": int(k), "norm": nrm, "sup": sup, "error": abs(nrm - sup)}
+        for k, nrm in zip(k_values, norms)
+    ]
 
 
 def loglog_order(ks, errs):
@@ -333,12 +448,12 @@ def product_expansion_fit(p, f, g, k_values, order=3):
     c0_norms = []
 
     def sample(k):
-        prod = toeplitz_function(p, k, f) @ toeplitz_function(p, k, g)
-        c0_norms.append(operator_norm(prod - toeplitz_function(p, k, fg)))
+        prod = WeylSymbol.toeplitz(p, k, f) @ WeylSymbol.toeplitz(p, k, g)
+        c0_norms.append((prod - WeylSymbol.toeplitz(p, k, fg)).norm())
         out = []
         for m in out_modes:
-            B = toeplitz_mode_closed_form(p, k, m)
-            out.append(hs_inner(prod, B) / hs_inner(B, B))
+            B = _mode_symbol(p, k, m)
+            out.append(prod.pair(B) / B.pair(B))
         return out
 
     coeff_rows, cond = _inverse_power_fit(k_values, order, sample)
@@ -377,10 +492,10 @@ def c1_antisymmetry_constant(p, f, g, k_values, order=3):
     fit_gf = product_expansion_fit(p, g, f, k_values, order)
     anti = fit_fg.coefficients[1] - fit_gf.coefficients[1]
     kmax = max(k_values)
-    A = toeplitz_function(p, kmax, anti)
-    B = toeplitz_function(p, kmax, poisson_bracket(f, g))
-    gamma = hs_inner(A, B) / hs_inner(B, B)
-    resid = operator_norm(A - gamma * B) / max(operator_norm(A), 1e-300)
+    A = WeylSymbol.toeplitz(p, kmax, anti)
+    B = WeylSymbol.toeplitz(p, kmax, poisson_bracket(f, g))
+    gamma = A.pair(B) / B.pair(B)
+    resid = (A - gamma * B).norm() / max(A.norm(), 1e-300)
     return C1Comparison(
         gamma=gamma,
         constant=gamma / (-1j),

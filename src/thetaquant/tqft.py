@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import FourierMode
-from .toeplitz import (
-    hs_inner,
-    rescaled_toeplitz,
-    toeplitz_function,
-    trace_pair_closed_form,
-)
+from .toeplitz import WeylSymbol, rescaled_toeplitz
 
 __all__ = [
     "SurfaceData",
@@ -101,11 +96,14 @@ def curve_operator(p, k, c):
 
 
 def curve_pairing(p, k, c1, c2):
-    """k^{-g} tr(Z(c1) Z(c2)*): approaches the L2 pairing of holonomies."""
-    g = p.n
-    A = curve_operator(p, k, c1)
-    B = curve_operator(p, k, c2)
-    return complex(k ** (-g) * hs_inner(A, B))
+    """k^{-g} tr(Z(c1) Z(c2)*): approaches the L2 pairing of holonomies.
+
+    Evaluated as the pairing of the two curve symbols W_k(m), so no
+    k^g x k^g matrix is formed.
+    """
+    A = WeylSymbol(k, p, {holonomy_mode(c1): 1.0})
+    B = WeylSymbol(k, p, {holonomy_mode(c2): 1.0})
+    return complex(k ** (-p.n) * A.pair(B))
 
 
 def mapping_torus_invariant(p, k, c1=None, c2=None):
@@ -133,9 +131,7 @@ def pairing_limit_experiment(p, f, g, k_values):
     rows = []
     for k in k_values:
         k = int(k)
-        Tf = toeplitz_function(p, k, f)
-        Tg = toeplitz_function(p, k, g)
-        value = k ** (-p.n) * hs_inner(Tf, Tg)
+        value = pairing_closed_form(p, k, f, g)
         rows.append(
             {
                 "k": k,
@@ -148,9 +144,7 @@ def pairing_limit_experiment(p, f, g, k_values):
 
 
 def pairing_closed_form(p, k, f, g):
-    """The same pairing assembled from the closed-form pair traces."""
-    total = 0.0 + 0.0j
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            total += c1 * np.conj(c2) * trace_pair_closed_form(p, k, m1, m2)
-    return complex(total / k**p.n)
+    """k^{-n} tr(T_f T_g*) as the pairing of the two Toeplitz symbols."""
+    Tf = WeylSymbol.toeplitz(p, k, f)
+    Tg = WeylSymbol.toeplitz(p, k, g)
+    return complex(Tf.pair(Tg) / k**p.n)

@@ -12,6 +12,9 @@ from thetaquant.config import (
     parse_matrix,
 )
 from thetaquant.experiments import emit_outputs, run_experiment
+from thetaquant.sections import required_grid_size
+from thetaquant.siegel import SiegelPoint
+from thetaquant.toeplitz import WeylSymbol
 
 
 class TestParsing:
@@ -166,6 +169,43 @@ class TestRunAndCache:
         assert refused[1] == "8" and refused[-1].startswith("refused:")
         assert "GiB" in refused[-1]
 
+    def test_manifest_epsilon_sizes_and_checks_the_grid(self):
+        # the grid was sized at the manifest epsilon but checked at the
+        # default 1e-12, so every row was refused (and printed N = 0)
+        p = SiegelPoint(0.5 + 0.7j)
+        for experiment, m_max, n_col in (("gram", 0, 3), ("toeplitz-compare", 2, 2)):
+            m = parse_config(
+                f"experiment = {experiment}\nn = 1\nk = 2, 8\n"
+                "Z = 0.5+0.7i\nepsilon = 1e-3"
+            )
+            doc = run_experiment(m, use_cache=False)
+            assert doc.passed
+            assert {row[n_col] for row in doc.rows} == {
+                str(required_grid_size(p, k, m_max, 1e-3)) for k in (2, 8)
+            }
+            assert all(row[-1] == "pass" for row in doc.rows)
+
+    def test_refused_rows_show_the_tried_grid(self):
+        for experiment, k, n_col, N in (("gram", 8, 3, "64"),
+                                        ("toeplitz-compare", 6, 2, "56")):
+            m = parse_config(f"experiment = {experiment}\nn = 2\nk = {k}")
+            (refused,) = run_experiment(m, use_cache=False).rows
+            assert refused[-1].startswith("refused:")
+            assert refused[n_col] == N and f"N={N}" in refused[-1]
+
+    def test_large_levels_run_without_dense_matrices(self, monkeypatch):
+        # each sweep once needed a k^n x k^n matrix above MAX_DENSE_DIM
+        def no_dense(self):
+            raise AssertionError(f"dense matrix at k = {self.k}")
+
+        monkeypatch.setattr(WeylSymbol, "to_dense", no_dense)
+        for text in ("experiment = bms\nn = 1\nk = 8192, 16384\nZ = i",
+                     "experiment = pairing-limit\nn = 1\nk = 4096, 8192, 16384",
+                     "experiment = tqft\ngenus = 3\nk = 32"):
+            doc = run_experiment(parse_config(text), use_cache=False)
+            assert doc.passed, text
+            assert all(row[-1] == "pass" for row in doc.rows)
+
     def test_sweep_without_rows_fails(self):
         # every level is above the pointwise cap, so nothing is measured
         m = parse_config("experiment = trace-lemma, n = 1, k = 16")
@@ -286,6 +326,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert "16.0 GiB" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_dense_limit_is_reported(self, tmp_path, capsys):
+        # F[1,0] + F[0,1] is off a line, so its norm needs the dense matrix
+        cfg = tmp_path / "bms.cfg"
+        cfg.write_text("[bms]\nn = 1\nmodes = 1,0; 0,1\nk = 8192\n")
+        rc = main(["experiment", "run", str(cfg), "--no-cache"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "8192" in err and "4096" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sup_grid_too_large_is_reported(self, tmp_path, capsys, monkeypatch):
+        # the n = 2 sup grid would need 64 GiB; a lowered limit shows the
+        # same refusal on the 64 MiB n = 1 grid
+        monkeypatch.setattr("thetaquant.sections.MAX_FRAME_BYTES", 1 << 20)
+        cfg = tmp_path / "bms.cfg"
+        cfg.write_text("[bms]\nn = 1\nk = 8, 16\n")
+        rc = main(["experiment", "run", str(cfg), "--no-cache"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "sup grid needs" in err and "GiB" in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_env_cache_dir(self, tmp_path, monkeypatch, capsys):

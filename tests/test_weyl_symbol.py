@@ -1,0 +1,175 @@
+"""Property tests of the Weyl-symbol algebra against its dense matrices.
+
+Symbols are drawn at n = 1 (k < 40) and n = 2 (k < 8), with modes moved by
+multiples of k so that congruent-but-distinct modes meet in products and
+pairings.  Every identity is checked against ``to_dense()``: the product
+against the matrix product (the Weyl relation), the pairing against the
+Frobenius pairing ``hs_inner``, and the exact line-symbol norm against the
+dense SVD.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from thetaquant.fourier import FourierFunction, FourierMode
+from thetaquant.sections import SizeLimitError
+from thetaquant.siegel import SiegelPoint
+from thetaquant.toeplitz import (
+    WeylSymbol,
+    hs_inner,
+    operator_norm,
+    toeplitz_function,
+)
+from thetaquant.tqft import pairing_closed_form
+
+POINTS = {
+    1: [SiegelPoint(1j), SiegelPoint(1 + 2j), SiegelPoint(0.5 + 0.7j)],
+    2: [
+        SiegelPoint(np.diag([1j, 2j])),
+        SiegelPoint(np.array([[1 + 1j, 0.5], [0.5, 2j]])),
+    ],
+}
+MAX_K = {1: 39, 2: 7}
+P1 = POINTS[1][0]
+P2 = POINTS[2][1]
+PROPERTY = settings(max_examples=60, deadline=None)
+
+coefficients = st.complex_numbers(
+    max_magnitude=2.0, allow_nan=False, allow_infinity=False
+)
+
+
+def _mode(n, entries):
+    return FourierMode(tuple(entries[:n]), tuple(entries[n:]))
+
+
+@st.composite
+def levels(draw):
+    n = draw(st.sampled_from((1, 2)))
+    return n, draw(st.integers(1, MAX_K[n])), draw(st.sampled_from(POINTS[n]))
+
+
+def _vectors(n, bound):
+    return st.lists(st.integers(-bound, bound), min_size=2 * n, max_size=2 * n)
+
+
+@st.composite
+def symbol_pairs(draw):
+    """Two symbols over the same base modes, each mode moved by k times a
+    vector in {-1, 0, 1}^{2n}: congruent, and often distinct, across A and B."""
+    n, k, p = draw(levels())
+    bases = draw(st.lists(_vectors(n, 3), min_size=1, max_size=3))
+
+    def symbol():
+        terms = {}
+        for base in bases:
+            shift = draw(_vectors(n, 1))
+            terms[_mode(n, [b + k * s for b, s in zip(base, shift)])] = draw(
+                coefficients
+            )
+        return WeylSymbol(k, p, terms)
+
+    return symbol(), symbol()
+
+
+@st.composite
+def line_symbols(draw):
+    """sum_t c_t W_k(t m0) for one (not necessarily primitive) m0."""
+    n, k, p = draw(levels())
+    m0 = draw(_vectors(n, 3))
+    powers = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    return WeylSymbol(
+        k, p, {_mode(n, [t * a for a in m0]): draw(coefficients) for t in powers}
+    )
+
+
+def _scale(*symbols):
+    return 1.0 + sum(abs(c) for s in symbols for c in s.coeffs.values()) ** 2
+
+
+@PROPERTY
+@given(symbol_pairs())
+def test_product_is_the_matrix_product(pair):
+    A, B = pair
+    want = A.to_dense().entries @ B.to_dense().entries
+    got = (A @ B).to_dense().entries
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * _scale(A, B))
+
+
+@PROPERTY
+@given(symbol_pairs())
+def test_pairing_is_the_frobenius_pairing(pair):
+    A, B = pair
+    want = hs_inner(A.to_dense(), B.to_dense())
+    assert A.pair(B) == pytest.approx(want, abs=1e-11 * A.k**A.n * _scale(A, B))
+
+
+@PROPERTY
+@given(symbol_pairs())
+def test_adjoint_difference_and_scaling(pair):
+    A, B = pair
+    dense_a, dense_b = A.to_dense().entries, B.to_dense().entries
+    tol = 1e-12 * _scale(A, B)
+    np.testing.assert_allclose(
+        A.adjoint().to_dense().entries, dense_a.conj().T, rtol=0, atol=tol
+    )
+    np.testing.assert_allclose(
+        (A - 2j * B).to_dense().entries, dense_a - 2j * dense_b, rtol=0, atol=tol
+    )
+
+
+# m0 with r0.s0 odd, so U^k = -I at odd k and +I at even k
+ODD_N1 = {((1,), (1,)): 1.0, ((2,), (2,)): 0.5j, ((-3,), (-3,)): 0.3}
+ODD_N2 = {((1, 1), (1, 0)): 1.0, ((-2, -2), (-2, 0)): -0.7}
+
+
+@PROPERTY
+@given(line_symbols())
+@example(WeylSymbol(4, P1, ODD_N1))
+@example(WeylSymbol(5, P1, ODD_N1))
+@example(WeylSymbol(3, P2, ODD_N2))
+@example(WeylSymbol(4, P2, ODD_N2))
+@example(WeylSymbol(3, P1, {((3,), (6,)): 1.0, ((-1,), (-2,)): 0.4 - 0.2j}))
+def test_line_norm_is_the_dense_norm(A):
+    assert A._line() is not None
+    want = operator_norm(A.to_dense())
+    assert A.norm() == pytest.approx(want, rel=1e-12, abs=1e-12 * _scale(A))
+
+
+@PROPERTY
+@given(levels(), _vectors(2, 3), _vectors(2, 3), coefficients, coefficients)
+def test_off_line_norm_is_the_dense_norm(level, u, v, a, b):
+    n, k, p = level
+    u, v = _mode(n, u[: 2 * n]), _mode(n, v[: 2 * n])
+    A = WeylSymbol(k, p, {u: a, v: b})
+    if A._line() is None:
+        assert A.norm() == operator_norm(A.to_dense())
+    else:
+        assert A.norm() == pytest.approx(
+            operator_norm(A.to_dense()), rel=1e-12, abs=1e-12 * _scale(A)
+        )
+
+
+def test_line_norm_needs_no_matrix_and_off_line_norm_is_refused():
+    two_cos = FourierFunction({((1,), (0,)): 1.0, ((-1,), (0,)): 1.0})
+    A = WeylSymbol.toeplitz(P1, 8192, two_cos)
+    eta = A.coeffs[FourierMode((1,), (0,))].real
+    # U^k = I and the roots include 1 and -1, so the norm is 2 eta exactly
+    assert A.norm() == pytest.approx(2 * eta, rel=1e-14)
+    B = WeylSymbol(8192, P1, {((1,), (0,)): 1.0, ((0,), (1,)): 1.0})
+    assert B._line() is None
+    with pytest.raises(SizeLimitError, match="4096"):
+        B.norm()
+
+
+def test_pairing_closed_form_is_the_dense_pairing():
+    p = SiegelPoint(1 + 2j)
+    f = FourierFunction({((1,), (0,)): 0.7, ((0,), (2,)): -0.2j, ((5,), (0,)): 0.1})
+    g = FourierFunction({((1,), (0,)): 0.1j, ((2,), (1,)): 0.4, ((1,), (4,)): 0.3})
+    for k in (1, 2, 4, 5):
+        dense = hs_inner(toeplitz_function(p, k, f), toeplitz_function(p, k, g))
+        assert pairing_closed_form(p, k, f, g) == pytest.approx(
+            dense / k, abs=1e-13
+        )
