@@ -31,7 +31,8 @@ print("T_{F_(1,0)} at k=2, Z=i:")
 print(A.entries)
 print("eta_2(1,0) =", eta(p, 2, ((1,), (0,))), "= e^{-pi/4} =", np.exp(-np.pi / 4))
 
-# The independent route: weighted frame integrals on a grid.
+# The independent route: grid sums of theta_a conj(theta_b) F_m, with the
+# x-sum done exactly by the orthogonality of the grid characters.
 B = toeplitz_mode_quadrature(p, 2, ((1,), (0,)), suggest_grid(p, 2, m_max=1))
 print("closed form vs quadrature:", np.max(np.abs(A.entries - B.entries)))
 

@@ -194,22 +194,16 @@ def _probe_points(p, count=5):
     return out
 
 
+def _first_coordinate(n, r, s):
+    """The mode (r, s) of an n = 1 default, embedded in the first coordinate."""
+    return FourierMode((r,) + (0,) * (n - 1), (s,) + (0,) * (n - 1))
+
+
 def _mode_list(m, bound):
     if m.modes:
         return [FourierMode(r, s) for r, s in m.modes]
     rng = range(-bound, bound + 1)
-    out = []
-    if m.n == 1:
-        for r in rng:
-            for s in rng:
-                out.append(FourierMode((r,), (s,)))
-    else:
-        for r1 in rng:
-            for s1 in rng:
-                out.append(
-                    FourierMode((r1,) + (0,) * (m.n - 1), (s1,) + (0,) * (m.n - 1))
-                )
-    return out
+    return [_first_coordinate(m.n, r, s) for r in rng for s in rng]
 
 
 # ----------------------------------------------------------------- experiments
@@ -404,16 +398,13 @@ def _run_bms(m):
 
 
 def _pairing_defaults(n):
-    if n != 1:
-        raise ValueError("pairing-limit defaults are defined for n = 1")
-    f = FourierFunction(
-        {((1,), (0,)): 0.5, ((-1,), (0,)): 0.5, ((0,), (1,)): 0.4,
-         ((0,), (-1,)): 0.4, ((1,), (1,)): 0.2}
-    )
-    g = FourierFunction(
-        {((1,), (0,)): 0.3, ((-1,), (0,)): 0.3, ((0,), (1,)): 0.5,
-         ((0,), (-1,)): 0.5, ((1,), (1,)): 0.1}
-    )
+    def function(coeffs):
+        return FourierFunction(
+            {_first_coordinate(n, r, s): c for (r, s), c in coeffs.items()}, n=n
+        )
+
+    f = function({(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.4, (0, -1): 0.4, (1, 1): 0.2})
+    g = function({(1, 0): 0.3, (-1, 0): 0.3, (0, 1): 0.5, (0, -1): 0.5, (1, 1): 0.1})
     return f, g
 
 
@@ -446,8 +437,8 @@ def _star_pairs(m):
     if m.modes and len(m.modes) >= 2:
         return [(FourierMode(*m.modes[0]), FourierMode(*m.modes[1]))]
     return [
-        (FourierMode((1,), (0,)), FourierMode((0,), (1,))),
-        (FourierMode((1,), (1,)), FourierMode((0,), (1,))),
+        (_first_coordinate(m.n, 1, 0), _first_coordinate(m.n, 0, 1)),
+        (_first_coordinate(m.n, 1, 1), _first_coordinate(m.n, 0, 1)),
     ]
 
 

@@ -7,15 +7,19 @@ real coordinates (x, y), z = x + Zy,
     (s1, s2) = int s1(z) conj(s2(z)) exp(-2 pi k y.Yy) dx dy,
 
 computed by the equal-weight rule on a uniform grid, which is spectrally
-accurate here because the integrand is lattice periodic.  The grid frame
-holds theta_a(x + Zy) exp(-pi k y.Yy), half the weight per factor, built
-from lattice terms of modulus at most 1, so it cannot overflow; every
-integral is one pairing of that frame with itself under a grid weight.
-The normalized variant multiplies by sqrt(2^n k^n det Y), making the theta
-frame orthonormal.  Grid sizes follow the bandwidth rule
+accurate here because the integrand is lattice periodic.  The weighted
+frame theta_a(x + Zy) exp(-pi k y.Yy), half the weight per factor, is a sum
+of lattice terms exp(2 pi i k u.x) Y(u, y), each of modulus at most 1, so
+it cannot overflow.  Every integral pairs that frame with itself under a
+Fourier mode F_{r,s}; the x-sum of the pairing is exact by the
+orthogonality of the grid characters, which leaves a sum over the N^n
+y-nodes for each pair of lattice terms whose frequencies k u + r meet
+mod N.  Memory is O(k^n L^n N^n) for a window of L^n lattice terms; the
+k^n x N^{2n} frame itself is built only on request.  The normalized variant multiplies by sqrt(2^n k^n det Y),
+making the theta frame orthonormal.  Grid sizes follow the bandwidth rule
 N >= 4 (k R + m_max) with R the theta truncation radius and m_max the
-largest extra Fourier frequency in the integrand; frames larger than
-MAX_FRAME_BYTES are refused before allocation.
+largest extra Fourier frequency in the integrand; grids whose full frame
+would exceed MAX_FRAME_BYTES are refused.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import FourierMode
 from .theta import (
     Derivative,
     _lattice_vector,
@@ -52,8 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-12
-MAX_FRAME_BYTES = 1 << 30  # largest grid frame a quadrature may allocate
-_PAIRING_BLOCK = 1 << 15  # grid columns per block of a frame pairing
+MAX_FRAME_BYTES = 1 << 30  # largest k^n N^{2n} frame a quadrature grid may imply
 
 
 class GridError(ValueError):
@@ -114,10 +118,6 @@ class QuadratureGrid:
         if self.n not in (1, 2):
             raise ValueError("grids support n in {1, 2}")
 
-    @property
-    def nodes_1d(self):
-        return np.arange(self.N) / self.N
-
 
 def required_grid_size(p, k, m_max=0, epsilon=DEFAULT_EPSILON):
     """Bandwidth-sufficient node count: 4 (k ceil(R) + m_max)."""
@@ -144,34 +144,50 @@ def section_eval(p, s, x, y, policy=None):
     return total
 
 
+def _index_vectors(n, N):
+    """The integer vectors of [0, N)^n, one per row, in row-major order."""
+    return np.indices((N,) * n).reshape(n, -1).T
+
+
+def _lattice_terms(p, k, grid):
+    """The lattice terms of the grid frame: integer frequencies and y-parts.
+
+    With u = l + a/k over the truncation window of l, returns ``ku`` of
+    shape (k^n, L, n), the integer vectors k u, and ``Y`` of shape
+    (k^n, L, N^n) with
+
+        Y[a, l, q] = exp(i pi k [(u+y).Z(u+y) - y.Xy]),  y = q/N,
+
+    one exponential of modulus exp(-pi k (u+y).Y(u+y)) <= 1, so no level
+    overflows.  Lattice term l of theta_a(x + Zy) exp(-pi k y.Yy) is
+    exp(2 pi i k u.x) Y[a, l, y].
+    """
+    n = p.n
+    half = int(math.ceil(truncation_radius(p, k, grid.epsilon).radius)) + 1
+    shifts = _index_vectors(n, 2 * half + 1) - half
+    ku = k * shifts[None, :, :] + _index_vectors(n, k)[:, None, :]
+    t = _index_vectors(n, grid.N) / grid.N  # y-node q sits at q/N
+    v = ku[:, :, None, :] / k + t  # u + y
+    exponent = np.einsum("alpi,ij,alpj->alp", v, p.Z, v) - np.einsum(
+        "pi,ij,pj->p", t, p.X, t
+    )
+    return ku, np.exp(1j * np.pi * k * exponent)
+
+
 def theta_frame_on_grid(p, k, grid):
     """Theta frame on the uniform grid, weighted by exp(-pi k y.Yy).
 
     Returns an array of shape (k^n, N^{2n}) whose row a holds
     theta_a(x + Zy) exp(-pi k y.Yy) with the grid axes flattened row-major
-    in the order (x_1..x_n, y_1..y_n).  With u = l + a/k, each lattice term
-    splits into the unit phase exp(2 pi i k u.x) and the y-part
-
-        exp(i pi k [(u+y).Z(u+y) - y.Xy]),
-
-    one exponential of modulus exp(-pi k (u+y).Y(u+y)) <= 1, so no level
-    overflows.  The frame is one batched product of the two parts over l,
-    truncated at the grid's epsilon.
+    in the order (x_1..x_n, y_1..y_n): the x-synthesis
+    sum_l exp(2 pi i (k u.j mod N) / N) Y[a, l, y] of the lattice terms of
+    :func:`_lattice_terms`, truncated at the grid's epsilon.  The
+    quadratures do not build it; it serves inspection and tests.
     """
-    n, N = p.n, grid.N
-    half = int(math.ceil(truncation_radius(p, k, grid.epsilon).radius)) + 1
-    shifts = (np.indices((2 * half + 1,) * n).reshape(n, -1) - half).T
-    labels = np.indices((k,) * n).reshape(n, -1).T
-    ku = k * shifts[None, :, :] + labels[:, None, :]  # k u, integer
-    nodes = np.indices((N,) * n).reshape(n, -1).T  # node j sits at t = j/N
-    x_part = np.exp(2j * np.pi * ((ku @ nodes.T) % N) / N)
-    t = nodes / N
-    v = ku[:, :, None, :] / k + t  # u + y
-    exponent = np.einsum("alpi,ij,alpj->alp", v, p.Z, v) - np.einsum(
-        "pi,ij,pj->p", t, p.X, t
-    )
-    y_part = np.exp(1j * np.pi * k * exponent)
-    return np.matmul(x_part.transpose(0, 2, 1), y_part).reshape(k**n, -1)
+    N = grid.N
+    ku, y_part = _lattice_terms(p, k, grid)
+    x_part = np.exp(2j * np.pi * ((ku @ _index_vectors(p.n, N).T) % N) / N)
+    return np.matmul(x_part.transpose(0, 2, 1), y_part).reshape(k**p.n, -1)
 
 
 def integrand_periodicity_residual(p, s1, s2, probe=(0.3, 0.7)):
@@ -202,6 +218,14 @@ def integrand_periodicity_residual(p, s1, s2, probe=(0.3, 0.7)):
 
 
 def _check_grid(p, k, grid, m_max=0):
+    """Refuse a grid that cannot carry the quadrature of a level-k integrand.
+
+    Raises GridError when the grid's dimension differs from the point's,
+    when N is below the bandwidth rule for extra frequencies up to m_max, or
+    when the full k^n x N^{2n} grid frame would exceed MAX_FRAME_BYTES.  The
+    pairings never build that frame, but the size limit is kept as the
+    bound on the grids the quadratures accept.
+    """
     need = required_grid_size(p, k, m_max, grid.epsilon)
     if grid.n != p.n:
         raise GridError(f"grid dimension {grid.n} != point dimension {p.n}")
@@ -222,24 +246,52 @@ def _frame_norm(p, k):
     return math.sqrt(2**p.n * k**p.n * p.det_Y)
 
 
-def _frame_pairings(p, k, grid, weights):
-    """Normalized frame pairings, one k^n x k^n matrix per grid weight w.
+def _frame_pairings(p, k, grid, modes):
+    """Normalized frame pairings, one k^n x k^n matrix per Fourier mode.
 
-    Entry (a, b) is _frame_norm times the grid mean of
-    theta_a conj(theta_b) exp(-2 pi k y.Yy) w.  Each w is a scalar or an
-    array over the flattened grid; the sum runs over column blocks, so the
-    frame is the only array of its size.
+    Entry (a, b) for the mode m = (r, s) is _frame_norm times the grid mean
+    of theta_a conj(theta_b) exp(-2 pi k y.Yy) F_m over the N^{2n} nodes.
+    The x-sum is done exactly: sum_j exp(2 pi i q.j / N) is N^n when
+    q = 0 mod N and 0 otherwise, so lattice term (a, l) meets term (b, l')
+    only when k u_{a,l} + r = k u_{b,l'} mod N, every such collision kept.
+    What remains is a sum over the N^n y-nodes of Y[a,l] conj(Y[b,l'])
+    exp(2 pi i s.y), taken for all modes sharing r in one product and
+    scattered into (a, b).  No array of N^{2n} nodes is formed.
     """
-    frame = theta_frame_on_grid(p, k, grid)
-    scale = _frame_norm(p, k) / frame.shape[1]
-    out = []
-    for w in weights:
-        w = np.broadcast_to(w, frame.shape[1:])
-        total = np.zeros((frame.shape[0],) * 2, dtype=complex)
-        for start in range(0, frame.shape[1], _PAIRING_BLOCK):
-            block = frame[:, start : start + _PAIRING_BLOCK]
-            total += (block * w[start : start + _PAIRING_BLOCK]) @ block.conj().T
-        out.append(scale * total)
+    n, N = p.n, grid.N
+    ku, y_part = _lattice_terms(p, k, grid)
+    dim = ku.shape[0]
+    label = np.repeat(np.arange(dim), ku.shape[1])
+    ku = ku.reshape(-1, n)
+    y_part = y_part.reshape(len(ku), -1)
+    y_conj = y_part.conj()
+    nodes = _index_vectors(n, N)
+    # the residue k u mod N of every term, sorted, to find partners by bisection
+    target = np.ravel_multi_index((ku % N).T, (N,) * n)
+    order = np.argsort(target, kind="stable")
+    target = target[order]
+    scale = _frame_norm(p, k) / N**n
+    by_r = {}
+    for i, m in enumerate(modes):
+        by_r.setdefault(m.r, []).append(i)
+    out = [None] * len(modes)
+    for r, members in by_r.items():
+        key = np.ravel_multi_index(((ku + r) % N).T, (N,) * n)
+        lo = np.searchsorted(target, key, "left")
+        count = np.searchsorted(target, key, "right") - lo
+        # one (left, right) row per meeting pair: term left with every
+        # term right in its run target[lo : lo + count]
+        left = np.repeat(np.arange(len(key)), count)
+        start = np.cumsum(count) - count
+        right = order[np.arange(count.sum()) - np.repeat(start - lo, count)]
+        s = np.array([modes[i].s for i in members])
+        phases = np.exp(2j * np.pi * ((nodes @ s.T) % N) / N)
+        terms = y_part[left]
+        terms *= y_conj[right]
+        total = np.zeros((dim * dim, len(members)), dtype=complex)
+        np.add.at(total, label[left] * dim + label[right], terms @ phases)
+        for column, i in enumerate(members):
+            out[i] = scale * total[:, column].reshape(dim, dim)
     return out
 
 
@@ -259,7 +311,7 @@ def l2_inner(p, s1, s2, grid, normalized=True):
         raise RuntimeError(
             f"integrand failed the periodicity certificate: residual {res:.3e}"
         )
-    G = _frame_pairings(p, k, grid, [1.0])[0]
+    G = gram_matrix(p, k, grid)
     value = s1.coeffs @ G @ np.conj(s2.coeffs)
     if not normalized:
         value /= _frame_norm(p, k)
@@ -269,7 +321,8 @@ def l2_inner(p, s1, s2, grid, normalized=True):
 def gram_matrix(p, k, grid):
     """Matrix of normalized frame inner products; Hermitian, close to Id."""
     _check_grid(p, k, grid)
-    return _frame_pairings(p, k, grid, [1.0])[0]
+    zero = FourierMode((0,) * p.n, (0,) * p.n)
+    return _frame_pairings(p, k, grid, [zero])[0]
 
 
 def lattice_weight_identity(p, z, lattice_index):

@@ -34,8 +34,9 @@ and its algebra needs no k^n x k^n matrix:
 
 The norm of any other symbol, and the public matrix constructors, go
 through :meth:`WeylSymbol.to_dense`, the one dense builder.  The quadrature
-route computes the same entries as weighted frame integrals and serves as
-the independent oracle.
+route computes the same entries as grid sums of theta_a conj(theta_b) F_m,
+paired term by term in the lattice sums (``sections._frame_pairings``), and
+serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import numpy as np
 from .fourier import (
     FourierFunction,
     FourierMode,
-    _phase_on_grid,
     dense_max_abs,
     poisson_bracket,
 )
@@ -295,7 +295,7 @@ def rescaled_toeplitz(p, k, m):
 
 
 def toeplitz_modes_quadrature(p, k, modes, grid):
-    """Quadrature matrices for several modes sharing one frame evaluation.
+    """Quadrature matrices for several modes sharing one set of lattice terms.
 
     This is the independent oracle for the closed form: entry (b, a) is the
     normalized frame pairing of theta_a and theta_b under the grid weight
@@ -306,8 +306,7 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
         return {}
     m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
     _check_grid(p, k, grid, m_max=m_max)
-    phases = (_phase_on_grid(m, grid.nodes_1d).ravel() for m in modes)
-    pairings = _frame_pairings(p, k, grid, phases)
+    pairings = _frame_pairings(p, k, grid, modes)
     return {
         m: OperatorMatrix(k, p.n, p, pairing.T, "quadrature")
         for m, pairing in zip(modes, pairings)

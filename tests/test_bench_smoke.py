@@ -1,7 +1,8 @@
-"""One traced smoke pass of the benchmark's dense workload.
+"""Traced smoke passes of the benchmark's dense and quadrature workloads.
 
-It keeps ``perfbench/run.py``, its tracer and every per-layer name it reads
-working as the package changes.
+They keep ``perfbench/run.py``, its tracer and every per-layer name it reads
+working as the package changes, on both the closed-form operator path and
+the quadrature oracle.
 """
 
 import subprocess
@@ -11,11 +12,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_dense_workload_smoke():
+def _smoke(workload):
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "dense",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--smoke", "--seed", "1", "--seconds", "0.01", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     assert '"correct": true' in done.stdout
+
+
+def test_dense_workload_smoke():
+    _smoke("dense")
+
+
+def test_quadrature_workload_smoke():
+    _smoke("quadrature")

@@ -129,7 +129,9 @@ class TestRunAndCache:
 
     def test_failed_criterion_reports_values(self, tmp_path):
         # unreachable tolerance: verdict names observed value and tolerance
-        m = parse_config("experiment = gram, n = 1, k = 2, Z = i, tol = 1e-17")
+        # (at Z = i, k = 2 the Gram matrix is exactly the identity, so
+        # it would pass any tolerance)
+        m = parse_config("experiment = gram, n = 1, k = 2, Z = 1+2i, tol = 1e-17")
         m.cache_dir = str(tmp_path)
         doc = run_experiment(m)
         assert not doc.passed
@@ -205,6 +207,15 @@ class TestRunAndCache:
             doc = run_experiment(parse_config(text), use_cache=False)
             assert doc.passed, text
             assert all(row[-1] == "pass" for row in doc.rows)
+
+    def test_n2_defaults_embed_the_n1_modes(self):
+        # without modes both once ended in a traceback at n = 2
+        for experiment in ("pairing-limit", "star-fit"):
+            doc = run_experiment(
+                parse_config(f"experiment = {experiment}\nn = 2"), use_cache=False
+            )
+            assert doc.passed, experiment
+            assert doc.rows and all(row[-1] == "pass" for row in doc.rows)
 
     def test_sweep_without_rows_fails(self):
         # every level is above the pointwise cap, so nothing is measured

@@ -1,0 +1,153 @@
+"""Property tests of the lattice transformation laws and the config format.
+
+Siegel points are drawn at n = 1 and 2 with Y bounded away from singular,
+levels k <= 8, any label and any of the 2n lattice directions.  Each
+coordinate of the probe z = x + Zy is (3 i + 1) / 291: a zero of theta_a at
+n = 1 has x = (2m + 1) / 2k, which no such x equals (2k (3i + 1) is even,
+291 (2m + 1) odd), so the relative residuals never divide by a zero.
+
+Configs are drawn over every key that ``canonical()`` reads, rendered as
+text in either layout (one line, or one key per line under a section
+header), and parsed back.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thetaquant.config import EXPERIMENT_IDS, parse_config
+from thetaquant.sections import cocycle_residual
+from thetaquant.siegel import SiegelPoint
+from thetaquant.theta import ThetaLabel, quasi_periodicity_residual
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def _unit(bound=1.0):
+    return st.floats(-bound, bound, allow_nan=False)
+
+
+@st.composite
+def points(draw, n=None):
+    """Z = X + iY with X symmetric and Y >= 0.4 in its smallest eigenvalue."""
+    n = n if n is not None else draw(st.sampled_from((1, 2)))
+    if n == 1:
+        return SiegelPoint(complex(draw(_unit()), draw(st.floats(0.4, 2.5))))
+    x1, x2, x3 = (draw(_unit()) for _ in range(3))
+    y1, y3 = (draw(st.floats(0.8, 2.5)) for _ in range(2))
+    y2 = draw(_unit(0.4))
+    X = np.array([[x1, x2], [x2, x3]])
+    return SiegelPoint(X + 1j * np.array([[y1, y2], [y2, y3]]))
+
+
+@st.composite
+def probes(draw, p):
+    def coordinate():
+        return (3 * draw(st.integers(0, 96)) + 1) / 291
+
+    x = np.array([coordinate() for _ in range(p.n)])
+    y = np.array([coordinate() for _ in range(p.n)])
+    return x + p.Z @ y
+
+
+@st.composite
+def lattice_cases(draw):
+    p = draw(points())
+    k = draw(st.integers(1, 8))
+    label = ThetaLabel(k, tuple(draw(st.integers(0, k - 1)) for _ in range(p.n)))
+    return p, label, draw(probes(p)), draw(st.integers(0, 2 * p.n - 1))
+
+
+@PROPERTY
+@given(lattice_cases())
+def test_quasi_periodicity_holds(case):
+    p, label, z, index = case
+    assert quasi_periodicity_residual(p, label, z, index) < 1e-10
+
+
+@PROPERTY
+@given(lattice_cases())
+def test_cocycle_holds(case):
+    p, _, z, _ = case
+    directions = range(2 * p.n)
+    worst = max(cocycle_residual(p, z, i, j) for i in directions for j in directions)
+    assert worst < 1e-12
+
+
+def _complex(z):
+    # adding 0.0 turns a -0.0 part into 0.0, which has no sign to print
+    re, im = z.real + 0.0, z.imag + 0.0
+    return f"{re!r}{'+' if im >= 0 else ''}{im!r}i"
+
+
+def _point_text(entries, n):
+    if n == 1:
+        return _complex(entries[0])
+    rows = (entries[i * n : (i + 1) * n] for i in range(n))
+    return "[" + ", ".join("[" + ", ".join(map(_complex, r)) + "]" for r in rows) + "]"
+
+
+def _fields(m):
+    """What ``canonical()`` reads, as plain values."""
+    return {
+        "experiment": m.experiment,
+        "n": m.n,
+        "k": m.k_values,
+        "Z": tuple(tuple(p.Z.ravel().tolist()) for p in m.points),
+        "modes": m.modes,
+        "tol": m.tol,
+        "grid": m.grid,
+        "epsilon": m.epsilon,
+        "genus": m.genus,
+    }
+
+
+def _render(f, one_line):
+    """Config text for the fields ``f``: one line, or a section of lines."""
+    name = f["experiment"]
+    lines = [f"experiment = {name}"] if one_line else [f"[{name}]"]
+    lines += [
+        f"n = {f['n']}",
+        "k = " + ", ".join(map(str, f["k"])),
+        "Z = " + "; ".join(_point_text(z, f["n"]) for z in f["Z"]),
+        f"epsilon = {f['epsilon']!r}",
+        f"genus = {f['genus']}",
+    ]
+    if f["modes"]:
+        lines.append(
+            "modes = " + "; ".join(",".join(map(str, r + s)) for r, s in f["modes"])
+        )
+    if f["tol"] is not None:
+        lines.append(f"tol = {f['tol']!r}")
+    if f["grid"] is not None:
+        lines.append(f"grid = {f['grid']}")
+    return (", " if one_line else "\n").join(lines)
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.sampled_from((1, 2)))
+    vector = st.tuples(*[st.integers(-9, 9)] * n)
+    return {
+        "experiment": draw(st.sampled_from(EXPERIMENT_IDS)),
+        "n": n,
+        "k": tuple(draw(st.lists(st.integers(1, 512), min_size=1, max_size=5))),
+        "Z": tuple(
+            tuple(p.Z.ravel().tolist())
+            for p in draw(st.lists(points(n), min_size=1, max_size=3))
+        ),
+        "modes": tuple(draw(st.lists(st.tuples(vector, vector), max_size=4))),
+        "tol": draw(st.none() | st.floats(1e-16, 1.0)),
+        "grid": draw(st.none() | st.integers(1, 4096)),
+        "epsilon": draw(st.floats(1e-15, 1e-2)),
+        "genus": draw(st.integers(1, 4)),
+    }
+
+
+@PROPERTY
+@given(configs(), st.booleans())
+def test_config_round_trips_through_its_text(fields, one_line):
+    m = parse_config(_render(fields, one_line))
+    assert _fields(m) == fields
+    again = parse_config(_render(_fields(m), not one_line))
+    assert again.canonical() == m.canonical()

@@ -1,6 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from thetaquant.fourier import FourierMode
 from thetaquant.sections import (
     GridError,
     QuadratureGrid,
@@ -13,6 +16,9 @@ from thetaquant.sections import (
     required_grid_size,
     section_eval,
     suggest_grid,
+    _frame_norm,
+    _frame_pairings,
+    _lattice_terms,
     theta_frame_on_grid,
 )
 from thetaquant.siegel import SiegelPoint
@@ -118,6 +124,63 @@ class TestFrame:
                 want *= np.exp(-np.pi * k * (y @ p.Y @ y))
                 got = frame[a, np.ravel_multi_index(node, (N,) * (2 * n))]
                 assert abs(got - want) < 1e-12
+
+
+def _pairing_modes(n):
+    """The zero mode and 25 modes with every component in [-2, 2] used."""
+    rng = range(-2, 3)
+    if n == 1:
+        modes = [FourierMode((i,), (j,)) for i in rng for j in rng]
+    else:
+        modes = [FourierMode((i, j), (j, -i)) for i in rng for j in rng]
+    return [FourierMode((0,) * n, (0,) * n)] + modes
+
+
+class TestFramePairings:
+    # the n = 2 frames at k = 3 are paired on N = 16, below the bandwidth
+    # rule and below the lattice window: the spectral sum equals the frame
+    # pairing on every grid, and only there do terms that collide mod N
+    # carry weight (on a bandwidth grid they lie far apart, with products
+    # far below rounding); the rule's N = 44 would need a 540 MiB frame
+    @pytest.mark.parametrize(
+        "Z, k, N",
+        [
+            (1j, 32, None),
+            (0.5 + 0.7j, 12, None),
+            ([[2j, 0.5j], [0.5j, 1j]], 2, None),
+            ([[2j, 0.5j], [0.5j, 1j]], 3, 16),
+            ([[1 + 1j, 0.3], [0.3, 0.5 + 2j]], 2, None),
+            ([[1 + 1j, 0.3], [0.3, 0.5 + 2j]], 3, 16),
+        ],
+    )
+    def test_match_explicit_frame_pairing(self, Z, k, N):
+        # sum over the N^{2n} nodes of frame_a conj(frame_b) F_m / N^{2n}
+        p = SiegelPoint(Z)
+        grid = suggest_grid(p, k, m_max=2)
+        if N is not None:
+            grid = QuadratureGrid(N, p.n)
+        modes = _pairing_modes(p.n)
+        got = _frame_pairings(p, k, grid, modes)
+        frame = theta_frame_on_grid(p, k, grid)
+        frame_conj = frame.conj().T
+        weighted = np.empty_like(frame)
+        scale = _frame_norm(p, k) / frame.shape[1]
+        t = np.arange(grid.N) / grid.N
+        for m, pairing in zip(modes, got):
+            # F_m on the axes (x_1..x_n, y_1..y_n), flattened like the frame
+            axes = [np.exp(2j * np.pi * f * t) for f in m.r + m.s]
+            np.multiply(frame, reduce(np.multiply.outer, axes).ravel(), out=weighted)
+            want = scale * weighted @ frame_conj
+            assert np.max(np.abs(pairing - want)) <= 1e-14, m
+
+    def test_window_collides_mod_n(self):
+        # k u of distinct lattice terms meet mod N, so the pairing must keep
+        # more than one partner per term
+        p = SiegelPoint(1j)
+        grid = suggest_grid(p, 32, m_max=2)
+        ku, _ = _lattice_terms(p, 32, grid)
+        assert ku.max() - ku.min() + 1 > grid.N
+        assert len(np.unique(ku % grid.N)) < ku.size
 
 
 class TestGram:
