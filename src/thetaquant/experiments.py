@@ -33,11 +33,23 @@ from .formal import (
     trivialized_star_compare,
 )
 from .fourier import FourierFunction, FourierMode
-from .sections import GridError, QuadratureGrid, gram_matrix, required_grid_size
+from .sections import (
+    GridError,
+    QuadratureGrid,
+    SizeLimitError,
+    gram_matrix,
+    required_grid_size,
+)
 from .siegel import TangentDirection
-from .tqft import CurveClass, mapping_torus_invariant, pairing_limit_experiment
+from .tqft import (
+    CurveClass,
+    holonomy_mode,
+    mapping_torus_invariant,
+    pairing_limit_experiment,
+)
 from .theta import heat_residual, heat_residual_fd, theta_basis
 from .toeplitz import (
+    WeylSymbol,
     bms_experiment,
     c1_antisymmetry_constant,
     eta,
@@ -178,6 +190,14 @@ def _pointwise_levels(m, extras):
     return [k for k in m.k_values if k <= _POINTWISE_MAX_K]
 
 
+def _refused_extras(levels):
+    """The ``refused_levels`` extra naming each refused level once, if any.
+
+    A refused row adds NaN to its verdict, so the verdict fails as well.
+    """
+    return {"refused_levels": fmt_ints(sorted(set(levels)))} if levels else {}
+
+
 def _grid_for(m, p, k, m_max=0):
     """The manifest's grid, or the bandwidth-rule grid, at its epsilon."""
     N = m.grid if m.grid is not None else required_grid_size(p, k, m_max, m.epsilon)
@@ -214,6 +234,7 @@ def _run_gram(m):
     columns = ["n", "k", "Z", "N", "max_deviation", "status"]
     rows = []
     devs = []
+    refused = []
     for p in m.points:
         for k in m.k_values:
             grid = _grid_for(m, p, k)
@@ -222,15 +243,15 @@ def _run_gram(m):
                 dev = float(
                     np.max(np.abs(G - np.eye(k**p.n)))
                 )
-                devs.append(dev)
                 status = "pass" if dev < tol else "fail"
-                rows.append([m.n, k, fmt_point(p), grid.N, dev, status])
             except GridError as exc:
-                rows.append([m.n, k, fmt_point(p), grid.N, float("nan"),
-                             f"refused: {exc}"])
+                dev, status = float("nan"), f"refused: {exc}"
+                refused.append(k)
+            devs.append(dev)
+            rows.append([m.n, k, fmt_point(p), grid.N, dev, status])
     worst = _worst(devs)
     verdicts = [_verdict("gram-identity", worst < tol, worst, tol)]
-    return columns, rows, verdicts, {}
+    return columns, rows, verdicts, _refused_extras(refused)
 
 
 def _run_toeplitz_compare(m):
@@ -240,12 +261,15 @@ def _run_toeplitz_compare(m):
     m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
     rows = []
     diffs = []
+    refused = []
     for p in m.points:
         for k in m.k_values:
             grid = _grid_for(m, p, k, m_max)
             try:
                 quads = toeplitz_modes_quadrature(p, k, modes, grid)
             except GridError as exc:
+                diffs.append(float("nan"))
+                refused.append(k)
                 rows.append([k, fmt_point(p), grid.N, "", "", float("nan"),
                              f"refused: {exc}"])
                 continue
@@ -259,7 +283,7 @@ def _run_toeplitz_compare(m):
                 )
     worst = _worst(diffs)
     verdicts = [_verdict("closed-form-vs-quadrature", worst < tol, worst, tol)]
-    return columns, rows, verdicts, {}
+    return columns, rows, verdicts, _refused_extras(refused)
 
 
 def _run_heat_identity(m):
@@ -394,7 +418,8 @@ def _run_bms(m):
         _verdict("halving-ratio-in-window", ratio_ok,
                  _worst(ratios), "[0.3, 0.7]"),
     ]
-    return columns, rows, verdicts, {"sup": data[0]["sup"] if data else 0.0}
+    extras = {key: data[0][key] for key in ("sup", "sup_gap", "sup_method")}
+    return columns, rows, verdicts, extras
 
 
 def _pairing_defaults(n):
@@ -539,29 +564,30 @@ def _run_tqft(m):
         from .siegel import SiegelPoint
 
         p = SiegelPoint(np.diag([1j * (i + 1) for i in range(g)]))
-    curves = [CurveClass(r, s) for r, s in m.modes] if m.modes else []
-    c1 = curves[0] if len(curves) > 0 else None
-    c2 = curves[1] if len(curves) > 1 else None
+    curves = [CurveClass(r, s) for r, s in m.modes[:2]]
+    c1, c2 = (curves + [CurveClass.empty(g)] * 2)[:2]
+    m1, m2 = holonomy_mode(c1), holonomy_mode(c2)
     columns = ["genus", "k", "curve1", "curve2", "invariant", "expected", "status"]
     rows = []
     errors = []
     for k in m.k_values:
         val = mapping_torus_invariant(p, k, c1, c2)
-        if c1 is None and c2 is None:
-            expected = float(k**g)
-        elif c2 is None or c1 == c2:
-            expected = float(k**g)
-        else:
-            expected = float("nan")
-        err = abs(val - expected) if expected == expected else 0.0
+        try:
+            # tr(W(m1) W(m2)*): k^g for equal curves, else from the matrices
+            expected = complex(k**g) if m1 == m2 else hs_inner(
+                WeylSymbol(k, p, {m1: 1.0}).to_dense(),
+                WeylSymbol(k, p, {m2: 1.0}).to_dense(),
+            )
+            err = abs(val - expected)
+            status = "pass" if err < 1e-10 else "fail"
+            shown = fmt_float(expected.real) if m1 == m2 else fmt_complex(expected)
+        except SizeLimitError as exc:
+            err, status, shown = float("nan"), f"refused: {exc}", "-"
         errors.append(err)
         rows.append(
-            [g, k,
-             f"{fmt_ints(c1.r)};{fmt_ints(c1.s)}" if c1 else "empty",
-             f"{fmt_ints(c2.r)};{fmt_ints(c2.s)}" if c2 else "empty",
-             fmt_complex(val),
-             fmt_float(expected) if expected == expected else "-",
-             "pass" if err < 1e-10 else "fail"]
+            [g, k, f"{fmt_ints(c1.r)};{fmt_ints(c1.s)}" if curves else "empty",
+             f"{fmt_ints(c2.r)};{fmt_ints(c2.s)}" if len(curves) > 1 else "empty",
+             fmt_complex(val), shown, status]
         )
     worst = _worst(errors)
     verdicts = [_verdict("gluing-dimension", worst < 1e-10, worst, 1e-10)]

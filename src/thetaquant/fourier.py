@@ -12,7 +12,9 @@ form omega = sum_i dx_i ^ dy_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,8 @@ __all__ = [
     "FourierFunction",
     "poisson_bracket",
     "fourier_eval",
+    "SupBound",
+    "sup_abs",
     "dense_max_abs",
 ]
 
@@ -233,6 +237,131 @@ def poisson_bracket(f, g):
     return FourierFunction(out, n=f.n)
 
 
+def _line_decomposition(modes):
+    """(m0, t) when every mode is t_j m0 for one primitive integer m0; else None.
+
+    ``m0`` is the 2n-vector (r0, s0) (zero when every mode is zero) and ``t``
+    the integer powers t_j, aligned with ``modes``.  A function of such modes
+    depends on (x, y) only through the angle m0.(x, y), which covers the
+    circle because m0 is primitive; the operator of such a symbol is a
+    polynomial in the one unitary W_k(m0).
+    """
+    vectors = [m.r + m.s for m in modes]
+    base = next((v for v in vectors if any(v)), vectors[0] if vectors else ())
+    g = math.gcd(*base) or 1
+    m0 = tuple(a // g for a in base)
+    i = next((j for j, a in enumerate(m0) if a), None)
+    powers = [0 if i is None else v[i] // m0[i] for v in vectors]
+    if any(v != tuple(t * a for a in m0) for v, t in zip(vectors, powers)):
+        return None
+    return m0, np.array(powers, dtype=np.int64)
+
+
+def _check_sup_grid(shape):
+    """Refuse, before allocation, a sup grid above ``sections.MAX_FRAME_BYTES``."""
+    # sections imports this module (through siegel), so read its limit here
+    from .sections import MAX_FRAME_BYTES, SizeLimitError
+
+    size = math.prod(shape) * 16
+    if size > MAX_FRAME_BYTES:
+        raise SizeLimitError(
+            f"sup grid needs {size / 2**30:.3g} GiB at "
+            f"{' x '.join(str(N) for N in shape)} nodes, "
+            f"above the {MAX_FRAME_BYTES / 2**30:g} GiB limit"
+        )
+
+
+_NODES_PER_DEGREE = 8  # coarse sup grid: nodes per axis per unit of degree
+_NEWTON_STEPS = 8
+_NEWTON_STARTS = 64
+
+
+def _trig_derivatives(c, t, theta):
+    """P, grad P and Hessian of P(theta) = sum_j c_j e^{2 pi i t_j.theta}
+    at each row of ``theta``."""
+    w = np.exp(2j * np.pi * (theta @ t.T)) * c
+    tau = 2 * np.pi * t
+    return (
+        w.sum(axis=1),
+        1j * (w @ tau),
+        -np.einsum("sj,jd,je->sde", w, tau, tau),
+    )
+
+
+def _trig_max(c, t):
+    """max |P| over T^D for P(theta) = sum_j c_j e^{2 pi i t_j.theta}, certified.
+
+    ``c`` holds M complex coefficients and ``t`` the M x D integer
+    frequencies (or M integer powers, D = 1).  |P| is evaluated on the grid
+    of N_d = 8 deg_d nodes on each axis d (one FFT); Newton steps on |P|^2
+    then climb from the grid's local maxima near the top.  Returns
+    ``(value, gap)`` with value <= max |P| <= value + gap.  ``value`` is
+    attained at a point.  For the gap: at the maximiser theta* of |P|,
+    g = Re(conj(u) P) with u the phase of P(theta*) has zero gradient and
+    g <= |P|, so the nearest node (|delta_d| <= 1/2N_d) has
+    |P| >= max |P| - bound, bound = (pi^2/2) sum_j |c_j| (sum_d |t_jd|/N_d)^2.
+    """
+    c = np.asarray(c, dtype=complex)
+    t = np.asarray(t, dtype=np.int64)
+    t = t[:, None] if t.ndim == 1 else t
+    t = t[:, np.any(t != 0, axis=0)]  # drop the axes P does not depend on
+    if t.shape[1] == 0:
+        return float(abs(c.sum())), 0.0
+    shape = tuple(_NODES_PER_DEGREE * int(d) for d in np.max(np.abs(t), axis=0))
+    _check_sup_grid(shape)
+    spectrum = np.zeros(shape, dtype=complex)
+    np.add.at(spectrum, tuple((t % shape).T), c)
+    values = np.abs(np.fft.ifftn(spectrum)) * spectrum.size
+    grid_max = float(values.max())
+    bound = float(np.pi**2 / 2 * np.abs(c) @ ((np.abs(t) / shape).sum(axis=1)) ** 2)
+    # the node nearest theta* reads at least max |P| - bound >= grid_max - bound
+    peak = values >= grid_max - bound
+    for axis in range(len(shape)):
+        for shift in (1, -1):
+            peak &= values >= np.roll(values, shift, axis=axis)
+    starts = np.flatnonzero(peak)
+    starts = starts[np.argsort(values.ravel()[starts])[::-1][:_NEWTON_STARTS]]
+    theta = np.stack(np.unravel_index(starts, shape), axis=1) / np.array(shape)
+    for _ in range(_NEWTON_STEPS):
+        P, dP, d2P = _trig_derivatives(c, t, theta)
+        grad = 2 * (P.conj()[:, None] * dP).real
+        hess = 2 * (dP.conj()[:, :, None] * dP[:, None, :]
+                    + P.conj()[:, None, None] * d2P).real
+        step = np.linalg.pinv(hess, hermitian=True) @ grad[..., None]
+        trial = theta - step[..., 0]
+        better = np.abs(_trig_derivatives(c, t, trial)[0]) > np.abs(P)
+        if not better.any():
+            break
+        theta[better] = trial[better]
+    value = float(np.abs(_trig_derivatives(c, t, theta)[0]).max())
+    return value, max(grid_max + bound - value, 0.0)
+
+
+class SupBound(NamedTuple):
+    """sup |f| from the modes of f: value <= sup |f| <= value + gap."""
+
+    value: float
+    gap: float
+    method: str  # "line": one angle; "torus": all 2n angles
+
+
+def sup_abs(f):
+    """sup |f| over the torus, computed from the modes of ``f``.
+
+    A line function (every mode t_j m0 for one primitive m0) is
+    sum_j c_j e^{2 pi i t_j theta} in the one angle theta = m0.(x, y), so its
+    sup is a maximum over one angle; any other function is maximised over
+    all 2n angles.  Both go through the certified coarse-grid search plus
+    Newton of :func:`_trig_max`.
+    """
+    modes = f.modes()
+    c = [f.terms[m] for m in modes]
+    line = _line_decomposition(modes)
+    if line is None:
+        return SupBound(*_trig_max(c, [m.r + m.s for m in modes]), "torus")
+    return SupBound(*_trig_max(c, line[1]), "line")
+
+
 def _phase_on_grid(m, t):
     """F_{r,s} on the product grid t^{2n}, axes in the order (x_1..x_n, y_1..y_n)."""
     values = np.ones(())
@@ -244,23 +373,16 @@ def _phase_on_grid(m, t):
 def dense_max_abs(f, points_per_dim=2048):
     """sup |f| approximated on a uniform grid of the unit cell.
 
-    Used as the reference value in operator-norm asymptotics experiments.
-    Grids above ``sections.MAX_FRAME_BYTES`` are refused before allocation.
+    The brute-force reference for :func:`sup_abs` in the tests; no package
+    path calls it.  Grids above ``sections.MAX_FRAME_BYTES`` are refused
+    before allocation.
     """
-    # sections imports this module (through siegel), so read its limit here
-    from .sections import MAX_FRAME_BYTES, SizeLimitError
-
     n = f.n
     if n > 2:
         raise ValueError("dense grid sup only supported for n <= 2")
     if n == 2:
         points_per_dim = min(points_per_dim, 256)
-    size = points_per_dim ** (2 * n) * 16
-    if size > MAX_FRAME_BYTES:
-        raise SizeLimitError(
-            f"sup grid needs {size / 2**30:.1f} GiB at {points_per_dim} points "
-            f"per axis, above the {MAX_FRAME_BYTES / 2**30:g} GiB limit"
-        )
+    _check_sup_grid((points_per_dim,) * (2 * n))
     t = np.arange(points_per_dim) / points_per_dim
     total = np.zeros((points_per_dim,) * (2 * n), dtype=complex)
     for m, c in f.terms.items():

@@ -33,10 +33,18 @@ and its algebra needs no k^n x k^n matrix:
   max |sum_t a_t lambda^t| over those k roots, an O(M k) computation.
 
 The norm of any other symbol, and the public matrix constructors, go
-through :meth:`WeylSymbol.to_dense`, the one dense builder.  The quadrature
-route computes the same entries as grid sums of theta_a conj(theta_b) F_m,
-paired term by term in the lattice sums (``sections._frame_pairings``), and
-serves as the independent oracle.
+through :meth:`WeylSymbol.to_dense`, the one dense builder.
+
+The norms approach sup |f| as k grows (``bms_experiment``).  That sup is
+also read off the modes, with no grid of the unit cell (``fourier.sup_abs``):
+a line function is sum_t c_t e^{2 pi i t theta} in the one angle
+theta = m0.(x, y), so its sup is a maximum over one angle; any other
+function takes a certified coarse-grid search plus Newton over all 2n
+angles.
+
+The quadrature route computes the same entries as grid sums of
+theta_a conj(theta_b) F_m, paired term by term in the lattice sums
+(``sections._frame_pairings``), and serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -50,8 +58,9 @@ import numpy as np
 from .fourier import (
     FourierFunction,
     FourierMode,
-    dense_max_abs,
+    _line_decomposition,
     poisson_bracket,
+    sup_abs,
 )
 from .sections import SizeLimitError, _check_grid, _frame_pairings
 from .siegel import laplace_eigenvalue
@@ -246,20 +255,8 @@ class WeylSymbol:
         return OperatorMatrix(k, n, self.point, entries, "closed_form")
 
     def _line(self):
-        """(r0.s0, t, c) when every mode is t_j m0 for one primitive m0 =
-        (r0, s0), with the powers t and coefficients c as arrays; else None."""
-        vectors = [m.r + m.s for m in self.coeffs]
-        base = next((v for v in vectors if any(v)), (0,) * (2 * self.n))
-        g = math.gcd(*base) or 1
-        m0 = tuple(a // g for a in base)
-        i = next((j for j, a in enumerate(m0) if a), 0)
-        powers = [v[i] // m0[i] if m0[i] else 0 for v in vectors]
-        if any(v != tuple(t * a for a in m0) for v, t in zip(vectors, powers)):
-            return None
-        r0s0 = sum(a * b for a, b in zip(m0[: self.n], m0[self.n :]))
-        return r0s0, np.array(powers, dtype=np.int64), np.array(
-            list(self.coeffs.values()), dtype=complex
-        )
+        """``fourier._line_decomposition`` of the modes: (m0, powers) or None."""
+        return _line_decomposition(self.coeffs)
 
     def norm(self):
         """Operator norm: exact on a line symbol (see the module docstring),
@@ -267,8 +264,10 @@ class WeylSymbol:
         line = self._line()
         if line is None:
             return operator_norm(self.to_dense())
-        r0s0, t, c = line
-        k = self.k
+        m0, t = line
+        c = np.array(list(self.coeffs.values()), dtype=complex)
+        k, n = self.k, self.n
+        r0s0 = sum(a * b for a, b in zip(m0[:n], m0[n:]))
         odd = (k * r0s0) % 2  # U^k = (-1)^odd I
         # the roots of lambda^k = (-1)^odd are exp(i pi (2j + odd) / k)
         angles = np.multiply.outer(2 * np.arange(k) + odd, t) % (2 * k)
@@ -373,18 +372,22 @@ def trace_pair_closed_form(p, k, m1, m2):
     return unit * eta(p, k, m1) * eta(p, k, m2) if unit else unit
 
 
-def bms_experiment(p, f, k_values, sup_points=2048):
+def bms_experiment(p, f, k_values):
     """Operator norms against sup |f| across levels.
 
-    Returns rows ``{k, norm, sup, error}``; the errors shrink like 1/k as
-    the Gaussian damping of each mode relaxes toward 1.  The norms come
-    first, so a level that needs a refused dense matrix stops the run
-    before the sup grid is allocated.
+    Returns rows ``{k, norm, sup, error, sup_gap, sup_method}``; the errors
+    shrink like 1/k as the Gaussian damping of each mode relaxes toward 1.
+    The sup comes from the modes of f (:func:`fourier.sup_abs`): for a line
+    function it is the maximum over one angle, for any other function a
+    certified coarse-grid search plus Newton over the 2n angles; either way
+    sup <= sup |f| <= sup + sup_gap.  The norms come first, so a level that
+    needs a refused dense matrix stops the run before the sup.
     """
     norms = [WeylSymbol.toeplitz(p, k, f).norm() for k in k_values]
-    sup = dense_max_abs(f, sup_points)
+    sup = sup_abs(f)
     return [
-        {"k": int(k), "norm": nrm, "sup": sup, "error": abs(nrm - sup)}
+        {"k": int(k), "norm": nrm, "sup": sup.value, "error": abs(nrm - sup.value),
+         "sup_gap": sup.gap, "sup_method": sup.method}
         for k, nrm in zip(k_values, norms)
     ]
 

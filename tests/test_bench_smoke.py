@@ -1,8 +1,9 @@
-"""Traced smoke passes of the benchmark's dense and quadrature workloads.
+"""Traced smoke passes of the benchmark's three workloads.
 
 They keep ``perfbench/run.py``, its tracer and every per-layer name it reads
-working as the package changes, on both the closed-form operator path and
-the quadrature oracle.
+working as the package changes: the closed-form operator path (``dense``),
+the quadrature oracle (``quadrature``) and the many small pointwise calls
+(``pointwise``).
 """
 
 import subprocess
@@ -28,3 +29,7 @@ def test_dense_workload_smoke():
 
 def test_quadrature_workload_smoke():
     _smoke("quadrature")
+
+
+def test_pointwise_workload_smoke():
+    _smoke("pointwise")

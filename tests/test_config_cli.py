@@ -170,6 +170,7 @@ class TestRunAndCache:
         assert measured[1] == "4" and measured[-1] == "pass"
         assert refused[1] == "8" and refused[-1].startswith("refused:")
         assert "GiB" in refused[-1]
+        assert not doc.passed
 
     def test_manifest_epsilon_sizes_and_checks_the_grid(self):
         # the grid was sized at the manifest epsilon but checked at the
@@ -191,9 +192,83 @@ class TestRunAndCache:
         for experiment, k, n_col, N in (("gram", 8, 3, "64"),
                                         ("toeplitz-compare", 6, 2, "56")):
             m = parse_config(f"experiment = {experiment}\nn = 2\nk = {k}")
-            (refused,) = run_experiment(m, use_cache=False).rows
+            doc = run_experiment(m, use_cache=False)
+            (refused,) = doc.rows
             assert refused[-1].startswith("refused:")
             assert refused[n_col] == N and f"N={N}" in refused[-1]
+            assert not doc.passed
+
+    def test_refused_rows_fail_their_verdict(self):
+        # a refused row once dropped out, so the rows left passed the sweep
+        for experiment, ks in (("gram", "2, 8"), ("toeplitz-compare", "2, 6")):
+            m = parse_config(f"experiment = {experiment}\nn = 2\nk = {ks}")
+            doc = run_experiment(m, use_cache=False)
+            *measured, refused = doc.rows
+            assert all(row[-1] == "pass" for row in measured)
+            assert refused[-1].startswith("refused:")
+            assert doc.verdicts[0]["observed"] == "nan"
+            assert not doc.passed
+            assert doc.extras["refused_levels"] == ks.split(", ")[1]
+            assert "refused_levels: " in doc.summary_text()
+
+    def test_bms_sup_comes_from_the_modes(self, tmp_path, capsys, monkeypatch):
+        # the n = 2 sup once needed a 256^4 grid and was refused with exit 2;
+        # the sup is now read off the modes and no grid of the cell is used
+        def no_grid(*args, **kwargs):
+            raise AssertionError("dense sup grid")
+
+        monkeypatch.setattr("thetaquant.fourier.dense_max_abs", no_grid)
+        for text in ("[bms]\nn = 2\nk = 8, 16\n",
+                     "[bms]\nn = 1\nk = 8192, 16384\nZ = i\n"):
+            cfg = tmp_path / "bms.cfg"
+            cfg.write_text(text)
+            rc = main(["experiment", "run", str(cfg), "--no-cache"])
+            out = capsys.readouterr().out
+            assert rc == 0, text
+            assert "overall: PASS" in out
+            assert "sup: 2\n" in out and "sup_method: line" in out
+            assert "sup_gap: " in out
+
+    def test_tqft_distinct_curves_are_measured(self, monkeypatch):
+        # the expected value of two different curves was NaN, and its row
+        # counted as an error of 0 whatever the invariant read
+        m = parse_config(
+            "experiment = tqft\ngenus = 1\nk = 2, 3, 5\nmodes = 1,0; 0,1"
+        )
+        doc = run_experiment(m, use_cache=False)
+        assert doc.passed
+        for row in doc.rows:
+            assert row[2:4] == ["1;0", "0;1"]
+            assert row[4] == row[5] == "0+0i" and row[-1] == "pass"
+        from thetaquant import experiments
+
+        invariant = experiments.mapping_torus_invariant
+        monkeypatch.setattr(
+            experiments, "mapping_torus_invariant",
+            lambda *args: invariant(*args) + 1e-3,
+        )
+        doc = run_experiment(m, use_cache=False)
+        assert not doc.passed
+        assert all(row[-1] == "fail" for row in doc.rows)
+
+    def test_tqft_single_curve_pairs_with_the_empty_curve(self):
+        # tr(W(m) W(0)*) = tr W(m): k^g only when k divides the mode
+        m = parse_config("experiment = tqft\ngenus = 1\nk = 2, 3, 5\nmodes = 2,0")
+        doc = run_experiment(m, use_cache=False)
+        assert doc.passed
+        assert [row[4] for row in doc.rows] == ["2+0i", "0+0i", "0+0i"]
+        assert [row[3] for row in doc.rows] == ["empty"] * 3
+
+    def test_tqft_distinct_curves_above_the_dense_limit_are_refused(self):
+        m = parse_config(
+            "experiment = tqft\ngenus = 1\nk = 5, 8192\nmodes = 1,0; 0,1"
+        )
+        doc = run_experiment(m, use_cache=False)
+        measured, refused = doc.rows
+        assert measured[-1] == "pass"
+        assert refused[5] == "-" and refused[-1].startswith("refused:")
+        assert "4096" in refused[-1]
+        assert not doc.passed
 
     def test_large_levels_run_without_dense_matrices(self, monkeypatch):
         # each sweep once needed a k^n x k^n matrix above MAX_DENSE_DIM
@@ -349,12 +424,14 @@ class TestCli:
         assert "8192" in err and "4096" in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_sup_grid_too_large_is_reported(self, tmp_path, capsys, monkeypatch):
-        # the n = 2 sup grid would need 64 GiB; a lowered limit shows the
-        # same refusal on the 64 MiB n = 1 grid
-        monkeypatch.setattr("thetaquant.sections.MAX_FRAME_BYTES", 1 << 20)
+    def test_sup_grid_too_large_is_reported(self, tmp_path, capsys):
+        # off a line the sup grid spans all 2n angles, 8 nodes per unit of
+        # degree on each: degree 12 on every axis needs 96^4 nodes, 1.27 GiB
         cfg = tmp_path / "bms.cfg"
-        cfg.write_text("[bms]\nn = 1\nk = 8, 16\n")
+        cfg.write_text(
+            "[bms]\nn = 2\nk = 8, 16\n"
+            "modes = 12,0,0,0; 0,12,0,0; 0,0,12,0; 0,0,0,12\n"
+        )
         rc = main(["experiment", "run", str(cfg), "--no-cache"])
         err = capsys.readouterr().err
         assert rc == 2

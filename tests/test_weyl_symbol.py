@@ -8,12 +8,15 @@ Frobenius pairing ``hs_inner``, and the exact line-symbol norm against the
 dense SVD.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thetaquant.fourier import FourierFunction, FourierMode
+from thetaquant import fourier, toeplitz
+from thetaquant.fourier import FourierFunction, FourierMode, sup_abs
 from thetaquant.sections import SizeLimitError
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import (
@@ -173,3 +176,23 @@ def test_pairing_closed_form_is_the_dense_pairing():
         assert pairing_closed_form(p, k, f, g) == pytest.approx(
             dense / k, abs=1e-13
         )
+
+
+@PROPERTY
+@given(st.one_of(line_symbols(), symbol_pairs().map(lambda pair: pair[0])))
+@example(WeylSymbol(3, P1, {((1,), (0,)): 1.0, ((0,), (1,)): 1.0}))
+@example(WeylSymbol(2, P2, ODD_N2))
+def test_norm_and_sup_agree_on_lines(A):
+    # the exact line norm and the one-angle sup share one line decomposition:
+    # a symbol off a line needs the dense SVD, and its function all 2n angles
+    # (the maximiser is stubbed: only the route is compared here)
+    with mock.patch.object(toeplitz, "operator_norm", side_effect=LookupError):
+        try:
+            A.norm()
+            exact = True
+        except LookupError:
+            exact = False
+    assert exact == (A._line() is not None)
+    with mock.patch.object(fourier, "_trig_max", return_value=(0.0, 0.0)):
+        method = sup_abs(FourierFunction(A.coeffs, n=A.n)).method
+    assert method == ("line" if exact else "torus")
