@@ -110,6 +110,9 @@ def fmt_point(p):
 
 
 def fmt_ints(v):
+    """Integers joined by '|': a tuple of ints, an array, a list or one int."""
+    if isinstance(v, tuple):
+        return "|".join(map(str, v))
     return "|".join(str(int(x)) for x in np.atleast_1d(v))
 
 
@@ -181,13 +184,17 @@ _POINTWISE_MAX_K = 8
 
 
 def _pointwise_levels(m, extras):
-    """Levels of ``m`` up to the pointwise cap; skipped ones go in ``extras``."""
+    """Levels of ``m`` up to the pointwise cap, and one NaN per skipped level.
+
+    Skipped levels go in ``extras``; the NaNs join every verdict's values,
+    so a sweep that skips a level fails, as one with a refused row does."""
     skipped = [k for k in m.k_values if k > _POINTWISE_MAX_K]
     if skipped:
         extras["skipped_levels"] = (
             f"{fmt_ints(skipped)} (above k = {_POINTWISE_MAX_K})"
         )
-    return [k for k in m.k_values if k <= _POINTWISE_MAX_K]
+    levels = [k for k in m.k_values if k <= _POINTWISE_MAX_K]
+    return levels, [float("nan")] * len(skipped)
 
 
 def _refused_extras(levels):
@@ -293,9 +300,10 @@ def _run_heat_identity(m):
     rows = []
     residuals, residuals_fd = [], []
     extras = {}
+    levels, unmeasured = _pointwise_levels(m, extras)
     pairs = [(0, 0)] if m.n == 1 else [(0, 0), (0, 1), (1, 1)]
     for p in m.points:
-        for k in _pointwise_levels(m, extras):
+        for k in levels:
             labels = theta_basis(k, p.n)
             label = labels[min(1, len(labels) - 1)]
             for z, _, _ in _probe_points(p):
@@ -309,7 +317,7 @@ def _run_heat_identity(m):
                         [p.n, k, fmt_point(p), fmt_complex(z[0]), i, j,
                          res, fd, "pass" if ok else "fail"]
                     )
-    worst, worst_fd = _worst(residuals), _worst(residuals_fd)
+    worst, worst_fd = _worst(residuals + unmeasured), _worst(residuals_fd + unmeasured)
     verdicts = [
         _verdict("heat-identity-termwise", worst < tol, worst, tol),
         _verdict("heat-identity-fd", worst_fd < tol_fd, worst_fd, tol_fd),
@@ -319,28 +327,29 @@ def _run_heat_identity(m):
 
 def _run_covariance(m):
     tol = m.tol if m.tol is not None else 1e-9
-    modes = [mm for mm in _mode_list(m, 2)]
+    modes = _mode_list(m, 2)
     columns = ["k", "r", "s", "Z1", "Z2", "rescaled_diff", "raw_diff", "status"]
     rows = []
     devs, raws = [], []
     extras = {}
+    levels, unmeasured = _pointwise_levels(m, extras)
     pts = list(m.points)
     pairs = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))] if len(pts) > 1 else []
     if not pairs:
         raise ConfigError("covariance experiment needs at least two Siegel points")
     for (p1, p2) in pairs:
-        for k in _pointwise_levels(m, extras):
-            for mm in modes:
-                dev = covariant_constancy_residual(p1, p2, k, mm)
-                # both operators are eta W_k(m) with the same unit-modulus W
-                raw = abs(eta(p1, k, mm) - eta(p2, k, mm))
-                devs.append(dev)
-                raws.append(raw)
+        for k in levels:
+            dev_k = covariant_constancy_residual(p1, p2, k, modes)
+            # both operators are eta W_k(m) with the same unit-modulus W
+            raw_k = np.abs(eta(p1, k, modes) - eta(p2, k, modes))
+            devs.extend(dev_k)
+            raws.extend(raw_k)
+            for mm, dev, raw in zip(modes, dev_k, raw_k):
                 rows.append(
                     [k, fmt_ints(mm.r), fmt_ints(mm.s), fmt_point(p1),
                      fmt_point(p2), dev, raw, "pass" if dev < tol else "fail"]
                 )
-    worst, best_raw = _worst(devs), _worst(raws)
+    worst, best_raw = _worst(devs + unmeasured), _worst(raws + unmeasured)
     verdicts = [
         _verdict("rescaled-Z-independence", worst < tol, worst, tol),
         _verdict("raw-operators-vary", best_raw > 1e-2, best_raw, 1e-2),
@@ -357,8 +366,9 @@ def _run_trace_lemma(m):
     rows = []
     diffs, off_congruence = [], []
     extras = {}
+    levels, unmeasured = _pointwise_levels(m, extras)
     for p in m.points[:1]:
-        for k in _pointwise_levels(m, extras):
+        for k in levels:
             mats = {mm: toeplitz_mode_closed_form(p, k, mm) for mm in modes}
             for m1 in modes:
                 for m2 in modes:
@@ -379,7 +389,7 @@ def _run_trace_lemma(m):
                          fmt_complex(direct), diff, congruent,
                          "pass" if ok else "fail"]
                     )
-    worst, worst_zero = _worst(diffs), _worst(off_congruence)
+    worst, worst_zero = _worst(diffs + unmeasured), _worst(off_congruence + unmeasured)
     verdicts = [
         _verdict("trace-closed-vs-direct", worst < tol, worst, tol),
         _verdict("off-congruence-vanishing", worst_zero < tol_zero,
@@ -540,14 +550,17 @@ def _run_flatness(m):
                 continue
             dirs = [TangentDirection(i, i, kind) for i in range(p.n)
                     for kind in ("z", "zbar")]
-        for mm in modes:
-            for v in dirs:
-                res = formal_hitchin_residual(p, mm, v)
-                fd = formal_hitchin_residual(p, mm, v, fd_step=1e-4)
-                residuals.append(res)
-                residuals_fd.append(fd)
-                name = ("dZ" if v.holomorphic else "dZbar") + f"[{v.i},{v.j}]"
-                rows.append([fmt_ints(mm.r), fmt_ints(mm.s), name, res, fd])
+        per_direction = [
+            (("dZ" if v.holomorphic else "dZbar") + f"[{v.i},{v.j}]",
+             formal_hitchin_residual(p, modes, v),
+             formal_hitchin_residual(p, modes, v, fd_step=1e-4))
+            for v in dirs
+        ]
+        for a, mm in enumerate(modes):
+            for name, res, fd in per_direction:
+                residuals.append(res[a])
+                residuals_fd.append(fd[a])
+                rows.append([fmt_ints(mm.r), fmt_ints(mm.s), name, res[a], fd[a]])
     worst, worst_fd = _worst(residuals), _worst(residuals_fd)
     verdicts = [
         _verdict("flatness-analytic", worst < tol, worst, tol),

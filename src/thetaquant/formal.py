@@ -24,18 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierFunction, FourierMode
+from .fourier import FourierFunction, FourierMode, _mode_arrays
 from .siegel import (
+    NonNormalError,
     SiegelPoint,
+    _delta,
     dlambda_dZ,
     gtilde_coefficients,
     laplace_eigenvalue,
 )
 from .toeplitz import (
     WeylSymbol,
+    _clock_shift_columns,
     _inverse_power_fit,
     eta,
-    toeplitz_mode_closed_form,
 )
 
 __all__ = [
@@ -165,69 +167,66 @@ def heat_transform(p, f, h_eval=None, order=None):
     )
 
 
-def covariant_constancy_residual(p1, p2, k, m):
+def covariant_constancy_residual(p1, p2, k, modes):
     """Entrywise distance of heat-rescaled mode operators at two points.
 
     The theta frames at the two points are identified label-wise (the frame
     is covariant constant for the flat heat connection), so the rescaled
     matrices must agree entry by entry; the un-rescaled ones differ by the
-    gap between the Gaussian factors.
+    gap between the Gaussian factors.  Both operators are nonzero only where
+    W_k(m) is, so the distance is read off those k^n values, hc (eta w).
+    ``modes`` is one mode (a scalar) or a list of M modes (shape (M,)).
     """
     if p1.n != p2.n:
         raise ValueError("points have different dimension")
-    m = FourierMode.coerce(m)
-    A1 = heat_coefficient(p1, k, m) * toeplitz_mode_closed_form(p1, k, m)
-    A2 = heat_coefficient(p2, k, m) * toeplitz_mode_closed_form(p2, k, m)
-    return float(np.max(np.abs(A1.entries - A2.entries)))
+    _, w = _clock_shift_columns(k, p1.n, modes)
+
+    def rescaled(p):
+        e = np.expand_dims(eta(p, k, modes), -1)
+        return (1.0 / e) * (e * w)
+
+    return np.max(np.abs(rescaled(p1) - rescaled(p2)), axis=-1)
 
 
-def _mu_eigenvalue(p, m, v):
+def _mu_eigenvalue(p, modes, v):
     """Eigenvalue of Delta_{G(v)} on the phase F_m.
 
     First-order complex-frame eigenvalues of the phase are pi w (dz sector,
     w = Y^-1(s - Zbar r)) and -pi w' (dzbar sector, w' = Y^-1(s - Zr));
     the bivector is constant, so the second-order eigenvalue is the
-    coefficient contraction e.G e.
+    coefficient contraction e.G e.  One mode gives a scalar, a list of M
+    modes an array of shape (M,).
     """
-    m = FourierMode.coerce(m)
-    r = np.array(m.r, dtype=float)
-    s = np.array(m.s, dtype=float)
-    w = p.Yinv @ (s - np.conj(p.Z) @ r)
-    wbar = p.Yinv @ (s - p.Z @ r)
-    e = np.concatenate([np.pi * w, -np.pi * wbar])
-    G = gtilde_coefficients(v, p.n)
-    return complex(e @ G @ e)
+    r, s = _mode_arrays(modes)
+    w = (s - r.dot(np.conj(p.Z).T)).dot(p.Yinv.T)
+    wbar = (s - r.dot(p.Z.T)).dot(p.Yinv.T)
+    e = np.concatenate([np.pi * w, -np.pi * wbar], axis=-1)
+    return np.sum(e.dot(gtilde_coefficients(v, p.n)) * e, axis=-1)
 
 
-def formal_hitchin_residual(p, m, v, fd_step=None):
+def formal_hitchin_residual(p, modes, v, fd_step=None):
     """|d_v lambda + mu_{G(v)} / (2 pi)| -- the per-mode flatness defect.
 
     Zero for the heat-flow frame at all series orders, since the flow acts
     mode-diagonally.  ``fd_step`` replaces the analytic eigenvalue
-    derivative by central differences of that step in X and Y.
+    derivative by central differences of that step in X and Y, from the
+    eigenvalues of every mode at the four stencil points.  ``modes`` is one
+    mode, giving a float, or a list of M modes, giving an array of shape (M,).
     """
     if p.n > 1 and not p.is_normal:
-        from .siegel import NonNormalError
-
         raise NonNormalError("flatness closed form needs a normal point")
-    m = FourierMode.coerce(m)
     if fd_step is None:
-        dlam = dlambda_dZ(p, m, v)
+        dlam = dlambda_dZ(p, modes, v)
     else:
         h = fd_step
-        D = np.zeros((p.n, p.n))
-        D[v.i, v.j] = 1.0
-        D[v.j, v.i] = 1.0
-
-        def lam(dz):
-            return laplace_eigenvalue(SiegelPoint(p.Z + dz * D), m)
-
-        dX = (lam(h) - lam(-h)) / (2 * h)
-        dY = (lam(1j * h) - lam(-1j * h)) / (2 * h)
+        D = _delta(p.n, v.i, v.j)
+        lam = [laplace_eigenvalue(SiegelPoint(p.Z + dz * D), modes)
+               for dz in (h, -h, 1j * h, -1j * h)]
+        dX = (lam[0] - lam[1]) / (2 * h)
+        dY = (lam[2] - lam[3]) / (2 * h)
         sgn = -1j if v.holomorphic else 1j
         dlam = 0.5 * (dX + sgn * dY)
-    mu = _mu_eigenvalue(p, m, v)
-    return abs(dlam + mu / (2 * np.pi))
+    return abs(dlam + _mu_eigenvalue(p, modes, v) / (2 * np.pi))
 
 
 def _as_series(f, order):

@@ -77,6 +77,19 @@ class FourierMode:
         )
 
 
+def _mode_arrays(modes, dtype=float):
+    """(r, s) of one mode as arrays of shape (n,), or of a list of M modes as
+    arrays of shape (M, n).  One mode is a :class:`FourierMode` or an
+    ``(r, s)`` pair; only a list is read as several modes."""
+    if isinstance(modes, list):
+        rs = np.array([m.r + m.s for m in map(FourierMode.coerce, modes)], dtype=dtype)
+    else:
+        m = FourierMode.coerce(modes)
+        rs = np.array(m.r + m.s, dtype=dtype)
+    n = rs.shape[-1] // 2
+    return rs[..., :n], rs[..., n:]
+
+
 class FourierFunction:
     """Finite combination sum_m lambda_m F_m with complex coefficients.
 
@@ -257,12 +270,13 @@ def _line_decomposition(modes):
     return m0, np.array(powers, dtype=np.int64)
 
 
-def _check_sup_grid(shape):
-    """Refuse, before allocation, a sup grid above ``sections.MAX_FRAME_BYTES``."""
+def _check_sup_grid(shape, bytes_per_node):
+    """Refuse, before allocation, a sup grid above ``sections.MAX_FRAME_BYTES``;
+    ``bytes_per_node`` counts every grid-sized array the caller holds at once."""
     # sections imports this module (through siegel), so read its limit here
     from .sections import MAX_FRAME_BYTES, SizeLimitError
 
-    size = math.prod(shape) * 16
+    size = math.prod(shape) * bytes_per_node
     if size > MAX_FRAME_BYTES:
         raise SizeLimitError(
             f"sup grid needs {size / 2**30:.3g} GiB at "
@@ -308,7 +322,8 @@ def _trig_max(c, t):
     if t.shape[1] == 0:
         return float(abs(c.sum())), 0.0
     shape = tuple(_NODES_PER_DEGREE * int(d) for d in np.max(np.abs(t), axis=0))
-    _check_sup_grid(shape)
+    # complex spectrum and ifftn, float |P|, boolean mask, one rolled copy
+    _check_sup_grid(shape, 16 + 16 + 8 + 1 + 8)
     spectrum = np.zeros(shape, dtype=complex)
     np.add.at(spectrum, tuple((t % shape).T), c)
     values = np.abs(np.fft.ifftn(spectrum)) * spectrum.size
@@ -382,7 +397,8 @@ def dense_max_abs(f, points_per_dim=2048):
         raise ValueError("dense grid sup only supported for n <= 2")
     if n == 2:
         points_per_dim = min(points_per_dim, 256)
-    _check_sup_grid((points_per_dim,) * (2 * n))
+    # the complex running total, one phase grid and its scaled copy
+    _check_sup_grid((points_per_dim,) * (2 * n), 16 + 16 + 16)
     t = np.arange(points_per_dim) / points_per_dim
     total = np.zeros((points_per_dim,) * (2 * n), dtype=complex)
     for m, c in f.terms.items():

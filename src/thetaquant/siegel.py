@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import FourierMode
+from .fourier import _mode_arrays
 
 __all__ = [
     "InvalidPointError",
@@ -59,6 +59,8 @@ class SiegelPoint:
     X: np.ndarray = field(init=False)
     Y: np.ndarray = field(init=False)
     is_normal: bool = field(init=False)
+    min_eig_Y: float = field(init=False, repr=False, compare=False)
+    det_Y: float = field(init=False, repr=False, compare=False)
     _Yinv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -84,19 +86,13 @@ class SiegelPoint:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "is_normal", bool(normal))
+        object.__setattr__(self, "min_eig_Y", float(np.linalg.eigvalsh(Y)[0]))
+        object.__setattr__(self, "det_Y", float(np.linalg.det(Y)))
         object.__setattr__(self, "_Yinv", Yinv)
 
     @property
     def Yinv(self):
         return self._Yinv
-
-    @property
-    def det_Y(self):
-        return float(np.linalg.det(self.Y))
-
-    @property
-    def min_eig_Y(self):
-        return float(np.linalg.eigvalsh(self.Y)[0])
 
     def __repr__(self):
         if self.n == 1:
@@ -247,7 +243,7 @@ def omega_complex_frame(p):
     return O
 
 
-def laplace_eigenvalue(p, mode):
+def laplace_eigenvalue(p, modes):
     """Eigenvalue of the metric Laplacian on the phase F_{r,s}.
 
     For the metric g = 2 pi omega(., I(Z) .) the Laplacian acts diagonally
@@ -255,16 +251,16 @@ def laplace_eigenvalue(p, mode):
 
         lambda(r, s, Z) = -2 pi ((s - Xr).Y^-1 (s - Xr) + r.Y r) <= 0,
 
-    vanishing only for the constant mode.
+    vanishing only for the constant mode.  ``modes`` is one mode (a
+    FourierMode or an (r, s) pair), giving a scalar, or a list of M modes,
+    giving an array of shape (M,); each entry is the one-mode value.
     """
-    mode = FourierMode.coerce(mode)
-    r = np.array(mode.r, dtype=float)
-    s = np.array(mode.s, dtype=float)
-    u = s - p.X @ r
-    return float(-2 * np.pi * (u @ p.Yinv @ u + r @ p.Y @ r))
+    r, s = _mode_arrays(modes)
+    u = s - r.dot(p.X.T)
+    return -2 * np.pi * (np.vecdot(u.dot(p.Yinv), u) + np.vecdot(r.dot(p.Y), r))
 
 
-def dlambda_dZ(p, mode, v):
+def dlambda_dZ(p, modes, v):
     """Wirtinger derivative of the Laplace eigenvalue along a direction.
 
     Closed form, valid at any point: with u = Y^-1 (s - Xr) and D = D_ij,
@@ -272,15 +268,15 @@ def dlambda_dZ(p, mode, v):
         dlam/dX_ij = 4 pi u.D r,
         dlam/dY_ij = 2 pi (u.D u - r.D r),
 
-    combined as (dX -/+ i dY)/2 for kind 'z' / 'zbar'.
+    combined as (dX -/+ i dY)/2 for kind 'z' / 'zbar'.  ``modes`` is one
+    mode, giving a complex scalar, or a list of M modes, giving shape (M,).
     """
-    mode = FourierMode.coerce(mode)
-    r = np.array(mode.r, dtype=float)
-    s = np.array(mode.s, dtype=float)
+    r, s = _mode_arrays(modes)
     D = _delta(p.n, v.i, v.j)
-    u = p.Yinv @ (s - p.X @ r)
-    dX = 4 * np.pi * (u @ D @ r)
-    dY = 2 * np.pi * (u @ D @ u - r @ D @ r)
+    u = (s - r.dot(p.X.T)).dot(p.Yinv.T)
+    uD = u.dot(D)
+    dX = 4 * np.pi * np.vecdot(uD, r)
+    dY = 2 * np.pi * (np.vecdot(uD, u) - np.vecdot(r.dot(D), r))
     if v.holomorphic:
         return 0.5 * (dX - 1j * dY)
     return 0.5 * (dX + 1j * dY)

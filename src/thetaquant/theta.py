@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .siegel import SiegelPoint
+from .siegel import _delta
 
 __all__ = [
     "ThetaLabel",
@@ -193,6 +193,27 @@ def _term_factors(sel, k, u):
     return 1j * np.pi * k * sym * u[:, sel.i] * u[:, sel.j]
 
 
+def _window(p, label, z, policy):
+    """Lattice window u of one evaluation at z and its linear phase 2 pi i k u.z."""
+    if not policy.compatible(p, label.k):
+        raise ValueError(
+            "truncation policy was certified for a different (level, point)"
+        )
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    u = _lattice_points(p, label, policy, z.imag)
+    return u, 2j * np.pi * label.k * (u @ z)
+
+
+def _phases(Z, k, u, lin):
+    """Lattice terms exp(pi i k u.Z u + lin) over the window u."""
+    quad = np.einsum("li,ij,lj->l", u, Z, u)
+    return np.exp(1j * np.pi * k * quad + lin)
+
+
+def _termwise(sel, k, u, phases):
+    return complex(np.sum(_term_factors(sel, k, u) * phases))
+
+
 def theta_eval(p, label, z, sel=Derivative.value(), policy=None):
     """Evaluate a theta frame element (or a term-wise derivative) at z.
 
@@ -203,27 +224,21 @@ def theta_eval(p, label, z, sel=Derivative.value(), policy=None):
     k = label.k
     if policy is None:
         policy = truncation_radius(p, k, 1e-12, sel)
-    if not policy.compatible(p, k):
-        raise ValueError(
-            "truncation policy was certified for a different (level, point)"
-        )
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    u = _lattice_points(p, label, policy, z.imag)
-    quad = np.einsum("li,ij,lj->l", u, p.Z, u)
-    phases = np.exp(1j * np.pi * k * quad + 2j * np.pi * k * (u @ z))
-    return complex(np.sum(_term_factors(sel, k, u) * phases))
+    u, lin = _window(p, label, z, policy)
+    return _termwise(sel, k, u, _phases(p.Z, k, u, lin))
 
 
-def _derivative_scale(p, label, z, policy, lhs, rhs):
-    """Magnitude the heat-identity residual is quoted against.
+def _heat_defect(lhs, k, i, j, u, phases):
+    """|lhs - (2 - delta_ij)/(4 pi i k) dzi dzj theta| relative to the sides.
 
-    The derivative values themselves, floored at pi k |theta(z)| -- the
-    generic size of a Z-derivative -- so a near-critical point of the
+    The magnitude is the larger of the two sides, floored at pi k |theta(z)|
+    -- the generic size of a Z-derivative -- so a near-critical point of the
     derivative cannot inflate the quotient past the evaluation noise floor.
     """
-    k = label.k
-    base = abs(theta_eval(p, label, z, Derivative.value(), policy))
-    return max(abs(lhs), abs(rhs), np.pi * k * base, 1e-300)
+    d2 = _termwise(Derivative.dz2(i, j), k, u, phases)
+    rhs = (1.0 if i == j else 2.0) * d2 / (4j * np.pi * k)
+    theta = abs(_termwise(Derivative.value(), k, u, phases))
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), np.pi * k * theta, 1e-300)
 
 
 def heat_residual(p, label, z, i, j, policy=None):
@@ -237,11 +252,10 @@ def heat_residual(p, label, z, i, j, policy=None):
     k = label.k
     if policy is None:
         policy = truncation_radius(p, k, 1e-12, Derivative.dz2(i, j))
-    lhs = theta_eval(p, label, z, Derivative.dZ(i, j), policy)
-    d2 = theta_eval(p, label, z, Derivative.dz2(i, j), policy)
-    sym = 1.0 if i == j else 2.0
-    rhs = sym * d2 / (4j * np.pi * k)
-    return abs(lhs - rhs) / _derivative_scale(p, label, z, policy, lhs, rhs)
+    u, lin = _window(p, label, z, policy)
+    phases = _phases(p.Z, k, u, lin)
+    lhs = _termwise(Derivative.dZ(i, j), k, u, phases)
+    return _heat_defect(lhs, k, i, j, u, phases)
 
 
 def heat_residual_fd(p, label, z, i, j, policy=None, step=1e-4):
@@ -249,25 +263,22 @@ def heat_residual_fd(p, label, z, i, j, policy=None, step=1e-4):
 
     The symmetric entry pair (i, j), (j, i) is perturbed together, matching
     the derivative convention.  Returns a residual relative to the derivative
-    magnitude.
+    magnitude.  The stencil moves X only, so Y, and with it the certificate
+    and the lattice window, is the same at every stencil point: each value
+    is the sum over p's window at Z + tD, and no stencil point is built.
     """
     k = label.k
     if policy is None:
         policy = truncation_radius(p, k, 1e-13, Derivative.dz2(i, j))
-    D = np.zeros((p.n, p.n))
-    D[i, j] = 1.0
-    D[j, i] = 1.0
+    u, lin = _window(p, label, z, policy)
+    D = _delta(p.n, i, j)
 
     def th(offset):
-        q = SiegelPoint(p.Z + offset * D)
-        return theta_eval(q, label, z, Derivative.value(), policy)
+        return complex(np.sum(_phases(p.Z + offset * D, k, u, lin)))
 
     h = step
     fd = (th(-2 * h) - 8 * th(-h) + 8 * th(h) - th(2 * h)) / (12 * h)
-    d2 = theta_eval(p, label, z, Derivative.dz2(i, j), policy)
-    sym = 1.0 if i == j else 2.0
-    rhs = sym * d2 / (4j * np.pi * k)
-    return abs(fd - rhs) / _derivative_scale(p, label, z, policy, fd, rhs)
+    return _heat_defect(fd, k, i, j, u, _phases(p.Z, k, u, lin))
 
 
 def multiplier(p, b, z):

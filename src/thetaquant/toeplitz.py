@@ -59,6 +59,7 @@ from .fourier import (
     FourierFunction,
     FourierMode,
     _line_decomposition,
+    _mode_arrays,
     poisson_bracket,
     sup_abs,
 )
@@ -137,25 +138,25 @@ def eta(p, k, m):
     """Gaussian factor of the mode operator: exp(lambda(r,s,Z) / 4k).
 
     Lies in (0, 1], increases to 1 as k grows, and is the modulus of every
-    nonzero closed-form entry.
+    nonzero closed-form entry.  ``m`` is one mode or a list of modes, as for
+    :func:`siegel.laplace_eigenvalue`.
     """
-    return math.exp(laplace_eigenvalue(p, m) / (4 * k))
+    return np.exp(laplace_eigenvalue(p, m) / (4 * k))
 
 
-def _clock_shift_columns(k, n, m):
+def _clock_shift_columns(k, n, modes):
     """Row index and value of the one nonzero entry in each column of W_k(m).
 
     Columns are the labels a in lexicographic order; column a has its entry
-    in row a + r mod k, with value exp(-pi i r.s/k) exp(-2 pi i s.a/k); both
-    phases are reduced exactly, r.s mod 2k and s.a mod k.
+    in row a + r mod k, with value exp(-pi i (r.s + 2 s.a)/k), the phase
+    reduced exactly mod 2k.  Both arrays have shape (k^n,) for one mode and
+    (M, k^n) for a list of M modes.
     """
-    shape = (k,) * n
-    labels = np.indices(shape).reshape(n, -1)
-    rows = np.ravel_multi_index((labels + np.array(m.r)[:, None]) % k, shape)
-    sa = (np.array(m.s) @ labels) % k
-    rs = int(np.dot(m.r, m.s)) % (2 * k)
-    values = np.exp(-1j * np.pi * rs / k) * np.exp(-2j * np.pi * sa / k)
-    return rows, values
+    labels = np.indices((k,) * n).reshape(n, -1)
+    r, s = _mode_arrays(modes, dtype=np.int64)
+    rows = k ** np.arange(n - 1, -1, -1) @ ((r[..., None] + labels) % k)
+    phase = (np.vecdot(r, s)[..., None] + 2 * s.dot(labels)) % (2 * k)
+    return rows, np.exp(-1j * np.pi * phase / k)
 
 
 @dataclass(frozen=True)
@@ -248,10 +249,11 @@ class WeylSymbol:
                 f"above the {MAX_DENSE_DIM} limit"
             )
         entries = np.zeros((dim, dim), dtype=complex)
-        cols = np.arange(dim)
-        for m, c in self.coeffs.items():
-            rows, values = _clock_shift_columns(k, n, m)
-            entries[rows, cols] += c * values
+        if self.coeffs:
+            rows, values = _clock_shift_columns(k, n, list(self.coeffs))
+            cols = np.arange(dim)
+            for row, value, c in zip(rows, values, self.coeffs.values()):
+                entries[row, cols] += c * value
         return OperatorMatrix(k, n, self.point, entries, "closed_form")
 
     def _line(self):

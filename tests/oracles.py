@@ -153,3 +153,63 @@ def wirtinger_fd(fn, Z, D, kind, h=1e-4):
     dY = (fn(Z + 1j * h * D) - fn(Z - 1j * h * D)) / (2 * h)
     sgn = -1j if kind == "z" else 1j
     return 0.5 * (dX + sgn * dY)
+
+
+def _real_parts(Z):
+    """X and Y of a scalar or nested-list Z, as nested lists of floats."""
+    Z = [[complex(Z)]] if np.isscalar(Z) else [[complex(z) for z in row] for row in Z]
+    return Z, [[z.real for z in row] for row in Z], [[z.imag for z in row] for row in Z]
+
+
+def _inverse(Y):
+    """Inverse of a 1 x 1 or 2 x 2 matrix by the adjugate."""
+    if len(Y) == 1:
+        return [[1.0 / Y[0][0]]]
+    (a, b), (c, d) = Y
+    det = a * d - b * c
+    return [[d / det, -b / det], [-c / det, a / det]]
+
+
+def _apply(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def laplace_eigenvalue_oracle(Z, r, s):
+    """lambda(r, s, Z) = -2 pi ((s - Xr).Y^-1 (s - Xr) + r.Y r) for one mode."""
+    _, X, Y = _real_parts(Z)
+    u = [si - xr for si, xr in zip(s, _apply(X, r))]
+    return -2 * math.pi * (_dot(u, _apply(_inverse(Y), u)) + _dot(r, _apply(Y, r)))
+
+
+def _pair_form(i, j, a, b):
+    """a.D_ij b for the symmetric unit perturbation D_ij."""
+    return a[i] * b[j] + (a[j] * b[i] if i != j else 0.0)
+
+
+def dlambda_dZ_oracle(Z, r, s, i, j, kind):
+    """(d/dX_ij -/+ i d/dY_ij)/2 of lambda from dlam/dX = 4 pi u.D r and
+    dlam/dY = 2 pi (u.D u - r.D r), u = Y^-1 (s - Xr)."""
+    _, X, Y = _real_parts(Z)
+    u = _apply(_inverse(Y), [si - xr for si, xr in zip(s, _apply(X, r))])
+    dX = 4 * math.pi * _pair_form(i, j, u, r)
+    dY = 2 * math.pi * (_pair_form(i, j, u, u) - _pair_form(i, j, r, r))
+    return 0.5 * (dX - 1j * dY) if kind == "z" else 0.5 * (dX + 1j * dY)
+
+
+def mu_eigenvalue_oracle(Z, r, s, i, j, kind):
+    """Eigenvalue of Delta_{G(v)} on F_{r,s}: the bivector G(v) carries 2i
+    (d/dZ_ij) or -2i (d/dZbar_ij) at (i, j) and (j, i) of one complex block,
+    and the phase's first-order eigenvalues there are pi Y^-1 (s - Zbar r)
+    and -pi Y^-1 (s - Z r)."""
+    Zc, _, Y = _real_parts(Z)
+    W = _inverse(Y)
+    if kind == "z":
+        coeff, sign, M = 2j, 1.0, [[z.conjugate() for z in row] for row in Zc]
+    else:
+        coeff, sign, M = -2j, -1.0, Zc
+    e = [sign * math.pi * w for w in _apply(W, [si - mr for si, mr in zip(s, _apply(M, r))])]
+    return coeff * _pair_form(i, j, e, e)

@@ -11,7 +11,7 @@ from thetaquant.config import (
     parse_config_all,
     parse_matrix,
 )
-from thetaquant.experiments import emit_outputs, run_experiment
+from thetaquant.experiments import emit_outputs, fmt_ints, run_experiment
 from thetaquant.sections import required_grid_size
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import WeylSymbol
@@ -299,6 +299,50 @@ class TestRunAndCache:
         assert doc.rows == []
         assert not any(v["passed"] for v in doc.verdicts)
         assert doc.extras["skipped_levels"] == "16 (above k = 8)"
+
+    @pytest.mark.parametrize("experiment", ["covariance", "heat-identity"])
+    def test_skipped_levels_fail_their_verdicts(self, experiment):
+        # k = 2 is measured and passes; k = 16 is above the pointwise cap and
+        # was once only listed in the extras while every verdict passed
+        m = parse_config(f"experiment = {experiment}\nn = 1\nk = 2, 16")
+        doc = run_experiment(m, use_cache=False)
+        assert doc.rows and all(row[-1] == "pass" for row in doc.rows)
+        assert doc.extras["skipped_levels"] == "16 (above k = 8)"
+        assert all(v["observed"] == "nan" for v in doc.verdicts)
+        assert not any(v["passed"] for v in doc.verdicts)
+
+    def test_pointwise_sweeps_build_points_per_call_not_per_mode(self, monkeypatch):
+        # flatness built 4 stencil points per mode and direction, and the
+        # heat identity 4 per row; only the flatness stencil is left
+        built = []
+        post_init = SiegelPoint.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        manifests = [
+            parse_config("experiment = flatness\nn = 1\nZ = i\nmodes = 1,0"),
+            parse_config("experiment = flatness\nn = 1\nZ = i"),
+            parse_config("experiment = heat-identity\nn = 1\nk = 2, 4"),
+        ]
+        assert len(manifests[1].modes or ()) == 0  # the 49 default modes
+        monkeypatch.setattr(SiegelPoint, "__post_init__", counting)
+        counts = []
+        for m in manifests:
+            built.clear()
+            assert run_experiment(m, use_cache=False).passed
+            counts.append(len(built))
+        one_mode, all_modes, heat = counts
+        assert one_mode == all_modes == 2 * 4  # two directions, four stencil points
+        assert heat == 0
+
+    def test_fmt_ints_forms_agree(self):
+        for values in ((3,), (-1, 0, 12)):
+            text = "|".join(str(v) for v in values)
+            assert fmt_ints(values) == fmt_ints(np.array(values)) == text
+            assert fmt_ints(list(values)) == text
+        assert fmt_ints(7) == fmt_ints(np.int64(7)) == "7"
 
     def test_refusal_becomes_failed_row(self, tmp_path):
         # a grid below the bandwidth rule surfaces as a refused row, not a crash

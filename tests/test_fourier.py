@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,24 @@ def test_large_sup_grid_is_refused(monkeypatch):
     monkeypatch.setattr("thetaquant.sections.MAX_FRAME_BYTES", 1 << 10)
     with pytest.raises(SizeLimitError, match="sup grid needs"):
         sup_abs(FourierFunction({((1,), (0,)): 1.0, ((0,), (2,)): 1.0}))
+
+
+def test_sup_grid_estimate_covers_the_peak(monkeypatch):
+    # the refusal once counted 16 bytes per node, a third of what the search
+    # holds at once; with the limit one byte below the measured peak, the
+    # estimate must refuse the same grid
+    f = FourierFunction({((3, 0), (0, 0)): 1.0, ((0, 3), (0, 0)): 0.5j,
+                         ((0, 0), (3, 0)): 0.3, ((0, 0), (0, 3)): -0.7,
+                         ((1, 1), (1, 1)): 0.2})
+    tracemalloc.start()
+    try:
+        assert sup_abs(f).method == "torus"  # 24^4 nodes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr("thetaquant.sections.MAX_FRAME_BYTES", peak - 1)
+    with pytest.raises(SizeLimitError, match="sup grid needs"):
+        sup_abs(f)
 
 
 @pytest.mark.parametrize("n", (1, 2))

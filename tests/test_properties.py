@@ -9,15 +9,31 @@ n = 1 has x = (2m + 1) / 2k, which no such x equals (2k (3i + 1) is even,
 Configs are drawn over every key that ``canonical()`` reads, rendered as
 text in either layout (one line, or one key per line under a section
 header), and parsed back.
+
+The mode-batched eigenvalues and flatness residuals are drawn at normal
+points (X and Y share eigenvectors) with batches of up to eight modes of
+entries |r_i|, |s_i| <= 4, and checked mode by mode against the oracles.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    dlambda_dZ_oracle,
+    laplace_eigenvalue_oracle,
+    mu_eigenvalue_oracle,
+)
 
 from thetaquant.config import EXPERIMENT_IDS, parse_config
+from thetaquant.formal import _mu_eigenvalue, formal_hitchin_residual
+from thetaquant.fourier import FourierMode
 from thetaquant.sections import cocycle_residual
-from thetaquant.siegel import SiegelPoint
+from thetaquant.siegel import (
+    SiegelPoint,
+    TangentDirection,
+    dlambda_dZ,
+    laplace_eigenvalue,
+)
 from thetaquant.theta import ThetaLabel, quasi_periodicity_residual
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -151,3 +167,61 @@ def test_config_round_trips_through_its_text(fields, one_line):
     assert _fields(m) == fields
     again = parse_config(_render(_fields(m), not one_line))
     assert again.canonical() == m.canonical()
+
+
+@st.composite
+def normal_points(draw):
+    """Z = R diag(x + iy) R^T for a rotation R, so [X, Y] = 0; y in [0.5, 2]."""
+    n = draw(st.sampled_from((1, 2)))
+    z = [complex(draw(_unit()), draw(st.floats(0.5, 2.0))) for _ in range(n)]
+    if n == 1:
+        return SiegelPoint(z[0])
+    phi = draw(st.floats(0.0, np.pi))
+    R = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    Z = R @ np.diag(z) @ R.T
+    return SiegelPoint((Z + Z.T) / 2)
+
+
+@st.composite
+def mode_batches(draw):
+    p = draw(normal_points())
+    vector = st.tuples(*[st.integers(-4, 4)] * p.n)
+    modes = [FourierMode(*rs) for rs in draw(
+        st.lists(st.tuples(vector, vector), min_size=1, max_size=8))]
+    i = draw(st.integers(0, p.n - 1))
+    v = TangentDirection(i, draw(st.integers(i, p.n - 1)),
+                         draw(st.sampled_from(("z", "zbar"))))
+    return p, modes, v
+
+
+@PROPERTY
+@given(mode_batches())
+def test_batched_flatness_matches_the_oracles(case):
+    p, modes, v = case
+    h = 1e-4
+    D = np.zeros((p.n, p.n))
+    D[v.i, v.j] = D[v.j, v.i] = 1.0
+    lam = laplace_eigenvalue(p, modes)
+    dlam = dlambda_dZ(p, modes, v)
+    mu = _mu_eigenvalue(p, modes, v)
+    residual = formal_hitchin_residual(p, modes, v)
+    residual_fd = formal_hitchin_residual(p, modes, v, fd_step=h)
+    assert lam.shape == dlam.shape == mu.shape == residual.shape == (len(modes),)
+    for a, m in enumerate(modes):
+        args = (p.Z.tolist(), m.r, m.s)
+        lam_o = laplace_eigenvalue_oracle(*args)
+        dlam_o = dlambda_dZ_oracle(*args, v.i, v.j, v.kind)
+        mu_o = mu_eigenvalue_oracle(*args, v.i, v.j, v.kind)
+        for value, oracle in ((lam[a], lam_o), (dlam[a], dlam_o), (mu[a], mu_o)):
+            assert abs(value - oracle) <= 1e-12 * max(abs(oracle), 1.0)
+        assert abs(residual[a] - abs(dlam_o + mu_o / (2 * np.pi))) <= 1e-12
+        # the stencil from oracle eigenvalues; each difference quotient
+        # carries the eigenvalues' rounding, a few eps |lambda| / h
+        stencil = [laplace_eigenvalue_oracle((p.Z + t * D).tolist(), m.r, m.s)
+                   for t in (h, -h, 1j * h, -1j * h)]
+        dX = (stencil[0] - stencil[1]) / (2 * h)
+        dY = (stencil[2] - stencil[3]) / (2 * h)
+        sgn = -1j if v.holomorphic else 1j
+        fd_o = abs(0.5 * (dX + sgn * dY) + mu_o / (2 * np.pi))
+        rounding = 8 * np.finfo(float).eps * max(abs(lam_o), 1.0) / h
+        assert abs(residual_fd[a] - fd_o) <= 1e-12 + rounding

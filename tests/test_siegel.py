@@ -62,6 +62,16 @@ class TestSiegelPoint:
         with pytest.raises(ValueError):
             p.Yinv[0, 0] = 0
 
+    def test_eigen_data_is_stored(self):
+        # truncation certificates read these on every evaluation; they were
+        # recomputed by eigvalsh and det on each access
+        for Z in (0.3 + 0.7j, [[1j, 0.2 + 0.5j], [0.2 + 0.5j, 2j]]):
+            p = SiegelPoint(Z)
+            assert "min_eig_Y" in vars(p) and "det_Y" in vars(p)
+            assert p.min_eig_Y == float(np.linalg.eigvalsh(p.Y)[0])
+            assert p.det_Y == float(np.linalg.det(p.Y))
+            assert type(p.min_eig_Y) is float and type(p.det_Y) is float
+
 
 class TestComplexStructure:
     def test_frozen_examples(self):

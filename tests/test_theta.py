@@ -217,3 +217,45 @@ class TestQuasiPeriodicity:
         zz = np.array([0.2 + 0.1j, 0.4 - 0.2j])
         for idx in range(4):
             assert quasi_periodicity_residual(point_n2, lab, zz, idx) < 1e-10
+
+
+def _reference_heat_residuals(p, label, z, i, j, h=1e-4):
+    """Both heat residuals through theta_eval, with the fd stencil evaluated
+    at the points SiegelPoint(Z + tD)."""
+    k = label.k
+    sym = 1.0 if i == j else 2.0
+
+    def defect(lhs, policy):
+        rhs = sym * theta_eval(p, label, z, Derivative.dz2(i, j), policy) / (4j * np.pi * k)
+        theta = abs(theta_eval(p, label, z, Derivative.value(), policy))
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), np.pi * k * theta, 1e-300)
+
+    policy = truncation_radius(p, k, 1e-12, Derivative.dz2(i, j))
+    residual = defect(theta_eval(p, label, z, Derivative.dZ(i, j), policy), policy)
+    policy = truncation_radius(p, k, 1e-13, Derivative.dz2(i, j))
+    D = np.zeros((p.n, p.n))
+    D[i, j] = D[j, i] = 1.0
+
+    def th(t):
+        return theta_eval(SiegelPoint(p.Z + t * D), label, z, Derivative.value(), policy)
+
+    fd = (th(-2 * h) - 8 * th(-h) + 8 * th(h) - th(2 * h)) / (12 * h)
+    return residual, defect(fd, policy)
+
+
+@pytest.mark.parametrize(
+    "Z", [1j, 1 + 2j, 0.5 + 0.7j, [[1j, 0], [0, 2j]],
+          [[1 + 2j, 0.3 + 0.4j], [0.3 + 0.4j, 0.5 + 1j]]],
+)
+def test_heat_residuals_equal_the_theta_eval_reference(Z):
+    # one lattice window serves every term and stencil value of a row; the
+    # rows must be the same floats, hence the same CSV bytes
+    p = SiegelPoint(Z)
+    pairs = [(0, 0)] if p.n == 1 else [(0, 0), (0, 1), (1, 1)]
+    for k in (2, 4, 8):
+        label = theta_basis(k, p.n)[1]
+        for x0, y0 in ((0.13, 0.71), (0.77, 0.52)):
+            z = np.full(p.n, x0) + p.Z @ np.full(p.n, y0)
+            for i, j in pairs:
+                rows = heat_residual(p, label, z, i, j), heat_residual_fd(p, label, z, i, j)
+                assert rows == _reference_heat_residuals(p, label, z, i, j)
