@@ -38,7 +38,6 @@ from .toeplitz import (
     bms_experiment,
     eta,
     hs_inner,
-    hs_norm_scaled,
     operator_norm,
     product_expansion_fit,
     rescaled_toeplitz,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import (
     ConfigError,
+    _parse_mode,
     parse_complex,
     parse_config_all,
     parse_matrix,
@@ -47,21 +48,25 @@ def _point_from_arg(text, n):
     return SiegelPoint(mat)
 
 
-def _parse_mode_arg(text):
-    vals = [int(x) for x in text.replace(";", ",").split(",")]
-    half = len(vals) // 2
-    if len(vals) % 2:
-        raise ConfigError(f"--mode needs an even number of integers, got {text!r}")
-    return tuple(vals[:half]), tuple(vals[half:])
+def positive_int(text):
+    """argparse type of the sizes --n, --k, --g and --grid."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(sp):
-    sp.add_argument("--n", type=int, default=1, help="complex dimension")
-    sp.add_argument("--k", type=int, default=2, help="quantization level")
+    sp.add_argument("--n", type=positive_int, default=1, help="complex dimension")
+    sp.add_argument("--k", type=positive_int, default=2, help="quantization level")
     sp.add_argument("--Z", default="i", help="Siegel point, 'a+bi' or [[..],[..]]")
+
+
+def _add_quadrature(sp):
+    _add_common(sp)
     sp.add_argument("--tol", type=float, default=None, help="pass tolerance")
-    sp.add_argument("--grid", type=int, default=None, help="nodes per coordinate")
-    sp.add_argument("--out", default=None, help="output path base")
+    sp.add_argument("--grid", type=positive_int, default=None,
+                    help="nodes per coordinate")
 
 
 def build_parser():
@@ -81,12 +86,12 @@ def build_parser():
                     help="value | dz:i | dz2:i,j | dZ:i,j")
 
     gram_p = sub.add_parser("gram", help="frame inner-product matrix")
-    _add_common(gram_p)
+    _add_quadrature(gram_p)
 
     toep = sub.add_parser("toeplitz", help="mode operators")
     toep_sub = toep.add_subparsers(dest="action", required=True)
     cmp_p = toep_sub.add_parser("compare", help="closed form vs quadrature")
-    _add_common(cmp_p)
+    _add_quadrature(cmp_p)
     cmp_p.add_argument("--mode", default="1,0", help="mode integers r,s")
 
     exp = sub.add_parser("experiment", help="manifest-driven experiments")
@@ -96,18 +101,17 @@ def build_parser():
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--cache-dir", default=None)
     run_p.add_argument("--tol", type=float, default=None)
-    run_p.add_argument("--grid", type=int, default=None)
+    run_p.add_argument("--grid", type=positive_int, default=None)
     run_p.add_argument("--no-cache", action="store_true")
 
     tq = sub.add_parser("tqft", help="curve operators and invariants")
     tq_sub = tq.add_subparsers(dest="action", required=True)
     inv = tq_sub.add_parser("invariant", help="mapping torus invariant")
-    inv.add_argument("--g", type=int, default=1, help="genus")
-    inv.add_argument("--k", type=int, default=2)
+    inv.add_argument("--g", type=positive_int, default=1, help="genus")
+    inv.add_argument("--k", type=positive_int, default=2)
     inv.add_argument("--Z", default=None, help="optional Siegel point")
     inv.add_argument("--mode", default=None, help="first curve class r,s")
     inv.add_argument("--mode2", default=None, help="second curve class r,s")
-    inv.add_argument("--out", default=None)
     return ap
 
 
@@ -151,7 +155,7 @@ def _cmd_gram(args):
 
 def _cmd_toeplitz_compare(args):
     p = _point_from_arg(args.Z, args.n)
-    r, s = _parse_mode_arg(args.mode)
+    r, s = _parse_mode(args.mode, p.n)
     m_max = max(abs(x) for x in r + s) if r + s else 0
     N = args.grid or required_grid_size(p, args.k, m_max)
     closed = toeplitz_mode_closed_form(p, args.k, (r, s))
@@ -194,13 +198,10 @@ def _cmd_tqft_invariant(args):
             raise ConfigError(f"point dimension {p.n} != genus {g}")
     else:
         p = SiegelPoint(np.diag([1j * (i + 1) for i in range(g)]))
-    c1 = c2 = None
-    if args.mode:
-        r, s = _parse_mode_arg(args.mode)
-        c1 = CurveClass(r, s)
-    if args.mode2:
-        r, s = _parse_mode_arg(args.mode2)
-        c2 = CurveClass(r, s)
+    c1, c2 = (
+        CurveClass(*_parse_mode(text, g)) if text else None
+        for text in (args.mode, args.mode2)
+    )
     val = mapping_torus_invariant(p, args.k, c1, c2)
     print(fmt_complex(val))
     return 0

@@ -110,16 +110,17 @@ def parse_matrix(text, line=None):
     return np.array(rows)
 
 
-def _parse_mode(text, line=None):
-    parts = [q.strip() for q in text.split(",")]
-    if len(parts) % 2 != 0:
-        raise ConfigError(f"mode needs 2n integers 'r,s', got {text!r}", line)
+def _parse_mode(text, n, line=None):
+    """The mode (r, s) of dimension n written as 2n integers 'r..., s...'."""
     try:
-        vals = [int(q) for q in parts]
+        vals = [int(q) for q in text.split(",")]
     except ValueError:
         raise ConfigError(f"malformed mode {text!r}", line) from None
-    half = len(vals) // 2
-    return tuple(vals[:half]), tuple(vals[half:])
+    if len(vals) != 2 * n:
+        raise ConfigError(
+            f"mode {text!r} needs 2n = {2 * n} integers 'r,s' at n = {n}", line
+        )
+    return tuple(vals[:n]), tuple(vals[n:])
 
 
 @dataclass
@@ -163,10 +164,12 @@ class ExperimentManifest:
         return "|".join(fields)
 
 
-def _default_points(n):
+def _default_points(n, line=None):
     if n == 1:
         return tuple(SiegelPoint(parse_complex(z)) for z in DEFAULT_Z_N1)
-    return (SiegelPoint(np.diag([1j, 2j])),)
+    if n == 2:
+        return (SiegelPoint(np.diag([1j, 2j])),)
+    raise ConfigError(f"n = {n} has no default Siegel point; give Z", line)
 
 
 def _number(pairs, line_of, key, kind):
@@ -196,6 +199,8 @@ def _build_manifest(pairs, line_of):
             raise ConfigError("n must be >= 1", line_of.get("n"))
     if "genus" in pairs:
         m.genus = _number(pairs, line_of, "genus", int)
+        if m.genus < 1:
+            raise ConfigError("genus must be >= 1", line_of.get("genus"))
     if "k" in pairs:
         try:
             ks = tuple(
@@ -232,10 +237,11 @@ def _build_manifest(pairs, line_of):
                 line_of.get("Z"),
             )
     else:
-        m.points = _default_points(m.n)
+        m.points = _default_points(m.n, line_of.get("n"))
     if "modes" in pairs:
+        dim = m.genus if exp == "tqft" else m.n
         m.modes = tuple(
-            _parse_mode(chunk, line_of.get("modes"))
+            _parse_mode(chunk, dim, line_of.get("modes"))
             for chunk in pairs["modes"].split(";")
             if chunk.strip()
         )
@@ -245,6 +251,8 @@ def _build_manifest(pairs, line_of):
             raise ConfigError("tolerance must be positive", line_of.get("tol"))
     if "grid" in pairs:
         m.grid = _number(pairs, line_of, "grid", int)
+        if m.grid < 1:
+            raise ConfigError("grid must be >= 1", line_of.get("grid"))
     if "epsilon" in pairs:
         m.epsilon = _number(pairs, line_of, "epsilon", float)
         if m.epsilon <= 0:

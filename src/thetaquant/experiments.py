@@ -43,13 +43,13 @@ from .sections import (
 from .siegel import TangentDirection
 from .tqft import (
     CurveClass,
+    curve_operator,
     holonomy_mode,
     mapping_torus_invariant,
     pairing_limit_experiment,
 )
 from .theta import heat_residual, heat_residual_fd, theta_basis
 from .toeplitz import (
-    WeylSymbol,
     bms_experiment,
     c1_antisymmetry_constant,
     eta,
@@ -588,8 +588,7 @@ def _run_tqft(m):
         try:
             # tr(W(m1) W(m2)*): k^g for equal curves, else from the matrices
             expected = complex(k**g) if m1 == m2 else hs_inner(
-                WeylSymbol(k, p, {m1: 1.0}).to_dense(),
-                WeylSymbol(k, p, {m2: 1.0}).to_dense(),
+                curve_operator(p, k, c1), curve_operator(p, k, c2)
             )
             err = abs(val - expected)
             status = "pass" if err < 1e-10 else "fail"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierFunction, FourierMode, _mode_arrays
+from .fourier import FourierFunction, FourierMode, _mode_arrays, _mode_pair_sum
 from .siegel import (
     NonNormalError,
     SiegelPoint,
@@ -73,10 +73,6 @@ class FormalFourierSeries:
     def from_function(cls, f, order):
         zero = FourierFunction.zero(f.n)
         return cls(order, (f,) + (zero,) * order)
-
-    @classmethod
-    def zeros(cls, n, order):
-        return cls(order, tuple(FourierFunction.zero(n) for _ in range(order + 1)))
 
     @property
     def n(self):
@@ -246,27 +242,17 @@ def moyal_product(f, g, order):
     f = _as_series(f, order)
     g = _as_series(g, order)
     L = min(order, f.order, g.order)
-    out = [dict() for _ in range(L + 1)]
+    out = [FourierFunction.zero(f.n) for _ in range(L + 1)]
     for a in range(L + 1):
-        fa = f.coefficients[a].terms
-        if not fa:
-            continue
         for b in range(L + 1 - a):
-            gb = g.coefficients[b].terms
-            if not gb:
-                continue
-            for m1, c1 in fa.items():
-                for m2, c2 in gb.items():
-                    q = m1.symplectic_pairing(m2)
-                    msum = m1 + m2
-                    base = c1 * c2
-                    for j in range(L + 1 - a - b):
-                        w = base * (2j * np.pi**2 * q) ** j / math.factorial(j)
-                        tgt = out[a + b + j]
-                        tgt[msum] = tgt.get(msum, 0.0) + w
-    return FormalFourierSeries(
-        L, tuple(FourierFunction(d, n=f.n) for d in out)
-    )
+            for j in range(L + 1 - a - b):
+                term = _mode_pair_sum(
+                    f.coefficients[a].terms,
+                    g.coefficients[b].terms,
+                    lambda omega, j=j: (2j * np.pi**2 * omega) ** j / math.factorial(j),
+                )
+                out[a + b + j] = out[a + b + j] + FourierFunction(term, n=f.n)
+    return FormalFourierSeries(L, tuple(out))
 
 
 @dataclass

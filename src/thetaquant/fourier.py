@@ -90,33 +90,60 @@ def _mode_arrays(modes, dtype=float):
     return rs[..., :n], rs[..., n:]
 
 
+def _coefficients(terms, n=None):
+    """``terms`` as a dict from :class:`FourierMode` to nonzero complex
+    coefficients, and its mode dimension.
+
+    Keys are modes or ``(r, s)`` pairs; keys that name the same mode add up.
+    Every mode must have dimension ``n``, which is read off the modes when
+    it is None.
+    """
+    data = {}
+    for mode, coeff in dict(terms).items():
+        mode = FourierMode.coerce(mode)
+        coeff = complex(coeff)
+        if coeff != 0:
+            data[mode] = data.get(mode, 0.0) + coeff
+    dims = {m.n for m in data}
+    if len(dims) > 1:
+        raise ValueError(f"mixed mode dimensions {dims}")
+    if n is None:
+        if not dims:
+            raise ValueError("empty function needs an explicit dimension n")
+        n = dims.pop()
+    elif dims and dims.pop() != n:
+        raise ValueError(f"mode dimension does not match n = {n}")
+    return data, n
+
+
+def _mode_pair_sum(a, b, weight):
+    """sum of a_m1 b_m2 weight(omega(m1, m2)) at the mode m1 + m2.
+
+    ``a`` and ``b`` map modes to coefficients and omega is the integer
+    symplectic pairing.  Every product of phases is this sum with its own
+    weight: 1 for the pointwise product, -4 pi^2 omega for the Poisson
+    bracket, (2 pi^2 i omega)^j / j! for order j of the Moyal product and
+    exp(i pi omega / k) for the Weyl relation at level k.
+    """
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            out[m] = out.get(m, 0.0) + c1 * c2 * weight(m1.symplectic_pairing(m2))
+    return out
+
+
 class FourierFunction:
     """Finite combination sum_m lambda_m F_m with complex coefficients.
 
-    Instances are immutable; all arithmetic returns new objects.  Coefficients
-    below ``prune_tol`` in magnitude are dropped at construction.
+    Instances are immutable; all arithmetic returns new objects.  Zero
+    coefficients are dropped at construction.
     """
 
     __slots__ = ("_terms", "_n")
 
-    def __init__(self, terms, n=None, prune_tol=0.0):
-        data = {}
-        for mode, coeff in dict(terms).items():
-            mode = FourierMode.coerce(mode)
-            coeff = complex(coeff)
-            if abs(coeff) > prune_tol or (prune_tol == 0.0 and coeff != 0):
-                data[mode] = data.get(mode, 0.0) + coeff
-        dims = {m.n for m in data}
-        if len(dims) > 1:
-            raise ValueError(f"mixed mode dimensions {dims}")
-        if n is None:
-            if not dims:
-                raise ValueError("empty function needs an explicit dimension n")
-            n = dims.pop()
-        elif dims and dims.pop() != n:
-            raise ValueError("mode dimension does not match n")
-        self._terms = data
-        self._n = n
+    def __init__(self, terms, n=None):
+        self._terms, self._n = _coefficients(terms, n)
 
     @classmethod
     def mode(cls, r, s, coeff=1.0):
@@ -144,16 +171,6 @@ class FourierFunction:
 
     def coefficient(self, mode):
         return self._terms.get(FourierMode.coerce(mode), 0.0 + 0.0j)
-
-    def max_mode_entry(self):
-        """Largest |entry| among all stored frequencies; 0 for constants."""
-        best = 0
-        for m in self._terms:
-            best = max(best, max(abs(a) for a in m.r + m.s))
-        return best
-
-    def prune(self, tol):
-        return FourierFunction(self._terms, n=self._n, prune_tol=tol)
 
     def conjugate(self):
         return FourierFunction(
@@ -198,12 +215,9 @@ class FourierFunction:
             return FourierFunction(
                 {m: other * c for m, c in self._terms.items()}, n=self._n
             )
-        out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 + m2
-                out[m] = out.get(m, 0.0) + c1 * c2
-        return FourierFunction(out, n=self._n)
+        return FourierFunction(
+            _mode_pair_sum(self._terms, other._terms, lambda omega: 1), n=self._n
+        )
 
     __rmul__ = __mul__
 
@@ -239,15 +253,9 @@ def poisson_bracket(f, g):
     On phases {F_{r,s}, F_{t,u}} = -4 pi^2 (r.u - s.t) F_{r+t, s+u}, extended
     bilinearly; antisymmetric, satisfies the Jacobi identity.
     """
-    out = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            q = m1.symplectic_pairing(m2)
-            if q == 0:
-                continue
-            m = m1 + m2
-            out[m] = out.get(m, 0.0) + (-4 * np.pi**2) * q * c1 * c2
-    return FourierFunction(out, n=f.n)
+    return FourierFunction(
+        _mode_pair_sum(f.terms, g.terms, lambda omega: -4 * np.pi**2 * omega), n=f.n
+    )
 
 
 def _line_decomposition(modes):
@@ -320,7 +328,8 @@ def _trig_max(c, t):
     t = t[:, None] if t.ndim == 1 else t
     t = t[:, np.any(t != 0, axis=0)]  # drop the axes P does not depend on
     if t.shape[1] == 0:
-        return float(abs(c.sum())), 0.0
+        # np.abs, as for the grid values: the builtin abs can differ by an ulp
+        return float(np.abs(c.sum())), 0.0
     shape = tuple(_NODES_PER_DEGREE * int(d) for d in np.max(np.abs(t), axis=0))
     # complex spectrum and ifftn, float |P|, boolean mask, one rolled copy
     _check_sup_grid(shape, 16 + 16 + 8 + 1 + 8)

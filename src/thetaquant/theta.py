@@ -97,10 +97,6 @@ class Derivative:
     def dZ(cls, i, j):
         return cls("dZ", i, j)
 
-    @property
-    def degree(self):
-        return {"value": 0, "dz": 1, "dz2": 2, "dZ": 2}[self.kind]
-
 
 @dataclass(frozen=True)
 class TruncationPolicy:

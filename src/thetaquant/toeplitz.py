@@ -33,7 +33,10 @@ and its algebra needs no k^n x k^n matrix:
   max |sum_t a_t lambda^t| over those k roots, an O(M k) computation.
 
 The norm of any other symbol, and the public matrix constructors, go
-through :meth:`WeylSymbol.to_dense`, the one dense builder.
+through :meth:`WeylSymbol.to_dense`, the one dense builder.  Its result, an
+:class:`OperatorMatrix`, is the dense oracle's record: the level, the
+dimension and the entries, with no algebra of its own.  Every product,
+adjoint and pairing of closed-form operators is taken on the symbol.
 
 The norms approach sup |f| as k grows (``bms_experiment``).  That sup is
 also read off the modes, with no grid of the unit cell (``fourier.sup_abs``):
@@ -58,8 +61,10 @@ import numpy as np
 from .fourier import (
     FourierFunction,
     FourierMode,
+    _coefficients,
     _line_decomposition,
     _mode_arrays,
+    _mode_pair_sum,
     poisson_bracket,
     sup_abs,
 )
@@ -77,7 +82,6 @@ __all__ = [
     "rescaled_toeplitz",
     "operator_norm",
     "hs_inner",
-    "hs_norm_scaled",
     "trace_pair_closed_form",
     "trace_pair_sign",
     "bms_experiment",
@@ -93,13 +97,13 @@ MAX_DENSE_DIM = 4096
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator in the theta frame, tagged with its origin."""
+    """Dense k^n x k^n operator in the theta frame: the record of the dense
+    oracle (:meth:`WeylSymbol.to_dense` and the quadrature).  ``entries`` is
+    a read-only complex copy."""
 
     k: int
     n: int
-    point: object
     entries: np.ndarray
-    provenance: str
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex).copy()
@@ -108,30 +112,6 @@ class OperatorMatrix:
             raise ValueError(f"entries must be {dim} x {dim}, got {e.shape}")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-
-    @classmethod
-    def identity(cls, k, n, point, provenance="derived"):
-        return cls(k, n, point, np.eye(k**n, dtype=complex), provenance)
-
-    def _combine(self, other, entries):
-        if (self.k, self.n) != (other.k, other.n):
-            raise ValueError("operator shapes differ")
-        return OperatorMatrix(self.k, self.n, self.point, entries, "derived")
-
-    def __mul__(self, scalar):
-        return OperatorMatrix(
-            self.k, self.n, self.point, scalar * self.entries, "derived"
-        )
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return self._combine(other, self.entries @ other.entries)
-
-    def adjoint(self):
-        return OperatorMatrix(
-            self.k, self.n, self.point, self.entries.conj().T, "derived"
-        )
 
 
 def eta(p, k, m):
@@ -163,9 +143,10 @@ def _clock_shift_columns(k, n, modes):
 class WeylSymbol:
     """The level-k operator sum_m c_m W_k(m), kept as its mode coefficients.
 
-    ``coeffs`` maps integer modes to complex coefficients; zero coefficients
-    are dropped.  Modes are not reduced mod k: congruent modes give the same
-    W_k up to a sign, which products and pairings carry exactly.
+    ``coeffs`` maps integer modes of dimension ``point.n`` to complex
+    coefficients; zero coefficients are dropped.  Modes are not reduced mod
+    k: congruent modes give the same W_k up to a sign, which products and
+    pairings carry exactly.
     """
 
     k: int
@@ -173,12 +154,7 @@ class WeylSymbol:
     coeffs: dict
 
     def __post_init__(self):
-        coeffs = {}
-        for m, c in self.coeffs.items():
-            if c != 0:
-                m = FourierMode.coerce(m)
-                coeffs[m] = coeffs.get(m, 0.0) + complex(c)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _coefficients(self.coeffs, self.n)[0])
 
     @classmethod
     def toeplitz(cls, p, k, f):
@@ -211,14 +187,11 @@ class WeylSymbol:
         """Product by the Weyl relation; O(M1 M2) at any level."""
         self._check_level(other)
         k = self.k
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                omega = m1.symplectic_pairing(m2) % (2 * k)
-                m = m1 + m2
-                out[m] = out.get(m, 0.0) + c1 * c2 * cmath.exp(
-                    1j * math.pi * omega / k
-                )
+
+        def weight(omega):
+            return cmath.exp(1j * math.pi * (omega % (2 * k)) / k)
+
+        out = _mode_pair_sum(self.coeffs, other.coeffs, weight)
         return WeylSymbol(k, self.point, out)
 
     def adjoint(self):
@@ -254,7 +227,7 @@ class WeylSymbol:
             cols = np.arange(dim)
             for row, value, c in zip(rows, values, self.coeffs.values()):
                 entries[row, cols] += c * value
-        return OperatorMatrix(k, n, self.point, entries, "closed_form")
+        return OperatorMatrix(k, n, entries)
 
     def _line(self):
         """``fourier._line_decomposition`` of the modes: (m0, powers) or None."""
@@ -309,7 +282,7 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     _check_grid(p, k, grid, m_max=m_max)
     pairings = _frame_pairings(p, k, grid, modes)
     return {
-        m: OperatorMatrix(k, p.n, p, pairing.T, "quadrature")
+        m: OperatorMatrix(k, p.n, pairing.T)
         for m, pairing in zip(modes, pairings)
     }
 
@@ -333,11 +306,6 @@ def hs_inner(A, B):
     if A.entries.shape != B.entries.shape:
         raise ValueError("operator shapes differ")
     return complex(np.vdot(B.entries, A.entries))
-
-
-def hs_norm_scaled(A):
-    """k^{-n/2} sqrt(tr A A*)."""
-    return float(A.k ** (-A.n / 2) * math.sqrt(max(hs_inner(A, A).real, 0.0)))
 
 
 def trace_pair_sign(k, m1, m2):
@@ -462,7 +430,7 @@ def product_expansion_fit(p, f, g, k_values, order=3):
 
     coeff_rows, cond = _inverse_power_fit(k_values, order, sample)
     coefficients = [
-        FourierFunction(dict(zip(out_modes, row)), n=f.n, prune_tol=0.0)
+        FourierFunction(dict(zip(out_modes, row)), n=f.n)
         for row in coeff_rows
     ]
     return ProductExpansionFit(

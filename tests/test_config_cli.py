@@ -81,6 +81,11 @@ class TestParsing:
         m = parse_config("# header\nexperiment = covariance\nmodes = 1,0; 0,1")
         assert m.modes == (((1,), (0,)), ((0,), (1,)))
 
+    def test_n_above_two_needs_a_point(self):
+        # the default points exist for n = 1 and 2 only; n = 3 once ran at n = 2
+        with pytest.raises(ConfigError, match="line 2: n = 3 has no default"):
+            parse_config("experiment = gram\nn = 3\nk = 2")
+
 
 class TestRunAndCache:
     def test_gram_experiment_passes(self, tmp_path):
@@ -450,6 +455,64 @@ class TestCli:
             assert rc == 2
             assert message in err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("body, line", [
+        ("[toeplitz-compare]\nn = 2\nmodes = 1,0", 3),
+        ("[covariance]\nmodes = 1,0,0,1", 2),
+        ("[trace-lemma]\nn = 2\nmodes = 1,0,0,1; 1,0", 3),
+        ("[bms]\nmodes = 1,0,0,0", 2),
+        ("[pairing-limit]\nn = 2\nmodes = 1,0", 3),
+        ("[star-fit]\nmodes = 1,0; 0,1,1,0", 2),
+        ("[flatness]\nmodes = 1,0,0,0", 2),
+        ("[tqft]\ngenus = 2\nmodes = 1,0", 3),
+        ("[tqft]\ngenus = 0", 2),
+        ("[gram]\ngrid = 0", 2),
+    ], ids=lambda v: v.replace("\n", " ") if isinstance(v, str) else None)
+    def test_bad_dimension_genus_and_grid_are_reported(self, tmp_path, capsys,
+                                                       body, line):
+        # modes have 2n entries (2 genus for tqft); genus and grid are >= 1
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(body + "\nk = 2\n")
+        rc = main(["experiment", "run", str(cfg), "--no-cache"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"line {line}: " in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["toeplitz", "compare", "--k", "2", "--Z", "i", "--mode", "a,b"],
+         "malformed mode 'a,b'"),
+        (["toeplitz", "compare", "--n", "2", "--Z", "[[1i,0],[0,2i]]",
+          "--mode", "1,0"], "2n = 4"),
+        (["tqft", "invariant", "--g", "2", "--mode", "1,0"], "2n = 4"),
+        (["tqft", "invariant", "--g", "1", "--mode2", "1,0,1"], "2n = 2"),
+    ])
+    def test_bad_cli_modes_are_reported(self, capsys, argv, message):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["theta", "eval", "--tol", "0.1"],
+        ["theta", "eval", "--grid", "8"],
+        ["theta", "eval", "--out", "report"],
+        ["gram", "--out", "report"],
+        ["toeplitz", "compare", "--out", "report"],
+        ["tqft", "invariant", "--out", "report"],
+        ["gram", "--grid", "0"],
+        ["toeplitz", "compare", "--grid", "-4"],
+        ["experiment", "run", "exp.cfg", "--grid", "0"],
+        ["gram", "--k", "0"],
+        ["tqft", "invariant", "--g", "0"],
+        ["tqft", "invariant", "--k", "0"],
+    ])
+    def test_unread_flags_and_nonpositive_sizes_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: " in capsys.readouterr().err
 
     def test_frame_too_large_is_reported(self, capsys):
         rc = main(["gram", "--n", "2", "--k", "8", "--Z", "[[1i,0],[0,2i]]"])

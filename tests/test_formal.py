@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from thetaquant.formal import (
     moyal_product,
     trivialized_star_compare,
 )
-from thetaquant.fourier import FourierFunction, poisson_bracket
+from thetaquant.fourier import FourierFunction, FourierMode, poisson_bracket
 from thetaquant.siegel import SiegelPoint, TangentDirection, laplace_eigenvalue
-from thetaquant.toeplitz import eta, toeplitz_mode_closed_form
+from thetaquant.toeplitz import WeylSymbol, eta, toeplitz_mode_closed_form
 
 Z_LIST = [1j, 1 + 2j, 0.5 + 0.7j]
 MODES = [((r,), (s,)) for r in range(-3, 4) for s in range(-3, 4)]
@@ -222,6 +223,31 @@ class TestMoyal:
             4j * np.pi**2
         )
 
+    @pytest.mark.parametrize("z, pairs", [
+        (0.5 + 0.7j, [(((1,), (0,)), ((0,), (1,))), (((2,), (1,)), ((-1,), (3,))),
+                      (((1,), (1,)), ((2,), (2,)))]),
+        ([[1 + 1j, 0.5], [0.5, 2j]], [(((1, 0), (0, 1)), ((0, 2), (1, -1))),
+                                      (((1, -1), (2, 0)), ((0, 1), (-1, 3)))]),
+    ])
+    def test_weyl_product_is_the_exponentiated_moyal_product(self, z, pairs):
+        # W(m1) W(m2) = e^{i pi omega/k} W(m1 + m2), and order j of the Moyal
+        # product at h = 1/(2 pi k) is (i pi omega/k)^j / j!; truncated at
+        # order L they differ by at most the exponential's Taylor remainder
+        p = SiegelPoint(z)
+        for a, b in pairs:
+            m1, m2 = FourierMode(*a), FourierMode(*b)
+            omega = m1.symplectic_pairing(m2)
+            for k in (2, 3, 5, 8, 16):
+                weyl = WeylSymbol(k, p, {m1: 1.0}) @ WeylSymbol(k, p, {m2: 1.0})
+                for L in range(5):
+                    star = moyal_product(FourierFunction({m1: 1.0}),
+                                         FourierFunction({m2: 1.0}), L)
+                    series = sum(star.coefficient(j).coefficient(m1 + m2)
+                                 * (2 * np.pi * k) ** -j for j in range(L + 1))
+                    x = np.pi * abs(omega) / k
+                    remainder = x ** (L + 1) / math.factorial(L + 1)
+                    assert abs(weyl.coeffs[m1 + m2] - series) <= remainder + 1e-12
+
     def test_order_zero_is_pointwise_product(self):
         f = FourierFunction({((1,), (0,)): 0.5, ((0,), (1,)): 2.0})
         g = FourierFunction({((1,), (1,)): 1j, ((-1,), (0,)): 0.25})
@@ -274,11 +300,15 @@ class TestTrivializedStar:
 
     def test_exact_phase_sequence(self):
         # the projected samples are exactly exp(i pi q / k); check one level
-        from thetaquant.toeplitz import hs_inner, rescaled_toeplitz
+        from thetaquant.toeplitz import OperatorMatrix, hs_inner, rescaled_toeplitz
 
         p = SiegelPoint(0.5 + 0.7j)
         k = 8
-        A = rescaled_toeplitz(p, k, ((1,), (0,))) @ rescaled_toeplitz(p, k, ((0,), (1,)))
+        A = OperatorMatrix(
+            k, 1,
+            rescaled_toeplitz(p, k, ((1,), (0,))).entries
+            @ rescaled_toeplitz(p, k, ((0,), (1,))).entries,
+        )
         B = rescaled_toeplitz(p, k, ((1,), (1,)))
         got = hs_inner(A, B) / hs_inner(B, B)
         assert got == pytest.approx(np.exp(1j * np.pi / k), abs=1e-12)

@@ -144,8 +144,9 @@ def _render(f, one_line):
 def configs(draw):
     n = draw(st.sampled_from((1, 2)))
     vector = st.tuples(*[st.integers(-9, 9)] * n)
+    experiment = draw(st.sampled_from(EXPERIMENT_IDS))
     return {
-        "experiment": draw(st.sampled_from(EXPERIMENT_IDS)),
+        "experiment": experiment,
         "n": n,
         "k": tuple(draw(st.lists(st.integers(1, 512), min_size=1, max_size=5))),
         "Z": tuple(
@@ -156,7 +157,8 @@ def configs(draw):
         "tol": draw(st.none() | st.floats(1e-16, 1.0)),
         "grid": draw(st.none() | st.integers(1, 4096)),
         "epsilon": draw(st.floats(1e-15, 1e-2)),
-        "genus": draw(st.integers(1, 4)),
+        # tqft modes are curve classes, of dimension the genus
+        "genus": n if experiment == "tqft" else draw(st.integers(1, 4)),
     }
 
 

@@ -12,7 +12,6 @@ from thetaquant.toeplitz import (
     c1_antisymmetry_constant,
     eta,
     hs_inner,
-    hs_norm_scaled,
     loglog_order,
     operator_norm,
     product_expansion_fit,
@@ -178,7 +177,7 @@ class TestToeplitzFunction:
         f = FourierFunction({((1,), (2,)): 0.7 + 0.3j, ((0,), (1,)): -1.2j})
         A = toeplitz_function(p, 4, f)
         B = toeplitz_function(p, 4, f.conjugate())
-        assert np.max(np.abs(A.adjoint().entries - B.entries)) < 1e-10
+        assert np.max(np.abs(A.entries.conj().T - B.entries)) < 1e-10
 
     @pytest.mark.parametrize("z", [1 + 2j, Z_N2_NON_NORMAL[0]])
     def test_sum_of_mode_operators(self, z):
@@ -250,10 +249,11 @@ class TestRescaled:
         for k in (1, 2, 3, 5):
             for a, b in pairs:
                 m1, m2 = FourierMode(*a), FourierMode(*b)
-                lhs = rescaled_toeplitz(p, k, m1) @ rescaled_toeplitz(p, k, m2)
+                lhs = (rescaled_toeplitz(p, k, m1).entries
+                       @ rescaled_toeplitz(p, k, m2).entries)
                 phase = np.exp(1j * np.pi * m1.symplectic_pairing(m2) / k)
                 rhs = phase * rescaled_toeplitz(p, k, m1 + m2).entries
-                assert np.max(np.abs(lhs.entries - rhs)) < 1e-13
+                assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_z_independence(self):
         A = rescaled_toeplitz(SiegelPoint(1j), 4, ((1,), (2,))).entries
@@ -274,8 +274,7 @@ class TestRescaled:
 
 class TestNormsAndTraces:
     def test_identity_norm(self):
-        p = SiegelPoint(1j)
-        assert operator_norm(OperatorMatrix.identity(4, 1, p)) == pytest.approx(1.0)
+        assert operator_norm(OperatorMatrix(4, 1, np.eye(4))) == pytest.approx(1.0)
 
     def test_rescaled_norm_one(self):
         p = SiegelPoint(1 + 2j)
@@ -289,14 +288,12 @@ class TestNormsAndTraces:
         assert operator_norm(A) == pytest.approx(np.exp(-np.pi / 4), abs=1e-12)
 
     def test_hs_identity(self):
-        p = SiegelPoint(1j)
-        I = OperatorMatrix.identity(5, 1, p)
+        I = OperatorMatrix(5, 1, np.eye(5))
         assert hs_inner(I, I) == pytest.approx(5.0)
 
     def test_hs_equals_frobenius(self, rng):
-        p = SiegelPoint(1j)
         M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        A = OperatorMatrix(3, 1, p, M, "derived")
+        A = OperatorMatrix(3, 1, M)
         got = hs_inner(A, A).real
         assert got == pytest.approx(np.linalg.norm(M, "fro") ** 2, rel=1e-12)
         assert hs_inner(A, A).imag == pytest.approx(0.0, abs=1e-12)
@@ -304,7 +301,7 @@ class TestNormsAndTraces:
     def test_scaled_norm_of_rescaled_is_one(self, points_n1):
         for p in points_n1:
             A = rescaled_toeplitz(p, 4, ((2,), (1,)))
-            assert hs_norm_scaled(A) == pytest.approx(1.0, abs=1e-12)
+            assert hs_inner(A, A) == pytest.approx(4.0, abs=1e-12)
 
     def test_cross_mode_orthogonal(self):
         p = SiegelPoint(1j)

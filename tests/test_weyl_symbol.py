@@ -167,6 +167,14 @@ def test_line_norm_needs_no_matrix_and_off_line_norm_is_refused():
         B.norm()
 
 
+def test_modes_of_the_wrong_dimension_are_refused():
+    # pair zips the 2n entries of two modes, so a short mode would be cut
+    with pytest.raises(ValueError, match="dimension"):
+        WeylSymbol(4, P2, {((1,), (0,)): 1.0})
+    with pytest.raises(ValueError, match="dimension"):
+        WeylSymbol(4, P1, {((1,), (0,)): 1.0, ((1, 0), (0, 0)): 1.0})
+
+
 def test_pairing_closed_form_is_the_dense_pairing():
     p = SiegelPoint(1 + 2j)
     f = FourierFunction({((1,), (0,)): 0.7, ((0,), (2,)): -0.2j, ((5,), (0,)): 0.1})
