@@ -23,6 +23,7 @@ import numpy as np
 from .config import (
     ConfigError,
     _parse_mode,
+    _tolerance,
     parse_complex,
     parse_config_all,
     parse_matrix,
@@ -56,6 +57,14 @@ def positive_int(text):
     return value
 
 
+def tolerance(text):
+    """argparse type of --tol: positive and finite, the config file's rule."""
+    try:
+        return _tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(sp):
     sp.add_argument("--n", type=positive_int, default=1, help="complex dimension")
     sp.add_argument("--k", type=positive_int, default=2, help="quantization level")
@@ -64,7 +73,7 @@ def _add_common(sp):
 
 def _add_quadrature(sp):
     _add_common(sp)
-    sp.add_argument("--tol", type=float, default=None, help="pass tolerance")
+    sp.add_argument("--tol", type=tolerance, default=None, help="pass tolerance")
     sp.add_argument("--grid", type=positive_int, default=None,
                     help="nodes per coordinate")
 
@@ -100,7 +109,7 @@ def build_parser():
     run_p.add_argument("config", help="configuration file path")
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--cache-dir", default=None)
-    run_p.add_argument("--tol", type=float, default=None)
+    run_p.add_argument("--tol", type=tolerance, default=None)
     run_p.add_argument("--grid", type=positive_int, default=None)
     run_p.add_argument("--no-cache", action="store_true")
 

@@ -10,6 +10,7 @@ semicolon separated.  Unknown keys and malformed values raise
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -73,6 +74,10 @@ _DEFAULT_K_BY_EXPERIMENT = {
 }
 
 
+# Experiments that read a fixed number of modes: the counts they read in full.
+_MODE_COUNTS = {"star-fit": ("two", (2,)), "tqft": ("at most two", (1, 2))}
+
+
 class ConfigError(ValueError):
     """Configuration problem, annotated with a line number when known."""
 
@@ -108,6 +113,13 @@ def parse_matrix(text, line=None):
     if len(lengths) != 1:
         raise ConfigError("matrix rows have unequal lengths", line)
     return np.array(rows)
+
+
+def _tolerance(value, line=None):
+    """``value`` if it is a positive, finite tolerance, else a ConfigError."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"tolerance must be positive and finite, got {value!r}", line)
+    return value
 
 
 def _parse_mode(text, n, line=None):
@@ -245,10 +257,15 @@ def _build_manifest(pairs, line_of):
             for chunk in pairs["modes"].split(";")
             if chunk.strip()
         )
+        if m.modes and exp in _MODE_COUNTS:
+            words, counts = _MODE_COUNTS[exp]
+            if len(m.modes) not in counts:
+                raise ConfigError(
+                    f"{exp} reads {words} modes, got {len(m.modes)}",
+                    line_of.get("modes"),
+                )
     if "tol" in pairs:
-        m.tol = _number(pairs, line_of, "tol", float)
-        if m.tol <= 0:
-            raise ConfigError("tolerance must be positive", line_of.get("tol"))
+        m.tol = _tolerance(_number(pairs, line_of, "tol", float), line_of.get("tol"))
     if "grid" in pairs:
         m.grid = _number(pairs, line_of, "grid", int)
         if m.grid < 1:

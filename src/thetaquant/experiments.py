@@ -469,8 +469,9 @@ def _run_pairing_limit(m):
 
 
 def _star_pairs(m):
-    if m.modes and len(m.modes) >= 2:
-        return [(FourierMode(*m.modes[0]), FourierMode(*m.modes[1]))]
+    if m.modes:
+        (r1, s1), (r2, s2) = m.modes
+        return [(FourierMode(r1, s1), FourierMode(r2, s2))]
     return [
         (_first_coordinate(m.n, 1, 0), _first_coordinate(m.n, 0, 1)),
         (_first_coordinate(m.n, 1, 1), _first_coordinate(m.n, 0, 1)),
@@ -577,7 +578,7 @@ def _run_tqft(m):
         from .siegel import SiegelPoint
 
         p = SiegelPoint(np.diag([1j * (i + 1) for i in range(g)]))
-    curves = [CurveClass(r, s) for r, s in m.modes[:2]]
+    curves = [CurveClass(r, s) for r, s in m.modes]
     c1, c2 = (curves + [CurveClass.empty(g)] * 2)[:2]
     m1, m2 = holonomy_mode(c1), holonomy_mode(c2)
     columns = ["genus", "k", "curve1", "curve2", "invariant", "expected", "status"]

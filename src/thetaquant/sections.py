@@ -14,16 +14,23 @@ it cannot overflow.  Every integral pairs that frame with itself under a
 Fourier mode F_{r,s}; the x-sum of the pairing is exact by the
 orthogonality of the grid characters, which leaves a sum over the N^n
 y-nodes for each pair of lattice terms whose frequencies k u + r meet
-mod N.  Memory is O(k^n L^n N^n) for a window of L^n lattice terms; the
-k^n x N^{2n} frame itself is built only on request.  The normalized variant multiplies by sqrt(2^n k^n det Y),
-making the theta frame orthonormal.  Grid sizes follow the bandwidth rule
-N >= 4 (k R + m_max) with R the theta truncation radius and m_max the
-largest extra Fourier frequency in the integrand; grids whose full frame
-would exceed MAX_FRAME_BYTES are refused.
+mod N.  In that product the y-phases cancel and the Gaussians sit on one
+fine lattice of step gcd(k, N)/(kN): it is evaluated once per node, and
+for each offset d = r mod N between the frequencies the products of all
+labels are folded by strided sums and one FFT over the y-nodes.  Memory
+is O(box + k^n N^n) for a box of about (k N (L + 1) / gcd(k, N))^n nodes
+over a window of L^n lattice terms, plus the k^n x k^n outputs; the k^n x N^{2n}
+frame itself is built only on request.  The normalized variant multiplies
+by sqrt(2^n k^n det Y), making the theta frame orthonormal.  Grid sizes
+follow the bandwidth rule N >= 4 (k R + m_max) with R the theta truncation
+radius and m_max the largest extra Fourier frequency in the integrand;
+grids whose pairings would hold more than MAX_FRAME_BYTES are refused
+before anything is allocated.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,7 +64,7 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-12
-MAX_FRAME_BYTES = 1 << 30  # largest k^n N^{2n} frame a quadrature grid may imply
+MAX_FRAME_BYTES = 1 << 30  # largest working set of a quadrature or a sup grid
 
 
 class GridError(ValueError):
@@ -149,6 +156,123 @@ def _index_vectors(n, N):
     return np.indices((N,) * n).reshape(n, -1).T
 
 
+@dataclass(frozen=True)
+class _FineLattice:
+    """The Gaussian of every lattice term of the grid frame, once per node.
+
+    Lattice term (a, l) of the frame has u = l + a/k with l in the window
+    [-half, half]^n, so k u = k l + a runs over ``width`` = k (2 half + 1)
+    consecutive integers from -k half on each axis.  With g = gcd(k, N), its
+    node u + y at the y-node q, y = q/N, is c g/(kN) on each axis for the
+    integer c = (N/g) k u + (k/g) q, and
+
+        G[c - c_min] = exp(i pi k v.Zv),   v = c g/(kN),
+
+    over the box of c, of modulus exp(-pi k v.Yv) <= 1, so no level
+    overflows.  The terms meet every node g^n times, and G evaluates it once.
+    """
+
+    k: int
+    N: int
+    G: np.ndarray
+    width: int  # k u - min k u runs over [0, width) on each axis
+    step_u: int  # N/g, the step of c per unit of k u
+    step_y: int  # k/g, the step of c per y-node
+
+    @staticmethod
+    def box_size(k, N, width):
+        """Nodes of the box on each axis."""
+        g = math.gcd(k, N)
+        return (N // g) * (width - 1) + (k // g) * (N - 1) + 1
+
+    @classmethod
+    def build(cls, p, k, grid):
+        """G over the truncation window of the grid's epsilon."""
+        n, N = p.n, grid.N
+        half = _window_half(p, k, grid)
+        width = k * (2 * half + 1)
+        g = math.gcd(k, N)
+        size = cls.box_size(k, N, width)
+        v = (np.arange(size) - (N // g) * k * half) / ((k // g) * N)
+        axes = np.ix_(*(v,) * n)
+        G = np.zeros((size,) * n, dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                G += (1j * np.pi * k * p.Z[i, j] * axes[i]) * axes[j]
+        np.exp(G, out=G)
+        return cls(k, N, G, width, N // g, k // g)
+
+    def terms(self, box, first, shape):
+        """A view of ``box``, G or a product on a sub-box of it, at the
+        terms (a, j, q): label a in row j of the window at the y-node q, at
+        c = (N/g)(k j + a) + (k/g) q past the offsets ``first`` on each axis.
+        ``shape`` is (labels..., rows..., y-nodes...)."""
+        st = box.strides
+        strides = (
+            tuple(self.step_u * s for s in st)
+            + tuple(self.k * self.step_u * s for s in st)
+            + tuple(self.step_y * s for s in st)
+        )
+        start = box[tuple(slice(c, None) for c in first)]
+        return np.lib.stride_tricks.as_strided(start, shape, strides, writeable=False)
+
+    def fold(self, d, out):
+        """Add S_d[a, q] = sum_j G[c] conj(G[c + (N/g) d]) over the terms
+        (a, j) at the y-node q whose partner k u + d lies in the window.
+
+        ``out`` has shape (k,)*n + (N,)*n.  The product is formed once on
+        the sub-box of those terms, and each run of labels sharing its rows
+        (:func:`_label_runs`) is summed over the rows as one strided view.
+        """
+        k, N, step_u = self.k, self.N, self.step_u
+        n = self.G.ndim
+        left, right = [], []
+        for di in d:
+            c0 = step_u * max(0, -di)
+            c1 = step_u * (self.width - 1 - max(0, di)) + self.step_y * (N - 1) + 1
+            left.append(slice(c0, c1))
+            right.append(slice(c0 + step_u * di, c1 + step_u * di))
+        product = np.conj(self.G[tuple(right)])
+        product *= self.G[tuple(left)]
+        rows = self.width // k
+        for runs in itertools.product(*(_label_runs(k, rows, di) for di in d)):
+            first = [
+                step_u * (k * j0 + a0 - max(0, -di))
+                for (a0, _, j0, _), di in zip(runs, d)
+            ]
+            shape = (
+                tuple(a1 - a0 for a0, a1, _, _ in runs)
+                + tuple(j1 - j0 for _, _, j0, j1 in runs)
+                + (N,) * n
+            )
+            summed = self.terms(product, first, shape).sum(axis=tuple(range(n, 2 * n)))
+            out[tuple(slice(a0, a1) for a0, a1, _, _ in runs)] += summed
+
+
+def _window_half(p, k, grid):
+    """Half-width of the lattice window: l runs over [-half, half]^n."""
+    return int(math.ceil(truncation_radius(p, k, grid.epsilon).radius)) + 1
+
+
+def _label_runs(k, rows, d):
+    """Labels of one axis in runs that share their rows with a partner.
+
+    Term (a, j) of the window, k u - min k u = k j + a with j in
+    [0, rows), meets k u + d = k (j + e) + a + f, e = d // k and
+    f = d mod k: the label a + f mod k in row j + e, one row further when
+    a + f >= k.  Returns (a0, a1, j0, j1) for the label runs [0, k - f)
+    and [k - f, k), with [j0, j1) the rows j whose partner row is a row of
+    the window, and skips a run without one.
+    """
+    e, f = divmod(d, k)
+    runs = []
+    for a0, a1, shift in ((0, k - f, e), (k - f, k, e + 1)):
+        j0, j1 = max(0, -shift), min(rows, rows - shift)
+        if a1 > a0 and j1 > j0:
+            runs.append((a0, a1, j0, j1))
+    return runs
+
+
 def _lattice_terms(p, k, grid):
     """The lattice terms of the grid frame: integer frequencies and y-parts.
 
@@ -158,20 +282,19 @@ def _lattice_terms(p, k, grid):
 
         Y[a, l, q] = exp(i pi k [(u+y).Z(u+y) - y.Xy]),  y = q/N,
 
-    one exponential of modulus exp(-pi k (u+y).Y(u+y)) <= 1, so no level
-    overflows.  Lattice term l of theta_a(x + Zy) exp(-pi k y.Yy) is
-    exp(2 pi i k u.x) Y[a, l, y].
+    the Gaussian of :class:`_FineLattice` at the term's node times the
+    y-phase, of modulus at most 1.  Lattice term l of
+    theta_a(x + Zy) exp(-pi k y.Yy) is exp(2 pi i k u.x) Y[a, l, y].
     """
-    n = p.n
-    half = int(math.ceil(truncation_radius(p, k, grid.epsilon).radius)) + 1
-    shifts = _index_vectors(n, 2 * half + 1) - half
+    n, N = p.n, grid.N
+    fine = _FineLattice.build(p, k, grid)
+    L = fine.width // k
+    shifts = _index_vectors(n, L) - L // 2
     ku = k * shifts[None, :, :] + _index_vectors(n, k)[:, None, :]
-    t = _index_vectors(n, grid.N) / grid.N  # y-node q sits at q/N
-    v = ku[:, :, None, :] / k + t  # u + y
-    exponent = np.einsum("alpi,ij,alpj->alp", v, p.Z, v) - np.einsum(
-        "pi,ij,pj->p", t, p.X, t
-    )
-    return ku, np.exp(1j * np.pi * k * exponent)
+    gaussian = fine.terms(fine.G, (0,) * n, (k,) * n + (L,) * n + (N,) * n)
+    t = _index_vectors(n, N) / N
+    y_phase = np.exp(-1j * np.pi * k * np.einsum("pi,ij,pj->p", t, p.X, t))
+    return ku, gaussian.reshape(k**n, L**n, N**n) * y_phase
 
 
 def theta_frame_on_grid(p, k, grid):
@@ -217,14 +340,25 @@ def integrand_periodicity_residual(p, s1, s2, probe=(0.3, 0.7)):
     return worst
 
 
-def _check_grid(p, k, grid, m_max=0):
+def _pairing_bytes(p, k, grid, n_modes):
+    """Bytes :func:`_frame_pairings` holds at once for ``n_modes`` modes.
+
+    The Gaussian box and one product on it, the folded sums with one run's
+    sum and their spectra, k^n N^n each, and the k^n x k^n outputs.
+    """
+    n, N = p.n, grid.N
+    width = k * (2 * _window_half(p, k, grid) + 1)
+    box = _FineLattice.box_size(k, N, width) ** n
+    return 16 * (2 * box + 3 * (k * N) ** n + n_modes * k ** (2 * n))
+
+
+def _check_grid(p, k, grid, m_max=0, n_modes=1):
     """Refuse a grid that cannot carry the quadrature of a level-k integrand.
 
     Raises GridError when the grid's dimension differs from the point's,
     when N is below the bandwidth rule for extra frequencies up to m_max, or
-    when the full k^n x N^{2n} grid frame would exceed MAX_FRAME_BYTES.  The
-    pairings never build that frame, but the size limit is kept as the
-    bound on the grids the quadratures accept.
+    when the arrays the pairings of ``n_modes`` modes hold would exceed
+    MAX_FRAME_BYTES; the last is decided before anything is allocated.
     """
     need = required_grid_size(p, k, m_max, grid.epsilon)
     if grid.n != p.n:
@@ -233,10 +367,10 @@ def _check_grid(p, k, grid, m_max=0):
         raise GridError(
             f"grid too coarse: N={grid.N}, bandwidth rule needs N >= {need}"
         )
-    size = k**p.n * grid.N ** (2 * p.n) * 16
+    size = _pairing_bytes(p, k, grid, n_modes)
     if size > MAX_FRAME_BYTES:
         raise GridError(
-            f"grid frame needs {size / 2**30:.1f} GiB at N={grid.N}, "
+            f"quadrature needs {size / 2**30:.1f} GiB at N={grid.N}, "
             f"above the {MAX_FRAME_BYTES / 2**30:g} GiB limit"
         )
 
@@ -253,45 +387,48 @@ def _frame_pairings(p, k, grid, modes):
     of theta_a conj(theta_b) exp(-2 pi k y.Yy) F_m over the N^{2n} nodes.
     The x-sum is done exactly: sum_j exp(2 pi i q.j / N) is N^n when
     q = 0 mod N and 0 otherwise, so lattice term (a, l) meets term (b, l')
-    only when k u_{a,l} + r = k u_{b,l'} mod N, every such collision kept.
-    What remains is a sum over the N^n y-nodes of Y[a,l] conj(Y[b,l'])
-    exp(2 pi i s.y), taken for all modes sharing r in one product and
-    scattered into (a, b).  No array of N^{2n} nodes is formed.
+    only when k u_{b,l'} = k u_{a,l} + d for an integer vector d = r mod N;
+    every such d in the window is kept, aliased ones too.  The y-phases
+    cancel in the product of the two terms, which is then
+    G[c] conj(G[c + (N/g) d]) on the fine lattice of :class:`_FineLattice`.
+    For each d that product is formed once on the box, and the terms of
+    every label a are summed over the window rows whose partner lies in the
+    window, by strided views (:meth:`_FineLattice.fold`), to S_d[a, q] with
+    b = a + d mod k.  Offsets with the same d mod k share b and one folded
+    array, and one inverse FFT over q of it gives the y-sums against
+    exp(2 pi i s.y) for every s of the modes sharing r.  Memory is
+    O(box + k^n N^n) plus the outputs (:func:`_pairing_bytes`); no array of
+    N^{2n} nodes and no array over the meeting pairs is formed.
     """
     n, N = p.n, grid.N
-    ku, y_part = _lattice_terms(p, k, grid)
-    dim = ku.shape[0]
-    label = np.repeat(np.arange(dim), ku.shape[1])
-    ku = ku.reshape(-1, n)
-    y_part = y_part.reshape(len(ku), -1)
-    y_conj = y_part.conj()
-    nodes = _index_vectors(n, N)
-    # the residue k u mod N of every term, sorted, to find partners by bisection
-    target = np.ravel_multi_index((ku % N).T, (N,) * n)
-    order = np.argsort(target, kind="stable")
-    target = target[order]
-    scale = _frame_norm(p, k) / N**n
+    fine = _FineLattice.build(p, k, grid)
+    width = fine.width
+    dim = k**n
+    a_index = np.arange(dim)
+    labels = _index_vectors(n, k)
+    norm = _frame_norm(p, k)
     by_r = {}
     for i, m in enumerate(modes):
         by_r.setdefault(m.r, []).append(i)
-    out = [None] * len(modes)
+    out = [np.zeros((dim, dim), dtype=complex) for _ in modes]
     for r, members in by_r.items():
-        key = np.ravel_multi_index(((ku + r) % N).T, (N,) * n)
-        lo = np.searchsorted(target, key, "left")
-        count = np.searchsorted(target, key, "right") - lo
-        # one (left, right) row per meeting pair: term left with every
-        # term right in its run target[lo : lo + count]
-        left = np.repeat(np.arange(len(key)), count)
-        start = np.cumsum(count) - count
-        right = order[np.arange(count.sum()) - np.repeat(start - lo, count)]
-        s = np.array([modes[i].s for i in members])
-        phases = np.exp(2j * np.pi * ((nodes @ s.T) % N) / N)
-        terms = y_part[left]
-        terms *= y_conj[right]
-        total = np.zeros((dim * dim, len(members)), dtype=complex)
-        np.add.at(total, label[left] * dim + label[right], terms @ phases)
-        for column, i in enumerate(members):
-            out[i] = scale * total[:, column].reshape(dim, dim)
+        # the offsets d = r mod N with |d| < width on each axis, grouped by
+        # d mod k, which fixes the partner label b = a + d mod k
+        offsets = itertools.product(
+            *(range((ri + width - 1) % N - width + 1, width, N) for ri in r)
+        )
+        by_shift = {}
+        for d in offsets:
+            by_shift.setdefault(tuple(di % k for di in d), []).append(d)
+        for shift, group in by_shift.items():
+            folded = np.zeros((k,) * n + (N,) * n, dtype=complex)
+            for d in group:
+                fine.fold(d, folded)
+            spectra = np.fft.ifftn(folded, axes=tuple(range(n, 2 * n)))
+            b_index = np.ravel_multi_index(((labels + shift) % k).T, (k,) * n)
+            for i in members:
+                s = tuple(si % N for si in modes[i].s)
+                out[i][a_index, b_index] += norm * spectra[(Ellipsis, *s)].ravel()
     return out
 
 

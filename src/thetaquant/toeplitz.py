@@ -47,7 +47,13 @@ angles.
 
 The quadrature route computes the same entries as grid sums of
 theta_a conj(theta_b) F_m, paired term by term in the lattice sums
-(``sections._frame_pairings``), and serves as the independent oracle.
+(``sections._frame_pairings``), and serves as the independent oracle.  It
+uses no eta, W_k or closed form: the Gaussians of the lattice terms are
+evaluated once per node of a fine lattice, the products of the pairs at
+each frequency offset are folded over the window by strided sums, and one
+FFT over the y-nodes gives every mode sharing r.  Its memory is
+O(box + k^n N^n) plus the outputs, and grids whose pairings would hold
+more than ``sections.MAX_FRAME_BYTES`` are refused before allocation.
 """
 
 from __future__ import annotations
@@ -279,7 +285,7 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     if not modes:
         return {}
     m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
-    _check_grid(p, k, grid, m_max=m_max)
+    _check_grid(p, k, grid, m_max=m_max, n_modes=len(modes))
     pairings = _frame_pairings(p, k, grid, modes)
     return {
         m: OperatorMatrix(k, p.n, pairing.T)

@@ -168,14 +168,24 @@ class TestRunAndCache:
             assert np.isfinite(float(row[4]))
 
     def test_frame_too_large_is_refused(self):
-        # the k = 8 frame would need 16 GiB; it is refused before allocation
-        m = parse_config("experiment = gram\nn = 2\nk = 4, 8")
+        # the k = 64 pairings would hold 12.3 GiB; refused before allocation
+        m = parse_config("experiment = gram\nn = 2\nk = 4, 64")
         doc = run_experiment(m, use_cache=False)
         (measured, refused) = doc.rows
         assert measured[1] == "4" and measured[-1] == "pass"
-        assert refused[1] == "8" and refused[-1].startswith("refused:")
+        assert refused[1] == "64" and refused[-1].startswith("refused:")
         assert "GiB" in refused[-1]
         assert not doc.passed
+
+    @pytest.mark.parametrize("experiment", ["gram", "toeplitz-compare"])
+    def test_default_n2_sweeps_pass(self, experiment):
+        # the n = 2 sweeps to k = 8 / k = 6 were refused by the size of a
+        # k^n x N^{2n} frame that no quadrature builds
+        m = parse_config(f"experiment = {experiment}\nn = 2")
+        doc = run_experiment(m, use_cache=False)
+        assert doc.rows and all(row[-1] == "pass" for row in doc.rows)
+        assert "refused_levels" not in doc.extras
+        assert doc.passed
 
     def test_manifest_epsilon_sizes_and_checks_the_grid(self):
         # the grid was sized at the manifest epsilon but checked at the
@@ -194,8 +204,8 @@ class TestRunAndCache:
             assert all(row[-1] == "pass" for row in doc.rows)
 
     def test_refused_rows_show_the_tried_grid(self):
-        for experiment, k, n_col, N in (("gram", 8, 3, "64"),
-                                        ("toeplitz-compare", 6, 2, "56")):
+        for experiment, k, n_col, N in (("gram", 64, 3, "256"),
+                                        ("toeplitz-compare", 32, 2, "136")):
             m = parse_config(f"experiment = {experiment}\nn = 2\nk = {k}")
             doc = run_experiment(m, use_cache=False)
             (refused,) = doc.rows
@@ -205,7 +215,7 @@ class TestRunAndCache:
 
     def test_refused_rows_fail_their_verdict(self):
         # a refused row once dropped out, so the rows left passed the sweep
-        for experiment, ks in (("gram", "2, 8"), ("toeplitz-compare", "2, 6")):
+        for experiment, ks in (("gram", "2, 64"), ("toeplitz-compare", "2, 32")):
             m = parse_config(f"experiment = {experiment}\nn = 2\nk = {ks}")
             doc = run_experiment(m, use_cache=False)
             *measured, refused = doc.rows
@@ -467,10 +477,17 @@ class TestCli:
         ("[tqft]\ngenus = 2\nmodes = 1,0", 3),
         ("[tqft]\ngenus = 0", 2),
         ("[gram]\ngrid = 0", 2),
+        ("[gram]\ntol = nan", 2),
+        ("[gram]\ntol = inf", 2),
+        ("[tqft]\nmodes = 1,0; 0,1; 1,1", 2),
+        ("[star-fit]\nmodes = 1,0", 2),
+        ("[star-fit]\nmodes = 1,0; 0,1; 1,1", 2),
     ], ids=lambda v: v.replace("\n", " ") if isinstance(v, str) else None)
     def test_bad_dimension_genus_and_grid_are_reported(self, tmp_path, capsys,
                                                        body, line):
-        # modes have 2n entries (2 genus for tqft); genus and grid are >= 1
+        # modes have 2n entries (2 genus for tqft); genus and grid are >= 1;
+        # the tolerance is positive and finite; tqft reads at most two curves
+        # and star-fit two modes, and neither drops one it was given
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(body + "\nk = 2\n")
         rc = main(["experiment", "run", str(cfg), "--no-cache"])
@@ -507,6 +524,11 @@ class TestCli:
         ["gram", "--k", "0"],
         ["tqft", "invariant", "--g", "0"],
         ["tqft", "invariant", "--k", "0"],
+        ["gram", "--tol", "-1"],
+        ["gram", "--tol", "nan"],
+        ["toeplitz", "compare", "--tol", "0"],
+        ["experiment", "run", "exp.cfg", "--tol", "-1"],
+        ["experiment", "run", "exp.cfg", "--tol", "inf"],
     ])
     def test_unread_flags_and_nonpositive_sizes_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -515,10 +537,10 @@ class TestCli:
         assert "error: " in capsys.readouterr().err
 
     def test_frame_too_large_is_reported(self, capsys):
-        rc = main(["gram", "--n", "2", "--k", "8", "--Z", "[[1i,0],[0,2i]]"])
+        rc = main(["gram", "--n", "2", "--k", "64", "--Z", "[[1i,0],[0,2i]]"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "16.0 GiB" in err
+        assert "12.3 GiB" in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_dense_limit_is_reported(self, tmp_path, capsys):

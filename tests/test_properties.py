@@ -10,6 +10,12 @@ Configs are drawn over every key that ``canonical()`` reads, rendered as
 text in either layout (one line, or one key per line under a section
 header), and parsed back.
 
+The frame pairings are drawn at n = 1 and 2, levels k <= 5, with gcd(k, N)
+either 1 or k and up to four modes of entries in [-2, 2].  N runs from 3,
+below the lattice window where terms alias mod N, up to the bandwidth grid
+at n = 1, and up to 16 at n = 2, where the explicit k^n x N^4 frame stays
+below 21 MiB.
+
 The mode-batched eigenvalues and flatness residuals are drawn at normal
 points (X and Y share eigenvectors) with batches of up to eight modes of
 entries |r_i|, |s_i| <= 4, and checked mode by mode against the oracles.
@@ -27,7 +33,14 @@ from oracles import (
 from thetaquant.config import EXPERIMENT_IDS, parse_config
 from thetaquant.formal import _mu_eigenvalue, formal_hitchin_residual
 from thetaquant.fourier import FourierMode
-from thetaquant.sections import cocycle_residual
+from thetaquant.sections import (
+    QuadratureGrid,
+    _frame_norm,
+    _frame_pairings,
+    cocycle_residual,
+    required_grid_size,
+    theta_frame_on_grid,
+)
 from thetaquant.siegel import (
     SiegelPoint,
     TangentDirection,
@@ -145,6 +158,13 @@ def configs(draw):
     n = draw(st.sampled_from((1, 2)))
     vector = st.tuples(*[st.integers(-9, 9)] * n)
     experiment = draw(st.sampled_from(EXPERIMENT_IDS))
+    # star-fit reads two modes and tqft at most two curves, and the config
+    # refuses any other count for them
+    count = {"star-fit": st.sampled_from((0, 2)), "tqft": st.integers(0, 2)}
+    modes = st.lists(st.tuples(vector, vector), max_size=4)
+    if experiment in count:
+        size = draw(count[experiment])
+        modes = st.lists(st.tuples(vector, vector), min_size=size, max_size=size)
     return {
         "experiment": experiment,
         "n": n,
@@ -153,7 +173,7 @@ def configs(draw):
             tuple(p.Z.ravel().tolist())
             for p in draw(st.lists(points(n), min_size=1, max_size=3))
         ),
-        "modes": tuple(draw(st.lists(st.tuples(vector, vector), max_size=4))),
+        "modes": tuple(draw(modes)),
         "tol": draw(st.none() | st.floats(1e-16, 1.0)),
         "grid": draw(st.none() | st.integers(1, 4096)),
         "epsilon": draw(st.floats(1e-15, 1e-2)),
@@ -227,3 +247,38 @@ def test_batched_flatness_matches_the_oracles(case):
         fd_o = abs(0.5 * (dX + sgn * dY) + mu_o / (2 * np.pi))
         rounding = 8 * np.finfo(float).eps * max(abs(lam_o), 1.0) / h
         assert abs(residual_fd[a] - fd_o) <= 1e-12 + rounding
+
+
+@st.composite
+def pairing_cases(draw):
+    p = draw(points())
+    k = draw(st.integers(1, 5))
+    N = draw(st.integers(3, required_grid_size(p, k, 2) if p.n == 1 else 14))
+    if draw(st.booleans()):
+        N = -(-N // k) * k  # gcd(k, N) = k, N <= 16 at n = 2
+    else:
+        while np.gcd(k, N) != 1:
+            N += 1
+    vector = st.tuples(*[st.integers(-2, 2)] * p.n)
+    modes = [FourierMode((0,) * p.n, (0,) * p.n)] + [
+        FourierMode(*rs)
+        for rs in draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=3))
+    ]
+    return p, k, QuadratureGrid(N, p.n), modes
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairing_cases())
+def test_frame_pairings_equal_the_explicit_frame_pairing(case):
+    # the fold against the grid mean of frame_a conj(frame_b) F_m over the
+    # N^{2n} nodes, on coarse aliasing grids as well as bandwidth grids
+    p, k, grid, modes = case
+    frame = theta_frame_on_grid(p, k, grid)
+    t = np.arange(grid.N) / grid.N
+    scale = _frame_norm(p, k) / frame.shape[1]
+    for m, got in zip(modes, _frame_pairings(p, k, grid, modes)):
+        phase = np.ones(1)
+        for f in m.r + m.s:  # F_m on the axes (x_1..x_n, y_1..y_n)
+            phase = np.multiply.outer(phase, np.exp(2j * np.pi * f * t)).ravel()
+        want = scale * (frame * phase) @ frame.conj().T
+        assert np.max(np.abs(got - want)) <= 1e-14, (m, grid.N)
