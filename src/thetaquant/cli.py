@@ -65,6 +65,13 @@ def tolerance(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors end like every other bad input: one line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _add_common(sp):
     sp.add_argument("--n", type=positive_int, default=1, help="complex dimension")
     sp.add_argument("--k", type=positive_int, default=2, help="quantization level")
@@ -79,7 +86,7 @@ def _add_quadrature(sp):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="thetaquant",
         description="Theta-frame quantization toolkit for symplectic tori",
     )
@@ -124,6 +131,22 @@ def build_parser():
     return ap
 
 
+def _selector(text, n):
+    """The --sel derivative; every index an integer in [0, n)."""
+    kind, _, rest = text.partition(":")
+    arity = {"value": 0, "dz": 1, "dz2": 2, "dZ": 2}.get(kind)
+    try:
+        indices = [int(x) for x in rest.split(",")] if rest else []
+    except ValueError:
+        indices = None
+    if indices is None or len(indices) != arity or not all(0 <= i < n for i in indices):
+        raise ConfigError(
+            f"selector {text!r}: expected value, dz:i, dz2:i,j or dZ:i,j "
+            f"with integer indices in [0, {n})"
+        )
+    return Derivative(kind, *indices)
+
+
 def _cmd_theta_eval(args):
     p = _point_from_arg(args.Z, args.n)
     try:
@@ -133,20 +156,7 @@ def _cmd_theta_eval(args):
     z = np.array([parse_complex(c) for c in args.z.split(";")])
     if len(z) != p.n:
         raise ConfigError(f"z has {len(z)} coordinates, point has n={p.n}")
-    sel = args.sel
-    if sel == "value":
-        d = Derivative.value()
-    elif sel.startswith("dz2:"):
-        i, j = (int(x) for x in sel[4:].split(","))
-        d = Derivative.dz2(i, j)
-    elif sel.startswith("dz:"):
-        d = Derivative.dz(int(sel[3:]))
-    elif sel.startswith("dZ:"):
-        i, j = (int(x) for x in sel[3:].split(","))
-        d = Derivative.dZ(i, j)
-    else:
-        raise ConfigError(f"unknown selector {sel!r}")
-    value = theta_eval(p, label, z, d)
+    value = theta_eval(p, label, z, _selector(args.sel, p.n))
     print(fmt_complex(value))
     return 0
 

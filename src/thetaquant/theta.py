@@ -166,48 +166,65 @@ def truncation_radius(p, k, epsilon, sel=Derivative.value()):
     raise ValueError("no certifiable radius below 80; epsilon too small")
 
 
-def _lattice_points(p, label, policy, im_z):
-    """Window of shifted lattice points u = l + alpha covering the Gaussian."""
-    alpha = label.alpha
-    center = -alpha - p.Yinv @ im_z
-    lc = np.rint(center)
-    halfwidth = int(math.ceil(policy.radius))
-    rng = np.arange(-halfwidth, halfwidth + 1)
-    grids = np.meshgrid(*([rng] * p.n), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=-1)
-    return offsets + lc + alpha
-
-
-def _term_factors(sel, k, u):
-    if sel.kind == "value":
-        return np.ones(len(u))
-    if sel.kind == "dz":
-        return 2j * np.pi * k * u[:, sel.i]
-    if sel.kind == "dz2":
-        return (2j * np.pi * k) ** 2 * u[:, sel.i] * u[:, sel.j]
-    sym = 1.0 if sel.i == sel.j else 2.0
-    return 1j * np.pi * k * sym * u[:, sel.i] * u[:, sel.j]
-
-
 def _window(p, label, z, policy):
-    """Lattice window u of one evaluation at z and its linear phase 2 pi i k u.z."""
+    """Lattice windows u = l + alpha of the evaluations at z, one point or a
+    stack (P, n), centred on each point's Gaussian minimiser: shape (P, L, n),
+    and their linear phases 2 pi i k u.z, shape (P, L)."""
     if not policy.compatible(p, label.k):
         raise ValueError(
             "truncation policy was certified for a different (level, point)"
         )
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    u = _lattice_points(p, label, policy, z.imag)
-    return u, 2j * np.pi * label.k * (u @ z)
+    z = np.atleast_2d(np.asarray(z, dtype=complex))
+    if z.ndim != 2 or z.shape[1] != p.n:
+        raise ValueError(f"z must be one point or a stack (P, n), n = {p.n}")
+    alpha = label.alpha
+    centers = np.rint([-alpha - p.Yinv @ y for y in z.imag])
+    r = int(math.ceil(policy.radius))
+    offsets = np.indices((2 * r + 1,) * p.n).reshape(p.n, -1).T - r
+    u = offsets + centers[:, None, :] + alpha
+    # one matrix-vector product per row: the rounding of every row is that
+    # of a single evaluation
+    return u, 2j * np.pi * label.k * np.stack([uz @ zz for uz, zz in zip(u, z)])
 
 
 def _phases(Z, k, u, lin):
-    """Lattice terms exp(pi i k u.Z u + lin) over the window u."""
-    quad = np.einsum("li,ij,lj->l", u, Z, u)
+    """Lattice terms exp(pi i k u.Z u + lin) over the windows u; the stack
+    axes of Z (..., n, n) lead.  The terms (u_i Z_ij) u_j are added in
+    row-major order, the same at every stack position."""
+    n = u.shape[-1]
+    quad = sum(
+        u[..., i] * Z[..., i, j, None, None] * u[..., j]
+        for i, j in itertools.product(range(n), repeat=2)
+    )
     return np.exp(1j * np.pi * k * quad + lin)
 
 
-def _termwise(sel, k, u, phases):
-    return complex(np.sum(_term_factors(sel, k, u) * phases))
+def _term_factors(sel, k, u):
+    if sel.kind == "value":
+        return np.ones(u.shape[:-1])
+    if sel.kind == "dz":
+        return 2j * np.pi * k * u[..., sel.i]
+    if sel.kind == "dz2":
+        return (2j * np.pi * k) ** 2 * u[..., sel.i] * u[..., sel.j]
+    sym = 1.0 if sel.i == sel.j else 2.0
+    return 1j * np.pi * k * sym * u[..., sel.i] * u[..., sel.j]
+
+
+def _termwise(sels, k, u, phases):
+    """Term-wise sums of every selector in ``sels``: shape (P, len(sels))."""
+    factors = np.stack([_term_factors(sel, k, u) for sel in sels], axis=-2)
+    return np.sum(factors * phases[..., None, :], axis=-1)
+
+
+def _abs(z):
+    """|z| elementwise, rounded as the builtin ``abs`` of a complex."""
+    return np.hypot(z.real, z.imag)
+
+
+def _divide(a, b):
+    """a / b elementwise for a real b, rounded as the builtin complex
+    division of one value: both parts divided by b, not multiplied by 1/b."""
+    return a.real / b + 1j * (a.imag / b)
 
 
 def theta_eval(p, label, z, sel=Derivative.value(), policy=None):
@@ -221,60 +238,82 @@ def theta_eval(p, label, z, sel=Derivative.value(), policy=None):
     if policy is None:
         policy = truncation_radius(p, k, 1e-12, sel)
     u, lin = _window(p, label, z, policy)
-    return _termwise(sel, k, u, _phases(p.Z, k, u, lin))
+    return complex(_termwise([sel], k, u, _phases(p.Z, k, u, lin))[0, 0])
 
 
-def _heat_defect(lhs, k, i, j, u, phases):
+def _heat_shape(values, z, j):
+    """(P, S) residuals without the point axis for one point and without the
+    pair axis for one pair (``j`` given); a float when both are single."""
+    out = values.reshape(np.shape(z)[:-1] + ((-1,) if j is None else ()))
+    return float(out) if out.ndim == 0 else out
+
+
+def _heat_defect(lhs, k, pairs, u, phases):
     """|lhs - (2 - delta_ij)/(4 pi i k) dzi dzj theta| relative to the sides.
 
-    The magnitude is the larger of the two sides, floored at pi k |theta(z)|
-    -- the generic size of a Z-derivative -- so a near-critical point of the
-    derivative cannot inflate the quotient past the evaluation noise floor.
+    ``lhs`` has shape (P, S), one column per pair.  The magnitude is the
+    larger of the two sides, floored at pi k |theta(z)| -- the generic size
+    of a Z-derivative -- so a near-critical point of the derivative cannot
+    inflate the quotient past the evaluation noise floor.
     """
-    d2 = _termwise(Derivative.dz2(i, j), k, u, phases)
-    rhs = (1.0 if i == j else 2.0) * d2 / (4j * np.pi * k)
-    theta = abs(_termwise(Derivative.value(), k, u, phases))
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), np.pi * k * theta, 1e-300)
+    d2 = _termwise([Derivative.dz2(i, j) for i, j in pairs], k, u, phases)
+    sym = np.array([1.0 if i == j else 2.0 for i, j in pairs])
+    # a / (i b) = (-i a) / b, and -i a is exact
+    rhs = _divide(-1j * (sym * d2), 4 * np.pi * k)
+    theta = _abs(_termwise([Derivative.value()], k, u, phases))
+    scale = np.maximum(np.maximum(_abs(lhs), _abs(rhs)), np.pi * k * theta)
+    return _abs(lhs - rhs) / np.maximum(scale, 1e-300)
 
 
-def heat_residual(p, label, z, i, j, policy=None):
-    """Relative residual of the heat identity at one point.
+def heat_residual(p, label, z, i, j=None, policy=None):
+    """Relative residual of the heat identity.
 
     Both derivatives are evaluated over the same truncation set, so the
     identity holds term by term and the residual is at rounding level.
     Returns |dZ theta - (2 - delta_ij)/(4 pi i k) dzi dzj theta| divided by
     the magnitude of the two sides (floored at pi k |theta|).
+
+    ``z`` is one point or a stack of P points of shape (P, n); ``i, j`` name
+    one entry, or ``i`` is a list of S pairs (i, j) and ``j`` is omitted.
+    The result is a float for one point and one pair, else an array of
+    shape (P, S), (P,) or (S,).  One certificate serves every pair (the
+    derivative factor of the tail bound does not depend on i and j), and
+    one window per point serves every term of every pair.
     """
+    pairs = list(i) if j is None else [(i, j)]
     k = label.k
     if policy is None:
-        policy = truncation_radius(p, k, 1e-12, Derivative.dz2(i, j))
+        policy = truncation_radius(p, k, 1e-12, Derivative.dz2(0, 0))
     u, lin = _window(p, label, z, policy)
     phases = _phases(p.Z, k, u, lin)
-    lhs = _termwise(Derivative.dZ(i, j), k, u, phases)
-    return _heat_defect(lhs, k, i, j, u, phases)
+    lhs = _termwise([Derivative.dZ(a, b) for a, b in pairs], k, u, phases)
+    return _heat_shape(_heat_defect(lhs, k, pairs, u, phases), z, j)
 
 
-def heat_residual_fd(p, label, z, i, j, policy=None, step=1e-4):
+def heat_residual_fd(p, label, z, i, j=None, policy=None, step=1e-4):
     """Heat identity with dZ replaced by a fourth-order central stencil.
 
     The symmetric entry pair (i, j), (j, i) is perturbed together, matching
     the derivative convention.  Returns a residual relative to the derivative
-    magnitude.  The stencil moves X only, so Y, and with it the certificate
-    and the lattice window, is the same at every stencil point: each value
-    is the sum over p's window at Z + tD, and no stencil point is built.
+    magnitude; ``z``, ``i`` and ``j`` and the shape of the result are as for
+    :func:`heat_residual`.  The stencil moves X only, so Y, and with it the
+    certificate and the lattice window, is the same at every stencil point:
+    each value is the sum over p's window at Z + tD, and no stencil point is
+    built.  The four stencil matrices of every pair are evaluated in one
+    pass.
     """
+    pairs = list(i) if j is None else [(i, j)]
     k = label.k
     if policy is None:
-        policy = truncation_radius(p, k, 1e-13, Derivative.dz2(i, j))
+        policy = truncation_radius(p, k, 1e-13, Derivative.dz2(0, 0))
     u, lin = _window(p, label, z, policy)
-    D = _delta(p.n, i, j)
-
-    def th(offset):
-        return complex(np.sum(_phases(p.Z + offset * D, k, u, lin)))
-
     h = step
-    fd = (th(-2 * h) - 8 * th(-h) + 8 * th(h) - th(2 * h)) / (12 * h)
-    return _heat_defect(fd, k, i, j, u, _phases(p.Z, k, u, lin))
+    D = np.stack([_delta(p.n, a, b) for a, b in pairs])
+    stencil = p.Z + np.multiply.outer([-2 * h, -h, h, 2 * h], D)
+    th = np.sum(_phases(stencil, k, u, lin), axis=-1)  # (4, S, P)
+    fd = _divide(th[0] - 8 * th[1] + 8 * th[2] - th[3], 12 * h).T
+    defect = _heat_defect(fd, k, pairs, u, _phases(p.Z, k, u, lin))
+    return _heat_shape(defect, z, j)
 
 
 def multiplier(p, b, z):

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,13 +211,13 @@ class WeylSymbol:
         """tr(A B*): k^n a_m conj(b_m') trace_pair_sign(k, m, m') summed over
         the componentwise congruent pairs m = m' mod k."""
         self._check_level(other)
-        k = self.k
         total = 0.0 + 0.0j
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                if all((a - b) % k == 0 for a, b in zip(m1.r + m1.s, m2.r + m2.s)):
-                    total += c1 * c2.conjugate() * trace_pair_sign(k, m1, m2)
-        return complex(k**self.n * total)
+                sign = trace_pair_sign(self.k, m1, m2)
+                if sign:
+                    total += c1 * c2.conjugate() * sign
+        return complex(self.k**self.n * total)
 
     def to_dense(self):
         """The k^n x k^n matrix; refused above MAX_DENSE_DIM before allocation."""
@@ -315,37 +316,39 @@ def hs_inner(A, B):
 
 
 def trace_pair_sign(k, m1, m2):
-    """The unit factor in the closed-form pair trace, evaluated directly.
+    """tr W_k(m1) W_k(m2)* / k^n, the unit factor of the closed-form pair trace.
 
-    Under the congruence (r,s) = (t,u) mod k the phase
-    exp(-pi i/k (r.s - 2 s.t + t.u)) collapses to +-1; it is returned after
-    validation (it is 1 when the modes coincide).  Note the same phase also
-    absorbs the residual unit factor exp(pi i/k r.(s-u)) left over from the
-    root-of-unity sum.
+    Zero unless (r,s) = (t,u) mod k componentwise.  Under that congruence k
+    divides P = r.s - 2 s.t + t.u, and the phase exp(-pi i P/k) of the
+    root-of-unity sum, which also absorbs the residual unit factor
+    exp(pi i/k r.(s-u)), is the sign (-1)^(P/k) (1 when the modes
+    coincide).  It is computed in Python integers, exact at any mode size.
     """
     m1, m2 = FourierMode.coerce(m1), FourierMode.coerce(m2)
-    r, s = np.array(m1.r), np.array(m1.s)
-    t, u = np.array(m2.r), np.array(m2.s)
-    phase = cmath.exp(-1j * np.pi / k * float(r @ s - 2 * s @ t + t @ u))
-    eps = round(phase.real)
-    if eps not in (-1, 1) or abs(phase - eps) > 1e-9:
-        raise ArithmeticError(
-            f"pair phase {phase} did not collapse to a sign; "
-            "modes are probably not congruent"
-        )
-    return eps
+    if any((a - b) % k for a, b in zip(m1.r + m1.s, m2.r + m2.s)):
+        return 0
+    P = sum(map(operator.mul, m1.r, m1.s)) + sum(map(operator.mul, m2.r, m2.s))
+    P -= 2 * sum(map(operator.mul, m1.s, m2.r))
+    if P % k:
+        raise ArithmeticError("pair phase of congruent modes is not a sign")
+    return -1 if (P // k) % 2 else 1
 
 
 def trace_pair_closed_form(p, k, m1, m2):
     """tr(T_{m1} (T_{m2})*) = eta(m1) eta(m2) tr(W_k(m1) W_k(m2)*).
 
     The last factor is the symbol pairing: zero unless (r,s) = (t,u) mod k
-    componentwise, otherwise k^n times the sign from :func:`trace_pair_sign`.
-    The Gaussian factors are evaluated only when it is nonzero.
+    componentwise, otherwise k^n times the exact sign (-1)^(P/k) of
+    :func:`trace_pair_sign`.  ``m1`` and ``m2`` are each one mode or a
+    list of modes; the result is k^n sign eta(m1) eta(m2), 0 off the
+    congruent pairs, as a complex for two modes and else as a complex
+    array of shape (M1, M2), (M1,) or (M2,).
     """
-    m1, m2 = FourierMode.coerce(m1), FourierMode.coerce(m2)
-    unit = WeylSymbol(k, p, {m1: 1.0}).pair(WeylSymbol(k, p, {m2: 1.0}))
-    return unit * eta(p, k, m1) * eta(p, k, m2) if unit else unit
+    l1, l2 = (m if isinstance(m, list) else [m] for m in (m1, m2))
+    signs = np.array([[trace_pair_sign(k, a, b) for b in l2] for a in l1])
+    closed = (k**p.n * signs * eta(p, k, l1)[:, None] * eta(p, k, l2)).astype(complex)
+    shape = [len(m) for m in (m1, m2) if isinstance(m, list)]
+    return closed.reshape(shape) if shape else complex(closed[0, 0])
 
 
 def bms_experiment(p, f, k_values):

@@ -536,6 +536,28 @@ class TestCli:
         assert exc.value.code == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gram", "--k", "0"],
+        ["toeplitz", "compare", "--grid", "-4"],
+        ["gram", "--tol", "-1"],
+    ])
+    def test_argument_errors_are_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("error: argument --") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sel", ["dz2:a", "dz2:0,a", "dZ:1", "dz2:3,3", "dz:-1",
+                                     "value:0", "dzz:0"])
+    def test_bad_selectors_are_reported(self, capsys, sel):
+        # indices are integers in [0, n); n = 1 here
+        rc = main(["theta", "eval", "--z", "0.3+0.2i", "--sel", sel])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"selector {sel!r}" in err and "in [0, 1)" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_frame_too_large_is_reported(self, capsys):
         rc = main(["gram", "--n", "2", "--k", "64", "--Z", "[[1i,0],[0,2i]]"])
         err = capsys.readouterr().err

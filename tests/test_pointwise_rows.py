@@ -1,0 +1,129 @@
+"""The level-batched runners write the rows of one scalar call per row.
+
+heat-identity, trace-lemma and covariance evaluate every probe, derivative
+pair and mode pair of a level in one array pass.  Each row here is rebuilt
+from the scalar calls, one per row, and compared cell by cell.
+"""
+
+import numpy as np
+import pytest
+
+from thetaquant.config import parse_config_all
+from thetaquant.experiments import (
+    _mode_list,
+    _probe_points,
+    fmt_cell,
+    fmt_complex,
+    fmt_ints,
+    fmt_point,
+    run_experiment,
+)
+from thetaquant.formal import covariant_constancy_residual
+from thetaquant.theta import heat_residual, heat_residual_fd, theta_basis
+from thetaquant.toeplitz import (
+    eta,
+    hs_inner,
+    toeplitz_mode_closed_form,
+    trace_pair_closed_form,
+)
+
+POINTS = {
+    1: "i; 1+2i; 0.5+0.7i",
+    2: "[[1i, 0], [0, 2i]]; [[2i, 0.5i], [0.5i, 1i]]",
+}
+LEVELS = (2, 4)
+
+
+def _rows(experiment, n):
+    (m,) = parse_config_all(
+        f"[{experiment}]\nn = {n}\nk = 2, 4\nZ = {POINTS[n]}\n"
+    )
+    return m, run_experiment(m, use_cache=False).rows
+
+
+def _formatted(rows):
+    return [[fmt_cell(c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_heat_identity_rows_are_the_scalar_residuals(n):
+    m, rows = _rows("heat-identity", n)
+    pairs = [(0, 0)] if n == 1 else [(0, 0), (0, 1), (1, 1)]
+    want = []
+    for p in m.points:
+        for k in LEVELS:
+            label = theta_basis(k, n)[1]
+            for z, _, _ in _probe_points(p):
+                for i, j in pairs:
+                    res = heat_residual(p, label, z, i, j)
+                    fd = heat_residual_fd(p, label, z, i, j)
+                    ok = res < 1e-12 and fd < 1e-8
+                    want.append([n, k, fmt_point(p), fmt_complex(z[0]), i, j,
+                                 res, fd, "pass" if ok else "fail"])
+    assert rows == _formatted(want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_covariance_rows_are_the_scalar_residuals(n):
+    m, rows = _rows("covariance", n)
+    modes = _mode_list(m, 2)
+    pts = list(m.points)
+    want = []
+    for a, q1 in enumerate(pts):
+        q2 = pts[(a + 1) % len(pts)]
+        for k in LEVELS:
+            for mm in modes:
+                dev = covariant_constancy_residual(q1, q2, k, mm)
+                raw = abs(eta(q1, k, mm) - eta(q2, k, mm))
+                want.append([k, fmt_ints(mm.r), fmt_ints(mm.s), fmt_point(q1),
+                             fmt_point(q2), dev, raw,
+                             "pass" if dev < 1e-9 else "fail"])
+    assert rows == _formatted(want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_trace_lemma_rows_are_the_scalar_traces(n):
+    m, rows = _rows("trace-lemma", n)
+    modes = _mode_list(m, 1)
+    p = m.points[0]
+    want = []
+    for k in LEVELS:
+        mats = {mm: toeplitz_mode_closed_form(p, k, mm) for mm in modes}
+        for m1 in modes:
+            for m2 in modes:
+                closed = trace_pair_closed_form(p, k, m1, m2)
+                direct = hs_inner(mats[m1], mats[m2])
+                congruent = all(
+                    (a - b) % k == 0 for a, b in zip(m1.r + m1.s, m2.r + m2.s)
+                )
+                diff = abs(closed - direct)
+                ok = diff < 1e-10 and (congruent or abs(direct) < 1e-12)
+                want.append([k, fmt_ints(m1.r), fmt_ints(m1.s), fmt_ints(m2.r),
+                             fmt_ints(m2.s), fmt_complex(closed),
+                             fmt_complex(direct), diff, congruent,
+                             "pass" if ok else "fail"])
+    assert rows == _formatted(want)
+
+
+def test_batched_shapes_follow_the_arguments():
+    (m,) = parse_config_all(f"[heat-identity]\nn = 2\nk = 2\nZ = {POINTS[2]}\n")
+    p = m.points[1]
+    label = theta_basis(3, 2)[1]
+    probes = np.array([z for z, _, _ in _probe_points(p)])
+    pairs = [(0, 0), (0, 1), (1, 1)]
+    for residual in (heat_residual, heat_residual_fd):
+        stack = residual(p, label, probes, pairs)
+        assert stack.shape == (5, 3)
+        assert residual(p, label, probes, 0, 1).shape == (5,)
+        assert residual(p, label, probes[2], pairs).shape == (3,)
+        one = residual(p, label, probes[2], 0, 1)
+        assert isinstance(one, float) and one == stack[2, 1]
+    modes = _mode_list(m, 1)
+    closed = trace_pair_closed_form(p, 2, modes, modes)
+    assert closed.shape == (9, 9)
+    assert trace_pair_closed_form(p, 2, modes[3], modes).shape == (9,)
+    assert trace_pair_closed_form(p, 2, modes, modes[3]).shape == (9,)
+    assert all(
+        trace_pair_closed_form(p, 2, m1, m2) == closed[a, b]
+        for a, m1 in enumerate(modes) for b, m2 in enumerate(modes)
+    )

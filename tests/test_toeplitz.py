@@ -8,6 +8,7 @@ from thetaquant.sections import QuadratureGrid, required_grid_size
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import (
     OperatorMatrix,
+    WeylSymbol,
     bms_experiment,
     c1_antisymmetry_constant,
     eta,
@@ -357,6 +358,27 @@ class TestTraceLemma:
         )
         assert abs(closed - direct) < 1e-12
         assert trace_pair_sign(1, m1, m2) == -1
+
+    @pytest.mark.parametrize("m1, m2, sign", [
+        (((10**8,), (10**8,)), ((10**8 + 3,), (10**8,)), 1),
+        (((10**8,), (10**8,)), ((10**8 + 3,), (10**8 + 3,)), -1),
+        (((3 * 10**8 + 1,), (10**8,)), ((1,), (10**8 + 3,)), -1),
+        (((3 * 10**8 + 1, 1), (5, 10**8)), ((1, 1), (5, 10**8 + 3)), -1),
+    ])
+    def test_sign_is_exact_for_large_modes(self, m1, m2, sign):
+        # P = r.s - 2 s.t + t.u is of order 1e16 here: a float phase
+        # exp(-i pi P / k) no longer rounds to +-1, the integer sign does
+        k = 3
+        p = SiegelPoint(1j if len(m1[0]) == 1 else [[1j, 0], [0, 2j]])
+        assert trace_pair_sign(k, m1, m2) == sign
+        dense = hs_inner(rescaled_toeplitz(p, k, m1), rescaled_toeplitz(p, k, m2))
+        assert dense == pytest.approx(sign * k ** p.n, abs=1e-9)
+        unit = WeylSymbol(k, p, {m1: 1.0}).pair(WeylSymbol(k, p, {m2: 1.0}))
+        assert unit == sign * k ** p.n
+
+    def test_incongruent_modes_have_no_trace(self):
+        # P = 0 here, so a phase test alone would read the sign +1
+        assert trace_pair_sign(3, ((1,), (0,)), ((0,), (1,))) == 0
 
 
 class TestAsymptotics:
