@@ -28,7 +28,7 @@ from .config import (
     parse_config_all,
     parse_matrix,
 )
-from .experiments import emit_outputs, fmt_complex, run_experiment
+from .experiments import _default_tol, emit_outputs, fmt_complex, run_experiment
 from .sections import (
     GridError,
     QuadratureGrid,
@@ -166,7 +166,7 @@ def _cmd_gram(args):
     N = args.grid or required_grid_size(p, args.k)
     G = gram_matrix(p, args.k, QuadratureGrid(N, p.n))
     dev = float(np.max(np.abs(G - np.eye(args.k**p.n))))
-    tol = args.tol if args.tol is not None else (1e-8 if p.n == 1 else 1e-7)
+    tol = _default_tol("gram", p.n, args.tol)
     status = "PASS" if dev < tol else "FAIL"
     print(f"max |Gram - Id| = {dev:.3e}  (tolerance {tol:g})  {status}")
     return 0 if dev < tol else 1
@@ -180,15 +180,19 @@ def _cmd_toeplitz_compare(args):
     closed = toeplitz_mode_closed_form(p, args.k, (r, s))
     quad = toeplitz_mode_quadrature(p, args.k, (r, s), QuadratureGrid(N, p.n))
     diff = float(np.max(np.abs(closed.entries - quad.entries)))
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = _default_tol("toeplitz-compare", p.n, args.tol)
     status = "PASS" if diff < tol else "FAIL"
     print(f"max entry difference = {diff:.3e}  (tolerance {tol:g})  {status}")
     return 0 if diff < tol else 1
 
 
 def _cmd_experiment_run(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        manifests = parse_config_all(fh.read())
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            manifests = parse_config_all(fh.read())
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config!r}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from None
     failures = 0
     for idx, m in enumerate(manifests):
         if args.cache_dir is not None:
@@ -240,7 +244,8 @@ def main(argv=None):
             return _cmd_experiment_run(args)
         if args.verb == "tqft":
             return _cmd_tqft_invariant(args)
-    except (ConfigError, InvalidPointError, GridError, SizeLimitError) as exc:
+    except (ConfigError, InvalidPointError, GridError, SizeLimitError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable verb")

@@ -5,8 +5,9 @@ and produces a :class:`ReportDocument` whose CSV rendering is byte-stable:
 cell values are formatted once (floats at 17 significant digits, complex as
 ``a+bi``) and the cache stores the formatted rows keyed by a content hash of
 the manifest and the package sources.  Module refusals (coarse grids,
-non-normal points) become failed rows with reasons, never crashes.  A
-verdict fails when what it measured is NaN or when it measured nothing.
+non-normal points, arrays refused for their size before allocation) become
+failed rows with reasons, never crashes.  A verdict fails when what it
+measured is NaN or when it measured nothing.
 """
 
 from __future__ import annotations
@@ -32,14 +33,8 @@ from .formal import (
     formal_hitchin_residual,
     trivialized_star_compare,
 )
-from .fourier import FourierFunction, FourierMode
-from .sections import (
-    GridError,
-    QuadratureGrid,
-    SizeLimitError,
-    gram_matrix,
-    required_grid_size,
-)
+from .fourier import FourierFunction, FourierMode, SizeLimitError, check_bytes
+from .sections import GridError, QuadratureGrid, gram_matrix, required_grid_size
 from .siegel import TangentDirection
 from .tqft import (
     CurveClass,
@@ -48,7 +43,7 @@ from .tqft import (
     mapping_torus_invariant,
     pairing_limit_experiment,
 )
-from .theta import heat_residual, heat_residual_fd, theta_basis
+from .theta import ThetaLabel, heat_residual, heat_residual_fd
 from .toeplitz import (
     bms_experiment,
     c1_antisymmetry_constant,
@@ -182,23 +177,12 @@ def _worst(values):
     return float(np.max(values)) if len(values) else float("nan")
 
 
-# heat-identity, covariance and trace-lemma evaluate per label and per mode
-# pair; their sweeps stop at this level.
-_POINTWISE_MAX_K = 8
-
-
-def _pointwise_levels(m, extras):
-    """Levels of ``m`` up to the pointwise cap, and one NaN per skipped level.
-
-    Skipped levels go in ``extras``; the NaNs join every verdict's values,
-    so a sweep that skips a level fails, as one with a refused row does."""
-    skipped = [k for k in m.k_values if k > _POINTWISE_MAX_K]
-    if skipped:
-        extras["skipped_levels"] = (
-            f"{fmt_ints(skipped)} (above k = {_POINTWISE_MAX_K})"
-        )
-    levels = [k for k in m.k_values if k <= _POINTWISE_MAX_K]
-    return levels, [float("nan")] * len(skipped)
+def _default_tol(experiment, n, tol=None):
+    """``tol``, or else the pass tolerance ``experiment`` uses at dimension n."""
+    defaults = {"gram": 1e-8 if n == 1 else 1e-7, "toeplitz-compare": 1e-8,
+                "heat-identity": 1e-12, "covariance": 1e-9, "trace-lemma": 1e-10,
+                "star-fit": 0.02, "flatness": 1e-10}
+    return defaults[experiment] if tol is None else tol
 
 
 def _refused_extras(levels):
@@ -246,7 +230,7 @@ def _mode_list(m, bound):
 
 
 def _run_gram(m):
-    tol = m.tol if m.tol is not None else (1e-8 if m.n == 1 else 1e-7)
+    tol = _default_tol(m.experiment, m.n, m.tol)
     columns = ["n", "k", "Z", "N", "max_deviation", "status"]
     rows = []
     devs = []
@@ -257,11 +241,9 @@ def _run_gram(m):
             grid = _grid_for(m, p, k)
             try:
                 G = gram_matrix(p, k, grid)
-                dev = float(
-                    np.max(np.abs(G - np.eye(k**p.n)))
-                )
+                dev = float(np.max(np.abs(G - np.eye(k**p.n))))
                 status = "pass" if dev < tol else "fail"
-            except GridError as exc:
+            except (GridError, SizeLimitError) as exc:
                 dev, status = float("nan"), f"refused: {exc}"
                 refused.append(k)
             devs.append(dev)
@@ -272,7 +254,7 @@ def _run_gram(m):
 
 
 def _run_toeplitz_compare(m):
-    tol = m.tol if m.tol is not None else 1e-8
+    tol = _default_tol(m.experiment, m.n, m.tol)
     modes = _mode_list(m, 2)
     columns = ["k", "Z", "N", "r", "s", "max_entry_diff", "status"]
     m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
@@ -286,7 +268,7 @@ def _run_toeplitz_compare(m):
             grid = _grid_for(m, p, k, m_max)
             try:
                 quads = toeplitz_modes_quadrature(p, k, modes, grid)
-            except GridError as exc:
+            except (GridError, SizeLimitError) as exc:
                 diffs.append(float("nan"))
                 refused.append(k)
                 rows.append([k, point, grid.N, "", "", float("nan"),
@@ -305,21 +287,18 @@ def _run_toeplitz_compare(m):
 
 
 def _run_heat_identity(m):
-    tol = m.tol if m.tol is not None else 1e-12
+    tol = _default_tol(m.experiment, m.n, m.tol)
     tol_fd = 1e-8
     columns = ["n", "k", "Z", "z", "i", "j", "residual", "residual_fd", "status"]
     rows = []
     residuals, residuals_fd = [], []
-    extras = {}
-    levels, unmeasured = _pointwise_levels(m, extras)
     pairs = [(0, 0)] if m.n == 1 else [(0, 0), (0, 1), (1, 1)]
     for p in m.points:
         point = fmt_point(p)
         probes = np.array([z for z, _, _ in _probe_points(p)])
         shown = [fmt_complex(z[0]) for z in probes]
-        for k in levels:
-            labels = theta_basis(k, p.n)
-            label = labels[min(1, len(labels) - 1)]
+        for k in m.k_values:
+            label = ThetaLabel(k, (0,) * (p.n - 1) + (min(1, k - 1),))
             res = heat_residual(p, label, probes, pairs).tolist()
             fd = heat_residual_fd(p, label, probes, pairs).tolist()
             for z, res_z, fd_z in zip(shown, res, fd):
@@ -330,22 +309,21 @@ def _run_heat_identity(m):
                     rows.append(
                         [p.n, k, point, z, i, j, r, f, "pass" if ok else "fail"]
                     )
-    worst, worst_fd = _worst(residuals + unmeasured), _worst(residuals_fd + unmeasured)
+    worst, worst_fd = _worst(residuals), _worst(residuals_fd)
     verdicts = [
         _verdict("heat-identity-termwise", worst < tol, worst, tol),
         _verdict("heat-identity-fd", worst_fd < tol_fd, worst_fd, tol_fd),
     ]
-    return columns, rows, verdicts, extras
+    return columns, rows, verdicts, {}
 
 
 def _run_covariance(m):
-    tol = m.tol if m.tol is not None else 1e-9
+    tol = _default_tol(m.experiment, m.n, m.tol)
     modes = _mode_list(m, 2)
     columns = ["k", "r", "s", "Z1", "Z2", "rescaled_diff", "raw_diff", "status"]
     rows = []
     devs, raws = [], []
-    extras = {}
-    levels, unmeasured = _pointwise_levels(m, extras)
+    refused = []
     pts = list(m.points)
     pairs = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))] if len(pts) > 1 else []
     if not pairs:
@@ -353,8 +331,20 @@ def _run_covariance(m):
     labels = _mode_labels(modes)
     for (p1, p2) in pairs:
         z1, z2 = fmt_point(p1), fmt_point(p2)
-        for k in levels:
-            dev_k = covariant_constancy_residual(p1, p2, k, modes)
+        for k in m.k_values:
+            try:
+                # W's values, two rescaled copies and their difference: at
+                # most six (M, k^n) complex arrays at once
+                check_bytes(96 * len(modes) * k**p1.n, "covariance",
+                            f"{len(modes)} modes of dimension {k**p1.n}")
+                dev_k = covariant_constancy_residual(p1, p2, k, modes)
+            except SizeLimitError as exc:
+                devs.append(float("nan"))
+                raws.append(float("nan"))
+                refused.append(k)
+                rows.append([k, "", "", z1, z2, float("nan"), float("nan"),
+                             f"refused: {exc}"])
+                continue
             # both operators are eta W_k(m) with the same unit-modulus W
             raw_k = np.abs(eta(p1, k, modes) - eta(p2, k, modes))
             devs.extend(dev_k)
@@ -363,32 +353,43 @@ def _run_covariance(m):
                 rows.append(
                     [k, r, s, z1, z2, dev, raw, "pass" if dev < tol else "fail"]
                 )
-    worst, best_raw = _worst(devs + unmeasured), _worst(raws + unmeasured)
+    worst, best_raw = _worst(devs), _worst(raws)
     verdicts = [
         _verdict("rescaled-Z-independence", worst < tol, worst, tol),
         _verdict("raw-operators-vary", best_raw > 1e-2, best_raw, 1e-2),
     ]
-    return columns, rows, verdicts, extras
+    return columns, rows, verdicts, _refused_extras(refused)
 
 
 def _run_trace_lemma(m):
-    tol = m.tol if m.tol is not None else 1e-10
+    tol = _default_tol(m.experiment, m.n, m.tol)
     tol_zero = 1e-12
     modes = _mode_list(m, 1)
     columns = ["k", "r1", "s1", "r2", "s2", "closed", "direct", "diff",
                "congruent", "status"]
     rows = []
     diffs, off_congruence = [], []
-    extras = {}
-    levels, unmeasured = _pointwise_levels(m, extras)
+    refused = []
     labels = _mode_labels(modes)
     entries = np.array([mm.r + mm.s for mm in modes])
     for p in m.points[:1]:
-        for k in levels:
+        for k in m.k_values:
+            dim = k**p.n
+            try:
+                # the M operators and the copy the next one makes of its entries
+                check_bytes(16 * (len(modes) + 1) * dim**2, "trace-lemma",
+                            f"{len(modes)} dense {dim} x {dim} operators")
+                # one BLAS dot per pair: a one-pass reduction over the stacked
+                # matrices was slower at n = 2, k = 8 and needed two more copies
+                mats = [toeplitz_mode_closed_form(p, k, mm) for mm in modes]
+            except SizeLimitError as exc:
+                diffs.append(float("nan"))
+                off_congruence.append(float("nan"))
+                refused.append(k)
+                rows.append([k, "", "", "", "", "", "", float("nan"), "",
+                             f"refused: {exc}"])
+                continue
             closed = trace_pair_closed_form(p, k, modes, modes)
-            # one BLAS dot per pair: a one-pass reduction over the stacked
-            # matrices was slower at n = 2, k = 8 and needed two more copies
-            mats = [toeplitz_mode_closed_form(p, k, mm) for mm in modes]
             direct = np.array([[hs_inner(a, b) for b in mats] for a in mats])
             # |.| as the builtin abs rounds it, so each cell is the scalar one
             gap = closed - direct
@@ -404,13 +405,13 @@ def _run_trace_lemma(m):
                      fmt_complex(direct[a, b]), float(diff[a, b]),
                      bool(congruent[a, b]), "pass" if ok[a, b] else "fail"]
                 )
-    worst, worst_zero = _worst(diffs + unmeasured), _worst(off_congruence + unmeasured)
+    worst, worst_zero = _worst(diffs), _worst(off_congruence)
     verdicts = [
         _verdict("trace-closed-vs-direct", worst < tol, worst, tol),
         _verdict("off-congruence-vanishing", worst_zero < tol_zero,
                  worst_zero, tol_zero),
     ]
-    return columns, rows, verdicts, extras
+    return columns, rows, verdicts, _refused_extras(refused)
 
 
 def _bms_function(n):
@@ -494,7 +495,7 @@ def _star_pairs(m):
 
 
 def _run_star_fit(m):
-    tol = m.tol if m.tol is not None else 0.02
+    tol = _default_tol(m.experiment, m.n, m.tol)
     pairs = _star_pairs(m)
     points = list(m.points[:2])
     columns = ["pair", "Z", "c1_constant", "c1_residual", "star_constant",
@@ -550,7 +551,7 @@ def _run_star_fit(m):
 
 
 def _run_flatness(m):
-    tol = m.tol if m.tol is not None else 1e-10
+    tol = _default_tol(m.experiment, m.n, m.tol)
     tol_fd = 1e-5
     modes = _mode_list(m, 3)
     columns = ["mode_r", "mode_s", "direction", "residual_analytic", "residual_fd"]

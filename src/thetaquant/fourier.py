@@ -7,7 +7,9 @@ The building blocks are the phases
 which form an orthonormal basis of L^2 of the torus with unit cell [0,1)^{2n}.
 Finite complex combinations of them stand in for smooth functions throughout
 the package.  The Poisson bracket below is the one induced by the symplectic
-form omega = sum_i dx_i ^ dy_i.
+form omega = sum_i dx_i ^ dy_i.  Quadratures, sup grids and the dense
+stacks and columns of the pointwise runners are sized before allocation
+and refused above MAX_FRAME_BYTES (1 GiB) by :func:`check_bytes`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,22 @@ __all__ = [
     "SupBound",
     "sup_abs",
     "dense_max_abs",
+    "SizeLimitError",
+    "check_bytes",
 ]
+
+MAX_FRAME_BYTES = 1 << 30  # largest working set of any one array computation
+
+
+class SizeLimitError(ValueError):
+    """Raised, before allocation, for an array above its fixed size limit."""
+
+
+def check_bytes(size, what, where):
+    """Refuse, before allocation, ``size`` bytes above MAX_FRAME_BYTES."""
+    if size > MAX_FRAME_BYTES:
+        raise SizeLimitError(f"{what} needs {size / 2**30:.3g} GiB at {where}, "
+                             f"above the {MAX_FRAME_BYTES / 2**30:g} GiB limit")
 
 
 def _int_tuple(v):
@@ -278,21 +295,6 @@ def _line_decomposition(modes):
     return m0, np.array(powers, dtype=np.int64)
 
 
-def _check_sup_grid(shape, bytes_per_node):
-    """Refuse, before allocation, a sup grid above ``sections.MAX_FRAME_BYTES``;
-    ``bytes_per_node`` counts every grid-sized array the caller holds at once."""
-    # sections imports this module (through siegel), so read its limit here
-    from .sections import MAX_FRAME_BYTES, SizeLimitError
-
-    size = math.prod(shape) * bytes_per_node
-    if size > MAX_FRAME_BYTES:
-        raise SizeLimitError(
-            f"sup grid needs {size / 2**30:.3g} GiB at "
-            f"{' x '.join(str(N) for N in shape)} nodes, "
-            f"above the {MAX_FRAME_BYTES / 2**30:g} GiB limit"
-        )
-
-
 _NODES_PER_DEGREE = 8  # coarse sup grid: nodes per axis per unit of degree
 _NEWTON_STEPS = 8
 _NEWTON_STARTS = 64
@@ -332,7 +334,7 @@ def _trig_max(c, t):
         return float(np.abs(c.sum())), 0.0
     shape = tuple(_NODES_PER_DEGREE * int(d) for d in np.max(np.abs(t), axis=0))
     # complex spectrum and ifftn, float |P|, boolean mask, one rolled copy
-    _check_sup_grid(shape, 16 + 16 + 8 + 1 + 8)
+    check_bytes(math.prod(shape) * (16 + 16 + 8 + 1 + 8), "sup grid", f"{shape} nodes")
     spectrum = np.zeros(shape, dtype=complex)
     np.add.at(spectrum, tuple((t % shape).T), c)
     values = np.abs(np.fft.ifftn(spectrum)) * spectrum.size
@@ -398,8 +400,8 @@ def dense_max_abs(f, points_per_dim=2048):
     """sup |f| approximated on a uniform grid of the unit cell.
 
     The brute-force reference for :func:`sup_abs` in the tests; no package
-    path calls it.  Grids above ``sections.MAX_FRAME_BYTES`` are refused
-    before allocation.
+    path calls it.  Grids above MAX_FRAME_BYTES are refused before
+    allocation.
     """
     n = f.n
     if n > 2:
@@ -407,9 +409,10 @@ def dense_max_abs(f, points_per_dim=2048):
     if n == 2:
         points_per_dim = min(points_per_dim, 256)
     # the complex running total, one phase grid and its scaled copy
-    _check_sup_grid((points_per_dim,) * (2 * n), 16 + 16 + 16)
+    shape = (points_per_dim,) * (2 * n)
+    check_bytes(math.prod(shape) * (16 + 16 + 16), "sup grid", f"{shape} nodes")
     t = np.arange(points_per_dim) / points_per_dim
-    total = np.zeros((points_per_dim,) * (2 * n), dtype=complex)
+    total = np.zeros(shape, dtype=complex)
     for m, c in f.terms.items():
         total += c * _phase_on_grid(m, t)
     return float(np.max(np.abs(total)))

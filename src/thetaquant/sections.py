@@ -24,8 +24,9 @@ frame itself is built only on request.  The normalized variant multiplies
 by sqrt(2^n k^n det Y), making the theta frame orthonormal.  Grid sizes
 follow the bandwidth rule N >= 4 (k R + m_max) with R the theta truncation
 radius and m_max the largest extra Fourier frequency in the integrand;
-grids whose pairings would hold more than MAX_FRAME_BYTES are refused
-before anything is allocated.
+grids whose pairings would hold more than the 1 GiB limit of
+:func:`fourier.check_bytes` are refused, with SizeLimitError, before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierMode
+from .fourier import FourierMode, SizeLimitError, check_bytes
 from .theta import (
     Derivative,
     _lattice_vector,
@@ -64,15 +65,11 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON = 1e-12
-MAX_FRAME_BYTES = 1 << 30  # largest working set of a quadrature or a sup grid
 
 
 class GridError(ValueError):
-    """Raised when a quadrature grid is too coarse for the integrand."""
-
-
-class SizeLimitError(ValueError):
-    """Raised, before allocation, for an array above its fixed size limit."""
+    """Raised when a quadrature grid is too coarse for the integrand, or
+    its dimension differs from the point's."""
 
 
 @dataclass(frozen=True)
@@ -355,10 +352,10 @@ def _pairing_bytes(p, k, grid, n_modes):
 def _check_grid(p, k, grid, m_max=0, n_modes=1):
     """Refuse a grid that cannot carry the quadrature of a level-k integrand.
 
-    Raises GridError when the grid's dimension differs from the point's,
-    when N is below the bandwidth rule for extra frequencies up to m_max, or
-    when the arrays the pairings of ``n_modes`` modes hold would exceed
-    MAX_FRAME_BYTES; the last is decided before anything is allocated.
+    Raises GridError when the grid's dimension differs from the point's or
+    when N is below the bandwidth rule for extra frequencies up to m_max,
+    and SizeLimitError, before anything is allocated, when the arrays the
+    pairings of ``n_modes`` modes hold would exceed the 1 GiB limit.
     """
     need = required_grid_size(p, k, m_max, grid.epsilon)
     if grid.n != p.n:
@@ -367,12 +364,7 @@ def _check_grid(p, k, grid, m_max=0, n_modes=1):
         raise GridError(
             f"grid too coarse: N={grid.N}, bandwidth rule needs N >= {need}"
         )
-    size = _pairing_bytes(p, k, grid, n_modes)
-    if size > MAX_FRAME_BYTES:
-        raise GridError(
-            f"quadrature needs {size / 2**30:.1f} GiB at N={grid.N}, "
-            f"above the {MAX_FRAME_BYTES / 2**30:g} GiB limit"
-        )
+    check_bytes(_pairing_bytes(p, k, grid, n_modes), "quadrature", f"N={grid.N}")
 
 
 def _frame_norm(p, k):

@@ -26,10 +26,8 @@ __all__ = [
     "SiegelPoint",
     "TangentDirection",
     "complex_structure",
-    "complex_frame",
     "dI_dZ",
     "gtilde_coefficients",
-    "omega_complex_frame",
     "laplace_eigenvalue",
     "dlambda_dZ",
 ]
@@ -154,25 +152,6 @@ def complex_structure(p):
     return np.vstack([top, bot])
 
 
-def complex_frame(p):
-    """Columns of the frame (dz_1..dz_n, dzbar_1..dzbar_n) in (dx, dy) coords.
-
-    The frame vectors are dz = (i/2) Y^-1 Zbar dx + (1/2i) Y^-1 dy and the
-    conjugate for dzbar; I(Z) is diagonal (+i, -i blocks) in this frame.
-    """
-    W = p.Yinv
-    Z = p.Z
-    Zb = np.conj(Z)
-    A = (0.5j) * W @ Zb  # dz_i = sum_a A[i,a] dx_a + B[i,a] dy_a
-    B = (-0.5j) * W
-    C = np.zeros((2 * p.n, 2 * p.n), dtype=complex)
-    C[: p.n, : p.n] = A.T
-    C[p.n :, : p.n] = B.T
-    C[: p.n, p.n :] = np.conj(A).T
-    C[p.n :, p.n :] = np.conj(B).T
-    return C
-
-
 def dI_dZ(p, v):
     """Derivative of I(Z) along a tangent direction, in the (dx, dy) frame.
 
@@ -228,19 +207,6 @@ def gtilde_coefficients(v, n):
     G[blk + v.i, blk + v.j] = coeff
     G[blk + v.j, blk + v.i] = coeff
     return G
-
-
-def omega_complex_frame(p):
-    """omega = -(1/2i) sum w_ab dz_a ^ dzbar_b with W = Y^-1, as a matrix.
-
-    Entry (a, b) is omega(e_a, e_b) in the (dz, dzbar) frame ordering.
-    """
-    n = p.n
-    W = p.Yinv.astype(complex)
-    O = np.zeros((2 * n, 2 * n), dtype=complex)
-    O[:n, n:] = -W / 2j
-    O[n:, :n] = W.T / 2j
-    return O
 
 
 def laplace_eigenvalue(p, modes):

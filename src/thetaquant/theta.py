@@ -11,6 +11,10 @@ Z-derivatives.  Z-derivatives use the symmetric-matrix convention of
 :mod:`thetaquant.siegel`, under which the heat identity reads
 
     d theta / dZ_ij = (2 - delta_ij) / (4 pi i k) d^2 theta / dz_i dz_j.
+
+Each point's terms are summed divided by the power of two 2^e that puts the
+largest term of its window in [1, 2), so no term overflows at any level;
+theta_eval multiplies back exactly and refuses a value beyond float range.
 """
 
 from __future__ import annotations
@@ -169,7 +173,8 @@ def truncation_radius(p, k, epsilon, sel=Derivative.value()):
 def _window(p, label, z, policy):
     """Lattice windows u = l + alpha of the evaluations at z, one point or a
     stack (P, n), centred on each point's Gaussian minimiser: shape (P, L, n),
-    and their linear phases 2 pi i k u.z, shape (P, L)."""
+    their linear phases 2 pi i k u.z - e ln 2, shape (P, L), and each point's
+    scale exponent e, shape (P,)."""
     if not policy.compatible(p, label.k):
         raise ValueError(
             "truncation policy was certified for a different (level, point)"
@@ -177,14 +182,20 @@ def _window(p, label, z, policy):
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.ndim != 2 or z.shape[1] != p.n:
         raise ValueError(f"z must be one point or a stack (P, n), n = {p.n}")
-    alpha = label.alpha
-    centers = np.rint([-alpha - p.Yinv @ y for y in z.imag])
+    alpha, k = label.alpha, label.k
+    peaks = np.array([p.Yinv @ v for v in z.imag])  # Y^-1 v, v = Im z
+    centers = np.rint(-alpha - peaks)
     r = int(math.ceil(policy.radius))
     offsets = np.indices((2 * r + 1,) * p.n).reshape(p.n, -1).T - r
     u = offsets + centers[:, None, :] + alpha
+    # log |term| = -pi k u.Y(u + 2 Y^-1 v) does not depend on X, so every
+    # stencil point Z + tD shares e
+    log_mod = -np.pi * k * np.einsum("pli,ij,plj->pl", u + 2 * peaks[:, None], p.Y, u)
+    e = np.floor(log_mod.max(axis=1) / math.log(2))
     # one matrix-vector product per row: the rounding of every row is that
     # of a single evaluation
-    return u, 2j * np.pi * label.k * np.stack([uz @ zz for uz, zz in zip(u, z)])
+    lin = 2j * np.pi * k * np.stack([uz @ zz for uz, zz in zip(u, z)])
+    return u, lin - (e * math.log(2))[:, None], e
 
 
 def _phases(Z, k, u, lin):
@@ -233,12 +244,19 @@ def theta_eval(p, label, z, sel=Derivative.value(), policy=None):
     ``z`` is a complex n-vector (scalar for n = 1).  When no policy is given
     one is derived for a 1e-12 tail.  The absolute truncation error is below
     policy.epsilon times the Gaussian peak factor exp(pi k Im(z).Y^-1 Im(z)).
+    The scaled sum is multiplied back by 2^e exactly; a value beyond the
+    float range raises OverflowError, never inf or NaN.
     """
     k = label.k
     if policy is None:
         policy = truncation_radius(p, k, 1e-12, sel)
-    u, lin = _window(p, label, z, policy)
-    return complex(_termwise([sel], k, u, _phases(p.Z, k, u, lin))[0, 0])
+    u, lin, (e,) = _window(p, label, z, policy)
+    value, e = _termwise([sel], k, u, _phases(p.Z, k, u, lin))[0, 0], int(e)
+    try:
+        return complex(math.ldexp(value.real, e), math.ldexp(value.imag, e))
+    except OverflowError:
+        raise OverflowError(f"theta value at level k={k} is beyond the float "
+                            f"range: 2^{e} x {abs(value):.3g}") from None
 
 
 def _heat_shape(values, z, j):
@@ -284,30 +302,31 @@ def heat_residual(p, label, z, i, j=None, policy=None):
     k = label.k
     if policy is None:
         policy = truncation_radius(p, k, 1e-12, Derivative.dz2(0, 0))
-    u, lin = _window(p, label, z, policy)
+    u, lin, _ = _window(p, label, z, policy)
     phases = _phases(p.Z, k, u, lin)
     lhs = _termwise([Derivative.dZ(a, b) for a, b in pairs], k, u, phases)
     return _heat_shape(_heat_defect(lhs, k, pairs, u, phases), z, j)
 
 
-def heat_residual_fd(p, label, z, i, j=None, policy=None, step=1e-4):
+def heat_residual_fd(p, label, z, i, j=None, policy=None):
     """Heat identity with dZ replaced by a fourth-order central stencil.
 
     The symmetric entry pair (i, j), (j, i) is perturbed together, matching
     the derivative convention.  Returns a residual relative to the derivative
     magnitude; ``z``, ``i`` and ``j`` and the shape of the result are as for
-    :func:`heat_residual`.  The stencil moves X only, so Y, and with it the
-    certificate and the lattice window, is the same at every stencil point:
-    each value is the sum over p's window at Z + tD, and no stencil point is
-    built.  The four stencil matrices of every pair are evaluated in one
-    pass.
+    :func:`heat_residual`.  The step h = 1e-4 min(1, 8/k) shrinks like 1/k
+    above k = 8, as the stencil's error grows like (hk)^4.  The stencil moves
+    X only, so Y, and with it the certificate, the lattice window and the
+    scale 2^e, is the same at every stencil point: each value is the sum over
+    p's window at Z + tD, and no stencil point is built.  The four stencil
+    matrices of every pair are evaluated in one pass.
     """
     pairs = list(i) if j is None else [(i, j)]
     k = label.k
     if policy is None:
         policy = truncation_radius(p, k, 1e-13, Derivative.dz2(0, 0))
-    u, lin = _window(p, label, z, policy)
-    h = step
+    u, lin, _ = _window(p, label, z, policy)
+    h = 1e-4 * min(1, 8 / k)
     D = np.stack([_delta(p.n, a, b) for a, b in pairs])
     stencil = p.Z + np.multiply.outer([-2 * h, -h, h, 2 * h], D)
     th = np.sum(_phases(stencil, k, u, lin), axis=-1)  # (4, S, P)

@@ -53,7 +53,8 @@ evaluated once per node of a fine lattice, the products of the pairs at
 each frequency offset are folded over the window by strided sums, and one
 FFT over the y-nodes gives every mode sharing r.  Its memory is
 O(box + k^n N^n) plus the outputs, and grids whose pairings would hold
-more than ``sections.MAX_FRAME_BYTES`` are refused before allocation.
+more than the 1 GiB limit of ``fourier.check_bytes`` are refused, with
+SizeLimitError, before allocation.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ import numpy as np
 from .fourier import (
     FourierFunction,
     FourierMode,
+    SizeLimitError,
     _coefficients,
     _line_decomposition,
     _mode_arrays,
@@ -75,7 +77,7 @@ from .fourier import (
     poisson_bracket,
     sup_abs,
 )
-from .sections import SizeLimitError, _check_grid, _frame_pairings
+from .sections import _check_grid, _frame_pairings
 from .siegel import laplace_eigenvalue
 
 __all__ = [

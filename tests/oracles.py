@@ -213,3 +213,24 @@ def mu_eigenvalue_oracle(Z, r, s, i, j, kind):
         coeff, sign, M = -2j, -1.0, Zc
     e = [sign * math.pi * w for w in _apply(W, [si - mr for si, mr in zip(s, _apply(M, r))])]
     return coeff * _pair_form(i, j, e, e)
+
+
+def complex_frame(Z):
+    """Columns of the frame (dz_1..dz_n, dzbar_1..dzbar_n) in (dx, dy) coords.
+
+    The frame vectors are dz = (i/2) Y^-1 Zbar dx + (1/2i) Y^-1 dy and the
+    conjugate for dzbar; I(Z) is diagonal (+i, -i blocks) in this frame.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    W = np.linalg.inv(Z.imag)
+    A = 0.5j * W @ np.conj(Z)  # dz_i = sum_a A[i,a] dx_a + B[i,a] dy_a
+    B = -0.5j * W
+    return np.block([[A.T, np.conj(A).T], [B.T, np.conj(B).T]])
+
+
+def omega_complex_frame(Z):
+    """omega = -(1/2i) sum w_ab dz_a ^ dzbar_b with W = Y^-1, as a matrix;
+    entry (a, b) is omega(e_a, e_b) in the (dz, dzbar) frame ordering."""
+    W = np.linalg.inv(np.atleast_2d(np.asarray(Z, dtype=complex)).imag)
+    zero = np.zeros_like(W)
+    return np.block([[zero, -W / 2j], [W.T / 2j, zero]]).astype(complex)

@@ -307,23 +307,52 @@ class TestRunAndCache:
             assert doc.passed, experiment
             assert doc.rows and all(row[-1] == "pass" for row in doc.rows)
 
-    def test_sweep_without_rows_fails(self):
-        # every level is above the pointwise cap, so nothing is measured
-        m = parse_config("experiment = trace-lemma, n = 1, k = 16")
-        doc = run_experiment(m, use_cache=False)
-        assert doc.rows == []
-        assert not any(v["passed"] for v in doc.verdicts)
-        assert doc.extras["skipped_levels"] == "16 (above k = 8)"
+    def test_sweep_that_measured_nothing_fails(self, monkeypatch):
+        # nine dense 4096 x 4096 operators and one copy would hold 2.5 GiB:
+        # the level is refused before any is built, and its NaNs fail both
+        # verdicts
+        def no_dense(self):
+            raise AssertionError(f"dense matrix at k = {self.k}")
 
-    @pytest.mark.parametrize("experiment", ["covariance", "heat-identity"])
-    def test_skipped_levels_fail_their_verdicts(self, experiment):
-        # k = 2 is measured and passes; k = 16 is above the pointwise cap and
-        # was once only listed in the extras while every verdict passed
-        m = parse_config(f"experiment = {experiment}\nn = 1\nk = 2, 16")
+        monkeypatch.setattr(WeylSymbol, "to_dense", no_dense)
+        m = parse_config("experiment = trace-lemma, n = 2, k = 64")
         doc = run_experiment(m, use_cache=False)
-        assert doc.rows and all(row[-1] == "pass" for row in doc.rows)
-        assert doc.extras["skipped_levels"] == "16 (above k = 8)"
+        (row,) = doc.rows
+        assert row[0] == "64" and row[-1].startswith("refused: ")
+        assert "2.5 GiB" in row[-1]
+        assert doc.extras["refused_levels"] == "64"
         assert all(v["observed"] == "nan" for v in doc.verdicts)
+        assert not any(v["passed"] for v in doc.verdicts)
+
+    @pytest.mark.parametrize("text", [
+        "experiment = heat-identity\nn = 1\nk = 2, 16, 64, 256, 1024",
+        "experiment = heat-identity\nn = 2\nk = 16, 64, 128",
+        "experiment = covariance\nn = 1\nk = 2, 16, 64, 256, 1024",
+        "experiment = covariance\nn = 2\nk = 16, 64, 128\n"
+        "Z = [[1i, 0], [0, 2i]]; [[2i, 0.5i], [0.5i, 1i]]",
+        "experiment = trace-lemma\nn = 1\nk = 16, 64, 256, 1024",
+        "experiment = trace-lemma\nn = 2\nk = 16, 32",
+    ], ids=["heat-n1", "heat-n2", "covariance-n1", "covariance-n2",
+            "trace-n1", "trace-n2"])
+    def test_levels_above_eight_are_measured(self, text):
+        # these sweeps once stopped at k = 8: the lattice sums overflowed
+        # from k = 256 (n = 1), and the fixed fd step failed 1e-8 at n = 2,
+        # k = 40
+        m = parse_config(text)
+        with np.errstate(over="raise", invalid="raise"):
+            doc = run_experiment(m, use_cache=False)
+        assert doc.passed, doc.verdicts
+        k_column = doc.columns.index("k")
+        assert {row[k_column] for row in doc.rows} == {str(k) for k in m.k_values}
+        assert all(row[-1] == "pass" for row in doc.rows)
+        assert doc.extras == {}
+
+    def test_covariance_columns_above_the_limit_are_refused(self):
+        m = parse_config("experiment = covariance, n = 1, k = 2, 524288")
+        doc = run_experiment(m, use_cache=False)
+        assert doc.rows[0][-1] == "pass"
+        assert doc.rows[-1][0] == "524288" and "GiB" in doc.rows[-1][-1]
+        assert doc.extras["refused_levels"] == "524288"
         assert not any(v["passed"] for v in doc.verdicts)
 
     def test_pointwise_sweeps_build_points_per_call_not_per_mode(self, monkeypatch):
@@ -409,6 +438,29 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert rc == 0
         assert out.startswith("1.0864348112133")
+
+    def test_theta_value_beyond_float_range_is_reported(self, capsys):
+        # once printed nan+nani after two RuntimeWarnings and exited 0
+        rc = main(["theta", "eval", "--k", "512", "--Z", "1+2i", "--alpha", "1",
+                   "--z", "0.84+1.42i"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "beyond the float range" in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("make", ["missing", "directory", "latin-1"])
+    def test_unreadable_config_is_reported(self, tmp_path, capsys, make):
+        # each once ended in a traceback with exit code 1
+        path = tmp_path / "exp.cfg"
+        if make == "directory":
+            path.mkdir()
+        elif make == "latin-1":
+            path.write_bytes("experiment = tqft\n# \u00e9\n".encode("latin-1"))
+        rc = main(["experiment", "run", str(path), "--no-cache"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot read config {str(path)!r}: ")
+        assert err.count("\n") == 1
 
     def test_gram_verb(self, capsys):
         rc = main(["gram", "--n", "1", "--k", "4", "--Z", "i"])

@@ -240,7 +240,7 @@ def test_constant_and_zero_sups_are_exact():
 
 
 def test_large_sup_grid_is_refused(monkeypatch):
-    monkeypatch.setattr("thetaquant.sections.MAX_FRAME_BYTES", 1 << 10)
+    monkeypatch.setattr("thetaquant.fourier.MAX_FRAME_BYTES", 1 << 10)
     with pytest.raises(SizeLimitError, match="sup grid needs"):
         sup_abs(FourierFunction({((1,), (0,)): 1.0, ((0,), (2,)): 1.0}))
 
@@ -258,7 +258,7 @@ def test_sup_grid_estimate_covers_the_peak(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr("thetaquant.sections.MAX_FRAME_BYTES", peak - 1)
+    monkeypatch.setattr("thetaquant.fourier.MAX_FRAME_BYTES", peak - 1)
     with pytest.raises(SizeLimitError, match="sup grid needs"):
         sup_abs(f)
 

@@ -6,16 +6,14 @@ from thetaquant.siegel import (
     NonNormalError,
     SiegelPoint,
     TangentDirection,
-    complex_frame,
     complex_structure,
     dI_dZ,
     dlambda_dZ,
     gtilde_coefficients,
     laplace_eigenvalue,
-    omega_complex_frame,
 )
 
-from oracles import wirtinger_fd
+from oracles import complex_frame, omega_complex_frame, wirtinger_fd
 
 
 def all_directions(n):
@@ -110,7 +108,7 @@ class TestComplexStructure:
 
     def test_frame_diagonalizes(self, point_n2):
         for p in [SiegelPoint(0.5 + 0.7j), point_n2]:
-            C = complex_frame(p)
+            C = complex_frame(p.Z)
             D = np.linalg.solve(C, complex_structure(p) @ C)
             want = np.diag([1j] * p.n + [-1j] * p.n)
             assert np.max(np.abs(D - want)) < 1e-10
@@ -206,8 +204,8 @@ class TestGtilde:
 
     @staticmethod
     def _check_contraction(p):
-        C = complex_frame(p)
-        Om = omega_complex_frame(p)
+        C = complex_frame(p.Z)
+        Om = omega_complex_frame(p.Z)
         for v in all_directions(p.n):
             G = gtilde_coefficients(v, p.n)
             lhs = G @ Om

@@ -85,6 +85,28 @@ class TestValues:
         v = theta_eval(p, ThetaLabel(1, (0,)), 0.0)
         assert v == pytest.approx(1.0, abs=1e-12)
 
+    def test_high_level_value_is_not_lost(self):
+        # the labels l + 1/k miss the Gaussian peak by 0.48, so scaled to the
+        # peak every term would underflow; the value itself is about 2.4e114
+        mp = pytest.importorskip("mpmath")
+        k, z = 1024, 0.13 + 0.52 * (1 + 2j)
+        with mp.workdps(40):
+            u = [mp.mpf(l) + mp.mpf(1) / k for l in range(-20, 20)]
+            ref = complex(mp.fsum(
+                mp.exp(1j * mp.pi * k * x * x * mp.mpc(1, 2) + 2j * mp.pi * k * x * mp.mpc(z))
+                for x in u
+            ))
+        with np.errstate(over="raise", invalid="raise"):
+            v = theta_eval(SiegelPoint(1 + 2j), ThetaLabel(k, (1,)), z)
+        assert abs(v - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize("k", [512, 4096])
+    def test_value_beyond_float_range_is_refused(self, k):
+        # once nan+nanj at k = 512, with only a RuntimeWarning
+        z = 0.13 + 0.71 * (1 + 2j)
+        with pytest.raises(OverflowError, match=f"level k={k} is beyond the float range"):
+            theta_eval(SiegelPoint(1 + 2j), ThetaLabel(k, (1,)), z)
+
     @pytest.mark.parametrize("z", Z_LIST)
     @pytest.mark.parametrize("k,a", [(1, (0,)), (2, (1,)), (3, (2,))])
     def test_matches_brute_oracle(self, z, k, a):
