@@ -57,7 +57,6 @@ from .formal import (
 )
 from .tqft import (
     CurveClass,
-    SurfaceData,
     curve_operator,
     curve_pairing,
     holonomy_mode,

@@ -4,14 +4,18 @@ Every experiment consumes an :class:`~thetaquant.config.ExperimentManifest`
 and produces a :class:`ReportDocument` whose CSV rendering is byte-stable:
 cell values are formatted once (floats at 17 significant digits, complex as
 ``a+bi``) and the cache stores the formatted rows keyed by a content hash of
-the manifest and the package sources.  Module refusals (coarse grids,
-non-normal points, arrays refused for their size before allocation) become
-failed rows with reasons, never crashes.  A verdict fails when what it
-measured is NaN or when it measured nothing.
+the manifest, the package sources and the Python and numpy versions.  In
+the sweep runners a refused cell (a coarse grid, a non-normal point, an
+array refused for its size before allocation) becomes a failed row with its
+reason and a NaN in every verdict, never a crash; ``bms`` measures one
+operator norm and one sup per report, and its refusals end the run with
+the error (exit code 2 in the CLI).  A verdict fails when what it measured
+is NaN or when it measured nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import glob
@@ -35,7 +39,7 @@ from .formal import (
 )
 from .fourier import FourierFunction, FourierMode, SizeLimitError, check_bytes
 from .sections import GridError, QuadratureGrid, gram_matrix, required_grid_size
-from .siegel import TangentDirection
+from .siegel import NonNormalError, TangentDirection
 from .tqft import (
     CurveClass,
     curve_operator,
@@ -185,12 +189,45 @@ def _default_tol(experiment, n, tol=None):
     return defaults[experiment] if tol is None else tol
 
 
-def _refused_extras(levels):
-    """The ``refused_levels`` extra naming each refused level once, if any.
+class _Sweep:
+    """A report's rows, one value list per verdict, and its refused levels.
 
-    A refused row adds NaN to its verdict, so the verdict fails as well.
+    ``cell(k, refused_row)`` runs one (point, level) measurement, which adds
+    its rows to ``rows`` and its values to ``values[verdict]`` only after
+    the last call that can refuse.  A GridError, SizeLimitError or
+    NonNormalError raised inside it is the one refusal path: the row
+    ``refused_row("refused: <reason>")``, which places the reason and has
+    ``len(columns)`` cells, is added, every verdict's list gets a NaN, so
+    every verdict fails, and ``k`` joins the ``refused_levels`` extra (a
+    cell with ``k`` None, which sweeps no level, adds none).
     """
-    return {"refused_levels": fmt_ints(sorted(set(levels)))} if levels else {}
+
+    def __init__(self, columns, *verdicts):
+        self.columns = columns
+        self.rows = []
+        self.values = {name: [] for name in verdicts}
+        self.refused = []
+
+    @contextlib.contextmanager
+    def cell(self, k, refused_row):
+        try:
+            yield
+        except (GridError, SizeLimitError, NonNormalError) as exc:
+            self.rows.append(refused_row(f"refused: {exc}"))
+            for values in self.values.values():
+                values.append(np.nan)
+            if k is not None:
+                self.refused.append(k)
+
+    def below(self, name, tol):
+        """The verdict that the worst of ``values[name]`` is below tol."""
+        worst = _worst(self.values[name])
+        return _verdict(name, worst < tol, worst, tol)
+
+    def report(self, verdicts):
+        levels = sorted(set(self.refused))
+        extras = {"refused_levels": fmt_ints(levels)} if levels else {}
+        return self.columns, self.rows, verdicts, extras
 
 
 def _grid_for(m, p, k, m_max=0):
@@ -199,10 +236,10 @@ def _grid_for(m, p, k, m_max=0):
     return QuadratureGrid(N, p.n, m.epsilon)
 
 
-def _probe_points(p, count=5):
+def _probe_points(p):
     """Deterministic z samples x + Zy in the fundamental domain."""
     out = []
-    for x0, y0 in _PROBE_XY[:count]:
+    for x0, y0 in _PROBE_XY:
         x = np.full(p.n, x0)
         y = np.full(p.n, y0)
         out.append((x + p.Z @ y, x, y))
@@ -231,67 +268,52 @@ def _mode_list(m, bound):
 
 def _run_gram(m):
     tol = _default_tol(m.experiment, m.n, m.tol)
-    columns = ["n", "k", "Z", "N", "max_deviation", "status"]
-    rows = []
-    devs = []
-    refused = []
+    sweep = _Sweep(["n", "k", "Z", "N", "max_deviation", "status"], "gram-identity")
     for p in m.points:
         point = fmt_point(p)
         for k in m.k_values:
             grid = _grid_for(m, p, k)
-            try:
+            with sweep.cell(k, lambda why: [m.n, k, point, grid.N, np.nan, why]):
                 G = gram_matrix(p, k, grid)
                 dev = float(np.max(np.abs(G - np.eye(k**p.n))))
-                status = "pass" if dev < tol else "fail"
-            except (GridError, SizeLimitError) as exc:
-                dev, status = float("nan"), f"refused: {exc}"
-                refused.append(k)
-            devs.append(dev)
-            rows.append([m.n, k, point, grid.N, dev, status])
-    worst = _worst(devs)
-    verdicts = [_verdict("gram-identity", worst < tol, worst, tol)]
-    return columns, rows, verdicts, _refused_extras(refused)
+                sweep.values["gram-identity"].append(dev)
+                sweep.rows.append(
+                    [m.n, k, point, grid.N, dev, "pass" if dev < tol else "fail"]
+                )
+    return sweep.report([sweep.below("gram-identity", tol)])
 
 
 def _run_toeplitz_compare(m):
     tol = _default_tol(m.experiment, m.n, m.tol)
     modes = _mode_list(m, 2)
-    columns = ["k", "Z", "N", "r", "s", "max_entry_diff", "status"]
     m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
     labels = _mode_labels(modes)
-    rows = []
-    diffs = []
-    refused = []
+    sweep = _Sweep(["k", "Z", "N", "r", "s", "max_entry_diff", "status"],
+                   "closed-form-vs-quadrature")
+    diffs = sweep.values["closed-form-vs-quadrature"]
     for p in m.points:
         point = fmt_point(p)
         for k in m.k_values:
             grid = _grid_for(m, p, k, m_max)
-            try:
+            with sweep.cell(k, lambda why: [k, point, grid.N, "", "", np.nan, why]):
                 quads = toeplitz_modes_quadrature(p, k, modes, grid)
-            except (GridError, SizeLimitError) as exc:
-                diffs.append(float("nan"))
-                refused.append(k)
-                rows.append([k, point, grid.N, "", "", float("nan"),
-                             f"refused: {exc}"])
-                continue
-            for mm, (r, s) in zip(modes, labels):
-                closed = toeplitz_mode_closed_form(p, k, mm)
-                diff = float(np.max(np.abs(closed.entries - quads[mm].entries)))
-                diffs.append(diff)
-                rows.append(
-                    [k, point, grid.N, r, s, diff, "pass" if diff < tol else "fail"]
-                )
-    worst = _worst(diffs)
-    verdicts = [_verdict("closed-form-vs-quadrature", worst < tol, worst, tol)]
-    return columns, rows, verdicts, _refused_extras(refused)
+                for mm, (r, s) in zip(modes, labels):
+                    closed = toeplitz_mode_closed_form(p, k, mm)
+                    diff = float(np.max(np.abs(closed.entries - quads[mm].entries)))
+                    diffs.append(diff)
+                    sweep.rows.append(
+                        [k, point, grid.N, r, s, diff, "pass" if diff < tol else "fail"]
+                    )
+    return sweep.report([sweep.below("closed-form-vs-quadrature", tol)])
 
 
 def _run_heat_identity(m):
     tol = _default_tol(m.experiment, m.n, m.tol)
     tol_fd = 1e-8
-    columns = ["n", "k", "Z", "z", "i", "j", "residual", "residual_fd", "status"]
-    rows = []
-    residuals, residuals_fd = [], []
+    # the heat residuals refuse nothing, so no cell is needed
+    sweep = _Sweep(["n", "k", "Z", "z", "i", "j", "residual", "residual_fd", "status"],
+                   "heat-identity-termwise", "heat-identity-fd")
+    residuals, residuals_fd = sweep.values.values()
     pairs = [(0, 0)] if m.n == 1 else [(0, 0), (0, 1), (1, 1)]
     for p in m.points:
         point = fmt_point(p)
@@ -306,112 +328,86 @@ def _run_heat_identity(m):
                 residuals_fd.extend(fd_z)
                 for (i, j), r, f in zip(pairs, res_z, fd_z):
                     ok = r < tol and f < tol_fd
-                    rows.append(
+                    sweep.rows.append(
                         [p.n, k, point, z, i, j, r, f, "pass" if ok else "fail"]
                     )
-    worst, worst_fd = _worst(residuals), _worst(residuals_fd)
-    verdicts = [
-        _verdict("heat-identity-termwise", worst < tol, worst, tol),
-        _verdict("heat-identity-fd", worst_fd < tol_fd, worst_fd, tol_fd),
-    ]
-    return columns, rows, verdicts, {}
+    return sweep.report([sweep.below("heat-identity-termwise", tol),
+                         sweep.below("heat-identity-fd", tol_fd)])
 
 
 def _run_covariance(m):
     tol = _default_tol(m.experiment, m.n, m.tol)
     modes = _mode_list(m, 2)
-    columns = ["k", "r", "s", "Z1", "Z2", "rescaled_diff", "raw_diff", "status"]
-    rows = []
-    devs, raws = [], []
-    refused = []
     pts = list(m.points)
     pairs = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))] if len(pts) > 1 else []
     if not pairs:
         raise ConfigError("covariance experiment needs at least two Siegel points")
     labels = _mode_labels(modes)
+    sweep = _Sweep(["k", "r", "s", "Z1", "Z2", "rescaled_diff", "raw_diff", "status"],
+                   "rescaled-Z-independence", "raw-operators-vary")
+    devs, raws = sweep.values.values()
     for (p1, p2) in pairs:
         z1, z2 = fmt_point(p1), fmt_point(p2)
         for k in m.k_values:
-            try:
+            with sweep.cell(k, lambda why: [k, "", "", z1, z2, np.nan, np.nan, why]):
                 # W's values, two rescaled copies and their difference: at
                 # most six (M, k^n) complex arrays at once
                 check_bytes(96 * len(modes) * k**p1.n, "covariance",
                             f"{len(modes)} modes of dimension {k**p1.n}")
                 dev_k = covariant_constancy_residual(p1, p2, k, modes)
-            except SizeLimitError as exc:
-                devs.append(float("nan"))
-                raws.append(float("nan"))
-                refused.append(k)
-                rows.append([k, "", "", z1, z2, float("nan"), float("nan"),
-                             f"refused: {exc}"])
-                continue
-            # both operators are eta W_k(m) with the same unit-modulus W
-            raw_k = np.abs(eta(p1, k, modes) - eta(p2, k, modes))
-            devs.extend(dev_k)
-            raws.extend(raw_k)
-            for (r, s), dev, raw in zip(labels, dev_k, raw_k):
-                rows.append(
-                    [k, r, s, z1, z2, dev, raw, "pass" if dev < tol else "fail"]
-                )
-    worst, best_raw = _worst(devs), _worst(raws)
-    verdicts = [
-        _verdict("rescaled-Z-independence", worst < tol, worst, tol),
+                # both operators are eta W_k(m) with the same unit-modulus W
+                raw_k = np.abs(eta(p1, k, modes) - eta(p2, k, modes))
+                devs.extend(dev_k)
+                raws.extend(raw_k)
+                for (r, s), dev, raw in zip(labels, dev_k, raw_k):
+                    sweep.rows.append(
+                        [k, r, s, z1, z2, dev, raw, "pass" if dev < tol else "fail"]
+                    )
+    best_raw = _worst(raws)
+    return sweep.report([
+        sweep.below("rescaled-Z-independence", tol),
         _verdict("raw-operators-vary", best_raw > 1e-2, best_raw, 1e-2),
-    ]
-    return columns, rows, verdicts, _refused_extras(refused)
+    ])
 
 
 def _run_trace_lemma(m):
     tol = _default_tol(m.experiment, m.n, m.tol)
     tol_zero = 1e-12
     modes = _mode_list(m, 1)
-    columns = ["k", "r1", "s1", "r2", "s2", "closed", "direct", "diff",
-               "congruent", "status"]
-    rows = []
-    diffs, off_congruence = [], []
-    refused = []
     labels = _mode_labels(modes)
     entries = np.array([mm.r + mm.s for mm in modes])
+    sweep = _Sweep(["k", "r1", "s1", "r2", "s2", "closed", "direct", "diff",
+                    "congruent", "status"],
+                   "trace-closed-vs-direct", "off-congruence-vanishing")
+    diffs, off_congruence = sweep.values.values()
     for p in m.points[:1]:
         for k in m.k_values:
             dim = k**p.n
-            try:
+            with sweep.cell(k, lambda why: [k, "", "", "", "", "", "", np.nan, "", why]):
                 # the M operators and the copy the next one makes of its entries
                 check_bytes(16 * (len(modes) + 1) * dim**2, "trace-lemma",
                             f"{len(modes)} dense {dim} x {dim} operators")
                 # one BLAS dot per pair: a one-pass reduction over the stacked
                 # matrices was slower at n = 2, k = 8 and needed two more copies
                 mats = [toeplitz_mode_closed_form(p, k, mm) for mm in modes]
-            except SizeLimitError as exc:
-                diffs.append(float("nan"))
-                off_congruence.append(float("nan"))
-                refused.append(k)
-                rows.append([k, "", "", "", "", "", "", float("nan"), "",
-                             f"refused: {exc}"])
-                continue
-            closed = trace_pair_closed_form(p, k, modes, modes)
-            direct = np.array([[hs_inner(a, b) for b in mats] for a in mats])
-            # |.| as the builtin abs rounds it, so each cell is the scalar one
-            gap = closed - direct
-            diff = np.hypot(gap.real, gap.imag)
-            size = np.hypot(direct.real, direct.imag)
-            congruent = np.all((entries[:, None] - entries) % k == 0, axis=-1)
-            diffs.extend(diff[congruent])
-            off_congruence.extend(size[~congruent])
-            ok = (diff < tol) & (congruent | (size < tol_zero))
-            for a, b in np.ndindex(len(modes), len(modes)):
-                rows.append(
-                    [k, *labels[a], *labels[b], fmt_complex(closed[a, b]),
-                     fmt_complex(direct[a, b]), float(diff[a, b]),
-                     bool(congruent[a, b]), "pass" if ok[a, b] else "fail"]
-                )
-    worst, worst_zero = _worst(diffs), _worst(off_congruence)
-    verdicts = [
-        _verdict("trace-closed-vs-direct", worst < tol, worst, tol),
-        _verdict("off-congruence-vanishing", worst_zero < tol_zero,
-                 worst_zero, tol_zero),
-    ]
-    return columns, rows, verdicts, _refused_extras(refused)
+                closed = trace_pair_closed_form(p, k, modes, modes)
+                direct = np.array([[hs_inner(a, b) for b in mats] for a in mats])
+                # |.| as the builtin abs rounds it, so each cell is the scalar one
+                gap = closed - direct
+                diff = np.hypot(gap.real, gap.imag)
+                size = np.hypot(direct.real, direct.imag)
+                congruent = np.all((entries[:, None] - entries) % k == 0, axis=-1)
+                diffs.extend(diff[congruent])
+                off_congruence.extend(size[~congruent])
+                ok = (diff < tol) & (congruent | (size < tol_zero))
+                for a, b in np.ndindex(len(modes), len(modes)):
+                    sweep.rows.append(
+                        [k, *labels[a], *labels[b], fmt_complex(closed[a, b]),
+                         fmt_complex(direct[a, b]), float(diff[a, b]),
+                         bool(congruent[a, b]), "pass" if ok[a, b] else "fail"]
+                    )
+    return sweep.report([sweep.below("trace-closed-vs-direct", tol),
+                         sweep.below("off-congruence-vanishing", tol_zero)])
 
 
 def _bms_function(n):
@@ -554,36 +550,32 @@ def _run_flatness(m):
     tol = _default_tol(m.experiment, m.n, m.tol)
     tol_fd = 1e-5
     modes = _mode_list(m, 3)
-    columns = ["mode_r", "mode_s", "direction", "residual_analytic", "residual_fd"]
-    rows = []
-    residuals, residuals_fd = [], []
+    sweep = _Sweep(["mode_r", "mode_s", "direction", "residual_analytic", "residual_fd"],
+                   "flatness-analytic", "flatness-fd")
+    residuals, residuals_fd = sweep.values.values()
     for p in m.points:
         if p.n == 1:
             dirs = [TangentDirection(0, 0, "z"), TangentDirection(0, 0, "zbar")]
         else:
-            if not p.is_normal:
-                rows.append(["", "", "refused: non-normal point", float("nan"),
-                             float("nan")])
-                continue
             dirs = [TangentDirection(i, i, kind) for i in range(p.n)
                     for kind in ("z", "zbar")]
-        per_direction = [
-            (("dZ" if v.holomorphic else "dZbar") + f"[{v.i},{v.j}]",
-             formal_hitchin_residual(p, modes, v),
-             formal_hitchin_residual(p, modes, v, fd_step=1e-4))
-            for v in dirs
-        ]
-        for a, mm in enumerate(modes):
-            for name, res, fd in per_direction:
-                residuals.append(res[a])
-                residuals_fd.append(fd[a])
-                rows.append([fmt_ints(mm.r), fmt_ints(mm.s), name, res[a], fd[a]])
-    worst, worst_fd = _worst(residuals), _worst(residuals_fd)
-    verdicts = [
-        _verdict("flatness-analytic", worst < tol, worst, tol),
-        _verdict("flatness-fd", worst_fd < tol_fd, worst_fd, tol_fd),
-    ]
-    return columns, rows, verdicts, {}
+        # flatness sweeps no level; the closed form refuses a non-normal point
+        with sweep.cell(None, lambda why: ["", "", why, np.nan, np.nan]):
+            per_direction = [
+                (("dZ" if v.holomorphic else "dZbar") + f"[{v.i},{v.j}]",
+                 formal_hitchin_residual(p, modes, v),
+                 formal_hitchin_residual(p, modes, v, fd_step=1e-4))
+                for v in dirs
+            ]
+            for a, mm in enumerate(modes):
+                for name, res, fd in per_direction:
+                    residuals.append(res[a])
+                    residuals_fd.append(fd[a])
+                    sweep.rows.append(
+                        [fmt_ints(mm.r), fmt_ints(mm.s), name, res[a], fd[a]]
+                    )
+    return sweep.report([sweep.below("flatness-analytic", tol),
+                         sweep.below("flatness-fd", tol_fd)])
 
 
 def _run_tqft(m):
@@ -597,30 +589,23 @@ def _run_tqft(m):
     curves = [CurveClass(r, s) for r, s in m.modes]
     c1, c2 = (curves + [CurveClass.empty(g)] * 2)[:2]
     m1, m2 = holonomy_mode(c1), holonomy_mode(c2)
-    columns = ["genus", "k", "curve1", "curve2", "invariant", "expected", "status"]
-    rows = []
-    errors = []
+    names = [f"{fmt_ints(c1.r)};{fmt_ints(c1.s)}" if curves else "empty",
+             f"{fmt_ints(c2.r)};{fmt_ints(c2.s)}" if len(curves) > 1 else "empty"]
+    sweep = _Sweep(["genus", "k", "curve1", "curve2", "invariant", "expected", "status"],
+                   "gluing-dimension")
     for k in m.k_values:
         val = mapping_torus_invariant(p, k, c1, c2)
-        try:
+        cells = [g, k, *names, fmt_complex(val)]
+        with sweep.cell(k, lambda why: cells + ["-", why]):
             # tr(W(m1) W(m2)*): k^g for equal curves, else from the matrices
             expected = complex(k**g) if m1 == m2 else hs_inner(
                 curve_operator(p, k, c1), curve_operator(p, k, c2)
             )
             err = abs(val - expected)
-            status = "pass" if err < 1e-10 else "fail"
+            sweep.values["gluing-dimension"].append(err)
             shown = fmt_float(expected.real) if m1 == m2 else fmt_complex(expected)
-        except SizeLimitError as exc:
-            err, status, shown = float("nan"), f"refused: {exc}", "-"
-        errors.append(err)
-        rows.append(
-            [g, k, f"{fmt_ints(c1.r)};{fmt_ints(c1.s)}" if curves else "empty",
-             f"{fmt_ints(c2.r)};{fmt_ints(c2.s)}" if len(curves) > 1 else "empty",
-             fmt_complex(val), shown, status]
-        )
-    worst = _worst(errors)
-    verdicts = [_verdict("gluing-dimension", worst < 1e-10, worst, 1e-10)]
-    return columns, rows, verdicts, {}
+            sweep.rows.append(cells + [shown, "pass" if err < 1e-10 else "fail"])
+    return sweep.report([sweep.below("gluing-dimension", 1e-10)])
 
 
 _EXPERIMENTS = {
@@ -660,7 +645,10 @@ def _source_hash():
 
 
 def _cache_key(m):
-    payload = m.canonical() + "|source=" + _source_hash()
+    """Hash of the manifest, the package sources and the Python and numpy
+    versions: a cached report is one that this setup would produce."""
+    payload = (m.canonical() + "|source=" + _source_hash()
+               + f"|python={platform.python_version()}|numpy={np.__version__}")
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
@@ -722,18 +710,12 @@ def run_experiment(m, use_cache=True):
     return doc
 
 
-def emit_outputs(doc, out_base, formats=("csv", "structured")):
-    """Write the CSV table and/or structured summary; returns written paths."""
-    paths = []
+def emit_outputs(doc, out_base):
+    """Write the CSV table and the structured summary; returns their paths."""
     os.makedirs(os.path.dirname(os.path.abspath(out_base)) or ".", exist_ok=True)
-    if "csv" in formats:
-        path = out_base + ".csv"
-        with open(path, "wb") as fh:
-            fh.write(doc.csv_bytes())
-        paths.append(path)
-    if "structured" in formats:
-        path = out_base + ".summary.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(doc.summary_text())
-        paths.append(path)
-    return paths
+    csv_path, summary_path = out_base + ".csv", out_base + ".summary.txt"
+    with open(csv_path, "wb") as fh:
+        fh.write(doc.csv_bytes())
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        fh.write(doc.summary_text())
+    return [csv_path, summary_path]

@@ -266,7 +266,7 @@ class TrivializedStarFit:
     condition_number: float
 
 
-def trivialized_star_compare(p, m1, m2, k_values, order=3, other_point=None):
+def trivialized_star_compare(p, m1, m2, k_values, other_point=None):
     """Measure the star product seen through heat-rescaled operators.
 
     For each level the product of the two rescaled mode operators is
@@ -285,7 +285,7 @@ def trivialized_star_compare(p, m1, m2, k_values, order=3, other_point=None):
             B = WeylSymbol(k, pt, {m1 + m2: 1.0})
             return [A.pair(B) / B.pair(B)]
 
-        coefficients, cond = _inverse_power_fit(k_values, order, sample)
+        coefficients, cond = _inverse_power_fit(k_values, sample)
         return coefficients[1, 0], cond
 
     c1, cond = fitted_order1(p)

@@ -332,6 +332,11 @@ def _trig_max(c, t):
     if t.shape[1] == 0:
         # np.abs, as for the grid values: the builtin abs can differ by an ulp
         return float(np.abs(c.sum())), 0.0
+    # the Hessian scales like |c|^2, so its pseudo-inverse overflows for tiny
+    # coefficients: search with c / 2^e, largest modulus in [1/2, 1), which
+    # rounds nothing, and scale the value and gap back
+    _, e = math.frexp(float(np.abs(c).max()))
+    c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
     shape = tuple(_NODES_PER_DEGREE * int(d) for d in np.max(np.abs(t), axis=0))
     # complex spectrum and ifftn, float |P|, boolean mask, one rolled copy
     check_bytes(math.prod(shape) * (16 + 16 + 8 + 1 + 8), "sup grid", f"{shape} nodes")
@@ -360,7 +365,7 @@ def _trig_max(c, t):
             break
         theta[better] = trial[better]
     value = float(np.abs(_trig_derivatives(c, t, theta)[0]).max())
-    return value, max(grid_max + bound - value, 0.0)
+    return math.ldexp(value, e), math.ldexp(max(grid_max + bound - value, 0.0), e)
 
 
 class SupBound(NamedTuple):
@@ -396,8 +401,9 @@ def _phase_on_grid(m, t):
     return values
 
 
-def dense_max_abs(f, points_per_dim=2048):
-    """sup |f| approximated on a uniform grid of the unit cell.
+def dense_max_abs(f):
+    """sup |f| approximated on a uniform grid of the unit cell, 2048 nodes
+    per axis at n = 1 and 256 at n = 2.
 
     The brute-force reference for :func:`sup_abs` in the tests; no package
     path calls it.  Grids above MAX_FRAME_BYTES are refused before
@@ -406,8 +412,7 @@ def dense_max_abs(f, points_per_dim=2048):
     n = f.n
     if n > 2:
         raise ValueError("dense grid sup only supported for n <= 2")
-    if n == 2:
-        points_per_dim = min(points_per_dim, 256)
+    points_per_dim = 2048 if n == 1 else 256
     # the complex running total, one phase grid and its scaled copy
     shape = (points_per_dim,) * (2 * n)
     check_bytes(math.prod(shape) * (16 + 16 + 16), "sup grid", f"{shape} nodes")

@@ -133,14 +133,13 @@ def suggest_grid(p, k, m_max=0, epsilon=DEFAULT_EPSILON):
     return QuadratureGrid(required_grid_size(p, k, m_max, epsilon), p.n, epsilon)
 
 
-def section_eval(p, s, x, y, policy=None):
+def section_eval(p, s, x, y):
     """Value of the section at real coordinates (x, y), via z = x + Zy."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     z = x + p.Z @ y
     labels = theta_basis(s.k, s.n)
-    if policy is None:
-        policy = truncation_radius(p, s.k, DEFAULT_EPSILON)
+    policy = truncation_radius(p, s.k, DEFAULT_EPSILON)
     total = 0.0 + 0.0j
     for c, lab in zip(s.coeffs, labels):
         if c != 0:
@@ -310,12 +309,13 @@ def theta_frame_on_grid(p, k, grid):
     return np.matmul(x_part.transpose(0, 2, 1), y_part).reshape(k**p.n, -1)
 
 
-def integrand_periodicity_residual(p, s1, s2, probe=(0.3, 0.7)):
+def integrand_periodicity_residual(p, s1, s2):
     """Max relative defect of unit shifts of the inner-product integrand.
 
     The integrand s1 conj(s2) exp(-2 pi k y.Yy) must be 1-periodic in every
-    one of the 2n coordinates; this certifies lattice invariance before any
-    quadrature is trusted.
+    one of the 2n coordinates; this certifies lattice invariance, at the
+    probe x = 0.3, y = 0.7 in every coordinate, before any quadrature is
+    trusted.
     """
 
     def integrand(x, y):
@@ -324,8 +324,8 @@ def integrand_periodicity_residual(p, s1, s2, probe=(0.3, 0.7)):
         return v * hermitian_weight(p, y) ** s1.k
 
     n = p.n
-    x0 = np.full(n, probe[0])
-    y0 = np.full(n, probe[1])
+    x0 = np.full(n, 0.3)
+    y0 = np.full(n, 0.7)
     base = integrand(x0, y0)
     scale = max(abs(base), 1e-300)
     worst = 0.0

@@ -283,7 +283,7 @@ def _heat_defect(lhs, k, pairs, u, phases):
     return _abs(lhs - rhs) / np.maximum(scale, 1e-300)
 
 
-def heat_residual(p, label, z, i, j=None, policy=None):
+def heat_residual(p, label, z, i, j=None):
     """Relative residual of the heat identity.
 
     Both derivatives are evaluated over the same truncation set, so the
@@ -300,15 +300,14 @@ def heat_residual(p, label, z, i, j=None, policy=None):
     """
     pairs = list(i) if j is None else [(i, j)]
     k = label.k
-    if policy is None:
-        policy = truncation_radius(p, k, 1e-12, Derivative.dz2(0, 0))
+    policy = truncation_radius(p, k, 1e-12, Derivative.dz2(0, 0))
     u, lin, _ = _window(p, label, z, policy)
     phases = _phases(p.Z, k, u, lin)
     lhs = _termwise([Derivative.dZ(a, b) for a, b in pairs], k, u, phases)
     return _heat_shape(_heat_defect(lhs, k, pairs, u, phases), z, j)
 
 
-def heat_residual_fd(p, label, z, i, j=None, policy=None):
+def heat_residual_fd(p, label, z, i, j=None):
     """Heat identity with dZ replaced by a fourth-order central stencil.
 
     The symmetric entry pair (i, j), (j, i) is perturbed together, matching
@@ -323,8 +322,7 @@ def heat_residual_fd(p, label, z, i, j=None, policy=None):
     """
     pairs = list(i) if j is None else [(i, j)]
     k = label.k
-    if policy is None:
-        policy = truncation_radius(p, k, 1e-13, Derivative.dz2(0, 0))
+    policy = truncation_radius(p, k, 1e-13, Derivative.dz2(0, 0))
     u, lin, _ = _window(p, label, z, policy)
     h = 1e-4 * min(1, 8 / k)
     D = np.stack([_delta(p.n, a, b) for a, b in pairs])
@@ -368,21 +366,24 @@ def hermitian_weight(p, y):
     return float(np.exp(-2 * np.pi * (y @ p.Y @ y)))
 
 
-def quasi_periodicity_residual(p, label, z, lattice_index, policy=None):
+def quasi_periodicity_residual(p, label, z, lattice_index):
     """Relative defect of the lattice transformation law at tensor power k.
 
     For an x-direction (index < n) the theta value is 1-periodic; for a
     Z-direction (index n + i) it transforms by the k-th power of the
     multiplier.  Returns |theta(z + lam) - m^k theta(z)| over the larger of
-    the two magnitudes.
+    the two magnitudes, as |1 - rho| / max(1, |rho|) for the ratio
+    rho = m^k theta(z) / theta(z + lam).  Both sides may lie beyond float
+    range, so rho is formed from exp(k log m), the two scaled window sums
+    and their 2^e exponents, and never from the values themselves.
     """
     k = label.k
-    if policy is None:
-        policy = truncation_radius(p, k, 1e-12)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     shift, b = _lattice_vector(p, lattice_index)
-    mult = multiplier(p, b, z) ** k
-    lhs = theta_eval(p, label, z + shift, Derivative.value(), policy)
-    rhs = mult * theta_eval(p, label, z, Derivative.value(), policy)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
+    u, lin, e = _window(p, label, np.stack([z + shift, z]),
+                        truncation_radius(p, k, 1e-12))
+    shifted, base = _termwise([Derivative.value()], k, u, _phases(p.Z, k, u, lin))[:, 0]
+    # m^k = exp(k log m): a log off by 2 pi i n is exact for integer k
+    log_mk = k * np.log(multiplier(p, b, z))
+    rho = complex(np.exp(log_mk + (e[1] - e[0]) * math.log(2)) * base / shifted)
+    return abs(1 - rho) / max(1.0, abs(rho))

@@ -384,18 +384,22 @@ def loglog_order(ks, errs):
     return float(-slope)
 
 
-def _inverse_power_fit(k_values, order, sample):
-    """Least-squares fit of ``sample(k)`` ~ sum_{l <= order} c_l k^-l.
+# Highest power of 1/k in every expansion fit
+_FIT_ORDER = 3
+
+
+def _inverse_power_fit(k_values, sample):
+    """Least-squares fit of ``sample(k)`` ~ sum_{l <= _FIT_ORDER} c_l k^-l.
 
     ``sample(k)`` returns one value per fitted series at level k.  Returns
     the coefficients (row l holds c_l of every series) and the condition
     number of the Vandermonde matrix in 1/k.
     """
-    if len(k_values) < order + 2:
-        raise ValueError("need at least order + 2 levels for the fit")
+    if len(k_values) < _FIT_ORDER + 2:
+        raise ValueError(f"need at least {_FIT_ORDER + 2} levels for the fit")
     samples = np.asarray([sample(k) for k in k_values], dtype=complex)
     x = 1.0 / np.asarray(k_values, dtype=float)
-    V = np.vander(x, N=order + 1, increasing=True)
+    V = np.vander(x, N=_FIT_ORDER + 1, increasing=True)
     coefficients, *_ = np.linalg.lstsq(V, samples, rcond=None)
     sv = np.linalg.svd(V, compute_uv=False)
     return coefficients, float(sv[0] / sv[-1])
@@ -413,13 +417,13 @@ class ProductExpansionFit:
     ill_conditioned: bool = False
 
 
-def product_expansion_fit(p, f, g, k_values, order=3):
+def product_expansion_fit(p, f, g, k_values):
     """Fit the expansion T_f T_g ~ sum_l T_{c_l} k^{-l} from measured matrices.
 
     For every output mode the product matrix is projected onto the mode
     operator (orthogonal for distinct small modes under the pair trace) and
     the resulting scalar sequence is regressed on powers of 1/k.  Needs
-    len(k_values) >= order + 2 and min(k) large enough that distinct output
+    len(k_values) >= _FIT_ORDER + 2 and min(k) large enough that distinct output
     modes are incongruent.
     """
     k_values = tuple(int(k) for k in k_values)
@@ -439,7 +443,7 @@ def product_expansion_fit(p, f, g, k_values, order=3):
             out.append(prod.pair(B) / B.pair(B))
         return out
 
-    coeff_rows, cond = _inverse_power_fit(k_values, order, sample)
+    coeff_rows, cond = _inverse_power_fit(k_values, sample)
     coefficients = [
         FourierFunction(dict(zip(out_modes, row)), n=f.n)
         for row in coeff_rows
@@ -464,15 +468,15 @@ class C1Comparison:
     condition_number: float
 
 
-def c1_antisymmetry_constant(p, f, g, k_values, order=3):
+def c1_antisymmetry_constant(p, f, g, k_values):
     """Measure the global constant linking fitted c_1 antisymmetry to {f, g}.
 
     Fits both orderings, forms c_1(f,g) - c_1(g,f), and scales the
     Poisson-bracket operator onto it in the Hilbert-Schmidt sense.  The
     returned ``constant`` is the measured ratio against -i {f, g}.
     """
-    fit_fg = product_expansion_fit(p, f, g, k_values, order)
-    fit_gf = product_expansion_fit(p, g, f, k_values, order)
+    fit_fg = product_expansion_fit(p, f, g, k_values)
+    fit_gf = product_expansion_fit(p, g, f, k_values)
     anti = fit_fg.coefficients[1] - fit_gf.coefficients[1]
     kmax = max(k_values)
     A = WeylSymbol.toeplitz(p, kmax, anti)

@@ -22,7 +22,6 @@ from .fourier import FourierMode
 from .toeplitz import WeylSymbol, rescaled_toeplitz
 
 __all__ = [
-    "SurfaceData",
     "CurveClass",
     "holonomy_mode",
     "curve_operator",
@@ -31,21 +30,6 @@ __all__ = [
     "pairing_closed_form",
     "mapping_torus_invariant",
 ]
-
-
-@dataclass(frozen=True)
-class SurfaceData:
-    """Closed oriented surface of genus g with the standard homology basis."""
-
-    genus: int
-
-    def __post_init__(self):
-        if self.genus < 1:
-            raise ValueError("genus must be >= 1")
-
-    @property
-    def n(self):
-        return self.genus
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,18 @@ class TestRunAndCache:
         assert experiments._cache_key(m) != before
         assert not run_experiment(m).cache_hit
 
+    def test_cache_key_tracks_the_environment(self, tmp_path, monkeypatch):
+        # rows made under another numpy are not what this setup would produce
+        from thetaquant import experiments
+
+        m = parse_config("experiment = tqft, genus = 1, k = 5")
+        m.cache_dir = str(tmp_path)
+        before = experiments._cache_key(m)
+        run_experiment(m)
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        assert experiments._cache_key(m) != before
+        assert not run_experiment(m).cache_hit
+
     def test_tqft_experiment_values(self, tmp_path):
         m = parse_config("experiment = tqft, genus = 1, k = 5")
         m.cache_dir = str(tmp_path)
@@ -346,6 +358,45 @@ class TestRunAndCache:
         assert {row[k_column] for row in doc.rows} == {str(k) for k in m.k_values}
         assert all(row[-1] == "pass" for row in doc.rows)
         assert doc.extras == {}
+
+    def test_non_normal_flatness_point_fails_the_report(self):
+        # the refused point once added nothing to the verdicts, so the
+        # report passed over a point it never measured
+        m = parse_config("[flatness]\nn = 2\n"
+                         "Z = [[1i, 0], [0, 2i]]; [[1+1i, 0.5], [0.5, 2i]]")
+        doc = run_experiment(m, use_cache=False)
+        *measured, refused = doc.rows
+        assert measured and all(len(row) == 5 for row in measured)
+        assert len(refused) == 5 and refused[2].startswith("refused:")
+        assert [v["observed"] for v in doc.verdicts] == ["nan", "nan"]
+        assert not doc.passed
+        assert "overall: FAIL" in doc.summary_text()
+        assert "refused_levels" not in doc.extras
+
+    def test_tqft_refused_levels_are_named(self):
+        m = parse_config(
+            "experiment = tqft\ngenus = 1\nk = 5, 8192\nmodes = 1,0; 0,1"
+        )
+        doc = run_experiment(m, use_cache=False)
+        assert doc.extras == {"refused_levels": "8192"}
+
+    @pytest.mark.parametrize("text, levels", [
+        ("experiment = gram, n = 1, k = 8, Z = i, grid = 4", "8"),
+        ("experiment = toeplitz-compare, n = 1, k = 8, Z = i, grid = 4", "8"),
+        ("experiment = covariance, n = 1, k = 2, 524288", "524288"),
+        ("experiment = trace-lemma, n = 2, k = 2, 64", "64"),
+        ("[flatness]\nn = 2\nZ = [[1i, 0], [0, 2i]]; [[1+1i, 0.5], [0.5, 2i]]\n"
+         "modes = 1,0,0,0", None),
+        ("experiment = tqft\ngenus = 1\nk = 5, 8192\nmodes = 1,0; 0,1", "8192"),
+    ], ids=["gram", "toeplitz-compare", "covariance", "trace-lemma", "flatness",
+            "tqft"])
+    def test_refused_cells_fill_their_row_and_fail_every_verdict(self, text, levels):
+        doc = run_experiment(parse_config(text), use_cache=False)
+        assert all(len(row) == len(doc.columns) for row in doc.rows)
+        assert any(cell.startswith("refused:") for row in doc.rows for cell in row)
+        assert all(v["observed"] == "nan" for v in doc.verdicts)
+        assert not any(v["passed"] for v in doc.verdicts)
+        assert doc.extras.get("refused_levels") == levels
 
     def test_covariance_columns_above_the_limit_are_refused(self):
         m = parse_config("experiment = covariance, n = 1, k = 2, 524288")

@@ -183,6 +183,17 @@ def test_sup_is_bracketed_by_the_dense_grid(f):
     assert sup.method == ("line" if line else "torus")
 
 
+def test_tiny_and_huge_coefficients_do_not_overflow():
+    # the Newton Hessian scales like |c|^2; its pseudo-inverse overflowed
+    # at |c| = 3.8e-155
+    for scale in (3.84759e-155, 1e-300, 2.22507e-311, 1e200):
+        for f in (FourierFunction({((0,), (1,)): scale}),
+                  FourierFunction({((1,), (0,)): scale, ((0,), (1,)): scale})):
+            sup = sup_abs(f)
+            assert sup.value == pytest.approx(scale * len(f.terms), rel=1e-12)
+            assert 0 <= sup.gap < sup.value
+
+
 def test_two_cosine_sup_is_two():
     f = FourierFunction({((1,), (0,)): 1.0, ((-1,), (0,)): 1.0})
     sup = sup_abs(f)

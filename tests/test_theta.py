@@ -240,6 +240,17 @@ class TestQuasiPeriodicity:
         for idx in range(4):
             assert quasi_periodicity_residual(point_n2, lab, zz, idx) < 1e-10
 
+    @pytest.mark.parametrize("z", Z_LIST)
+    @pytest.mark.parametrize("k", [128, 256, 1024, 4096])
+    def test_large_levels_do_not_overflow(self, z, k):
+        # m^k and theta(z + Z) were formed as values and overflowed from
+        # k = 128; the ratio of the two sides is in float range
+        p = SiegelPoint(z)
+        lab = ThetaLabel(k, (1,))
+        for idx in (0, 1):
+            res = quasi_periodicity_residual(p, lab, 0.13 + 0.2j, idx)
+            assert np.isfinite(res) and res < 1e-10
+
 
 def _reference_heat_residuals(p, label, z, i, j, h=1e-4):
     """Both heat residuals through theta_eval, with the fd stencil evaluated

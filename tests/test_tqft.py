@@ -6,7 +6,6 @@ from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import loglog_order, operator_norm
 from thetaquant.tqft import (
     CurveClass,
-    SurfaceData,
     curve_operator,
     curve_pairing,
     holonomy_mode,
@@ -30,8 +29,6 @@ class TestCurveClasses:
     def test_genus_two_basis(self):
         a2 = CurveClass.a_cycle(2, 1)
         assert holonomy_mode(a2).r == (0, 1)
-        with pytest.raises(ValueError):
-            SurfaceData(0)
 
 
 class TestCurveOperators:
