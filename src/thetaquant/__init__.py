@@ -40,6 +40,7 @@ from .toeplitz import (
     hs_inner,
     operator_norm,
     product_expansion_fit,
+    quadrature_deviation,
     rescaled_toeplitz,
     toeplitz_function,
     toeplitz_mode_closed_form,

@@ -38,7 +38,7 @@ from .sections import (
 )
 from .siegel import InvalidPointError, SiegelPoint
 from .theta import Derivative, ThetaLabel, theta_eval
-from .toeplitz import toeplitz_mode_closed_form, toeplitz_mode_quadrature
+from .toeplitz import quadrature_deviation
 from .tqft import CurveClass, mapping_torus_invariant
 
 
@@ -177,9 +177,7 @@ def _cmd_toeplitz_compare(args):
     r, s = _parse_mode(args.mode, p.n)
     m_max = max(abs(x) for x in r + s) if r + s else 0
     N = args.grid or required_grid_size(p, args.k, m_max)
-    closed = toeplitz_mode_closed_form(p, args.k, (r, s))
-    quad = toeplitz_mode_quadrature(p, args.k, (r, s), QuadratureGrid(N, p.n))
-    diff = float(np.max(np.abs(closed.entries - quad.entries)))
+    (diff,) = quadrature_deviation(p, args.k, [(r, s)], QuadratureGrid(N, p.n)).tolist()
     tol = _default_tol("toeplitz-compare", p.n, args.tol)
     status = "PASS" if diff < tol else "FAIL"
     print(f"max entry difference = {diff:.3e}  (tolerance {tol:g})  {status}")

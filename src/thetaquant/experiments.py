@@ -55,8 +55,8 @@ from .toeplitz import (
     hs_inner,
     loglog_order,
     product_expansion_fit,
+    quadrature_deviation,
     toeplitz_mode_closed_form,
-    toeplitz_modes_quadrature,
     trace_pair_closed_form,
 )
 
@@ -296,11 +296,9 @@ def _run_toeplitz_compare(m):
         for k in m.k_values:
             grid = _grid_for(m, p, k, m_max)
             with sweep.cell(k, lambda why: [k, point, grid.N, "", "", np.nan, why]):
-                quads = toeplitz_modes_quadrature(p, k, modes, grid)
-                for mm, (r, s) in zip(modes, labels):
-                    closed = toeplitz_mode_closed_form(p, k, mm)
-                    diff = float(np.max(np.abs(closed.entries - quads[mm].entries)))
-                    diffs.append(diff)
+                devs = quadrature_deviation(p, k, modes, grid).tolist()
+                diffs.extend(devs)
+                for (r, s), diff in zip(labels, devs):
                     sweep.rows.append(
                         [k, point, grid.N, r, s, diff, "pass" if diff < tol else "fail"]
                     )
@@ -550,6 +548,7 @@ def _run_flatness(m):
     tol = _default_tol(m.experiment, m.n, m.tol)
     tol_fd = 1e-5
     modes = _mode_list(m, 3)
+    labels = _mode_labels(modes)
     sweep = _Sweep(["mode_r", "mode_s", "direction", "residual_analytic", "residual_fd"],
                    "flatness-analytic", "flatness-fd")
     residuals, residuals_fd = sweep.values.values()
@@ -563,17 +562,15 @@ def _run_flatness(m):
         with sweep.cell(None, lambda why: ["", "", why, np.nan, np.nan]):
             per_direction = [
                 (("dZ" if v.holomorphic else "dZbar") + f"[{v.i},{v.j}]",
-                 formal_hitchin_residual(p, modes, v),
-                 formal_hitchin_residual(p, modes, v, fd_step=1e-4))
+                 formal_hitchin_residual(p, modes, v).tolist(),
+                 formal_hitchin_residual(p, modes, v, fd_step=1e-4).tolist())
                 for v in dirs
             ]
-            for a, mm in enumerate(modes):
+            for a, (r, s) in enumerate(labels):
                 for name, res, fd in per_direction:
                     residuals.append(res[a])
                     residuals_fd.append(fd[a])
-                    sweep.rows.append(
-                        [fmt_ints(mm.r), fmt_ints(mm.s), name, res[a], fd[a]]
-                    )
+                    sweep.rows.append([r, s, name, res[a], fd[a]])
     return sweep.report([sweep.below("flatness-analytic", tol),
                          sweep.below("flatness-fd", tol_fd)])
 

@@ -338,15 +338,21 @@ def integrand_periodicity_residual(p, s1, s2):
 
 
 def _pairing_bytes(p, k, grid, n_modes):
-    """Bytes :func:`_frame_pairings` holds at once for ``n_modes`` modes.
+    """Bytes the quadrature of ``n_modes`` modes holds at once, an upper bound.
 
-    The Gaussian box and one product on it, the folded sums with one run's
-    sum and their spectra, k^n N^n each, and the k^n x k^n outputs.
+    The Gaussian box and one product on it; the box's axis and its scaled
+    copy, which the n = 1 box build holds with them; one group's folded sums
+    with one run's sum, and their spectra (one more inside the n = 2 FFT),
+    k^n N^n each; the numpy ufunc buffers of the three operands of a cast
+    or strided sum; the k^n x k^n outputs; and four arrays of the M k^n
+    closed-form columns that :func:`toeplitz.quadrature_deviation`
+    subtracts from the outputs.
     """
     n, N = p.n, grid.N
     width = k * (2 * _window_half(p, k, grid) + 1)
-    box = _FineLattice.box_size(k, N, width) ** n
-    return 16 * (2 * box + 3 * (k * N) ** n + n_modes * k ** (2 * n))
+    size = _FineLattice.box_size(k, N, width)
+    arrays = 2 * size**n + 3 * (k * N) ** n + n_modes * (k ** (2 * n) + 4 * k**n)
+    return 16 * (arrays + 3 * np.getbufsize()) + 24 * size
 
 
 def _check_grid(p, k, grid, m_max=0, n_modes=1):
@@ -373,15 +379,16 @@ def _frame_norm(p, k):
 
 
 def _frame_pairings(p, k, grid, modes):
-    """Normalized frame pairings, one k^n x k^n matrix per Fourier mode.
+    """Normalized frame pairings of the Fourier modes, as one array of shape
+    (M, k^n, k^n): one k^n x k^n matrix per mode.
 
-    Entry (a, b) for the mode m = (r, s) is _frame_norm times the grid mean
-    of theta_a conj(theta_b) exp(-2 pi k y.Yy) F_m over the N^{2n} nodes.
-    The x-sum is done exactly: sum_j exp(2 pi i q.j / N) is N^n when
-    q = 0 mod N and 0 otherwise, so lattice term (a, l) meets term (b, l')
-    only when k u_{b,l'} = k u_{a,l} + d for an integer vector d = r mod N;
-    every such d in the window is kept, aliased ones too.  The y-phases
-    cancel in the product of the two terms, which is then
+    Entry (i, a, b) for the mode m = modes[i] = (r, s) is _frame_norm times
+    the grid mean of theta_a conj(theta_b) exp(-2 pi k y.Yy) F_m over the
+    N^{2n} nodes.  The x-sum is done exactly: sum_j exp(2 pi i q.j / N) is
+    N^n when q = 0 mod N and 0 otherwise, so lattice term (a, l) meets term
+    (b, l') only when k u_{b,l'} = k u_{a,l} + d for an integer vector
+    d = r mod N; every such d in the window is kept, aliased ones too.  The
+    y-phases cancel in the product of the two terms, which is then
     G[c] conj(G[c + (N/g) d]) on the fine lattice of :class:`_FineLattice`.
     For each d that product is formed once on the box, and the terms of
     every label a are summed over the window rows whose partner lies in the
@@ -402,7 +409,7 @@ def _frame_pairings(p, k, grid, modes):
     by_r = {}
     for i, m in enumerate(modes):
         by_r.setdefault(m.r, []).append(i)
-    out = [np.zeros((dim, dim), dtype=complex) for _ in modes]
+    out = np.zeros((len(modes), dim, dim), dtype=complex)
     for r, members in by_r.items():
         # the offsets d = r mod N with |d| < width on each axis, grouped by
         # d mod k, which fixes the partner label b = a + d mod k
@@ -421,6 +428,8 @@ def _frame_pairings(p, k, grid, modes):
             for i in members:
                 s = tuple(si % N for si in modes[i].s)
                 out[i][a_index, b_index] += norm * spectra[(Ellipsis, *s)].ravel()
+            # freed before the next group's fold, so that one never holds them
+            del folded, spectra
     return out
 
 

@@ -54,7 +54,12 @@ each frequency offset are folded over the window by strided sums, and one
 FFT over the y-nodes gives every mode sharing r.  Its memory is
 O(box + k^n N^n) plus the outputs, and grids whose pairings would hold
 more than the 1 GiB limit of ``fourier.check_bytes`` are refused, with
-SizeLimitError, before allocation.
+SizeLimitError, before allocation.  The ``toeplitz-compare`` runner and the
+CLI verb compare it with the closed form through
+:func:`quadrature_deviation`: one stack of pairings per (point, level), from
+which eta_k(m) W_k(m) is subtracted in place at the one nonzero of each
+column, with no dense closed form.  The dense route, ``to_dense`` of each
+mode against ``toeplitz_modes_quadrature``, is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ __all__ = [
     "toeplitz_mode_closed_form",
     "toeplitz_mode_quadrature",
     "toeplitz_modes_quadrature",
+    "quadrature_deviation",
     "toeplitz_function",
     "rescaled_toeplitz",
     "operator_norm",
@@ -277,6 +283,15 @@ def rescaled_toeplitz(p, k, m):
     return WeylSymbol(k, p, {m: 1.0}).to_dense()
 
 
+def _checked_pairings(p, k, modes, grid):
+    """The frame pairings of ``modes`` (a nonempty list of FourierModes), one
+    (k^n, k^n) matrix per mode, after the grid check of their bandwidth and
+    of the memory they need."""
+    m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
+    _check_grid(p, k, grid, m_max=m_max, n_modes=len(modes))
+    return _frame_pairings(p, k, grid, modes)
+
+
 def toeplitz_modes_quadrature(p, k, modes, grid):
     """Quadrature matrices for several modes sharing one set of lattice terms.
 
@@ -287,13 +302,30 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     modes = [FourierMode.coerce(m) for m in modes]
     if not modes:
         return {}
-    m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
-    _check_grid(p, k, grid, m_max=m_max, n_modes=len(modes))
-    pairings = _frame_pairings(p, k, grid, modes)
+    pairings = _checked_pairings(p, k, modes, grid)
     return {
         m: OperatorMatrix(k, p.n, pairing.T)
         for m, pairing in zip(modes, pairings)
     }
+
+
+def quadrature_deviation(p, k, modes, grid):
+    """max |eta_k(m) W_k(m) - quadrature| over the entries, for each mode.
+
+    The closed form is subtracted in place from the stack of frame pairings,
+    which holds each quadrature matrix transposed: W_k(m) has one nonzero
+    per column a, in row a + r mod k (:func:`_clock_shift_columns`), so no
+    dense closed form is built.  Returns an array of shape (M,).
+    """
+    modes = [FourierMode.coerce(m) for m in modes]
+    if not modes:
+        return np.zeros(0)
+    stack = _checked_pairings(p, k, modes, grid)
+    rows, values = _clock_shift_columns(k, p.n, modes)
+    M, dim = rows.shape
+    closed = eta(p, k, modes)[:, None] * values
+    stack[np.arange(M)[:, None], np.arange(dim), rows] -= closed
+    return np.array([np.abs(pairing).max() for pairing in stack])
 
 
 def toeplitz_mode_quadrature(p, k, m, grid):

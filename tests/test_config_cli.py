@@ -14,7 +14,7 @@ from thetaquant.config import (
 from thetaquant.experiments import emit_outputs, fmt_ints, run_experiment
 from thetaquant.sections import required_grid_size
 from thetaquant.siegel import SiegelPoint
-from thetaquant.toeplitz import WeylSymbol
+from thetaquant.toeplitz import OperatorMatrix, WeylSymbol
 
 
 class TestParsing:
@@ -309,6 +309,23 @@ class TestRunAndCache:
             doc = run_experiment(parse_config(text), use_cache=False)
             assert doc.passed, text
             assert all(row[-1] == "pass" for row in doc.rows)
+
+    def test_quadrature_sweeps_build_no_dense_operator(self, monkeypatch):
+        # toeplitz-compare once built a dense closed form and copied a
+        # transposed quadrature matrix for every mode
+        def no_dense(self, *args):
+            raise AssertionError("dense operator built")
+
+        monkeypatch.setattr(WeylSymbol, "to_dense", no_dense)
+        monkeypatch.setattr(OperatorMatrix, "__post_init__", no_dense)
+        for text in ("experiment = gram\nn = 1\nk = 8, 16, 24, 32\n"
+                     "Z = i; 1+2i; 0.5+0.7i",
+                     "experiment = gram\nn = 2\nk = 2, 3",
+                     "experiment = toeplitz-compare\nn = 1\nk = 4, 8, 12, 16\n"
+                     "Z = i; 1+2i; 0.5+0.7i",
+                     "experiment = toeplitz-compare\nn = 2\nk = 2"):
+            doc = run_experiment(parse_config(text), use_cache=False)
+            assert doc.passed, text
 
     def test_n2_defaults_embed_the_n1_modes(self):
         # without modes both once ended in a traceback at n = 2

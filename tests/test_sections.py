@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thetaquant
 from thetaquant.fourier import FourierMode
 from thetaquant.sections import (
     GridError,
@@ -181,6 +187,53 @@ class TestFramePairings:
         ku, _ = _lattice_terms(p, 32, grid)
         assert ku.max() - ku.min() + 1 > grid.N
         assert len(np.unique(ku % grid.N)) < ku.size
+
+
+# Traced peak of gram_matrix and of the 25-mode quadrature_deviation against
+# _pairing_bytes, printed as JSON.  It runs in a fresh interpreter: in a long
+# process the traced peak also depends on the blocks earlier calls left.
+_PEAK_SCRIPT = """
+import ast, gc, json, sys, tracemalloc
+from thetaquant.fourier import FourierMode
+from thetaquant.sections import _pairing_bytes, gram_matrix, suggest_grid
+from thetaquant.siegel import SiegelPoint
+from thetaquant.toeplitz import quadrature_deviation
+
+p, k = SiegelPoint(ast.literal_eval(sys.argv[1])), int(sys.argv[2])
+zero, span = (0,) * (p.n - 1), range(-2, 3)
+modes = [FourierMode((r,) + zero, (s,) + zero) for r in span for s in span]
+grid, grid_modes = suggest_grid(p, k), suggest_grid(p, k, m_max=2)
+runs = {"gram": (lambda: gram_matrix(p, k, grid), _pairing_bytes(p, k, grid, 1)),
+        "deviation": (lambda: quadrature_deviation(p, k, modes, grid_modes),
+                      _pairing_bytes(p, k, grid_modes, len(modes)))}
+out = {}
+for name, (run, bound) in runs.items():
+    run()
+    gc.collect()
+    tracemalloc.start()
+    run()
+    out[name] = (tracemalloc.get_traced_memory()[1], bound)
+    tracemalloc.stop()
+print(json.dumps(out))
+"""
+
+
+class TestPairingBytes:
+    # the estimate once missed the ufunc buffers and the n = 1 box build
+    # (the n = 1, k = 16 Gram traced 0.13 MiB against 0.06), and the
+    # quadrature held one offset group's spectra through the next group's
+    # fold (the n = 2, k = 16 deviation traced 117 MiB against 108)
+    @pytest.mark.parametrize("Z, k", [
+        ("1j", 16), ("1j", 64), ("[[1j, 0], [0, 2j]]", 6), ("[[1j, 0], [0, 2j]]", 16),
+    ])
+    def test_estimate_bounds_the_traced_peak(self, Z, k):
+        src = Path(thetaquant.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, Z, str(k)],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        for name, (peak, bound) in json.loads(done.stdout).items():
+            assert peak <= bound, (name, peak, bound)
 
 
 class TestGram:

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetaquant.fourier import FourierFunction, FourierMode
-from thetaquant.sections import QuadratureGrid, required_grid_size
+from thetaquant.sections import GridError, QuadratureGrid, required_grid_size
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import (
     OperatorMatrix,
@@ -16,6 +18,7 @@ from thetaquant.toeplitz import (
     loglog_order,
     operator_norm,
     product_expansion_fit,
+    quadrature_deviation,
     rescaled_toeplitz,
     toeplitz_function,
     toeplitz_mode_closed_form,
@@ -37,6 +40,34 @@ Z_N2_NON_NORMAL = [
 
 def grid_for(p, k, m_max=0):
     return QuadratureGrid(required_grid_size(p, k, m_max), p.n)
+
+
+@st.composite
+def deviation_cases(draw):
+    """A point, a level k <= 8 (k <= 4 at n = 2), a grid at or above the
+    bandwidth rule and modes that include |r|, |s| > k, r = 0 mod k and two
+    modes congruent mod k."""
+    Z = draw(st.sampled_from(Z_LIST + [[[1j, 0], [0, 2j]], [[2j, 0.5j], [0.5j, 1j]]]
+                             + Z_N2_NON_NORMAL))
+    p = SiegelPoint(Z)
+    n = p.n
+    k = draw(st.integers(1, 8 if n == 1 else 4))
+    entry = st.integers(-2 * k - 1, 2 * k + 1)
+    vector = st.tuples(*[entry] * n)
+    modes = [FourierMode(*rs) for rs in
+             draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=3))]
+    lift = draw(st.tuples(*[st.integers(-2, 2)] * (2 * n)))
+    first = modes[0].r + modes[0].s
+    shifted = tuple(a + k * b for a, b in zip(first, lift))
+    multiple = tuple(k * b for b in draw(st.tuples(*[st.integers(-2, 2)] * n)))
+    modes += [
+        FourierMode(shifted[:n], shifted[n:]),
+        FourierMode(multiple, draw(vector)),
+        FourierMode((k + 1,) + (0,) * (n - 1), (-k - 2,) + (0,) * (n - 1)),
+    ]
+    m_max = max(max(abs(x) for x in m.r + m.s) for m in modes)
+    N = required_grid_size(p, k, m_max) + draw(st.integers(0, 3))
+    return p, k, modes, QuadratureGrid(N, n)
 
 
 class TestEta:
@@ -139,11 +170,24 @@ class TestQuadratureOracle:
         assert np.max(np.abs(B.entries - A.entries.conj().T)) < 1e-8
 
     def test_refuses_coarse_grid(self):
-        from thetaquant.sections import GridError
-
         p = SiegelPoint(1j)
         with pytest.raises(GridError):
             toeplitz_mode_quadrature(p, 4, ((1,), (0,)), QuadratureGrid(8, 1))
+        with pytest.raises(GridError):
+            quadrature_deviation(p, 4, [((1,), (0,))], QuadratureGrid(8, 1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(deviation_cases())
+    def test_deviation_is_the_dense_difference(self, case):
+        # the in-place comparison against max |closed form - quadrature| of
+        # the dense matrices, bit for bit
+        p, k, modes, grid = case
+        quads = toeplitz_modes_quadrature(p, k, modes, grid)
+        want = [np.max(np.abs(toeplitz_mode_closed_form(p, k, m).entries
+                              - quads[m].entries)) for m in modes]
+        got = quadrature_deviation(p, k, modes, grid)
+        assert got.shape == (len(modes),)
+        assert got.tolist() == want
 
     def test_n2_agreement(self, point_n2):
         k = 2
