@@ -16,6 +16,7 @@ from .siegel import (
 from .theta import (
     Derivative,
     ThetaLabel,
+    TruncationError,
     TruncationPolicy,
     heat_residual,
     quasi_periodicity_residual,

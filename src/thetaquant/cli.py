@@ -37,7 +37,7 @@ from .sections import (
     required_grid_size,
 )
 from .siegel import InvalidPointError, SiegelPoint
-from .theta import Derivative, ThetaLabel, theta_eval
+from .theta import Derivative, ThetaLabel, TruncationError, theta_eval
 from .toeplitz import quadrature_deviation
 from .tqft import CurveClass, mapping_torus_invariant
 
@@ -243,7 +243,7 @@ def main(argv=None):
         if args.verb == "tqft":
             return _cmd_tqft_invariant(args)
     except (ConfigError, InvalidPointError, GridError, SizeLimitError,
-            OverflowError) as exc:
+            TruncationError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable verb")

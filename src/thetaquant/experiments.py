@@ -5,9 +5,10 @@ and produces a :class:`ReportDocument` whose CSV rendering is byte-stable:
 cell values are formatted once (floats at 17 significant digits, complex as
 ``a+bi``) and the cache stores the formatted rows keyed by a content hash of
 the manifest, the package sources and the Python and numpy versions.  In
-the sweep runners a refused cell (a coarse grid, a non-normal point, an
-array refused for its size before allocation) becomes a failed row with its
-reason and a NaN in every verdict, never a crash; ``bms`` measures one
+the sweep runners a refused cell (a coarse grid, a non-normal point, a
+point whose theta sums no certified radius truncates, an array refused for
+its size before allocation) becomes a failed row with its reason and a NaN
+in every verdict, never a crash; ``bms`` measures one
 operator norm and one sup per report, and its refusals end the run with
 the error (exit code 2 in the CLI).  A verdict fails when what it measured
 is NaN or when it measured nothing.
@@ -47,7 +48,7 @@ from .tqft import (
     mapping_torus_invariant,
     pairing_limit_experiment,
 )
-from .theta import ThetaLabel, heat_residual, heat_residual_fd
+from .theta import ThetaLabel, TruncationError, heat_residual, heat_residual_fd
 from .toeplitz import (
     bms_experiment,
     c1_antisymmetry_constant,
@@ -194,12 +195,13 @@ class _Sweep:
 
     ``cell(k, refused_row)`` runs one (point, level) measurement, which adds
     its rows to ``rows`` and its values to ``values[verdict]`` only after
-    the last call that can refuse.  A GridError, SizeLimitError or
-    NonNormalError raised inside it is the one refusal path: the row
-    ``refused_row("refused: <reason>")``, which places the reason and has
-    ``len(columns)`` cells, is added, every verdict's list gets a NaN, so
-    every verdict fails, and ``k`` joins the ``refused_levels`` extra (a
-    cell with ``k`` None, which sweeps no level, adds none).
+    the last call that can refuse.  A GridError, SizeLimitError,
+    NonNormalError or TruncationError raised inside it is the one refusal
+    path: the row ``refused_row("refused: <reason>")``, which places the
+    reason and has ``len(columns)`` cells, is added, every verdict's list
+    gets a NaN, so every verdict fails, and ``k`` joins the
+    ``refused_levels`` extra (a cell with ``k`` None, which sweeps no level,
+    adds none).
     """
 
     def __init__(self, columns, *verdicts):
@@ -212,7 +214,7 @@ class _Sweep:
     def cell(self, k, refused_row):
         try:
             yield
-        except (GridError, SizeLimitError, NonNormalError) as exc:
+        except (GridError, SizeLimitError, NonNormalError, TruncationError) as exc:
             self.rows.append(refused_row(f"refused: {exc}"))
             for values in self.values.values():
                 values.append(np.nan)
@@ -272,13 +274,15 @@ def _run_gram(m):
     for p in m.points:
         point = fmt_point(p)
         for k in m.k_values:
-            grid = _grid_for(m, p, k)
-            with sweep.cell(k, lambda why: [m.n, k, point, grid.N, np.nan, why]):
+            N = ""  # until the grid is certified
+            with sweep.cell(k, lambda why: [m.n, k, point, N, np.nan, why]):
+                grid = _grid_for(m, p, k)
+                N = grid.N
                 G = gram_matrix(p, k, grid)
                 dev = float(np.max(np.abs(G - np.eye(k**p.n))))
                 sweep.values["gram-identity"].append(dev)
                 sweep.rows.append(
-                    [m.n, k, point, grid.N, dev, "pass" if dev < tol else "fail"]
+                    [m.n, k, point, N, dev, "pass" if dev < tol else "fail"]
                 )
     return sweep.report([sweep.below("gram-identity", tol)])
 
@@ -294,13 +298,15 @@ def _run_toeplitz_compare(m):
     for p in m.points:
         point = fmt_point(p)
         for k in m.k_values:
-            grid = _grid_for(m, p, k, m_max)
-            with sweep.cell(k, lambda why: [k, point, grid.N, "", "", np.nan, why]):
+            N = ""  # until the grid is certified
+            with sweep.cell(k, lambda why: [k, point, N, "", "", np.nan, why]):
+                grid = _grid_for(m, p, k, m_max)
+                N = grid.N
                 devs = quadrature_deviation(p, k, modes, grid).tolist()
                 diffs.extend(devs)
                 for (r, s), diff in zip(labels, devs):
                     sweep.rows.append(
-                        [k, point, grid.N, r, s, diff, "pass" if diff < tol else "fail"]
+                        [k, point, N, r, s, diff, "pass" if diff < tol else "fail"]
                     )
     return sweep.report([sweep.below("closed-form-vs-quadrature", tol)])
 
@@ -308,7 +314,6 @@ def _run_toeplitz_compare(m):
 def _run_heat_identity(m):
     tol = _default_tol(m.experiment, m.n, m.tol)
     tol_fd = 1e-8
-    # the heat residuals refuse nothing, so no cell is needed
     sweep = _Sweep(["n", "k", "Z", "z", "i", "j", "residual", "residual_fd", "status"],
                    "heat-identity-termwise", "heat-identity-fd")
     residuals, residuals_fd = sweep.values.values()
@@ -319,16 +324,19 @@ def _run_heat_identity(m):
         shown = [fmt_complex(z[0]) for z in probes]
         for k in m.k_values:
             label = ThetaLabel(k, (0,) * (p.n - 1) + (min(1, k - 1),))
-            res = heat_residual(p, label, probes, pairs).tolist()
-            fd = heat_residual_fd(p, label, probes, pairs).tolist()
-            for z, res_z, fd_z in zip(shown, res, fd):
-                residuals.extend(res_z)
-                residuals_fd.extend(fd_z)
-                for (i, j), r, f in zip(pairs, res_z, fd_z):
-                    ok = r < tol and f < tol_fd
-                    sweep.rows.append(
-                        [p.n, k, point, z, i, j, r, f, "pass" if ok else "fail"]
-                    )
+            # a point whose theta sums no radius can truncate is refused
+            with sweep.cell(k, lambda why: [p.n, k, point, "", "", "",
+                                            np.nan, np.nan, why]):
+                res = heat_residual(p, label, probes, pairs).tolist()
+                fd = heat_residual_fd(p, label, probes, pairs).tolist()
+                for z, res_z, fd_z in zip(shown, res, fd):
+                    residuals.extend(res_z)
+                    residuals_fd.extend(fd_z)
+                    for (i, j), r, f in zip(pairs, res_z, fd_z):
+                        ok = r < tol and f < tol_fd
+                        sweep.rows.append(
+                            [p.n, k, point, z, i, j, r, f, "pass" if ok else "fail"]
+                        )
     return sweep.report([sweep.below("heat-identity-termwise", tol),
                          sweep.below("heat-identity-fd", tol_fd)])
 

@@ -15,16 +15,19 @@ Fourier mode F_{r,s}; the x-sum of the pairing is exact by the
 orthogonality of the grid characters, which leaves a sum over the N^n
 y-nodes for each pair of lattice terms whose frequencies k u + r meet
 mod N.  In that product the y-phases cancel and the Gaussians sit on one
-fine lattice of step gcd(k, N)/(kN): it is evaluated once per node, and
-for each offset d = r mod N between the frequencies the products of all
-labels are folded by strided sums and one FFT over the y-nodes.  Memory
-is O(box + k^n N^n) for a box of about (k N (L + 1) / gcd(k, N))^n nodes
-over a window of L^n lattice terms, plus the k^n x k^n outputs; the k^n x N^{2n}
-frame itself is built only on request.  The normalized variant multiplies
-by sqrt(2^n k^n det Y), making the theta frame orthonormal.  Grid sizes
-follow the bandwidth rule N >= 4 (k R + m_max) with R the theta truncation
-radius and m_max the largest extra Fourier frequency in the integrand;
-grids whose pairings would hold more than the 1 GiB limit of
+fine lattice of step gcd(k, N)/(kN): it is evaluated once per node, from
+per-axis terms (an outer product of their exponentials when Z is
+diagonal), and for each offset d = r mod N between the frequencies the
+products of all labels are folded by strided sums and one inverse FFT over
+the y-nodes, computed in place.  Memory is O(box + k^n N^n) for a box of
+about (k N (L + 1) / gcd(k, N))^n nodes over a window of L^n lattice terms,
+plus the k^n x k^n outputs; the k^n x N^{2n} frame itself is built only on
+request.  The normalized variant multiplies by sqrt(2^n k^n det Y), making
+the theta frame orthonormal.  Grid sizes follow the bandwidth rule
+N >= 4 (k R + m_max) in x, with R the theta truncation radius and m_max
+the largest extra Fourier frequency in the integrand, raised where the
+y-Gaussians of a large Y would alias (:func:`required_grid_size`); grids
+whose pairings would hold more than the 1 GiB limit of
 :func:`fourier.check_bytes` are refused, with SizeLimitError, before
 anything is allocated.
 """
@@ -34,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -124,9 +128,79 @@ class QuadratureGrid:
 
 
 def required_grid_size(p, k, m_max=0, epsilon=DEFAULT_EPSILON):
-    """Bandwidth-sufficient node count: 4 (k ceil(R) + m_max)."""
+    """Bandwidth-sufficient node count.
+
+    The x-rule 4 (k ceil(R) + m_max), R the theta truncation radius, or the
+    smallest N above it whose certified y-aliasing tail
+    (:func:`_y_alias_tail`) is below epsilon, when the x-rule's is not.
+    """
     policy = truncation_radius(p, k, epsilon)
-    return 4 * (k * int(math.ceil(policy.radius)) + int(m_max))
+    N = 4 * (k * int(math.ceil(policy.radius)) + int(m_max))
+
+    def certified(N):
+        return _y_alias_tail(p, k, m_max, N, epsilon) < epsilon
+
+    if certified(N):
+        return N
+    # the tail falls as N grows: double past it, then bisect
+    lo, hi = N, 2 * N
+    while not certified(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if certified(mid) else (mid, hi)
+    return hi
+
+
+def _shell(n, t):
+    """Integer vectors of sup norm t in dimension n."""
+    return (2 * t + 1) ** n - (2 * t - 1) ** n if t else 1
+
+
+def _y_alias_tail(p, k, m_max, N, epsilon):
+    """Certified bound on the y-aliasing error of the N-node rule, normalized.
+
+    Lattice terms u and u + d/k of the pairing under the mode (r, s) meet
+    only for d = r + N e, e integer, since the x-sum is exact; they meet in
+    the y-Gaussian exp(-2 pi k w.Yw), w = u + y + d/(2k), of weight
+    exp(-pi d.Yd/(2k)) at the y-frequency s - X d.  Unfolded over the
+    lattice, the N-node y-sum of its normalized transform, which decays as
+    exp(-pi xi.Y^-1 xi/(2k)), aliases at the frequencies N j, j != 0.  With
+    a = pi/(2k lmax) and b = pi lmin/(2k), lmin and lmax the extreme
+    eigenvalues of Y (lmax <= tr Y - (n - 1) lmin, exact for n <= 2), the
+    error is at most, shell by shell in the sup norms t of e and t_j of j,
+
+        A(S_0) + sum_{t >= 1} |shell t| exp(-b (N t - m_max)^2) A(S_t),
+        A(S) = sum_{t_j >= 1} |shell t_j| exp(-a max(0, t_j N - S)^2),
+
+    where S_t = sqrt(n) (m_max (1 + |X|_F) + |X|_F N t) bounds |s - X d|.
+    The shells t_j N <= S count (2 floor(S/N) + 1)^n - 1 at factor 1; each
+    sum stops past its peak once a term is below epsilon 1e-8, as in
+    truncation_radius.
+    """
+    n, lmin = p.n, p.min_eig_Y
+    lmax = sum(p.Y.diagonal().tolist()) - (n - 1) * lmin
+    a, b = math.pi / (2 * k * lmax), math.pi * lmin / (2 * k)
+    x_norm = math.sqrt(sum(x * x for x in p.X.ravel().tolist()))
+
+    def alias(t):
+        S = math.sqrt(n) * (m_max * (1 + x_norm) + x_norm * N * t)
+        inside = math.floor(S / N)
+        total = (2 * inside + 1) ** n - 1
+        for tj in itertools.count(inside + 1):
+            gap = tj * N - S
+            term = _shell(n, tj) * math.exp(-a * gap * gap)
+            total += term
+            if term < epsilon * 1e-8 and 2 * a * N * gap * tj >= n - 1:
+                return total
+
+    tail = alias(0)
+    for t in itertools.count(1):
+        gap = max(0.0, N * t - m_max)
+        term = _shell(n, t) * math.exp(-b * gap * gap) * alias(t)
+        tail += term
+        if term < epsilon * 1e-8:
+            return tail
 
 
 def suggest_grid(p, k, m_max=0, epsilon=DEFAULT_EPSILON):
@@ -166,6 +240,8 @@ class _FineLattice:
 
     over the box of c, of modulus exp(-pi k v.Yv) <= 1, so no level
     overflows.  The terms meet every node g^n times, and G evaluates it once.
+    G is contiguous; :meth:`terms` reads it, and products on it, through
+    read-only strided views.
     """
 
     k: int
@@ -183,34 +259,47 @@ class _FineLattice:
 
     @classmethod
     def build(cls, p, k, grid):
-        """G over the truncation window of the grid's epsilon."""
+        """G over the truncation window of the grid's epsilon.
+
+        The axis terms (i pi k Z_ii v) v are formed once.  For a diagonal Z
+        (always at n = 1) G is the outer product of their exponentials;
+        otherwise the exponent is assembled in place, with the cross term
+        i pi k (Z_01 + Z_10) v v' added to the axis terms on the box, and
+        exponentiated in place: a separate cross factor would overflow at a
+        non-diagonal Y, where the axis factors underflow.
+        """
         n, N = p.n, grid.N
         half = _window_half(p, k, grid)
         width = k * (2 * half + 1)
         g = math.gcd(k, N)
         size = cls.box_size(k, N, width)
         v = (np.arange(size) - (N // g) * k * half) / ((k // g) * N)
-        axes = np.ix_(*(v,) * n)
-        G = np.zeros((size,) * n, dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                G += (1j * np.pi * k * p.Z[i, j] * axes[i]) * axes[j]
-        np.exp(G, out=G)
+        axis_terms = [(1j * np.pi * k * p.Z[i, i] * v) * v for i in range(n)]
+        if n == 1 or p.Z[0, 1] == p.Z[1, 0] == 0:
+            G = reduce(np.multiply.outer, [np.exp(t, out=t) for t in axis_terms])
+        else:
+            G = np.multiply.outer(1j * np.pi * k * (p.Z[0, 1] + p.Z[1, 0]) * v, v)
+            G += axis_terms[0][:, None]
+            G += axis_terms[1]
+            np.exp(G, out=G)
         return cls(k, N, G, width, N // g, k // g)
 
     def terms(self, box, first, shape):
-        """A view of ``box``, G or a product on a sub-box of it, at the
-        terms (a, j, q): label a in row j of the window at the y-node q, at
-        c = (N/g)(k j + a) + (k/g) q past the offsets ``first`` on each axis.
-        ``shape`` is (labels..., rows..., y-nodes...)."""
+        """A read-only view of ``box``, G or a product on a sub-box of it (a
+        contiguous array), at the terms (a, j, q): label a in row j of the
+        window at the y-node q, at c = (N/g)(k j + a) + (k/g) q past the
+        offsets ``first`` on each axis.  ``shape`` is (labels..., rows...,
+        y-nodes...)."""
         st = box.strides
         strides = (
             tuple(self.step_u * s for s in st)
             + tuple(self.k * self.step_u * s for s in st)
             + tuple(self.step_y * s for s in st)
         )
-        start = box[tuple(slice(c, None) for c in first)]
-        return np.lib.stride_tricks.as_strided(start, shape, strides, writeable=False)
+        offset = sum(c * s for c, s in zip(first, st))
+        view = np.ndarray(shape, box.dtype, box, offset, strides)
+        view.flags.writeable = False
+        return view
 
     def fold(self, d, out):
         """Add S_d[a, q] = sum_j G[c] conj(G[c + (N/g) d]) over the terms
@@ -340,19 +429,22 @@ def integrand_periodicity_residual(p, s1, s2):
 def _pairing_bytes(p, k, grid, n_modes):
     """Bytes the quadrature of ``n_modes`` modes holds at once, an upper bound.
 
-    The Gaussian box and one product on it; the box's axis and its scaled
-    copy, which the n = 1 box build holds with them; one group's folded sums
-    with one run's sum, and their spectra (one more inside the n = 2 FFT),
-    k^n N^n each; the numpy ufunc buffers of the three operands of a cast
-    or strided sum; the k^n x k^n outputs; and four arrays of the M k^n
-    closed-form columns that :func:`toeplitz.quadrature_deviation`
-    subtracts from the outputs.
+    The Gaussian box and one product on it; the box's axis and, at most,
+    n + 1 complex arrays on it that the box build holds with them (the axis
+    terms, and the cross term's or one term's factor); one group's folded
+    sums, whose spectra are computed in place, with one run's sum, k^n N^n
+    each; the numpy ufunc buffers of the three operands of a cast or strided
+    sum; the k^n x k^n outputs and their moduli, which
+    :func:`toeplitz.quadrature_deviation` reduces; and four arrays of the
+    M k^n closed-form columns that it subtracts from the outputs, which also
+    bound one group's scatter into the outputs.
     """
     n, N = p.n, grid.N
     width = k * (2 * _window_half(p, k, grid) + 1)
     size = _FineLattice.box_size(k, N, width)
-    arrays = 2 * size**n + 3 * (k * N) ** n + n_modes * (k ** (2 * n) + 4 * k**n)
-    return 16 * (arrays + 3 * np.getbufsize()) + 24 * size
+    arrays = 2 * size**n + 2 * (k * N) ** n + n_modes * (k ** (2 * n) + 4 * k**n)
+    axis_bytes = (8 + 16 * (n + 1)) * size
+    return 16 * (arrays + 3 * np.getbufsize()) + 8 * n_modes * k ** (2 * n) + axis_bytes
 
 
 def _check_grid(p, k, grid, m_max=0, n_modes=1):
@@ -394,10 +486,11 @@ def _frame_pairings(p, k, grid, modes):
     every label a are summed over the window rows whose partner lies in the
     window, by strided views (:meth:`_FineLattice.fold`), to S_d[a, q] with
     b = a + d mod k.  Offsets with the same d mod k share b and one folded
-    array, and one inverse FFT over q of it gives the y-sums against
-    exp(2 pi i s.y) for every s of the modes sharing r.  Memory is
-    O(box + k^n N^n) plus the outputs (:func:`_pairing_bytes`); no array of
-    N^{2n} nodes and no array over the meeting pairs is formed.
+    array, and one inverse FFT over q of it, in place and one axis at a
+    time as ifftn does, gives the y-sums against exp(2 pi i s.y) for every
+    s of the modes sharing r; one scatter adds them to all those modes.
+    Memory is O(box + k^n N^n) plus the outputs (:func:`_pairing_bytes`);
+    no array of N^{2n} nodes and no array over the meeting pairs is formed.
     """
     n, N = p.n, grid.N
     fine = _FineLattice.build(p, k, grid)
@@ -419,15 +512,21 @@ def _frame_pairings(p, k, grid, modes):
         by_shift = {}
         for d in offsets:
             by_shift.setdefault(tuple(di % k for di in d), []).append(d)
+        m_index = np.array(members)[:, None]
+        s_index = tuple(
+            np.array([modes[i].s[ax] % N for i in members]) for ax in range(n)
+        )
         for shift, group in by_shift.items():
             folded = np.zeros((k,) * n + (N,) * n, dtype=complex)
             for d in group:
                 fine.fold(d, folded)
-            spectra = np.fft.ifftn(folded, axes=tuple(range(n, 2 * n)))
+            # the inverse FFT over the y-axes in place, last axis first as
+            # in ifftn
+            for ax in reversed(range(n, 2 * n)):
+                np.fft.ifft(folded, axis=ax, out=folded)
             b_index = np.ravel_multi_index(((labels + shift) % k).T, (k,) * n)
-            for i in members:
-                s = tuple(si % N for si in modes[i].s)
-                out[i][a_index, b_index] += norm * spectra[(Ellipsis, *s)].ravel()
+            spectra = folded[(Ellipsis, *s_index)].reshape(dim, -1).T
+            out[m_index, a_index, b_index] += norm * spectra
             # freed before the next group's fold, so that one never holds them
             del folded, spectra
     return out

@@ -32,6 +32,7 @@ __all__ = [
     "theta_basis",
     "Derivative",
     "TruncationPolicy",
+    "TruncationError",
     "truncation_radius",
     "theta_eval",
     "heat_residual",
@@ -124,6 +125,11 @@ class TruncationPolicy:
         )
 
 
+class TruncationError(ValueError):
+    """Raised when no lattice radius up to the search limit certifies the
+    tail bound: Y is too close to singular for the level and epsilon."""
+
+
 def _poly_factor(sel, k, n, rho):
     """Upper bound for the term-wise derivative factor at lattice distance rho."""
     c = rho + 2.0
@@ -167,7 +173,10 @@ def truncation_radius(p, k, epsilon, sel=Derivative.value()):
                 n=n,
                 min_eig=lam,
             )
-    raise ValueError("no certifiable radius below 80; epsilon too small")
+    raise TruncationError(
+        f"no certifiable truncation radius below 80 at k={k}: smallest "
+        f"eigenvalue of Y {lam:.3g} is too small for epsilon {epsilon:g}"
+    )
 
 
 def _window(p, label, z, policy):

@@ -325,7 +325,7 @@ def quadrature_deviation(p, k, modes, grid):
     M, dim = rows.shape
     closed = eta(p, k, modes)[:, None] * values
     stack[np.arange(M)[:, None], np.arange(dim), rows] -= closed
-    return np.array([np.abs(pairing).max() for pairing in stack])
+    return np.abs(stack).max(axis=(1, 2))
 
 
 def toeplitz_mode_quadrature(p, k, m, grid):

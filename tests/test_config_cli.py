@@ -180,7 +180,7 @@ class TestRunAndCache:
             assert np.isfinite(float(row[4]))
 
     def test_frame_too_large_is_refused(self):
-        # the k = 64 pairings would hold 12.3 GiB; refused before allocation
+        # the k = 64 pairings would hold 8.45 GiB; refused before allocation
         m = parse_config("experiment = gram\nn = 2\nk = 4, 64")
         doc = run_experiment(m, use_cache=False)
         (measured, refused) = doc.rows
@@ -405,8 +405,13 @@ class TestRunAndCache:
         ("[flatness]\nn = 2\nZ = [[1i, 0], [0, 2i]]; [[1+1i, 0.5], [0.5, 2i]]\n"
          "modes = 1,0,0,0", None),
         ("experiment = tqft\ngenus = 1\nk = 5, 8192\nmodes = 1,0; 0,1", "8192"),
+        # no truncation radius up to the search limit certifies these points
+        ("experiment = gram, n = 1, k = 2, 4, Z = 1e-5i", "2|4"),
+        ("experiment = toeplitz-compare, n = 1, k = 2, Z = 1e-5i", "2"),
+        ("experiment = heat-identity, n = 1, k = 2, Z = 1e-5i", "2"),
     ], ids=["gram", "toeplitz-compare", "covariance", "trace-lemma", "flatness",
-            "tqft"])
+            "tqft", "gram-uncertifiable", "toeplitz-compare-uncertifiable",
+            "heat-identity-uncertifiable"])
     def test_refused_cells_fill_their_row_and_fail_every_verdict(self, text, levels):
         doc = run_experiment(parse_config(text), use_cache=False)
         assert all(len(row) == len(doc.columns) for row in doc.rows)
@@ -682,8 +687,30 @@ class TestCli:
         rc = main(["gram", "--n", "2", "--k", "64", "--Z", "[[1i,0],[0,2i]]"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "12.3 GiB" in err
+        assert "8.45 GiB" in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gram", "--k", "4", "--Z", "1e-5i"],
+        ["toeplitz", "compare", "--k", "4", "--Z", "1e-5i", "--mode", "1,0"],
+        ["theta", "eval", "--k", "4", "--Z", "1e-5i", "--alpha", "1", "--z", "0.3"],
+    ], ids=["gram", "toeplitz", "theta"])
+    def test_uncertifiable_point_is_reported(self, capsys, argv):
+        # the truncation certificate once ended these with a ValueError
+        # traceback
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "no certifiable truncation radius" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_uncertifiable_point_is_refused_in_a_run(self, tmp_path, capsys):
+        cfg = tmp_path / "gram.cfg"
+        cfg.write_text("experiment = gram\nn = 1\nk = 2, 4\nZ = 1e-5i; i\n")
+        rc = main(["experiment", "run", str(cfg), "--no-cache"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "refused_levels: 2|4" in out and "overall: FAIL" in out
 
     def test_dense_limit_is_reported(self, tmp_path, capsys):
         # F[1,0] + F[0,1] is off a line, so its norm needs the dense matrix

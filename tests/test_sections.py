@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -22,13 +23,14 @@ from thetaquant.sections import (
     required_grid_size,
     section_eval,
     suggest_grid,
+    _FineLattice,
     _frame_norm,
     _frame_pairings,
     _lattice_terms,
     theta_frame_on_grid,
 )
 from thetaquant.siegel import SiegelPoint
-from thetaquant.theta import ThetaLabel, theta_eval
+from thetaquant.theta import ThetaLabel, theta_eval, truncation_radius
 
 from oracles import inner_product_brute, theta_brute
 
@@ -222,9 +224,12 @@ class TestPairingBytes:
     # the estimate once missed the ufunc buffers and the n = 1 box build
     # (the n = 1, k = 16 Gram traced 0.13 MiB against 0.06), and the
     # quadrature held one offset group's spectra through the next group's
-    # fold (the n = 2, k = 16 deviation traced 117 MiB against 108)
+    # fold (the n = 2, k = 16 deviation traced 117 MiB against 108); the
+    # skew and non-normal points assemble the box's exponent on the box
     @pytest.mark.parametrize("Z, k", [
         ("1j", 16), ("1j", 64), ("[[1j, 0], [0, 2j]]", 6), ("[[1j, 0], [0, 2j]]", 16),
+        ("[[2j, 0.5j], [0.5j, 1j]]", 6), ("[[2j, 0.5j], [0.5j, 1j]]", 16),
+        ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 6), ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 16),
     ])
     def test_estimate_bounds_the_traced_peak(self, Z, k):
         src = Path(thetaquant.__file__).resolve().parents[1]
@@ -234,6 +239,60 @@ class TestPairingBytes:
         assert done.returncode == 0, done.stderr
         for name, (peak, bound) in json.loads(done.stdout).items():
             assert peak <= bound, (name, peak, bound)
+
+
+def _box_axis(fine):
+    """The axis v of the box: node c of a window of half-width half sits
+    at v = (c - (N/g) k half) g/(kN)."""
+    half = (fine.width // fine.k - 1) // 2
+    size = fine.G.shape[0]
+    return (np.arange(size) - fine.step_u * fine.k * half) / (fine.step_y * fine.N)
+
+
+class TestFineLattice:
+    # the box is G = exp(i pi k v.Zv) at every node; a diagonal Z takes the
+    # outer product of the axis factors, any other Z one exponential of the
+    # assembled exponent
+    @pytest.mark.parametrize("Z", [1j, 1 + 2j, 0.5 + 0.7j])
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_box_is_the_gaussian_bitwise_n1(self, Z, k):
+        p = SiegelPoint(Z)
+        fine = _FineLattice.build(p, k, suggest_grid(p, k, m_max=2))
+        v = _box_axis(fine)
+        assert np.array_equal(fine.G, np.exp((1j * np.pi * k * p.Z[0, 0] * v) * v))
+
+    @pytest.mark.parametrize("Z", [
+        [[1j, 0], [0, 2j]],
+        [[2j, 0.5j], [0.5j, 1j]],
+        [[1 + 1j, 0.3], [0.3, 0.5 + 2j]],
+        [[1 + 1j, 0.3 + 1e-13], [0.3, 0.5 + 2j]],
+    ], ids=["diagonal", "skew", "non-normal", "symmetric-to-1e-13"])
+    @pytest.mark.parametrize("k", [2, 5, 16])
+    def test_box_is_the_gaussian_n2(self, Z, k):
+        p = SiegelPoint(Z)
+        fine = _FineLattice.build(p, k, suggest_grid(p, k))
+        v = _box_axis(fine)
+        V = np.stack(np.meshgrid(v, v, indexing="ij"), axis=-1)
+        direct = np.exp(1j * np.pi * k * np.einsum("abi,ij,abj->ab", V, p.Z, V))
+        assert np.max(np.abs(fine.G - direct)) <= 1e-15
+
+    def test_skew_box_does_not_overflow(self):
+        # a separate cross factor exp(2 pi i k Z_01 v v') has modulus
+        # exp(2 pi k Y_01 v v') > 1e308 on this box
+        p = SiegelPoint([[2j, 0.5j], [0.5j, 1j]])
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            fine = _FineLattice.build(p, 64, suggest_grid(p, 64))
+        assert np.all(np.isfinite(fine.G))
+        assert np.max(np.abs(fine.G)) <= 1.0
+
+    def test_terms_are_read_only(self):
+        p = SiegelPoint([[1j, 0], [0, 2j]])
+        fine = _FineLattice.build(p, 3, suggest_grid(p, 3))
+        view = fine.terms(fine.G, (0, 0), (3, 3, 1, 1, 4, 4))
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0, 0, 0, 0, 0] = 0
 
 
 class TestGram:
@@ -249,6 +308,24 @@ class TestGram:
     def test_identity_n2(self, point_n2, k):
         G = gram_matrix(point_n2, k, suggest_grid(point_n2, k))
         assert np.max(np.abs(G - np.eye(k**2))) < 1e-7
+
+    @pytest.mark.parametrize("z", [20j, 50j])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_identity_at_wide_y_bandwidth(self, z, k):
+        # the y-Gaussians of a large Y alias on the x-rule's grid: Z = 20i
+        # at k = 4 once took N = 16 and read |Gram - Id| = 1.3e-2
+        p = SiegelPoint(z)
+        G = gram_matrix(p, k, suggest_grid(p, k))
+        assert np.max(np.abs(G - np.eye(k))) < 1e-8
+
+    def test_grid_rule_never_drops_below_the_x_rule(self):
+        for z in (1j, 1 + 2j, 0.5 + 0.7j, 3 + 1j, 20j, [[2j, 0.5j], [0.5j, 1j]]):
+            p = SiegelPoint(z)
+            for k in (1, 2, 3, 8, 16):
+                for m_max in (0, 2):
+                    radius = truncation_radius(p, k, 1e-12).radius
+                    x_rule = 4 * (k * int(np.ceil(radius)) + m_max)
+                    assert required_grid_size(p, k, m_max) >= x_rule
 
     def test_grid_refinement_stability(self):
         p = SiegelPoint(1j)

@@ -5,6 +5,7 @@ from thetaquant.siegel import SiegelPoint
 from thetaquant.theta import (
     Derivative,
     ThetaLabel,
+    TruncationError,
     TruncationPolicy,
     heat_residual,
     heat_residual_fd,
@@ -57,6 +58,11 @@ class TestTruncation:
         p = SiegelPoint(1j)
         pol = truncation_radius(p, 1, 1e-14)
         assert tail_beyond(1.0, 1, pol.radius) < 1e-14
+
+    def test_uncertifiable_point_raises_a_typed_error(self):
+        # Y = 1e-5 needs a radius near 470 at k = 4: beyond the search limit
+        with pytest.raises(TruncationError, match="below 80 at k=4"):
+            truncation_radius(SiegelPoint(1e-5j), 4, 1e-12)
 
     def test_incompatible_policy_refused(self):
         p = SiegelPoint(1j)

@@ -157,6 +157,14 @@ class TestQuadratureOracle:
                 A = toeplitz_mode_closed_form(p, k, m)
                 assert np.max(np.abs(A.entries - quads[m].entries)) < 1e-8
 
+    @pytest.mark.parametrize("z, k", [(10 + 1j, 1), (20j, 4), (50j, 8)])
+    def test_deviation_at_wide_y_bandwidth(self, z, k):
+        # the y-frequency s - X r of a mode, and a large Y, alias on the
+        # x-rule's grid: Z = 10+1i at k = 1 once took N = 24 and read 3.5e-6
+        p = SiegelPoint(z)
+        modes = [FourierMode((r,), (s,)) for r in range(-2, 3) for s in range(-2, 3)]
+        assert max(quadrature_deviation(p, k, modes, grid_for(p, k, 2))) < 1e-8
+
     def test_constant_mode_identity(self):
         p = SiegelPoint(1 + 2j)
         A = toeplitz_mode_quadrature(p, 2, ((0,), (0,)), grid_for(p, 2))
