@@ -26,11 +26,11 @@ k = 4
 N = required_grid_size(p, k)
 print(f"bandwidth rule at k={k}: N >= {N}")
 
-G = gram_matrix(p, k, QuadratureGrid(N, 1))
+G = gram_matrix(p, k, QuadratureGrid(N))
 print("Gram matrix deviation from identity:", np.max(np.abs(G - np.eye(k))))
 
 # Refinement stability: doubling N changes nothing at working precision.
-G2 = gram_matrix(p, k, QuadratureGrid(2 * N, 1))
+G2 = gram_matrix(p, k, QuadratureGrid(2 * N))
 print("N vs 2N difference:", np.max(np.abs(G - G2)))
 
 # Individual inner products, normalized and not.

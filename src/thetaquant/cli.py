@@ -28,14 +28,15 @@ from .config import (
     parse_config_all,
     parse_matrix,
 )
-from .experiments import _default_tol, emit_outputs, fmt_complex, run_experiment
-from .sections import (
-    GridError,
-    QuadratureGrid,
-    SizeLimitError,
-    gram_matrix,
-    required_grid_size,
+from .experiments import (
+    _default_tol,
+    _grid_for,
+    emit_outputs,
+    fmt_complex,
+    run_experiment,
 )
+from .fourier import FourierMode
+from .sections import GridError, SizeLimitError, _bandwidth, gram_matrix
 from .siegel import InvalidPointError, SiegelPoint
 from .theta import Derivative, ThetaLabel, TruncationError, theta_eval
 from .toeplitz import quadrature_deviation
@@ -163,8 +164,7 @@ def _cmd_theta_eval(args):
 
 def _cmd_gram(args):
     p = _point_from_arg(args.Z, args.n)
-    N = args.grid or required_grid_size(p, args.k)
-    G = gram_matrix(p, args.k, QuadratureGrid(N, p.n))
+    G = gram_matrix(p, args.k, _grid_for(args.grid, p, args.k))
     dev = float(np.max(np.abs(G - np.eye(args.k**p.n))))
     tol = _default_tol("gram", p.n, args.tol)
     status = "PASS" if dev < tol else "FAIL"
@@ -174,10 +174,9 @@ def _cmd_gram(args):
 
 def _cmd_toeplitz_compare(args):
     p = _point_from_arg(args.Z, args.n)
-    r, s = _parse_mode(args.mode, p.n)
-    m_max = max(abs(x) for x in r + s) if r + s else 0
-    N = args.grid or required_grid_size(p, args.k, m_max)
-    (diff,) = quadrature_deviation(p, args.k, [(r, s)], QuadratureGrid(N, p.n)).tolist()
+    mode = FourierMode(*_parse_mode(args.mode, p.n))
+    grid = _grid_for(args.grid, p, args.k, _bandwidth([mode]))
+    (diff,) = quadrature_deviation(p, args.k, [mode], grid).tolist()
     tol = _default_tol("toeplitz-compare", p.n, args.tol)
     status = "PASS" if diff < tol else "FAIL"
     print(f"max entry difference = {diff:.3e}  (tolerance {tol:g})  {status}")

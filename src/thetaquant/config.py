@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .siegel import InvalidPointError, SiegelPoint
+from .toeplitz import _FIT_ORDER
 
 __all__ = [
     "ConfigError",
@@ -49,7 +50,6 @@ _KNOWN_KEYS = {
     "modes",
     "tol",
     "grid",
-    "epsilon",
     "out",
     "cache-dir",
     "genus",
@@ -146,7 +146,6 @@ class ExperimentManifest:
     modes: tuple = ()  # ((r tuple, s tuple), ...)
     tol: float | None = None
     grid: int | None = None
-    epsilon: float = 1e-12
     out: str | None = None
     cache_dir: str | None = None
     genus: int = 1
@@ -170,7 +169,6 @@ class ExperimentManifest:
             f"modes={self.modes}",
             f"tol={self.tol}",
             f"grid={self.grid}",
-            f"epsilon={self.epsilon!r}",
             f"genus={self.genus}",
         ]
         return "|".join(fields)
@@ -240,6 +238,9 @@ def _build_manifest(pairs, line_of):
         dims = {p.n for p in pts}
         if len(dims) != 1:
             raise ConfigError("Siegel points of mixed dimension", line_of.get("Z"))
+        if exp == "tqft" and pts[0].n != m.genus:
+            raise ConfigError(f"point dimension {pts[0].n} != genus {m.genus}",
+                              line_of.get("Z"))
         m.points = tuple(pts)
         if "n" not in pairs:
             m.n = pts[0].n
@@ -264,16 +265,18 @@ def _build_manifest(pairs, line_of):
                     f"{exp} reads {words} modes, got {len(m.modes)}",
                     line_of.get("modes"),
                 )
+    if exp == "star-fit" and len(m.k_values) < _FIT_ORDER + 2:
+        raise ConfigError(f"star-fit needs at least {_FIT_ORDER + 2} levels for "
+                          f"the fit, got {len(m.k_values)}", line_of.get("k"))
+    if exp == "covariance" and len(m.points) < 2:
+        raise ConfigError("covariance experiment needs at least two Siegel points",
+                          line_of.get("Z", line_of.get("n")))
     if "tol" in pairs:
         m.tol = _tolerance(_number(pairs, line_of, "tol", float), line_of.get("tol"))
     if "grid" in pairs:
         m.grid = _number(pairs, line_of, "grid", int)
         if m.grid < 1:
             raise ConfigError("grid must be >= 1", line_of.get("grid"))
-    if "epsilon" in pairs:
-        m.epsilon = _number(pairs, line_of, "epsilon", float)
-        if m.epsilon <= 0:
-            raise ConfigError("epsilon must be positive", line_of.get("epsilon"))
     if "out" in pairs:
         m.out = pairs["out"].strip()
     if "cache-dir" in pairs:

@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentManifest
+from .config import ExperimentManifest
 from .formal import (
     covariant_constancy_residual,
     formal_hitchin_residual,
     trivialized_star_compare,
 )
 from .fourier import FourierFunction, FourierMode, SizeLimitError, check_bytes
-from .sections import GridError, QuadratureGrid, gram_matrix, required_grid_size
+from .sections import GridError, QuadratureGrid, _bandwidth, gram_matrix, suggest_grid
 from .siegel import NonNormalError, TangentDirection
 from .tqft import (
     CurveClass,
@@ -232,10 +232,9 @@ class _Sweep:
         return self.columns, self.rows, verdicts, extras
 
 
-def _grid_for(m, p, k, m_max=0):
-    """The manifest's grid, or the bandwidth-rule grid, at its epsilon."""
-    N = m.grid if m.grid is not None else required_grid_size(p, k, m_max, m.epsilon)
-    return QuadratureGrid(N, p.n, m.epsilon)
+def _grid_for(N, p, k, m_max=0):
+    """The grid of N nodes, or the bandwidth-rule grid when N is None."""
+    return suggest_grid(p, k, m_max) if N is None else QuadratureGrid(N)
 
 
 def _probe_points(p):
@@ -276,7 +275,7 @@ def _run_gram(m):
         for k in m.k_values:
             N = ""  # until the grid is certified
             with sweep.cell(k, lambda why: [m.n, k, point, N, np.nan, why]):
-                grid = _grid_for(m, p, k)
+                grid = _grid_for(m.grid, p, k)
                 N = grid.N
                 G = gram_matrix(p, k, grid)
                 dev = float(np.max(np.abs(G - np.eye(k**p.n))))
@@ -290,7 +289,7 @@ def _run_gram(m):
 def _run_toeplitz_compare(m):
     tol = _default_tol(m.experiment, m.n, m.tol)
     modes = _mode_list(m, 2)
-    m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
+    m_max = _bandwidth(modes)
     labels = _mode_labels(modes)
     sweep = _Sweep(["k", "Z", "N", "r", "s", "max_entry_diff", "status"],
                    "closed-form-vs-quadrature")
@@ -300,7 +299,7 @@ def _run_toeplitz_compare(m):
         for k in m.k_values:
             N = ""  # until the grid is certified
             with sweep.cell(k, lambda why: [k, point, N, "", "", np.nan, why]):
-                grid = _grid_for(m, p, k, m_max)
+                grid = _grid_for(m.grid, p, k, m_max)
                 N = grid.N
                 devs = quadrature_deviation(p, k, modes, grid).tolist()
                 diffs.extend(devs)
@@ -344,10 +343,7 @@ def _run_heat_identity(m):
 def _run_covariance(m):
     tol = _default_tol(m.experiment, m.n, m.tol)
     modes = _mode_list(m, 2)
-    pts = list(m.points)
-    pairs = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))] if len(pts) > 1 else []
-    if not pairs:
-        raise ConfigError("covariance experiment needs at least two Siegel points")
+    pairs = list(zip(m.points, m.points[1:] + m.points[:1]))  # each with the next
     labels = _mode_labels(modes)
     sweep = _Sweep(["k", "r", "s", "Z1", "Z2", "rescaled_diff", "raw_diff", "status"],
                    "rescaled-Z-independence", "raw-operators-vary")

@@ -360,6 +360,9 @@ def _trig_max(c, t):
                     + P.conj()[:, None, None] * d2P).real
         step = np.linalg.pinv(hess, hermitian=True) @ grad[..., None]
         trial = theta - step[..., 0]
+        # where Newton finds nothing better, as at a critical node, step a quarter cell
+        stalled = np.abs(_trig_derivatives(c, t, trial)[0]) <= np.abs(P)
+        trial[stalled] = theta[stalled] + 0.25 / np.array(shape)
         better = np.abs(_trig_derivatives(c, t, trial)[0]) > np.abs(P)
         if not better.any():
             break

@@ -23,13 +23,14 @@ the y-nodes, computed in place.  Memory is O(box + k^n N^n) for a box of
 about (k N (L + 1) / gcd(k, N))^n nodes over a window of L^n lattice terms,
 plus the k^n x k^n outputs; the k^n x N^{2n} frame itself is built only on
 request.  The normalized variant multiplies by sqrt(2^n k^n det Y), making
-the theta frame orthonormal.  Grid sizes follow the bandwidth rule
-N >= 4 (k R + m_max) in x, with R the theta truncation radius and m_max
-the largest extra Fourier frequency in the integrand, raised where the
-y-Gaussians of a large Y would alias (:func:`required_grid_size`); grids
-whose pairings would hold more than the 1 GiB limit of
-:func:`fourier.check_bytes` are refused, with SizeLimitError, before
-anything is allocated.
+the theta frame orthonormal.  A grid is its node count N; theta sums are
+truncated at DEFAULT_EPSILON.  Every quadrature passes one check
+(:func:`_checked_pairings`): n is 1 or 2, N follows the bandwidth rule
+N >= 4 (k R + m_max) in x, R the theta truncation radius and m_max the
+largest frequency of the modes, raised where the y-Gaussians of a large Y
+would alias (:func:`required_grid_size`), and pairings that would hold
+more than the 1 GiB limit of :func:`fourier.check_bytes` are refused, with
+SizeLimitError, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 
 from .fourier import FourierMode, SizeLimitError, check_bytes
 from .theta import (
+    DEFAULT_EPSILON,
     Derivative,
     _lattice_vector,
     multiplier,
@@ -68,12 +70,10 @@ __all__ = [
     "cocycle_residual",
 ]
 
-DEFAULT_EPSILON = 1e-12
-
 
 class GridError(ValueError):
     """Raised when a quadrature grid is too coarse for the integrand, or
-    its dimension differs from the point's."""
+    the point's dimension is not 1 or 2."""
 
 
 @dataclass(frozen=True)
@@ -110,35 +110,28 @@ class SectionVector:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Uniform grid with N nodes per coordinate on [0,1)^{2n}.
-
-    ``epsilon`` is the theta truncation tolerance the grid is meant for: the
-    bandwidth check and the grid frame both use it.
-    """
+    """Uniform grid with N nodes per coordinate on [0,1)^{2n}, n the
+    dimension of the point it is used at."""
 
     N: int
-    n: int
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be positive")
-        if self.n not in (1, 2):
-            raise ValueError("grids support n in {1, 2}")
 
 
-def required_grid_size(p, k, m_max=0, epsilon=DEFAULT_EPSILON):
+def required_grid_size(p, k, m_max=0):
     """Bandwidth-sufficient node count.
 
     The x-rule 4 (k ceil(R) + m_max), R the theta truncation radius, or the
     smallest N above it whose certified y-aliasing tail
-    (:func:`_y_alias_tail`) is below epsilon, when the x-rule's is not.
+    (:func:`_y_alias_tail`) is below DEFAULT_EPSILON if the x-rule's is not.
     """
-    policy = truncation_radius(p, k, epsilon)
+    policy = truncation_radius(p, k, DEFAULT_EPSILON)
     N = 4 * (k * int(math.ceil(policy.radius)) + int(m_max))
 
     def certified(N):
-        return _y_alias_tail(p, k, m_max, N, epsilon) < epsilon
+        return _y_alias_tail(p, k, m_max, N, DEFAULT_EPSILON) < DEFAULT_EPSILON
 
     if certified(N):
         return N
@@ -203,8 +196,13 @@ def _y_alias_tail(p, k, m_max, N, epsilon):
             return tail
 
 
-def suggest_grid(p, k, m_max=0, epsilon=DEFAULT_EPSILON):
-    return QuadratureGrid(required_grid_size(p, k, m_max, epsilon), p.n, epsilon)
+def suggest_grid(p, k, m_max=0):
+    return QuadratureGrid(required_grid_size(p, k, m_max))
+
+
+def _bandwidth(modes):
+    """m_max of the bandwidth rule: the largest |r_i|, |s_i| of the modes."""
+    return max(max(abs(x) for x in m.r + m.s) for m in modes)
 
 
 def section_eval(p, s, x, y):
@@ -259,7 +257,7 @@ class _FineLattice:
 
     @classmethod
     def build(cls, p, k, grid):
-        """G over the truncation window of the grid's epsilon.
+        """G over the lattice window of the DEFAULT_EPSILON truncation.
 
         The axis terms (i pi k Z_ii v) v are formed once.  For a diagonal Z
         (always at n = 1) G is the outer product of their exponentials;
@@ -269,7 +267,7 @@ class _FineLattice:
         non-diagonal Y, where the axis factors underflow.
         """
         n, N = p.n, grid.N
-        half = _window_half(p, k, grid)
+        half = _window_half(p, k)
         width = k * (2 * half + 1)
         g = math.gcd(k, N)
         size = cls.box_size(k, N, width)
@@ -334,9 +332,9 @@ class _FineLattice:
             out[tuple(slice(a0, a1) for a0, a1, _, _ in runs)] += summed
 
 
-def _window_half(p, k, grid):
+def _window_half(p, k):
     """Half-width of the lattice window: l runs over [-half, half]^n."""
-    return int(math.ceil(truncation_radius(p, k, grid.epsilon).radius)) + 1
+    return int(math.ceil(truncation_radius(p, k, DEFAULT_EPSILON).radius)) + 1
 
 
 def _label_runs(k, rows, d):
@@ -389,7 +387,7 @@ def theta_frame_on_grid(p, k, grid):
     theta_a(x + Zy) exp(-pi k y.Yy) with the grid axes flattened row-major
     in the order (x_1..x_n, y_1..y_n): the x-synthesis
     sum_l exp(2 pi i (k u.j mod N) / N) Y[a, l, y] of the lattice terms of
-    :func:`_lattice_terms`, truncated at the grid's epsilon.  The
+    :func:`_lattice_terms`, truncated at DEFAULT_EPSILON.  The
     quadratures do not build it; it serves inspection and tests.
     """
     N = grid.N
@@ -440,29 +438,30 @@ def _pairing_bytes(p, k, grid, n_modes):
     bound one group's scatter into the outputs.
     """
     n, N = p.n, grid.N
-    width = k * (2 * _window_half(p, k, grid) + 1)
+    width = k * (2 * _window_half(p, k) + 1)
     size = _FineLattice.box_size(k, N, width)
     arrays = 2 * size**n + 2 * (k * N) ** n + n_modes * (k ** (2 * n) + 4 * k**n)
     axis_bytes = (8 + 16 * (n + 1)) * size
     return 16 * (arrays + 3 * np.getbufsize()) + 8 * n_modes * k ** (2 * n) + axis_bytes
 
 
-def _check_grid(p, k, grid, m_max=0, n_modes=1):
-    """Refuse a grid that cannot carry the quadrature of a level-k integrand.
+def _checked_pairings(p, k, grid, modes):
+    """The frame pairings of ``modes`` (a nonempty list of FourierModes), as
+    :func:`_frame_pairings`, on a grid that can carry them.
 
-    Raises GridError when the grid's dimension differs from the point's or
-    when N is below the bandwidth rule for extra frequencies up to m_max,
-    and SizeLimitError, before anything is allocated, when the arrays the
-    pairings of ``n_modes`` modes hold would exceed the 1 GiB limit.
+    Raises GridError when n is not 1 or 2 or when N is below the bandwidth
+    rule of the modes, and SizeLimitError, before anything is allocated,
+    when the arrays the pairings hold would exceed the 1 GiB limit.
     """
-    need = required_grid_size(p, k, m_max, grid.epsilon)
-    if grid.n != p.n:
-        raise GridError(f"grid dimension {grid.n} != point dimension {p.n}")
+    if p.n not in (1, 2):
+        raise GridError(f"quadrature supports n in {{1, 2}}, got n = {p.n}")
+    need = required_grid_size(p, k, _bandwidth(modes))
     if grid.N < need:
         raise GridError(
             f"grid too coarse: N={grid.N}, bandwidth rule needs N >= {need}"
         )
-    check_bytes(_pairing_bytes(p, k, grid, n_modes), "quadrature", f"N={grid.N}")
+    check_bytes(_pairing_bytes(p, k, grid, len(modes)), "quadrature", f"N={grid.N}")
+    return _frame_pairings(p, k, grid, modes)
 
 
 def _frame_norm(p, k):
@@ -537,18 +536,17 @@ def l2_inner(p, s1, s2, grid, normalized=True):
 
     Conjugate linear in the second slot.  With ``normalized`` the value is
     scaled by sqrt(2^n k^n det Y), under which the theta frame is
-    orthonormal.  Refuses grids below the bandwidth rule.
+    orthonormal.  Refuses grids as :func:`gram_matrix` does.
     """
     if (s1.k, s1.n) != (s2.k, s2.n):
         raise ValueError("sections live at different levels")
     k = s1.k
-    _check_grid(p, k, grid)
+    G = gram_matrix(p, k, grid)
     res = integrand_periodicity_residual(p, s1, s2)
     if res > 1e-9:
         raise RuntimeError(
             f"integrand failed the periodicity certificate: residual {res:.3e}"
         )
-    G = gram_matrix(p, k, grid)
     value = s1.coeffs @ G @ np.conj(s2.coeffs)
     if not normalized:
         value /= _frame_norm(p, k)
@@ -557,9 +555,8 @@ def l2_inner(p, s1, s2, grid, normalized=True):
 
 def gram_matrix(p, k, grid):
     """Matrix of normalized frame inner products; Hermitian, close to Id."""
-    _check_grid(p, k, grid)
     zero = FourierMode((0,) * p.n, (0,) * p.n)
-    return _frame_pairings(p, k, grid, [zero])[0]
+    return _checked_pairings(p, k, grid, [zero])[0]
 
 
 def lattice_weight_identity(p, z, lattice_index):

@@ -42,6 +42,8 @@ __all__ = [
     "hermitian_weight",
 ]
 
+DEFAULT_EPSILON = 1e-12  # the package's truncation tail; heat_residual_fd takes 1e-13
+
 
 @dataclass(frozen=True)
 class ThetaLabel:
@@ -250,15 +252,15 @@ def _divide(a, b):
 def theta_eval(p, label, z, sel=Derivative.value(), policy=None):
     """Evaluate a theta frame element (or a term-wise derivative) at z.
 
-    ``z`` is a complex n-vector (scalar for n = 1).  When no policy is given
-    one is derived for a 1e-12 tail.  The absolute truncation error is below
+    ``z`` is a complex n-vector (scalar for n = 1).  With no policy the tail
+    is DEFAULT_EPSILON.  The absolute truncation error is below
     policy.epsilon times the Gaussian peak factor exp(pi k Im(z).Y^-1 Im(z)).
     The scaled sum is multiplied back by 2^e exactly; a value beyond the
     float range raises OverflowError, never inf or NaN.
     """
     k = label.k
     if policy is None:
-        policy = truncation_radius(p, k, 1e-12, sel)
+        policy = truncation_radius(p, k, DEFAULT_EPSILON, sel)
     u, lin, (e,) = _window(p, label, z, policy)
     value, e = _termwise([sel], k, u, _phases(p.Z, k, u, lin))[0, 0], int(e)
     try:
@@ -309,7 +311,7 @@ def heat_residual(p, label, z, i, j=None):
     """
     pairs = list(i) if j is None else [(i, j)]
     k = label.k
-    policy = truncation_radius(p, k, 1e-12, Derivative.dz2(0, 0))
+    policy = truncation_radius(p, k, DEFAULT_EPSILON, Derivative.dz2(0, 0))
     u, lin, _ = _window(p, label, z, policy)
     phases = _phases(p.Z, k, u, lin)
     lhs = _termwise([Derivative.dZ(a, b) for a, b in pairs], k, u, phases)
@@ -390,7 +392,7 @@ def quasi_periodicity_residual(p, label, z, lattice_index):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     shift, b = _lattice_vector(p, lattice_index)
     u, lin, e = _window(p, label, np.stack([z + shift, z]),
-                        truncation_radius(p, k, 1e-12))
+                        truncation_radius(p, k, DEFAULT_EPSILON))
     shifted, base = _termwise([Derivative.value()], k, u, _phases(p.Z, k, u, lin))[:, 0]
     # m^k = exp(k log m): a log off by 2 pi i n is exact for integer k
     log_mk = k * np.log(multiplier(p, b, z))

@@ -82,7 +82,7 @@ from .fourier import (
     poisson_bracket,
     sup_abs,
 )
-from .sections import _check_grid, _frame_pairings
+from .sections import _checked_pairings
 from .siegel import laplace_eigenvalue
 
 __all__ = [
@@ -283,15 +283,6 @@ def rescaled_toeplitz(p, k, m):
     return WeylSymbol(k, p, {m: 1.0}).to_dense()
 
 
-def _checked_pairings(p, k, modes, grid):
-    """The frame pairings of ``modes`` (a nonempty list of FourierModes), one
-    (k^n, k^n) matrix per mode, after the grid check of their bandwidth and
-    of the memory they need."""
-    m_max = max(max(abs(x) for x in mm.r + mm.s) for mm in modes)
-    _check_grid(p, k, grid, m_max=m_max, n_modes=len(modes))
-    return _frame_pairings(p, k, grid, modes)
-
-
 def toeplitz_modes_quadrature(p, k, modes, grid):
     """Quadrature matrices for several modes sharing one set of lattice terms.
 
@@ -302,7 +293,7 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     modes = [FourierMode.coerce(m) for m in modes]
     if not modes:
         return {}
-    pairings = _checked_pairings(p, k, modes, grid)
+    pairings = _checked_pairings(p, k, grid, modes)
     return {
         m: OperatorMatrix(k, p.n, pairing.T)
         for m, pairing in zip(modes, pairings)
@@ -320,7 +311,7 @@ def quadrature_deviation(p, k, modes, grid):
     modes = [FourierMode.coerce(m) for m in modes]
     if not modes:
         return np.zeros(0)
-    stack = _checked_pairings(p, k, modes, grid)
+    stack = _checked_pairings(p, k, grid, modes)
     rows, values = _clock_shift_columns(k, p.n, modes)
     M, dim = rows.shape
     closed = eta(p, k, modes)[:, None] * values

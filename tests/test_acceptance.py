@@ -43,7 +43,7 @@ def report(num, name, passed, detail):
 
 
 def grid_for(p, k, m_max=0):
-    return QuadratureGrid(required_grid_size(p, k, m_max), p.n)
+    return QuadratureGrid(required_grid_size(p, k, m_max))
 
 
 def test_01_orthonormality():

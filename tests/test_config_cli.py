@@ -5,6 +5,7 @@ import pytest
 
 from thetaquant.cli import main
 from thetaquant.config import (
+    EXPERIMENT_IDS,
     ConfigError,
     parse_complex,
     parse_config,
@@ -12,9 +13,11 @@ from thetaquant.config import (
     parse_matrix,
 )
 from thetaquant.experiments import emit_outputs, fmt_ints, run_experiment
-from thetaquant.sections import required_grid_size
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import OperatorMatrix, WeylSymbol
+
+P3 = "[[1i, 0, 0], [0, 2i, 0], [0, 0, 3i]]"
+N3_REFUSAL = "quadrature supports n in {1, 2}, got n = 3"
 
 
 class TestParsing:
@@ -54,8 +57,8 @@ class TestParsing:
         assert "positive definite" in str(err.value)
 
     def test_unknown_key_reports_line(self):
-        # workers was a key once; it is unknown now like any other
-        for key in ("bogus", "workers"):
+        # workers and epsilon were keys once; they are unknown now like any other
+        for key in ("bogus", "workers", "epsilon"):
             with pytest.raises(ConfigError) as err:
                 parse_config(f"experiment = gram\n{key} = 3")
             assert "line 2" in str(err.value)
@@ -199,22 +202,6 @@ class TestRunAndCache:
         assert "refused_levels" not in doc.extras
         assert doc.passed
 
-    def test_manifest_epsilon_sizes_and_checks_the_grid(self):
-        # the grid was sized at the manifest epsilon but checked at the
-        # default 1e-12, so every row was refused (and printed N = 0)
-        p = SiegelPoint(0.5 + 0.7j)
-        for experiment, m_max, n_col in (("gram", 0, 3), ("toeplitz-compare", 2, 2)):
-            m = parse_config(
-                f"experiment = {experiment}\nn = 1\nk = 2, 8\n"
-                "Z = 0.5+0.7i\nepsilon = 1e-3"
-            )
-            doc = run_experiment(m, use_cache=False)
-            assert doc.passed
-            assert {row[n_col] for row in doc.rows} == {
-                str(required_grid_size(p, k, m_max, 1e-3)) for k in (2, 8)
-            }
-            assert all(row[-1] == "pass" for row in doc.rows)
-
     def test_refused_rows_show_the_tried_grid(self):
         for experiment, k, n_col, N in (("gram", 64, 3, "256"),
                                         ("toeplitz-compare", 32, 2, "136")):
@@ -237,6 +224,15 @@ class TestRunAndCache:
             assert not doc.passed
             assert doc.extras["refused_levels"] == ks.split(", ")[1]
             assert "refused_levels: " in doc.summary_text()
+
+    @pytest.mark.parametrize("experiment", ["gram", "toeplitz-compare"])
+    def test_n3_quadrature_is_refused_in_its_rows(self, experiment):
+        # a grid's own range check once ended these runs in a traceback
+        m = parse_config(f"experiment = {experiment}\nk = 1, 2\nZ = {P3}")
+        doc = run_experiment(m, use_cache=False)
+        assert [row[-1] for row in doc.rows] == [f"refused: {N3_REFUSAL}"] * 2
+        assert doc.verdicts[0]["observed"] == "nan" and not doc.passed
+        assert doc.extras["refused_levels"] == "1|2"
 
     def test_bms_sup_comes_from_the_modes(self, tmp_path, capsys, monkeypatch):
         # the n = 2 sup once needed a 256^4 grid and was refused with exit 2;
@@ -583,6 +579,9 @@ class TestCli:
             (["experiment", "run", str(cfg)], "line 2"),
             (["gram", "--n", "1", "--k", "2", "--Z", "i", "--grid", "4"], "too coarse"),
             (["theta", "eval", "--k", "2", "--alpha", "5"], "label entries"),
+            (["gram", "--n", "3", "--Z", P3], N3_REFUSAL),
+            (["toeplitz", "compare", "--n", "3", "--Z", P3, "--mode", "1,0,0,0,0,0"],
+             N3_REFUSAL),
         ]
         for argv, message in cases:
             rc = main(argv)
@@ -607,12 +606,18 @@ class TestCli:
         ("[tqft]\nmodes = 1,0; 0,1; 1,1", 2),
         ("[star-fit]\nmodes = 1,0", 2),
         ("[star-fit]\nmodes = 1,0; 0,1; 1,1", 2),
+        ("[star-fit]", 2),
+        ("[covariance]\nZ = i", 2),
+        ("[covariance]\nn = 2", 2),
+        ("[tqft]\ngenus = 2\nZ = i", 3),
     ], ids=lambda v: v.replace("\n", " ") if isinstance(v, str) else None)
     def test_bad_dimension_genus_and_grid_are_reported(self, tmp_path, capsys,
                                                        body, line):
         # modes have 2n entries (2 genus for tqft); genus and grid are >= 1;
         # the tolerance is positive and finite; tqft reads at most two curves
-        # and star-fit two modes, and neither drops one it was given
+        # and star-fit two modes, and neither drops one it was given; star-fit
+        # fits five levels or more, covariance pairs two points or more, and a
+        # tqft point has the dimension of the genus
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(body + "\nk = 2\n")
         rc = main(["experiment", "run", str(cfg), "--no-cache"])
@@ -683,6 +688,17 @@ class TestCli:
         assert f"selector {sel!r}" in err and "in [0, 1)" in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_tqft_point_of_another_genus_is_refused_as_by_the_verb(self, tmp_path,
+                                                                   capsys):
+        # the run once ignored Z = i at genus 2, ran at diag(i, 2i) and passed
+        cfg = tmp_path / "tqft.cfg"
+        cfg.write_text("[tqft]\ngenus = 2\nZ = i\nk = 2\n")
+        assert main(["experiment", "run", str(cfg), "--no-cache"]) == 2
+        run_err = capsys.readouterr().err
+        assert main(["tqft", "invariant", "--g", "2", "--Z", "i"]) == 2
+        verb_err = capsys.readouterr().err
+        assert run_err == verb_err.replace("error: ", "error: line 3: ")
+
     def test_frame_too_large_is_reported(self, capsys):
         rc = main(["gram", "--n", "2", "--k", "64", "--Z", "[[1i,0],[0,2i]]"])
         err = capsys.readouterr().err
@@ -743,3 +759,35 @@ class TestCli:
         assert main(["experiment", "run", str(cfg)]) == 0
         capsys.readouterr()
         assert os.path.isdir(tmp_path / "envcache")
+
+
+_CONTRACT_POINTS = {
+    1: "i; 0.5+0.7i",
+    2: "[[1i, 0], [0, 2i]]; [[2i, 0.5i], [0.5i, 1i]]",
+    3: P3 + "; [[2i, 0.5i, 0], [0.5i, 1i, 0], [0, 0, 1i]]",
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_every_manifest_exits_by_the_contract(tmp_path, capsys, experiment):
+    # each experiment at n = 1, 2, 3 (the genus for tqft), at the levels
+    # below, with default and with explicit points: a run passes (0), fails
+    # (1) or refuses its input (2, one line on stderr); nothing escapes
+    broken = []
+    cfg = tmp_path / "exp.cfg"
+    for n in (1, 2, 3):
+        dimension = f"genus = {n}" if experiment == "tqft" else f"n = {n}"
+        for levels in ("1", "2", "2, 3", "1, 2, 3, 4, 5"):
+            for points in ("", f"\nZ = {_CONTRACT_POINTS[n]}"):
+                body = f"[{experiment}]\n{dimension}\nk = {levels}{points}\n"
+                cfg.write_text(body)
+                try:
+                    rc = main(["experiment", "run", str(cfg), "--no-cache"])
+                except Exception as exc:  # an escaped exception breaks the contract
+                    broken.append((body, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                one_line = err.startswith("error: ") and err.count("\n") == 1
+                if rc not in (0, 1, 2) or (rc == 2 and not one_line):
+                    broken.append((body, rc, err))
+    assert broken == []

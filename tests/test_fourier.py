@@ -174,6 +174,10 @@ def any_functions(draw):
 @example(FourierFunction(
     {((-2,), (-3,)): 1 + 1.5j, ((0,), (-1,)): -2 + 0.5j, ((3,), (2,)): -0.5 - 1.5j}
 ))
+# the best node, theta = 1/2, is a critical point of |P| but a local minimum
+@example(FourierFunction(
+    {((0,), (-2,)): 0.009765625, ((0,), (1,)): 0.5, ((0,), (2,)): -0.125}
+))
 def test_sup_is_bracketed_by_the_dense_grid(f):
     sup = sup_abs(f)
     reference = dense_max_abs(f)

@@ -126,7 +126,6 @@ def _fields(m):
         "modes": m.modes,
         "tol": m.tol,
         "grid": m.grid,
-        "epsilon": m.epsilon,
         "genus": m.genus,
     }
 
@@ -139,7 +138,6 @@ def _render(f, one_line):
         f"n = {f['n']}",
         "k = " + ", ".join(map(str, f["k"])),
         "Z = " + "; ".join(_point_text(z, f["n"]) for z in f["Z"]),
-        f"epsilon = {f['epsilon']!r}",
         f"genus = {f['genus']}",
     ]
     if f["modes"]:
@@ -165,18 +163,23 @@ def configs(draw):
     if experiment in count:
         size = draw(count[experiment])
         modes = st.lists(st.tuples(vector, vector), min_size=size, max_size=size)
+    # the config refuses a star-fit of fewer than five levels, and a
+    # covariance of fewer than two points
+    fewest_levels = 5 if experiment == "star-fit" else 1
+    fewest_points = 2 if experiment == "covariance" else 1
     return {
         "experiment": experiment,
         "n": n,
-        "k": tuple(draw(st.lists(st.integers(1, 512), min_size=1, max_size=5))),
+        "k": tuple(
+            draw(st.lists(st.integers(1, 512), min_size=fewest_levels, max_size=5))
+        ),
         "Z": tuple(
             tuple(p.Z.ravel().tolist())
-            for p in draw(st.lists(points(n), min_size=1, max_size=3))
+            for p in draw(st.lists(points(n), min_size=fewest_points, max_size=3))
         ),
         "modes": tuple(draw(modes)),
         "tol": draw(st.none() | st.floats(1e-16, 1.0)),
         "grid": draw(st.none() | st.integers(1, 4096)),
-        "epsilon": draw(st.floats(1e-15, 1e-2)),
         # tqft modes are curve classes, of dimension the genus
         "genus": n if experiment == "tqft" else draw(st.integers(1, 4)),
     }
@@ -264,7 +267,7 @@ def pairing_cases(draw):
         FourierMode(*rs)
         for rs in draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=3))
     ]
-    return p, k, QuadratureGrid(N, p.n), modes
+    return p, k, QuadratureGrid(N), modes
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,6 +31,7 @@ from thetaquant.sections import (
 )
 from thetaquant.siegel import SiegelPoint
 from thetaquant.theta import ThetaLabel, theta_eval, truncation_radius
+from thetaquant.toeplitz import quadrature_deviation, toeplitz_modes_quadrature
 
 from oracles import inner_product_brute, theta_brute
 
@@ -90,7 +91,7 @@ class TestOrthonormality:
         Z = 0.5 + 0.7j
         p = SiegelPoint(Z)
         N = required_grid_size(p, 1)
-        got = l2_inner(p, unit(1, 1, 0), unit(1, 1, 0), QuadratureGrid(N, 1))
+        got = l2_inner(p, unit(1, 1, 0), unit(1, 1, 0), QuadratureGrid(N))
         want = inner_product_brute(Z, 1, 0, 0, N)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -166,7 +167,7 @@ class TestFramePairings:
         p = SiegelPoint(Z)
         grid = suggest_grid(p, k, m_max=2)
         if N is not None:
-            grid = QuadratureGrid(N, p.n)
+            grid = QuadratureGrid(N)
         modes = _pairing_modes(p.n)
         got = _frame_pairings(p, k, grid, modes)
         frame = theta_frame_on_grid(p, k, grid)
@@ -330,15 +331,29 @@ class TestGram:
     def test_grid_refinement_stability(self):
         p = SiegelPoint(1j)
         N = required_grid_size(p, 2)
-        G1 = gram_matrix(p, 2, QuadratureGrid(N, 1))
-        G2 = gram_matrix(p, 2, QuadratureGrid(2 * N, 1))
+        G1 = gram_matrix(p, 2, QuadratureGrid(N))
+        G2 = gram_matrix(p, 2, QuadratureGrid(2 * N))
         assert np.max(np.abs(G1 - G2)) < 1e-10
 
     def test_refusal_names_required_size(self):
         p = SiegelPoint(1j)
         need = required_grid_size(p, 4)
         with pytest.raises(GridError, match=str(need)):
-            gram_matrix(p, 4, QuadratureGrid(need - 1, 1))
+            gram_matrix(p, 4, QuadratureGrid(need - 1))
+
+    @pytest.mark.parametrize("quadrature", [
+        lambda p, grid, mode: gram_matrix(p, 2, grid),
+        lambda p, grid, mode: l2_inner(p, unit(2, 3, 0), unit(2, 3, 1), grid),
+        lambda p, grid, mode: toeplitz_modes_quadrature(p, 2, [mode], grid),
+        lambda p, grid, mode: quadrature_deviation(p, 2, [mode], grid),
+    ], ids=["gram_matrix", "l2_inner", "toeplitz_modes_quadrature",
+            "quadrature_deviation"])
+    def test_every_quadrature_refuses_n3(self, quadrature):
+        # a grid's own range check once raised a bare ValueError here
+        p = SiegelPoint(np.diag([1j, 2j, 3j]))
+        mode = FourierMode((1, 0, 0), (0, 0, 0))
+        with pytest.raises(GridError, match=r"n in \{1, 2\}, got n = 3"):
+            quadrature(p, QuadratureGrid(64), mode)
 
     def test_periodicity_certificate(self):
         p = SiegelPoint(1 + 2j)

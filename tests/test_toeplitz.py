@@ -39,7 +39,7 @@ Z_N2_NON_NORMAL = [
 
 
 def grid_for(p, k, m_max=0):
-    return QuadratureGrid(required_grid_size(p, k, m_max), p.n)
+    return QuadratureGrid(required_grid_size(p, k, m_max))
 
 
 @st.composite
@@ -67,7 +67,7 @@ def deviation_cases(draw):
     ]
     m_max = max(max(abs(x) for x in m.r + m.s) for m in modes)
     N = required_grid_size(p, k, m_max) + draw(st.integers(0, 3))
-    return p, k, modes, QuadratureGrid(N, n)
+    return p, k, modes, QuadratureGrid(N)
 
 
 class TestEta:
@@ -180,9 +180,9 @@ class TestQuadratureOracle:
     def test_refuses_coarse_grid(self):
         p = SiegelPoint(1j)
         with pytest.raises(GridError):
-            toeplitz_mode_quadrature(p, 4, ((1,), (0,)), QuadratureGrid(8, 1))
+            toeplitz_mode_quadrature(p, 4, ((1,), (0,)), QuadratureGrid(8))
         with pytest.raises(GridError):
-            quadrature_deviation(p, 4, [((1,), (0,))], QuadratureGrid(8, 1))
+            quadrature_deviation(p, 4, [((1,), (0,))], QuadratureGrid(8))
 
     @settings(max_examples=30, deadline=None)
     @given(deviation_cases())
