@@ -8,9 +8,11 @@ Verbs:
     thetaquant experiment run config.txt [--out report --no-cache ...]
     thetaquant tqft invariant --g 1 --k 5 [--mode 1,0 --mode2 0,1]
 
-Command-line flags override configuration-file values.  The cache directory
-defaults to $THETAQUANT_CACHE_DIR.  Bad input ends with a one-line error on
-stderr and exit code 2.
+Without --Z a verb runs at the default point of its dimension (i at n = 1,
+diag(i, 2i, ..., ni) above), and without --n (--g) at the point's dimension.
+``experiment run`` flags override the config values of the experiments that
+read them.  The cache directory defaults to $THETAQUANT_CACHE_DIR.  Bad
+input ends with a one-line error on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import sys
 import numpy as np
 
 from .config import (
+    _READS,
     ConfigError,
     _parse_mode,
     _tolerance,
     parse_complex,
     parse_config_all,
-    parse_matrix,
+    siegel_points,
 )
 from .experiments import (
     _default_tol,
@@ -37,17 +40,18 @@ from .experiments import (
 )
 from .fourier import FourierMode
 from .sections import GridError, SizeLimitError, _bandwidth, gram_matrix
-from .siegel import InvalidPointError, SiegelPoint
+from .siegel import InvalidPointError
 from .theta import Derivative, ThetaLabel, TruncationError, theta_eval
 from .toeplitz import quadrature_deviation
 from .tqft import CurveClass, mapping_torus_invariant
 
 
-def _point_from_arg(text, n):
-    mat = parse_matrix(text)
-    if mat.shape == (1, 1) and n > 1:
-        raise ConfigError(f"--Z is scalar but n={n}")
-    return SiegelPoint(mat)
+def _point(text, n, key="n"):
+    """The one Siegel point of --Z, or the default point, of dimension n."""
+    points = siegel_points(text, n, key)
+    if text is not None and len(points) > 1:
+        raise ConfigError(f"--Z takes one Siegel point, got {len(points)}")
+    return points[0]
 
 
 def positive_int(text):
@@ -74,9 +78,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sp):
-    sp.add_argument("--n", type=positive_int, default=1, help="complex dimension")
+    sp.add_argument("--n", type=positive_int, help="dimension (default: Z's, else 1)")
     sp.add_argument("--k", type=positive_int, default=2, help="quantization level")
-    sp.add_argument("--Z", default="i", help="Siegel point, 'a+bi' or [[..],[..]]")
+    sp.add_argument("--Z", help="Siegel point, 'a+bi' or [[..],[..]] (default: i "
+                    "at n = 1, diag(i, 2i, ..., ni) above)")
 
 
 def _add_quadrature(sp):
@@ -124,9 +129,10 @@ def build_parser():
     tq = sub.add_parser("tqft", help="curve operators and invariants")
     tq_sub = tq.add_subparsers(dest="action", required=True)
     inv = tq_sub.add_parser("invariant", help="mapping torus invariant")
-    inv.add_argument("--g", type=positive_int, default=1, help="genus")
+    inv.add_argument("--g", type=positive_int, help="genus (default: Z's, else 1)")
     inv.add_argument("--k", type=positive_int, default=2)
-    inv.add_argument("--Z", default=None, help="optional Siegel point")
+    inv.add_argument("--Z", help="Siegel point (default: i at g = 1, diag(i, 2i, "
+                     "..., gi) above)")
     inv.add_argument("--mode", default=None, help="first curve class r,s")
     inv.add_argument("--mode2", default=None, help="second curve class r,s")
     return ap
@@ -149,7 +155,7 @@ def _selector(text, n):
 
 
 def _cmd_theta_eval(args):
-    p = _point_from_arg(args.Z, args.n)
+    p = _point(args.Z, args.n)
     try:
         label = ThetaLabel(args.k, tuple(int(x) for x in args.alpha.split(",")))
     except ValueError as exc:
@@ -163,7 +169,7 @@ def _cmd_theta_eval(args):
 
 
 def _cmd_gram(args):
-    p = _point_from_arg(args.Z, args.n)
+    p = _point(args.Z, args.n)
     G = gram_matrix(p, args.k, _grid_for(args.grid, p, args.k))
     dev = float(np.max(np.abs(G - np.eye(args.k**p.n))))
     tol = _default_tol("gram", p.n, args.tol)
@@ -173,7 +179,7 @@ def _cmd_gram(args):
 
 
 def _cmd_toeplitz_compare(args):
-    p = _point_from_arg(args.Z, args.n)
+    p = _point(args.Z, args.n)
     mode = FourierMode(*_parse_mode(args.mode, p.n))
     grid = _grid_for(args.grid, p, args.k, _bandwidth([mode]))
     (diff,) = quadrature_deviation(p, args.k, [mode], grid).tolist()
@@ -194,9 +200,9 @@ def _cmd_experiment_run(args):
     for idx, m in enumerate(manifests):
         if args.cache_dir is not None:
             m.cache_dir = args.cache_dir
-        if args.tol is not None:
+        if args.tol is not None and "tol" in _READS[m.experiment]:
             m.tol = args.tol
-        if args.grid is not None:
+        if args.grid is not None and "grid" in _READS[m.experiment]:
             m.grid = args.grid
         if args.out is not None:
             m.out = args.out if len(manifests) == 1 else f"{args.out}-{idx}"
@@ -211,17 +217,9 @@ def _cmd_experiment_run(args):
 
 
 def _cmd_tqft_invariant(args):
-    g = args.g
-    if args.Z is not None:
-        p = SiegelPoint(parse_matrix(args.Z))
-        if p.n != g:
-            raise ConfigError(f"point dimension {p.n} != genus {g}")
-    else:
-        p = SiegelPoint(np.diag([1j * (i + 1) for i in range(g)]))
-    c1, c2 = (
-        CurveClass(*_parse_mode(text, g)) if text else None
-        for text in (args.mode, args.mode2)
-    )
+    p = _point(args.Z, args.g, "genus")
+    c1, c2 = (CurveClass(*_parse_mode(text, p.n)) if text else None
+              for text in (args.mode, args.mode2))
     val = mapping_torus_invariant(p, args.k, c1, c2)
     print(fmt_complex(val))
     return 0

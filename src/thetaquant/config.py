@@ -6,6 +6,11 @@ is a single experiment).  Complex numbers are written ``a+bi``; matrices as
 row lists ``[[a, b], [c, d]]``; lists of levels or modes are comma or
 semicolon separated.  Unknown keys and malformed values raise
 :class:`ConfigError` with the offending line number.
+
+Every section reads ``experiment``, ``k``, ``Z``, ``out`` and ``cache-dir``;
+``_READS`` lists the other keys each experiment reads, and a section that
+sets one it does not read is refused at its line.  ``[tqft]`` spells the
+dimension ``n`` as ``genus``; :func:`siegel_points` resolves ``Z`` with it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "parse_matrix",
     "parse_config",
     "parse_config_all",
+    "siegel_points",
 ]
 
 EXPERIMENT_IDS = (
@@ -54,6 +60,21 @@ _KNOWN_KEYS = {
     "cache-dir",
     "genus",
 }
+
+# The optional keys each experiment reads, its dimension key first.
+_READS = {
+    "gram": ("n", "tol", "grid"),
+    "toeplitz-compare": ("n", "tol", "grid", "modes"),
+    "heat-identity": ("n", "tol"),
+    "covariance": ("n", "tol", "modes"),
+    "trace-lemma": ("n", "tol", "modes"),
+    "bms": ("n", "modes"),
+    "pairing-limit": ("n", "modes"),
+    "star-fit": ("n", "tol", "modes"),
+    "flatness": ("n", "tol", "modes"),
+    "tqft": ("genus", "modes"),
+}
+_OPTIONAL = set().union(*_READS.values())
 
 DEFAULT_K = (2, 4, 8, 16)
 DEFAULT_Z_N1 = ("i", "1+2i", "0.5+0.7i")
@@ -148,7 +169,6 @@ class ExperimentManifest:
     grid: int | None = None
     out: str | None = None
     cache_dir: str | None = None
-    genus: int = 1
 
     def canonical(self):
         """Deterministic text form; the cache key hashes this."""
@@ -169,27 +189,43 @@ class ExperimentManifest:
             f"modes={self.modes}",
             f"tol={self.tol}",
             f"grid={self.grid}",
-            f"genus={self.genus}",
         ]
         return "|".join(fields)
 
 
-def _default_points(n, line=None):
-    if n == 1:
-        return tuple(SiegelPoint(parse_complex(z)) for z in DEFAULT_Z_N1)
-    if n == 2:
-        return (SiegelPoint(np.diag([1j, 2j])),)
-    raise ConfigError(f"n = {n} has no default Siegel point; give Z", line)
+def siegel_points(text=None, n=None, key="n", line=None):
+    """The points of ``text`` (';' separated), each of dimension ``n`` or
+    a ConfigError naming ``key``; for no text the default points: i, 1+2i
+    and 0.5+0.7i at n = 1 (or None), diag(i, 2i, ..., ni) above."""
+    if text is None:
+        if n in (None, 1):
+            return tuple(SiegelPoint(parse_complex(z)) for z in DEFAULT_Z_N1)
+        return (SiegelPoint(np.diag([1j * (i + 1) for i in range(n)])),)
+    pts = []
+    for chunk in filter(str.strip, text.split(";")):
+        try:
+            pts.append(SiegelPoint(parse_matrix(chunk, line)))
+        except InvalidPointError as exc:
+            raise ConfigError(str(exc), line) from None
+    if not pts:
+        raise ConfigError("empty Siegel point list", line)
+    if len({p.n for p in pts}) != 1:
+        raise ConfigError("Siegel points of mixed dimension", line)
+    if n is not None and pts[0].n != n:
+        raise ConfigError(f"point dimension {pts[0].n} != {key} = {n}", line)
+    return tuple(pts)
 
 
 def _number(pairs, line_of, key, kind):
-    """The value of ``key`` as an int or float, or a ConfigError at its line."""
+    """The value of ``key`` as a float or an int >= 1, or a ConfigError at
+    its line."""
     try:
-        return kind(pairs[key])
+        value = kind(pairs[key])
     except ValueError:
-        raise ConfigError(
-            f"malformed {key} {pairs[key]!r}", line_of.get(key)
-        ) from None
+        raise ConfigError(f"malformed {key} {pairs[key]!r}", line_of[key]) from None
+    if kind is int and value < 1:
+        raise ConfigError(f"{key} must be >= 1", line_of[key])
+    return value
 
 
 def _build_manifest(pairs, line_of):
@@ -203,14 +239,12 @@ def _build_manifest(pairs, line_of):
         )
     m = ExperimentManifest(experiment=exp)
     m.k_values = _DEFAULT_K_BY_EXPERIMENT.get(exp, DEFAULT_K)
-    if "n" in pairs:
-        m.n = _number(pairs, line_of, "n", int)
-        if m.n < 1:
-            raise ConfigError("n must be >= 1", line_of.get("n"))
-    if "genus" in pairs:
-        m.genus = _number(pairs, line_of, "genus", int)
-        if m.genus < 1:
-            raise ConfigError("genus must be >= 1", line_of.get("genus"))
+    reads = _READS[exp]
+    unread = [key for key in pairs if key in _OPTIONAL and key not in reads]
+    if unread:
+        raise ConfigError(f"{exp} does not read {unread[0]}", line_of[unread[0]])
+    dim_key = reads[0]
+    n = _number(pairs, line_of, dim_key, int) if dim_key in pairs else None
     if "k" in pairs:
         try:
             ks = tuple(
@@ -223,38 +257,11 @@ def _build_manifest(pairs, line_of):
         if not ks or any(k < 1 for k in ks):
             raise ConfigError("levels must be positive", line_of.get("k"))
         m.k_values = ks
-    if "Z" in pairs:
-        pts = []
-        for chunk in pairs["Z"].split(";"):
-            if not chunk.strip():
-                continue
-            mat = parse_matrix(chunk, line_of.get("Z"))
-            try:
-                pts.append(SiegelPoint(mat))
-            except InvalidPointError as exc:
-                raise ConfigError(str(exc), line_of.get("Z")) from None
-        if not pts:
-            raise ConfigError("empty Siegel point list", line_of.get("Z"))
-        dims = {p.n for p in pts}
-        if len(dims) != 1:
-            raise ConfigError("Siegel points of mixed dimension", line_of.get("Z"))
-        if exp == "tqft" and pts[0].n != m.genus:
-            raise ConfigError(f"point dimension {pts[0].n} != genus {m.genus}",
-                              line_of.get("Z"))
-        m.points = tuple(pts)
-        if "n" not in pairs:
-            m.n = pts[0].n
-        elif m.n != pts[0].n:
-            raise ConfigError(
-                f"n={m.n} conflicts with {pts[0].n} x {pts[0].n} Siegel points",
-                line_of.get("Z"),
-            )
-    else:
-        m.points = _default_points(m.n, line_of.get("n"))
+    m.points = siegel_points(pairs.get("Z"), n, dim_key, line_of.get("Z"))
+    m.n = m.points[0].n
     if "modes" in pairs:
-        dim = m.genus if exp == "tqft" else m.n
         m.modes = tuple(
-            _parse_mode(chunk, dim, line_of.get("modes"))
+            _parse_mode(chunk, m.n, line_of.get("modes"))
             for chunk in pairs["modes"].split(";")
             if chunk.strip()
         )
@@ -270,13 +277,11 @@ def _build_manifest(pairs, line_of):
                           f"the fit, got {len(m.k_values)}", line_of.get("k"))
     if exp == "covariance" and len(m.points) < 2:
         raise ConfigError("covariance experiment needs at least two Siegel points",
-                          line_of.get("Z", line_of.get("n")))
+                          line_of.get("Z", line_of.get(dim_key)))
     if "tol" in pairs:
         m.tol = _tolerance(_number(pairs, line_of, "tol", float), line_of.get("tol"))
     if "grid" in pairs:
         m.grid = _number(pairs, line_of, "grid", int)
-        if m.grid < 1:
-            raise ConfigError("grid must be >= 1", line_of.get("grid"))
     if "out" in pairs:
         m.out = pairs["out"].strip()
     if "cache-dir" in pairs:

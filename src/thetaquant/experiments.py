@@ -580,13 +580,7 @@ def _run_flatness(m):
 
 
 def _run_tqft(m):
-    g = m.genus
-    if m.points and m.points[0].n == g:
-        p = m.points[0]
-    else:
-        from .siegel import SiegelPoint
-
-        p = SiegelPoint(np.diag([1j * (i + 1) for i in range(g)]))
+    g, p = m.n, m.points[0]  # the genus is the dimension of the point
     curves = [CurveClass(r, s) for r, s in m.modes]
     c1, c2 = (curves + [CurveClass.empty(g)] * 2)[:2]
     m1, m2 = holonomy_mode(c1), holonomy_mode(c2)

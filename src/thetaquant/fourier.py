@@ -56,9 +56,9 @@ def _int_tuple(v):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FourierMode:
-    """Integer frequency pair (r, s) labelling the phase F_{r,s}."""
+    """Integer frequency pair (r, s) labelling the phase F_{r,s}; sorts by r + s."""
 
     r: tuple
     s: tuple
@@ -386,9 +386,9 @@ def sup_abs(f):
     sum_j c_j e^{2 pi i t_j theta} in the one angle theta = m0.(x, y), so its
     sup is a maximum over one angle; any other function is maximised over
     all 2n angles.  Both go through the certified coarse-grid search plus
-    Newton of :func:`_trig_max`.
+    Newton of :func:`_trig_max` on the sorted modes, whatever their order.
     """
-    modes = f.modes()
+    modes = sorted(f.modes())
     c = [f.terms[m] for m in modes]
     line = _line_decomposition(modes)
     if line is None:

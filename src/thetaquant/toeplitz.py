@@ -238,24 +238,25 @@ class WeylSymbol:
             )
         entries = np.zeros((dim, dim), dtype=complex)
         if self.coeffs:
-            rows, values = _clock_shift_columns(k, n, list(self.coeffs))
+            modes = sorted(self.coeffs)  # congruent modes add in one order
+            rows, values = _clock_shift_columns(k, n, modes)
             cols = np.arange(dim)
-            for row, value, c in zip(rows, values, self.coeffs.values()):
-                entries[row, cols] += c * value
+            for row, value, m in zip(rows, values, modes):
+                entries[row, cols] += self.coeffs[m] * value
         return OperatorMatrix(k, n, entries)
 
     def _line(self):
-        """``fourier._line_decomposition`` of the modes: (m0, powers) or None."""
-        return _line_decomposition(self.coeffs)
+        """``_line_decomposition`` of the sorted modes: (m0, powers) or None."""
+        return _line_decomposition(sorted(self.coeffs))
 
     def norm(self):
         """Operator norm: exact on a line symbol (see the module docstring),
-        else the dense SVD."""
+        else the dense SVD; either is independent of the order of the terms."""
         line = self._line()
         if line is None:
             return operator_norm(self.to_dense())
         m0, t = line
-        c = np.array(list(self.coeffs.values()), dtype=complex)
+        c = np.array([self.coeffs[m] for m in sorted(self.coeffs)], dtype=complex)
         k, n = self.k, self.n
         r0s0 = sum(a * b for a, b in zip(m0[:n], m0[n:]))
         odd = (k * r0s0) % 2  # U^k = (-1)^odd I

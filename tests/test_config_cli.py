@@ -5,6 +5,7 @@ import pytest
 
 from thetaquant.cli import main
 from thetaquant.config import (
+    _READS,
     EXPERIMENT_IDS,
     ConfigError,
     parse_complex,
@@ -16,6 +17,7 @@ from thetaquant.experiments import emit_outputs, fmt_ints, run_experiment
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import OperatorMatrix, WeylSymbol
 
+N2 = "[[1i, 0], [0, 2i]]"
 P3 = "[[1i, 0, 0], [0, 2i, 0], [0, 0, 3i]]"
 N3_REFUSAL = "quadrature supports n in {1, 2}, got n = 3"
 
@@ -84,10 +86,67 @@ class TestParsing:
         m = parse_config("# header\nexperiment = covariance\nmodes = 1,0; 0,1")
         assert m.modes == (((1,), (0,)), ((0,), (1,)))
 
-    def test_n_above_two_needs_a_point(self):
-        # the default points exist for n = 1 and 2 only; n = 3 once ran at n = 2
-        with pytest.raises(ConfigError, match="line 2: n = 3 has no default"):
-            parse_config("experiment = gram\nn = 3\nk = 2")
+    def test_n_above_two_defaults_to_the_diagonal_point(self, tmp_path, capsys):
+        # n = 3 once had no default point; it runs at diag(i, 2i, 3i), which
+        # the quadrature refuses in every row
+        m = parse_config("experiment = gram\nn = 3\nk = 1, 2")
+        (p,) = m.points
+        assert np.array_equal(p.Z, np.diag([1j, 2j, 3j]))
+        doc = run_experiment(m, use_cache=False)
+        assert [row[-1] for row in doc.rows] == [f"refused: {N3_REFUSAL}"] * 2
+        cfg = tmp_path / "gram.cfg"
+        cfg.write_text("[gram]\nn = 3\nk = 1, 2\n")
+        assert main(["experiment", "run", str(cfg), "--no-cache"]) == 1
+        assert "overall: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("body, line, key", [
+        ("[gram]\nk = 2\ngenus = 2", 3, "genus"),
+        ("[tqft]\nn = 1", 2, "n"),
+        ("[tqft]\ngenus = 2\nn = 1", 3, "n"),
+        ("[bms]\ngrid = 64", 2, "grid"),
+        ("[bms]\ntol = 1e-3", 2, "tol"),
+        ("[bms]\nk = 8, 16\ngrid = 64, tol = 1e-300", 3, "grid"),
+        ("[heat-identity]\nmodes = 1,0", 2, "modes"),
+        ("[pairing-limit]\ngenus = 1", 2, "genus"),
+    ], ids=lambda v: v.replace("\n", " ") if isinstance(v, str) else None)
+    def test_keys_the_runner_does_not_read_are_refused(self, tmp_path, capsys,
+                                                       body, line, key):
+        # each once ran with the key ignored: gram at n = 1 with genus = 2 in
+        # its cache key, tqft at diag(i, 2i) over the n = 1 points, bms at
+        # the grid and tolerance it never reads
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(body + "\n")
+        rc = main(["experiment", "run", str(cfg), "--no-cache"])
+        experiment = body[1:body.index("]")]
+        assert capsys.readouterr().err == (
+            f"error: line {line}: {experiment} does not read {key}\n"
+        )
+        assert rc == 2
+
+    def test_every_key_the_table_lists_reaches_its_runner(self):
+        # a key in _READS changes what its runner writes; tqft's genus is
+        # its dimension, as every other n
+        base = {"gram": "k = 2\nZ = 1+2i", "toeplitz-compare": "k = 2\nZ = i",
+                "heat-identity": "k = 2\nZ = i", "covariance": "k = 2\nZ = i; 1+2i",
+                "trace-lemma": "k = 2\nZ = i", "bms": "k = 2, 4\nZ = i",
+                "pairing-limit": "k = 2, 4\nZ = i", "flatness": "Z = i",
+                "star-fit": "k = 2, 3, 4, 5, 6\nZ = i", "tqft": "k = 2, 3"}
+        values = {"tol": "0.125", "grid": "96", "modes": "1,0; 0,1"}
+        for experiment, reads in _READS.items():
+            dimension, *keys = reads
+            text = f"[{experiment}]\n{base[experiment]}"
+            plain = run_experiment(parse_config(text), use_cache=False)
+            for key in keys:
+                changed = run_experiment(
+                    parse_config(f"{text}\n{key} = {values[key]}"), use_cache=False
+                )
+                assert changed.csv_bytes() != plain.csv_bytes() or (
+                    key == "tol" and any(v["tolerance"] == "0.125"
+                                         for v in changed.verdicts)
+                ), (experiment, key)
+            wide = parse_config(f"[{experiment}]\n{dimension} = 3\n"
+                                f"k = 2, 3, 4, 5, 6\nZ = {P3}; {P3}")
+            assert wide.n == 3, experiment
 
 
 class TestRunAndCache:
@@ -582,6 +641,9 @@ class TestCli:
             (["gram", "--n", "3", "--Z", P3], N3_REFUSAL),
             (["toeplitz", "compare", "--n", "3", "--Z", P3, "--mode", "1,0,0,0,0,0"],
              N3_REFUSAL),
+            # --n was once ignored, and this ran at n = 2 and passed
+            (["gram", "--n", "1", "--Z", N2], "point dimension 2 != n = 1"),
+            (["gram", "--Z", "i; 2i"], "--Z takes one Siegel point, got 2"),
         ]
         for argv, message in cases:
             rc = main(argv)
@@ -688,6 +750,32 @@ class TestCli:
         assert f"selector {sel!r}" in err and "in [0, 1)" in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["gram", "--k", "2"],
+        ["toeplitz", "compare", "--k", "2", "--mode", "1,0,0,1"],
+        ["theta", "eval", "--k", "3", "--alpha", "1,2", "--z", "0.3+0.1i;0.2"],
+    ], ids=["gram", "toeplitz", "theta"])
+    def test_n2_without_a_point_runs_at_the_default_point(self, capsys, argv):
+        # each once exited 2 with "--Z is scalar but n=2", where [gram] n = 2
+        # ran at diag(i, 2i)
+        assert main([*argv, "--n", "2"]) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--Z", N2]) == 0
+        assert capsys.readouterr().out == default != ""
+
+    def test_run_flags_override_only_the_experiments_that_read_them(self, tmp_path,
+                                                                   capsys):
+        # bms reads neither, and once took both into its manifest and cache key
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[gram]\nk = 2\nZ = i\n[bms]\nk = 8, 16\nZ = i\n")
+        rc = main(["experiment", "run", str(cfg), "--no-cache", "--grid", "64",
+                   "--tol", "0.5"])
+        out = capsys.readouterr().out
+        gram, bms = [row for row in out.splitlines() if row.startswith("manifest: ")]
+        assert gram.endswith("|tol=0.5|grid=64")
+        assert bms.endswith("|tol=None|grid=None")
+        assert rc == 0
+
     def test_tqft_point_of_another_genus_is_refused_as_by_the_verb(self, tmp_path,
                                                                    capsys):
         # the run once ignored Z = i at genus 2, ran at diag(i, 2i) and passed
@@ -791,3 +879,52 @@ def test_every_manifest_exits_by_the_contract(tmp_path, capsys, experiment):
                 if rc not in (0, 1, 2) or (rc == 2 and not one_line):
                     broken.append((body, rc, err))
     assert broken == []
+
+
+_VERB_POINTS = {n: points.split("; ")[1] for n, points in _CONTRACT_POINTS.items()}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_every_verb_exits_by_the_contract(capsys, n):
+    # each verb at n (the genus for tqft) = 1, 2, 3 with labels, modes and
+    # coordinates of that dimension, at the default point, at an explicit
+    # point, and at an explicit point with the dimension left to it
+    mode = ",".join(["1"] + ["0"] * (2 * n - 1))
+    verbs = [
+        (["theta", "eval", "--k", "2", "--alpha", ",".join(["1"] * n),
+          "--z", ";".join(["0.3+0.1i"] * n)], "--n"),
+        (["gram", "--k", "2"], "--n"),
+        (["toeplitz", "compare", "--k", "2", "--mode", mode], "--n"),
+        (["tqft", "invariant", "--k", "2", "--mode", mode], "--g"),
+    ]
+    broken = []
+    for argv, flag in verbs:
+        for extra in ([flag, str(n)], [flag, str(n), "--Z", _VERB_POINTS[n]],
+                      ["--Z", _VERB_POINTS[n]]):
+            try:
+                rc = main(argv + extra)
+            except Exception as exc:  # an escaped exception breaks the contract
+                broken.append((argv + extra, repr(exc)))
+                continue
+            err = capsys.readouterr().err
+            one_line = err.startswith("error: ") and err.count("\n") == 1
+            if rc not in (0, 1, 2) or (rc == 2) != one_line:
+                broken.append((argv + extra, rc, err))
+    assert broken == []
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_verbs_print_the_deviation_of_a_run_at_the_default_point(capsys, n):
+    # the verb's default point is the first point of a section that names
+    # only its dimension
+    mode = ",".join(["1"] + ["0"] * (2 * n - 1))
+    for argv, section, column in (
+        (["gram"], "[gram]", "max_deviation"),
+        (["toeplitz", "compare", "--mode", mode],
+         f"[toeplitz-compare]\nmodes = {mode}", "max_entry_diff"),
+    ):
+        assert main([*argv, "--n", str(n), "--k", "3"]) == 0
+        printed = capsys.readouterr().out.split(" = ")[1].split()[0]
+        m = parse_config(f"{section}\nn = {n}\nk = 3")
+        doc = run_experiment(m, use_cache=False)
+        assert printed == f"{float(doc.rows[0][doc.columns.index(column)]):.3e}"

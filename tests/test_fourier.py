@@ -174,6 +174,11 @@ def any_functions(draw):
 @example(FourierFunction(
     {((-2,), (-3,)): 1 + 1.5j, ((0,), (-1,)): -2 + 0.5j, ((3,), (2,)): -0.5 - 1.5j}
 ))
+# written with F[0;1] first, the first key once turned the line so that
+# the search read 2.3111505 against the sup 2.3640278
+@example(FourierFunction(
+    {((0,), (1,)): 1.5 + 0.5j, ((0,), (0,)): 1 + 0.125j, ((0,), (-1,)): -0.375}
+))
 # the best node, theta = 1/2, is a critical point of |P| but a local minimum
 @example(FourierFunction(
     {((0,), (-2,)): 0.009765625, ((0,), (1,)): 0.5, ((0,), (2,)): -0.125}

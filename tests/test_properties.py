@@ -6,9 +6,9 @@ coordinate of the probe z = x + Zy is (3 i + 1) / 291: a zero of theta_a at
 n = 1 has x = (2m + 1) / 2k, which no such x equals (2k (3i + 1) is even,
 291 (2m + 1) odd), so the relative residuals never divide by a zero.
 
-Configs are drawn over every key that ``canonical()`` reads, rendered as
-text in either layout (one line, or one key per line under a section
-header), and parsed back.
+Configs are drawn over the keys each experiment reads (``config._READS``,
+with ``genus`` as tqft's dimension), rendered as text in either layout (one
+line, or one key per line under a section header), and parsed back.
 
 The frame pairings are drawn at n = 1 and 2, levels k <= 5, with gcd(k, N)
 either 1 or k and up to four modes of entries in [-2, 2].  N runs from 3,
@@ -30,7 +30,7 @@ from oracles import (
     mu_eigenvalue_oracle,
 )
 
-from thetaquant.config import EXPERIMENT_IDS, parse_config
+from thetaquant.config import _READS, EXPERIMENT_IDS, parse_config
 from thetaquant.formal import _mu_eigenvalue, formal_hitchin_residual
 from thetaquant.fourier import FourierMode
 from thetaquant.sections import (
@@ -126,7 +126,6 @@ def _fields(m):
         "modes": m.modes,
         "tol": m.tol,
         "grid": m.grid,
-        "genus": m.genus,
     }
 
 
@@ -135,10 +134,9 @@ def _render(f, one_line):
     name = f["experiment"]
     lines = [f"experiment = {name}"] if one_line else [f"[{name}]"]
     lines += [
-        f"n = {f['n']}",
+        f"{_READS[name][0]} = {f['n']}",
         "k = " + ", ".join(map(str, f["k"])),
         "Z = " + "; ".join(_point_text(z, f["n"]) for z in f["Z"]),
-        f"genus = {f['genus']}",
     ]
     if f["modes"]:
         lines.append(
@@ -156,6 +154,7 @@ def configs(draw):
     n = draw(st.sampled_from((1, 2)))
     vector = st.tuples(*[st.integers(-9, 9)] * n)
     experiment = draw(st.sampled_from(EXPERIMENT_IDS))
+    reads = _READS[experiment]
     # star-fit reads two modes and tqft at most two curves, and the config
     # refuses any other count for them
     count = {"star-fit": st.sampled_from((0, 2)), "tqft": st.integers(0, 2)}
@@ -177,11 +176,9 @@ def configs(draw):
             tuple(p.Z.ravel().tolist())
             for p in draw(st.lists(points(n), min_size=fewest_points, max_size=3))
         ),
-        "modes": tuple(draw(modes)),
-        "tol": draw(st.none() | st.floats(1e-16, 1.0)),
-        "grid": draw(st.none() | st.integers(1, 4096)),
-        # tqft modes are curve classes, of dimension the genus
-        "genus": n if experiment == "tqft" else draw(st.integers(1, 4)),
+        "modes": tuple(draw(modes)) if "modes" in reads else (),
+        "tol": draw(st.none() | st.floats(1e-16, 1.0)) if "tol" in reads else None,
+        "grid": draw(st.none() | st.integers(1, 4096)) if "grid" in reads else None,
     }
 
 

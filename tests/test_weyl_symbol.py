@@ -5,9 +5,11 @@ multiples of k so that congruent-but-distinct modes meet in products and
 pairings.  Every identity is checked against ``to_dense()``: the product
 against the matrix product (the Weyl relation), the pairing against the
 Frobenius pairing ``hs_inner``, and the exact line-symbol norm against the
-dense SVD.
+dense SVD.  The norm and the sup are drawn again with their terms permuted
+and must not move by a bit.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -204,3 +206,24 @@ def test_norm_and_sup_agree_on_lines(A):
     with mock.patch.object(fourier, "_trig_max", return_value=(0.0, 0.0)):
         method = sup_abs(FourierFunction(A.coeffs, n=A.n)).method
     assert method == ("line" if exact else "torus")
+
+
+def test_norm_is_the_same_in_every_order_of_the_terms():
+    # the first key once fixed the line's orientation, and with it the last
+    # bits: 1.1970850854856638 in some orders, 1.1970850854856636 in others
+    terms = [(((-1,), (0,)), -1.0), (((2,), (0,)), 0.5), (((-2,), (0,)), 0.5 + 0.5j)]
+    norms = {WeylSymbol(3, P1, dict(order)).norm()
+             for order in itertools.permutations(terms)}
+    assert len(norms) == 1
+    (norm,) = norms
+    dense = WeylSymbol(3, P1, dict(terms)).to_dense()
+    assert norm == pytest.approx(operator_norm(dense), rel=1e-12)
+
+
+@PROPERTY
+@given(st.one_of(line_symbols(), symbol_pairs().map(lambda pair: pair[0])), st.data())
+def test_norm_and_sup_are_independent_of_the_order_of_the_terms(A, data):
+    order = dict(data.draw(st.permutations(list(A.coeffs.items()))))
+    assert WeylSymbol(A.k, A.point, order).norm() == A.norm()
+    f = FourierFunction(A.coeffs, n=A.n)
+    assert sup_abs(FourierFunction(order, n=A.n)) == sup_abs(f)
