@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import FourierMode
 from .siegel import InvalidPointError, SiegelPoint
 from .toeplitz import _FIT_ORDER
 
@@ -272,6 +273,11 @@ def _build_manifest(pairs, line_of):
                     f"{exp} reads {words} modes, got {len(m.modes)}",
                     line_of.get("modes"),
                 )
+        if exp == "star-fit" and m.modes:
+            f, g = (FourierMode(*mode) for mode in m.modes)
+            if f.symplectic_pairing(g) == 0:
+                raise ConfigError("star-fit modes commute (r.u - s.t = 0): {f, g} = 0 "
+                                  "has no constant to measure", line_of.get("modes"))
     if exp == "star-fit" and len(m.k_values) < _FIT_ORDER + 2:
         raise ConfigError(f"star-fit needs at least {_FIT_ORDER + 2} levels for "
                           f"the fit, got {len(m.k_values)}", line_of.get("k"))

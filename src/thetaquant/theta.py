@@ -15,6 +15,9 @@ Z-derivatives.  Z-derivatives use the symmetric-matrix convention of
 Each point's terms are summed divided by the power of two 2^e that puts the
 largest term of its window in [1, 2), so no term overflows at any level;
 theta_eval multiplies back exactly and refuses a value beyond float range.
+A window holds (2r + 1)^n lattice points; one whose arrays would pass the
+1 GiB limit of ``fourier.check_bytes``, as at n = 10, is refused with
+SizeLimitError before allocation.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import check_bytes
 from .siegel import _delta
 
 __all__ = [
@@ -197,6 +201,12 @@ def _window(p, label, z, policy):
     peaks = np.array([p.Yinv @ v for v in z.imag])  # Y^-1 v, v = Im z
     centers = np.rint(-alpha - peaks)
     r = int(math.ceil(policy.radius))
+    nodes = (2 * r + 1) ** p.n
+    # the offsets and their indices (16n bytes a node); per evaluation u and
+    # its shifted copy (16n), log |term| (8) and four complex arrays: the
+    # linear phases, their scaled copy, the quadratic form and the terms
+    check_bytes(nodes * (16 * p.n + len(z) * (16 * p.n + 72)), "theta window",
+                f"{nodes} lattice points (radius {r}, n = {p.n})")
     offsets = np.indices((2 * r + 1,) * p.n).reshape(p.n, -1).T - r
     u = offsets + centers[:, None, :] + alpha
     # log |term| = -pi k u.Y(u + 2 Y^-1 v) does not depend on X, so every

@@ -38,6 +38,18 @@ through :meth:`WeylSymbol.to_dense`, the one dense builder.  Its result, an
 dimension and the entries, with no algebra of its own.  Every product,
 adjoint and pairing of closed-form operators is taken on the symbol.
 
+The expansion fits (:func:`product_expansion_fit`,
+:func:`c1_antisymmetry_constant` and ``formal.trivialized_star_compare``)
+take all K levels in one array pass, with no symbol per level.  One table
+of Laplace eigenvalues gives every eta_k, and the Weyl weights
+exp(i pi omega / k) of the products are one (K, ...) array from the weight
+the symbol product uses.  The projection of T_f T_g onto each out mode sums
+its terms in the exponent, exp((lambda_i + lambda_j - lambda_m) / 4k), so a
+far mode whose eta_k(m)^2 underflows keeps its finite ratio; the c0
+residual of a line symbol takes its norms at every level in one pass over
+the sum of the k roots; and one ``lstsq`` fits every series in powers of
+1/k.
+
 The norms approach sup |f| as k grows (``bms_experiment``).  That sup is
 also read off the modes, with no grid of the unit cell (``fourier.sup_abs``):
 a line function is sum_t c_t e^{2 pi i t theta} in the one angle
@@ -64,7 +76,6 @@ mode against ``toeplitz_modes_quadrature``, is the tests' oracle for it.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -201,13 +212,8 @@ class WeylSymbol:
     def __matmul__(self, other):
         """Product by the Weyl relation; O(M1 M2) at any level."""
         self._check_level(other)
-        k = self.k
-
-        def weight(omega):
-            return cmath.exp(1j * math.pi * (omega % (2 * k)) / k)
-
-        out = _mode_pair_sum(self.coeffs, other.coeffs, weight)
-        return WeylSymbol(k, self.point, out)
+        out = _mode_pair_sum(self.coeffs, other.coeffs, _weyl_phase(self.k))
+        return WeylSymbol(self.k, self.point, out)
 
     def adjoint(self):
         """W_k(m)* = W_k(-m), so the adjoint conjugates and negates modes."""
@@ -255,14 +261,34 @@ class WeylSymbol:
         line = self._line()
         if line is None:
             return operator_norm(self.to_dense())
-        m0, t = line
         c = np.array([self.coeffs[m] for m in sorted(self.coeffs)], dtype=complex)
-        k, n = self.k, self.n
-        r0s0 = sum(a * b for a, b in zip(m0[:n], m0[n:]))
-        odd = (k * r0s0) % 2  # U^k = (-1)^odd I
-        # the roots of lambda^k = (-1)^odd are exp(i pi (2j + odd) / k)
-        angles = np.multiply.outer(2 * np.arange(k) + odd, t) % (2 * k)
-        return float(np.max(np.abs(np.exp(1j * np.pi * angles / k) @ c)))
+        return float(_line_norms([self.k], self.n, *line, c[None])[0])
+
+
+def _weyl_phase(k):
+    """The weight of the Weyl relation at level k: omega -> exp(i pi omega / k),
+    omega reduced exactly mod 2k.  ``k`` is one level or an array of levels,
+    which broadcasts against an array of omega."""
+    return lambda omega: np.exp(1j * np.pi * (omega % (2 * k)) / k)
+
+
+def _line_norms(k_values, n, m0, t, c):
+    """Norms of the line symbols sum_j c[i, j] W_k(t_j m0) at k = k_values[i].
+
+    U = W_k(m0) has U^k = (-1)^odd I with odd = k r0.s0 mod 2, so each norm
+    is max |sum_j c[i, j] lambda^t_j| over the k roots lambda =
+    exp(i pi (2j + odd) / k) (see the module docstring), the angles reduced
+    exactly mod 2k.  One pass over the sum of the k roots; ``c`` has shape
+    (K, len(t)) and the result (K,).
+    """
+    k = np.asarray(k_values)
+    odd = (k % 2) * (sum(a * b for a, b in zip(m0[:n], m0[n:])) % 2)
+    kk = np.repeat(k, k)
+    start = np.cumsum(k) - k
+    roots = 2 * (np.arange(kk.size) - np.repeat(start, k)) + np.repeat(odd, k)
+    angles = np.multiply.outer(t, roots) % (2 * kk)
+    values = (np.exp((1j * np.pi / kk) * angles) * np.repeat(c.T, k, axis=1)).sum(axis=0)
+    return np.maximum.reduceat(np.abs(values), start)
 
 
 def _mode_symbol(p, k, m):
@@ -398,35 +424,75 @@ def bms_experiment(p, f, k_values):
 
 
 def loglog_order(ks, errs):
-    """Fitted decay order of err ~ k^-p (least squares on the log-log cloud)."""
+    """Fitted decay order of err ~ k^-p: minus the least-squares slope of
+    log err on log k over the positive errors; NaN below two of them."""
     ks = np.asarray(ks, dtype=float)
     errs = np.asarray(errs, dtype=float)
     good = errs > 0
     if good.sum() < 2:
         return float("nan")
-    slope = np.polyfit(np.log(ks[good]), np.log(errs[good]), 1)[0]
-    return float(-slope)
+    x = np.log(ks[good])
+    x -= x.mean()
+    y = np.log(errs[good])
+    return float(-(x @ (y - y.mean())) / (x @ x))
 
 
 # Highest power of 1/k in every expansion fit
 _FIT_ORDER = 3
+# Largest x whose exp(x) is a finite float
+_MAX_EXPONENT = math.log(np.finfo(float).max)
 
 
-def _inverse_power_fit(k_values, sample):
-    """Least-squares fit of ``sample(k)`` ~ sum_{l <= _FIT_ORDER} c_l k^-l.
+def _inverse_power_fit(k_values, samples):
+    """Least-squares fit of samples ~ sum_{l <= _FIT_ORDER} c_l k^-l.
 
-    ``sample(k)`` returns one value per fitted series at level k.  Returns
-    the coefficients (row l holds c_l of every series) and the condition
-    number of the Vandermonde matrix in 1/k.
+    ``samples`` has shape (K, S): row i holds the S fitted series at level
+    k_values[i], and one ``lstsq`` fits them all.  Returns the coefficients,
+    shape (_FIT_ORDER + 1, S) with row l holding c_l of every series, and
+    the condition number of the Vandermonde matrix in 1/k.
     """
     if len(k_values) < _FIT_ORDER + 2:
         raise ValueError(f"need at least {_FIT_ORDER + 2} levels for the fit")
-    samples = np.asarray([sample(k) for k in k_values], dtype=complex)
     x = 1.0 / np.asarray(k_values, dtype=float)
     V = np.vander(x, N=_FIT_ORDER + 1, increasing=True)
-    coefficients, *_ = np.linalg.lstsq(V, samples, rcond=None)
-    sv = np.linalg.svd(V, compute_uv=False)
+    coefficients, _, _, sv = np.linalg.lstsq(V, samples, rcond=None)
     return coefficients, float(sv[0] / sv[-1])
+
+
+def _product_projections(k_values, f, g, out_modes, lam):
+    """tr(T_f T_g T_m*) / tr(T_m T_m*) for each out mode m at every level.
+
+    ``f`` and ``g`` map modes to coefficients and ``lam`` maps each of their
+    modes and each out mode to the exponent of eta_k(m) = exp(lam[m] / 4k)
+    (0 for the heat-rescaled W_k(m)).  By the Weyl relation T_f T_g is
+    sum f_i g_j w_ij eta_k(m_i) eta_k(n_j) W_k(m_i + n_j), w_ij the weight
+    of :func:`_weyl_phase`, and its pairing with T_m keeps the products
+    congruent to m with the sign of :func:`trace_pair_sign`.  Each term of
+    the ratio is formed in the exponent,
+    sign f_i g_j w_ij exp((lam_i + lam_j - lam_m) / 4k), so a far mode
+    whose eta_k(m)^2 underflows still gives its finite ratio.  Returns an
+    array of shape (K, M).
+    """
+    ks = np.asarray(k_values)
+    pairs = [(a, b) for a in f for b in g]
+    sums = [a + b for a, b in pairs]
+    sign = np.array(
+        [[[trace_pair_sign(k, q, m) for m in out_modes] for q in sums]
+         for k in k_values]
+    ).reshape(len(ks), len(pairs), len(out_modes))
+    omega = np.array([a.symplectic_pairing(b) for a, b in pairs], dtype=np.int64)
+    terms = np.array([f[a] * g[b] for a, b in pairs], dtype=complex)
+    terms = terms * _weyl_phase(ks[:, None])(omega)
+    lam_pairs = np.array([lam[a] + lam[b] for a, b in pairs], dtype=float)
+    exponent = np.subtract.outer(lam_pairs, [lam[m] for m in out_modes])
+    exponent = exponent / (4 * ks[:, None, None])
+    # off the congruent products the sign is 0 and the exponent may overflow
+    top = exponent.max(where=sign != 0, initial=-np.inf)
+    if top > _MAX_EXPONENT:
+        raise OverflowError(f"a projection of T_f T_g needs e^{top:.4g}, beyond the "
+                            "float range: eta_k(m_i) eta_k(n_j) / eta_k(m) is too large")
+    scale = np.exp(exponent, where=sign != 0, out=np.zeros(sign.shape))
+    return np.einsum("kpm,kp,kpm->km", sign, terms, scale)
 
 
 @dataclass
@@ -442,32 +508,50 @@ class ProductExpansionFit:
 
 
 def product_expansion_fit(p, f, g, k_values):
-    """Fit the expansion T_f T_g ~ sum_l T_{c_l} k^{-l} from measured matrices.
+    """Fit the expansion T_f T_g ~ sum_l T_{c_l} k^{-l} at every level at once.
 
-    For every output mode the product matrix is projected onto the mode
-    operator (orthogonal for distinct small modes under the pair trace) and
-    the resulting scalar sequence is regressed on powers of 1/k.  Needs
-    len(k_values) >= _FIT_ORDER + 2 and min(k) large enough that distinct output
-    modes are incongruent.
+    The samples are the projections of T_f T_g onto the mode operator of
+    every output mode (orthogonal for distinct small modes under the pair
+    trace), taken for all K levels in one array pass by
+    :func:`_product_projections` from one table of Laplace eigenvalues; one
+    ``lstsq`` regresses them on powers of 1/k.  The c0 residual
+    T_f T_g - T_{fg} is the level-axis Weyl product of the symbols, whose
+    coefficients are (K,) arrays, less T_{fg}; its norms come from
+    :func:`_line_norms` over all levels when its modes lie on one line, else
+    from ``norm()`` level by level.  Needs len(k_values) >= _FIT_ORDER + 2
+    and min(k) large enough that distinct output modes are incongruent.
     """
     k_values = tuple(int(k) for k in k_values)
+    ks = np.asarray(k_values)
+    f_terms, g_terms = f.terms, g.terms
     out_modes = sorted(
-        {m1 + m2 for m1 in f.terms for m2 in g.terms},
+        {m1 + m2 for m1 in f_terms for m2 in g_terms},
         key=lambda m: (m.r, m.s),
     )
+    modes = [*f_terms, *g_terms, *out_modes]
+    lam = dict(zip(modes, laplace_eigenvalue(p, modes))) if modes else {}
+
+    def eta_levels(m):
+        return np.exp(lam[m] / (4 * ks))
+
+    samples = _product_projections(k_values, f_terms, g_terms, out_modes, lam)
+    prod = _mode_pair_sum(
+        {m: c * eta_levels(m) for m, c in f_terms.items()},
+        {m: c * eta_levels(m) for m, c in g_terms.items()},
+        _weyl_phase(ks),
+    )
     fg = f * g
-    c0_norms = []
+    residual = np.array(
+        [prod[m] - fg.coefficient(m) * eta_levels(m) for m in out_modes]
+    ).reshape(len(out_modes), len(ks)).T
+    line = _line_decomposition(out_modes)
+    if line is None:
+        c0_norms = [WeylSymbol(k, p, dict(zip(out_modes, row))).norm()
+                    for k, row in zip(k_values, residual)]
+    else:
+        c0_norms = _line_norms(k_values, p.n, *line, residual).tolist()
 
-    def sample(k):
-        prod = WeylSymbol.toeplitz(p, k, f) @ WeylSymbol.toeplitz(p, k, g)
-        c0_norms.append((prod - WeylSymbol.toeplitz(p, k, fg)).norm())
-        out = []
-        for m in out_modes:
-            B = _mode_symbol(p, k, m)
-            out.append(prod.pair(B) / B.pair(B))
-        return out
-
-    coeff_rows, cond = _inverse_power_fit(k_values, sample)
+    coeff_rows, cond = _inverse_power_fit(k_values, samples)
     coefficients = [
         FourierFunction(dict(zip(out_modes, row)), n=f.n)
         for row in coeff_rows
@@ -496,16 +580,32 @@ def c1_antisymmetry_constant(p, f, g, k_values):
     """Measure the global constant linking fitted c_1 antisymmetry to {f, g}.
 
     Fits both orderings, forms c_1(f,g) - c_1(g,f), and scales the
-    Poisson-bracket operator onto it in the Hilbert-Schmidt sense.  The
-    returned ``constant`` is the measured ratio against -i {f, g}.
+    Poisson-bracket operator onto it in the Hilbert-Schmidt sense at the top
+    level.  Both operators are taken divided by the largest eta_k of the
+    bracket's modes, which neither the scale nor the relative residual sees,
+    so a far mode whose eta_k underflows still gives a finite ratio.  The
+    returned ``constant`` is the measured ratio against -i {f, g}; a bracket
+    whose operator vanishes is refused with ValueError.
     """
     fit_fg = product_expansion_fit(p, f, g, k_values)
     fit_gf = product_expansion_fit(p, g, f, k_values)
-    anti = fit_fg.coefficients[1] - fit_gf.coefficients[1]
+    anti = (fit_fg.coefficients[1] - fit_gf.coefficients[1]).terms
+    bracket = poisson_bracket(f, g).terms
     kmax = max(k_values)
-    A = WeylSymbol.toeplitz(p, kmax, anti)
-    B = WeylSymbol.toeplitz(p, kmax, poisson_bracket(f, g))
-    gamma = A.pair(B) / B.pair(B)
+    modes = [*anti, *bracket]
+    lam = dict(zip(modes, laplace_eigenvalue(p, modes))) if modes else {}
+    top = max((lam[m] for m in bracket), default=0.0)
+
+    def scaled(terms):
+        return WeylSymbol(kmax, p, {m: c * math.exp((lam[m] - top) / (4 * kmax))
+                                    for m, c in terms.items()})
+
+    A, B = scaled(anti), scaled(bracket)
+    norm2 = B.pair(B)
+    if norm2 == 0:
+        raise ValueError(f"the operator of {{f, g}} vanishes at k = {kmax}: "
+                         "no scale to measure")
+    gamma = A.pair(B) / norm2
     resid = (A - gamma * B).norm() / max(A.norm(), 1e-300)
     return C1Comparison(
         gamma=gamma,

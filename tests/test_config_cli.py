@@ -360,7 +360,9 @@ class TestRunAndCache:
         monkeypatch.setattr(WeylSymbol, "to_dense", no_dense)
         for text in ("experiment = bms\nn = 1\nk = 8192, 16384\nZ = i",
                      "experiment = pairing-limit\nn = 1\nk = 4096, 8192, 16384",
-                     "experiment = tqft\ngenus = 3\nk = 32"):
+                     "experiment = tqft\ngenus = 3\nk = 32",
+                     "experiment = star-fit\nn = 1\nk = 1024, 2048, 4096, 8192, 16384",
+                     "experiment = star-fit\nn = 2\nk = 1024, 2048, 4096, 8192, 16384"):
             doc = run_experiment(parse_config(text), use_cache=False)
             assert doc.passed, text
             assert all(row[-1] == "pass" for row in doc.rows)
@@ -668,6 +670,7 @@ class TestCli:
         ("[tqft]\nmodes = 1,0; 0,1; 1,1", 2),
         ("[star-fit]\nmodes = 1,0", 2),
         ("[star-fit]\nmodes = 1,0; 0,1; 1,1", 2),
+        ("[star-fit]\nmodes = 1,0; 2,0", 2),
         ("[star-fit]", 2),
         ("[covariance]\nZ = i", 2),
         ("[covariance]\nn = 2", 2),
@@ -678,8 +681,9 @@ class TestCli:
         # modes have 2n entries (2 genus for tqft); genus and grid are >= 1;
         # the tolerance is positive and finite; tqft reads at most two curves
         # and star-fit two modes, and neither drops one it was given; star-fit
-        # fits five levels or more, covariance pairs two points or more, and a
-        # tqft point has the dimension of the genus
+        # fits five levels or more of two modes that do not commute,
+        # covariance pairs two points or more, and a tqft point has the
+        # dimension of the genus
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(body + "\nk = 2\n")
         rc = main(["experiment", "run", str(cfg), "--no-cache"])
@@ -861,27 +865,51 @@ def test_every_manifest_exits_by_the_contract(tmp_path, capsys, experiment):
     # each experiment at n = 1, 2, 3 (the genus for tqft), at the levels
     # below, with default and with explicit points: a run passes (0), fails
     # (1) or refuses its input (2, one line on stderr); nothing escapes
+    bodies = [
+        f"[{experiment}]\n{'genus' if experiment == 'tqft' else 'n'} = {n}\n"
+        f"k = {levels}{points}\n"
+        for n in (1, 2, 3)
+        for levels in ("1", "2", "2, 3", "1, 2, 3, 4, 5")
+        for points in ("", f"\nZ = {_CONTRACT_POINTS[n]}")
+    ]
+    if experiment == "star-fit":
+        # a far mode: eta_16 of F[40;1] squared underflows at Z = 1+2i, and
+        # its projection once divided 0 by 0
+        bodies.append("[star-fit]\nn = 1\nk = 16, 32, 64, 128, 256\nmodes = 40,0; 0,1\n")
     broken = []
     cfg = tmp_path / "exp.cfg"
-    for n in (1, 2, 3):
-        dimension = f"genus = {n}" if experiment == "tqft" else f"n = {n}"
-        for levels in ("1", "2", "2, 3", "1, 2, 3, 4, 5"):
-            for points in ("", f"\nZ = {_CONTRACT_POINTS[n]}"):
-                body = f"[{experiment}]\n{dimension}\nk = {levels}{points}\n"
-                cfg.write_text(body)
-                try:
-                    rc = main(["experiment", "run", str(cfg), "--no-cache"])
-                except Exception as exc:  # an escaped exception breaks the contract
-                    broken.append((body, repr(exc)))
-                    continue
-                err = capsys.readouterr().err
-                one_line = err.startswith("error: ") and err.count("\n") == 1
-                if rc not in (0, 1, 2) or (rc == 2 and not one_line):
-                    broken.append((body, rc, err))
+    for body in bodies:
+        cfg.write_text(body)
+        try:
+            rc = main(["experiment", "run", str(cfg), "--no-cache"])
+        except Exception as exc:  # an escaped exception breaks the contract
+            broken.append((body, repr(exc)))
+            continue
+        err = capsys.readouterr().err
+        one_line = err.startswith("error: ") and err.count("\n") == 1
+        if rc not in (0, 1, 2) or (rc == 2 and not one_line):
+            broken.append((body, rc, err))
     assert broken == []
 
 
 _VERB_POINTS = {n: points.split("; ")[1] for n, points in _CONTRACT_POINTS.items()}
+
+
+def test_theta_window_is_sized_before_allocation(capsys, monkeypatch):
+    # at n = 10 the radius-3 lattice window has 7^10 points: np.indices once
+    # asked for 21 GiB, and the verb and the sweep ended in a traceback
+    def no_window(*args, **kwargs):
+        raise AssertionError("lattice window allocated")
+
+    monkeypatch.setattr(np, "indices", no_window)
+    rc = main(["theta", "eval", "--n", "10", "--k", "2", "--alpha", ",".join(["0"] * 10),
+               "--z", ";".join(["0.1"] * 10)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "theta window needs" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    doc = run_experiment(parse_config("[heat-identity]\nn = 10\nk = 2"), use_cache=False)
+    assert not doc.passed
+    assert [row[-1].split(" needs")[0] for row in doc.rows] == ["refused: theta window"]
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

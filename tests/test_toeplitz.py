@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thetaquant.formal import trivialized_star_compare
 from thetaquant.fourier import FourierFunction, FourierMode
 from thetaquant.sections import GridError, QuadratureGrid, required_grid_size
 from thetaquant.siegel import SiegelPoint
@@ -26,6 +27,7 @@ from thetaquant.toeplitz import (
     toeplitz_modes_quadrature,
     trace_pair_closed_form,
     trace_pair_sign,
+    _line_norms,
 )
 
 from oracles import toeplitz_entry_brute, toeplitz_mode_loop
@@ -495,3 +497,125 @@ class TestAsymptotics:
         ks = (8, 16, 32, 64)
         errs = [3.0 / k for k in ks]
         assert loglog_order(ks, errs) == pytest.approx(1.0, abs=1e-12)
+        # a zero error leaves the fit; one positive error fits no slope
+        assert loglog_order(ks, [0.0] + errs[1:]) == pytest.approx(1.0, abs=1e-12)
+        assert np.isnan(loglog_order(ks, [0.0, 0.0, 0.0, errs[3]]))
+
+    def test_c1_constant_of_a_far_mode_is_finite(self):
+        # eta_256 of F[400;1] underflows at Z = i, and the bracket's operator
+        # once paired to 0 and divided by it
+        f = FourierFunction.mode((400,), (0,))
+        g = FourierFunction.mode((0,), (1,))
+        comp = c1_antisymmetry_constant(SiegelPoint(1j), f, g, (16, 32, 64, 128, 256))
+        assert np.isfinite(comp.constant) and np.isfinite(comp.relative_residual)
+        # eta_16(F[400;0])^2 / eta_16(F[800;0]) = e^(10^4 pi) at Z = i
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            product_expansion_fit(SiegelPoint(1j), f, f, (16, 32, 64, 128, 256))
+        # {g, 2g} = 0
+        with pytest.raises(ValueError, match="vanishes"):
+            c1_antisymmetry_constant(SiegelPoint(1j), g, 2 * g, (16, 32, 64, 128, 256))
+
+
+def _dense_product_fit(p, f, g, k_values):
+    """product_expansion_fit level by level from dense matrices: the product
+    of the to_dense() operators, its Frobenius projection onto to_dense() of
+    each out mode, the 2-norm of T_f T_g - T_fg and the same lstsq."""
+    out_modes = sorted({a + b for a in f.terms for b in g.terms},
+                       key=lambda m: (m.r, m.s))
+    samples, norms = [], []
+    for k in k_values:
+        def dense(h):
+            return WeylSymbol.toeplitz(p, k, h).to_dense().entries
+
+        prod = dense(f) @ dense(g)
+        norms.append(np.linalg.norm(prod - dense(f * g), 2))
+        row = []
+        for m in out_modes:
+            B = WeylSymbol(k, p, {m: eta(p, k, m)}).to_dense().entries
+            row.append(np.vdot(B, prod) / np.vdot(B, B))
+        samples.append(row)
+    V = np.vander(1.0 / np.asarray(k_values, dtype=float), N=4, increasing=True)
+    coefficients = np.linalg.lstsq(V, np.array(samples), rcond=None)[0]
+    return out_modes, coefficients, norms
+
+
+@st.composite
+def fit_cases(draw):
+    """A point, its levels (n = 1: k = 8..128; n = 2: k = 4..8) and f, g of
+    one to three modes with entries and coefficient parts in [-2, 2]."""
+    Z = draw(st.sampled_from(Z_LIST + [[[1j, 0], [0, 2j]], [[2j, 0.5j], [0.5j, 1j]]]))
+    p = SiegelPoint(Z)
+    levels = (8, 16, 32, 64, 128) if p.n == 1 else (4, 5, 6, 7, 8)
+    vector = st.tuples(*[st.integers(-2, 2)] * p.n)
+    part = st.integers(-16, 16).map(lambda v: v / 8)
+
+    def function():
+        terms = draw(st.dictionaries(st.tuples(vector, vector),
+                                     st.builds(complex, part, part).filter(bool),
+                                     min_size=1, max_size=3))
+        return FourierFunction(terms, n=p.n)
+
+    return p, levels, function(), function()
+
+
+def _assert_close(got, want, scale):
+    """|got - want| <= 1e-10 (|want| + scale) entrywise."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= 1e-10 * (np.abs(want) + scale))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_cases())
+# at k = 4 the out modes F[2,0;1,0] and F[-2,0;1,0] are congruent, with pair sign -1
+@example((SiegelPoint([[1j, 0], [0, 2j]]), (4, 5, 6, 7, 8),
+          FourierFunction({((2, 0), (0, 0)): 1.0, ((-2, 0), (0, 0)): 0.5j}),
+          FourierFunction({((0, 0), (1, 0)): 1.0})))
+def test_level_axis_fit_matches_the_dense_levels(case):
+    p, levels, f, g = case
+    fit = product_expansion_fit(p, f, g, levels)
+    out_modes, coefficients, norms = _dense_product_fit(p, f, g, levels)
+    scale = sum(map(abs, f.terms.values())) * sum(map(abs, g.terms.values()))
+    for l, row in enumerate(coefficients):
+        _assert_close([fit.coefficients[l].coefficient(m) for m in out_modes], row, scale)
+    _assert_close(fit.c0_residual_norms, norms, scale)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fit_cases())
+def test_trivialized_order1_matches_the_dense_levels(case):
+    p, levels, f, g = case
+    m1, m2 = f.modes()[0], g.modes()[0]
+    samples = []
+    for k in levels:
+        A = rescaled_toeplitz(p, k, m1).entries @ rescaled_toeplitz(p, k, m2).entries
+        B = rescaled_toeplitz(p, k, m1 + m2).entries
+        samples.append([np.vdot(B, A) / np.vdot(B, B)])
+    V = np.vander(1.0 / np.asarray(levels, dtype=float), N=4, increasing=True)
+    order1 = np.linalg.lstsq(V, np.array(samples), rcond=None)[0][1, 0]
+    rep = trivialized_star_compare(p, m1, m2, levels)
+    _assert_close(rep.order1, order1, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1j, 1 + 2j, [[1j, 0], [0, 2j]]]), st.data())
+def test_line_norms_over_levels_are_the_one_level_norms(Z, data):
+    p = SiegelPoint(Z)
+    m0 = data.draw(st.sampled_from([(1, 0), (1, 1), (2, -1)] if p.n == 1
+                                   else [(1, 0, 0, 0), (1, 0, 1, 1), (0, 2, -1, 1)]))
+    powers = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True))
+    coefficient = st.integers(-16, 16).filter(bool).map(lambda v: v / 8)
+    coeffs = {
+        FourierMode(m[:p.n], m[p.n:]): complex(data.draw(coefficient), data.draw(coefficient))
+        for m in (tuple(t * a for a in m0) for t in powers)
+    }
+    levels = data.draw(st.lists(st.integers(1, 64 if p.n == 1 else 8),
+                                min_size=1, max_size=5))
+    # the decomposition and coefficient order that norm() takes
+    line = WeylSymbol(levels[0], p, coeffs)._line()
+    c = np.array([coeffs[m] for m in sorted(coeffs)])
+    norms = _line_norms(levels, p.n, *line, np.tile(c, (len(levels), 1)))
+    for k, norm in zip(levels, norms):
+        symbol = WeylSymbol(k, p, coeffs)
+        assert norm == symbol.norm()
+        dense = operator_norm(symbol.to_dense())
+        assert abs(norm - dense) <= 1e-10 * max(1.0, dense)
