@@ -162,6 +162,12 @@ def configs(draw):
     if experiment in count:
         size = draw(count[experiment])
         modes = st.lists(st.tuples(vector, vector), min_size=size, max_size=size)
+    if experiment == "star-fit":
+        # the config refuses two star-fit modes that commute, {f, g} = 0
+        modes = modes.filter(
+            lambda ms: not ms
+            or FourierMode(*ms[0]).symplectic_pairing(FourierMode(*ms[1])) != 0
+        )
     # the config refuses a star-fit of fewer than five levels, and a
     # covariance of fewer than two points
     fewest_levels = 5 if experiment == "star-fit" else 1
