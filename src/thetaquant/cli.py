@@ -6,13 +6,15 @@ Verbs:
     thetaquant gram --n 1 --k 4 --Z i
     thetaquant toeplitz compare --k 2 --Z i --mode 1,0
     thetaquant experiment run config.txt [--out report --no-cache ...]
-    thetaquant tqft invariant --g 1 --k 5 [--mode 1,0 --mode2 0,1]
+    thetaquant tqft invariant [--g 1] --k 5 [--mode 1,0 --mode2 0,1]
 
 Without --Z a verb runs at the default point of its dimension (i at n = 1,
-diag(i, 2i, ..., ni) above), and without --n (--g) at the point's dimension.
-``experiment run`` flags override the config values of the experiments that
-read them.  The cache directory defaults to $THETAQUANT_CACHE_DIR.  Bad
-input ends with a one-line error on stderr and exit code 2.
+diag(i, 2i, ..., ni) above), and without --n at the point's dimension.
+``tqft invariant`` takes no point, as curve operators do not depend on it;
+its genus --g is 1 by default.  ``experiment run`` flags override the
+config values of the experiments that read them.  The cache directory
+defaults to $THETAQUANT_CACHE_DIR.  Bad input ends with a one-line error on
+stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from .toeplitz import quadrature_deviation
 from .tqft import CurveClass, mapping_torus_invariant
 
 
-def _point(text, n, key="n"):
+def _point(text, n):
     """The one Siegel point of --Z, or the default point, of dimension n."""
-    points = siegel_points(text, n, key)
+    points = siegel_points(text, n)
     if text is not None and len(points) > 1:
         raise ConfigError(f"--Z takes one Siegel point, got {len(points)}")
     return points[0]
@@ -129,10 +131,8 @@ def build_parser():
     tq = sub.add_parser("tqft", help="curve operators and invariants")
     tq_sub = tq.add_subparsers(dest="action", required=True)
     inv = tq_sub.add_parser("invariant", help="mapping torus invariant")
-    inv.add_argument("--g", type=positive_int, help="genus (default: Z's, else 1)")
+    inv.add_argument("--g", type=positive_int, default=1, help="genus")
     inv.add_argument("--k", type=positive_int, default=2)
-    inv.add_argument("--Z", help="Siegel point (default: i at g = 1, diag(i, 2i, "
-                     "..., gi) above)")
     inv.add_argument("--mode", default=None, help="first curve class r,s")
     inv.add_argument("--mode2", default=None, help="second curve class r,s")
     return ap
@@ -217,10 +217,9 @@ def _cmd_experiment_run(args):
 
 
 def _cmd_tqft_invariant(args):
-    p = _point(args.Z, args.g, "genus")
-    c1, c2 = (CurveClass(*_parse_mode(text, p.n)) if text else None
+    c1, c2 = (CurveClass(*_parse_mode(text, args.g)) if text else None
               for text in (args.mode, args.mode2))
-    val = mapping_torus_invariant(p, args.k, c1, c2)
+    val = mapping_torus_invariant(args.g, args.k, c1, c2)
     print(fmt_complex(val))
     return 0
 

@@ -7,10 +7,11 @@ row lists ``[[a, b], [c, d]]``; lists of levels or modes are comma or
 semicolon separated.  Unknown keys and malformed values raise
 :class:`ConfigError` with the offending line number.
 
-Every section reads ``experiment``, ``k``, ``Z``, ``out`` and ``cache-dir``;
+Every section reads ``experiment``, ``k``, ``out`` and ``cache-dir``;
 ``_READS`` lists the other keys each experiment reads, and a section that
-sets one it does not read is refused at its line.  ``[tqft]`` spells the
-dimension ``n`` as ``genus``; :func:`siegel_points` resolves ``Z`` with it.
+sets one it does not read is refused at its line.  :func:`siegel_points`
+resolves ``Z`` with ``n``; ``[tqft]`` reads ``genus`` as its dimension and
+no ``Z``, as curve operators do not depend on the complex structure.
 """
 
 from __future__ import annotations
@@ -64,15 +65,15 @@ _KNOWN_KEYS = {
 
 # The optional keys each experiment reads, its dimension key first.
 _READS = {
-    "gram": ("n", "tol", "grid"),
-    "toeplitz-compare": ("n", "tol", "grid", "modes"),
-    "heat-identity": ("n", "tol"),
-    "covariance": ("n", "tol", "modes"),
-    "trace-lemma": ("n", "tol", "modes"),
-    "bms": ("n", "modes"),
-    "pairing-limit": ("n", "modes"),
-    "star-fit": ("n", "tol", "modes"),
-    "flatness": ("n", "tol", "modes"),
+    "gram": ("n", "Z", "tol", "grid"),
+    "toeplitz-compare": ("n", "Z", "tol", "grid", "modes"),
+    "heat-identity": ("n", "Z", "tol"),
+    "covariance": ("n", "Z", "tol", "modes"),
+    "trace-lemma": ("n", "Z", "tol", "modes"),
+    "bms": ("n", "Z", "modes"),
+    "pairing-limit": ("n", "Z", "modes"),
+    "star-fit": ("n", "Z", "tol", "modes"),
+    "flatness": ("n", "Z", "tol", "modes"),
     "tqft": ("genus", "modes"),
 }
 _OPTIONAL = set().union(*_READS.values())
@@ -194,10 +195,10 @@ class ExperimentManifest:
         return "|".join(fields)
 
 
-def siegel_points(text=None, n=None, key="n", line=None):
+def siegel_points(text=None, n=None, line=None):
     """The points of ``text`` (';' separated), each of dimension ``n`` or
-    a ConfigError naming ``key``; for no text the default points: i, 1+2i
-    and 0.5+0.7i at n = 1 (or None), diag(i, 2i, ..., ni) above."""
+    a ConfigError; for no text the default points: i, 1+2i and 0.5+0.7i at
+    n = 1 (or None), diag(i, 2i, ..., ni) above."""
     if text is None:
         if n in (None, 1):
             return tuple(SiegelPoint(parse_complex(z)) for z in DEFAULT_Z_N1)
@@ -213,7 +214,7 @@ def siegel_points(text=None, n=None, key="n", line=None):
     if len({p.n for p in pts}) != 1:
         raise ConfigError("Siegel points of mixed dimension", line)
     if n is not None and pts[0].n != n:
-        raise ConfigError(f"point dimension {pts[0].n} != {key} = {n}", line)
+        raise ConfigError(f"point dimension {pts[0].n} != n = {n}", line)
     return tuple(pts)
 
 
@@ -258,8 +259,9 @@ def _build_manifest(pairs, line_of):
         if not ks or any(k < 1 for k in ks):
             raise ConfigError("levels must be positive", line_of.get("k"))
         m.k_values = ks
-    m.points = siegel_points(pairs.get("Z"), n, dim_key, line_of.get("Z"))
-    m.n = m.points[0].n
+    if "Z" in reads:
+        m.points = siegel_points(pairs.get("Z"), n, line_of.get("Z"))
+    m.n = m.points[0].n if m.points else n or 1
     if "modes" in pairs:
         m.modes = tuple(
             _parse_mode(chunk, m.n, line_of.get("modes"))

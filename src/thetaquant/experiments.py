@@ -509,9 +509,10 @@ def _run_star_fit(m):
     for pair_idx, (m1, m2) in enumerate(pairs):
         f = FourierFunction({m1: 1.0})
         g = FourierFunction({m2: 1.0})
+        # the star fit takes no point: one per pair, against each point's c1
+        star = trivialized_star_compare(m1, m2, m.k_values)
         for p in points:
             comp = c1_antisymmetry_constant(p, f, g, m.k_values)
-            star = trivialized_star_compare(p, m1, m2, m.k_values)
             if pair_idx == 0:
                 c0_orders.append(
                     product_expansion_fit(p, f, g, doubled).c0_fit_order
@@ -580,7 +581,7 @@ def _run_flatness(m):
 
 
 def _run_tqft(m):
-    g, p = m.n, m.points[0]  # the genus is the dimension of the point
+    g = m.n  # the genus
     curves = [CurveClass(r, s) for r, s in m.modes]
     c1, c2 = (curves + [CurveClass.empty(g)] * 2)[:2]
     m1, m2 = holonomy_mode(c1), holonomy_mode(c2)
@@ -589,12 +590,12 @@ def _run_tqft(m):
     sweep = _Sweep(["genus", "k", "curve1", "curve2", "invariant", "expected", "status"],
                    "gluing-dimension")
     for k in m.k_values:
-        val = mapping_torus_invariant(p, k, c1, c2)
+        val = mapping_torus_invariant(g, k, c1, c2)
         cells = [g, k, *names, fmt_complex(val)]
         with sweep.cell(k, lambda why: cells + ["-", why]):
             # tr(W(m1) W(m2)*): k^g for equal curves, else from the matrices
             expected = complex(k**g) if m1 == m2 else hs_inner(
-                curve_operator(p, k, c1), curve_operator(p, k, c2)
+                curve_operator(k, c1), curve_operator(k, c2)
             )
             err = abs(val - expected)
             sweep.values["gluing-dimension"].append(err)

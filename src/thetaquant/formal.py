@@ -262,11 +262,10 @@ class TrivializedStarFit:
     order1: complex
     moyal_order1: complex
     constant: complex  # measured ratio order1 / moyal_order1 (0 when both vanish)
-    cross_point_deviation: float
     condition_number: float
 
 
-def trivialized_star_compare(p, m1, m2, k_values, other_point=None):
+def trivialized_star_compare(m1, m2, k_values):
     """Measure the star product seen through heat-rescaled operators.
 
     At every level the product of the two rescaled mode operators is
@@ -275,16 +274,11 @@ def trivialized_star_compare(p, m1, m2, k_values, other_point=None):
     since the heat coefficient removes eta_k), and the scalar sequence is
     fitted in 1/k; the linear coefficient is compared with the Moyal value
     2 pi^2 i (r.u - s.t) as a ratio (the global normalization constant).
-    The rescaled operators W_k(m) carry no Siegel point, so the fit at a
-    second point, which quantifies complex-structure independence, repeats
-    the first: ``cross_point_deviation`` is 0 for any ``other_point`` of the
-    modes' dimension.
+    The rescaled operators W_k(m) do not depend on the complex structure, so
+    neither does the fit, and it takes no Siegel point.
     """
     m1, m2 = FourierMode.coerce(m1), FourierMode.coerce(m2)
     k_values = tuple(int(k) for k in k_values)
-    for pt in (p, other_point):
-        if pt is not None and pt.n != m1.n:
-            raise ValueError(f"mode dimension does not match n = {pt.n}")
     out = m1 + m2
     samples = _product_projections(
         k_values, {m1: 1.0}, {m2: 1.0}, [out], dict.fromkeys((m1, m2, out), 0.0)
@@ -298,6 +292,5 @@ def trivialized_star_compare(p, m1, m2, k_values, other_point=None):
         order1=complex(c1),
         moyal_order1=complex(moyal),
         constant=complex(constant),
-        cross_point_deviation=0.0,
         condition_number=cond,
     )

@@ -82,6 +82,8 @@ class FourierMode:
         return FourierMode(tuple(-a for a in self.r), tuple(-a for a in self.s))
 
     def __add__(self, other):
+        if self.n != other.n:  # zip would cut the longer mode
+            raise ValueError(f"modes of dimensions {self.n} and {other.n}")
         return FourierMode(
             tuple(a + b for a, b in zip(self.r, other.r)),
             tuple(a + b for a, b in zip(self.s, other.s)),

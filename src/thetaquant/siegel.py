@@ -48,8 +48,8 @@ class NonNormalError(ValueError):
 class SiegelPoint:
     """A point Z = X + iY of the Siegel upper half space.
 
-    Accepts a scalar, nested list, or array; validates symmetry and positive
-    definiteness of Y at construction.  Immutable thereafter.
+    Accepts a scalar, nested list, or array; validates finiteness, symmetry
+    and positive definiteness of Y at construction.  Immutable thereafter.
     """
 
     Z: np.ndarray
@@ -65,6 +65,8 @@ class SiegelPoint:
         Z = np.atleast_2d(np.asarray(self.Z, dtype=complex))
         if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
             raise InvalidPointError(f"Z must be square, got shape {Z.shape}")
+        if not np.isfinite(Z).all():
+            raise InvalidPointError("Z has a non-finite entry")
         if np.max(np.abs(Z - Z.T)) >= SYMMETRY_TOL:
             raise InvalidPointError("Z is not symmetric within 1e-12")
         X = Z.real.copy()

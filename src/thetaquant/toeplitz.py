@@ -19,7 +19,10 @@ which satisfies the Weyl relation
 
 with omega the symplectic pairing r1.s2 - s1.r2.  So every closed-form
 operator is a :class:`WeylSymbol` A = sum_m a_m W_k(m) over integer modes m,
-and its algebra needs no k^n x k^n matrix:
+held as its level, dimension and coefficients.  Z enters only the
+coefficients eta_k(m) of ``WeylSymbol.toeplitz``, so the symbol, the
+rescaled W_k(m) and the star product and curve operators built on them take
+no Siegel point.  The algebra needs no k^n x k^n matrix:
 
 * products follow the Weyl relation, and W_k(m)* = W_k(-m);
 * tr W_k(m) W_k(m')* is k^n times a sign when m = m' mod k and 0 otherwise,
@@ -169,14 +172,15 @@ def _clock_shift_columns(k, n, modes):
 class WeylSymbol:
     """The level-k operator sum_m c_m W_k(m), kept as its mode coefficients.
 
-    ``coeffs`` maps integer modes of dimension ``point.n`` to complex
+    ``coeffs`` maps integer modes of dimension ``n`` to complex
     coefficients; zero coefficients are dropped.  Modes are not reduced mod
     k: congruent modes give the same W_k up to a sign, which products and
-    pairings carry exactly.
+    pairings carry exactly.  No Siegel point enters: only
+    :meth:`toeplitz` reads one, for the factors eta_k(m).
     """
 
     k: int
-    point: object
+    n: int
     coeffs: dict
 
     def __post_init__(self):
@@ -185,11 +189,7 @@ class WeylSymbol:
     @classmethod
     def toeplitz(cls, p, k, f):
         """T_k(f) = sum c_m eta_k(m) W_k(m) of a finite Fourier combination."""
-        return cls(k, p, {m: c * eta(p, k, m) for m, c in f.terms.items()})
-
-    @property
-    def n(self):
-        return self.point.n
+        return cls(k, p.n, {m: c * eta(p, k, m) for m, c in f.terms.items()})
 
     def _check_level(self, other):
         if (self.k, self.n) != (other.k, other.n):
@@ -200,12 +200,10 @@ class WeylSymbol:
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, 0.0) - c
-        return WeylSymbol(self.k, self.point, out)
+        return WeylSymbol(self.k, self.n, out)
 
     def __mul__(self, scalar):
-        return WeylSymbol(
-            self.k, self.point, {m: scalar * c for m, c in self.coeffs.items()}
-        )
+        return WeylSymbol(self.k, self.n, {m: scalar * c for m, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -213,12 +211,12 @@ class WeylSymbol:
         """Product by the Weyl relation; O(M1 M2) at any level."""
         self._check_level(other)
         out = _mode_pair_sum(self.coeffs, other.coeffs, _weyl_phase(self.k))
-        return WeylSymbol(self.k, self.point, out)
+        return WeylSymbol(self.k, self.n, out)
 
     def adjoint(self):
         """W_k(m)* = W_k(-m), so the adjoint conjugates and negates modes."""
         return WeylSymbol(
-            self.k, self.point, {-m: c.conjugate() for m, c in self.coeffs.items()}
+            self.k, self.n, {-m: c.conjugate() for m, c in self.coeffs.items()}
         )
 
     def pair(self, other):
@@ -279,7 +277,8 @@ def _line_norms(k_values, n, m0, t, c):
     is max |sum_j c[i, j] lambda^t_j| over the k roots lambda =
     exp(i pi (2j + odd) / k) (see the module docstring), the angles reduced
     exactly mod 2k.  One pass over the sum of the k roots; ``c`` has shape
-    (K, len(t)) and the result (K,).
+    (K, len(t)) and the result (K,).  The terms are added row by row, as a
+    numpy sum over t rounds by the number of roots beside it in the batch.
     """
     k = np.asarray(k_values)
     odd = (k % 2) * (sum(a * b for a, b in zip(m0[:n], m0[n:])) % 2)
@@ -287,27 +286,25 @@ def _line_norms(k_values, n, m0, t, c):
     start = np.cumsum(k) - k
     roots = 2 * (np.arange(kk.size) - np.repeat(start, k)) + np.repeat(odd, k)
     angles = np.multiply.outer(t, roots) % (2 * kk)
-    values = (np.exp((1j * np.pi / kk) * angles) * np.repeat(c.T, k, axis=1)).sum(axis=0)
+    terms = np.exp((1j * np.pi / kk) * angles) * np.repeat(c.T, k, axis=1)
+    values = sum(terms, np.zeros(kk.size, dtype=complex))
     return np.maximum.reduceat(np.abs(values), start)
-
-
-def _mode_symbol(p, k, m):
-    """T_k(m) = eta_k(m) W_k(m) as a symbol."""
-    m = FourierMode.coerce(m)
-    return WeylSymbol(k, p, {m: eta(p, k, m)})
 
 
 def toeplitz_mode_closed_form(p, k, m):
     """Matrix of the mode operator, eta_k(m) W_k(m), in closed form."""
-    return _mode_symbol(p, k, m).to_dense()
+    m = FourierMode.coerce(m)
+    return WeylSymbol(k, p.n, {m: eta(p, k, m)}).to_dense()
 
 
-def rescaled_toeplitz(p, k, m):
-    """Matrix of the heat-rescaled mode: W_k(m), unitary and independent of Z.
+def rescaled_toeplitz(k, m):
+    """Matrix of the heat-rescaled mode: W_k(m), unitary and independent of Z,
+    so it takes no Siegel point.
 
     entry(b, a) = delta_{b, a + r mod k} exp(-pi i r.s / k) exp(-2 pi i s.a/k).
     """
-    return WeylSymbol(k, p, {m: 1.0}).to_dense()
+    m = FourierMode.coerce(m)
+    return WeylSymbol(k, m.n, {m: 1.0}).to_dense()
 
 
 def toeplitz_modes_quadrature(p, k, modes, grid):
@@ -546,7 +543,7 @@ def product_expansion_fit(p, f, g, k_values):
     ).reshape(len(out_modes), len(ks)).T
     line = _line_decomposition(out_modes)
     if line is None:
-        c0_norms = [WeylSymbol(k, p, dict(zip(out_modes, row))).norm()
+        c0_norms = [WeylSymbol(k, p.n, dict(zip(out_modes, row))).norm()
                     for k, row in zip(k_values, residual)]
     else:
         c0_norms = _line_norms(k_values, p.n, *line, residual).tolist()
@@ -597,8 +594,8 @@ def c1_antisymmetry_constant(p, f, g, k_values):
     top = max((lam[m] for m in bracket), default=0.0)
 
     def scaled(terms):
-        return WeylSymbol(kmax, p, {m: c * math.exp((lam[m] - top) / (4 * kmax))
-                                    for m, c in terms.items()})
+        return WeylSymbol(kmax, p.n, {m: c * math.exp((lam[m] - top) / (4 * kmax))
+                                      for m, c in terms.items()})
 
     A, B = scaled(anti), scaled(bracket)
     norm2 = B.pair(B)

@@ -5,11 +5,13 @@ a symplectic torus of dimension 2g; the holonomy function of a curve depends
 only on its homology class (r, s) and equals the pure phase F_{r,s}.  The
 operator assigned to a cylinder with an embedded curve is the Toeplitz
 operator of the heat-flowed holonomy, i.e. the unitary shift-and-phase
-matrix independent of the complex structure.  Hilbert-Schmidt pairings of
-these operators recover the L2 pairing of holonomy functions as the level
-grows.  The invariant of the mapping torus with the corresponding
-two-component link is the same pairing scaled by k^g, tr(Z(c1) Z(c2)*); an
-empty curve has the identity operator W_k(0).
+matrix W_k(m) independent of the complex structure, so curve operators,
+their pairings and the invariants take no Siegel point, only the level and
+the genus.  Hilbert-Schmidt pairings of these operators recover the L2
+pairing of holonomy functions as the level grows.  The invariant of the
+mapping torus with the corresponding two-component link is the same
+pairing scaled by k^g, tr(Z(c1) Z(c2)*); an empty curve has the identity
+operator W_k(0).
 """
 
 from __future__ import annotations
@@ -70,37 +72,38 @@ def holonomy_mode(c):
     return m if c.orientation == 1 else -m
 
 
-def curve_operator(p, k, c):
+def curve_operator(k, c):
     """Level-k operator of a curve: the heat-rescaled holonomy operator.
 
-    Unitary, independent of the Siegel point; the heat flow is evaluated at
-    parameter 1/k.
+    Unitary and independent of the Siegel point, so it takes none; the heat
+    flow is evaluated at parameter 1/k.
     """
-    return rescaled_toeplitz(p, k, holonomy_mode(c))
+    return rescaled_toeplitz(k, holonomy_mode(c))
 
 
-def curve_pairing(p, k, c1, c2):
+def curve_pairing(k, c1, c2):
     """k^{-g} tr(Z(c1) Z(c2)*): approaches the L2 pairing of holonomies.
 
     Evaluated as the pairing of the two curve symbols W_k(m), so no
-    k^g x k^g matrix is formed.
+    k^g x k^g matrix is formed; g is the genus of both curves.
     """
-    A = WeylSymbol(k, p, {holonomy_mode(c1): 1.0})
-    B = WeylSymbol(k, p, {holonomy_mode(c2): 1.0})
-    return complex(k ** (-p.n) * A.pair(B))
+    g = len(c1.r)
+    A = WeylSymbol(k, g, {holonomy_mode(c1): 1.0})
+    B = WeylSymbol(k, g, {holonomy_mode(c2): 1.0})
+    return complex(k ** (-g) * A.pair(B))
 
 
-def mapping_torus_invariant(p, k, c1=None, c2=None):
-    """Invariant of Sigma x S^1 with the link c1 u reversed(c2) inside.
+def mapping_torus_invariant(g, k, c1=None, c2=None):
+    """Invariant of Sigma_g x S^1 with the link c1 u reversed(c2) inside.
 
     Defined by the gluing rule as tr(Z(c1) Z(c2)*) = k^g curve_pairing; a
     missing curve is the empty class, whose operator is the identity, so
     with both curves empty this is the quantum dimension k^g.
     """
-    g = p.n
-    c1 = c1 if c1 is not None else CurveClass.empty(g)
-    c2 = c2 if c2 is not None else CurveClass.empty(g)
-    return complex(k**g * curve_pairing(p, k, c1, c2))
+    c1, c2 = (c if c is not None else CurveClass.empty(g) for c in (c1, c2))
+    if len(c1.r) != g:
+        raise ValueError(f"curve of genus {len(c1.r)} on a surface of genus {g}")
+    return complex(k**g * curve_pairing(k, c1, c2))
 
 
 def pairing_limit_experiment(p, f, g, k_values):

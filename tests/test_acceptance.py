@@ -167,9 +167,9 @@ def test_05_trace_lemma():
 
 def test_06_gluing_dimension():
     worst = 0.0
-    for g, p in ((1, SiegelPoint(1j)), (2, POINT_N2)):
+    for g in (1, 2):
         for k in range(1, 9):
-            v = mapping_torus_invariant(p, k)
+            v = mapping_torus_invariant(g, k)
             worst = max(worst, abs(v - k**g))
     report(
         6,
@@ -282,10 +282,8 @@ def test_10_star_product():
     ref = constants[0]
     spread = max(abs(c - ref) / abs(ref) for c in constants)
     # trivialized star product order-1 against the Moyal coefficient
-    star_dev = 0.0
-    for q in (p1, p2):
-        star = trivialized_star_compare(q, ((1,), (0,)), ((0,), (1,)), ks)
-        star_dev = max(star_dev, abs(star.constant - ref) / abs(ref))
+    star = trivialized_star_compare(((1,), (0,)), ((0,), (1,)), ks)
+    star_dev = abs(star.constant - ref) / abs(ref)
     passed = order >= 0.9 and resid < 0.02 and spread < 0.02 and star_dev < 0.02
     report(
         10,

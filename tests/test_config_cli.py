@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -108,12 +109,14 @@ class TestParsing:
         ("[bms]\nk = 8, 16\ngrid = 64, tol = 1e-300", 3, "grid"),
         ("[heat-identity]\nmodes = 1,0", 2, "modes"),
         ("[pairing-limit]\ngenus = 1", 2, "genus"),
+        ("[tqft]\nZ = i", 2, "Z"),
     ], ids=lambda v: v.replace("\n", " ") if isinstance(v, str) else None)
     def test_keys_the_runner_does_not_read_are_refused(self, tmp_path, capsys,
                                                        body, line, key):
         # each once ran with the key ignored: gram at n = 1 with genus = 2 in
         # its cache key, tqft at diag(i, 2i) over the n = 1 points, bms at
-        # the grid and tolerance it never reads
+        # the grid and tolerance it never reads, tqft at a point its curve
+        # operators do not depend on
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(body + "\n")
         rc = main(["experiment", "run", str(cfg), "--no-cache"])
@@ -131,7 +134,8 @@ class TestParsing:
                 "trace-lemma": "k = 2\nZ = i", "bms": "k = 2, 4\nZ = i",
                 "pairing-limit": "k = 2, 4\nZ = i", "flatness": "Z = i",
                 "star-fit": "k = 2, 3, 4, 5, 6\nZ = i", "tqft": "k = 2, 3"}
-        values = {"tol": "0.125", "grid": "96", "modes": "1,0; 0,1"}
+        values = {"Z": "0.5+0.7i; 2i", "tol": "0.125", "grid": "96",
+                  "modes": "1,0; 0,1"}
         for experiment, reads in _READS.items():
             dimension, *keys = reads
             text = f"[{experiment}]\n{base[experiment]}"
@@ -144,8 +148,9 @@ class TestParsing:
                     key == "tol" and any(v["tolerance"] == "0.125"
                                          for v in changed.verdicts)
                 ), (experiment, key)
+            points = f"\nZ = {P3}; {P3}" if "Z" in keys else ""
             wide = parse_config(f"[{experiment}]\n{dimension} = 3\n"
-                                f"k = 2, 3, 4, 5, 6\nZ = {P3}; {P3}")
+                                f"k = 2, 3, 4, 5, 6{points}")
             assert wide.n == 3, experiment
 
 
@@ -553,6 +558,18 @@ class TestRunAndCache:
         ]
         assert doc.passed
 
+    def test_star_fit_fits_each_pair_once(self, monkeypatch):
+        # the star fit takes no point, and was once repeated for each one
+        from thetaquant import experiments
+
+        calls = []
+        star = experiments.trivialized_star_compare
+        monkeypatch.setattr(experiments, "trivialized_star_compare",
+                            lambda *args: calls.append(args) or star(*args))
+        doc = run_experiment(parse_config("[star-fit]"), use_cache=False)
+        assert doc.passed and len(doc.rows) == 4
+        assert len(calls) == 2
+
     def test_star_fit_summary_has_constant(self, tmp_path):
         m = parse_config("experiment = star-fit, n = 1, Z = i; 1+2i, k = 8,16,32,64,128")
         m.cache_dir = str(tmp_path)
@@ -646,9 +663,15 @@ class TestCli:
             # --n was once ignored, and this ran at n = 2 and passed
             (["gram", "--n", "1", "--Z", N2], "point dimension 2 != n = 1"),
             (["gram", "--Z", "i; 2i"], "--Z takes one Siegel point, got 2"),
+            # a NaN once passed the point's checks: the first printed nan+nani
+            # and exited 0, the second printed a RuntimeWarning first
+            (["theta", "eval", "--k", "2", "--Z", "nan+1i"], "non-finite"),
+            (["theta", "eval", "--k", "2", "--Z", "nani"], "non-finite"),
         ]
         for argv, message in cases:
-            rc = main(argv)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(argv)
             err = capsys.readouterr().err
             assert rc == 2
             assert message in err
@@ -675,6 +698,8 @@ class TestCli:
         ("[covariance]\nZ = i", 2),
         ("[covariance]\nn = 2", 2),
         ("[tqft]\ngenus = 2\nZ = i", 3),
+        ("[tqft]\nZ = i", 2),
+        ("[heat-identity]\nZ = nan+1i", 2),
     ], ids=lambda v: v.replace("\n", " ") if isinstance(v, str) else None)
     def test_bad_dimension_genus_and_grid_are_reported(self, tmp_path, capsys,
                                                        body, line):
@@ -682,8 +707,8 @@ class TestCli:
         # the tolerance is positive and finite; tqft reads at most two curves
         # and star-fit two modes, and neither drops one it was given; star-fit
         # fits five levels or more of two modes that do not commute,
-        # covariance pairs two points or more, and a tqft point has the
-        # dimension of the genus
+        # covariance pairs two points or more, tqft reads no Z, and a point
+        # has finite entries
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(body + "\nk = 2\n")
         rc = main(["experiment", "run", str(cfg), "--no-cache"])
@@ -780,16 +805,19 @@ class TestCli:
         assert bms.endswith("|tol=None|grid=None")
         assert rc == 0
 
-    def test_tqft_point_of_another_genus_is_refused_as_by_the_verb(self, tmp_path,
-                                                                   capsys):
-        # the run once ignored Z = i at genus 2, ran at diag(i, 2i) and passed
+    def test_tqft_takes_no_point_in_the_run_or_the_verb(self, tmp_path, capsys):
+        # the curve operators do not depend on Z: a tqft Z once changed no
+        # output, and without a genus the run went on at genus 1
         cfg = tmp_path / "tqft.cfg"
-        cfg.write_text("[tqft]\ngenus = 2\nZ = i\nk = 2\n")
+        cfg.write_text("[tqft]\nZ = i\nk = 2\n")
         assert main(["experiment", "run", str(cfg), "--no-cache"]) == 2
-        run_err = capsys.readouterr().err
-        assert main(["tqft", "invariant", "--g", "2", "--Z", "i"]) == 2
-        verb_err = capsys.readouterr().err
-        assert run_err == verb_err.replace("error: ", "error: line 3: ")
+        assert capsys.readouterr().err == "error: line 2: tqft does not read Z\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["tqft", "invariant", "--k", "3", "--Z", "i"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--Z" in err
 
     def test_frame_too_large_is_reported(self, capsys):
         rc = main(["gram", "--n", "2", "--k", "64", "--Z", "[[1i,0],[0,2i]]"])
@@ -918,6 +946,7 @@ def test_every_verb_exits_by_the_contract(capsys, n):
     # coordinates of that dimension, at the default point, at an explicit
     # point, and at an explicit point with the dimension left to it
     mode = ",".join(["1"] + ["0"] * (2 * n - 1))
+    point = ["--Z", _VERB_POINTS[n]]
     verbs = [
         (["theta", "eval", "--k", "2", "--alpha", ",".join(["1"] * n),
           "--z", ";".join(["0.3+0.1i"] * n)], "--n"),
@@ -927,8 +956,9 @@ def test_every_verb_exits_by_the_contract(capsys, n):
     ]
     broken = []
     for argv, flag in verbs:
-        for extra in ([flag, str(n)], [flag, str(n), "--Z", _VERB_POINTS[n]],
-                      ["--Z", _VERB_POINTS[n]]):
+        # tqft invariant takes no point
+        points = [[flag, str(n), *point], point] if flag == "--n" else []
+        for extra in [[flag, str(n)], *points]:
             try:
                 rc = main(argv + extra)
             except Exception as exc:  # an escaped exception breaks the contract

@@ -7,8 +7,9 @@ n = 1 has x = (2m + 1) / 2k, which no such x equals (2k (3i + 1) is even,
 291 (2m + 1) odd), so the relative residuals never divide by a zero.
 
 Configs are drawn over the keys each experiment reads (``config._READS``,
-with ``genus`` as tqft's dimension), rendered as text in either layout (one
-line, or one key per line under a section header), and parsed back.
+with ``genus`` as tqft's dimension and no ``Z`` for tqft), rendered as text
+in either layout (one line, or one key per line under a section header), and
+parsed back.
 
 The frame pairings are drawn at n = 1 and 2, levels k <= 5, with gcd(k, N)
 either 1 or k and up to four modes of entries in [-2, 2].  N runs from 3,
@@ -136,8 +137,9 @@ def _render(f, one_line):
     lines += [
         f"{_READS[name][0]} = {f['n']}",
         "k = " + ", ".join(map(str, f["k"])),
-        "Z = " + "; ".join(_point_text(z, f["n"]) for z in f["Z"]),
     ]
+    if f["Z"]:
+        lines.append("Z = " + "; ".join(_point_text(z, f["n"]) for z in f["Z"]))
     if f["modes"]:
         lines.append(
             "modes = " + "; ".join(",".join(map(str, r + s)) for r, s in f["modes"])
@@ -181,7 +183,7 @@ def configs(draw):
         "Z": tuple(
             tuple(p.Z.ravel().tolist())
             for p in draw(st.lists(points(n), min_size=fewest_points, max_size=3))
-        ),
+        ) if "Z" in reads else (),
         "modes": tuple(draw(modes)) if "modes" in reads else (),
         "tol": draw(st.none() | st.floats(1e-16, 1.0)) if "tol" in reads else None,
         "grid": draw(st.none() | st.integers(1, 4096)) if "grid" in reads else None,

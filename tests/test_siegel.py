@@ -42,6 +42,16 @@ class TestSiegelPoint:
         with pytest.raises(InvalidPointError):
             SiegelPoint([[1j, 2j], [2j, 1j]])
 
+    @pytest.mark.parametrize("Z", [
+        complex(np.nan, 1), complex(0, np.inf), complex(0, np.nan),
+        [[1j, np.nan], [np.nan, 2j]], [[1j, 0], [0, complex(np.inf, 1)]],
+    ], ids=str)
+    def test_rejects_non_finite_entries(self, Z):
+        # a NaN once passed the symmetry and Cholesky checks, so theta eval
+        # printed nan+nani and exited 0
+        with pytest.raises(InvalidPointError, match="non-finite"):
+            SiegelPoint(Z)
+
     def test_normality_flag(self):
         assert SiegelPoint(np.diag([1j, 2j])).is_normal
         # X and Y that do not commute

@@ -266,22 +266,19 @@ class TestToeplitzFunction:
 
 class TestRescaled:
     def test_identity_mode(self):
-        p = SiegelPoint(1j)
         assert np.allclose(
-            rescaled_toeplitz(p, 3, ((0,), (0,))).entries, np.eye(3), atol=1e-14
+            rescaled_toeplitz(3, ((0,), (0,))).entries, np.eye(3), atol=1e-14
         )
 
     def test_unit_shift_level_two(self):
-        p = SiegelPoint(1j)
-        A = rescaled_toeplitz(p, 2, ((1,), (0,))).entries
+        A = rescaled_toeplitz(2, ((1,), (0,))).entries
         assert A[1, 0] == pytest.approx(1.0, abs=1e-14)
         assert A[0, 1] == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("mode", [((1,), (0,)), ((2,), (3,)), ((-1,), (2,))])
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_unitary(self, mode, k):
-        p = SiegelPoint(0.5 + 0.7j)
-        A = rescaled_toeplitz(p, k, mode).entries
+        A = rescaled_toeplitz(k, mode).entries
         assert np.max(np.abs(A.conj().T @ A - np.eye(k))) < 1e-12
 
     @pytest.mark.parametrize("z", Z_LIST + Z_N2_NON_NORMAL)
@@ -290,7 +287,7 @@ class TestRescaled:
         mode = ((1,), (-2,)) if p.n == 1 else ((1, -1), (2, 0))
         for k in (1, 2, 3, 5):
             T = toeplitz_mode_closed_form(p, k, mode).entries
-            W = rescaled_toeplitz(p, k, mode).entries
+            W = rescaled_toeplitz(k, mode).entries
             assert np.max(np.abs(T - eta(p, k, mode) * W)) < 1e-14
 
     @pytest.mark.parametrize("z", [0.5 + 0.7j, Z_N2_NON_NORMAL[1]])
@@ -304,23 +301,18 @@ class TestRescaled:
         for k in (1, 2, 3, 5):
             for a, b in pairs:
                 m1, m2 = FourierMode(*a), FourierMode(*b)
-                lhs = (rescaled_toeplitz(p, k, m1).entries
-                       @ rescaled_toeplitz(p, k, m2).entries)
+                lhs = (rescaled_toeplitz(k, m1).entries
+                       @ rescaled_toeplitz(k, m2).entries)
                 phase = np.exp(1j * np.pi * m1.symplectic_pairing(m2) / k)
-                rhs = phase * rescaled_toeplitz(p, k, m1 + m2).entries
+                rhs = phase * rescaled_toeplitz(k, m1 + m2).entries
                 assert np.max(np.abs(lhs - rhs)) < 1e-13
-
-    def test_z_independence(self):
-        A = rescaled_toeplitz(SiegelPoint(1j), 4, ((1,), (2,))).entries
-        B = rescaled_toeplitz(SiegelPoint(1 + 2j), 4, ((1,), (2,))).entries
-        assert np.max(np.abs(A - B)) < 1e-9
 
     def test_matches_heat_rescaled_closed_form(self, points_n1):
         from thetaquant.formal import heat_coefficient
 
         for p in points_n1:
             for mode in [((1,), (0,)), ((2,), (-1,))]:
-                direct = rescaled_toeplitz(p, 3, mode).entries
+                direct = rescaled_toeplitz(3, mode).entries
                 via = heat_coefficient(p, 3, mode) * toeplitz_mode_closed_form(
                     p, 3, mode
                 ).entries
@@ -332,8 +324,7 @@ class TestNormsAndTraces:
         assert operator_norm(OperatorMatrix(4, 1, np.eye(4))) == pytest.approx(1.0)
 
     def test_rescaled_norm_one(self):
-        p = SiegelPoint(1 + 2j)
-        assert operator_norm(rescaled_toeplitz(p, 3, ((1,), (1,)))) == pytest.approx(
+        assert operator_norm(rescaled_toeplitz(3, ((1,), (1,)))) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -353,10 +344,9 @@ class TestNormsAndTraces:
         assert got == pytest.approx(np.linalg.norm(M, "fro") ** 2, rel=1e-12)
         assert hs_inner(A, A).imag == pytest.approx(0.0, abs=1e-12)
 
-    def test_scaled_norm_of_rescaled_is_one(self, points_n1):
-        for p in points_n1:
-            A = rescaled_toeplitz(p, 4, ((2,), (1,)))
-            assert hs_inner(A, A) == pytest.approx(4.0, abs=1e-12)
+    def test_scaled_norm_of_rescaled_is_one(self):
+        A = rescaled_toeplitz(4, ((2,), (1,)))
+        assert hs_inner(A, A) == pytest.approx(4.0, abs=1e-12)
 
     def test_cross_mode_orthogonal(self):
         p = SiegelPoint(1j)
@@ -425,9 +415,9 @@ class TestTraceLemma:
         k = 3
         p = SiegelPoint(1j if len(m1[0]) == 1 else [[1j, 0], [0, 2j]])
         assert trace_pair_sign(k, m1, m2) == sign
-        dense = hs_inner(rescaled_toeplitz(p, k, m1), rescaled_toeplitz(p, k, m2))
+        dense = hs_inner(rescaled_toeplitz(k, m1), rescaled_toeplitz(k, m2))
         assert dense == pytest.approx(sign * k ** p.n, abs=1e-9)
-        unit = WeylSymbol(k, p, {m1: 1.0}).pair(WeylSymbol(k, p, {m2: 1.0}))
+        unit = WeylSymbol(k, p.n, {m1: 1.0}).pair(WeylSymbol(k, p.n, {m2: 1.0}))
         assert unit == sign * k ** p.n
 
     def test_incongruent_modes_have_no_trace(self):
@@ -531,7 +521,7 @@ def _dense_product_fit(p, f, g, k_values):
         norms.append(np.linalg.norm(prod - dense(f * g), 2))
         row = []
         for m in out_modes:
-            B = WeylSymbol(k, p, {m: eta(p, k, m)}).to_dense().entries
+            B = WeylSymbol(k, p.n, {m: eta(p, k, m)}).to_dense().entries
             row.append(np.vdot(B, prod) / np.vdot(B, B))
         samples.append(row)
     V = np.vander(1.0 / np.asarray(k_values, dtype=float), N=4, increasing=True)
@@ -587,12 +577,12 @@ def test_trivialized_order1_matches_the_dense_levels(case):
     m1, m2 = f.modes()[0], g.modes()[0]
     samples = []
     for k in levels:
-        A = rescaled_toeplitz(p, k, m1).entries @ rescaled_toeplitz(p, k, m2).entries
-        B = rescaled_toeplitz(p, k, m1 + m2).entries
+        A = rescaled_toeplitz(k, m1).entries @ rescaled_toeplitz(k, m2).entries
+        B = rescaled_toeplitz(k, m1 + m2).entries
         samples.append([np.vdot(B, A) / np.vdot(B, B)])
     V = np.vander(1.0 / np.asarray(levels, dtype=float), N=4, increasing=True)
     order1 = np.linalg.lstsq(V, np.array(samples), rcond=None)[0][1, 0]
-    rep = trivialized_star_compare(p, m1, m2, levels)
+    rep = trivialized_star_compare(m1, m2, levels)
     _assert_close(rep.order1, order1, 1.0)
 
 
@@ -611,11 +601,23 @@ def test_line_norms_over_levels_are_the_one_level_norms(Z, data):
     levels = data.draw(st.lists(st.integers(1, 64 if p.n == 1 else 8),
                                 min_size=1, max_size=5))
     # the decomposition and coefficient order that norm() takes
-    line = WeylSymbol(levels[0], p, coeffs)._line()
+    line = WeylSymbol(levels[0], p.n, coeffs)._line()
     c = np.array([coeffs[m] for m in sorted(coeffs)])
     norms = _line_norms(levels, p.n, *line, np.tile(c, (len(levels), 1)))
     for k, norm in zip(levels, norms):
-        symbol = WeylSymbol(k, p, coeffs)
+        symbol = WeylSymbol(k, p.n, coeffs)
         assert norm == symbol.norm()
         dense = operator_norm(symbol.to_dense())
         assert abs(norm - dense) <= 1e-10 * max(1.0, dense)
+
+
+def test_a_level_norm_does_not_depend_on_the_levels_beside_it():
+    # at k = 1 these four terms cancel to rounding, and the sum over the
+    # terms once rounded by the number of roots in the batch: 5.72e-17
+    # for the levels [1, 1] against 6.21e-17 for the one level 1
+    coeffs = {FourierMode((t,), (t,)): (1 + 1j) / 8 for t in range(4)}
+    symbol = WeylSymbol(1, 1, coeffs)
+    c = np.array([coeffs[m] for m in sorted(coeffs)])
+    norms = _line_norms([1, 1, 2], 1, *symbol._line(), np.tile(c, (3, 1)))
+    assert norms[0] == norms[1] == symbol.norm()
+    assert norms[2] == WeylSymbol(2, 1, coeffs).norm()

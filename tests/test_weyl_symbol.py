@@ -29,16 +29,8 @@ from thetaquant.toeplitz import (
 )
 from thetaquant.tqft import pairing_closed_form
 
-POINTS = {
-    1: [SiegelPoint(1j), SiegelPoint(1 + 2j), SiegelPoint(0.5 + 0.7j)],
-    2: [
-        SiegelPoint(np.diag([1j, 2j])),
-        SiegelPoint(np.array([[1 + 1j, 0.5], [0.5, 2j]])),
-    ],
-}
 MAX_K = {1: 39, 2: 7}
-P1 = POINTS[1][0]
-P2 = POINTS[2][1]
+P1 = SiegelPoint(1j)
 PROPERTY = settings(max_examples=60, deadline=None)
 
 coefficients = st.complex_numbers(
@@ -53,7 +45,7 @@ def _mode(n, entries):
 @st.composite
 def levels(draw):
     n = draw(st.sampled_from((1, 2)))
-    return n, draw(st.integers(1, MAX_K[n])), draw(st.sampled_from(POINTS[n]))
+    return n, draw(st.integers(1, MAX_K[n]))
 
 
 def _vectors(n, bound):
@@ -64,7 +56,7 @@ def _vectors(n, bound):
 def symbol_pairs(draw):
     """Two symbols over the same base modes, each mode moved by k times a
     vector in {-1, 0, 1}^{2n}: congruent, and often distinct, across A and B."""
-    n, k, p = draw(levels())
+    n, k = draw(levels())
     bases = draw(st.lists(_vectors(n, 3), min_size=1, max_size=3))
 
     def symbol():
@@ -74,7 +66,7 @@ def symbol_pairs(draw):
             terms[_mode(n, [b + k * s for b, s in zip(base, shift)])] = draw(
                 coefficients
             )
-        return WeylSymbol(k, p, terms)
+        return WeylSymbol(k, n, terms)
 
     return symbol(), symbol()
 
@@ -82,11 +74,11 @@ def symbol_pairs(draw):
 @st.composite
 def line_symbols(draw):
     """sum_t c_t W_k(t m0) for one (not necessarily primitive) m0."""
-    n, k, p = draw(levels())
+    n, k = draw(levels())
     m0 = draw(_vectors(n, 3))
     powers = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
     return WeylSymbol(
-        k, p, {_mode(n, [t * a for a in m0]): draw(coefficients) for t in powers}
+        k, n, {_mode(n, [t * a for a in m0]): draw(coefficients) for t in powers}
     )
 
 
@@ -132,11 +124,11 @@ ODD_N2 = {((1, 1), (1, 0)): 1.0, ((-2, -2), (-2, 0)): -0.7}
 
 @PROPERTY
 @given(line_symbols())
-@example(WeylSymbol(4, P1, ODD_N1))
-@example(WeylSymbol(5, P1, ODD_N1))
-@example(WeylSymbol(3, P2, ODD_N2))
-@example(WeylSymbol(4, P2, ODD_N2))
-@example(WeylSymbol(3, P1, {((3,), (6,)): 1.0, ((-1,), (-2,)): 0.4 - 0.2j}))
+@example(WeylSymbol(4, 1, ODD_N1))
+@example(WeylSymbol(5, 1, ODD_N1))
+@example(WeylSymbol(3, 2, ODD_N2))
+@example(WeylSymbol(4, 2, ODD_N2))
+@example(WeylSymbol(3, 1, {((3,), (6,)): 1.0, ((-1,), (-2,)): 0.4 - 0.2j}))
 def test_line_norm_is_the_dense_norm(A):
     assert A._line() is not None
     want = operator_norm(A.to_dense())
@@ -146,9 +138,9 @@ def test_line_norm_is_the_dense_norm(A):
 @PROPERTY
 @given(levels(), _vectors(2, 3), _vectors(2, 3), coefficients, coefficients)
 def test_off_line_norm_is_the_dense_norm(level, u, v, a, b):
-    n, k, p = level
+    n, k = level
     u, v = _mode(n, u[: 2 * n]), _mode(n, v[: 2 * n])
-    A = WeylSymbol(k, p, {u: a, v: b})
+    A = WeylSymbol(k, n, {u: a, v: b})
     if A._line() is None:
         assert A.norm() == operator_norm(A.to_dense())
     else:
@@ -163,7 +155,7 @@ def test_line_norm_needs_no_matrix_and_off_line_norm_is_refused():
     eta = A.coeffs[FourierMode((1,), (0,))].real
     # U^k = I and the roots include 1 and -1, so the norm is 2 eta exactly
     assert A.norm() == pytest.approx(2 * eta, rel=1e-14)
-    B = WeylSymbol(8192, P1, {((1,), (0,)): 1.0, ((0,), (1,)): 1.0})
+    B = WeylSymbol(8192, 1, {((1,), (0,)): 1.0, ((0,), (1,)): 1.0})
     assert B._line() is None
     with pytest.raises(SizeLimitError, match="4096"):
         B.norm()
@@ -172,9 +164,9 @@ def test_line_norm_needs_no_matrix_and_off_line_norm_is_refused():
 def test_modes_of_the_wrong_dimension_are_refused():
     # pair zips the 2n entries of two modes, so a short mode would be cut
     with pytest.raises(ValueError, match="dimension"):
-        WeylSymbol(4, P2, {((1,), (0,)): 1.0})
+        WeylSymbol(4, 2, {((1,), (0,)): 1.0})
     with pytest.raises(ValueError, match="dimension"):
-        WeylSymbol(4, P1, {((1,), (0,)): 1.0, ((1, 0), (0, 0)): 1.0})
+        WeylSymbol(4, 1, {((1,), (0,)): 1.0, ((1, 0), (0, 0)): 1.0})
 
 
 def test_pairing_closed_form_is_the_dense_pairing():
@@ -190,8 +182,8 @@ def test_pairing_closed_form_is_the_dense_pairing():
 
 @PROPERTY
 @given(st.one_of(line_symbols(), symbol_pairs().map(lambda pair: pair[0])))
-@example(WeylSymbol(3, P1, {((1,), (0,)): 1.0, ((0,), (1,)): 1.0}))
-@example(WeylSymbol(2, P2, ODD_N2))
+@example(WeylSymbol(3, 1, {((1,), (0,)): 1.0, ((0,), (1,)): 1.0}))
+@example(WeylSymbol(2, 2, ODD_N2))
 def test_norm_and_sup_agree_on_lines(A):
     # the exact line norm and the one-angle sup share one line decomposition:
     # a symbol off a line needs the dense SVD, and its function all 2n angles
@@ -212,18 +204,37 @@ def test_norm_is_the_same_in_every_order_of_the_terms():
     # the first key once fixed the line's orientation, and with it the last
     # bits: 1.1970850854856638 in some orders, 1.1970850854856636 in others
     terms = [(((-1,), (0,)), -1.0), (((2,), (0,)), 0.5), (((-2,), (0,)), 0.5 + 0.5j)]
-    norms = {WeylSymbol(3, P1, dict(order)).norm()
+    norms = {WeylSymbol(3, 1, dict(order)).norm()
              for order in itertools.permutations(terms)}
     assert len(norms) == 1
     (norm,) = norms
-    dense = WeylSymbol(3, P1, dict(terms)).to_dense()
+    dense = WeylSymbol(3, 1, dict(terms)).to_dense()
     assert norm == pytest.approx(operator_norm(dense), rel=1e-12)
 
 
+def _sup_or_refusal(f):
+    """sup_abs(f), or the message of its SizeLimitError."""
+    try:
+        return sup_abs(f)
+    except SizeLimitError as exc:
+        return str(exc)
+
+
+@st.composite
+def reordered_symbols(draw):
+    """A symbol and its terms in a drawn order."""
+    A = draw(st.one_of(line_symbols(), symbol_pairs().map(lambda pair: pair[0])))
+    return A, dict(draw(st.permutations(list(A.coeffs.items()))))
+
+
 @PROPERTY
-@given(st.one_of(line_symbols(), symbol_pairs().map(lambda pair: pair[0])), st.data())
-def test_norm_and_sup_are_independent_of_the_order_of_the_terms(A, data):
-    order = dict(data.draw(st.permutations(list(A.coeffs.items()))))
-    assert WeylSymbol(A.k, A.point, order).norm() == A.norm()
+@given(reordered_symbols())
+# its torus sup grid is refused (1.05 GiB), which once failed the test
+@example((WeylSymbol(7, 2, {((7, 0), (0, 8)): 1.0, ((0, -10), (-10, 0)): 1.0}),
+          {((0, -10), (-10, 0)): 1.0, ((7, 0), (0, 8)): 1.0}))
+def test_norm_and_sup_are_independent_of_the_order_of_the_terms(case):
+    # every order gives the same sup, or every order the same refusal
+    A, order = case
+    assert WeylSymbol(A.k, A.n, order).norm() == A.norm()
     f = FourierFunction(A.coeffs, n=A.n)
-    assert sup_abs(FourierFunction(order, n=A.n)) == sup_abs(f)
+    assert _sup_or_refusal(FourierFunction(order, n=A.n)) == _sup_or_refusal(f)
