@@ -91,6 +91,8 @@ class FourierMode:
 
     def symplectic_pairing(self, other):
         """r.u - s.t for self=(r,s), other=(t,u); an exact integer."""
+        if len(self.r) != len(other.r):  # zip would cut the longer mode
+            raise ValueError(f"modes of dimensions {self.n} and {other.n}")
         return sum(a * b for a, b in zip(self.r, other.s)) - sum(
             a * b for a, b in zip(self.s, other.r)
         )

@@ -15,29 +15,32 @@ Fourier mode F_{r,s}; the x-sum of the pairing is exact by the
 orthogonality of the grid characters, which leaves a sum over the N^n
 y-nodes for each pair of lattice terms whose frequencies k u + r meet
 mod N.  In that product the y-phases cancel and the Gaussians sit on one
-fine lattice of step gcd(k, N)/(kN): it is evaluated once per node, from
-per-axis terms (an outer product of their exponentials when Z is
-diagonal), and for each offset d = r mod N between the frequencies the
-products of all labels are folded by strided sums and one inverse FFT over
-the y-nodes, computed in place.  Memory is O(box + k^n N^n) for a box of
-about (k N (L + 1) / gcd(k, N))^n nodes over a window of L^n lattice terms,
-plus the k^n x k^n outputs; the k^n x N^{2n} frame itself is built only on
-request.  The normalized variant multiplies by sqrt(2^n k^n det Y), making
-the theta frame orthonormal.  A grid is its node count N; theta sums are
-truncated at DEFAULT_EPSILON.  Every quadrature passes one check
-(:func:`_checked_pairings`): n is 1 or 2, N follows the bandwidth rule
-N >= 4 (k R + m_max) in x, R the theta truncation radius and m_max the
-largest frequency of the modes, raised where the y-Gaussians of a large Y
-would alias (:func:`required_grid_size`), and pairings that would hold
-more than the 1 GiB limit of :func:`fourier.check_bytes` are refused, with
-SizeLimitError, before anything is allocated.
+fine lattice of step gcd(k, N)/(kN): it is evaluated once per node, and
+for each offset d = r mod N between the frequencies the products of all
+labels are folded by strided sums and one inverse FFT over the y-nodes.
+At a diagonal Z (always at n = 1) the Gaussian, and so every fold and
+transform, is a product over the axes: each axis is folded on its own axis
+of the box, of about k N (L + 1) / gcd(k, N) nodes over a window of L^n
+lattice terms, into (k, N) arrays, in O(box axis + k N) memory.  Any other
+Z folds the box of n axes into (k,)^n + (N,)^n arrays, in
+O(box + k^n N^n).  Both add the k^n x k^n outputs; the k^n x N^{2n} frame
+itself is built only on request.  The normalized variant multiplies by
+sqrt(2^n k^n det Y), making the theta frame orthonormal.  A grid is its
+node count N; theta sums are truncated at DEFAULT_EPSILON.  Every
+quadrature passes one check (:func:`_checked_pairings`): n is 1 or 2, N
+follows the bandwidth rule N >= 4 (k R + m_max) in x, R the theta
+truncation radius and m_max the largest frequency of the modes, raised
+where the y-Gaussians of a large Y would alias (:func:`required_grid_size`),
+and pairings that would hold more than the 1 GiB limit of
+:func:`fourier.check_bytes` are refused, with SizeLimitError, before
+anything is allocated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -224,6 +227,11 @@ def _index_vectors(n, N):
     return np.indices((N,) * n).reshape(n, -1).T
 
 
+def _diagonal(p):
+    """n = 1, or a Z with no cross term: the frame is a product over the axes."""
+    return p.n == 1 or p.Z[0, 1] == p.Z[1, 0] == 0
+
+
 @dataclass(frozen=True)
 class _FineLattice:
     """The Gaussian of every lattice term of the grid frame, once per node.
@@ -238,7 +246,10 @@ class _FineLattice:
 
     over the box of c, of modulus exp(-pi k v.Yv) <= 1, so no level
     overflows.  The terms meet every node g^n times, and G evaluates it once.
-    G is contiguous; :meth:`terms` reads it, and products on it, through
+    At a diagonal Z, exp(i pi k v.Zv) = prod_i exp(i pi k Z_ii v_i^2), and
+    :meth:`axes` gives one lattice of one axis per factor, on which the
+    quadrature folds; :meth:`build` gives the box of n axes.  G is
+    contiguous; :meth:`terms` reads it, and products on it, through
     read-only strided views.
     """
 
@@ -256,30 +267,50 @@ class _FineLattice:
         return (N // g) * (width - 1) + (k // g) * (N - 1) + 1
 
     @classmethod
-    def build(cls, p, k, grid):
-        """G over the lattice window of the DEFAULT_EPSILON truncation.
-
-        The axis terms (i pi k Z_ii v) v are formed once.  For a diagonal Z
-        (always at n = 1) G is the outer product of their exponentials;
-        otherwise the exponent is assembled in place, with the cross term
-        i pi k (Z_01 + Z_10) v v' added to the axis terms on the box, and
-        exponentiated in place: a separate cross factor would overflow at a
-        non-diagonal Y, where the axis factors underflow.
-        """
-        n, N = p.n, grid.N
+    def _axis(cls, p, k, N):
+        """The window width and the box's axis: v = (c - (N/g) k half) g/(kN)
+        at its node c."""
         half = _window_half(p, k)
         width = k * (2 * half + 1)
         g = math.gcd(k, N)
-        size = cls.box_size(k, N, width)
-        v = (np.arange(size) - (N // g) * k * half) / ((k // g) * N)
-        axis_terms = [(1j * np.pi * k * p.Z[i, i] * v) * v for i in range(n)]
-        if n == 1 or p.Z[0, 1] == p.Z[1, 0] == 0:
-            G = reduce(np.multiply.outer, [np.exp(t, out=t) for t in axis_terms])
-        else:
-            G = np.multiply.outer(1j * np.pi * k * (p.Z[0, 1] + p.Z[1, 0]) * v, v)
-            G += axis_terms[0][:, None]
-            G += axis_terms[1]
-            np.exp(G, out=G)
+        v = np.arange(cls.box_size(k, N, width)) - (N // g) * k * half
+        return width, v / ((k // g) * N)
+
+    @classmethod
+    def axes(cls, p, k, grid):
+        """One lattice per axis i of a diagonal Z (:func:`_diagonal`): G_i is
+        the factor exp(i pi k Z_ii v^2) on the box's axis, over the window of
+        the n-dimensional truncation, and the box is their outer product."""
+        N = grid.N
+        g = math.gcd(k, N)
+        width, v = cls._axis(p, k, N)
+        lattices = []
+        for i in range(p.n):
+            t = (1j * np.pi * k * p.Z[i, i] * v) * v
+            lattices.append(cls(k, N, np.exp(t, out=t), width, N // g, k // g))
+        return lattices
+
+    @classmethod
+    def build(cls, p, k, grid):
+        """G over the lattice window of the DEFAULT_EPSILON truncation.
+
+        For a diagonal Z (always at n = 1) G is the outer product of the
+        axis factors of :meth:`axes`; otherwise the exponent is assembled in
+        place, the axis terms (i pi k Z_ii v) v added to the cross term
+        i pi k (Z_01 + Z_10) v v' on the box, and exponentiated in place: a
+        separate cross factor would overflow at a non-diagonal Y, where the
+        axis factors underflow.
+        """
+        if _diagonal(p):
+            axes = cls.axes(p, k, grid)
+            return replace(axes[0], G=reduce(np.multiply.outer, [f.G for f in axes]))
+        N = grid.N
+        g = math.gcd(k, N)
+        width, v = cls._axis(p, k, N)
+        G = np.multiply.outer(1j * np.pi * k * (p.Z[0, 1] + p.Z[1, 0]) * v, v)
+        G += ((1j * np.pi * k * p.Z[0, 0] * v) * v)[:, None]
+        G += (1j * np.pi * k * p.Z[1, 1] * v) * v
+        np.exp(G, out=G)
         return cls(k, N, G, width, N // g, k // g)
 
     def terms(self, box, first, shape):
@@ -427,21 +458,34 @@ def integrand_periodicity_residual(p, s1, s2):
 def _pairing_bytes(p, k, grid, n_modes):
     """Bytes the quadrature of ``n_modes`` modes holds at once, an upper bound.
 
-    The Gaussian box and one product on it; the box's axis and, at most,
-    n + 1 complex arrays on it that the box build holds with them (the axis
-    terms, and the cross term's or one term's factor); one group's folded
-    sums, whose spectra are computed in place, with one run's sum, k^n N^n
-    each; the numpy ufunc buffers of the three operands of a cast or strided
-    sum; the k^n x k^n outputs and their moduli, which
-    :func:`toeplitz.quadrature_deviation` reduces; and four arrays of the
-    M k^n closed-form columns that it subtracts from the outputs, which also
-    bound one group's scatter into the outputs.
+    Both paths of :func:`_frame_pairings` hold the k^n x k^n outputs and
+    their moduli, which :func:`toeplitz.quadrature_deviation` and the
+    Gram's deviation from Id reduce in place; four arrays of the M k^n
+    closed-form columns that the former subtracts from the outputs, which
+    also bound one group's spectra and their scatter into the outputs; and
+    the numpy ufunc buffers of the three operands of a cast or strided sum.
+    At a diagonal Z add the box's axis and n + 1 complex
+    arrays on it, the n axis boxes and one product on one of them, which
+    also bound an axis box's build with its two temporaries; one axis's
+    folded sum and one run's sum, k N each; and the held columns of every
+    axis but the last, k M for each of its offset groups, of which there
+    are at most ceil((2 width - 1)/N).  At any other Z add the box of n
+    axes and one product on it, with the axis and, at most, n + 1 complex
+    arrays on it that the box build holds with them (the axis terms, and the
+    cross term's or one term's factor); and one group's folded sums, whose
+    spectra are computed in place, with one run's sum, k^n N^n each.
     """
     n, N = p.n, grid.N
     width = k * (2 * _window_half(p, k) + 1)
     size = _FineLattice.box_size(k, N, width)
-    arrays = 2 * size**n + 2 * (k * N) ** n + n_modes * (k ** (2 * n) + 4 * k**n)
-    axis_bytes = (8 + 16 * (n + 1)) * size
+    arrays = n_modes * (k ** (2 * n) + 4 * k**n)
+    if _diagonal(p):
+        groups = -(-(2 * width - 1) // N)
+        arrays += (n + 1) * size + 2 * k * N + (n - 1) * groups * k * n_modes
+        axis_bytes = 8 * size
+    else:
+        arrays += 2 * size**n + 2 * (k * N) ** n
+        axis_bytes = (8 + 16 * (n + 1)) * size
     return 16 * (arrays + 3 * np.getbufsize()) + 8 * n_modes * k ** (2 * n) + axis_bytes
 
 
@@ -481,19 +525,30 @@ def _frame_pairings(p, k, grid, modes):
     d = r mod N; every such d in the window is kept, aliased ones too.  The
     y-phases cancel in the product of the two terms, which is then
     G[c] conj(G[c + (N/g) d]) on the fine lattice of :class:`_FineLattice`.
-    For each d that product is formed once on the box, and the terms of
-    every label a are summed over the window rows whose partner lies in the
-    window, by strided views (:meth:`_FineLattice.fold`), to S_d[a, q] with
-    b = a + d mod k.  Offsets with the same d mod k share b and one folded
-    array, and one inverse FFT over q of it, in place and one axis at a
-    time as ifftn does, gives the y-sums against exp(2 pi i s.y) for every
-    s of the modes sharing r; one scatter adds them to all those modes.
-    Memory is O(box + k^n N^n) plus the outputs (:func:`_pairing_bytes`);
-    no array of N^{2n} nodes and no array over the meeting pairs is formed.
+    For each d the terms of every label a are summed over the window rows
+    whose partner lies in the window, by strided views
+    (:meth:`_FineLattice.fold`), to S_d[a, q] with b = a + d mod k.  Offsets
+    with the same d mod k share b, and the inverse FFT over q of their
+    summed S_d gives the y-sums against exp(2 pi i s.y) for every s of the
+    modes sharing r; one scatter per such group adds them to those modes.
+
+    The offsets of one r are a product over the axes, and so is each group
+    of one d mod k (:func:`_fold_spectra`).  At a diagonal Z, G = G_1 x ...
+    x G_n and every S_d is the outer product of one-axis folds, so a group's
+    sum, and its spectrum, is the outer product of per-axis ones: each axis
+    is folded and transformed on its own (k, N) array, and mode (r, s) of
+    the group reads prod_i A_i[a_i, s_i] (:func:`_axis_spectra`).  Memory is
+    then O(box axis + k N) plus the outputs.  Any other Z folds each d on
+    the box of n axes into one (k,)^n + (N,)^n array per group and takes
+    its n-axis FFT in place, in O(box + k^n N^n).
+    :func:`_pairing_bytes` bounds both; no array of N^{2n} nodes and no
+    array over the meeting pairs is formed.
     """
     n, N = p.n, grid.N
-    fine = _FineLattice.build(p, k, grid)
-    width = fine.width
+    if _diagonal(p):
+        lattices, spectra_of = _FineLattice.axes(p, k, grid), _axis_spectra
+    else:
+        lattices, spectra_of = _FineLattice.build(p, k, grid), _fold_spectra
     dim = k**n
     a_index = np.arange(dim)
     labels = _index_vectors(n, k)
@@ -503,32 +558,64 @@ def _frame_pairings(p, k, grid, modes):
         by_r.setdefault(m.r, []).append(i)
     out = np.zeros((len(modes), dim, dim), dtype=complex)
     for r, members in by_r.items():
-        # the offsets d = r mod N with |d| < width on each axis, grouped by
-        # d mod k, which fixes the partner label b = a + d mod k
-        offsets = itertools.product(
-            *(range((ri + width - 1) % N - width + 1, width, N) for ri in r)
-        )
-        by_shift = {}
-        for d in offsets:
-            by_shift.setdefault(tuple(di % k for di in d), []).append(d)
         m_index = np.array(members)[:, None]
         s_index = tuple(
             np.array([modes[i].s[ax] % N for i in members]) for ax in range(n)
         )
-        for shift, group in by_shift.items():
-            folded = np.zeros((k,) * n + (N,) * n, dtype=complex)
-            for d in group:
-                fine.fold(d, folded)
-            # the inverse FFT over the y-axes in place, last axis first as
-            # in ifftn
-            for ax in reversed(range(n, 2 * n)):
-                np.fft.ifft(folded, axis=ax, out=folded)
+        for shift, spectra in spectra_of(lattices, r, s_index):
             b_index = np.ravel_multi_index(((labels + shift) % k).T, (k,) * n)
-            spectra = folded[(Ellipsis, *s_index)].reshape(dim, -1).T
-            out[m_index, a_index, b_index] += norm * spectra
+            out[m_index, a_index, b_index] += norm * spectra.T
             # freed before the next group's fold, so that one never holds them
-            del folded, spectra
+            del spectra
     return out
+
+
+def _fold_spectra(fine, r, s_index):
+    """Each offset group's (shift, spectra) for the modes sharing r, on a
+    lattice of len(r) axes: the box of n axes, or one axis of a diagonal Z.
+
+    The offsets d = r mod N with |d_i| < width on each axis form a product
+    over the axes, and so does each group of one d mod k, which fixes the
+    partner label b = a + d mod k.  The group's folds are summed in one
+    (k,)^n + (N,)^n array, its inverse FFT over the y-axes is taken in place
+    (last axis first, as in ifftn), and the columns at the modes' s, of
+    shape (k^n, M_r), are its spectra.
+    """
+    k, N, width, n = fine.k, fine.N, fine.width, len(r)
+    axes = []
+    for ri in r:
+        by_shift = {}
+        for d in range((ri + width - 1) % N - width + 1, width, N):
+            by_shift.setdefault(d % k, []).append(d)
+        axes.append(by_shift.items())
+    for parts in itertools.product(*axes):
+        folded = np.zeros((k,) * n + (N,) * n, dtype=complex)
+        for d in itertools.product(*(offsets for _, offsets in parts)):
+            fine.fold(d, folded)
+        for ax in reversed(range(n, 2 * n)):
+            np.fft.ifft(folded, axis=ax, out=folded)
+        spectra = folded[(Ellipsis, *s_index)].reshape(k**n, -1)
+        del folded
+        yield tuple(shift for shift, _ in parts), spectra
+        del spectra  # freed, with the caller's name, before the next fold
+
+
+def _axis_spectra(axes, r, s_index):
+    """Each offset group's (shift, spectra) for the modes sharing r at a
+    diagonal Z, as :func:`_fold_spectra` on the box would give them: the
+    outer product, mode by mode, of the spectra of each axis's lattice.
+    Those of all axes but the last are held, k M_r per group; the last
+    axis's are folded one group at a time."""
+    spectra = [_fold_spectra(f, (ri,), (s,)) for f, ri, s in zip(axes, r, s_index)]
+    held = [list(each) for each in spectra[:-1]]
+    for last_shift, last in spectra[-1]:
+        for parts in itertools.product(*held):
+            shift = sum((held_shift for held_shift, _ in parts), ()) + last_shift
+            # yielded unnamed, so that the caller frees it before the next
+            yield shift, reduce(
+                lambda x, y: (x[:, None] * y).reshape(-1, y.shape[-1]),
+                [c for _, c in parts] + [last],
+            )
 
 
 def l2_inner(p, s1, s2, grid, normalized=True):

@@ -66,15 +66,19 @@ theta_a conj(theta_b) F_m, paired term by term in the lattice sums
 uses no eta, W_k or closed form: the Gaussians of the lattice terms are
 evaluated once per node of a fine lattice, the products of the pairs at
 each frequency offset are folded over the window by strided sums, and one
-FFT over the y-nodes gives every mode sharing r.  Its memory is
-O(box + k^n N^n) plus the outputs, and grids whose pairings would hold
-more than the 1 GiB limit of ``fourier.check_bytes`` are refused, with
-SizeLimitError, before allocation.  The ``toeplitz-compare`` runner and the
-CLI verb compare it with the closed form through
-:func:`quadrature_deviation`: one stack of pairings per (point, level), from
-which eta_k(m) W_k(m) is subtracted in place at the one nonzero of each
-column, with no dense closed form.  The dense route, ``to_dense`` of each
-mode against ``toeplitz_modes_quadrature``, is the tests' oracle for it.
+FFT over the y-nodes gives every mode sharing r.  At a diagonal Z (always
+at n = 1) the frame is a product over the axes, so each axis is folded and
+transformed on its own (k, N) array and the pairings are outer products of
+those, in O(box axis + k N) memory plus the outputs, which then dominate;
+any other Z folds the box of both axes in O(box + k^n N^n).  Grids whose
+pairings would hold more than the 1 GiB limit of ``fourier.check_bytes``
+are refused, with SizeLimitError, before allocation.  The
+``toeplitz-compare`` runner and the CLI verb compare it with the closed
+form through :func:`quadrature_deviation`: one stack of pairings per
+(point, level), from which eta_k(m) W_k(m) is subtracted in place at the
+one nonzero of each column, with no dense closed form.  The dense route,
+``to_dense`` of each mode against ``toeplitz_modes_quadrature``, is the
+tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -374,6 +378,8 @@ def trace_pair_sign(k, m1, m2):
     coincide).  It is computed in Python integers, exact at any mode size.
     """
     m1, m2 = FourierMode.coerce(m1), FourierMode.coerce(m2)
+    if len(m1.r) != len(m2.r):  # zip would cut the longer mode
+        raise ValueError(f"modes of dimensions {m1.n} and {m2.n}")
     if any((a - b) % k for a, b in zip(m1.r + m1.s, m2.r + m2.s)):
         return 0
     P = sum(map(operator.mul, m1.r, m1.s)) + sum(map(operator.mul, m2.r, m2.s))

@@ -247,12 +247,12 @@ class TestRunAndCache:
             assert np.isfinite(float(row[4]))
 
     def test_frame_too_large_is_refused(self):
-        # the k = 64 pairings would hold 8.45 GiB; refused before allocation
-        m = parse_config("experiment = gram\nn = 2\nk = 4, 64")
+        # the k = 128 pairings would hold 6 GiB; refused before allocation
+        m = parse_config("experiment = gram\nn = 2\nk = 4, 128")
         doc = run_experiment(m, use_cache=False)
         (measured, refused) = doc.rows
         assert measured[1] == "4" and measured[-1] == "pass"
-        assert refused[1] == "64" and refused[-1].startswith("refused:")
+        assert refused[1] == "128" and refused[-1].startswith("refused:")
         assert "GiB" in refused[-1]
         assert not doc.passed
 
@@ -266,9 +266,20 @@ class TestRunAndCache:
         assert "refused_levels" not in doc.extras
         assert doc.passed
 
+    @pytest.mark.parametrize("experiment, ks", [
+        ("toeplitz-compare", "25, 27, 29"), ("gram", "48")])
+    def test_diagonal_n2_levels_past_the_box_wall_pass(self, experiment, ks):
+        # refused at the default point while the pairings folded the box of
+        # both axes: 8.13 GiB for the 25 modes at k = 25, 2.7 GiB for k = 48
+        m = parse_config(f"experiment = {experiment}\nn = 2\nk = {ks}")
+        doc = run_experiment(m, use_cache=False)
+        assert doc.rows and all(row[-1] == "pass" for row in doc.rows)
+        assert "refused_levels" not in doc.extras
+        assert doc.passed
+
     def test_refused_rows_show_the_tried_grid(self):
-        for experiment, k, n_col, N in (("gram", 64, 3, "256"),
-                                        ("toeplitz-compare", 32, 2, "136")):
+        for experiment, k, n_col, N in (("gram", 128, 3, "512"),
+                                        ("toeplitz-compare", 48, 2, "200")):
             m = parse_config(f"experiment = {experiment}\nn = 2\nk = {k}")
             doc = run_experiment(m, use_cache=False)
             (refused,) = doc.rows
@@ -278,7 +289,7 @@ class TestRunAndCache:
 
     def test_refused_rows_fail_their_verdict(self):
         # a refused row once dropped out, so the rows left passed the sweep
-        for experiment, ks in (("gram", "2, 64"), ("toeplitz-compare", "2, 32")):
+        for experiment, ks in (("gram", "2, 128"), ("toeplitz-compare", "2, 48")):
             m = parse_config(f"experiment = {experiment}\nn = 2\nk = {ks}")
             doc = run_experiment(m, use_cache=False)
             *measured, refused = doc.rows
@@ -820,7 +831,8 @@ class TestCli:
         assert "--Z" in err
 
     def test_frame_too_large_is_reported(self, capsys):
-        rc = main(["gram", "--n", "2", "--k", "64", "--Z", "[[1i,0],[0,2i]]"])
+        # the box of both axes at a non-diagonal point
+        rc = main(["gram", "--n", "2", "--k", "64", "--Z", "[[2i,0.5i],[0.5i,1i]]"])
         err = capsys.readouterr().err
         assert rc == 2
         assert "8.45 GiB" in err

@@ -30,6 +30,12 @@ def test_mode_validation():
         FourierMode((1, 2), (0,))
 
 
+def test_pairing_of_modes_of_two_dimensions_is_refused():
+    # zip once cut the longer mode, and this pairing read 1
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        FourierMode((1,), (0,)).symplectic_pairing(FourierMode((0, 5), (1, 7)))
+
+
 def test_eval_constant_and_quarter_point():
     one = FourierFunction.constant(1.0, n=1)
     assert fourier_eval(one, 0.37, 0.82) == pytest.approx(1.0)

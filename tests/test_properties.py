@@ -260,6 +260,8 @@ def test_batched_flatness_matches_the_oracles(case):
 @st.composite
 def pairing_cases(draw):
     p = draw(points())
+    if p.n == 2 and draw(st.booleans()):  # a diagonal Z pairs axis by axis
+        p = SiegelPoint(np.diag(p.Z.diagonal()))
     k = draw(st.integers(1, 5))
     N = draw(st.integers(3, required_grid_size(p, k, 2) if p.n == 1 else 14))
     if draw(st.booleans()):

@@ -150,7 +150,9 @@ class TestFramePairings:
     # rule and below the lattice window: the spectral sum equals the frame
     # pairing on every grid, and only there do terms that collide mod N
     # carry weight (on a bandwidth grid they lie far apart, with products
-    # far below rounding); the rule's N = 44 would need a 540 MiB frame
+    # far below rounding); the rule's N = 44 would need a 540 MiB frame at
+    # the skew point.  The diagonal point pairs axis by axis, the others on
+    # the box of both axes
     @pytest.mark.parametrize(
         "Z, k, N",
         [
@@ -160,6 +162,9 @@ class TestFramePairings:
             ([[2j, 0.5j], [0.5j, 1j]], 3, 16),
             ([[1 + 1j, 0.3], [0.3, 0.5 + 2j]], 2, None),
             ([[1 + 1j, 0.3], [0.3, 0.5 + 2j]], 3, 16),
+            ([[1j, 0], [0, 2j]], 2, None),
+            ([[1j, 0], [0, 2j]], 3, None),
+            ([[1j, 0], [0, 2j]], 3, 16),
         ],
     )
     def test_match_explicit_frame_pairing(self, Z, k, N):
@@ -192,13 +197,15 @@ class TestFramePairings:
         assert len(np.unique(ku % grid.N)) < ku.size
 
 
-# Traced peak of gram_matrix and of the 25-mode quadrature_deviation against
+# Traced peak of a gram run and of the 25-mode quadrature_deviation against
 # _pairing_bytes, printed as JSON.  It runs in a fresh interpreter: in a long
 # process the traced peak also depends on the blocks earlier calls left.
 _PEAK_SCRIPT = """
 import ast, gc, json, sys, tracemalloc
+from thetaquant.config import parse_config
+from thetaquant.experiments import run_experiment
 from thetaquant.fourier import FourierMode
-from thetaquant.sections import _pairing_bytes, gram_matrix, suggest_grid
+from thetaquant.sections import _pairing_bytes, suggest_grid
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import quadrature_deviation
 
@@ -206,7 +213,10 @@ p, k = SiegelPoint(ast.literal_eval(sys.argv[1])), int(sys.argv[2])
 zero, span = (0,) * (p.n - 1), range(-2, 3)
 modes = [FourierMode((r,) + zero, (s,) + zero) for r in span for s in span]
 grid, grid_modes = suggest_grid(p, k), suggest_grid(p, k, m_max=2)
-runs = {"gram": (lambda: gram_matrix(p, k, grid), _pairing_bytes(p, k, grid, 1)),
+gram = parse_config(f"experiment = gram\\nn = {p.n}\\nk = {k}\\nZ = "
+                    + sys.argv[1].replace("j", "i"))
+runs = {"gram": (lambda: run_experiment(gram, use_cache=False),
+                 _pairing_bytes(p, k, grid, 1)),
         "deviation": (lambda: quadrature_deviation(p, k, modes, grid_modes),
                       _pairing_bytes(p, k, grid_modes, len(modes)))}
 out = {}
@@ -226,9 +236,14 @@ class TestPairingBytes:
     # (the n = 1, k = 16 Gram traced 0.13 MiB against 0.06), and the
     # quadrature held one offset group's spectra through the next group's
     # fold (the n = 2, k = 16 deviation traced 117 MiB against 108); the
-    # skew and non-normal points assemble the box's exponent on the box
+    # skew and non-normal points assemble the box's exponent on the box; the
+    # diagonal point folds axis by axis, where the outputs dominate (its
+    # k = 25 deviation, 0.22 GiB, was refused at 8.13 GiB on the box) and
+    # the gram runner's copy G - Id once doubled the Gram's (15.8 MB traced
+    # against 9.9 at k = 25)
     @pytest.mark.parametrize("Z, k", [
         ("1j", 16), ("1j", 64), ("[[1j, 0], [0, 2j]]", 6), ("[[1j, 0], [0, 2j]]", 16),
+        ("[[1j, 0], [0, 2j]]", 25),
         ("[[2j, 0.5j], [0.5j, 1j]]", 6), ("[[2j, 0.5j], [0.5j, 1j]]", 16),
         ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 6), ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 16),
     ])

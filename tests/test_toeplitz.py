@@ -420,6 +420,11 @@ class TestTraceLemma:
         unit = WeylSymbol(k, p.n, {m1: 1.0}).pair(WeylSymbol(k, p.n, {m2: 1.0}))
         assert unit == sign * k ** p.n
 
+    def test_modes_of_two_dimensions_are_refused(self):
+        # zip once cut the longer mode, and this sign read 1
+        with pytest.raises(ValueError, match="dimensions 1 and 2"):
+            trace_pair_sign(3, ((1,), (0,)), ((1, 0), (0, 0)))
+
     def test_incongruent_modes_have_no_trace(self):
         # P = 0 here, so a phase test alone would read the sign +1
         assert trace_pair_sign(3, ((1,), (0,)), ((0,), (1,))) == 0
