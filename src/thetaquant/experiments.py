@@ -6,8 +6,9 @@ cell values are formatted once (floats at 17 significant digits, complex as
 ``a+bi``) and the cache stores the formatted rows keyed by a content hash of
 the manifest, the package sources and the Python and numpy versions.  In
 the sweep runners a refused cell (a coarse grid, a non-normal point, a
-point whose theta sums no certified radius truncates, an array refused for
-its size before allocation) becomes a failed row with its reason and a NaN
+point whose theta sums no certified radius truncates, an fd stencil that
+leaves the Siegel space, an array refused for its size before allocation)
+becomes a failed row with its reason and a NaN
 in every verdict, never a crash; ``bms`` measures one
 operator norm and one sup per report, and its refusals end the run with
 the error (exit code 2 in the CLI).  A verdict fails when what it measured
@@ -40,7 +41,7 @@ from .formal import (
 )
 from .fourier import FourierFunction, FourierMode, SizeLimitError, check_bytes
 from .sections import GridError, QuadratureGrid, _bandwidth, gram_matrix, suggest_grid
-from .siegel import NonNormalError, TangentDirection
+from .siegel import InvalidPointError, NonNormalError, TangentDirection
 from .tqft import (
     CurveClass,
     curve_operator,
@@ -196,7 +197,8 @@ class _Sweep:
     ``cell(k, refused_row)`` runs one (point, level) measurement, which adds
     its rows to ``rows`` and its values to ``values[verdict]`` only after
     the last call that can refuse.  A GridError, SizeLimitError,
-    NonNormalError or TruncationError raised inside it is the one refusal
+    NonNormalError, InvalidPointError (a flatness stencil that leaves the
+    Siegel space) or TruncationError raised inside it is the one refusal
     path: the row ``refused_row("refused: <reason>")``, which places the
     reason and has ``len(columns)`` cells, is added, every verdict's list
     gets a NaN, so every verdict fails, and ``k`` joins the
@@ -214,7 +216,8 @@ class _Sweep:
     def cell(self, k, refused_row):
         try:
             yield
-        except (GridError, SizeLimitError, NonNormalError, TruncationError) as exc:
+        except (GridError, SizeLimitError, NonNormalError, InvalidPointError,
+                TruncationError) as exc:
             self.rows.append(refused_row(f"refused: {exc}"))
             for values in self.values.values():
                 values.append(np.nan)
@@ -255,6 +258,12 @@ def _first_coordinate(n, r, s):
 def _mode_labels(modes):
     """(r, s) of each mode formatted once, as its table cells show them."""
     return [(fmt_ints(mm.r), fmt_ints(mm.s)) for mm in modes]
+
+
+def _mode_table(modes):
+    """The (M, 2n) integer table of the modes, rows r + s, built once per
+    manifest for the spectral functions."""
+    return np.array([mm.r + mm.s for mm in modes], dtype=np.int64)
 
 
 def _mode_list(m, bound):
@@ -346,6 +355,7 @@ def _run_covariance(m):
     modes = _mode_list(m, 2)
     pairs = list(zip(m.points, m.points[1:] + m.points[:1]))  # each with the next
     labels = _mode_labels(modes)
+    table = _mode_table(modes)
     sweep = _Sweep(["k", "r", "s", "Z1", "Z2", "rescaled_diff", "raw_diff", "status"],
                    "rescaled-Z-independence", "raw-operators-vary")
     devs, raws = sweep.values.values()
@@ -357,9 +367,9 @@ def _run_covariance(m):
                 # most six (M, k^n) complex arrays at once
                 check_bytes(96 * len(modes) * k**p1.n, "covariance",
                             f"{len(modes)} modes of dimension {k**p1.n}")
-                dev_k = covariant_constancy_residual(p1, p2, k, modes)
+                dev_k = covariant_constancy_residual(p1, p2, k, table)
                 # both operators are eta W_k(m) with the same unit-modulus W
-                raw_k = np.abs(eta(p1, k, modes) - eta(p2, k, modes))
+                raw_k = np.abs(eta(p1, k, table) - eta(p2, k, table))
                 devs.extend(dev_k)
                 raws.extend(raw_k)
                 for (r, s), dev, raw in zip(labels, dev_k, raw_k):
@@ -378,7 +388,7 @@ def _run_trace_lemma(m):
     tol_zero = 1e-12
     modes = _mode_list(m, 1)
     labels = _mode_labels(modes)
-    entries = np.array([mm.r + mm.s for mm in modes])
+    table = _mode_table(modes)
     sweep = _Sweep(["k", "r1", "s1", "r2", "s2", "closed", "direct", "diff",
                     "congruent", "status"],
                    "trace-closed-vs-direct", "off-congruence-vanishing")
@@ -387,19 +397,20 @@ def _run_trace_lemma(m):
         for k in m.k_values:
             dim = k**p.n
             with sweep.cell(k, lambda why: [k, "", "", "", "", "", "", np.nan, "", why]):
-                # the M operators and the copy the next one makes of its entries
+                # the M operators, which keep their entries without a copy, and
+                # one more operator's room for the columns beside them
                 check_bytes(16 * (len(modes) + 1) * dim**2, "trace-lemma",
                             f"{len(modes)} dense {dim} x {dim} operators")
                 # one BLAS dot per pair: a one-pass reduction over the stacked
                 # matrices was slower at n = 2, k = 8 and needed two more copies
-                mats = [toeplitz_mode_closed_form(p, k, mm) for mm in modes]
+                mats = toeplitz_mode_closed_form(p, k, modes)
                 closed = trace_pair_closed_form(p, k, modes, modes)
                 direct = np.array([[hs_inner(a, b) for b in mats] for a in mats])
                 # |.| as the builtin abs rounds it, so each cell is the scalar one
                 gap = closed - direct
                 diff = np.hypot(gap.real, gap.imag)
                 size = np.hypot(direct.real, direct.imag)
-                congruent = np.all((entries[:, None] - entries) % k == 0, axis=-1)
+                congruent = np.all((table[:, None] - table) % k == 0, axis=-1)
                 diffs.extend(diff[congruent])
                 off_congruence.extend(size[~congruent])
                 ok = (diff < tol) & (congruent | (size < tol_zero))
@@ -555,6 +566,7 @@ def _run_flatness(m):
     tol_fd = 1e-5
     modes = _mode_list(m, 3)
     labels = _mode_labels(modes)
+    table = _mode_table(modes)
     sweep = _Sweep(["mode_r", "mode_s", "direction", "residual_analytic", "residual_fd"],
                    "flatness-analytic", "flatness-fd")
     residuals, residuals_fd = sweep.values.values()
@@ -564,12 +576,13 @@ def _run_flatness(m):
         else:
             dirs = [TangentDirection(i, i, kind) for i in range(p.n)
                     for kind in ("z", "zbar")]
-        # flatness sweeps no level; the closed form refuses a non-normal point
+        # flatness sweeps no level; the closed form refuses a non-normal
+        # point, and the fd stencil a step that leaves the Siegel space
         with sweep.cell(None, lambda why: ["", "", why, np.nan, np.nan]):
             per_direction = [
                 (("dZ" if v.holomorphic else "dZbar") + f"[{v.i},{v.j}]",
-                 formal_hitchin_residual(p, modes, v).tolist(),
-                 formal_hitchin_residual(p, modes, v, fd_step=1e-4).tolist())
+                 formal_hitchin_residual(p, table, v).tolist(),
+                 formal_hitchin_residual(p, table, v, fd_step=1e-4).tolist())
                 for v in dirs
             ]
             for a, (r, s) in enumerate(labels):

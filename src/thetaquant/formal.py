@@ -26,9 +26,11 @@ import numpy as np
 
 from .fourier import FourierFunction, FourierMode, _mode_arrays, _mode_pair_sum
 from .siegel import (
+    InvalidPointError,
     NonNormalError,
-    SiegelPoint,
     _delta,
+    _laplace_eigenvalue,
+    _positive_definite,
     dlambda_dZ,
     gtilde_coefficients,
     laplace_eigenvalue,
@@ -171,7 +173,8 @@ def covariant_constancy_residual(p1, p2, k, modes):
     matrices must agree entry by entry; the un-rescaled ones differ by the
     gap between the Gaussian factors.  Both operators are nonzero only where
     W_k(m) is, so the distance is read off those k^n values, hc (eta w).
-    ``modes`` is one mode (a scalar) or a list of M modes (shape (M,)).
+    ``modes`` is one mode (a scalar) or a list of M modes or their (M, 2n)
+    integer table (shape (M,)).
     """
     if p1.n != p2.n:
         raise ValueError("points have different dimension")
@@ -191,7 +194,7 @@ def _mu_eigenvalue(p, modes, v):
     w = Y^-1(s - Zbar r)) and -pi w' (dzbar sector, w' = Y^-1(s - Zr));
     the bivector is constant, so the second-order eigenvalue is the
     coefficient contraction e.G e.  One mode gives a scalar, a list of M
-    modes an array of shape (M,).
+    modes or their table an array of shape (M,).
     """
     r, s = _mode_arrays(modes)
     w = (s - r.dot(np.conj(p.Z).T)).dot(p.Yinv.T)
@@ -206,8 +209,12 @@ def formal_hitchin_residual(p, modes, v, fd_step=None):
     Zero for the heat-flow frame at all series orders, since the flow acts
     mode-diagonally.  ``fd_step`` replaces the analytic eigenvalue
     derivative by central differences of that step in X and Y, from the
-    eigenvalues of every mode at the four stencil points.  ``modes`` is one
-    mode, giving a float, or a list of M modes, giving an array of shape (M,).
+    eigenvalues of every mode at the four stencil points Z +- hD, Z +- ihD.
+    No stencil point is built: the X moves keep Y and Y^-1, and each Y move
+    takes one inverse.  A Y move that leaves the Siegel space is refused
+    with :class:`InvalidPointError`.  ``modes`` is one mode, giving a float,
+    or a list of M modes or their (M, 2n) integer table, giving an array of
+    shape (M,).
     """
     if p.n > 1 and not p.is_normal:
         raise NonNormalError("flatness closed form needs a normal point")
@@ -216,8 +223,17 @@ def formal_hitchin_residual(p, modes, v, fd_step=None):
     else:
         h = fd_step
         D = _delta(p.n, v.i, v.j)
-        lam = [laplace_eigenvalue(SiegelPoint(p.Z + dz * D), modes)
-               for dz in (h, -h, 1j * h, -1j * h)]
+        r, s = _mode_arrays(modes)
+        lam = [_laplace_eigenvalue(r, s, X, p.Y, p.Yinv)
+               for X in (p.X + h * D, p.X - h * D)]
+        for Y in (p.Y + h * D, p.Y - h * D):
+            # ||D|| = 1, so only a step as large as Y's smallest eigenvalue
+            # can leave the cone
+            if abs(h) >= p.min_eig_Y and not _positive_definite(Y):
+                raise InvalidPointError(
+                    f"fd step h = {h:g} leaves the Siegel space: the smallest "
+                    f"eigenvalue of Y is {p.min_eig_Y:.6g}")
+            lam.append(_laplace_eigenvalue(r, s, p.X, Y, np.linalg.inv(Y)))
         dX = (lam[0] - lam[1]) / (2 * h)
         dY = (lam[2] - lam[3]) / (2 * h)
         sgn = -1j if v.holomorphic else 1j

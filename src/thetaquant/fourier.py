@@ -101,8 +101,18 @@ class FourierMode:
 def _mode_arrays(modes, dtype=float):
     """(r, s) of one mode as arrays of shape (n,), or of a list of M modes as
     arrays of shape (M, n).  One mode is a :class:`FourierMode` or an
-    ``(r, s)`` pair; only a list is read as several modes."""
-    if isinstance(modes, list):
+    ``(r, s)`` pair; only a list is read as several modes.
+
+    A mode table, a signed integer array of shape (M, 2n) whose rows are
+    r + s, is split into its two halves as views, with nothing coerced or
+    converted; integer entries give the same results as their float copies
+    in every caller.  Any other array is refused."""
+    if isinstance(modes, np.ndarray):
+        if modes.dtype.kind != "i" or modes.ndim != 2 or modes.shape[1] % 2:
+            raise ValueError("a mode table is a signed integer array of shape (M, 2n), "
+                             f"got {modes.dtype} of shape {modes.shape}")
+        rs = modes
+    elif isinstance(modes, list):
         rs = np.array([m.r + m.s for m in map(FourierMode.coerce, modes)], dtype=dtype)
     else:
         m = FourierMode.coerce(modes)

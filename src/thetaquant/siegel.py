@@ -44,6 +44,15 @@ class NonNormalError(ValueError):
     """Raised when an operation needs [X, Y] = 0 but the point is not normal."""
 
 
+def _positive_definite(Y):
+    """Whether the symmetric real matrix Y has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(Y)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class SiegelPoint:
     """A point Z = X + iY of the Siegel upper half space.
@@ -71,12 +80,8 @@ class SiegelPoint:
             raise InvalidPointError("Z is not symmetric within 1e-12")
         X = Z.real.copy()
         Y = Z.imag.copy()
-        try:
-            np.linalg.cholesky(Y)
-        except np.linalg.LinAlgError:
-            raise InvalidPointError(
-                "imaginary part of Z is not positive definite"
-            ) from None
+        if not _positive_definite(Y):
+            raise InvalidPointError("imaginary part of Z is not positive definite")
         normal = np.max(np.abs(X @ Y - Y @ X)) < NORMALITY_TOL
         Yinv = np.linalg.inv(Y)
         for arr in (Z, X, Y, Yinv):
@@ -220,12 +225,18 @@ def laplace_eigenvalue(p, modes):
         lambda(r, s, Z) = -2 pi ((s - Xr).Y^-1 (s - Xr) + r.Y r) <= 0,
 
     vanishing only for the constant mode.  ``modes`` is one mode (a
-    FourierMode or an (r, s) pair), giving a scalar, or a list of M modes,
-    giving an array of shape (M,); each entry is the one-mode value.
+    FourierMode or an (r, s) pair), giving a scalar, or a list of M modes or
+    their (M, 2n) integer table, giving an array of shape (M,); each entry
+    is the one-mode value.
     """
-    r, s = _mode_arrays(modes)
-    u = s - r.dot(p.X.T)
-    return -2 * np.pi * (np.vecdot(u.dot(p.Yinv), u) + np.vecdot(r.dot(p.Y), r))
+    return _laplace_eigenvalue(*_mode_arrays(modes), p.X, p.Y, p.Yinv)
+
+
+def _laplace_eigenvalue(r, s, X, Y, Yinv):
+    """lambda of the modes (r, s) at the point with parts X, Y and Y^-1 given
+    as arrays, so a moved point needs no :class:`SiegelPoint`."""
+    u = s - r.dot(X.T)
+    return -2 * np.pi * (np.vecdot(u.dot(Yinv), u) + np.vecdot(r.dot(Y), r))
 
 
 def dlambda_dZ(p, modes, v):
@@ -237,7 +248,8 @@ def dlambda_dZ(p, modes, v):
         dlam/dY_ij = 2 pi (u.D u - r.D r),
 
     combined as (dX -/+ i dY)/2 for kind 'z' / 'zbar'.  ``modes`` is one
-    mode, giving a complex scalar, or a list of M modes, giving shape (M,).
+    mode, giving a complex scalar, or a list of M modes or their table,
+    giving shape (M,).
     """
     r, s = _mode_arrays(modes)
     D = _delta(p.n, v.i, v.j)

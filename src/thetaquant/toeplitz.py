@@ -132,14 +132,18 @@ MAX_DENSE_DIM = 4096
 class OperatorMatrix:
     """Dense k^n x k^n operator in the theta frame: the record of the dense
     oracle (:meth:`WeylSymbol.to_dense` and the quadrature).  ``entries`` is
-    a read-only complex copy."""
+    a read-only complex copy, except that a read-only complex array which
+    owns its data is kept as it is: no one can write to it, so a builder
+    that hands one over needs no second array for the copy."""
 
     k: int
     n: int
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex).copy()
+        e = np.asarray(self.entries, dtype=complex)
+        if e.flags.writeable or not e.flags.owndata:
+            e = e.copy()
         dim = self.k**self.n
         if e.shape != (dim, dim):
             raise ValueError(f"entries must be {dim} x {dim}, got {e.shape}")
@@ -151,8 +155,8 @@ def eta(p, k, m):
     """Gaussian factor of the mode operator: exp(lambda(r,s,Z) / 4k).
 
     Lies in (0, 1], increases to 1 as k grows, and is the modulus of every
-    nonzero closed-form entry.  ``m`` is one mode or a list of modes, as for
-    :func:`siegel.laplace_eigenvalue`.
+    nonzero closed-form entry.  ``m`` is one mode, a list of modes or their
+    (M, 2n) integer table, as for :func:`siegel.laplace_eigenvalue`.
     """
     return np.exp(laplace_eigenvalue(p, m) / (4 * k))
 
@@ -163,10 +167,12 @@ def _clock_shift_columns(k, n, modes):
     Columns are the labels a in lexicographic order; column a has its entry
     in row a + r mod k, with value exp(-pi i (r.s + 2 s.a)/k), the phase
     reduced exactly mod 2k.  Both arrays have shape (k^n,) for one mode and
-    (M, k^n) for a list of M modes.
+    (M, k^n) for a list of M modes or their (M, 2n) integer table.
     """
-    labels = np.indices((k,) * n).reshape(n, -1)
     r, s = _mode_arrays(modes, dtype=np.int64)
+    if r.shape[-1] != n:  # broadcasting would pass a one-axis mode at n = 2
+        raise ValueError(f"mode dimension {r.shape[-1]} does not match n = {n}")
+    labels = np.indices((k,) * n).reshape(n, -1)
     rows = k ** np.arange(n - 1, -1, -1) @ ((r[..., None] + labels) % k)
     phase = (np.vecdot(r, s)[..., None] + 2 * s.dot(labels)) % (2 * k)
     return rows, np.exp(-1j * np.pi * phase / k)
@@ -238,12 +244,7 @@ class WeylSymbol:
     def to_dense(self):
         """The k^n x k^n matrix; refused above MAX_DENSE_DIM before allocation."""
         k, n = self.k, self.n
-        dim = k**n
-        if dim > MAX_DENSE_DIM:
-            raise SizeLimitError(
-                f"dense operator needs dimension k^n = {dim}, "
-                f"above the {MAX_DENSE_DIM} limit"
-            )
+        dim = _dense_dim(k, n)
         entries = np.zeros((dim, dim), dtype=complex)
         if self.coeffs:
             modes = sorted(self.coeffs)  # congruent modes add in one order
@@ -265,6 +266,17 @@ class WeylSymbol:
             return operator_norm(self.to_dense())
         c = np.array([self.coeffs[m] for m in sorted(self.coeffs)], dtype=complex)
         return float(_line_norms([self.k], self.n, *line, c[None])[0])
+
+
+def _dense_dim(k, n):
+    """k^n, refused above MAX_DENSE_DIM before a dense operator is allocated."""
+    dim = k**n
+    if dim > MAX_DENSE_DIM:
+        raise SizeLimitError(
+            f"dense operator needs dimension k^n = {dim}, "
+            f"above the {MAX_DENSE_DIM} limit"
+        )
+    return dim
 
 
 def _weyl_phase(k):
@@ -296,9 +308,27 @@ def _line_norms(k_values, n, m0, t, c):
 
 
 def toeplitz_mode_closed_form(p, k, m):
-    """Matrix of the mode operator, eta_k(m) W_k(m), in closed form."""
-    m = FourierMode.coerce(m)
-    return WeylSymbol(k, p.n, {m: eta(p, k, m)}).to_dense()
+    """Matrix of the mode operator, eta_k(m) W_k(m), in closed form.
+
+    ``m`` is one mode, giving one :class:`OperatorMatrix`, or a list of M
+    modes, giving a list of M of them from one :func:`_clock_shift_columns`
+    and one :func:`eta` call.  Each mode is scattered into its own array,
+    which its operator keeps without a copy: M modes hold M dense arrays and
+    no (M, k^n, k^n) stack.  Entry for entry each equals the dense matrix of
+    the one-mode symbol, ``WeylSymbol(k, p.n, {m: eta(p, k, m)}).to_dense()``.
+    """
+    if not isinstance(m, list):
+        return toeplitz_mode_closed_form(p, k, [m])[0]
+    dim = _dense_dim(k, p.n)
+    rows, values = _clock_shift_columns(k, p.n, m)
+    cols = np.arange(dim)
+    out = []
+    for row, value, c in zip(rows, values, eta(p, k, m)):
+        entries = np.zeros((dim, dim), dtype=complex)
+        entries[row, cols] += c * value
+        entries.setflags(write=False)  # handed over to the operator, not copied
+        out.append(OperatorMatrix(k, p.n, entries))
+    return out
 
 
 def rescaled_toeplitz(k, m):

@@ -502,8 +502,9 @@ class TestRunAndCache:
         assert not any(v["passed"] for v in doc.verdicts)
 
     def test_pointwise_sweeps_build_points_per_call_not_per_mode(self, monkeypatch):
-        # flatness built 4 stencil points per mode and direction, and the
-        # heat identity 4 per row; only the flatness stencil is left
+        # flatness built 4 stencil points per mode and direction, then 4 per
+        # direction, and the heat identity 4 per row; the fd stencil now
+        # moves X, Y and Y^-1 as arrays
         built = []
         post_init = SiegelPoint.__post_init__
 
@@ -523,9 +524,31 @@ class TestRunAndCache:
             built.clear()
             assert run_experiment(m, use_cache=False).passed
             counts.append(len(built))
-        one_mode, all_modes, heat = counts
-        assert one_mode == all_modes == 2 * 4  # two directions, four stencil points
-        assert heat == 0
+        assert counts == [0, 0, 0]
+
+    @pytest.mark.parametrize("n, Z", [(1, "0.00005i"), (2, "[[0.00005i, 0], [0, 1i]]")])
+    def test_flatness_refuses_a_stencil_that_leaves_the_siegel_space(
+            self, tmp_path, capsys, n, Z):
+        # Z is valid, but the fd step h = 1e-4 takes Y - hD out of the cone:
+        # the stencil point once aborted the run with exit 2 and blamed Z
+        text = f"[flatness]\nn = {n}\nk = 1\nZ = {Z}\n"
+        doc = run_experiment(parse_config(text), use_cache=False)
+        assert doc.rows == [["", "", "refused: fd step h = 0.0001 leaves the Siegel "
+                             "space: the smallest eigenvalue of Y is 5e-05", "nan", "nan"]]
+        assert all(v["observed"] == "nan" and not v["passed"] for v in doc.verdicts)
+        cfg = tmp_path / "flatness.cfg"
+        cfg.write_text(text)
+        assert main(["experiment", "run", str(cfg), "--no-cache"]) == 1
+        assert "overall: FAIL" in capsys.readouterr().out
+
+    def test_flatness_measures_a_stencil_inside_the_siegel_space(self):
+        # Y's smallest eigenvalue, 7e-5, is below h = 1e-4, but every
+        # diagonal move Y +- hD stays positive definite
+        doc = run_experiment(parse_config(
+            "[flatness]\nn = 2\nk = 1\nZ = [[1i, 0.99993i], [0.99993i, 1i]]\n"
+            "modes = 1,0,0,0"), use_cache=False)
+        assert len(doc.rows) == 4
+        assert not any(str(cell).startswith("refused") for row in doc.rows for cell in row)
 
     def test_fmt_ints_forms_agree(self):
         for values in ((3,), (-1, 0, 12)):

@@ -10,6 +10,7 @@ from thetaquant.fourier import (
     FourierFunction,
     FourierMode,
     _line_decomposition,
+    _mode_arrays,
     dense_max_abs,
     fourier_eval,
     poisson_bracket,
@@ -34,6 +35,25 @@ def test_pairing_of_modes_of_two_dimensions_is_refused():
     # zip once cut the longer mode, and this pairing read 1
     with pytest.raises(ValueError, match="dimensions 1 and 2"):
         FourierMode((1,), (0,)).symplectic_pairing(FourierMode((0, 5), (1, 7)))
+
+
+def test_mode_table_is_split_without_a_copy():
+    table = np.array([[1, -2, 3, 4], [0, 5, -6, 7]])
+    r, s = _mode_arrays(table)
+    assert np.shares_memory(r, table) and np.shares_memory(s, table)
+    assert r.tolist() == [[1, -2], [0, 5]] and s.tolist() == [[3, 4], [-6, 7]]
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[1.0, 0.0]]),            # float entries
+    np.array([[1, 0]], dtype=np.uint8),  # unsigned entries
+    np.array([1, 0]),                  # one row, not a table
+    np.array([[[1, 0]]]),              # three axes
+    np.array([[1, 0, 2]]),             # an odd column count
+], ids=["float", "unsigned", "1-d", "3-d", "odd"])
+def test_array_that_is_no_mode_table_is_refused(table):
+    with pytest.raises(ValueError, match="a mode table is a signed integer array"):
+        _mode_arrays(table)
 
 
 def test_eval_constant_and_quarter_point():

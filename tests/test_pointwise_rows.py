@@ -2,12 +2,19 @@
 
 heat-identity, trace-lemma and covariance evaluate every probe, derivative
 pair and mode pair of a level in one array pass.  Each row here is rebuilt
-from the scalar calls, one per row, and compared cell by cell.
+from the scalar calls, one per row, and compared cell by cell.  The
+trace-lemma cell is also held to its own size check.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thetaquant
 from thetaquant.config import parse_config_all
 from thetaquant.experiments import (
     _mode_list,
@@ -103,6 +110,38 @@ def test_trace_lemma_rows_are_the_scalar_traces(n):
                              fmt_complex(direct), diff, congruent,
                              "pass" if ok else "fail"])
     assert rows == _formatted(want)
+
+
+_PEAK_SCRIPT = """
+import gc, tracemalloc
+import thetaquant.experiments as experiments
+from thetaquant.config import parse_config
+
+sizes = []
+check = experiments.check_bytes
+experiments.check_bytes = lambda size, *args: (sizes.append(size), check(size, *args))
+m = parse_config("experiment = trace-lemma\\nn = 2\\nk = 16")
+experiments.run_experiment(m, use_cache=False)
+gc.collect()
+tracemalloc.start()
+experiments.run_experiment(m, use_cache=False)
+print(tracemalloc.get_traced_memory()[1], sizes[-1])
+"""
+
+
+def test_trace_lemma_cell_stays_below_its_size_check():
+    # the runner refuses a cell above 16 (M + 1) dim^2 bytes; operators that
+    # copied their scattered entries held M + 1 dense arrays while the last
+    # one was made, 10.02 arrays of 1 MiB here, and a (M, dim, dim) stack
+    # beside the operators would hold 2M
+    src = Path(thetaquant.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    peak, bound = map(int, done.stdout.split())
+    assert bound == 16 * (9 + 1) * 256**2  # 9 modes of dimension 16^2
+    assert peak < bound, (peak, bound)
 
 
 def test_batched_shapes_follow_the_arguments():

@@ -20,6 +20,9 @@ below 21 MiB.
 The mode-batched eigenvalues and flatness residuals are drawn at normal
 points (X and Y share eigenvectors) with batches of up to eight modes of
 entries |r_i|, |s_i| <= 4, and checked mode by mode against the oracles.
+The same spectral functions of up to eight modes of entries up to 10^6 in
+size give, bit for bit, the same arrays for the list of modes and for its
+(M, 2n) integer table.
 """
 
 import numpy as np
@@ -32,7 +35,11 @@ from oracles import (
 )
 
 from thetaquant.config import _READS, EXPERIMENT_IDS, parse_config
-from thetaquant.formal import _mu_eigenvalue, formal_hitchin_residual
+from thetaquant.formal import (
+    _mu_eigenvalue,
+    covariant_constancy_residual,
+    formal_hitchin_residual,
+)
 from thetaquant.fourier import FourierMode
 from thetaquant.sections import (
     QuadratureGrid,
@@ -49,6 +56,7 @@ from thetaquant.siegel import (
     laplace_eigenvalue,
 )
 from thetaquant.theta import ThetaLabel, quasi_periodicity_residual
+from thetaquant.toeplitz import _clock_shift_columns, eta
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -255,6 +263,61 @@ def test_batched_flatness_matches_the_oracles(case):
         fd_o = abs(0.5 * (dX + sgn * dY) + mu_o / (2 * np.pi))
         rounding = 8 * np.finfo(float).eps * max(abs(lam_o), 1.0) / h
         assert abs(residual_fd[a] - fd_o) <= 1e-12 + rounding
+
+
+@st.composite
+def mode_tables(draw):
+    """A normal point, a second point of its dimension, a level, a direction
+    and up to eight modes with entries up to 10^6 in size, as a list and as
+    their (M, 2n) integer table."""
+    p, _, v = draw(mode_batches())
+    entry = st.one_of(st.integers(-4, 4), st.integers(-10**6, 10**6))
+    vector = st.tuples(*[entry] * p.n)
+    modes = [FourierMode(*rs) for rs in draw(
+        st.lists(st.tuples(vector, vector), min_size=1, max_size=8))]
+    table = np.array([m.r + m.s for m in modes], dtype=np.int64)
+    return p, draw(points(p.n)), draw(st.integers(1, 8)), v, modes, table
+
+
+@PROPERTY
+@given(mode_tables())
+def test_a_mode_table_gives_what_its_list_gives_bitwise(case):
+    p, q, k, v, modes, table = case
+    calls = [
+        lambda ms: laplace_eigenvalue(p, ms),
+        lambda ms: dlambda_dZ(p, ms, v),
+        lambda ms: eta(p, k, ms),
+        lambda ms: _clock_shift_columns(k, p.n, ms),
+        lambda ms: formal_hitchin_residual(p, ms, v),
+        lambda ms: formal_hitchin_residual(p, ms, v, fd_step=1e-4),
+    ]
+    for call in calls:
+        want, got = call(modes), call(table)
+        for a, b in zip(*(x if isinstance(x, tuple) else (x,) for x in (want, got))):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # a large mode's eta underflows to 0 or to a subnormal, and the residual's
+    # (1/eta)(eta w) then divides by zero or overflows and may be NaN, for the
+    # list as for the table
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        want, got = (covariant_constancy_residual(p, q, k, ms) for ms in (modes, table))
+    assert np.array_equal(want, got, equal_nan=True)
+
+
+@PROPERTY
+@given(mode_batches(), st.sampled_from((1e-6, 1e-4, 1e-2)))
+def test_fd_stencil_is_the_residual_at_built_points_bitwise(case, h):
+    # the stencil once built four validated points; it now moves X, Y and
+    # Y^-1 as arrays, and must round the same
+    p, modes, v = case
+    D = np.zeros((p.n, p.n))
+    D[v.i, v.j] = D[v.j, v.i] = 1.0
+    lam = [laplace_eigenvalue(SiegelPoint(p.Z + dz * D), modes)
+           for dz in (h, -h, 1j * h, -1j * h)]
+    dX = (lam[0] - lam[1]) / (2 * h)
+    dY = (lam[2] - lam[3]) / (2 * h)
+    sgn = -1j if v.holomorphic else 1j
+    want = abs(0.5 * (dX + sgn * dY) + _mu_eigenvalue(p, modes, v) / (2 * np.pi))
+    assert np.array_equal(formal_hitchin_residual(p, modes, v, fd_step=h), want)
 
 
 @st.composite

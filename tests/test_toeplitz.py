@@ -133,6 +133,42 @@ class TestClosedForm:
                 A = toeplitz_mode_closed_form(p, k, (r, s)).entries
                 assert np.max(np.abs(A - toeplitz_mode_loop(z, k, r, s))) < 1e-13
 
+    @pytest.mark.parametrize("z", Z_LIST + Z_N2_NON_NORMAL)
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_list_form_is_the_one_mode_operators_bitwise(self, z, k):
+        p = SiegelPoint(z)
+        zero = (0,) * (p.n - 1)
+        modes = [FourierMode((r,) + zero, (s,) + zero)
+                 for r, s in ((0, 0), (1, -1), (-3, 2), (k, 0), (1, -1), (40, -25))]
+        if p.n == 2:
+            modes.append(FourierMode((2, -1), (1, 3)))
+        ops = toeplitz_mode_closed_form(p, k, modes)
+        assert len(ops) == len(modes)
+        for op, m in zip(ops, modes):
+            single = toeplitz_mode_closed_form(p, k, m).entries
+            symbol = WeylSymbol(k, p.n, {m: eta(p, k, m)}).to_dense().entries
+            assert np.array_equal(op.entries, single)
+            assert np.array_equal(op.entries, symbol)
+            assert not op.entries.flags.writeable
+        # every operator has its own array; none is a view of a shared stack
+        assert all(op.entries.base is None for op in ops)
+
+    def test_mode_of_another_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="mode dimension 1 does not match n = 2"):
+            toeplitz_mode_closed_form(SiegelPoint(np.diag([1j, 2j])), 3, [((1,), (0,))])
+
+    def test_operator_copies_what_its_caller_can_still_write(self):
+        entries = np.eye(2, dtype=complex)
+        op = OperatorMatrix(2, 1, entries)
+        entries[0, 0] = 5
+        assert op.entries[0, 0] == 1 and not op.entries.flags.writeable
+        view = np.eye(2, dtype=complex)[:, ::-1]
+        view.setflags(write=False)  # read-only, but its base is writeable
+        assert not np.shares_memory(OperatorMatrix(2, 1, view).entries, view)
+        owned = np.eye(2, dtype=complex)
+        owned.setflags(write=False)
+        assert OperatorMatrix(2, 1, owned).entries is owned
+
     def test_single_entry_against_brute_grid(self):
         # one entry computed from scratch: (F_{1,0} theta_0, theta_1) at k=2
         Z = 1j
