@@ -15,10 +15,10 @@ from thetaquant import (
     operator_norm,
     toeplitz_function,
     toeplitz_mode_closed_form,
-    toeplitz_mode_quadrature,
     trace_pair_closed_form,
 )
 from thetaquant.sections import suggest_grid
+from thetaquant.toeplitz import toeplitz_modes_quadrature
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -33,7 +33,8 @@ print("eta_2(1,0) =", eta(p, 2, ((1,), (0,))), "= e^{-pi/4} =", np.exp(-np.pi / 
 
 # The independent route: grid sums of theta_a conj(theta_b) F_m, with the
 # x-sum done exactly by the orthogonality of the grid characters.
-B = toeplitz_mode_quadrature(p, 2, ((1,), (0,)), suggest_grid(p, 2, m_max=1))
+grid = suggest_grid(p, 2, m_max=1)
+(B,) = toeplitz_modes_quadrature(p, 2, [((1,), (0,))], grid).values()
 print("closed form vs quadrature:", np.max(np.abs(A.entries - B.entries)))
 
 # Operators of real symbols are Hermitian; the operator of 2 cos(2 pi x).

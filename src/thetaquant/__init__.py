@@ -45,14 +45,12 @@ from .toeplitz import (
     rescaled_toeplitz,
     toeplitz_function,
     toeplitz_mode_closed_form,
-    toeplitz_mode_quadrature,
     trace_pair_closed_form,
 )
 from .formal import (
     FormalFourierSeries,
     covariant_constancy_residual,
     formal_hitchin_residual,
-    heat_coefficient,
     heat_transform,
     moyal_product,
     trivialized_star_compare,

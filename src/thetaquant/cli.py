@@ -12,9 +12,11 @@ Without --Z a verb runs at the default point of its dimension (i at n = 1,
 diag(i, 2i, ..., ni) above), and without --n at the point's dimension.
 ``tqft invariant`` takes no point, as curve operators do not depend on it;
 its genus --g is 1 by default.  ``experiment run`` flags override the
-config values of the experiments that read them.  The cache directory
-defaults to $THETAQUANT_CACHE_DIR.  Bad input ends with a one-line error on
-stderr and exit code 2.
+config values of the experiments that read them, and ``gram`` and
+``toeplitz compare`` default to their experiment's tolerance; both are
+read from the one record per experiment, ``config.EXPERIMENTS``.  The
+cache directory defaults to $THETAQUANT_CACHE_DIR.  Bad input ends with a
+one-line error on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 import numpy as np
 
 from .config import (
-    _READS,
+    EXPERIMENTS,
     ConfigError,
     _parse_mode,
     _tolerance,
@@ -33,13 +35,7 @@ from .config import (
     parse_config_all,
     siegel_points,
 )
-from .experiments import (
-    _default_tol,
-    _grid_for,
-    emit_outputs,
-    fmt_complex,
-    run_experiment,
-)
+from .experiments import _grid_for, emit_outputs, fmt_complex, run_experiment
 from .fourier import FourierMode
 from .sections import GridError, SizeLimitError, _bandwidth, gram_matrix
 from .siegel import InvalidPointError
@@ -173,7 +169,7 @@ def _cmd_gram(args):
     G = gram_matrix(p, args.k, _grid_for(args.grid, p, args.k))
     G[np.diag_indices_from(G)] -= 1  # G - Id in place
     dev = float(np.max(np.abs(G)))
-    tol = _default_tol("gram", p.n, args.tol)
+    tol = EXPERIMENTS["gram"].tolerance(p.n, args.tol)
     status = "PASS" if dev < tol else "FAIL"
     print(f"max |Gram - Id| = {dev:.3e}  (tolerance {tol:g})  {status}")
     return 0 if dev < tol else 1
@@ -184,7 +180,7 @@ def _cmd_toeplitz_compare(args):
     mode = FourierMode(*_parse_mode(args.mode, p.n))
     grid = _grid_for(args.grid, p, args.k, _bandwidth([mode]))
     (diff,) = quadrature_deviation(p, args.k, [mode], grid).tolist()
-    tol = _default_tol("toeplitz-compare", p.n, args.tol)
+    tol = EXPERIMENTS["toeplitz-compare"].tolerance(p.n, args.tol)
     status = "PASS" if diff < tol else "FAIL"
     print(f"max entry difference = {diff:.3e}  (tolerance {tol:g})  {status}")
     return 0 if diff < tol else 1
@@ -201,9 +197,10 @@ def _cmd_experiment_run(args):
     for idx, m in enumerate(manifests):
         if args.cache_dir is not None:
             m.cache_dir = args.cache_dir
-        if args.tol is not None and "tol" in _READS[m.experiment]:
+        reads = EXPERIMENTS[m.experiment].reads
+        if args.tol is not None and "tol" in reads:
             m.tol = args.tol
-        if args.grid is not None and "grid" in _READS[m.experiment]:
+        if args.grid is not None and "grid" in reads:
             m.grid = args.grid
         if args.out is not None:
             m.out = args.out if len(manifests) == 1 else f"{args.out}-{idx}"

@@ -7,11 +7,14 @@ row lists ``[[a, b], [c, d]]``; lists of levels or modes are comma or
 semicolon separated.  Unknown keys and malformed values raise
 :class:`ConfigError` with the offending line number.
 
-Every section reads ``experiment``, ``k``, ``out`` and ``cache-dir``;
-``_READS`` lists the other keys each experiment reads, and a section that
-sets one it does not read is refused at its line.  :func:`siegel_points`
-resolves ``Z`` with ``n``; ``[tqft]`` reads ``genus`` as its dimension and
-no ``Z``, as curve operators do not depend on the complex structure.
+Every section reads ``experiment``, ``k``, ``out`` and ``cache-dir``.
+:data:`EXPERIMENTS` holds one record per experiment: the other keys it
+reads, its default levels, its default pass tolerance and the numbers of
+modes it reads in full.  The parser, the runners and the CLI all read it; a
+section that sets a key its experiment does not read is refused at its
+line.  :func:`siegel_points` resolves ``Z`` with ``n``; ``[tqft]`` reads
+``genus`` as its dimension and no ``Z``, as curve operators do not depend on
+the complex structure.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "ConfigError",
     "ExperimentManifest",
     "EXPERIMENT_IDS",
+    "EXPERIMENTS",
     "parse_complex",
     "parse_matrix",
     "parse_config",
@@ -37,68 +41,43 @@ __all__ = [
     "siegel_points",
 ]
 
-EXPERIMENT_IDS = (
-    "gram",
-    "toeplitz-compare",
-    "heat-identity",
-    "covariance",
-    "trace-lemma",
-    "bms",
-    "pairing-limit",
-    "star-fit",
-    "flatness",
-    "tqft",
-)
 
-_KNOWN_KEYS = {
-    "experiment",
-    "n",
-    "k",
-    "Z",
-    "modes",
-    "tol",
-    "grid",
-    "out",
-    "cache-dir",
-    "genus",
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """What one experiment reads and defaults to."""
+
+    reads: tuple  # the optional keys it reads, its dimension key first
+    k_values: tuple  # its default levels
+    tol: tuple = (None,)  # its pass tolerance at n = 1, 2, ...; the last holds above
+    mode_counts: tuple = ()  # (words, counts): the numbers of modes it reads in full
+
+    def tolerance(self, n, tol=None):
+        """``tol``, or else the default pass tolerance at dimension n."""
+        return self.tol[min(n, len(self.tol)) - 1] if tol is None else tol
+
+
+# One record per experiment.  Asymptotic fits need the long sweep;
+# quadrature comparisons stay at desk-scale levels.
+EXPERIMENTS = {
+    "gram": ExperimentSpec(("n", "Z", "tol", "grid"), (1, 2, 4, 8), (1e-8, 1e-7)),
+    "toeplitz-compare": ExperimentSpec(
+        ("n", "Z", "tol", "grid", "modes"), (2, 4, 6), (1e-8,)),
+    "heat-identity": ExperimentSpec(("n", "Z", "tol"), (2, 4, 8), (1e-12,)),
+    "covariance": ExperimentSpec(("n", "Z", "tol", "modes"), (2, 4, 8), (1e-9,)),
+    "trace-lemma": ExperimentSpec(("n", "Z", "tol", "modes"), (2, 4, 8), (1e-10,)),
+    "bms": ExperimentSpec(("n", "Z", "modes"), (8, 16, 32, 64, 128)),
+    "pairing-limit": ExperimentSpec(("n", "Z", "modes"), (8, 16, 32, 64, 128)),
+    "star-fit": ExperimentSpec(("n", "Z", "tol", "modes"), (8, 16, 32, 64, 128),
+                               (0.02,), ("two", (2,))),
+    "flatness": ExperimentSpec(("n", "Z", "tol", "modes"), (1,), (1e-10,)),
+    "tqft": ExperimentSpec(("genus", "modes"), (2, 4, 8), (1e-10,),
+                           ("at most two", (1, 2))),
 }
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
+_OPTIONAL = {key for spec in EXPERIMENTS.values() for key in spec.reads}
+_KNOWN_KEYS = _OPTIONAL | {"experiment", "k", "out", "cache-dir"}
 
-# The optional keys each experiment reads, its dimension key first.
-_READS = {
-    "gram": ("n", "Z", "tol", "grid"),
-    "toeplitz-compare": ("n", "Z", "tol", "grid", "modes"),
-    "heat-identity": ("n", "Z", "tol"),
-    "covariance": ("n", "Z", "tol", "modes"),
-    "trace-lemma": ("n", "Z", "tol", "modes"),
-    "bms": ("n", "Z", "modes"),
-    "pairing-limit": ("n", "Z", "modes"),
-    "star-fit": ("n", "Z", "tol", "modes"),
-    "flatness": ("n", "Z", "tol", "modes"),
-    "tqft": ("genus", "modes"),
-}
-_OPTIONAL = set().union(*_READS.values())
-
-DEFAULT_K = (2, 4, 8, 16)
 DEFAULT_Z_N1 = ("i", "1+2i", "0.5+0.7i")
-
-# Sweep defaults tuned per experiment (asymptotic fits need the long sweep,
-# quadrature comparisons stay at desk-scale levels).
-_DEFAULT_K_BY_EXPERIMENT = {
-    "gram": (1, 2, 4, 8),
-    "toeplitz-compare": (2, 4, 6),
-    "heat-identity": (2, 4, 8),
-    "covariance": (2, 4, 8),
-    "trace-lemma": (2, 4, 8),
-    "bms": (8, 16, 32, 64, 128),
-    "pairing-limit": (8, 16, 32, 64, 128),
-    "star-fit": (8, 16, 32, 64, 128),
-    "flatness": (1,),
-    "tqft": (2, 4, 8),
-}
-
-
-# Experiments that read a fixed number of modes: the counts they read in full.
-_MODE_COUNTS = {"star-fit": ("two", (2,)), "tqft": ("at most two", (1, 2))}
 
 
 class ConfigError(ValueError):
@@ -163,8 +142,8 @@ class ExperimentManifest:
     """Validated parameters of one experiment run."""
 
     experiment: str
+    k_values: tuple
     n: int = 1
-    k_values: tuple = DEFAULT_K
     points: tuple = ()  # SiegelPoint instances
     modes: tuple = ()  # ((r tuple, s tuple), ...)
     tol: float | None = None
@@ -239,9 +218,9 @@ def _build_manifest(pairs, line_of):
             f"unknown experiment {exp!r}; choose from {', '.join(EXPERIMENT_IDS)}",
             line_of.get("experiment"),
         )
-    m = ExperimentManifest(experiment=exp)
-    m.k_values = _DEFAULT_K_BY_EXPERIMENT.get(exp, DEFAULT_K)
-    reads = _READS[exp]
+    spec = EXPERIMENTS[exp]
+    m = ExperimentManifest(experiment=exp, k_values=spec.k_values)
+    reads = spec.reads
     unread = [key for key in pairs if key in _OPTIONAL and key not in reads]
     if unread:
         raise ConfigError(f"{exp} does not read {unread[0]}", line_of[unread[0]])
@@ -268,8 +247,8 @@ def _build_manifest(pairs, line_of):
             for chunk in pairs["modes"].split(";")
             if chunk.strip()
         )
-        if m.modes and exp in _MODE_COUNTS:
-            words, counts = _MODE_COUNTS[exp]
+        if m.modes and spec.mode_counts:
+            words, counts = spec.mode_counts
             if len(m.modes) not in counts:
                 raise ConfigError(
                     f"{exp} reads {words} modes, got {len(m.modes)}",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import ExperimentManifest
+from .config import EXPERIMENTS, ExperimentManifest
 from .formal import (
     covariant_constancy_residual,
     formal_hitchin_residual,
@@ -49,7 +49,7 @@ from .tqft import (
     mapping_torus_invariant,
     pairing_limit_experiment,
 )
-from .theta import ThetaLabel, TruncationError, heat_residual, heat_residual_fd
+from .theta import ThetaLabel, TruncationError, _abs, heat_residual, heat_residual_fd
 from .toeplitz import (
     bms_experiment,
     c1_antisymmetry_constant,
@@ -183,14 +183,6 @@ def _worst(values):
     return float(np.max(values)) if len(values) else float("nan")
 
 
-def _default_tol(experiment, n, tol=None):
-    """``tol``, or else the pass tolerance ``experiment`` uses at dimension n."""
-    defaults = {"gram": 1e-8 if n == 1 else 1e-7, "toeplitz-compare": 1e-8,
-                "heat-identity": 1e-12, "covariance": 1e-9, "trace-lemma": 1e-10,
-                "star-fit": 0.02, "flatness": 1e-10}
-    return defaults[experiment] if tol is None else tol
-
-
 class _Sweep:
     """A report's rows, one value list per verdict, and its refused levels.
 
@@ -277,7 +269,7 @@ def _mode_list(m, bound):
 
 
 def _run_gram(m):
-    tol = _default_tol(m.experiment, m.n, m.tol)
+    tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     sweep = _Sweep(["n", "k", "Z", "N", "max_deviation", "status"], "gram-identity")
     for p in m.points:
         point = fmt_point(p)
@@ -297,7 +289,7 @@ def _run_gram(m):
 
 
 def _run_toeplitz_compare(m):
-    tol = _default_tol(m.experiment, m.n, m.tol)
+    tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     modes = _mode_list(m, 2)
     m_max = _bandwidth(modes)
     labels = _mode_labels(modes)
@@ -321,7 +313,7 @@ def _run_toeplitz_compare(m):
 
 
 def _run_heat_identity(m):
-    tol = _default_tol(m.experiment, m.n, m.tol)
+    tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     tol_fd = 1e-8
     sweep = _Sweep(["n", "k", "Z", "z", "i", "j", "residual", "residual_fd", "status"],
                    "heat-identity-termwise", "heat-identity-fd")
@@ -351,7 +343,7 @@ def _run_heat_identity(m):
 
 
 def _run_covariance(m):
-    tol = _default_tol(m.experiment, m.n, m.tol)
+    tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     modes = _mode_list(m, 2)
     pairs = list(zip(m.points, m.points[1:] + m.points[:1]))  # each with the next
     labels = _mode_labels(modes)
@@ -384,7 +376,7 @@ def _run_covariance(m):
 
 
 def _run_trace_lemma(m):
-    tol = _default_tol(m.experiment, m.n, m.tol)
+    tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     tol_zero = 1e-12
     modes = _mode_list(m, 1)
     labels = _mode_labels(modes)
@@ -407,9 +399,8 @@ def _run_trace_lemma(m):
                 closed = trace_pair_closed_form(p, k, modes, modes)
                 direct = np.array([[hs_inner(a, b) for b in mats] for a in mats])
                 # |.| as the builtin abs rounds it, so each cell is the scalar one
-                gap = closed - direct
-                diff = np.hypot(gap.real, gap.imag)
-                size = np.hypot(direct.real, direct.imag)
+                diff = _abs(closed - direct)
+                size = _abs(direct)
                 congruent = np.all((table[:, None] - table) % k == 0, axis=-1)
                 diffs.extend(diff[congruent])
                 off_congruence.extend(size[~congruent])
@@ -505,7 +496,7 @@ def _star_pairs(m):
 
 
 def _run_star_fit(m):
-    tol = _default_tol(m.experiment, m.n, m.tol)
+    tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     pairs = _star_pairs(m)
     points = list(m.points[:2])
     columns = ["pair", "Z", "c1_constant", "c1_residual", "star_constant",
@@ -562,7 +553,7 @@ def _run_star_fit(m):
 
 
 def _run_flatness(m):
-    tol = _default_tol(m.experiment, m.n, m.tol)
+    tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     tol_fd = 1e-5
     modes = _mode_list(m, 3)
     labels = _mode_labels(modes)
@@ -595,6 +586,7 @@ def _run_flatness(m):
 
 
 def _run_tqft(m):
+    tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     g = m.n  # the genus
     curves = [CurveClass(r, s) for r, s in m.modes]
     c1, c2 = (curves + [CurveClass.empty(g)] * 2)[:2]
@@ -614,8 +606,8 @@ def _run_tqft(m):
             err = abs(val - expected)
             sweep.values["gluing-dimension"].append(err)
             shown = fmt_float(expected.real) if m1 == m2 else fmt_complex(expected)
-            sweep.rows.append(cells + [shown, "pass" if err < 1e-10 else "fail"])
-    return sweep.report([sweep.below("gluing-dimension", 1e-10)])
+            sweep.rows.append(cells + [shown, "pass" if err < tol else "fail"])
+    return sweep.report([sweep.below("gluing-dimension", tol)])
 
 
 _EXPERIMENTS = {

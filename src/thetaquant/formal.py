@@ -35,6 +35,7 @@ from .siegel import (
     gtilde_coefficients,
     laplace_eigenvalue,
 )
+from .theta import _abs
 from .toeplitz import (
     _clock_shift_columns,
     _inverse_power_fit,
@@ -44,7 +45,6 @@ from .toeplitz import (
 
 __all__ = [
     "FormalFourierSeries",
-    "heat_coefficient",
     "heat_transform",
     "covariant_constancy_residual",
     "formal_hitchin_residual",
@@ -116,11 +116,6 @@ class FormalFourierSeries:
             a.approx_eq(b, tol)
             for a, b in zip(self.coefficients, other.coefficients)
         )
-
-
-def heat_coefficient(p, k, m):
-    """Mode damping removed: 1 / eta_k(m) = exp(-lambda(r,s,Z)/(4k)) >= 1."""
-    return 1.0 / eta(p, k, m)
 
 
 def heat_transform(p, f, h_eval=None, order=None):
@@ -238,7 +233,8 @@ def formal_hitchin_residual(p, modes, v, fd_step=None):
         dY = (lam[2] - lam[3]) / (2 * h)
         sgn = -1j if v.holomorphic else 1j
         dlam = 0.5 * (dX + sgn * dY)
-    return abs(dlam + _mu_eigenvalue(p, modes, v) / (2 * np.pi))
+    # |.| as the builtin abs rounds it, so a list gives its one-mode values
+    return _abs(dlam + _mu_eigenvalue(p, modes, v) / (2 * np.pi))
 
 
 def _as_series(f, order):

@@ -108,7 +108,6 @@ __all__ = [
     "WeylSymbol",
     "eta",
     "toeplitz_mode_closed_form",
-    "toeplitz_mode_quadrature",
     "toeplitz_modes_quadrature",
     "quadrature_deviation",
     "toeplitz_function",
@@ -375,10 +374,6 @@ def quadrature_deviation(p, k, modes, grid):
     closed = eta(p, k, modes)[:, None] * values
     stack[np.arange(M)[:, None], np.arange(dim), rows] -= closed
     return np.abs(stack).max(axis=(1, 2))
-
-
-def toeplitz_mode_quadrature(p, k, m, grid):
-    return toeplitz_modes_quadrature(p, k, [m], grid)[FourierMode.coerce(m)]
 
 
 def toeplitz_function(p, k, f):

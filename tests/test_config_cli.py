@@ -6,15 +6,21 @@ import pytest
 
 from thetaquant.cli import main
 from thetaquant.config import (
-    _READS,
     EXPERIMENT_IDS,
+    EXPERIMENTS,
     ConfigError,
     parse_complex,
     parse_config,
     parse_config_all,
     parse_matrix,
 )
-from thetaquant.experiments import emit_outputs, fmt_ints, run_experiment
+from thetaquant.experiments import (
+    _EXPERIMENTS,
+    emit_outputs,
+    fmt_cell,
+    fmt_ints,
+    run_experiment,
+)
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import OperatorMatrix, WeylSymbol
 
@@ -127,8 +133,8 @@ class TestParsing:
         assert rc == 2
 
     def test_every_key_the_table_lists_reaches_its_runner(self):
-        # a key in _READS changes what its runner writes; tqft's genus is
-        # its dimension, as every other n
+        # a key that an experiment's record reads changes what its runner
+        # writes; tqft's genus is its dimension, as every other n
         base = {"gram": "k = 2\nZ = 1+2i", "toeplitz-compare": "k = 2\nZ = i",
                 "heat-identity": "k = 2\nZ = i", "covariance": "k = 2\nZ = i; 1+2i",
                 "trace-lemma": "k = 2\nZ = i", "bms": "k = 2, 4\nZ = i",
@@ -136,8 +142,8 @@ class TestParsing:
                 "star-fit": "k = 2, 3, 4, 5, 6\nZ = i", "tqft": "k = 2, 3"}
         values = {"Z": "0.5+0.7i; 2i", "tol": "0.125", "grid": "96",
                   "modes": "1,0; 0,1"}
-        for experiment, reads in _READS.items():
-            dimension, *keys = reads
+        for experiment, spec in EXPERIMENTS.items():
+            dimension, *keys = spec.reads
             text = f"[{experiment}]\n{base[experiment]}"
             plain = run_experiment(parse_config(text), use_cache=False)
             for key in keys:
@@ -1021,3 +1027,49 @@ def test_verbs_print_the_deviation_of_a_run_at_the_default_point(capsys, n):
         m = parse_config(f"{section}\nn = {n}\nk = 3")
         doc = run_experiment(m, use_cache=False)
         assert printed == f"{float(doc.rows[0][doc.columns.index(column)]):.3e}"
+
+
+# Each experiment's default levels, its pass verdict and that verdict's
+# default tolerance at n = 1 and n = 2 (the genus for tqft), as literals: an
+# edit of config.EXPERIMENTS that moves a level or a tolerance, and with it
+# a verdict or a margin, fails here.
+_PINNED = {
+    "gram": ((1, 2, 4, 8), "gram-identity", 1e-8, 1e-7),
+    "toeplitz-compare": ((2, 4, 6), "closed-form-vs-quadrature", 1e-8, 1e-8),
+    "heat-identity": ((2, 4, 8), "heat-identity-termwise", 1e-12, 1e-12),
+    "covariance": ((2, 4, 8), "rescaled-Z-independence", 1e-9, 1e-9),
+    "trace-lemma": ((2, 4, 8), "trace-closed-vs-direct", 1e-10, 1e-10),
+    "bms": ((8, 16, 32, 64, 128), None, None, None),
+    "pairing-limit": ((8, 16, 32, 64, 128), None, None, None),
+    "star-fit": ((8, 16, 32, 64, 128), "c1-matches-bracket", 0.02, 0.02),
+    "flatness": ((1,), "flatness-analytic", 1e-10, 1e-10),
+    "tqft": ((2, 4, 8), "gluing-dimension", 1e-10, 1e-10),
+}
+
+
+def test_the_table_pins_every_runners_levels_and_tolerance(capsys):
+    assert tuple(_EXPERIMENTS) == tuple(EXPERIMENTS) == EXPERIMENT_IDS == tuple(_PINNED)
+    for experiment, (levels, verdict, *tols) in _PINNED.items():
+        dimension = EXPERIMENTS[experiment].reads[0]
+        assert parse_config(f"[{experiment}]\n{dimension} = 1").k_values == levels
+        for n, tol in zip((1, 2), tols):
+            assert EXPERIMENTS[experiment].tolerance(n) == tol
+            assert EXPERIMENTS[experiment].tolerance(n, 0.125) == 0.125
+            if verdict is None:
+                continue
+            # the cheapest run; covariance at n = 2 needs a second point
+            k = "2, 3, 4, 5, 6" if experiment == "star-fit" else "1"
+            points = f"\nZ = {_CONTRACT_POINTS[2]}" if (experiment, n) == (
+                "covariance", 2) else ""
+            doc = run_experiment(parse_config(
+                f"[{experiment}]\n{dimension} = {n}\nk = {k}{points}"), use_cache=False)
+            (read,) = [v["tolerance"] for v in doc.verdicts if v["name"] == verdict]
+            assert read == fmt_cell(tol), (experiment, n)
+    # the verbs default to their experiment's tolerance
+    for n in (1, 2):
+        mode = "1" + ",0" * (2 * n - 1)
+        for experiment, argv in (("gram", ["gram"]), ("toeplitz-compare",
+                                 ["toeplitz", "compare", "--mode", mode])):
+            assert main([*argv, "--n", str(n), "--k", "1"]) == 0
+            tol = _PINNED[experiment][1 + n]
+            assert f"(tolerance {tol:g})" in capsys.readouterr().out, (experiment, n)

@@ -8,7 +8,6 @@ from thetaquant.formal import (
     FormalFourierSeries,
     covariant_constancy_residual,
     formal_hitchin_residual,
-    heat_coefficient,
     heat_transform,
     moyal_product,
     trivialized_star_compare,
@@ -24,10 +23,10 @@ MODES = [((r,), (s,)) for r in range(-3, 4) for s in range(-3, 4)]
 class TestHeatCoefficient:
     def test_constant_mode(self, points_n1):
         for p in points_n1:
-            assert heat_coefficient(p, 5, ((0,), (0,))) == 1.0
+            assert 1 / eta(p, 5, ((0,), (0,))) == 1.0
 
     def test_frozen_value(self):
-        got = heat_coefficient(SiegelPoint(1j), 1, ((1,), (0,)))
+        got = 1 / eta(SiegelPoint(1j), 1, ((1,), (0,)))
         assert got == pytest.approx(4.810477380965351, abs=1e-12)
 
     @pytest.mark.parametrize("z", Z_LIST)
@@ -35,7 +34,7 @@ class TestHeatCoefficient:
         p = SiegelPoint(z)
         for k in (1, 2, 8):
             for m in MODES[::5]:
-                assert heat_coefficient(p, k, m) * eta(p, k, m) == pytest.approx(
+                assert 1 / eta(p, k, m) * eta(p, k, m) == pytest.approx(
                     1.0, abs=1e-14
                 )
 
@@ -44,10 +43,10 @@ class TestHeatCoefficient:
             for m in [((1,), (0,)), ((2,), (-3,))]:
                 lam = laplace_eigenvalue(p, m)
                 for k in (1, 4):
-                    assert heat_coefficient(p, k, m) == pytest.approx(
+                    assert 1 / eta(p, k, m) == pytest.approx(
                         np.exp(-lam / (4 * k)), rel=1e-13
                     )
-            assert heat_coefficient(p, 3, ((2,), (1,))) >= 1.0
+            assert 1 / eta(p, 3, ((2,), (1,))) >= 1.0
 
 
 class TestHeatTransform:

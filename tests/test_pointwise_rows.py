@@ -1,7 +1,8 @@
 """The level-batched runners write the rows of one scalar call per row.
 
 heat-identity, trace-lemma and covariance evaluate every probe, derivative
-pair and mode pair of a level in one array pass.  Each row here is rebuilt
+pair and mode pair of a level in one array pass, and flatness every mode of
+a point and direction.  Each row here is rebuilt
 from the scalar calls, one per row, and compared cell by cell.  The
 trace-lemma cell is also held to its own size check.
 """
@@ -25,7 +26,8 @@ from thetaquant.experiments import (
     fmt_point,
     run_experiment,
 )
-from thetaquant.formal import covariant_constancy_residual
+from thetaquant.formal import covariant_constancy_residual, formal_hitchin_residual
+from thetaquant.siegel import TangentDirection
 from thetaquant.theta import heat_residual, heat_residual_fd, theta_basis
 from thetaquant.toeplitz import (
     eta,
@@ -110,6 +112,24 @@ def test_trace_lemma_rows_are_the_scalar_traces(n):
                              fmt_complex(direct), diff, congruent,
                              "pass" if ok else "fail"])
     assert rows == _formatted(want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flatness_rows_are_the_scalar_residuals(n):
+    # the default points: i, 1+2i and 0.5+0.7i at n = 1, diag(i, 2i) at
+    # n = 2; abs of a complex array once rounded 84 of the 588 cells at n = 1
+    # one ulp away from the scalar abs
+    (m,) = parse_config_all(f"[flatness]\nn = {n}\n")
+    dirs = [TangentDirection(i, i, kind) for i in range(n) for kind in ("z", "zbar")]
+    want = []
+    for p in m.points:
+        for mm in _mode_list(m, 3):
+            for v in dirs:
+                want.append([fmt_ints(mm.r), fmt_ints(mm.s),
+                             ("dZ" if v.holomorphic else "dZbar") + f"[{v.i},{v.j}]",
+                             formal_hitchin_residual(p, mm, v),
+                             formal_hitchin_residual(p, mm, v, fd_step=1e-4)])
+    assert run_experiment(m, use_cache=False).rows == _formatted(want)
 
 
 _PEAK_SCRIPT = """

@@ -6,7 +6,7 @@ coordinate of the probe z = x + Zy is (3 i + 1) / 291: a zero of theta_a at
 n = 1 has x = (2m + 1) / 2k, which no such x equals (2k (3i + 1) is even,
 291 (2m + 1) odd), so the relative residuals never divide by a zero.
 
-Configs are drawn over the keys each experiment reads (``config._READS``,
+Configs are drawn over the keys each experiment reads (``config.EXPERIMENTS``,
 with ``genus`` as tqft's dimension and no ``Z`` for tqft), rendered as text
 in either layout (one line, or one key per line under a section header), and
 parsed back.
@@ -34,7 +34,7 @@ from oracles import (
     mu_eigenvalue_oracle,
 )
 
-from thetaquant.config import _READS, EXPERIMENT_IDS, parse_config
+from thetaquant.config import EXPERIMENT_IDS, EXPERIMENTS, parse_config
 from thetaquant.formal import (
     _mu_eigenvalue,
     covariant_constancy_residual,
@@ -143,7 +143,7 @@ def _render(f, one_line):
     name = f["experiment"]
     lines = [f"experiment = {name}"] if one_line else [f"[{name}]"]
     lines += [
-        f"{_READS[name][0]} = {f['n']}",
+        f"{EXPERIMENTS[name].reads[0]} = {f['n']}",
         "k = " + ", ".join(map(str, f["k"])),
     ]
     if f["Z"]:
@@ -164,7 +164,7 @@ def configs(draw):
     n = draw(st.sampled_from((1, 2)))
     vector = st.tuples(*[st.integers(-9, 9)] * n)
     experiment = draw(st.sampled_from(EXPERIMENT_IDS))
-    reads = _READS[experiment]
+    reads = EXPERIMENTS[experiment].reads
     # star-fit reads two modes and tqft at most two curves, and the config
     # refuses any other count for them
     count = {"star-fit": st.sampled_from((0, 2)), "tqft": st.integers(0, 2)}
@@ -316,7 +316,8 @@ def test_fd_stencil_is_the_residual_at_built_points_bitwise(case, h):
     dX = (lam[0] - lam[1]) / (2 * h)
     dY = (lam[2] - lam[3]) / (2 * h)
     sgn = -1j if v.holomorphic else 1j
-    want = abs(0.5 * (dX + sgn * dY) + _mu_eigenvalue(p, modes, v) / (2 * np.pi))
+    w = 0.5 * (dX + sgn * dY) + _mu_eigenvalue(p, modes, v) / (2 * np.pi)
+    want = np.hypot(w.real, w.imag)  # |w| as the builtin abs rounds it
     assert np.array_equal(formal_hitchin_residual(p, modes, v, fd_step=h), want)
 
 

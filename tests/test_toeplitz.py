@@ -23,7 +23,6 @@ from thetaquant.toeplitz import (
     rescaled_toeplitz,
     toeplitz_function,
     toeplitz_mode_closed_form,
-    toeplitz_mode_quadrature,
     toeplitz_modes_quadrature,
     trace_pair_closed_form,
     trace_pair_sign,
@@ -205,20 +204,22 @@ class TestQuadratureOracle:
 
     def test_constant_mode_identity(self):
         p = SiegelPoint(1 + 2j)
-        A = toeplitz_mode_quadrature(p, 2, ((0,), (0,)), grid_for(p, 2))
+        m = FourierMode((0,), (0,))
+        A = toeplitz_modes_quadrature(p, 2, [m], grid_for(p, 2))[m]
         assert np.max(np.abs(A.entries - np.eye(2))) < 1e-8
 
     def test_conjugate_mode_is_adjoint(self):
         p = SiegelPoint(0.5 + 0.7j)
         grid = grid_for(p, 2, 2)
-        A = toeplitz_mode_quadrature(p, 2, ((1,), (2,)), grid)
-        B = toeplitz_mode_quadrature(p, 2, ((-1,), (-2,)), grid)
+        m = FourierMode((1,), (2,))
+        A = toeplitz_modes_quadrature(p, 2, [m], grid)[m]
+        B = toeplitz_modes_quadrature(p, 2, [-m], grid)[-m]
         assert np.max(np.abs(B.entries - A.entries.conj().T)) < 1e-8
 
     def test_refuses_coarse_grid(self):
         p = SiegelPoint(1j)
         with pytest.raises(GridError):
-            toeplitz_mode_quadrature(p, 4, ((1,), (0,)), QuadratureGrid(8))
+            toeplitz_modes_quadrature(p, 4, [((1,), (0,))], QuadratureGrid(8))
         with pytest.raises(GridError):
             quadrature_deviation(p, 4, [((1,), (0,))], QuadratureGrid(8))
 
@@ -344,12 +345,10 @@ class TestRescaled:
                 assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_matches_heat_rescaled_closed_form(self, points_n1):
-        from thetaquant.formal import heat_coefficient
-
         for p in points_n1:
             for mode in [((1,), (0,)), ((2,), (-1,))]:
                 direct = rescaled_toeplitz(3, mode).entries
-                via = heat_coefficient(p, 3, mode) * toeplitz_mode_closed_form(
+                via = 1 / eta(p, 3, mode) * toeplitz_mode_closed_form(
                     p, 3, mode
                 ).entries
                 assert np.max(np.abs(direct - via)) < 1e-12
