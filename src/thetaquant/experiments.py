@@ -12,7 +12,8 @@ becomes a failed row with its reason and a NaN
 in every verdict, never a crash; ``bms`` measures one
 operator norm and one sup per report, and its refusals end the run with
 the error (exit code 2 in the CLI).  A verdict fails when what it measured
-is NaN or when it measured nothing.
+is NaN or when it measured nothing.  The runners hold no byte figures:
+each array is refused for its size by the function that allocates it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .formal import (
     formal_hitchin_residual,
     trivialized_star_compare,
 )
-from .fourier import FourierFunction, FourierMode, SizeLimitError, check_bytes
+from .fourier import FourierFunction, FourierMode, SizeLimitError
 from .sections import GridError, QuadratureGrid, _bandwidth, gram_matrix, suggest_grid
 from .siegel import InvalidPointError, NonNormalError, TangentDirection
 from .tqft import (
@@ -49,7 +50,7 @@ from .tqft import (
     mapping_torus_invariant,
     pairing_limit_experiment,
 )
-from .theta import ThetaLabel, TruncationError, _abs, heat_residual, heat_residual_fd
+from .theta import ThetaLabel, TruncationError, _abs, heat_residuals
 from .toeplitz import (
     bms_experiment,
     c1_antisymmetry_constant,
@@ -328,8 +329,7 @@ def _run_heat_identity(m):
             # a point whose theta sums no radius can truncate is refused
             with sweep.cell(k, lambda why: [p.n, k, point, "", "", "",
                                             np.nan, np.nan, why]):
-                res = heat_residual(p, label, probes, pairs).tolist()
-                fd = heat_residual_fd(p, label, probes, pairs).tolist()
+                res, fd = heat_residuals(p, label, probes, pairs).tolist()
                 for z, res_z, fd_z in zip(shown, res, fd):
                     residuals.extend(res_z)
                     residuals_fd.extend(fd_z)
@@ -355,10 +355,6 @@ def _run_covariance(m):
         z1, z2 = fmt_point(p1), fmt_point(p2)
         for k in m.k_values:
             with sweep.cell(k, lambda why: [k, "", "", z1, z2, np.nan, np.nan, why]):
-                # W's values, two rescaled copies and their difference: at
-                # most six (M, k^n) complex arrays at once
-                check_bytes(96 * len(modes) * k**p1.n, "covariance",
-                            f"{len(modes)} modes of dimension {k**p1.n}")
                 dev_k = covariant_constancy_residual(p1, p2, k, table)
                 # both operators are eta W_k(m) with the same unit-modulus W
                 raw_k = np.abs(eta(p1, k, table) - eta(p2, k, table))
@@ -387,12 +383,7 @@ def _run_trace_lemma(m):
     diffs, off_congruence = sweep.values.values()
     for p in m.points[:1]:
         for k in m.k_values:
-            dim = k**p.n
             with sweep.cell(k, lambda why: [k, "", "", "", "", "", "", np.nan, "", why]):
-                # the M operators, which keep their entries without a copy, and
-                # one more operator's room for the columns beside them
-                check_bytes(16 * (len(modes) + 1) * dim**2, "trace-lemma",
-                            f"{len(modes)} dense {dim} x {dim} operators")
                 # one BLAS dot per pair: a one-pass reduction over the stacked
                 # matrices was slower at n = 2, k = 8 and needed two more copies
                 mats = toeplitz_mode_closed_form(p, k, modes)
@@ -416,9 +407,7 @@ def _run_trace_lemma(m):
 
 
 def _bms_function(n):
-    e1 = (1,) + (0,) * (n - 1)
-    zero = (0,) * n
-    return FourierFunction({(e1, zero): 1.0, (tuple(-x for x in e1), zero): 1.0})
+    return FourierFunction({_first_coordinate(n, r, 0): 1.0 for r in (1, -1)})
 
 
 def _run_bms(m):

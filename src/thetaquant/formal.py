@@ -24,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierFunction, FourierMode, _mode_arrays, _mode_pair_sum
+from .fourier import (
+    FourierFunction,
+    FourierMode,
+    _mode_arrays,
+    _mode_pair_sum,
+    check_bytes,
+)
 from .siegel import (
     InvalidPointError,
     NonNormalError,
@@ -52,6 +58,8 @@ __all__ = [
     "TrivializedStarFit",
     "trivialized_star_compare",
 ]
+
+_MOYAL_WEIGHT = 2j * np.pi**2  # per unit of omega; see moyal_product
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,9 @@ def covariant_constancy_residual(p1, p2, k, modes):
     """
     if p1.n != p2.n:
         raise ValueError("points have different dimension")
+    M, dim = len(modes) if isinstance(modes, (list, np.ndarray)) else 1, k**p1.n
+    # W's values, two rescaled copies and their difference: six (M, k^n) arrays
+    check_bytes(96 * M * dim, "clock-and-shift stack", f"{M} modes of dimension {dim}")
     _, w = _clock_shift_columns(k, p1.n, modes)
 
     def rescaled(p):
@@ -246,10 +257,10 @@ def _as_series(f, order):
 def moyal_product(f, g, order):
     """Truncated Moyal-Weyl product of Fourier data.
 
-    On phases the bidifferential operator Q is the scalar
-    -4 pi^2 (r.u - s.t), so the exponential series contributes
-    (2 pi^2 i (r.u - s.t))^j / j! at order j; extended bilinearly and by
-    the Cauchy rule over series orders.  Associative at every truncation.
+    On phases Q is the scalar -4 pi^2 omega, omega = r.u - s.t, so the
+    exponential series contributes (2 pi^2 i omega)^j / j! at order j
+    (``_MOYAL_WEIGHT`` omega); extended bilinearly and by the Cauchy rule
+    over series orders.  Associative at every truncation.
     """
     f = _as_series(f, order)
     g = _as_series(g, order)
@@ -261,7 +272,7 @@ def moyal_product(f, g, order):
                 term = _mode_pair_sum(
                     f.coefficients[a].terms,
                     g.coefficients[b].terms,
-                    lambda omega, j=j: (2j * np.pi**2 * omega) ** j / math.factorial(j),
+                    lambda omega, j=j: (_MOYAL_WEIGHT * omega) ** j / math.factorial(j),
                 )
                 out[a + b + j] = out[a + b + j] + FourierFunction(term, n=f.n)
     return FormalFourierSeries(L, tuple(out))
@@ -285,7 +296,7 @@ def trivialized_star_compare(m1, m2, k_values):
     one array pass (:func:`toeplitz._product_projections` with exponents 0,
     since the heat coefficient removes eta_k), and the scalar sequence is
     fitted in 1/k; the linear coefficient is compared with the Moyal value
-    2 pi^2 i (r.u - s.t) as a ratio (the global normalization constant).
+    2 pi^2 i omega as a ratio (the global normalization constant).
     The rescaled operators W_k(m) do not depend on the complex structure, so
     neither does the fit, and it takes no Siegel point.
     """
@@ -298,7 +309,7 @@ def trivialized_star_compare(m1, m2, k_values):
     coefficients, cond = _inverse_power_fit(k_values, samples)
     c1 = coefficients[1, 0]
     q = m1.symplectic_pairing(m2)
-    moyal = 2j * np.pi**2 * q
+    moyal = _MOYAL_WEIGHT * q
     constant = c1 / moyal if q != 0 else 0.0 + 0.0j
     return TrivializedStarFit(
         order1=complex(c1),

@@ -15,6 +15,9 @@ Z-derivatives.  Z-derivatives use the symmetric-matrix convention of
 Each point's terms are summed divided by the power of two 2^e that puts the
 largest term of its window in [1, 2), so no term overflows at any level;
 theta_eval multiplies back exactly and refuses a value beyond float range.
+Both sides of the heat identity, and its fourth-order stencil in Z, are
+summed over one certified window (:func:`heat_residuals`), so one window
+serves both heat verdicts.
 A window holds (2r + 1)^n lattice points; one whose arrays would pass the
 1 GiB limit of ``fourier.check_bytes``, as at n = 10, is refused with
 SizeLimitError before allocation.
@@ -41,12 +44,13 @@ __all__ = [
     "theta_eval",
     "heat_residual",
     "heat_residual_fd",
+    "heat_residuals",
     "quasi_periodicity_residual",
     "multiplier",
     "hermitian_weight",
 ]
 
-DEFAULT_EPSILON = 1e-12  # the package's truncation tail; heat_residual_fd takes 1e-13
+DEFAULT_EPSILON = 1e-12  # the package's truncation tail
 
 
 @dataclass(frozen=True)
@@ -280,21 +284,36 @@ def theta_eval(p, label, z, sel=Derivative.value(), policy=None):
                             f"range: 2^{e} x {abs(value):.3g}") from None
 
 
-def _heat_shape(values, z, j):
-    """(P, S) residuals without the point axis for one point and without the
-    pair axis for one pair (``j`` given); a float when both are single."""
-    out = values.reshape(np.shape(z)[:-1] + ((-1,) if j is None else ()))
-    return float(out) if out.ndim == 0 else out
+def heat_residuals(p, label, z, pairs):
+    """Termwise and fd residuals of the heat identity, shape (2, P, S).
 
+    Row 0 differentiates in Z term by term, so the identity holds term by
+    term and the residual is at rounding level; row 1 takes a fourth-order
+    central stencil in the entry pair (i, j), (j, i) together.  Each is
+    |dZ theta - (2 - delta_ij)/(4 pi i k) dzi dzj theta| over the larger
+    side, floored at pi k |theta| (the generic size of a Z-derivative, so a
+    near-critical point cannot inflate the quotient past the noise floor),
+    at the P points of ``z`` (one point or a stack (P, n)) and the S
+    ``pairs`` (i, j).
 
-def _heat_defect(lhs, k, pairs, u, phases):
-    """|lhs - (2 - delta_ij)/(4 pi i k) dzi dzj theta| relative to the sides.
-
-    ``lhs`` has shape (P, S), one column per pair.  The magnitude is the
-    larger of the two sides, floored at pi k |theta(z)| -- the generic size
-    of a Z-derivative -- so a near-critical point of the derivative cannot
-    inflate the quotient past the evaluation noise floor.
+    One window serves both verdicts: one certificate at DEFAULT_EPSILON for
+    dz2 (its factor does not depend on i and j), one window per point and
+    one dz2/theta pass.  The stencil moves X only, so the window, the
+    truncation and the scale 2^e are the same at every stencil point and on
+    both sides.  The step h = 1e-4 min(1, 8/k) shrinks like 1/k above
+    k = 8, as the stencil's error grows like (hk)^4.
     """
+    k = label.k
+    policy = truncation_radius(p, k, DEFAULT_EPSILON, Derivative.dz2(0, 0))
+    u, lin, _ = _window(p, label, z, policy)
+    phases = _phases(p.Z, k, u, lin)
+    exact = _termwise([Derivative.dZ(a, b) for a, b in pairs], k, u, phases)
+    h = 1e-4 * min(1, 8 / k)
+    D = np.stack([_delta(p.n, a, b) for a, b in pairs])
+    stencil = p.Z + np.multiply.outer([-2 * h, -h, h, 2 * h], D)
+    th = np.sum(_phases(stencil, k, u, lin), axis=-1)  # (4, S, P)
+    fd = _divide(th[0] - 8 * th[1] + 8 * th[2] - th[3], 12 * h).T
+    lhs = np.stack([exact, fd])
     d2 = _termwise([Derivative.dz2(i, j) for i, j in pairs], k, u, phases)
     sym = np.array([1.0 if i == j else 2.0 for i, j in pairs])
     # a / (i b) = (-i a) / b, and -i a is exact
@@ -304,54 +323,29 @@ def _heat_defect(lhs, k, pairs, u, phases):
     return _abs(lhs - rhs) / np.maximum(scale, 1e-300)
 
 
-def heat_residual(p, label, z, i, j=None):
-    """Relative residual of the heat identity.
-
-    Both derivatives are evaluated over the same truncation set, so the
-    identity holds term by term and the residual is at rounding level.
-    Returns |dZ theta - (2 - delta_ij)/(4 pi i k) dzi dzj theta| divided by
-    the magnitude of the two sides (floored at pi k |theta|).
-
-    ``z`` is one point or a stack of P points of shape (P, n); ``i, j`` name
-    one entry, or ``i`` is a list of S pairs (i, j) and ``j`` is omitted.
-    The result is a float for one point and one pair, else an array of
-    shape (P, S), (P,) or (S,).  One certificate serves every pair (the
-    derivative factor of the tail bound does not depend on i and j), and
-    one window per point serves every term of every pair.
-    """
+def _heat_row(row, p, label, z, i, j):
+    """Row ``row`` of :func:`heat_residuals`, without the point axis for one
+    point and without the pair axis for one pair (``j`` given); a float when
+    both are single."""
     pairs = list(i) if j is None else [(i, j)]
-    k = label.k
-    policy = truncation_radius(p, k, DEFAULT_EPSILON, Derivative.dz2(0, 0))
-    u, lin, _ = _window(p, label, z, policy)
-    phases = _phases(p.Z, k, u, lin)
-    lhs = _termwise([Derivative.dZ(a, b) for a, b in pairs], k, u, phases)
-    return _heat_shape(_heat_defect(lhs, k, pairs, u, phases), z, j)
+    out = heat_residuals(p, label, z, pairs)[row]
+    out = out.reshape(np.shape(z)[:-1] + ((-1,) if j is None else ()))
+    return float(out) if out.ndim == 0 else out
+
+
+def heat_residual(p, label, z, i, j=None):
+    """The termwise heat residual, row 0 of :func:`heat_residuals`.  ``i, j``
+    name one entry, or ``i`` is a list of S pairs and ``j`` is omitted; the
+    result is a float for one point and one pair, else an array of shape
+    (P, S), (P,) or (S,)."""
+    return _heat_row(0, p, label, z, i, j)
 
 
 def heat_residual_fd(p, label, z, i, j=None):
-    """Heat identity with dZ replaced by a fourth-order central stencil.
-
-    The symmetric entry pair (i, j), (j, i) is perturbed together, matching
-    the derivative convention.  Returns a residual relative to the derivative
-    magnitude; ``z``, ``i`` and ``j`` and the shape of the result are as for
-    :func:`heat_residual`.  The step h = 1e-4 min(1, 8/k) shrinks like 1/k
-    above k = 8, as the stencil's error grows like (hk)^4.  The stencil moves
-    X only, so Y, and with it the certificate, the lattice window and the
-    scale 2^e, is the same at every stencil point: each value is the sum over
-    p's window at Z + tD, and no stencil point is built.  The four stencil
-    matrices of every pair are evaluated in one pass.
-    """
-    pairs = list(i) if j is None else [(i, j)]
-    k = label.k
-    policy = truncation_radius(p, k, 1e-13, Derivative.dz2(0, 0))
-    u, lin, _ = _window(p, label, z, policy)
-    h = 1e-4 * min(1, 8 / k)
-    D = np.stack([_delta(p.n, a, b) for a, b in pairs])
-    stencil = p.Z + np.multiply.outer([-2 * h, -h, h, 2 * h], D)
-    th = np.sum(_phases(stencil, k, u, lin), axis=-1)  # (4, S, P)
-    fd = _divide(th[0] - 8 * th[1] + 8 * th[2] - th[3], 12 * h).T
-    defect = _heat_defect(fd, k, pairs, u, _phases(p.Z, k, u, lin))
-    return _heat_shape(defect, z, j)
+    """The heat residual with dZ replaced by the fourth-order stencil, row 1
+    of :func:`heat_residuals`; arguments and shapes as for
+    :func:`heat_residual`."""
+    return _heat_row(1, p, label, z, i, j)
 
 
 def multiplier(p, b, z):

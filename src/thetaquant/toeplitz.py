@@ -97,6 +97,7 @@ from .fourier import (
     _line_decomposition,
     _mode_arrays,
     _mode_pair_sum,
+    check_bytes,
     poisson_bracket,
     sup_abs,
 )
@@ -296,6 +297,10 @@ def _line_norms(k_values, n, m0, t, c):
     numpy sum over t rounds by the number of roots beside it in the batch.
     """
     k = np.asarray(k_values)
+    # levels, roots and the sum's accumulators (48 bytes a root); angles, their
+    # complex product and exponential, repeated c (40 bytes a root and term)
+    check_bytes(8 * int(k.sum()) * (6 + 5 * len(t)), "line norm",
+                f"{int(k.sum())} roots of {len(t)} terms")
     odd = (k % 2) * (sum(a * b for a, b in zip(m0[:n], m0[n:])) % 2)
     kk = np.repeat(k, k)
     start = np.cumsum(k) - k
@@ -318,6 +323,9 @@ def toeplitz_mode_closed_form(p, k, m):
     """
     if not isinstance(m, list):
         return toeplitz_mode_closed_form(p, k, [m])[0]
+    # M operators, which keep their entries, and room for the columns beside
+    check_bytes(16 * (len(m) + 1) * k**(2 * p.n), "closed-form scatter",
+                f"{len(m)} dense {k**p.n} x {k**p.n} operators")
     dim = _dense_dim(k, p.n)
     rows, values = _clock_shift_columns(k, p.n, m)
     cols = np.arange(dim)
@@ -345,16 +353,13 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
 
     This is the independent oracle for the closed form: entry (b, a) is the
     normalized frame pairing of theta_a and theta_b under the grid weight
-    F_{r,s}.
+    F_{r,s}.  The result is keyed by the modes as the caller gave them, a
+    :class:`FourierMode` or an ``(r, s)`` pair.
     """
-    modes = [FourierMode.coerce(m) for m in modes]
     if not modes:
         return {}
-    pairings = _checked_pairings(p, k, grid, modes)
-    return {
-        m: OperatorMatrix(k, p.n, pairing.T)
-        for m, pairing in zip(modes, pairings)
-    }
+    pairings = _checked_pairings(p, k, grid, [FourierMode.coerce(m) for m in modes])
+    return {m: OperatorMatrix(k, p.n, a.T) for m, a in zip(modes, pairings)}
 
 
 def quadrature_deviation(p, k, modes, grid):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from thetaquant.formal import (
     moyal_product,
     trivialized_star_compare,
 )
-from thetaquant.fourier import FourierFunction, FourierMode, poisson_bracket
+from thetaquant.fourier import FourierFunction, FourierMode, SizeLimitError, poisson_bracket
 from thetaquant.siegel import SiegelPoint, TangentDirection, laplace_eigenvalue
 from thetaquant.toeplitz import WeylSymbol, eta, toeplitz_mode_closed_form
 
@@ -106,6 +107,19 @@ class TestCovariantConstancy:
         pts = [SiegelPoint(z) for z in Z_LIST]
         for p1, p2 in itertools.combinations(pts, 2):
             assert covariant_constancy_residual(p1, p2, k, m) < 1e-9
+
+    def test_values_are_refused_before_allocation(self, monkeypatch):
+        # six (M, k^n) complex arrays: three modes of dimension 4096 need 1.1 MiB
+        monkeypatch.setattr("thetaquant.fourier.MAX_FRAME_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="3 modes of dimension 4096"):
+                covariant_constancy_residual(
+                    SiegelPoint(1j), SiegelPoint(1 + 2j), 4096, MODES[:3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 3 * 4096  # not one (M, k^n) array
 
     def test_unrescaled_operators_differ(self):
         p1, p2 = SiegelPoint(1j), SiegelPoint(1 + 2j)

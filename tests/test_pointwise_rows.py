@@ -4,7 +4,8 @@ heat-identity, trace-lemma and covariance evaluate every probe, derivative
 pair and mode pair of a level in one array pass, and flatness every mode of
 a point and direction.  Each row here is rebuilt
 from the scalar calls, one per row, and compared cell by cell.  The
-trace-lemma cell is also held to its own size check.
+trace-lemma cell is also held to the size check of its closed forms, and a
+heat-identity cell to one theta window.
 """
 
 import os
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import thetaquant
+from thetaquant import theta
 from thetaquant.config import parse_config_all
 from thetaquant.experiments import (
     _mode_list,
@@ -135,11 +137,12 @@ def test_flatness_rows_are_the_scalar_residuals(n):
 _PEAK_SCRIPT = """
 import gc, tracemalloc
 import thetaquant.experiments as experiments
+import thetaquant.toeplitz as toeplitz
 from thetaquant.config import parse_config
 
 sizes = []
-check = experiments.check_bytes
-experiments.check_bytes = lambda size, *args: (sizes.append(size), check(size, *args))
+check = toeplitz.check_bytes
+toeplitz.check_bytes = lambda size, *args: (sizes.append(size), check(size, *args))
 m = parse_config("experiment = trace-lemma\\nn = 2\\nk = 16")
 experiments.run_experiment(m, use_cache=False)
 gc.collect()
@@ -150,10 +153,10 @@ print(tracemalloc.get_traced_memory()[1], sizes[-1])
 
 
 def test_trace_lemma_cell_stays_below_its_size_check():
-    # the runner refuses a cell above 16 (M + 1) dim^2 bytes; operators that
-    # copied their scattered entries held M + 1 dense arrays while the last
-    # one was made, 10.02 arrays of 1 MiB here, and a (M, dim, dim) stack
-    # beside the operators would hold 2M
+    # the closed forms refuse M modes above 16 (M + 1) dim^2 bytes;
+    # operators that copied their scattered entries held M + 1 dense arrays
+    # while the last one was made, 10.02 arrays of 1 MiB here, and a
+    # (M, dim, dim) stack beside the operators would hold 2M
     src = Path(thetaquant.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT],
                           env=dict(os.environ, PYTHONPATH=str(src)),
@@ -162,6 +165,25 @@ def test_trace_lemma_cell_stays_below_its_size_check():
     peak, bound = map(int, done.stdout.split())
     assert bound == 16 * (9 + 1) * 256**2  # 9 modes of dimension 16^2
     assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_heat_identity_cell_certifies_and_windows_once(n, monkeypatch):
+    # both residuals of a (point, level) are sums over one window; the fd
+    # residual once certified and built its own at a second tail
+    calls = {"truncation_radius": 0, "_window": 0}
+    for name in calls:
+        original = getattr(theta, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(theta, name, counted)
+    (m,) = parse_config_all(f"[heat-identity]\nn = {n}\nk = 4\nZ = {POINTS[n]}\n")
+    run_experiment(m, use_cache=False)
+    cells = len(m.points) * len(m.k_values)
+    assert calls == {"truncation_radius": cells, "_window": cells}
 
 
 def test_batched_shapes_follow_the_arguments():

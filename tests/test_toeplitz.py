@@ -1,12 +1,18 @@
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import thetaquant
 from thetaquant.formal import trivialized_star_compare
-from thetaquant.fourier import FourierFunction, FourierMode
+from thetaquant.fourier import FourierFunction, FourierMode, SizeLimitError
 from thetaquant.sections import GridError, QuadratureGrid, required_grid_size
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import (
@@ -661,3 +667,73 @@ def test_a_level_norm_does_not_depend_on_the_levels_beside_it():
     norms = _line_norms([1, 1, 2], 1, *symbol._line(), np.tile(c, (3, 1)))
     assert norms[0] == norms[1] == symbol.norm()
     assert norms[2] == WeylSymbol(2, 1, coeffs).norm()
+
+
+@pytest.mark.parametrize("modes", [
+    [((1,), (0,)), ((0,), (1,))],
+    [FourierMode((1,), (0,)), ((0,), (1,))],
+], ids=["pairs", "mode-and-pair"])
+def test_quadrature_is_keyed_by_the_modes_as_given(modes):
+    # a FourierMode never equals its (r, s) pair, so keys coerced to modes
+    # once made indexing with a pair raise KeyError
+    p = SiegelPoint(1j)
+    quads = toeplitz_modes_quadrature(p, 2, modes, grid_for(p, 2, 1))
+    assert list(quads) == modes
+    for m in modes:
+        closed = toeplitz_mode_closed_form(p, 2, m).entries
+        assert np.max(np.abs(quads[m].entries - closed)) < 1e-8
+
+
+def test_closed_forms_are_refused_before_allocation(monkeypatch):
+    # 16 (M + 1) dim^2 bytes: three modes of dimension 256 need 4 MiB
+    monkeypatch.setattr("thetaquant.fourier.MAX_FRAME_BYTES", 1 << 20)
+    modes = [FourierMode((r,), (0,)) for r in range(3)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="3 dense 256 x 256 operators"):
+            toeplitz_mode_closed_form(SiegelPoint(1j), 256, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 256**2  # not one dense operator
+
+
+_LINE_PEAK_SCRIPT = """
+import gc, sys, tracemalloc
+import numpy as np
+import thetaquant.toeplitz as toeplitz
+
+sizes = []
+check = toeplitz.check_bytes
+toeplitz.check_bytes = lambda size, *args: (sizes.append(size), check(size, *args))
+t = np.arange(int(sys.argv[1]))
+c = np.ones((2, len(t)), dtype=complex)
+toeplitz._line_norms([2, 4], 1, (1, 0), t, c)
+gc.collect()
+tracemalloc.start()
+toeplitz._line_norms([16384, 65536], 1, (1, 0), t, c)
+print(tracemalloc.get_traced_memory()[1], sizes[-1])
+"""
+
+
+@pytest.mark.parametrize("terms", (2, 5))
+def test_line_norm_size_check_bounds_its_peak(terms):
+    # the figure counts 48 bytes a root and 40 a root and term; it must
+    # cover the traced peak and stay within half of it again
+    src = Path(thetaquant.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _LINE_PEAK_SCRIPT, str(terms)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    peak, bound = map(int, done.stdout.split())
+    assert bound == 8 * (16384 + 65536) * (6 + 5 * terms)
+    assert peak < bound < 1.5 * peak, (peak, bound)
+
+
+def test_line_norm_is_refused_before_allocation(monkeypatch):
+    # 2^16 roots of two terms need 8 MiB; the bms config accepts any level,
+    # and 2^24 roots once allocated past 1 GiB
+    monkeypatch.setattr("thetaquant.fourier.MAX_FRAME_BYTES", 1 << 20)
+    two_cos = WeylSymbol(1 << 16, 1, {((1,), (0,)): 1.0, ((-1,), (0,)): 1.0})
+    with pytest.raises(SizeLimitError, match="65536 roots of 2 terms"):
+        two_cos.norm()
