@@ -52,12 +52,13 @@ from .tqft import (
 )
 from .theta import ThetaLabel, TruncationError, _abs, heat_residuals
 from .toeplitz import (
+    _c0_residual_norms,
+    _fit_table,
     bms_experiment,
     c1_antisymmetry_constant,
     eta,
     hs_inner,
     loglog_order,
-    product_expansion_fit,
     quadrature_deviation,
     toeplitz_mode_closed_form,
     trace_pair_closed_form,
@@ -505,10 +506,9 @@ def _run_star_fit(m):
         star = trivialized_star_compare(m1, m2, m.k_values)
         for p in points:
             comp = c1_antisymmetry_constant(p, f, g, m.k_values)
-            if pair_idx == 0:
-                c0_orders.append(
-                    product_expansion_fit(p, f, g, doubled).c0_fit_order
-                )
+            if pair_idx == 0:  # the c0 half of the fit alone
+                norms = _c0_residual_norms(doubled, f, g, *_fit_table(p, f, g))
+                c0_orders.append(loglog_order(doubled, norms))
             c1_constants.append(comp.constant)
             star_constants.append(star.constant)
             ok = comp.relative_residual < tol

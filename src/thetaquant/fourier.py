@@ -47,6 +47,8 @@ def check_bytes(size, what, where):
 
 
 def _int_tuple(v):
+    if type(v) is tuple and all(type(x) is int for x in v):
+        return v  # already the canonical form; bool is not int here
     if np.isscalar(v):
         v = (v,)
     out = tuple(int(x) for x in v)

@@ -51,9 +51,17 @@ its terms in the exponent, exp((lambda_i + lambda_j - lambda_m) / 4k), so a
 far mode whose eta_k(m)^2 underflows keeps its finite ratio; the c0
 residual of a line symbol takes its norms at every level in one pass over
 the sum of the k roots; and one ``lstsq`` fits every series in powers of
-1/k.
+1/k.  A fit has two halves over one level-free table of out modes and
+eigenvalues: the coefficients c_0 .. c_L, from the projections and the
+``lstsq``, and the norms of the c0 residual T_f T_g - T_{fg}.
+:func:`product_expansion_fit` returns both, for criterion 10, the tests
+and the demos; :func:`c1_antisymmetry_constant` reads the coefficient half
+of both orderings from one table, and the ``star-fit`` runner's c0 order
+reads the c0 half alone.
 
-The norms approach sup |f| as k grows (``bms_experiment``).  That sup is
+The norms approach sup |f| as k grows (``bms_experiment``), which takes the
+coefficients c_m eta_k(m) of all levels as one array and, for a line
+function, its norms in one pass as the c0 residual does.  That sup is
 also read off the modes, with no grid of the unit cell (``fourier.sup_abs``):
 a line function is sum_t c_t e^{2 pi i t theta} in the one angle
 theta = m0.(x, y), so its sup is a maximum over one angle; any other
@@ -158,7 +166,14 @@ def eta(p, k, m):
     nonzero closed-form entry.  ``m`` is one mode, a list of modes or their
     (M, 2n) integer table, as for :func:`siegel.laplace_eigenvalue`.
     """
-    return np.exp(laplace_eigenvalue(p, m) / (4 * k))
+    return _eta(laplace_eigenvalue(p, m), k)
+
+
+def _eta(lam, k):
+    """exp(lam / 4k), eta_k of a mode whose Laplace eigenvalue is ``lam``: the
+    one spelling of eta for :func:`eta`, the fits and :func:`bms_experiment`.
+    ``lam`` and ``k`` may be arrays, which broadcast to a level axis."""
+    return np.exp(lam / (4 * k))
 
 
 def _clock_shift_columns(k, n, modes):
@@ -311,6 +326,21 @@ def _line_norms(k_values, n, m0, t, c):
     return np.maximum.reduceat(np.abs(values), start)
 
 
+def _level_norms(k_values, n, modes, coeffs):
+    """Norms of sum_j coeffs[i, j] W_k(modes[j]) at each level k = k_values[i].
+
+    ``modes`` are sorted as ``norm()`` sorts them and ``coeffs`` has shape
+    (K, len(modes)).  Modes on one line take one :func:`_line_norms` pass
+    over all levels, any others ``norm()`` level by level; either way each
+    norm is ``norm()`` of that level's symbol.
+    """
+    line = _line_decomposition(modes)
+    if line is None:
+        return [WeylSymbol(k, n, dict(zip(modes, row))).norm()
+                for k, row in zip(k_values, coeffs)]
+    return _line_norms(k_values, n, *line, coeffs).tolist()
+
+
 def toeplitz_mode_closed_form(p, k, m):
     """Matrix of the mode operator, eta_k(m) W_k(m), in closed form.
 
@@ -446,8 +476,17 @@ def bms_experiment(p, f, k_values):
     certified coarse-grid search plus Newton over the 2n angles; either way
     sup <= sup |f| <= sup + sup_gap.  The norms come first, so a level that
     needs a refused dense matrix stops the run before the sup.
+
+    The coefficients c_m eta_k(m) of all levels are one (K, M) array, and a
+    line function takes its norms in one pass (:func:`_level_norms`).  Each
+    eigenvalue is the one-mode value that ``WeylSymbol.toeplitz`` reads: a
+    batched one can differ in the last bit off the diagonal at n >= 2.
     """
-    norms = [WeylSymbol.toeplitz(p, k, f).norm() for k in k_values]
+    modes = sorted(f.terms)
+    lam = np.array([laplace_eigenvalue(p, m) for m in modes])
+    c = np.array([f.terms[m] for m in modes], dtype=complex)
+    coeffs = c * _eta(lam, np.asarray(k_values)[:, None])
+    norms = _level_norms(k_values, p.n, modes, coeffs)
     sup = sup_abs(f)
     return [
         {"k": int(k), "norm": nrm, "sup": sup.value, "error": abs(nrm - sup.value),
@@ -540,55 +579,65 @@ class ProductExpansionFit:
     ill_conditioned: bool = False
 
 
+def _fit_table(p, f, g):
+    """The level-free table of a fit of T_f T_g: the out modes m_i + n_j,
+    sorted, and a dict from every mode of f, g and the out modes to its
+    Laplace eigenvalue, from one :func:`siegel.laplace_eigenvalue` call.
+    The fit of T_g T_f reads the same table."""
+    out_modes = sorted({m1 + m2 for m1 in f.terms for m2 in g.terms})
+    modes = [*f.terms, *g.terms, *out_modes]
+    lam = dict(zip(modes, laplace_eigenvalue(p, modes))) if modes else {}
+    return out_modes, lam
+
+
+def _fit_coefficients(k_values, f, g, out_modes, lam):
+    """The coefficient half of the fit: the projections of T_f T_g onto the
+    out modes at every level (:func:`_product_projections`), regressed on
+    powers of 1/k.  Returns c_0 .. c_L as FourierFunctions and the
+    condition number of the fit."""
+    samples = _product_projections(k_values, f.terms, g.terms, out_modes, lam)
+    rows, cond = _inverse_power_fit(k_values, samples)
+    return [FourierFunction(dict(zip(out_modes, row)), n=f.n) for row in rows], cond
+
+
+def _c0_residual_norms(k_values, f, g, out_modes, lam):
+    """The c0 half of the fit: ||T_f T_g - T_{fg}|| at every level, from the
+    level-axis Weyl product of the symbols, whose coefficients are (K,)
+    arrays, less T_{fg}: one :func:`_line_norms` pass when its modes lie
+    on one line, else ``norm()`` level by level (:func:`_level_norms`)."""
+    ks = np.asarray(k_values)
+
+    def at_levels(terms):
+        return {m: c * _eta(lam[m], ks) for m, c in terms.items()}
+
+    prod = _mode_pair_sum(at_levels(f.terms), at_levels(g.terms), _weyl_phase(ks))
+    fg = f * g
+    residual = np.array(
+        [prod[m] - fg.coefficient(m) * _eta(lam[m], ks) for m in out_modes]
+    ).reshape(len(out_modes), len(ks)).T
+    return _level_norms(k_values, f.n, out_modes, residual)
+
+
 def product_expansion_fit(p, f, g, k_values):
     """Fit the expansion T_f T_g ~ sum_l T_{c_l} k^{-l} at every level at once.
 
-    The samples are the projections of T_f T_g onto the mode operator of
-    every output mode (orthogonal for distinct small modes under the pair
-    trace), taken for all K levels in one array pass by
-    :func:`_product_projections` from one table of Laplace eigenvalues; one
-    ``lstsq`` regresses them on powers of 1/k.  The c0 residual
-    T_f T_g - T_{fg} is the level-axis Weyl product of the symbols, whose
-    coefficients are (K,) arrays, less T_{fg}; its norms come from
-    :func:`_line_norms` over all levels when its modes lie on one line, else
-    from ``norm()`` level by level.  Needs len(k_values) >= _FIT_ORDER + 2
-    and min(k) large enough that distinct output modes are incongruent.
+    Two halves read one level-free table of out modes and Laplace
+    eigenvalues (:func:`_fit_table`).  The coefficient half
+    (:func:`_fit_coefficients`) projects T_f T_g onto the mode operator of
+    every out mode (orthogonal for distinct small modes under the pair
+    trace) at all K levels in one array pass and regresses the samples on
+    powers of 1/k in one ``lstsq``.  The c0 half
+    (:func:`_c0_residual_norms`) gives the norms of T_f T_g - T_{fg}.  This
+    function returns both, which criterion 10, the tests and the demos
+    read; :func:`c1_antisymmetry_constant` reads the coefficient half
+    alone, and the ``star-fit`` runner's c0 order the c0 half alone.  Needs
+    len(k_values) >= _FIT_ORDER + 2 and min(k) large enough that distinct
+    output modes are incongruent.
     """
     k_values = tuple(int(k) for k in k_values)
-    ks = np.asarray(k_values)
-    f_terms, g_terms = f.terms, g.terms
-    out_modes = sorted(
-        {m1 + m2 for m1 in f_terms for m2 in g_terms},
-        key=lambda m: (m.r, m.s),
-    )
-    modes = [*f_terms, *g_terms, *out_modes]
-    lam = dict(zip(modes, laplace_eigenvalue(p, modes))) if modes else {}
-
-    def eta_levels(m):
-        return np.exp(lam[m] / (4 * ks))
-
-    samples = _product_projections(k_values, f_terms, g_terms, out_modes, lam)
-    prod = _mode_pair_sum(
-        {m: c * eta_levels(m) for m, c in f_terms.items()},
-        {m: c * eta_levels(m) for m, c in g_terms.items()},
-        _weyl_phase(ks),
-    )
-    fg = f * g
-    residual = np.array(
-        [prod[m] - fg.coefficient(m) * eta_levels(m) for m in out_modes]
-    ).reshape(len(out_modes), len(ks)).T
-    line = _line_decomposition(out_modes)
-    if line is None:
-        c0_norms = [WeylSymbol(k, p.n, dict(zip(out_modes, row))).norm()
-                    for k, row in zip(k_values, residual)]
-    else:
-        c0_norms = _line_norms(k_values, p.n, *line, residual).tolist()
-
-    coeff_rows, cond = _inverse_power_fit(k_values, samples)
-    coefficients = [
-        FourierFunction(dict(zip(out_modes, row)), n=f.n)
-        for row in coeff_rows
-    ]
+    table = _fit_table(p, f, g)
+    coefficients, cond = _fit_coefficients(k_values, f, g, *table)
+    c0_norms = _c0_residual_norms(k_values, f, g, *table)
     return ProductExpansionFit(
         k_values=k_values,
         coefficients=coefficients,
@@ -619,12 +668,21 @@ def c1_antisymmetry_constant(p, f, g, k_values):
     so a far mode whose eta_k underflows still gives a finite ratio.  The
     returned ``constant`` is the measured ratio against -i {f, g}; a bracket
     whose operator vanishes is refused with ValueError.
+
+    Only the coefficient half of each fit is read (see
+    :func:`product_expansion_fit`): both orderings take it from one
+    table, as their out modes and eigenvalues are the same, and no c0
+    norm is computed.
     """
-    fit_fg = product_expansion_fit(p, f, g, k_values)
-    fit_gf = product_expansion_fit(p, g, f, k_values)
-    anti = (fit_fg.coefficients[1] - fit_gf.coefficients[1]).terms
+    k_values = tuple(int(k) for k in k_values)
+    table = _fit_table(p, f, g)
+    c_fg, cond_fg = _fit_coefficients(k_values, f, g, *table)
+    c_gf, cond_gf = _fit_coefficients(k_values, g, f, *table)
+    anti = (c_fg[1] - c_gf[1]).terms
     bracket = poisson_bracket(f, g).terms
     kmax = max(k_values)
+    # not the table's eigenvalues: a batch of another size can round them
+    # differently off the diagonal at n >= 2
     modes = [*anti, *bracket]
     lam = dict(zip(modes, laplace_eigenvalue(p, modes))) if modes else {}
     top = max((lam[m] for m in bracket), default=0.0)
@@ -644,5 +702,5 @@ def c1_antisymmetry_constant(p, f, g, k_values):
         gamma=gamma,
         constant=gamma / (-1j),
         relative_residual=float(resid),
-        condition_number=max(fit_fg.condition_number, fit_gf.condition_number),
+        condition_number=max(cond_fg, cond_gf),
     )

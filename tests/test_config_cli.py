@@ -21,8 +21,9 @@ from thetaquant.experiments import (
     fmt_ints,
     run_experiment,
 )
+from thetaquant.fourier import FourierFunction
 from thetaquant.siegel import SiegelPoint
-from thetaquant.toeplitz import OperatorMatrix, WeylSymbol
+from thetaquant.toeplitz import OperatorMatrix, WeylSymbol, product_expansion_fit
 
 N2 = "[[1i, 0], [0, 2i]]"
 P3 = "[[1i, 0, 0], [0, 2i, 0], [0, 0, 3i]]"
@@ -609,6 +610,42 @@ class TestRunAndCache:
         doc = run_experiment(parse_config("[star-fit]"), use_cache=False)
         assert doc.passed and len(doc.rows) == 4
         assert len(calls) == 2
+
+    def test_star_fit_c0_order_runs_no_projection_and_no_lstsq(self, monkeypatch):
+        # the c0 order once came from a full product_expansion_fit, whose
+        # projections and lstsq it dropped; only the c1 fits may run them
+        from thetaquant import experiments, toeplitz
+
+        m = parse_config("[star-fit]")
+        want = run_experiment(m, use_cache=False)
+        inside_c1 = []
+
+        def guarded(fn):
+            def call(*args):
+                assert inside_c1, f"{fn.__name__} ran outside the c1 fit"
+                return fn(*args)
+            return call
+
+        def c1(*args):
+            inside_c1.append(True)
+            try:
+                return toeplitz.c1_antisymmetry_constant(*args)
+            finally:
+                inside_c1.pop()
+
+        for name in ("_product_projections", "_inverse_power_fit"):
+            monkeypatch.setattr(toeplitz, name, guarded(getattr(toeplitz, name)))
+        monkeypatch.setattr(experiments, "c1_antisymmetry_constant", c1)
+        doc = run_experiment(m, use_cache=False)
+        assert doc.csv_bytes() == want.csv_bytes() and doc.verdicts == want.verdicts
+        # the verdict reads the c0 order of the full fit at the doubled levels
+        monkeypatch.undo()
+        f = FourierFunction({experiments._first_coordinate(1, 1, 0): 1.0})
+        g = FourierFunction({experiments._first_coordinate(1, 0, 1): 1.0})
+        doubled = tuple(2 * k for k in m.k_values)
+        orders = [product_expansion_fit(p, f, g, doubled).c0_fit_order for p in m.points[:2]]
+        observed = next(v["observed"] for v in doc.verdicts if v["name"] == "c0-fit-order")
+        assert float(observed) == min(orders)
 
     def test_star_fit_summary_has_constant(self, tmp_path):
         m = parse_config("experiment = star-fit, n = 1, Z = i; 1+2i, k = 8,16,32,64,128")

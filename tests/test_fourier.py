@@ -31,6 +31,35 @@ def test_mode_validation():
         FourierMode((1, 2), (0,))
 
 
+@pytest.mark.parametrize("entries, want", [
+    ((1, -2), (1, -2)),
+    ([1, -2], (1, -2)),
+    ((np.int64(1), -2), (1, -2)),
+    (np.array([1, -2]), (1, -2)),
+    (np.int64(3), (3,)),
+    (3, (3,)),
+    ((2.0, -1.0), (2, -1)),
+    ((True, False), (1, 0)),
+    (True, (1,)),
+], ids=["ints", "list", "np-int64", "array", "np-scalar", "scalar", "integral-floats",
+        "bools", "bool"])
+def test_mode_entries_are_a_tuple_of_int(entries, want):
+    m = FourierMode(entries, entries)
+    assert m.r == m.s == want
+    assert type(m.r) is tuple and all(type(x) is int for x in m.r)
+
+
+def test_a_tuple_of_int_is_kept_as_it_is():
+    r = (1, -2)
+    assert FourierMode(r, (0, 0)).r is r
+
+
+@pytest.mark.parametrize("entries", [(1.5,), (1, 0.5), 1.5, (np.float64(0.25),)])
+def test_mode_entries_that_are_no_integers_are_refused(entries):
+    with pytest.raises(ValueError, match="mode entries must be integers"):
+        FourierMode(entries, entries)
+
+
 def test_pairing_of_modes_of_two_dimensions_is_refused():
     # zip once cut the longer mode, and this pairing read 1
     with pytest.raises(ValueError, match="dimensions 1 and 2"):

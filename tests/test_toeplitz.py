@@ -4,15 +4,23 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thetaquant
+from thetaquant import toeplitz
 from thetaquant.formal import trivialized_star_compare
-from thetaquant.fourier import FourierFunction, FourierMode, SizeLimitError
+from thetaquant.fourier import (
+    FourierFunction,
+    FourierMode,
+    SizeLimitError,
+    SupBound,
+    poisson_bracket,
+)
 from thetaquant.sections import GridError, QuadratureGrid, required_grid_size
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import (
@@ -32,6 +40,8 @@ from thetaquant.toeplitz import (
     toeplitz_modes_quadrature,
     trace_pair_closed_form,
     trace_pair_sign,
+    _c0_residual_norms,
+    _fit_table,
     _line_norms,
 )
 
@@ -737,3 +747,141 @@ def test_line_norm_is_refused_before_allocation(monkeypatch):
     two_cos = WeylSymbol(1 << 16, 1, {((1,), (0,)): 1.0, ((-1,), (0,)): 1.0})
     with pytest.raises(SizeLimitError, match="65536 roots of 2 terms"):
         two_cos.norm()
+
+
+# 0.05i underflows eta_1 of far modes; off the diagonal at n = 2, and at
+# the generic point most of all, a batched Laplace eigenvalue can differ in
+# the last bit from the one-mode value
+_Z_SPLIT = Z_LIST + [0.05j, [[1j, 0], [0, 2j]], [[2j, 0.5j], [0.5j, 1j]]] + Z_N2_NON_NORMAL
+_Z_OFF = 0.8949588112985712 - 2.0285284541622097j
+_Z_GENERIC = [[-2.485464452354389 + 3.076206632657292j, _Z_OFF],
+              [_Z_OFF, 1.0292845187544788 + 2.9914846061117744j]]
+
+
+def _shuffled_function(draw, n, modes):
+    """A function of ``modes`` with coefficient parts in [-2, 2], its terms
+    in a drawn order."""
+    part = st.integers(-16, 16).map(lambda v: v / 8)
+    coefficient = st.builds(complex, part, part).filter(bool)
+    terms = [(m, draw(coefficient)) for m in draw(st.permutations(modes))]
+    return FourierFunction(dict(terms), n=n)
+
+
+@st.composite
+def split_fit_cases(draw):
+    """A point, five or six levels and f, g of two to five terms each in a
+    drawn order, with a nonzero bracket {f, g}."""
+    p = SiegelPoint(draw(st.sampled_from(_Z_SPLIT + [_Z_GENERIC])))
+    entry = st.integers(-2, 2)
+    mode = st.tuples(*[entry] * (2 * p.n)).map(lambda v: FourierMode(v[:p.n], v[p.n:]))
+    modes = st.lists(mode, min_size=2, max_size=5, unique=True)
+    f = _shuffled_function(draw, p.n, draw(modes))
+    g = _shuffled_function(draw, p.n, draw(modes))
+    assume(poisson_bracket(f, g).terms)
+    levels = (8, 16, 32, 64, 128, 256) if p.n == 1 else (4, 5, 6, 7, 8)
+    return p, levels[:draw(st.integers(5, len(levels)))], f, g
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_fit_cases())
+def test_c1_constant_is_the_one_of_two_full_fits_bitwise(case):
+    p, levels, f, g = case
+
+    def measure(compute):
+        try:
+            return compute()
+        except (OverflowError, ValueError) as error:
+            return repr(error)
+
+    fits = measure(lambda: {id(a): product_expansion_fit(p, a, b, levels)
+                            for a, b in ((f, g), (g, f))})
+    got = measure(lambda: c1_antisymmetry_constant(p, f, g, levels))
+    if isinstance(fits, str):  # a refused fit refuses the constant
+        assert got == fits
+        return
+
+    def full_fit(k_values, a, b, out_modes, lam):
+        return fits[id(a)].coefficients, fits[id(a)].condition_number
+
+    with mock.patch.object(toeplitz, "_fit_coefficients", full_fit):
+        want = measure(lambda: c1_antisymmetry_constant(p, f, g, levels))
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_fit_cases())
+def test_c0_half_is_the_full_fit_bitwise(case):
+    p, levels, f, g = case
+    try:
+        fit = product_expansion_fit(p, f, g, levels)
+    except OverflowError:
+        assume(False)
+    norms = _c0_residual_norms(levels, f, g, *_fit_table(p, f, g))
+    assert norms == fit.c0_residual_norms
+    # the star-fit runner's c0 order
+    np.testing.assert_array_equal(loglog_order(levels, norms), fit.c0_fit_order)
+
+
+def test_c1_constant_computes_no_c0_norm():
+    def refuse(*args):
+        raise AssertionError("c1 read the c0 half of the fit")
+
+    f = FourierFunction({((1,), (0,)): 1.0, ((1,), (1,)): 0.5})
+    g = FourierFunction({((0,), (1,)): 1.0})
+    want = c1_antisymmetry_constant(SiegelPoint(1j), f, g, (8, 16, 32, 64, 128))
+    with mock.patch.object(toeplitz, "_c0_residual_norms", refuse):
+        got = c1_antisymmetry_constant(SiegelPoint(1j), f, g, (8, 16, 32, 64, 128))
+    assert got == want
+
+
+@st.composite
+def bms_cases(draw):
+    """A point, five to seven levels and a function of two to five terms in
+    a drawn order, on one line through the origin or anywhere."""
+    p = SiegelPoint(draw(st.sampled_from(_Z_SPLIT + [_Z_GENERIC])))
+    if draw(st.booleans()):
+        m0 = draw(st.sampled_from([(1, 0), (1, 1), (2, -1)] if p.n == 1
+                                  else [(1, 0, 0, 1), (1, -1, 0, 1), (2, 2, 1, 1)]))
+        powers = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=5, unique=True))
+        vectors = [tuple(t * a for a in m0) for t in powers]
+    else:
+        entry = st.integers(-3, 3)
+        vectors = draw(st.lists(st.tuples(*[entry] * (2 * p.n)),
+                                min_size=2, max_size=5, unique=True))
+    f = _shuffled_function(draw, p.n, [FourierMode(v[:p.n], v[p.n:]) for v in vectors])
+    levels = draw(st.lists(st.integers(1, 64 if p.n == 1 else 12),
+                           min_size=5, max_size=7))
+    return p, levels, f
+
+
+@settings(max_examples=60, deadline=None)
+@given(bms_cases())
+# a line function at _Z_GENERIC whose batched eigenvalues move its norms
+@example((SiegelPoint(_Z_GENERIC), [2, 3, 4, 5, 8],
+          FourierFunction({((-6, -6), (-3, -3)): 1.0, ((6, 6), (3, 3)): 1.0})))
+def test_bms_norms_are_the_level_norms_bitwise(case):
+    p, levels, f = case
+    # the sup is not under test, and an n = 2 search costs seconds
+    with mock.patch.object(toeplitz, "sup_abs", lambda f: SupBound(1.0, 0.0, "stub")):
+        rows = bms_experiment(p, f, levels)
+    assert [row["norm"] for row in rows] == [
+        WeylSymbol.toeplitz(p, k, f).norm() for k in levels
+    ]
+
+
+def test_bms_of_a_line_takes_its_norms_in_one_pass():
+    # once a WeylSymbol, a Laplace eigenvalue per mode and a line pass per level
+    calls = {"_line_norms": 0, "laplace_eigenvalue": 0}
+
+    def counted(name):
+        fn = getattr(toeplitz, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    f = FourierFunction({((1,), (0,)): 1.0, ((-1,), (0,)): 0.5, ((2,), (0,)): 0.25j})
+    with mock.patch.multiple(toeplitz, **{name: counted(name) for name in calls}):
+        bms_experiment(SiegelPoint(1 + 2j), f, (8, 16, 32, 64, 128))
+    assert calls == {"_line_norms": 1, "laplace_eigenvalue": 3}
