@@ -40,7 +40,7 @@ from .formal import (
     formal_hitchin_residual,
     trivialized_star_compare,
 )
-from .fourier import FourierFunction, FourierMode, SizeLimitError
+from .fourier import FourierFunction, FourierMode, SizeLimitError, _mode_table
 from .sections import GridError, QuadratureGrid, _bandwidth, gram_matrix, suggest_grid
 from .siegel import InvalidPointError, NonNormalError, TangentDirection
 from .tqft import (
@@ -254,12 +254,6 @@ def _mode_labels(modes):
     return [(fmt_ints(mm.r), fmt_ints(mm.s)) for mm in modes]
 
 
-def _mode_table(modes):
-    """The (M, 2n) integer table of the modes, rows r + s, built once per
-    manifest for the spectral functions."""
-    return np.array([mm.r + mm.s for mm in modes], dtype=np.int64)
-
-
 def _mode_list(m, bound):
     if m.modes:
         return [FourierMode(r, s) for r, s in m.modes]
@@ -293,7 +287,8 @@ def _run_gram(m):
 def _run_toeplitz_compare(m):
     tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     modes = _mode_list(m, 2)
-    m_max = _bandwidth(modes)
+    table = _mode_table(modes)
+    m_max = _bandwidth(table)
     labels = _mode_labels(modes)
     sweep = _Sweep(["k", "Z", "N", "r", "s", "max_entry_diff", "status"],
                    "closed-form-vs-quadrature")
@@ -305,7 +300,7 @@ def _run_toeplitz_compare(m):
             with sweep.cell(k, lambda why: [k, point, N, "", "", np.nan, why]):
                 grid = _grid_for(m.grid, p, k, m_max)
                 N = grid.N
-                devs = quadrature_deviation(p, k, modes, grid).tolist()
+                devs = quadrature_deviation(p, k, table, grid).tolist()
                 diffs.extend(devs)
                 for (r, s), diff in zip(labels, devs):
                     sweep.rows.append(

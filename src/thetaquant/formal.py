@@ -49,6 +49,8 @@ from .toeplitz import (
     eta,
 )
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
 __all__ = [
     "FormalFourierSeries",
     "heat_transform",
@@ -176,8 +178,11 @@ def covariant_constancy_residual(p1, p2, k, modes):
     matrices must agree entry by entry; the un-rescaled ones differ by the
     gap between the Gaussian factors.  Both operators are nonzero only where
     W_k(m) is, so the distance is read off those k^n values, hc (eta w).
-    ``modes`` is one mode (a scalar) or a list of M modes or their (M, 2n)
-    integer table (shape (M,)).
+    A mode whose eta underflows below the normal floats is rescaled by the
+    significand of eta, exp(lambda/4k mod ln 2): eta's power of two cancels
+    in (1/eta)(eta w), and 1/eta of a subnormal or zero eta would overflow,
+    which made the residual NaN.  ``modes`` is one mode (a scalar) or a list
+    of M modes or their (M, 2n) integer table (shape (M,)).
     """
     if p1.n != p2.n:
         raise ValueError("points have different dimension")
@@ -187,7 +192,11 @@ def covariant_constancy_residual(p1, p2, k, modes):
     _, w = _clock_shift_columns(k, p1.n, modes)
 
     def rescaled(p):
-        e = np.expand_dims(eta(p, k, modes), -1)
+        e = eta(p, k, modes)
+        if e.min() < _TINY:
+            significand = np.exp(laplace_eigenvalue(p, modes) / (4 * k) % math.log(2))
+            e = np.where(e < _TINY, significand, e)
+        e = e[..., None]
         return (1.0 / e) * (e * w)
 
     return np.max(np.abs(rescaled(p1) - rescaled(p2)), axis=-1)

@@ -123,6 +123,15 @@ def _mode_arrays(modes, dtype=float):
     return rs[..., :n], rs[..., n:]
 
 
+def _mode_table(modes):
+    """The (M, 2n) integer table of a list of modes (FourierModes or (r, s)
+    pairs), rows r + s, built once for the spectral functions; a table is
+    returned as it is."""
+    if isinstance(modes, np.ndarray):
+        return modes
+    return np.array([m.r + m.s for m in map(FourierMode.coerce, modes)], dtype=np.int64)
+
+
 def _coefficients(terms, n=None):
     """``terms`` as a dict from :class:`FourierMode` to nonzero complex
     coefficients, and its mode dimension.

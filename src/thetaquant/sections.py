@@ -17,23 +17,25 @@ y-nodes for each pair of lattice terms whose frequencies k u + r meet
 mod N.  In that product the y-phases cancel and the Gaussians sit on one
 fine lattice of step gcd(k, N)/(kN): it is evaluated once per node, and
 for each offset d = r mod N between the frequencies the products of all
-labels are folded by strided sums and one inverse FFT over the y-nodes.
+labels are folded by strided sums and inverse FFTs over the y-nodes.
 At a diagonal Z (always at n = 1) the Gaussian, and so every fold and
 transform, is a product over the axes: each axis is folded on its own axis
 of the box, of about k N (L + 1) / gcd(k, N) nodes over a window of L^n
-lattice terms, into (k, N) arrays, in O(box axis + k N) memory.  Any other
-Z folds the box of n axes into (k,)^n + (N,)^n arrays, in
-O(box + k^n N^n).  Both add the k^n x k^n outputs; the k^n x N^{2n} frame
-itself is built only on request.  The normalized variant multiplies by
-sqrt(2^n k^n det Y), making the theta frame orthonormal.  A grid is its
-node count N; theta sums are truncated at DEFAULT_EPSILON.  Every
-quadrature passes one check (:func:`_checked_pairings`): n is 1 or 2, N
-follows the bandwidth rule N >= 4 (k R + m_max) in x, R the theta
-truncation radius and m_max the largest frequency of the modes, raised
-where the y-Gaussians of a large Y would alias (:func:`required_grid_size`),
-and pairings that would hold more than the 1 GiB limit of
-:func:`fourier.check_bytes` are refused, with SizeLimitError, before
-anything is allocated.
+lattice terms, every offset group of every distinct r_i of the modes once,
+into one table of (k, N) rows that one inverse FFT transforms; the table is
+gathered and freed before the outputs are written, all modes in one
+scatter.  Any other Z folds the box of n axes one offset group at a time
+into (k,)^n + (N,)^n arrays, in O(box + k^n N^n), beside the k^n x k^n
+outputs.  The k^n x N^{2n} frame itself is built only on request.  The
+normalized variant multiplies by sqrt(2^n k^n det Y), making the theta
+frame orthonormal.  A grid is its node count N; theta sums are truncated
+at DEFAULT_EPSILON.  Every quadrature passes one check
+(:func:`_checked_pairings`): n is 1 or 2, N follows the bandwidth rule
+N >= 4 (k R + m_max) in x, R the theta truncation radius and m_max the
+largest frequency of the modes, raised where the y-Gaussians of a large Y
+would alias (:func:`required_grid_size`), and pairings that would hold
+more than the 1 GiB limit of :func:`fourier.check_bytes` are refused, with
+SizeLimitError, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from functools import reduce
 
 import numpy as np
 
-from .fourier import FourierMode, SizeLimitError, check_bytes
+from .fourier import FourierMode, SizeLimitError, _mode_arrays, _mode_table, check_bytes
 from .theta import (
     DEFAULT_EPSILON,
     Derivative,
@@ -204,8 +206,9 @@ def suggest_grid(p, k, m_max=0):
 
 
 def _bandwidth(modes):
-    """m_max of the bandwidth rule: the largest |r_i|, |s_i| of the modes."""
-    return max(max(abs(x) for x in m.r + m.s) for m in modes)
+    """m_max of the bandwidth rule: the largest |r_i|, |s_i| of the modes, a
+    list of modes or their (M, 2n) integer table."""
+    return int(np.abs(_mode_table(modes)).max())
 
 
 def section_eval(p, s, x, y):
@@ -387,6 +390,28 @@ def _label_runs(k, rows, d):
     return runs
 
 
+def _offset_groups(ri, k, N, width):
+    """The offsets d = ri mod N of one axis that meet in the window,
+    |d| < ``width``, grouped by d mod k, which fixes the partner label
+    b = a + d mod k: a list of (d mod k, [d, ...]) in increasing d."""
+    groups = {}
+    for d in range((ri + width - 1) % N - width + 1, width, N):
+        groups.setdefault(d % k, []).append(d)
+    return list(groups.items())
+
+
+def _axis_groups(ri, k, N, width):
+    """The rows of one axis's table for the r_i of the modes: the (shift,
+    offsets) of each group (:func:`_offset_groups`) of each distinct r_i,
+    once, and for each mode the range of rows of its r_i's groups."""
+    first, parts = {}, []
+    for v in dict.fromkeys(ri):
+        groups = _offset_groups(v, k, N, width)
+        first[v] = range(len(parts), len(parts) + len(groups))
+        parts += groups
+    return parts, [first[v] for v in ri]
+
+
 def _lattice_terms(p, k, grid):
     """The lattice terms of the grid frame: integer frequencies and y-parts.
 
@@ -455,57 +480,76 @@ def integrand_periodicity_residual(p, s1, s2):
     return worst
 
 
-def _pairing_bytes(p, k, grid, n_modes):
-    """Bytes the quadrature of ``n_modes`` modes holds at once, an upper bound.
+def _pairing_bytes(p, k, grid, modes):
+    """Bytes the quadrature of ``modes`` holds at once, an upper bound.
 
-    Both paths of :func:`_frame_pairings` hold the k^n x k^n outputs and
-    their moduli, which :func:`toeplitz.quadrature_deviation` and the
-    Gram's deviation from Id reduce in place; four arrays of the M k^n
-    closed-form columns that the former subtracts from the outputs, which
-    also bound one group's spectra and their scatter into the outputs; and
-    the numpy ufunc buffers of the three operands of a cast or strided sum.
-    At a diagonal Z add the box's axis and n + 1 complex
-    arrays on it, the n axis boxes and one product on one of them, which
-    also bound an axis box's build with its two temporaries; one axis's
-    folded sum and one run's sum, k N each; and the held columns of every
-    axis but the last, k M for each of its offset groups, of which there
-    are at most ceil((2 width - 1)/N).  At any other Z add the box of n
-    axes and one product on it, with the axis and, at most, n + 1 complex
-    arrays on it that the box build holds with them (the axis terms, and the
-    cross term's or one term's factor); and one group's folded sums, whose
-    spectra are computed in place, with one run's sum, k^n N^n each.
+    ``modes`` is a list of modes or their (M, 2n) integer table.  Both paths
+    of :func:`_frame_pairings` end in the k^n x k^n outputs and their
+    moduli, which :func:`toeplitz.quadrature_deviation` and the Gram's
+    deviation from Id reduce in place, with four arrays of the M k^n
+    closed-form columns that the former subtracts from the outputs; and any
+    step may hold the numpy ufunc buffers of the three operands of a cast or
+    strided sum.
+
+    At a diagonal Z the axis tables are folded, transformed and gathered
+    before the outputs are allocated, and the larger of two phases counts.
+    The tables phase holds the box's axis and n + 1 complex arrays on it,
+    the n axis boxes and one product on one of them, which also bound an
+    axis box's build with its two temporaries; one run's sum, k N; every
+    axis's table, one (k, N) array per offset group of each distinct r_i
+    of the modes; and the gathered columns, partner labels and indices of
+    the P rows of :func:`_axis_columns`, below 64 n k bytes a row.  The
+    outputs phase holds the outputs, the gathered arrays and the scatter's
+    P k^n values and partner indices.
+
+    At any other Z add to the outputs the box of n axes and one product on
+    it, with the axis and, at most, n + 1 complex arrays on it that the box
+    build holds with them (the axis terms, and the cross term's or one
+    term's factor); and one group's folded sums, whose spectra are computed
+    in place, with one run's sum, k^n N^n each.  The closed-form columns
+    bound one group's spectra and their scatter.
     """
     n, N = p.n, grid.N
+    r, _ = _mode_arrays(modes, dtype=np.int64)
     width = k * (2 * _window_half(p, k) + 1)
     size = _FineLattice.box_size(k, N, width)
-    arrays = n_modes * (k ** (2 * n) + 4 * k**n)
-    if _diagonal(p):
-        groups = -(-(2 * width - 1) // N)
-        arrays += (n + 1) * size + 2 * k * N + (n - 1) * groups * k * n_modes
-        axis_bytes = 8 * size
-    else:
-        arrays += 2 * size**n + 2 * (k * N) ** n
-        axis_bytes = (8 + 16 * (n + 1)) * size
-    return 16 * (arrays + 3 * np.getbufsize()) + 8 * n_modes * k ** (2 * n) + axis_bytes
+    buffers = 48 * np.getbufsize()
+    outputs = 24 * len(r) * k ** (2 * n) + 64 * len(r) * k**n + buffers
+    if not _diagonal(p):
+        return outputs + 16 * (2 * size**n + 2 * (k * N) ** n) + (8 + 16 * (n + 1)) * size
+    tables, counts = 0, []  # table nodes; each mode's groups on each axis
+    for ri in r.T.tolist():
+        parts, rows_of = _axis_groups(ri, k, N, width)
+        tables += k * N * len(parts)
+        counts.append(map(len, rows_of))
+    rows = sum(map(math.prod, zip(*counts)))
+    gathered = 64 * n * k * rows
+    fold = 8 * size + 16 * ((n + 1) * size + k * N + tables) + gathered + buffers
+    return max(fold, outputs + gathered + 24 * rows * k**n)
 
 
 def _checked_pairings(p, k, grid, modes):
-    """The frame pairings of ``modes`` (a nonempty list of FourierModes), as
-    :func:`_frame_pairings`, on a grid that can carry them.
+    """The frame pairings of ``modes`` (a nonempty list of modes or their
+    (M, 2n) integer table), as :func:`_frame_pairings`, on a grid that can
+    carry them.
 
     Raises GridError when n is not 1 or 2 or when N is below the bandwidth
-    rule of the modes, and SizeLimitError, before anything is allocated,
-    when the arrays the pairings hold would exceed the 1 GiB limit.
+    rule of the modes, ValueError for modes of another dimension, and
+    SizeLimitError, before anything is allocated, when the arrays the
+    pairings hold would exceed the 1 GiB limit.
     """
     if p.n not in (1, 2):
         raise GridError(f"quadrature supports n in {{1, 2}}, got n = {p.n}")
-    need = required_grid_size(p, k, _bandwidth(modes))
+    table = _mode_table(modes)
+    if table.shape[1] != 2 * p.n:  # the axes would read the wrong columns
+        raise ValueError(f"mode dimension {table.shape[1] // 2} does not match n = {p.n}")
+    need = required_grid_size(p, k, _bandwidth(table))
     if grid.N < need:
         raise GridError(
             f"grid too coarse: N={grid.N}, bandwidth rule needs N >= {need}"
         )
-    check_bytes(_pairing_bytes(p, k, grid, len(modes)), "quadrature", f"N={grid.N}")
-    return _frame_pairings(p, k, grid, modes)
+    check_bytes(_pairing_bytes(p, k, grid, table), "quadrature", f"N={grid.N}")
+    return _frame_pairings(p, k, grid, table)
 
 
 def _frame_norm(p, k):
@@ -517,8 +561,9 @@ def _frame_pairings(p, k, grid, modes):
     """Normalized frame pairings of the Fourier modes, as one array of shape
     (M, k^n, k^n): one k^n x k^n matrix per mode.
 
-    Entry (i, a, b) for the mode m = modes[i] = (r, s) is _frame_norm times
-    the grid mean of theta_a conj(theta_b) exp(-2 pi k y.Yy) F_m over the
+    ``modes`` is a list of modes or their (M, 2n) integer table.  Entry
+    (i, a, b) for the mode (r, s) of row i is _frame_norm times the grid
+    mean of theta_a conj(theta_b) exp(-2 pi k y.Yy) F_{r,s} over the
     N^{2n} nodes.  The x-sum is done exactly: sum_j exp(2 pi i q.j / N) is
     N^n when q = 0 mod N and 0 otherwise, so lattice term (a, l) meets term
     (b, l') only when k u_{b,l'} = k u_{a,l} + d for an integer vector
@@ -530,39 +575,46 @@ def _frame_pairings(p, k, grid, modes):
     (:meth:`_FineLattice.fold`), to S_d[a, q] with b = a + d mod k.  Offsets
     with the same d mod k share b, and the inverse FFT over q of their
     summed S_d gives the y-sums against exp(2 pi i s.y) for every s of the
-    modes sharing r; one scatter per such group adds them to those modes.
+    modes sharing r.
 
-    The offsets of one r are a product over the axes, and so is each group
-    of one d mod k (:func:`_fold_spectra`).  At a diagonal Z, G = G_1 x ...
-    x G_n and every S_d is the outer product of one-axis folds, so a group's
-    sum, and its spectrum, is the outer product of per-axis ones: each axis
-    is folded and transformed on its own (k, N) array, and mode (r, s) of
-    the group reads prod_i A_i[a_i, s_i] (:func:`_axis_spectra`).  Memory is
-    then O(box axis + k N) plus the outputs.  Any other Z folds each d on
-    the box of n axes into one (k,)^n + (N,)^n array per group and takes
-    its n-axis FFT in place, in O(box + k^n N^n).
-    :func:`_pairing_bytes` bounds both; no array of N^{2n} nodes and no
-    array over the meeting pairs is formed.
+    The offsets of one r, and the groups of one d mod k, are a product over
+    the axes (:func:`_offset_groups`).  At a diagonal Z, G = G_1 x ... x
+    G_n, so every S_d, every group's sum and its spectrum is the outer
+    product of one-axis ones: each axis folds every group of every distinct
+    r_i of the modes once into one table and transforms it in one FFT
+    (:func:`_axis_columns`), and mode (r, s) reads prod_i A_i[a_i, s_i] for
+    each tuple of its groups, all modes in one scatter.  Any other Z folds
+    each d on the box of n axes into one (k,)^n + (N,)^n array per group,
+    takes its n-axis FFT in place and scatters it before the next group
+    (:func:`_fold_spectra`).  :func:`_pairing_bytes` bounds both; no array
+    of N^{2n} nodes and no array over the meeting pairs is formed.
     """
     n, N = p.n, grid.N
+    r, s = _mode_arrays(modes, dtype=np.int64)
+    dim, norm = k**n, _frame_norm(p, k)
     if _diagonal(p):
-        lattices, spectra_of = _FineLattice.axes(p, k, grid), _axis_spectra
-    else:
-        lattices, spectra_of = _FineLattice.build(p, k, grid), _fold_spectra
-    dim = k**n
+        mode_of, columns, labels = _axis_columns(p, k, grid, r, s % N)
+
+        def outer(op):  # over the axes of each row, row-major in (a_1, ..., a_n)
+            return lambda x, y: op(x[:, :, None], y[:, None, :]).reshape(
+                len(y), x.shape[1] * y.shape[1])
+
+        values = reduce(outer(np.multiply), columns)
+        values *= norm
+        b_index = reduce(outer(lambda b, c: k * b + c), labels)
+        out = np.zeros((len(r), dim, dim), dtype=complex)
+        out[mode_of[:, None], np.arange(dim), b_index] = values
+        return out
+    fine = _FineLattice.build(p, k, grid)
     a_index = np.arange(dim)
     labels = _index_vectors(n, k)
-    norm = _frame_norm(p, k)
     by_r = {}
-    for i, m in enumerate(modes):
-        by_r.setdefault(m.r, []).append(i)
-    out = np.zeros((len(modes), dim, dim), dtype=complex)
-    for r, members in by_r.items():
+    for i, ri in enumerate(map(tuple, r.tolist())):
+        by_r.setdefault(ri, []).append(i)
+    out = np.zeros((len(r), dim, dim), dtype=complex)
+    for ri, members in by_r.items():
         m_index = np.array(members)[:, None]
-        s_index = tuple(
-            np.array([modes[i].s[ax] % N for i in members]) for ax in range(n)
-        )
-        for shift, spectra in spectra_of(lattices, r, s_index):
+        for shift, spectra in _fold_spectra(fine, ri, tuple((s[members] % N).T)):
             b_index = np.ravel_multi_index(((labels + shift) % k).T, (k,) * n)
             out[m_index, a_index, b_index] += norm * spectra.T
             # freed before the next group's fold, so that one never holds them
@@ -570,24 +622,54 @@ def _frame_pairings(p, k, grid, modes):
     return out
 
 
-def _fold_spectra(fine, r, s_index):
-    """Each offset group's (shift, spectra) for the modes sharing r, on a
-    lattice of len(r) axes: the box of n axes, or one axis of a diagonal Z.
+def _axis_columns(p, k, grid, r, s):
+    """The one-axis spectra of every mode's offset groups at a diagonal Z.
 
-    The offsets d = r mod N with |d_i| < width on each axis form a product
-    over the axes, and so does each group of one d mod k, which fixes the
-    partner label b = a + d mod k.  The group's folds are summed in one
-    (k,)^n + (N,)^n array, its inverse FFT over the y-axes is taken in place
-    (last axis first, as in ifftn), and the columns at the modes' s, of
-    shape (k^n, M_r), are its spectra.
+    On each axis i, every offset group (:func:`_offset_groups`) of every
+    distinct r_i of the modes is folded once into its own (k, N) row of one
+    table, and one inverse FFT over the table's last axis transforms them
+    all.  Each mode j then has one row (j, g_1, ..., g_n) per tuple of its
+    groups, one on each axis.  Returns the mode of each of those P rows,
+    and per axis the (P, k) arrays of the spectra A_i[:, s_i] of g_i's
+    table row and of the partner labels a + d mod k of g_i.  ``r`` and
+    ``s`` are the (M, n) arrays of the modes, s taken mod N; the rows of
+    each table are laid out by :func:`_axis_groups`.
     """
-    k, N, width, n = fine.k, fine.N, fine.width, len(r)
-    axes = []
-    for ri in r:
-        by_shift = {}
-        for d in range((ri + width - 1) % N - width + 1, width, N):
-            by_shift.setdefault(d % k, []).append(d)
-        axes.append(by_shift.items())
+    N, n = grid.N, p.n
+    tables, shifts, groups_of = [], [], []
+    for fine, ri in zip(_FineLattice.axes(p, k, grid), r.T.tolist()):
+        parts, rows_of = _axis_groups(ri, k, N, fine.width)
+        table = np.zeros((len(parts), k, N), dtype=complex)
+        for row, (_, offsets) in zip(table, parts):
+            for d in offsets:
+                fine.fold((d,), row)
+        np.fft.ifft(table, axis=-1, out=table)
+        tables.append(table)
+        shifts.append(np.array([shift for shift, _ in parts], dtype=np.int64))
+        groups_of.append(rows_of)
+    rows = np.array([(j, *g) for j, mode in enumerate(zip(*groups_of))
+                     for g in itertools.product(*mode)], dtype=np.int64)
+    rows = rows.reshape(-1, n + 1)  # (0, n + 1) when no mode meets the window
+    mode_of, table_rows = rows[:, 0], rows[:, 1:].T
+    columns = [t[g, :, s[mode_of, i]] for i, (t, g) in enumerate(zip(tables, table_rows))]
+    labels = [(np.arange(k) + sh[g, None]) % k for sh, g in zip(shifts, table_rows)]
+    return mode_of, columns, labels
+
+
+def _fold_spectra(fine, r, s_index):
+    """Each offset group's (shift, spectra) for the modes sharing r on the
+    box of n axes of a non-diagonal Z, one group at a time.
+
+    The offsets d = r mod N with |d_i| < width on each axis, and so each
+    group of one d mod k, which fixes the partner label b = a + d mod k,
+    are a product of the axes' :func:`_offset_groups`.  The group's folds
+    are summed in one (k,)^n + (N,)^n array, its inverse FFT over the
+    y-axes is taken in place (last axis first, as in ifftn), and the columns
+    at the modes' s (``s_index``, one array per axis), of shape (k^n, M_r),
+    are its spectra.
+    """
+    k, N, n = fine.k, fine.N, len(r)
+    axes = [_offset_groups(ri, k, N, fine.width) for ri in r]
     for parts in itertools.product(*axes):
         folded = np.zeros((k,) * n + (N,) * n, dtype=complex)
         for d in itertools.product(*(offsets for _, offsets in parts)):
@@ -598,24 +680,6 @@ def _fold_spectra(fine, r, s_index):
         del folded
         yield tuple(shift for shift, _ in parts), spectra
         del spectra  # freed, with the caller's name, before the next fold
-
-
-def _axis_spectra(axes, r, s_index):
-    """Each offset group's (shift, spectra) for the modes sharing r at a
-    diagonal Z, as :func:`_fold_spectra` on the box would give them: the
-    outer product, mode by mode, of the spectra of each axis's lattice.
-    Those of all axes but the last are held, k M_r per group; the last
-    axis's are folded one group at a time."""
-    spectra = [_fold_spectra(f, (ri,), (s,)) for f, ri, s in zip(axes, r, s_index)]
-    held = [list(each) for each in spectra[:-1]]
-    for last_shift, last in spectra[-1]:
-        for parts in itertools.product(*held):
-            shift = sum((held_shift for held_shift, _ in parts), ()) + last_shift
-            # yielded unnamed, so that the caller frees it before the next
-            yield shift, reduce(
-                lambda x, y: (x[:, None] * y).reshape(-1, y.shape[-1]),
-                [c for _, c in parts] + [last],
-            )
 
 
 def l2_inner(p, s1, s2, grid, normalized=True):

@@ -226,8 +226,11 @@ def laplace_eigenvalue(p, modes):
 
     vanishing only for the constant mode.  ``modes`` is one mode (a
     FourierMode or an (r, s) pair), giving a scalar, or a list of M modes or
-    their (M, 2n) integer table, giving an array of shape (M,); each entry
-    is the one-mode value.
+    their (M, 2n) integer table, giving an array of shape (M,).  At n = 1
+    and at a diagonal Z each entry is the one-mode value to the bit: each
+    entry of the matrix products r X^T, u Y^-1 and r Y is then one nonzero
+    term, which a batch's matrix kernel rounds as one mode's does.  Off the
+    diagonal at n >= 2 it may round an entry differently in its last bit.
     """
     return _laplace_eigenvalue(*_mode_arrays(modes), p.X, p.Y, p.Yinv)
 

@@ -105,6 +105,7 @@ from .fourier import (
     _line_decomposition,
     _mode_arrays,
     _mode_pair_sum,
+    _mode_table,
     check_bytes,
     poisson_bracket,
     sup_abs,
@@ -388,7 +389,7 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     """
     if not modes:
         return {}
-    pairings = _checked_pairings(p, k, grid, [FourierMode.coerce(m) for m in modes])
+    pairings = _checked_pairings(p, k, grid, modes)
     return {m: OperatorMatrix(k, p.n, a.T) for m, a in zip(modes, pairings)}
 
 
@@ -398,15 +399,17 @@ def quadrature_deviation(p, k, modes, grid):
     The closed form is subtracted in place from the stack of frame pairings,
     which holds each quadrature matrix transposed: W_k(m) has one nonzero
     per column a, in row a + r mod k (:func:`_clock_shift_columns`), so no
-    dense closed form is built.  Returns an array of shape (M,).
+    dense closed form is built.  ``modes`` is a list of modes or their
+    (M, 2n) integer table, which the bandwidth rule, the pairings, the
+    columns and eta all read.  Returns an array of shape (M,).
     """
-    modes = [FourierMode.coerce(m) for m in modes]
-    if not modes:
+    table = _mode_table(modes)
+    if not len(table):
         return np.zeros(0)
-    stack = _checked_pairings(p, k, grid, modes)
-    rows, values = _clock_shift_columns(k, p.n, modes)
+    stack = _checked_pairings(p, k, grid, table)
+    rows, values = _clock_shift_columns(k, p.n, table)
     M, dim = rows.shape
-    closed = eta(p, k, modes)[:, None] * values
+    closed = eta(p, k, table)[:, None] * values
     stack[np.arange(M)[:, None], np.arange(dim), rows] -= closed
     return np.abs(stack).max(axis=(1, 2))
 

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thetaquant.config import parse_config_all
+from thetaquant.experiments import run_experiment
 from thetaquant.formal import (
     FormalFourierSeries,
     covariant_constancy_residual,
@@ -150,6 +152,21 @@ class TestCovariantConstancy:
             assert abs(eta(p1, k, m) - eta(p2, k, m)) == pytest.approx(
                 dense, rel=1e-14, abs=1e-16
             )
+
+    def test_mode_whose_eta_underflows_is_rescaled_by_its_significand(self):
+        # eta of (0, 16) at 0.5i and k = 1 is exp(-804), which underflows to
+        # 0: (1/eta)(eta w) was inf * 0, and the row and the verdict read NaN
+        (m,) = parse_config_all(
+            "[covariance]\nn = 1\nk = 1\nZ = 0.5i; 1i\nmodes = 0,16; 1,0\n")
+        (p1, p2), under, normal = m.points, ((0,), (16,)), ((1,), (0,))
+        assert eta(p1, 1, under) == 0
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = covariant_constancy_residual(p1, p2, 1, [under, normal])
+        assert got[0] < 1e-15
+        assert got[1] == covariant_constancy_residual(p1, p2, 1, normal)
+        report = run_experiment(m, use_cache=False)
+        assert report.passed
+        assert all(float(row[5]) < 1e-15 for row in report.rows)
 
     def test_n2_diagonal(self, point_n2):
         q = SiegelPoint(np.diag([2j, 3j]))

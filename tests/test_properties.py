@@ -12,7 +12,8 @@ in either layout (one line, or one key per line under a section header), and
 parsed back.
 
 The frame pairings are drawn at n = 1 and 2, levels k <= 5, with gcd(k, N)
-either 1 or k and up to four modes of entries in [-2, 2].  N runs from 3,
+either 1 or k and up to eight modes of entries in [-2, 2], among them, at
+n = 2, r-tuples that share one axis's r_i but not the other's.  N runs from 3,
 below the lattice window where terms alias mod N, up to the bandwidth grid
 at n = 1, and up to 16 at n = 2, where the explicit k^n x N^4 frame stays
 below 21 MiB.
@@ -295,12 +296,35 @@ def test_a_mode_table_gives_what_its_list_gives_bitwise(case):
         want, got = call(modes), call(table)
         for a, b in zip(*(x if isinstance(x, tuple) else (x,) for x in (want, got))):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-    # a large mode's eta underflows to 0 or to a subnormal, and the residual's
-    # (1/eta)(eta w) then divides by zero or overflows and may be NaN, for the
-    # list as for the table
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # a large mode's eta underflows to 0 or to a subnormal, and the residual
+    # rescales it by its significand, for the list as for the table
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
         want, got = (covariant_constancy_residual(p, q, k, ms) for ms in (modes, table))
-    assert np.array_equal(want, got, equal_nan=True)
+    assert np.array_equal(want, got)
+
+
+@st.composite
+def diagonal_batches(draw):
+    """An n = 1 point or a diagonal n = 2 one, and up to eight modes with
+    entries up to 10^6 in size."""
+    p = draw(points())
+    if p.n == 2:
+        p = SiegelPoint(np.diag(p.Z.diagonal()))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-10**6, 10**6))
+    vector = st.tuples(*[entry] * p.n)
+    return p, [FourierMode(*rs) for rs in draw(
+        st.lists(st.tuples(vector, vector), min_size=1, max_size=8))]
+
+
+@PROPERTY
+@given(diagonal_batches())
+def test_batched_eigenvalue_is_the_one_mode_value_bitwise_at_diagonal_points(case):
+    # with no cross term each entry of the matrix products is one nonzero
+    # term, so no kernel can round it differently; off the diagonal at n = 2
+    # an entry may differ in its last bit
+    p, modes = case
+    for value, m in zip(laplace_eigenvalue(p, modes), modes):
+        assert value.tobytes() == np.float64(laplace_eigenvalue(p, m)).tobytes()
 
 
 @PROPERTY
@@ -334,10 +358,12 @@ def pairing_cases(draw):
         while np.gcd(k, N) != 1:
             N += 1
     vector = st.tuples(*[st.integers(-2, 2)] * p.n)
-    modes = [FourierMode((0,) * p.n, (0,) * p.n)] + [
-        FourierMode(*rs)
-        for rs in draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=3))
-    ]
+    pairs = draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=5))
+    r, _ = pairs[0]
+    for i in range(p.n):  # shares every r_j but r_i with the first drawn mode
+        ri = draw(st.integers(-2, 2).filter(lambda x: x != r[i]))
+        pairs.append((r[:i] + (ri,) + r[i + 1:], draw(vector)))
+    modes = [FourierMode((0,) * p.n, (0,) * p.n)] + [FourierMode(*rs) for rs in pairs]
     return p, k, QuadratureGrid(N), modes
 
 

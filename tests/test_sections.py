@@ -187,6 +187,51 @@ class TestFramePairings:
             want = scale * weighted @ frame_conj
             assert np.max(np.abs(pairing - want)) <= 1e-14, m
 
+    @pytest.mark.parametrize("Z, mode", [
+        (1j, ((40,), (-41,))), ([[1j, 0], [0, 2j]], ((40, 0), (1, 1)))])
+    def test_mode_that_meets_no_term_of_the_window_pairs_to_zero(self, Z, mode):
+        # r = 40 is no offset of the window at k = 2 on the bandwidth grid,
+        # so the diagonal path gathers no row at all
+        p = SiegelPoint(Z)
+        got = _frame_pairings(p, 2, suggest_grid(p, 2, m_max=41), [mode])
+        assert got.shape == (1, 2**p.n, 2**p.n) and not got.any()
+
+    @pytest.mark.parametrize("Z, k", [(1j, 12), ([[1j, 0], [0, 2j]], 4)])
+    def test_diagonal_cell_folds_each_offset_once_and_transforms_once_per_axis(
+            self, monkeypatch, Z, k):
+        # the 25 default modes of toeplitz-compare: at n = 2 they have
+        # r_2 = 0, so axis 2 folds only the offsets of r_2 = 0, however many
+        # r_1 share it
+        p = SiegelPoint(Z)
+        grid = suggest_grid(p, k, m_max=2)
+        zero, span = (0,) * (p.n - 1), range(-2, 3)
+        modes = [FourierMode((r,) + zero, (s,) + zero) for r in span for s in span]
+        folds, transforms = [], []
+        fold, ifft = _FineLattice.fold, np.fft.ifft
+
+        def counted_fold(self, d, out):
+            folds.append((id(self), self.width, d))
+            return fold(self, d, out)
+
+        def counted_ifft(*args, **kwargs):
+            transforms.append(args[0].shape)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(_FineLattice, "fold", counted_fold)
+        monkeypatch.setattr(np.fft, "ifft", counted_ifft)
+        quadrature_deviation(p, k, modes, grid)
+        assert len(transforms) == p.n
+        axes = list(dict.fromkeys(axis for axis, _, _ in folds))
+        assert len(axes) == p.n
+        width = folds[0][1]
+        for i, axis in enumerate(axes):
+            want = sorted((d,) for ri in {m.r[i] for m in modes}
+                          for d in range(1 - width, width) if (d - ri) % grid.N == 0)
+            got = [d for each, _, d in folds if each == axis]
+            assert sorted(got) == want, i
+        if p.n == 2:  # the last axis's offsets are those of r_2 = 0 alone
+            assert {d % grid.N for (d,) in got} == {0}
+
     def test_window_collides_mod_n(self):
         # k u of distinct lattice terms meet mod N, so the pairing must keep
         # more than one partner per term
@@ -197,9 +242,11 @@ class TestFramePairings:
         assert len(np.unique(ku % grid.N)) < ku.size
 
 
-# Traced peak of a gram run and of the 25-mode quadrature_deviation against
-# _pairing_bytes, printed as JSON.  It runs in a fresh interpreter: in a long
-# process the traced peak also depends on the blocks earlier calls left.
+# Traced peak of a gram run and of a quadrature_deviation against
+# _pairing_bytes, printed as JSON; the deviation's modes have r_1 and s_1 in
+# [-R, R] and [-S, S] and no other entry.  It runs in a fresh interpreter: in
+# a long process the traced peak also depends on the blocks earlier calls
+# left.
 _PEAK_SCRIPT = """
 import ast, gc, json, sys, tracemalloc
 from thetaquant.config import parse_config
@@ -210,15 +257,17 @@ from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import quadrature_deviation
 
 p, k = SiegelPoint(ast.literal_eval(sys.argv[1])), int(sys.argv[2])
-zero, span = (0,) * (p.n - 1), range(-2, 3)
-modes = [FourierMode((r,) + zero, (s,) + zero) for r in span for s in span]
-grid, grid_modes = suggest_grid(p, k), suggest_grid(p, k, m_max=2)
+R, S = int(sys.argv[3]), int(sys.argv[4])
+zero = (0,) * (p.n - 1)
+modes = [FourierMode((r,) + zero, (s,) + zero)
+         for r in range(-R, R + 1) for s in range(-S, S + 1)]
+grid, grid_modes = suggest_grid(p, k), suggest_grid(p, k, m_max=max(R, S))
 gram = parse_config(f"experiment = gram\\nn = {p.n}\\nk = {k}\\nZ = "
                     + sys.argv[1].replace("j", "i"))
 runs = {"gram": (lambda: run_experiment(gram, use_cache=False),
-                 _pairing_bytes(p, k, grid, 1)),
+                 _pairing_bytes(p, k, grid, [FourierMode((0,) * p.n, (0,) * p.n)])),
         "deviation": (lambda: quadrature_deviation(p, k, modes, grid_modes),
-                      _pairing_bytes(p, k, grid_modes, len(modes)))}
+                      _pairing_bytes(p, k, grid_modes, modes))}
 out = {}
 for name, (run, bound) in runs.items():
     run()
@@ -240,16 +289,22 @@ class TestPairingBytes:
     # diagonal point folds axis by axis, where the outputs dominate (its
     # k = 25 deviation, 0.22 GiB, was refused at 8.13 GiB on the box) and
     # the gram runner's copy G - Id once doubled the Gram's (15.8 MB traced
-    # against 9.9 at k = 25)
-    @pytest.mark.parametrize("Z, k", [
-        ("1j", 16), ("1j", 64), ("[[1j, 0], [0, 2j]]", 6), ("[[1j, 0], [0, 2j]]", 16),
-        ("[[1j, 0], [0, 2j]]", 25),
-        ("[[2j, 0.5j], [0.5j, 1j]]", 6), ("[[2j, 0.5j], [0.5j, 1j]]", 16),
-        ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 6), ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 16),
-    ])
-    def test_estimate_bounds_the_traced_peak(self, Z, k):
+    # against 9.9 at k = 25); the 25 modes r, s in [-2, 2] are the
+    # default, and 15 modes r in [-7, 7] at n = 1 give the diagonal path's
+    # axis table, which is folded before the outputs exist: its 45 groups of
+    # k N take 13 MB against a 1 MB stack, so there the table sets the peak
+    @pytest.mark.parametrize("Z, k, R, S", [
+        pytest.param(Z, k, 2, 2, id=f"{Z}-{k}") for Z, k in [
+            ("1j", 16), ("1j", 64), ("[[1j, 0], [0, 2j]]", 6), ("[[1j, 0], [0, 2j]]", 16),
+            ("[[1j, 0], [0, 2j]]", 25),
+            ("[[2j, 0.5j], [0.5j, 1j]]", 6), ("[[2j, 0.5j], [0.5j, 1j]]", 16),
+            ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 6), ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 16),
+        ]
+    ] + [pytest.param("1j", 64, 7, 0, id="1j-64-15-modes")])
+    def test_estimate_bounds_the_traced_peak(self, Z, k, R, S):
         src = Path(thetaquant.__file__).resolve().parents[1]
-        done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, Z, str(k)],
+        args = [Z, str(k), str(R), str(S)]
+        done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *args],
                               env=dict(os.environ, PYTHONPATH=str(src)),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr

@@ -239,6 +239,14 @@ class TestQuadratureOracle:
         with pytest.raises(GridError):
             quadrature_deviation(p, 4, [((1,), (0,))], QuadratureGrid(8))
 
+    @pytest.mark.parametrize("Z, mode", [
+        (1j, ((1, 0), (0, 0))), ([[1j, 0], [0, 2j]], ((1,), (0,)))])
+    def test_refuses_modes_of_another_dimension(self, Z, mode):
+        # the axis path once read the first axis of a two-axis mode at n = 1
+        p = SiegelPoint(Z)
+        with pytest.raises(ValueError, match="mode dimension"):
+            toeplitz_modes_quadrature(p, 2, [mode], grid_for(p, 2, 1))
+
     @settings(max_examples=30, deadline=None)
     @given(deviation_cases())
     def test_deviation_is_the_dense_difference(self, case):
