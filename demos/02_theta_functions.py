@@ -11,7 +11,7 @@ from thetaquant import SiegelPoint, ThetaLabel, theta_basis, theta_eval
 from thetaquant.theta import (
     Derivative,
     TruncationPolicy,
-    heat_residual,
+    heat_residuals,
     quasi_periodicity_residual,
     truncation_radius,
 )
@@ -44,7 +44,8 @@ print(f"\ntail honesty: |value(R) - value(2R)| = {abs(v1 - v2):.2e}")
 # term by term over the same lattice window.
 for Z in (1j, 1 + 2j, 0.5 + 0.7j):
     q = SiegelPoint(Z)
-    res = heat_residual(q, ThetaLabel(4, (1,)), 0.21 + 0.37j, 0, 0)
+    # row 0 of heat_residuals is the termwise residual, row 1 the fd one
+    res = heat_residuals(q, ThetaLabel(4, (1,)), 0.21 + 0.37j, [(0, 0)])[0].item()
     print(f"heat identity residual at Z = {Z}: {res:.2e}")
 
 # Quasi-periodicity: periodic in x, multiplier^k under Z-lattice shifts.
@@ -57,4 +58,5 @@ p2 = SiegelPoint(np.diag([1j, 2j]))
 lab2 = ThetaLabel(2, (1, 0))
 z2 = np.array([0.1 + 0.2j, 0.3 - 0.1j])
 print("\nn=2 value:", theta_eval(p2, lab2, z2))
-print("n=2 off-diagonal heat residual:", heat_residual(p2, lab2, z2, 0, 1))
+print("n=2 off-diagonal heat residual:",
+      heat_residuals(p2, lab2, z2, [(0, 1)])[0].item())

@@ -18,7 +18,6 @@ from .theta import (
     ThetaLabel,
     TruncationError,
     TruncationPolicy,
-    heat_residual,
     quasi_periodicity_residual,
     theta_basis,
     theta_eval,

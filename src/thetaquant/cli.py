@@ -35,9 +35,9 @@ from .config import (
     parse_config_all,
     siegel_points,
 )
-from .experiments import _grid_for, emit_outputs, fmt_complex, run_experiment
+from .experiments import emit_outputs, fmt_complex, run_experiment
 from .fourier import FourierMode
-from .sections import GridError, SizeLimitError, _bandwidth, gram_matrix
+from .sections import GridError, SizeLimitError, _plan, gram_matrix
 from .siegel import InvalidPointError
 from .theta import Derivative, ThetaLabel, TruncationError, theta_eval
 from .toeplitz import quadrature_deviation
@@ -166,7 +166,7 @@ def _cmd_theta_eval(args):
 
 def _cmd_gram(args):
     p = _point(args.Z, args.n)
-    G = gram_matrix(p, args.k, _grid_for(args.grid, p, args.k))
+    G = gram_matrix(p, args.k, _plan(p, args.k, N=args.grid))
     G[np.diag_indices_from(G)] -= 1  # G - Id in place
     dev = float(np.max(np.abs(G)))
     tol = EXPERIMENTS["gram"].tolerance(p.n, args.tol)
@@ -178,8 +178,8 @@ def _cmd_gram(args):
 def _cmd_toeplitz_compare(args):
     p = _point(args.Z, args.n)
     mode = FourierMode(*_parse_mode(args.mode, p.n))
-    grid = _grid_for(args.grid, p, args.k, _bandwidth([mode]))
-    (diff,) = quadrature_deviation(p, args.k, [mode], grid).tolist()
+    plan = _plan(p, args.k, [mode], args.grid)
+    (diff,) = quadrature_deviation(p, args.k, [mode], plan).tolist()
     tol = EXPERIMENTS["toeplitz-compare"].tolerance(p.n, args.tol)
     status = "PASS" if diff < tol else "FAIL"
     print(f"max entry difference = {diff:.3e}  (tolerance {tol:g})  {status}")

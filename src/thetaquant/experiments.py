@@ -41,7 +41,7 @@ from .formal import (
     trivialized_star_compare,
 )
 from .fourier import FourierFunction, FourierMode, SizeLimitError, _mode_table
-from .sections import GridError, QuadratureGrid, _bandwidth, gram_matrix, suggest_grid
+from .sections import GridError, _plan, gram_matrix
 from .siegel import InvalidPointError, NonNormalError, TangentDirection
 from .tqft import (
     CurveClass,
@@ -229,11 +229,6 @@ class _Sweep:
         return self.columns, self.rows, verdicts, extras
 
 
-def _grid_for(N, p, k, m_max=0):
-    """The grid of N nodes, or the bandwidth-rule grid when N is None."""
-    return suggest_grid(p, k, m_max) if N is None else QuadratureGrid(N)
-
-
 def _probe_points(p):
     """Deterministic z samples x + Zy in the fundamental domain."""
     out = []
@@ -270,11 +265,11 @@ def _run_gram(m):
     for p in m.points:
         point = fmt_point(p)
         for k in m.k_values:
-            N = ""  # until the grid is certified
+            N = "" if m.grid is None else m.grid  # the rule's N once it is certified
             with sweep.cell(k, lambda why: [m.n, k, point, N, np.nan, why]):
-                grid = _grid_for(m.grid, p, k)
-                N = grid.N
-                G = gram_matrix(p, k, grid)
+                plan = _plan(p, k, N=m.grid)
+                N = plan.N
+                G = gram_matrix(p, k, plan)
                 G[np.diag_indices_from(G)] -= 1  # G - Id in place
                 dev = float(np.max(np.abs(G)))
                 sweep.values["gram-identity"].append(dev)
@@ -288,7 +283,6 @@ def _run_toeplitz_compare(m):
     tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     modes = _mode_list(m, 2)
     table = _mode_table(modes)
-    m_max = _bandwidth(table)
     labels = _mode_labels(modes)
     sweep = _Sweep(["k", "Z", "N", "r", "s", "max_entry_diff", "status"],
                    "closed-form-vs-quadrature")
@@ -296,11 +290,11 @@ def _run_toeplitz_compare(m):
     for p in m.points:
         point = fmt_point(p)
         for k in m.k_values:
-            N = ""  # until the grid is certified
+            N = "" if m.grid is None else m.grid  # the rule's N once it is certified
             with sweep.cell(k, lambda why: [k, point, N, "", "", np.nan, why]):
-                grid = _grid_for(m.grid, p, k, m_max)
-                N = grid.N
-                devs = quadrature_deviation(p, k, table, grid).tolist()
+                plan = _plan(p, k, table, m.grid)
+                N = plan.N
+                devs = quadrature_deviation(p, k, table, plan).tolist()
                 diffs.extend(devs)
                 for (r, s), diff in zip(labels, devs):
                     sweep.rows.append(

@@ -29,12 +29,16 @@ into (k,)^n + (N,)^n arrays, in O(box + k^n N^n), beside the k^n x k^n
 outputs.  The k^n x N^{2n} frame itself is built only on request.  The
 normalized variant multiplies by sqrt(2^n k^n det Y), making the theta
 frame orthonormal.  A grid is its node count N; theta sums are truncated
-at DEFAULT_EPSILON.  Every quadrature passes one check
-(:func:`_checked_pairings`): n is 1 or 2, N follows the bandwidth rule
-N >= 4 (k R + m_max) in x, R the theta truncation radius and m_max the
-largest frequency of the modes, raised where the y-Gaussians of a large Y
-would alias (:func:`required_grid_size`), and pairings that would hold
-more than the 1 GiB limit of :func:`fourier.check_bytes` are refused, with
+at DEFAULT_EPSILON.  Each quadrature cell is sized once, by one plan
+(:func:`_plan`): the truncation radius R and the lattice window, the
+bandwidth rule N >= 4 (k R + m_max) in x, m_max the largest frequency of
+the modes, raised where the y-Gaussians of a large Y would alias
+(:func:`required_grid_size`), the grid's N, the path (axis fold or box),
+each axis's offset groups and the bytes the pairings hold.  The lattices,
+the folds and the byte figure read the plan and recompute none of it.
+Every quadrature passes one check on its plan (:func:`_checked_pairings`):
+n is 1 or 2, N is at least the rule, and pairings that would hold more
+than the 1 GiB limit of :func:`fourier.check_bytes` are refused, with
 SizeLimitError, before anything is allocated.
 """
 
@@ -43,11 +47,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .fourier import FourierMode, SizeLimitError, _mode_arrays, _mode_table, check_bytes
+from .fourier import SizeLimitError, _mode_arrays, _mode_table, check_bytes
 from .theta import (
     DEFAULT_EPSILON,
     Derivative,
@@ -126,14 +130,17 @@ class QuadratureGrid:
 
 
 def required_grid_size(p, k, m_max=0):
-    """Bandwidth-sufficient node count.
+    """Bandwidth-sufficient node count: :func:`_grid_rule` at the certified
+    truncation radius, as every quadrature plan sizes its grid."""
+    return _grid_rule(p, k, m_max, truncation_radius(p, k, DEFAULT_EPSILON).radius)
 
-    The x-rule 4 (k ceil(R) + m_max), R the theta truncation radius, or the
-    smallest N above it whose certified y-aliasing tail
+
+def _grid_rule(p, k, m_max, radius):
+    """The x-rule 4 (k ceil(R) + m_max), R the theta truncation ``radius``,
+    or the smallest N above it whose certified y-aliasing tail
     (:func:`_y_alias_tail`) is below DEFAULT_EPSILON if the x-rule's is not.
     """
-    policy = truncation_radius(p, k, DEFAULT_EPSILON)
-    N = 4 * (k * int(math.ceil(policy.radius)) + int(m_max))
+    N = 4 * (k * int(math.ceil(radius)) + int(m_max))
 
     def certified(N):
         return _y_alias_tail(p, k, m_max, N, DEFAULT_EPSILON) < DEFAULT_EPSILON
@@ -205,12 +212,6 @@ def suggest_grid(p, k, m_max=0):
     return QuadratureGrid(required_grid_size(p, k, m_max))
 
 
-def _bandwidth(modes):
-    """m_max of the bandwidth rule: the largest |r_i|, |s_i| of the modes, a
-    list of modes or their (M, 2n) integer table."""
-    return int(np.abs(_mode_table(modes)).max())
-
-
 def section_eval(p, s, x, y):
     """Value of the section at real coordinates (x, y), via z = x + Zy."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -228,11 +229,6 @@ def section_eval(p, s, x, y):
 def _index_vectors(n, N):
     """The integer vectors of [0, N)^n, one per row, in row-major order."""
     return np.indices((N,) * n).reshape(n, -1).T
-
-
-def _diagonal(p):
-    """n = 1, or a Z with no cross term: the frame is a product over the axes."""
-    return p.n == 1 or p.Z[0, 1] == p.Z[1, 0] == 0
 
 
 @dataclass(frozen=True)
@@ -270,51 +266,50 @@ class _FineLattice:
         return (N // g) * (width - 1) + (k // g) * (N - 1) + 1
 
     @classmethod
-    def _axis(cls, p, k, N):
-        """The window width and the box's axis: v = (c - (N/g) k half) g/(kN)
-        at its node c."""
-        half = _window_half(p, k)
-        width = k * (2 * half + 1)
+    def _axis(cls, plan):
+        """The box's axis for the window and grid of ``plan``:
+        v = (c - (N/g) k half) g/(kN) at its node c."""
+        k, N = plan.k, plan.N
         g = math.gcd(k, N)
-        v = np.arange(cls.box_size(k, N, width)) - (N // g) * k * half
-        return width, v / ((k // g) * N)
+        v = np.arange(cls.box_size(k, N, plan.width)) - (N // g) * k * plan.half
+        return v / ((k // g) * N)
 
     @classmethod
-    def axes(cls, p, k, grid):
-        """One lattice per axis i of a diagonal Z (:func:`_diagonal`): G_i is
+    def axes(cls, plan):
+        """One lattice per axis i of a diagonal Z (the plan's axis path): G_i is
         the factor exp(i pi k Z_ii v^2) on the box's axis, over the window of
         the n-dimensional truncation, and the box is their outer product."""
-        N = grid.N
+        p, k, N = plan.p, plan.k, plan.N
         g = math.gcd(k, N)
-        width, v = cls._axis(p, k, N)
+        v = cls._axis(plan)
         lattices = []
         for i in range(p.n):
             t = (1j * np.pi * k * p.Z[i, i] * v) * v
-            lattices.append(cls(k, N, np.exp(t, out=t), width, N // g, k // g))
+            lattices.append(cls(k, N, np.exp(t, out=t), plan.width, N // g, k // g))
         return lattices
 
     @classmethod
-    def build(cls, p, k, grid):
-        """G over the lattice window of the DEFAULT_EPSILON truncation.
+    def build(cls, plan):
+        """G over the lattice window of the plan's truncation.
 
-        For a diagonal Z (always at n = 1) G is the outer product of the
-        axis factors of :meth:`axes`; otherwise the exponent is assembled in
-        place, the axis terms (i pi k Z_ii v) v added to the cross term
-        i pi k (Z_01 + Z_10) v v' on the box, and exponentiated in place: a
-        separate cross factor would overflow at a non-diagonal Y, where the
-        axis factors underflow.
+        On the axis path of a diagonal Z (always at n = 1) G is the outer
+        product of the axis factors of :meth:`axes`; otherwise the exponent
+        is assembled in place, the axis terms (i pi k Z_ii v) v added to the
+        cross term i pi k (Z_01 + Z_10) v v' on the box, and exponentiated in
+        place: a separate cross factor would overflow at a non-diagonal Y,
+        where the axis factors underflow.
         """
-        if _diagonal(p):
-            axes = cls.axes(p, k, grid)
+        if plan.diagonal:
+            axes = cls.axes(plan)
             return replace(axes[0], G=reduce(np.multiply.outer, [f.G for f in axes]))
-        N = grid.N
+        p, k, N = plan.p, plan.k, plan.N
         g = math.gcd(k, N)
-        width, v = cls._axis(p, k, N)
+        v = cls._axis(plan)
         G = np.multiply.outer(1j * np.pi * k * (p.Z[0, 1] + p.Z[1, 0]) * v, v)
         G += ((1j * np.pi * k * p.Z[0, 0] * v) * v)[:, None]
         G += (1j * np.pi * k * p.Z[1, 1] * v) * v
         np.exp(G, out=G)
-        return cls(k, N, G, width, N // g, k // g)
+        return cls(k, N, G, plan.width, N // g, k // g)
 
     def terms(self, box, first, shape):
         """A read-only view of ``box``, G or a product on a sub-box of it (a
@@ -366,11 +361,6 @@ class _FineLattice:
             out[tuple(slice(a0, a1) for a0, a1, _, _ in runs)] += summed
 
 
-def _window_half(p, k):
-    """Half-width of the lattice window: l runs over [-half, half]^n."""
-    return int(math.ceil(truncation_radius(p, k, DEFAULT_EPSILON).radius)) + 1
-
-
 def _label_runs(k, rows, d):
     """Labels of one axis in runs that share their rows with a partner.
 
@@ -412,7 +402,111 @@ def _axis_groups(ri, k, N, width):
     return parts, [first[v] for v in ri]
 
 
-def _lattice_terms(p, k, grid):
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """How one quadrature cell is sized and laid out, derived once by
+    :func:`_plan` and read by every step of the cell, as FFTW plans a
+    transform once and then executes it (Frigo & Johnson, Proc. IEEE 93(2),
+    2005).  It goes where a grid goes in the quadratures, for the point,
+    level and modes it was built for only.
+
+    ``p`` and ``k`` are the point and level, ``table`` the (M, 2n) mode
+    table; ``radius`` the truncation radius certified at DEFAULT_EPSILON,
+    and l runs over the window [-half, half]^n, half = ceil(radius) + 1, so
+    that k u - min k u runs over [0, width) on each axis,
+    width = k (2 half + 1); ``rule`` is the bandwidth rule's N
+    (:func:`_grid_rule`) and ``N`` the grid's; ``diagonal`` the path, the
+    axis fold at n = 1 or at a Z with no cross term, where the frame is a
+    product over the axes, or else the box of n axes; ``groups`` each
+    axis's :func:`_axis_groups`, the (shift, offsets) of each offset group
+    of each distinct r_i of the modes and each mode's range of them, which
+    both paths fold; and :attr:`bytes` the byte figure, computed from these
+    fields on its first read and kept.
+    """
+
+    p: object
+    k: int
+    table: np.ndarray
+    radius: float
+    half: int
+    width: int
+    rule: int
+    N: int
+    diagonal: bool
+    groups: tuple
+
+    @cached_property
+    def bytes(self):
+        """Bytes the quadrature holds at once, an upper bound.
+
+        Both paths of :func:`_frame_pairings` end in the k^n x k^n outputs
+        and their moduli, which :func:`toeplitz.quadrature_deviation` and
+        the Gram's deviation from Id reduce in place, with four arrays of
+        the M k^n closed-form columns that the former subtracts from the
+        outputs; and any step may hold the numpy ufunc buffers of the three
+        operands of a cast or strided sum.
+
+        On the axis path the tables are folded, transformed and gathered
+        before the outputs are allocated, and the larger of two phases
+        counts.  The tables phase holds the box's axis and n + 1 complex
+        arrays on it, the n axis boxes and one product on one of them, which
+        also bound an axis box's build with its two temporaries; one run's
+        sum, k N; every axis's table, one (k, N) array per offset group of
+        ``groups``; and the gathered columns, partner labels and indices of
+        the P rows of :func:`_axis_columns`, below 64 n k bytes a row.  The
+        outputs phase holds the outputs, the gathered arrays and the
+        scatter's P k^n values and partner indices.
+
+        On the box path add to the outputs the box of n axes and one
+        product on it, with the axis and, at most, n + 1 complex arrays on
+        it that the box build holds with them (the axis terms, and the cross
+        term's or one term's factor); and one group's folded sums, whose
+        spectra are computed in place, with one run's sum, k^n N^n each.
+        The closed-form columns bound one group's spectra and their scatter.
+        """
+        n, k, N, M = self.p.n, self.k, self.N, len(self.table)
+        size = _FineLattice.box_size(k, N, self.width)
+        buffers = 48 * np.getbufsize()
+        outputs = 24 * M * k ** (2 * n) + 64 * M * k**n + buffers
+        if not self.diagonal:
+            return outputs + 16 * (2 * size**n + 2 * (k * N) ** n) + (8 + 16 * (n + 1)) * size
+        tables = k * N * sum(len(parts) for parts, _ in self.groups)
+        counts = [map(len, rows_of) for _, rows_of in self.groups]  # each mode's groups
+        rows = sum(map(math.prod, zip(*counts)))
+        gathered = 64 * n * k * rows
+        fold = 8 * size + 16 * ((n + 1) * size + k * N + tables) + gathered + buffers
+        return max(fold, outputs + gathered + 24 * rows * k**n)
+
+
+def _table(n, modes):
+    """The mode table of ``modes``, or of the Gram's zero mode when None."""
+    return np.zeros((1, 2 * n), dtype=np.int64) if modes is None else _mode_table(modes)
+
+
+def _plan(p, k, modes=None, N=None):
+    """The :class:`_Plan` of the quadrature of ``modes`` (a list of modes or
+    their (M, 2n) integer table; None for the Gram's zero mode) at (p, k),
+    on N nodes per coordinate or, when N is None, on the bandwidth rule's.
+
+    The truncation certificate runs once, and the rule once at its radius
+    and the largest |r_i|, |s_i| of the modes.  Building refuses nothing
+    but what the certificate raises (TruncationError):
+    :func:`_checked_pairings` refuses on the plan, and :func:`_frame_pairings`
+    folds on it whatever its N.
+    """
+    table = _table(p.n, modes)
+    radius = truncation_radius(p, k, DEFAULT_EPSILON).radius
+    rule = _grid_rule(p, k, int(np.abs(table).max()), radius)
+    N = rule if N is None else N
+    half = int(math.ceil(radius)) + 1
+    width = k * (2 * half + 1)
+    r, _ = _mode_arrays(table)
+    groups = tuple(_axis_groups(ri, k, N, width) for ri in r.T.tolist())
+    diagonal = p.n == 1 or p.Z[0, 1] == p.Z[1, 0] == 0
+    return _Plan(p, k, table, radius, half, width, rule, N, diagonal, groups)
+
+
+def _lattice_terms(plan):
     """The lattice terms of the grid frame: integer frequencies and y-parts.
 
     With u = l + a/k over the truncation window of l, returns ``ku`` of
@@ -425,8 +519,8 @@ def _lattice_terms(p, k, grid):
     y-phase, of modulus at most 1.  Lattice term l of
     theta_a(x + Zy) exp(-pi k y.Yy) is exp(2 pi i k u.x) Y[a, l, y].
     """
-    n, N = p.n, grid.N
-    fine = _FineLattice.build(p, k, grid)
+    p, k, N, n = plan.p, plan.k, plan.N, plan.p.n
+    fine = _FineLattice.build(plan)
     L = fine.width // k
     shifts = _index_vectors(n, L) - L // 2
     ku = k * shifts[None, :, :] + _index_vectors(n, k)[:, None, :]
@@ -447,7 +541,7 @@ def theta_frame_on_grid(p, k, grid):
     quadratures do not build it; it serves inspection and tests.
     """
     N = grid.N
-    ku, y_part = _lattice_terms(p, k, grid)
+    ku, y_part = _lattice_terms(_plan(p, k, N=N))
     x_part = np.exp(2j * np.pi * ((ku @ _index_vectors(p.n, N).T) % N) / N)
     return np.matmul(x_part.transpose(0, 2, 1), y_part).reshape(k**p.n, -1)
 
@@ -480,76 +574,33 @@ def integrand_periodicity_residual(p, s1, s2):
     return worst
 
 
-def _pairing_bytes(p, k, grid, modes):
-    """Bytes the quadrature of ``modes`` holds at once, an upper bound.
-
-    ``modes`` is a list of modes or their (M, 2n) integer table.  Both paths
-    of :func:`_frame_pairings` end in the k^n x k^n outputs and their
-    moduli, which :func:`toeplitz.quadrature_deviation` and the Gram's
-    deviation from Id reduce in place, with four arrays of the M k^n
-    closed-form columns that the former subtracts from the outputs; and any
-    step may hold the numpy ufunc buffers of the three operands of a cast or
-    strided sum.
-
-    At a diagonal Z the axis tables are folded, transformed and gathered
-    before the outputs are allocated, and the larger of two phases counts.
-    The tables phase holds the box's axis and n + 1 complex arrays on it,
-    the n axis boxes and one product on one of them, which also bound an
-    axis box's build with its two temporaries; one run's sum, k N; every
-    axis's table, one (k, N) array per offset group of each distinct r_i
-    of the modes; and the gathered columns, partner labels and indices of
-    the P rows of :func:`_axis_columns`, below 64 n k bytes a row.  The
-    outputs phase holds the outputs, the gathered arrays and the scatter's
-    P k^n values and partner indices.
-
-    At any other Z add to the outputs the box of n axes and one product on
-    it, with the axis and, at most, n + 1 complex arrays on it that the box
-    build holds with them (the axis terms, and the cross term's or one
-    term's factor); and one group's folded sums, whose spectra are computed
-    in place, with one run's sum, k^n N^n each.  The closed-form columns
-    bound one group's spectra and their scatter.
-    """
-    n, N = p.n, grid.N
-    r, _ = _mode_arrays(modes, dtype=np.int64)
-    width = k * (2 * _window_half(p, k) + 1)
-    size = _FineLattice.box_size(k, N, width)
-    buffers = 48 * np.getbufsize()
-    outputs = 24 * len(r) * k ** (2 * n) + 64 * len(r) * k**n + buffers
-    if not _diagonal(p):
-        return outputs + 16 * (2 * size**n + 2 * (k * N) ** n) + (8 + 16 * (n + 1)) * size
-    tables, counts = 0, []  # table nodes; each mode's groups on each axis
-    for ri in r.T.tolist():
-        parts, rows_of = _axis_groups(ri, k, N, width)
-        tables += k * N * len(parts)
-        counts.append(map(len, rows_of))
-    rows = sum(map(math.prod, zip(*counts)))
-    gathered = 64 * n * k * rows
-    fold = 8 * size + 16 * ((n + 1) * size + k * N + tables) + gathered + buffers
-    return max(fold, outputs + gathered + 24 * rows * k**n)
-
-
-def _checked_pairings(p, k, grid, modes):
+def _checked_pairings(p, k, grid, modes=None):
     """The frame pairings of ``modes`` (a nonempty list of modes or their
-    (M, 2n) integer table), as :func:`_frame_pairings`, on a grid that can
-    carry them.
+    (M, 2n) integer table; None for the Gram's zero mode), as
+    :func:`_frame_pairings`, on a grid that can carry them.
 
-    Raises GridError when n is not 1 or 2 or when N is below the bandwidth
-    rule of the modes, ValueError for modes of another dimension, and
-    SizeLimitError, before anything is allocated, when the arrays the
-    pairings hold would exceed the 1 GiB limit.
+    ``grid`` is a :class:`QuadratureGrid`, whose plan is built here, or the
+    plan built for (p, k, modes); a plan built for another point, level or
+    modes raises ValueError.  On the plan, before anything is allocated,
+    raises GridError when n is not 1 or 2, ValueError for modes of another
+    dimension, GridError when N is below the bandwidth rule of the modes,
+    and SizeLimitError when the arrays the pairings hold would exceed the
+    1 GiB limit.
     """
+    table = _table(p.n, modes)
+    plan = grid if isinstance(grid, _Plan) else _plan(p, k, table, grid.N)
+    if plan.k != k or not (np.array_equal(plan.p.Z, p.Z) and np.array_equal(plan.table, table)):
+        raise ValueError("the quadrature plan was built for another point, level or modes")
     if p.n not in (1, 2):
         raise GridError(f"quadrature supports n in {{1, 2}}, got n = {p.n}")
-    table = _mode_table(modes)
     if table.shape[1] != 2 * p.n:  # the axes would read the wrong columns
         raise ValueError(f"mode dimension {table.shape[1] // 2} does not match n = {p.n}")
-    need = required_grid_size(p, k, _bandwidth(table))
-    if grid.N < need:
+    if plan.N < plan.rule:
         raise GridError(
-            f"grid too coarse: N={grid.N}, bandwidth rule needs N >= {need}"
+            f"grid too coarse: N={plan.N}, bandwidth rule needs N >= {plan.rule}"
         )
-    check_bytes(_pairing_bytes(p, k, grid, table), "quadrature", f"N={grid.N}")
-    return _frame_pairings(p, k, grid, table)
+    check_bytes(plan.bytes, "quadrature", f"N={plan.N}")
+    return _frame_pairings(plan)
 
 
 def _frame_norm(p, k):
@@ -557,12 +608,12 @@ def _frame_norm(p, k):
     return math.sqrt(2**p.n * k**p.n * p.det_Y)
 
 
-def _frame_pairings(p, k, grid, modes):
-    """Normalized frame pairings of the Fourier modes, as one array of shape
-    (M, k^n, k^n): one k^n x k^n matrix per mode.
+def _frame_pairings(plan):
+    """Normalized frame pairings of the plan's Fourier modes, as one array of
+    shape (M, k^n, k^n): one k^n x k^n matrix per mode, on the plan's grid,
+    unchecked: a grid below the rule gives the aliased sums.
 
-    ``modes`` is a list of modes or their (M, 2n) integer table.  Entry
-    (i, a, b) for the mode (r, s) of row i is _frame_norm times the grid
+    Entry (i, a, b) for the mode (r, s) of row i is _frame_norm times the grid
     mean of theta_a conj(theta_b) exp(-2 pi k y.Yy) F_{r,s} over the
     N^{2n} nodes.  The x-sum is done exactly: sum_j exp(2 pi i q.j / N) is
     N^n when q = 0 mod N and 0 otherwise, so lattice term (a, l) meets term
@@ -578,22 +629,22 @@ def _frame_pairings(p, k, grid, modes):
     modes sharing r.
 
     The offsets of one r, and the groups of one d mod k, are a product over
-    the axes (:func:`_offset_groups`).  At a diagonal Z, G = G_1 x ... x
-    G_n, so every S_d, every group's sum and its spectrum is the outer
-    product of one-axis ones: each axis folds every group of every distinct
-    r_i of the modes once into one table and transforms it in one FFT
-    (:func:`_axis_columns`), and mode (r, s) reads prod_i A_i[a_i, s_i] for
-    each tuple of its groups, all modes in one scatter.  Any other Z folds
-    each d on the box of n axes into one (k,)^n + (N,)^n array per group,
-    takes its n-axis FFT in place and scatters it before the next group
-    (:func:`_fold_spectra`).  :func:`_pairing_bytes` bounds both; no array
-    of N^{2n} nodes and no array over the meeting pairs is formed.
+    the axes of the plan's groups (:func:`_axis_groups`).  At a diagonal Z,
+    G = G_1 x ... x G_n, so every S_d, every group's sum and its spectrum is
+    the outer product of one-axis ones: each axis folds every group of every
+    distinct r_i of the modes once into one table and transforms it in one
+    FFT (:func:`_axis_columns`), and mode (r, s) reads prod_i A_i[a_i, s_i]
+    for each tuple of its groups, all modes in one scatter.  Any other Z
+    folds each d on the box of n axes into one (k,)^n + (N,)^n array per
+    group, takes its n-axis FFT in place and scatters it before the next
+    group (:func:`_fold_spectra`).  The plan's byte figure bounds both; no
+    array of N^{2n} nodes and no array over the meeting pairs is formed.
     """
-    n, N = p.n, grid.N
-    r, s = _mode_arrays(modes, dtype=np.int64)
+    p, k, N, n = plan.p, plan.k, plan.N, plan.p.n
+    r, s = _mode_arrays(plan.table)
     dim, norm = k**n, _frame_norm(p, k)
-    if _diagonal(p):
-        mode_of, columns, labels = _axis_columns(p, k, grid, r, s % N)
+    if plan.diagonal:
+        mode_of, columns, labels = _axis_columns(plan, s % N)
 
         def outer(op):  # over the axes of each row, row-major in (a_1, ..., a_n)
             return lambda x, y: op(x[:, :, None], y[:, None, :]).reshape(
@@ -605,16 +656,17 @@ def _frame_pairings(p, k, grid, modes):
         out = np.zeros((len(r), dim, dim), dtype=complex)
         out[mode_of[:, None], np.arange(dim), b_index] = values
         return out
-    fine = _FineLattice.build(p, k, grid)
+    fine = _FineLattice.build(plan)
     a_index = np.arange(dim)
     labels = _index_vectors(n, k)
     by_r = {}
     for i, ri in enumerate(map(tuple, r.tolist())):
         by_r.setdefault(ri, []).append(i)
     out = np.zeros((len(r), dim, dim), dtype=complex)
-    for ri, members in by_r.items():
+    for members in by_r.values():
         m_index = np.array(members)[:, None]
-        for shift, spectra in _fold_spectra(fine, ri, tuple((s[members] % N).T)):
+        axes = [[parts[g] for g in rows_of[members[0]]] for parts, rows_of in plan.groups]
+        for shift, spectra in _fold_spectra(fine, axes, tuple((s[members] % N).T)):
             b_index = np.ravel_multi_index(((labels + shift) % k).T, (k,) * n)
             out[m_index, a_index, b_index] += norm * spectra.T
             # freed before the next group's fold, so that one never holds them
@@ -622,23 +674,22 @@ def _frame_pairings(p, k, grid, modes):
     return out
 
 
-def _axis_columns(p, k, grid, r, s):
+def _axis_columns(plan, s):
     """The one-axis spectra of every mode's offset groups at a diagonal Z.
 
-    On each axis i, every offset group (:func:`_offset_groups`) of every
-    distinct r_i of the modes is folded once into its own (k, N) row of one
-    table, and one inverse FFT over the table's last axis transforms them
-    all.  Each mode j then has one row (j, g_1, ..., g_n) per tuple of its
-    groups, one on each axis.  Returns the mode of each of those P rows,
-    and per axis the (P, k) arrays of the spectra A_i[:, s_i] of g_i's
-    table row and of the partner labels a + d mod k of g_i.  ``r`` and
-    ``s`` are the (M, n) arrays of the modes, s taken mod N; the rows of
-    each table are laid out by :func:`_axis_groups`.
+    On each axis i, every offset group of every distinct r_i of the modes,
+    as the plan lays them out (:func:`_axis_groups`), is folded once into
+    its own (k, N) row of one table, and one inverse FFT over the table's
+    last axis transforms them all.  Each mode j then has one row
+    (j, g_1, ..., g_n) per tuple of its groups, one on each axis.  Returns
+    the mode of each of those P rows, and per axis the (P, k) arrays of the
+    spectra A_i[:, s_i] of g_i's table row and of the partner labels
+    a + d mod k of g_i.  ``s`` is the (M, n) array of the modes' s, taken
+    mod N.
     """
-    N, n = grid.N, p.n
-    tables, shifts, groups_of = [], [], []
-    for fine, ri in zip(_FineLattice.axes(p, k, grid), r.T.tolist()):
-        parts, rows_of = _axis_groups(ri, k, N, fine.width)
+    k, N, n = plan.k, plan.N, plan.p.n
+    tables, shifts = [], []
+    for fine, (parts, _) in zip(_FineLattice.axes(plan), plan.groups):
         table = np.zeros((len(parts), k, N), dtype=complex)
         for row, (_, offsets) in zip(table, parts):
             for d in offsets:
@@ -646,7 +697,7 @@ def _axis_columns(p, k, grid, r, s):
         np.fft.ifft(table, axis=-1, out=table)
         tables.append(table)
         shifts.append(np.array([shift for shift, _ in parts], dtype=np.int64))
-        groups_of.append(rows_of)
+    groups_of = [rows_of for _, rows_of in plan.groups]  # each mode's groups, per axis
     rows = np.array([(j, *g) for j, mode in enumerate(zip(*groups_of))
                      for g in itertools.product(*mode)], dtype=np.int64)
     rows = rows.reshape(-1, n + 1)  # (0, n + 1) when no mode meets the window
@@ -656,20 +707,20 @@ def _axis_columns(p, k, grid, r, s):
     return mode_of, columns, labels
 
 
-def _fold_spectra(fine, r, s_index):
+def _fold_spectra(fine, axes, s_index):
     """Each offset group's (shift, spectra) for the modes sharing r on the
     box of n axes of a non-diagonal Z, one group at a time.
 
     The offsets d = r mod N with |d_i| < width on each axis, and so each
     group of one d mod k, which fixes the partner label b = a + d mod k,
-    are a product of the axes' :func:`_offset_groups`.  The group's folds
+    are a product of the axes' groups of r_i, ``axes`` (one list of
+    (shift, offsets) per axis, as :func:`_offset_groups`).  The group's folds
     are summed in one (k,)^n + (N,)^n array, its inverse FFT over the
     y-axes is taken in place (last axis first, as in ifftn), and the columns
     at the modes' s (``s_index``, one array per axis), of shape (k^n, M_r),
     are its spectra.
     """
-    k, N, n = fine.k, fine.N, len(r)
-    axes = [_offset_groups(ri, k, N, fine.width) for ri in r]
+    k, N, n = fine.k, fine.N, len(axes)
     for parts in itertools.product(*axes):
         folded = np.zeros((k,) * n + (N,) * n, dtype=complex)
         for d in itertools.product(*(offsets for _, offsets in parts)):
@@ -705,9 +756,10 @@ def l2_inner(p, s1, s2, grid, normalized=True):
 
 
 def gram_matrix(p, k, grid):
-    """Matrix of normalized frame inner products; Hermitian, close to Id."""
-    zero = FourierMode((0,) * p.n, (0,) * p.n)
-    return _checked_pairings(p, k, grid, [zero])[0]
+    """Matrix of normalized frame inner products; Hermitian, close to Id.
+    ``grid`` is a :class:`QuadratureGrid` or the plan of (p, k) built
+    without modes (:func:`_plan`)."""
+    return _checked_pairings(p, k, grid)[0]
 
 
 def lattice_weight_identity(p, z, lattice_index):

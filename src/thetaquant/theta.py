@@ -42,8 +42,6 @@ __all__ = [
     "TruncationError",
     "truncation_radius",
     "theta_eval",
-    "heat_residual",
-    "heat_residual_fd",
     "heat_residuals",
     "quasi_periodicity_residual",
     "multiplier",
@@ -321,31 +319,6 @@ def heat_residuals(p, label, z, pairs):
     theta = _abs(_termwise([Derivative.value()], k, u, phases))
     scale = np.maximum(np.maximum(_abs(lhs), _abs(rhs)), np.pi * k * theta)
     return _abs(lhs - rhs) / np.maximum(scale, 1e-300)
-
-
-def _heat_row(row, p, label, z, i, j):
-    """Row ``row`` of :func:`heat_residuals`, without the point axis for one
-    point and without the pair axis for one pair (``j`` given); a float when
-    both are single."""
-    pairs = list(i) if j is None else [(i, j)]
-    out = heat_residuals(p, label, z, pairs)[row]
-    out = out.reshape(np.shape(z)[:-1] + ((-1,) if j is None else ()))
-    return float(out) if out.ndim == 0 else out
-
-
-def heat_residual(p, label, z, i, j=None):
-    """The termwise heat residual, row 0 of :func:`heat_residuals`.  ``i, j``
-    name one entry, or ``i`` is a list of S pairs and ``j`` is omitted; the
-    result is a float for one point and one pair, else an array of shape
-    (P, S), (P,) or (S,)."""
-    return _heat_row(0, p, label, z, i, j)
-
-
-def heat_residual_fd(p, label, z, i, j=None):
-    """The heat residual with dZ replaced by the fourth-order stencil, row 1
-    of :func:`heat_residuals`; arguments and shapes as for
-    :func:`heat_residual`."""
-    return _heat_row(1, p, label, z, i, j)
 
 
 def multiplier(p, b, z):

@@ -83,8 +83,9 @@ pairings would hold more than the 1 GiB limit of ``fourier.check_bytes``
 are refused, with SizeLimitError, before allocation.  The
 ``toeplitz-compare`` runner and the CLI verb compare it with the closed
 form through :func:`quadrature_deviation`: one stack of pairings per
-(point, level), from which eta_k(m) W_k(m) is subtracted in place at the
-one nonzero of each column, with no dense closed form.  The dense route,
+(point, level), folded on the cell's one plan (``sections._plan``), from
+which eta_k(m) W_k(m) is subtracted in place at the one nonzero of each
+column, with no dense closed form.  The dense route,
 ``to_dense`` of each mode against ``toeplitz_modes_quadrature``, is the
 tests' oracle for it.
 """
@@ -385,7 +386,9 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     This is the independent oracle for the closed form: entry (b, a) is the
     normalized frame pairing of theta_a and theta_b under the grid weight
     F_{r,s}.  The result is keyed by the modes as the caller gave them, a
-    :class:`FourierMode` or an ``(r, s)`` pair.
+    :class:`FourierMode` or an ``(r, s)`` pair.  ``grid`` is a
+    :class:`~thetaquant.sections.QuadratureGrid` or the plan built for
+    (p, k, modes) (``sections._plan``).
     """
     if not modes:
         return {}
@@ -400,8 +403,9 @@ def quadrature_deviation(p, k, modes, grid):
     which holds each quadrature matrix transposed: W_k(m) has one nonzero
     per column a, in row a + r mod k (:func:`_clock_shift_columns`), so no
     dense closed form is built.  ``modes`` is a list of modes or their
-    (M, 2n) integer table, which the bandwidth rule, the pairings, the
-    columns and eta all read.  Returns an array of shape (M,).
+    (M, 2n) integer table, which the plan, the columns and eta all read;
+    ``grid`` is a grid or the plan built for (p, k, modes)
+    (``sections._plan``).  Returns an array of shape (M,).
     """
     table = _mode_table(modes)
     if not len(table):

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,3 +24,25 @@ def point_n2():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls((module, name), ...)`` wraps each named function of its
+    module in place and returns one Counter of their calls by name, summed
+    over the modules that share a name; the originals come back at
+    teardown."""
+
+    def count(*targets):
+        calls = Counter()
+        for module, name in targets:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count

@@ -285,13 +285,26 @@ class TestRunAndCache:
         assert doc.passed
 
     def test_refused_rows_show_the_tried_grid(self):
-        for experiment, k, n_col, N in (("gram", 128, 3, "512"),
-                                        ("toeplitz-compare", 48, 2, "200")):
-            m = parse_config(f"experiment = {experiment}\nn = 2\nk = {k}")
+        # the N cell is the given grid, or the rule's once the radius is
+        # certified, which comes before the refusal of n = 3
+        no_radius = "no certifiable truncation radius"
+        n3 = "n in {1, 2}, got n = 3"
+        for experiment, text, n_col, N, why in (
+            ("gram", "n = 2\nk = 128", 3, "512", "GiB at N=512"),
+            ("toeplitz-compare", "n = 2\nk = 48", 2, "200", "GiB at N=200"),
+            ("gram", "n = 1\nk = 2\nZ = 0.00001i", 3, "", no_radius),
+            ("gram", "n = 1\nk = 2\nZ = 0.00001i\ngrid = 64", 3, "64", no_radius),
+            ("gram", "k = 4\nZ = i\ngrid = 8", 3, "8", "N=8, bandwidth rule needs N >= 32"),
+            ("gram", "n = 3\nk = 2", 3, "24", n3),
+            ("gram", "n = 3\nk = 2\ngrid = 64", 3, "64", n3),
+            ("toeplitz-compare", "n = 1\nk = 2\nZ = 0.00001i\ngrid = 64", 2, "64",
+             no_radius),
+        ):
+            m = parse_config(f"experiment = {experiment}\n{text}")
             doc = run_experiment(m, use_cache=False)
             (refused,) = doc.rows
-            assert refused[-1].startswith("refused:")
-            assert refused[n_col] == N and f"N={N}" in refused[-1]
+            assert refused[-1].startswith("refused:") and why in refused[-1], text
+            assert refused[n_col] == N, text
             assert not doc.passed
 
     def test_refused_rows_fail_their_verdict(self):

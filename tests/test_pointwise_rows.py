@@ -30,7 +30,7 @@ from thetaquant.experiments import (
 )
 from thetaquant.formal import covariant_constancy_residual, formal_hitchin_residual
 from thetaquant.siegel import TangentDirection
-from thetaquant.theta import heat_residual, heat_residual_fd, theta_basis
+from thetaquant.theta import heat_residuals, theta_basis
 from thetaquant.toeplitz import (
     eta,
     hs_inner,
@@ -66,8 +66,7 @@ def test_heat_identity_rows_are_the_scalar_residuals(n):
             label = theta_basis(k, n)[1]
             for z, _, _ in _probe_points(p):
                 for i, j in pairs:
-                    res = heat_residual(p, label, z, i, j)
-                    fd = heat_residual_fd(p, label, z, i, j)
+                    res, fd = heat_residuals(p, label, z, [(i, j)]).ravel().tolist()
                     ok = res < 1e-12 and fd < 1e-8
                     want.append([n, k, fmt_point(p), fmt_complex(z[0]), i, j,
                                  res, fd, "pass" if ok else "fail"])
@@ -168,18 +167,10 @@ def test_trace_lemma_cell_stays_below_its_size_check():
 
 
 @pytest.mark.parametrize("n", (1, 2))
-def test_heat_identity_cell_certifies_and_windows_once(n, monkeypatch):
+def test_heat_identity_cell_certifies_and_windows_once(n, count_calls):
     # both residuals of a (point, level) are sums over one window; the fd
     # residual once certified and built its own at a second tail
-    calls = {"truncation_radius": 0, "_window": 0}
-    for name in calls:
-        original = getattr(theta, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(theta, name, counted)
+    calls = count_calls((theta, "truncation_radius"), (theta, "_window"))
     (m,) = parse_config_all(f"[heat-identity]\nn = {n}\nk = 4\nZ = {POINTS[n]}\n")
     run_experiment(m, use_cache=False)
     cells = len(m.points) * len(m.k_values)
@@ -192,13 +183,11 @@ def test_batched_shapes_follow_the_arguments():
     label = theta_basis(3, 2)[1]
     probes = np.array([z for z, _, _ in _probe_points(p)])
     pairs = [(0, 0), (0, 1), (1, 1)]
-    for residual in (heat_residual, heat_residual_fd):
-        stack = residual(p, label, probes, pairs)
-        assert stack.shape == (5, 3)
-        assert residual(p, label, probes, 0, 1).shape == (5,)
-        assert residual(p, label, probes[2], pairs).shape == (3,)
-        one = residual(p, label, probes[2], 0, 1)
-        assert isinstance(one, float) and one == stack[2, 1]
+    stack = heat_residuals(p, label, probes, pairs)
+    assert stack.shape == (2, 5, 3)  # (termwise and fd, points, pairs)
+    assert heat_residuals(p, label, probes[2], pairs).shape == (2, 1, 3)
+    one = heat_residuals(p, label, probes[2], [(0, 1)])
+    assert one.shape == (2, 1, 1) and np.array_equal(one[:, 0, 0], stack[:, 2, 1])
     modes = _mode_list(m, 1)
     closed = trace_pair_closed_form(p, 2, modes, modes)
     assert closed.shape == (9, 9)

@@ -46,6 +46,7 @@ from thetaquant.sections import (
     QuadratureGrid,
     _frame_norm,
     _frame_pairings,
+    _plan,
     cocycle_residual,
     required_grid_size,
     theta_frame_on_grid,
@@ -376,7 +377,7 @@ def test_frame_pairings_equal_the_explicit_frame_pairing(case):
     frame = theta_frame_on_grid(p, k, grid)
     t = np.arange(grid.N) / grid.N
     scale = _frame_norm(p, k) / frame.shape[1]
-    for m, got in zip(modes, _frame_pairings(p, k, grid, modes)):
+    for m, got in zip(modes, _frame_pairings(_plan(p, k, modes, grid.N))):
         phase = np.ones(1)
         for f in m.r + m.s:  # F_m on the axes (x_1..x_n, y_1..y_n)
             phase = np.multiply.outer(phase, np.exp(2j * np.pi * f * t)).ravel()

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 
 import thetaquant
-from thetaquant.fourier import FourierMode
+from thetaquant import sections, theta
+from thetaquant.config import parse_config_all
+from thetaquant.experiments import run_experiment
+from thetaquant.fourier import FourierMode, _mode_table
 from thetaquant.sections import (
     GridError,
     QuadratureGrid,
@@ -27,6 +31,7 @@ from thetaquant.sections import (
     _frame_norm,
     _frame_pairings,
     _lattice_terms,
+    _plan,
     theta_frame_on_grid,
 )
 from thetaquant.siegel import SiegelPoint
@@ -174,7 +179,7 @@ class TestFramePairings:
         if N is not None:
             grid = QuadratureGrid(N)
         modes = _pairing_modes(p.n)
-        got = _frame_pairings(p, k, grid, modes)
+        got = _frame_pairings(_plan(p, k, modes, grid.N))
         frame = theta_frame_on_grid(p, k, grid)
         frame_conj = frame.conj().T
         weighted = np.empty_like(frame)
@@ -193,7 +198,7 @@ class TestFramePairings:
         # r = 40 is no offset of the window at k = 2 on the bandwidth grid,
         # so the diagonal path gathers no row at all
         p = SiegelPoint(Z)
-        got = _frame_pairings(p, 2, suggest_grid(p, 2, m_max=41), [mode])
+        got = _frame_pairings(_plan(p, 2, [mode]))  # on the rule's grid, N = 4 (2R + 41)
         assert got.shape == (1, 2**p.n, 2**p.n) and not got.any()
 
     @pytest.mark.parametrize("Z, k", [(1j, 12), ([[1j, 0], [0, 2j]], 4)])
@@ -237,22 +242,22 @@ class TestFramePairings:
         # more than one partner per term
         p = SiegelPoint(1j)
         grid = suggest_grid(p, 32, m_max=2)
-        ku, _ = _lattice_terms(p, 32, grid)
+        ku, _ = _lattice_terms(_plan(p, 32, N=grid.N))
         assert ku.max() - ku.min() + 1 > grid.N
         assert len(np.unique(ku % grid.N)) < ku.size
 
 
-# Traced peak of a gram run and of a quadrature_deviation against
-# _pairing_bytes, printed as JSON; the deviation's modes have r_1 and s_1 in
-# [-R, R] and [-S, S] and no other entry.  It runs in a fresh interpreter: in
-# a long process the traced peak also depends on the blocks earlier calls
-# left.
+# Traced peak of a gram run and of a quadrature_deviation against the byte
+# figure of their plans, printed as JSON; the deviation's modes have r_1 and
+# s_1 in [-R, R] and [-S, S] and no other entry.  It runs in a fresh
+# interpreter: in a long process the traced peak also depends on the blocks
+# earlier calls left.
 _PEAK_SCRIPT = """
 import ast, gc, json, sys, tracemalloc
 from thetaquant.config import parse_config
 from thetaquant.experiments import run_experiment
 from thetaquant.fourier import FourierMode
-from thetaquant.sections import _pairing_bytes, suggest_grid
+from thetaquant.sections import _plan
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import quadrature_deviation
 
@@ -261,13 +266,12 @@ R, S = int(sys.argv[3]), int(sys.argv[4])
 zero = (0,) * (p.n - 1)
 modes = [FourierMode((r,) + zero, (s,) + zero)
          for r in range(-R, R + 1) for s in range(-S, S + 1)]
-grid, grid_modes = suggest_grid(p, k), suggest_grid(p, k, m_max=max(R, S))
 gram = parse_config(f"experiment = gram\\nn = {p.n}\\nk = {k}\\nZ = "
                     + sys.argv[1].replace("j", "i"))
-runs = {"gram": (lambda: run_experiment(gram, use_cache=False),
-                 _pairing_bytes(p, k, grid, [FourierMode((0,) * p.n, (0,) * p.n)])),
-        "deviation": (lambda: quadrature_deviation(p, k, modes, grid_modes),
-                      _pairing_bytes(p, k, grid_modes, modes))}
+# each run plans its cell on the rule's grid, as the runners do
+runs = {"gram": (lambda: run_experiment(gram, use_cache=False), _plan(p, k).bytes),
+        "deviation": (lambda: quadrature_deviation(p, k, modes, _plan(p, k, modes)),
+                      _plan(p, k, modes).bytes)}
 out = {}
 for name, (run, bound) in runs.items():
     run()
@@ -312,6 +316,70 @@ class TestPairingBytes:
             assert peak <= bound, (name, peak, bound)
 
 
+class TestPlan:
+    # one plan sizes a cell: the runners once certified the radius four
+    # times, searched the grid rule twice and laid out each axis's offset
+    # groups twice per cell
+    @pytest.mark.parametrize("grid", [None, 64], ids=["rule", "given"])
+    @pytest.mark.parametrize("Z", ["i", "[[1i, 0], [0, 2i]]", "[[2i, 0.5i], [0.5i, 1i]]"])
+    @pytest.mark.parametrize("experiment, m_max", [("gram", 0), ("toeplitz-compare", 2)])
+    def test_cell_certifies_sizes_and_lays_out_once(self, count_calls, experiment,
+                                                    m_max, Z, grid):
+        n = 1 if Z == "i" else 2
+        given = "" if grid is None else f"grid = {grid}\n"
+        (m,) = parse_config_all(f"[{experiment}]\nn = {n}\nk = 2, 3\nZ = {Z}\n{given}")
+        (p,) = m.points
+        calls = count_calls((theta, "truncation_radius"), (sections, "truncation_radius"),
+                            (sections, "_y_alias_tail"), (sections, "_axis_groups"))
+        for k in m.k_values:  # one rule search per level, for reference
+            required_grid_size(p, k, m_max)
+        searches = calls["_y_alias_tail"]
+        calls.clear()
+        doc = run_experiment(m, use_cache=False)
+        assert doc.passed and len(doc.rows) == (1 if experiment == "gram" else 25) * 2
+        cells = len(m.k_values)
+        assert calls == Counter(truncation_radius=cells, _y_alias_tail=searches,
+                                _axis_groups=n * cells)
+
+    def test_plan_of_another_cell_is_refused(self):
+        p, q = SiegelPoint(1j), SiegelPoint(1 + 2j)
+        modes = [FourierMode((1,), (0,)), FourierMode((0,), (1,))]
+        plan = _plan(p, 2, modes)
+        assert np.array_equal(quadrature_deviation(p, 2, _mode_table(modes), plan),
+                              quadrature_deviation(p, 2, modes, QuadratureGrid(plan.N)))
+        for quadrature in (
+            lambda: quadrature_deviation(q, 2, modes, plan),  # another point
+            lambda: quadrature_deviation(p, 3, modes, plan),  # another level
+            lambda: quadrature_deviation(p, 2, modes[:1], plan),  # other modes
+            lambda: toeplitz_modes_quadrature(p, 2, modes[::-1], plan),
+            lambda: gram_matrix(p, 2, plan),  # the Gram's plan has the zero mode alone
+        ):
+            with pytest.raises(ValueError, match="plan was built for another"):
+                quadrature()
+        gram_matrix(p, 2, _plan(p, 2))
+
+    @pytest.mark.parametrize("Z, ks", [
+        (1j, (2, 3, 5, 8)), (0.5 + 0.7j, (2, 3, 5, 8)), ([[1j, 0], [0, 2j]], (2, 3)),
+        ([[2j, 0.5j], [0.5j, 1j]], (2, 3)), ([[1 + 1j, 0.3], [0.3, 0.5 + 2j]], (2, 3)),
+    ])
+    def test_batched_quadrature_is_the_one_mode_result_bitwise(self, Z, ks):
+        # the plan's group layout decides which table rows each mode reads
+        p = SiegelPoint(Z)
+        rng = np.random.default_rng(26)
+        for k in ks:
+            rs = rng.integers(-3, 4, size=(7, 2 * p.n))
+            modes = [FourierMode(tuple(v[:p.n]), tuple(v[p.n:])) for v in rs.tolist()]
+            grid = suggest_grid(p, k, m_max=int(np.abs(rs).max()))
+            got = quadrature_deviation(p, k, modes, grid)
+            assert np.array_equal(got, quadrature_deviation(p, k, _mode_table(modes), grid))
+            one = [quadrature_deviation(p, k, [m], grid)[0] for m in modes]
+            assert np.array_equal(got, one), k
+            stack = toeplitz_modes_quadrature(p, k, modes, grid)
+            for m in modes:
+                (alone,) = toeplitz_modes_quadrature(p, k, [m], grid).values()
+                assert np.array_equal(stack[m].entries, alone.entries), (k, m)
+
+
 def _box_axis(fine):
     """The axis v of the box: node c of a window of half-width half sits
     at v = (c - (N/g) k half) g/(kN)."""
@@ -328,7 +396,7 @@ class TestFineLattice:
     @pytest.mark.parametrize("k", [1, 5, 16])
     def test_box_is_the_gaussian_bitwise_n1(self, Z, k):
         p = SiegelPoint(Z)
-        fine = _FineLattice.build(p, k, suggest_grid(p, k, m_max=2))
+        fine = _FineLattice.build(_plan(p, k, N=suggest_grid(p, k, m_max=2).N))
         v = _box_axis(fine)
         assert np.array_equal(fine.G, np.exp((1j * np.pi * k * p.Z[0, 0] * v) * v))
 
@@ -341,7 +409,7 @@ class TestFineLattice:
     @pytest.mark.parametrize("k", [2, 5, 16])
     def test_box_is_the_gaussian_n2(self, Z, k):
         p = SiegelPoint(Z)
-        fine = _FineLattice.build(p, k, suggest_grid(p, k))
+        fine = _FineLattice.build(_plan(p, k))
         v = _box_axis(fine)
         V = np.stack(np.meshgrid(v, v, indexing="ij"), axis=-1)
         direct = np.exp(1j * np.pi * k * np.einsum("abi,ij,abj->ab", V, p.Z, V))
@@ -353,13 +421,13 @@ class TestFineLattice:
         p = SiegelPoint([[2j, 0.5j], [0.5j, 1j]])
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
             warnings.simplefilter("error")
-            fine = _FineLattice.build(p, 64, suggest_grid(p, 64))
+            fine = _FineLattice.build(_plan(p, 64))
         assert np.all(np.isfinite(fine.G))
         assert np.max(np.abs(fine.G)) <= 1.0
 
     def test_terms_are_read_only(self):
         p = SiegelPoint([[1j, 0], [0, 2j]])
-        fine = _FineLattice.build(p, 3, suggest_grid(p, 3))
+        fine = _FineLattice.build(_plan(p, 3))
         view = fine.terms(fine.G, (0, 0), (3, 3, 1, 1, 4, 4))
         assert not view.flags.writeable
         with pytest.raises(ValueError):

@@ -7,8 +7,7 @@ from thetaquant.theta import (
     ThetaLabel,
     TruncationError,
     TruncationPolicy,
-    heat_residual,
-    heat_residual_fd,
+    heat_residuals,
     multiplier,
     quasi_periodicity_residual,
     theta_basis,
@@ -191,7 +190,7 @@ class TestHeatIdentity:
             x, y = rng.uniform(0, 1, size=2)
             zz = x + z * y
             lab = labs[rng.integers(0, len(labs))]
-            assert heat_residual(p, lab, zz, 0, 0) < 1e-12
+            assert heat_residuals(p, lab, zz, [(0, 0)])[0, 0, 0] < 1e-12  # termwise row
 
     @pytest.mark.parametrize("z", Z_LIST)
     def test_finite_difference_corroboration(self, rng, z):
@@ -199,7 +198,7 @@ class TestHeatIdentity:
         for k in (2, 8):
             lab = theta_basis(k, 1)[k - 1]
             x, y = rng.uniform(0, 1, size=2)
-            assert heat_residual_fd(p, lab, x + z * y, 0, 0) < 1e-8
+            assert heat_residuals(p, lab, x + z * y, [(0, 0)])[1, 0, 0] < 1e-8  # fd row
 
     def test_n2_offdiagonal(self, point_n2, rng):
         for k in (1, 2):
@@ -208,9 +207,9 @@ class TestHeatIdentity:
             x = rng.uniform(0, 1, size=2)
             y = rng.uniform(0, 1, size=2)
             zz = x + point_n2.Z @ y
-            for (i, j) in [(0, 0), (0, 1), (1, 1)]:
-                assert heat_residual(point_n2, lab, zz, i, j) < 1e-12
-            assert heat_residual_fd(point_n2, lab, zz, 0, 1) < 1e-8
+            res, fd = heat_residuals(point_n2, lab, zz, [(0, 0), (0, 1), (1, 1)])[:, 0]
+            assert res.max() < 1e-12
+            assert fd[1] < 1e-8  # the pair (0, 1)
 
 
 class TestQuasiPeriodicity:
@@ -295,5 +294,5 @@ def test_heat_residuals_equal_the_theta_eval_reference(Z):
         for x0, y0 in ((0.13, 0.71), (0.77, 0.52)):
             z = np.full(p.n, x0) + p.Z @ np.full(p.n, y0)
             for i, j in pairs:
-                rows = heat_residual(p, label, z, i, j), heat_residual_fd(p, label, z, i, j)
+                rows = tuple(heat_residuals(p, label, z, [(i, j)]).ravel().tolist())
                 assert rows == _reference_heat_residuals(p, label, z, i, j)
