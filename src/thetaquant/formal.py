@@ -37,6 +37,7 @@ from .siegel import (
     _delta,
     _laplace_eigenvalue,
     _positive_definite,
+    _rows,
     dlambda_dZ,
     gtilde_coefficients,
     laplace_eigenvalue,
@@ -44,9 +45,9 @@ from .siegel import (
 from .theta import _abs
 from .toeplitz import (
     _clock_shift_columns,
+    _eta,
     _inverse_power_fit,
     _product_projections,
-    eta,
 )
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
@@ -138,13 +139,9 @@ def heat_transform(p, f, h_eval=None, order=None):
     """
     if h_eval is not None:
         def scale(fn):
-            return FourierFunction(
-                {
-                    m: c * math.exp(-h_eval * laplace_eigenvalue(p, m) / 4.0)
-                    for m, c in fn.terms.items()
-                },
-                n=fn.n,
-            )
+            lam = laplace_eigenvalue(p, list(fn.terms))
+            return FourierFunction({m: c * math.exp(-h_eval * x / 4.0)
+                                    for (m, c), x in zip(fn.terms.items(), lam)}, n=fn.n)
 
         if isinstance(f, FormalFourierSeries):
             return FormalFourierSeries(
@@ -159,8 +156,8 @@ def heat_transform(p, f, h_eval=None, order=None):
     L = f.order
     out = [dict() for _ in range(L + 1)]
     for a in range(L + 1):
-        for m, c in f.coefficients[a].terms.items():
-            lam = laplace_eigenvalue(p, m)
+        terms = f.coefficients[a].terms
+        for (m, c), lam in zip(terms.items(), laplace_eigenvalue(p, list(terms))):
             for j in range(L + 1 - a):
                 w = c * (-lam / 4.0) ** j / math.factorial(j)
                 tgt = out[a + j]
@@ -192,10 +189,10 @@ def covariant_constancy_residual(p1, p2, k, modes):
     _, w = _clock_shift_columns(k, p1.n, modes)
 
     def rescaled(p):
-        e = eta(p, k, modes)
+        lam = laplace_eigenvalue(p, modes)
+        e = _eta(lam, k)
         if e.min() < _TINY:
-            significand = np.exp(laplace_eigenvalue(p, modes) / (4 * k) % math.log(2))
-            e = np.where(e < _TINY, significand, e)
+            e = np.where(e < _TINY, np.exp(lam / (4 * k) % math.log(2)), e)
         e = e[..., None]
         return (1.0 / e) * (e * w)
 
@@ -212,10 +209,10 @@ def _mu_eigenvalue(p, modes, v):
     modes or their table an array of shape (M,).
     """
     r, s = _mode_arrays(modes)
-    w = (s - r.dot(np.conj(p.Z).T)).dot(p.Yinv.T)
-    wbar = (s - r.dot(p.Z.T)).dot(p.Yinv.T)
+    w = _rows(s - _rows(r, np.conj(p.Z).T), p.Yinv.T)
+    wbar = _rows(s - _rows(r, p.Z.T), p.Yinv.T)
     e = np.concatenate([np.pi * w, -np.pi * wbar], axis=-1)
-    return np.sum(e.dot(gtilde_coefficients(v, p.n)) * e, axis=-1)
+    return np.sum(_rows(e, gtilde_coefficients(v, p.n)) * e, axis=-1)
 
 
 def formal_hitchin_residual(p, modes, v, fd_step=None):

@@ -589,7 +589,7 @@ def _checked_pairings(p, k, grid, modes=None):
     """
     table = _table(p.n, modes)
     plan = grid if isinstance(grid, _Plan) else _plan(p, k, table, grid.N)
-    if plan.k != k or not (np.array_equal(plan.p.Z, p.Z) and np.array_equal(plan.table, table)):
+    if plan.k != k or plan.p != p or not np.array_equal(plan.table, table):
         raise ValueError("the quadrature plan was built for another point, level or modes")
     if p.n not in (1, 2):
         raise GridError(f"quadrature supports n in {{1, 2}}, got n = {p.n}")

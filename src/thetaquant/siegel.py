@@ -6,6 +6,8 @@ symplectic torus R^{2n}/Z^{2n} (omega = sum dx_i ^ dy_i) via the complex
 coordinates z = x + Zy.  This module provides I(Z), its derivatives in Z,
 the constant bivector coefficients obtained by raising those derivatives
 with omega, and the eigenvalues of the metric Laplacian on pure phases.
+Every product of a mode row with a matrix, here and in ``formal``, goes
+through one helper, :func:`_rows`, so a batch of modes rounds as each mode.
 
 Derivatives with respect to the symmetric matrix Z treat Z_ij and Z_ji as a
 single variable (the perturbation matrix has unit entries in both slots when
@@ -53,12 +55,13 @@ def _positive_definite(Y):
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiegelPoint:
     """A point Z = X + iY of the Siegel upper half space.
 
     Accepts a scalar, nested list, or array; validates finiteness, symmetry
     and positive definiteness of Y at construction.  Immutable thereafter.
+    Points compare and hash by Z, from which every other field derives.
     """
 
     Z: np.ndarray
@@ -66,9 +69,9 @@ class SiegelPoint:
     X: np.ndarray = field(init=False)
     Y: np.ndarray = field(init=False)
     is_normal: bool = field(init=False)
-    min_eig_Y: float = field(init=False, repr=False, compare=False)
-    det_Y: float = field(init=False, repr=False, compare=False)
-    _Yinv: np.ndarray = field(init=False, repr=False, compare=False)
+    min_eig_Y: float = field(init=False, repr=False)
+    det_Y: float = field(init=False, repr=False)
+    _Yinv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         Z = np.atleast_2d(np.asarray(self.Z, dtype=complex))
@@ -98,6 +101,12 @@ class SiegelPoint:
     @property
     def Yinv(self):
         return self._Yinv
+
+    def __eq__(self, other):
+        return isinstance(other, SiegelPoint) and np.array_equal(self.Z, other.Z)
+
+    def __hash__(self):  # of Python complex entries, where -0.0 hashes as 0.0
+        return hash(tuple(self.Z.ravel().tolist()))
 
     def __repr__(self):
         if self.n == 1:
@@ -226,20 +235,26 @@ def laplace_eigenvalue(p, modes):
 
     vanishing only for the constant mode.  ``modes`` is one mode (a
     FourierMode or an (r, s) pair), giving a scalar, or a list of M modes or
-    their (M, 2n) integer table, giving an array of shape (M,).  At n = 1
-    and at a diagonal Z each entry is the one-mode value to the bit: each
-    entry of the matrix products r X^T, u Y^-1 and r Y is then one nonzero
-    term, which a batch's matrix kernel rounds as one mode's does.  Off the
-    diagonal at n >= 2 it may round an entry differently in its last bit.
+    their (M, 2n) integer table, giving an array of shape (M,) (empty for no
+    modes) whose entries are the one-mode values to the bit at every point.
     """
+    if isinstance(modes, list) and not modes:  # no row to give the dimension
+        return np.zeros(0)
     return _laplace_eigenvalue(*_mode_arrays(modes), p.X, p.Y, p.Yinv)
+
+
+def _rows(a, B):
+    """a.B for rows a of shape (..., n), each row contracted on its own: a
+    matrix kernel (``dot``) rounds a stack of rows otherwise than one row.
+    ``vecdot`` conjugates its first factor, so B goes first, conjugated."""
+    return np.vecdot(B.T.conj(), a[..., None, :])  # a real B's conj() is B, no copy
 
 
 def _laplace_eigenvalue(r, s, X, Y, Yinv):
     """lambda of the modes (r, s) at the point with parts X, Y and Y^-1 given
     as arrays, so a moved point needs no :class:`SiegelPoint`."""
-    u = s - r.dot(X.T)
-    return -2 * np.pi * (np.vecdot(u.dot(Yinv), u) + np.vecdot(r.dot(Y), r))
+    u = s - _rows(r, X.T)
+    return -2 * np.pi * (np.vecdot(_rows(u, Yinv), u) + np.vecdot(_rows(r, Y), r))
 
 
 def dlambda_dZ(p, modes, v):
@@ -256,10 +271,10 @@ def dlambda_dZ(p, modes, v):
     """
     r, s = _mode_arrays(modes)
     D = _delta(p.n, v.i, v.j)
-    u = (s - r.dot(p.X.T)).dot(p.Yinv.T)
-    uD = u.dot(D)
+    u = _rows(s - _rows(r, p.X.T), p.Yinv.T)
+    uD = _rows(u, D)
     dX = 4 * np.pi * np.vecdot(uD, r)
-    dY = 2 * np.pi * (np.vecdot(uD, u) - np.vecdot(r.dot(D), r))
+    dY = 2 * np.pi * (np.vecdot(uD, u) - np.vecdot(_rows(r, D), r))
     if v.holomorphic:
         return 0.5 * (dX - 1j * dY)
     return 0.5 * (dX + 1j * dY)

@@ -173,8 +173,8 @@ def eta(p, k, m):
 
 def _eta(lam, k):
     """exp(lam / 4k), eta_k of a mode whose Laplace eigenvalue is ``lam``: the
-    one spelling of eta for :func:`eta`, the fits and :func:`bms_experiment`.
-    ``lam`` and ``k`` may be arrays, which broadcast to a level axis."""
+    one spelling of eta.  ``lam`` and ``k`` may be arrays, which broadcast to
+    a level axis."""
     return np.exp(lam / (4 * k))
 
 
@@ -216,7 +216,8 @@ class WeylSymbol:
     @classmethod
     def toeplitz(cls, p, k, f):
         """T_k(f) = sum c_m eta_k(m) W_k(m) of a finite Fourier combination."""
-        return cls(k, p.n, {m: c * eta(p, k, m) for m, c in f.terms.items()})
+        etas = eta(p, k, list(f.terms))
+        return cls(k, p.n, {m: c * e for (m, c), e in zip(f.terms.items(), etas)})
 
     def _check_level(self, other):
         if (self.k, self.n) != (other.k, other.n):
@@ -485,12 +486,10 @@ def bms_experiment(p, f, k_values):
     needs a refused dense matrix stops the run before the sup.
 
     The coefficients c_m eta_k(m) of all levels are one (K, M) array, and a
-    line function takes its norms in one pass (:func:`_level_norms`).  Each
-    eigenvalue is the one-mode value that ``WeylSymbol.toeplitz`` reads: a
-    batched one can differ in the last bit off the diagonal at n >= 2.
+    line function takes its norms in one pass (:func:`_level_norms`).
     """
     modes = sorted(f.terms)
-    lam = np.array([laplace_eigenvalue(p, m) for m in modes])
+    lam = laplace_eigenvalue(p, modes)
     c = np.array([f.terms[m] for m in modes], dtype=complex)
     coeffs = c * _eta(lam, np.asarray(k_values)[:, None])
     norms = _level_norms(k_values, p.n, modes, coeffs)
@@ -593,8 +592,7 @@ def _fit_table(p, f, g):
     The fit of T_g T_f reads the same table."""
     out_modes = sorted({m1 + m2 for m1 in f.terms for m2 in g.terms})
     modes = [*f.terms, *g.terms, *out_modes]
-    lam = dict(zip(modes, laplace_eigenvalue(p, modes))) if modes else {}
-    return out_modes, lam
+    return out_modes, dict(zip(modes, laplace_eigenvalue(p, modes)))
 
 
 def _fit_coefficients(k_values, f, g, out_modes, lam):
@@ -677,21 +675,17 @@ def c1_antisymmetry_constant(p, f, g, k_values):
     whose operator vanishes is refused with ValueError.
 
     Only the coefficient half of each fit is read (see
-    :func:`product_expansion_fit`): both orderings take it from one
-    table, as their out modes and eigenvalues are the same, and no c0
-    norm is computed.
+    :func:`product_expansion_fit`): both orderings take it from one table,
+    which also holds the eigenvalues of the antisymmetry's and the
+    bracket's modes (all out modes), and no c0 norm is computed.
     """
     k_values = tuple(int(k) for k in k_values)
-    table = _fit_table(p, f, g)
-    c_fg, cond_fg = _fit_coefficients(k_values, f, g, *table)
-    c_gf, cond_gf = _fit_coefficients(k_values, g, f, *table)
+    out_modes, lam = _fit_table(p, f, g)
+    c_fg, cond_fg = _fit_coefficients(k_values, f, g, out_modes, lam)
+    c_gf, cond_gf = _fit_coefficients(k_values, g, f, out_modes, lam)
     anti = (c_fg[1] - c_gf[1]).terms
     bracket = poisson_bracket(f, g).terms
     kmax = max(k_values)
-    # not the table's eigenvalues: a batch of another size can round them
-    # differently off the diagonal at n >= 2
-    modes = [*anti, *bracket]
-    lam = dict(zip(modes, laplace_eigenvalue(p, modes))) if modes else {}
     top = max((lam[m] for m in bracket), default=0.0)
 
     def scaled(terms):

@@ -26,6 +26,8 @@ size give, bit for bit, the same arrays for the list of modes and for its
 (M, 2n) integer table.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,8 +59,13 @@ from thetaquant.siegel import (
     dlambda_dZ,
     laplace_eigenvalue,
 )
-from thetaquant.theta import ThetaLabel, quasi_periodicity_residual
-from thetaquant.toeplitz import _clock_shift_columns, eta
+from thetaquant.theta import ThetaLabel, heat_residuals, quasi_periodicity_residual
+from thetaquant.toeplitz import (
+    _clock_shift_columns,
+    eta,
+    toeplitz_mode_closed_form,
+    trace_pair_closed_form,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -305,12 +312,32 @@ def test_a_mode_table_gives_what_its_list_gives_bitwise(case):
 
 
 @st.composite
-def diagonal_batches(draw):
-    """An n = 1 point or a diagonal n = 2 one, and up to eight modes with
-    entries up to 10^6 in size."""
-    p = draw(points())
-    if p.n == 2:
-        p = SiegelPoint(np.diag(p.Z.diagonal()))
+def points_to_3(draw, n, normal=False):
+    """Z at dimension n <= 3, off-diagonal entries included.  X is symmetric
+    with entries in [-1, 1] and Y has its diagonal in [0.8, 2.5] and the rest
+    in [-0.3, 0.3], so its smallest eigenvalue is above 0.2.  With
+    ``normal``, Z = R diag(x + iy) R^T for the orthogonal R of a drawn
+    matrix, so [X, Y] = 0, with y in [0.5, 2]."""
+    def symmetric(diagonal, rest):
+        A = np.diag([draw(diagonal) for _ in range(n)])
+        for i, j in itertools.combinations(range(n), 2):
+            A[i, j] = A[j, i] = draw(rest)
+        return A
+
+    if normal:
+        z = [complex(draw(_unit()), draw(st.floats(0.5, 2.0))) for _ in range(n)]
+        R = np.linalg.qr(np.array([[draw(_unit()) for _ in range(n)] for _ in range(n)]))[0]
+        Z = R @ np.diag(z) @ R.T
+        return SiegelPoint((Z + Z.T) / 2)
+    return SiegelPoint(symmetric(_unit(), _unit())
+                       + 1j * symmetric(st.floats(0.8, 2.5), _unit(0.3)))
+
+
+@st.composite
+def eigenvalue_batches(draw):
+    """A point at n = 1..3, and up to eight modes with entries up to 10^6 in
+    size."""
+    p = draw(points_to_3(draw(st.integers(1, 3))))
     entry = st.one_of(st.integers(-4, 4), st.integers(-10**6, 10**6))
     vector = st.tuples(*[entry] * p.n)
     return p, [FourierMode(*rs) for rs in draw(
@@ -318,14 +345,65 @@ def diagonal_batches(draw):
 
 
 @PROPERTY
-@given(diagonal_batches())
-def test_batched_eigenvalue_is_the_one_mode_value_bitwise_at_diagonal_points(case):
-    # with no cross term each entry of the matrix products is one nonzero
-    # term, so no kernel can round it differently; off the diagonal at n = 2
-    # an entry may differ in its last bit
+@given(eigenvalue_batches())
+def test_batched_eigenvalue_is_the_one_mode_value_bitwise(case):
+    # every product contracts one row at a time, so no batch size can round
+    # an entry differently, at any point
     p, modes = case
     for value, m in zip(laplace_eigenvalue(p, modes), modes):
         assert value.tobytes() == np.float64(laplace_eigenvalue(p, m)).tobytes()
+
+
+@st.composite
+def batch_cases(draw):
+    """At one dimension n = 1..3: a point, a second point and a normal point,
+    a level, a direction, two to six modes of entries |r_i|, |s_i| <= 4, a
+    frame label, two or three probes and one to three index pairs."""
+    n = draw(st.integers(1, 3))
+    p, q, normal = (draw(points_to_3(n, flag)) for flag in (False, False, True))
+    k = draw(st.integers(1, 4 if n < 3 else 3))
+    i = draw(st.integers(0, n - 1))
+    v = TangentDirection(i, draw(st.integers(i, n - 1)), draw(st.sampled_from(("z", "zbar"))))
+    vector = st.tuples(*[st.integers(-4, 4)] * n)
+    modes = [FourierMode(*rs) for rs in draw(
+        st.lists(st.tuples(vector, vector), min_size=2, max_size=6))]
+    label = ThetaLabel(k, tuple(draw(st.integers(0, k - 1)) for _ in range(n)))
+    z = np.array([draw(probes(p)) for _ in range(draw(st.integers(2, 3)))])
+    index = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple)
+    pairs = draw(st.lists(index, min_size=1, max_size=3, unique=True))
+    return p, q, normal, k, v, modes, label, z, pairs
+
+
+def _same_bits(batch, items):
+    """Whether the batch is the stack of the one-item results, to the bit."""
+    items = np.array(items)
+    return batch.dtype == items.dtype and batch.tobytes() == items.tobytes()
+
+
+@PROPERTY
+@given(batch_cases())
+def test_every_batch_is_its_one_item_calls_bitwise(case):
+    p, q, normal, k, v, modes, label, z, pairs = case
+    calls = [
+        lambda ms: laplace_eigenvalue(p, ms),
+        lambda ms: dlambda_dZ(p, ms, v),
+        lambda ms: eta(p, k, ms),
+        lambda ms: formal_hitchin_residual(normal, ms, v),
+        lambda ms: formal_hitchin_residual(normal, ms, v, fd_step=1e-4),
+        lambda ms: covariant_constancy_residual(p, q, k, ms),
+    ]
+    for call in calls:
+        assert _same_bits(call(modes), [call(m) for m in modes])
+    closed = toeplitz_mode_closed_form(p, k, modes)
+    assert _same_bits(np.array([A.entries for A in closed]),
+                      [toeplitz_mode_closed_form(p, k, m).entries for m in modes])
+    assert _same_bits(trace_pair_closed_form(p, k, modes, modes),
+                      [[trace_pair_closed_form(p, k, a, b) for b in modes] for a in modes])
+    rows = heat_residuals(p, label, z, pairs)
+    for P, point in enumerate(z):
+        assert _same_bits(rows[:, P], heat_residuals(p, label, point, pairs)[:, 0])
+        for S, pair in enumerate(pairs):
+            assert _same_bits(rows[:, P, S], heat_residuals(p, label, point, [pair])[:, 0, 0])
 
 
 @PROPERTY

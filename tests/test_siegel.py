@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thetaquant.config import parse_config
 from thetaquant.siegel import (
     InvalidPointError,
     NonNormalError,
@@ -79,6 +80,35 @@ class TestSiegelPoint:
             assert p.min_eig_Y == float(np.linalg.eigvalsh(p.Y)[0])
             assert p.det_Y == float(np.linalg.det(p.Y))
             assert type(p.min_eig_Y) is float and type(p.det_Y) is float
+
+    @pytest.mark.parametrize("Z, other", [
+        (1j, 2j),
+        ([[1j, 0.5], [0.5, 2j]], [[1j, 0.5], [0.5, 3j]]),
+        (np.diag([1j, 2j, 3j]) + 0.25, np.diag([1j, 2j, 3j]) + 0.5),
+    ], ids=["n=1", "n=2", "n=3"])
+    def test_points_compare_and_hash_by_value(self, Z, other):
+        # the dataclass compared its array fields: a ValueError at n >= 2,
+        # and no point hashed
+        p, q, r = SiegelPoint(Z), SiegelPoint(np.array(Z)), SiegelPoint(other)
+        assert p == q and hash(p) == hash(q)
+        assert p != r and not p == r
+        assert p != "Z"
+
+    def test_signed_zero_is_the_same_point(self):
+        plus = SiegelPoint([[1j, 0.0], [0.0, 2j]])
+        minus = SiegelPoint([[1j, -0.0], [-0.0, 2j]])
+        assert plus == minus and hash(plus) == hash(minus)
+
+    def test_a_point_is_a_dict_key(self):
+        table = {SiegelPoint(np.diag([1j, 2j])): "diag", SiegelPoint(1j): "i"}
+        assert table[SiegelPoint([[1j, 0], [0, 2j]])] == "diag"
+        assert table[SiegelPoint(1j)] == "i"
+        assert SiegelPoint(2j) not in table
+
+    def test_manifests_of_equal_points_are_equal(self):
+        text = "[gram]\nn = 2\n"
+        assert parse_config(text) == parse_config(text)
+        assert parse_config(text) != parse_config(text + "Z = [[1i, 0], [0, 3i]]\n")
 
 
 class TestComplexStructure:

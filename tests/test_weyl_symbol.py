@@ -180,6 +180,17 @@ def test_pairing_closed_form_is_the_dense_pairing():
         )
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_zero_function_keeps_its_empty_symbol(n):
+    # one eta call over no modes has no row to give it the dimension
+    p = SiegelPoint(np.diag([1j, 2j][:n]))
+    zero = FourierFunction.zero(n)
+    f = FourierFunction({((1,) * n, (0,) * n): 0.5})
+    assert WeylSymbol.toeplitz(p, 3, zero).coeffs == {}
+    assert pairing_closed_form(p, 3, zero, f) == 0
+    assert pairing_closed_form(p, 3, zero, zero) == 0
+
+
 @PROPERTY
 @given(st.one_of(line_symbols(), symbol_pairs().map(lambda pair: pair[0])))
 @example(WeylSymbol(3, 1, {((1,), (0,)): 1.0, ((0,), (1,)): 1.0}))
