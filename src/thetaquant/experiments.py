@@ -36,13 +36,14 @@ import numpy as np
 from . import __version__
 from .config import EXPERIMENTS, ExperimentManifest
 from .formal import (
-    covariant_constancy_residual,
-    formal_hitchin_residual,
+    _checked_columns,
+    _constancy_residual,
+    _hitchin_residuals,
     trivialized_star_compare,
 )
 from .fourier import FourierFunction, FourierMode, SizeLimitError, _mode_table
 from .sections import GridError, _plan, gram_matrix
-from .siegel import InvalidPointError, NonNormalError, TangentDirection
+from .siegel import InvalidPointError, NonNormalError, TangentDirection, laplace_eigenvalue
 from .tqft import (
     CurveClass,
     curve_operator,
@@ -53,10 +54,10 @@ from .tqft import (
 from .theta import ThetaLabel, TruncationError, _abs, heat_residuals
 from .toeplitz import (
     _c0_residual_norms,
+    _eta,
     _fit_table,
     bms_experiment,
     c1_antisymmetry_constant,
-    eta,
     hs_inner,
     loglog_order,
     quadrature_deviation,
@@ -335,25 +336,38 @@ def _run_heat_identity(m):
 def _run_covariance(m):
     tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
     modes = _mode_list(m, 2)
-    pairs = list(zip(m.points, m.points[1:] + m.points[:1]))  # each with the next
     labels = _mode_labels(modes)
     table = _mode_table(modes)
+    P = len(m.points)  # each point paired with the next
+    shown = [fmt_point(p) for p in m.points]
     sweep = _Sweep(["k", "r", "s", "Z1", "Z2", "rescaled_diff", "raw_diff", "status"],
                    "rescaled-Z-independence", "raw-operators-vary")
     devs, raws = sweep.values.values()
-    for (p1, p2) in pairs:
-        z1, z2 = fmt_point(p1), fmt_point(p2)
-        for k in m.k_values:
+    lams = [laplace_eigenvalue(p, table) for p in m.points]  # lambda does not depend on k
+    cells = {}
+    # level by level, so one W serves every pair and one level's W is held at
+    # a time; the rows are then laid out pair by pair
+    for i, k in enumerate(m.k_values):
+        w = None
+        for a in range(P):
+            z1, z2 = shown[a], shown[(a + 1) % P]
+            start = len(sweep.rows)
             with sweep.cell(k, lambda why: [k, "", "", z1, z2, np.nan, np.nan, why]):
-                dev_k = covariant_constancy_residual(p1, p2, k, table)
+                if w is None:
+                    w = _checked_columns(k, m.n, table)
+                lam1, lam2 = lams[a], lams[(a + 1) % P]
+                dev_k = _constancy_residual(k, lam1, lam2, w)
                 # both operators are eta W_k(m) with the same unit-modulus W
-                raw_k = np.abs(eta(p1, k, table) - eta(p2, k, table))
+                raw_k = np.abs(_eta(lam1, k) - _eta(lam2, k))
                 devs.extend(dev_k)
                 raws.extend(raw_k)
-                for (r, s), dev, raw in zip(labels, dev_k, raw_k):
+                for (r, s), dev, raw in zip(labels, dev_k.tolist(), raw_k.tolist()):
                     sweep.rows.append(
                         [k, r, s, z1, z2, dev, raw, "pass" if dev < tol else "fail"]
                     )
+            cells[a, i] = sweep.rows[start:]
+    sweep.rows = [row for a in range(P) for i in range(len(m.k_values))
+                  for row in cells[a, i]]
     best_raw = _worst(raws)
     return sweep.report([
         sweep.below("rescaled-Z-independence", tol),
@@ -386,12 +400,13 @@ def _run_trace_lemma(m):
                 diffs.extend(diff[congruent])
                 off_congruence.extend(size[~congruent])
                 ok = (diff < tol) & (congruent | (size < tol_zero))
-                for a, b in np.ndindex(len(modes), len(modes)):
-                    sweep.rows.append(
-                        [k, *labels[a], *labels[b], fmt_complex(closed[a, b]),
-                         fmt_complex(direct[a, b]), float(diff[a, b]),
-                         bool(congruent[a, b]), "pass" if ok[a, b] else "fail"]
-                    )
+                columns = (closed, direct, diff, congruent, ok)
+                for la, *row in zip(labels, *(c.tolist() for c in columns)):
+                    for lb, c, d, e, cong, good in zip(labels, *row):
+                        sweep.rows.append(
+                            [k, *la, *lb, fmt_complex(c), fmt_complex(d), e, cong,
+                             "pass" if good else "fail"]
+                        )
     return sweep.report([sweep.below("trace-closed-vs-direct", tol),
                          sweep.below("off-congruence-vanishing", tol_zero)])
 
@@ -548,11 +563,11 @@ def _run_flatness(m):
         # flatness sweeps no level; the closed form refuses a non-normal
         # point, and the fd stencil a step that leaves the Siegel space
         with sweep.cell(None, lambda why: ["", "", why, np.nan, np.nan]):
+            analytic, fd = _hitchin_residuals(p, table, dirs, [None, 1e-4])
             per_direction = [
                 (("dZ" if v.holomorphic else "dZbar") + f"[{v.i},{v.j}]",
-                 formal_hitchin_residual(p, table, v).tolist(),
-                 formal_hitchin_residual(p, table, v, fd_step=1e-4).tolist())
-                for v in dirs
+                 res.tolist(), res_fd.tolist())
+                for v, res, res_fd in zip(dirs, analytic, fd)
             ]
             for a, (r, s) in enumerate(labels):
                 for name, res, fd in per_direction:

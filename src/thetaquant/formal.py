@@ -35,10 +35,11 @@ from .siegel import (
     InvalidPointError,
     NonNormalError,
     _delta,
+    _dlambda_dXY,
     _laplace_eigenvalue,
     _positive_definite,
     _rows,
-    dlambda_dZ,
+    _wirtinger,
     gtilde_coefficients,
     laplace_eigenvalue,
 )
@@ -180,39 +181,76 @@ def covariant_constancy_residual(p1, p2, k, modes):
     in (1/eta)(eta w), and 1/eta of a subnormal or zero eta would overflow,
     which made the residual NaN.  ``modes`` is one mode (a scalar) or a list
     of M modes or their (M, 2n) integer table (shape (M,)).
+
+    The residual is :func:`_constancy_residual` of the two points' eigenvalue
+    tables and W's values (:func:`_checked_columns`).  Neither table depends
+    on the other point, and the eigenvalues not on k, so the ``covariance``
+    runner takes one eigenvalue table per point for every level and one
+    :func:`_checked_columns` call per level for every pair of points.
     """
     if p1.n != p2.n:
         raise ValueError("points have different dimension")
-    M, dim = len(modes) if isinstance(modes, (list, np.ndarray)) else 1, k**p1.n
+    w = _checked_columns(k, p1.n, modes)
+    lam1, lam2 = (laplace_eigenvalue(p, modes) for p in (p1, p2))
+    return _constancy_residual(k, lam1, lam2, w)
+
+
+def _checked_columns(k, n, modes):
+    """W_k(m)'s values, shape (M, k^n) (:func:`toeplitz._clock_shift_columns`),
+    refused before allocation with the five arrays of the residual beside it."""
+    M, dim = len(modes) if isinstance(modes, (list, np.ndarray)) else 1, k**n
     # W's values, two rescaled copies and their difference: six (M, k^n) arrays
     check_bytes(96 * M * dim, "clock-and-shift stack", f"{M} modes of dimension {dim}")
-    _, w = _clock_shift_columns(k, p1.n, modes)
+    return _clock_shift_columns(k, n, modes)[1]
 
-    def rescaled(p):
-        lam = laplace_eigenvalue(p, modes)
+
+def _constancy_residual(k, lam1, lam2, w):
+    """max |(1/e1)(e1 w) - (1/e2)(e2 w)| over each mode's k^n values ``w``,
+    e = eta_k of the eigenvalues ``lam1`` and ``lam2``, or its significand
+    where eta underflows (see :func:`covariant_constancy_residual`)."""
+    def rescaled(lam):
         e = _eta(lam, k)
         if e.min() < _TINY:
             e = np.where(e < _TINY, np.exp(lam / (4 * k) % math.log(2)), e)
         e = e[..., None]
         return (1.0 / e) * (e * w)
 
-    return np.max(np.abs(rescaled(p1) - rescaled(p2)), axis=-1)
+    return np.max(np.abs(rescaled(lam1) - rescaled(lam2)), axis=-1)
 
 
-def _mu_eigenvalue(p, modes, v):
-    """Eigenvalue of Delta_{G(v)} on the phase F_m.
-
-    First-order complex-frame eigenvalues of the phase are pi w (dz sector,
-    w = Y^-1(s - Zbar r)) and -pi w' (dzbar sector, w' = Y^-1(s - Zr));
-    the bivector is constant, so the second-order eigenvalue is the
-    coefficient contraction e.G e.  One mode gives a scalar, a list of M
-    modes or their table an array of shape (M,).
-    """
-    r, s = _mode_arrays(modes)
+def _mu_frame(p, r, s):
+    """The first-order complex-frame eigenvalues e = (pi w, -pi w') of the
+    phases F_(r, s): pi w in the dz sector, w = Y^-1(s - Zbar r), and -pi w'
+    in the dzbar sector, w' = Y^-1(s - Zr).  They do not depend on the
+    direction."""
     w = _rows(s - _rows(r, np.conj(p.Z).T), p.Yinv.T)
     wbar = _rows(s - _rows(r, p.Z.T), p.Yinv.T)
-    e = np.concatenate([np.pi * w, -np.pi * wbar], axis=-1)
-    return np.sum(_rows(e, gtilde_coefficients(v, p.n)) * e, axis=-1)
+    return np.concatenate([np.pi * w, -np.pi * wbar], axis=-1)
+
+
+def _mu_eigenvalue(e, v):
+    """Eigenvalue of Delta_{G(v)} on the phases whose frame (:func:`_mu_frame`)
+    is ``e``: the bivector is constant, so it is the coefficient contraction
+    e.G e, of shape e.shape[:-1]."""
+    return np.sum(_rows(e, gtilde_coefficients(v, e.shape[-1] // 2)) * e, axis=-1)
+
+
+def _fd_dXY(p, r, s, D, h):
+    """Central differences of step h of lambda in X_ij and Y_ij (D = D_ij),
+    from the eigenvalues of the modes (r, s) at the four stencil points
+    Z +- hD, Z +- ihD.  No stencil point is built: the X moves keep Y and
+    Y^-1, and each Y move takes one inverse.  A Y move that leaves the
+    Siegel space is refused with :class:`InvalidPointError`."""
+    lam = [_laplace_eigenvalue(r, s, X, p.Y, p.Yinv) for X in (p.X + h * D, p.X - h * D)]
+    for Y in (p.Y + h * D, p.Y - h * D):
+        # ||D|| = 1, so only a step as large as Y's smallest eigenvalue
+        # can leave the cone
+        if abs(h) >= p.min_eig_Y and not _positive_definite(Y):
+            raise InvalidPointError(
+                f"fd step h = {h:g} leaves the Siegel space: the smallest "
+                f"eigenvalue of Y is {p.min_eig_Y:.6g}")
+        lam.append(_laplace_eigenvalue(r, s, p.X, Y, np.linalg.inv(Y)))
+    return (lam[0] - lam[1]) / (2 * h), (lam[2] - lam[3]) / (2 * h)
 
 
 def formal_hitchin_residual(p, modes, v, fd_step=None):
@@ -220,38 +258,47 @@ def formal_hitchin_residual(p, modes, v, fd_step=None):
 
     Zero for the heat-flow frame at all series orders, since the flow acts
     mode-diagonally.  ``fd_step`` replaces the analytic eigenvalue
-    derivative by central differences of that step in X and Y, from the
-    eigenvalues of every mode at the four stencil points Z +- hD, Z +- ihD.
-    No stencil point is built: the X moves keep Y and Y^-1, and each Y move
-    takes one inverse.  A Y move that leaves the Siegel space is refused
-    with :class:`InvalidPointError`.  ``modes`` is one mode, giving a float,
-    or a list of M modes or their (M, 2n) integer table, giving an array of
-    shape (M,).
+    derivative by central differences of that step in X and Y
+    (:func:`_fd_dXY`); a stencil that leaves the Siegel space is refused
+    with :class:`InvalidPointError`.  ``modes`` is one mode, giving a
+    float, or a list of M modes or their (M, 2n) integer table, giving an
+    array of shape (M,).  This is :func:`_hitchin_residuals` on the one
+    direction and the one step; the ``flatness`` runner calls that kernel on
+    every direction of a point and both steps, so the directions share one
+    mu frame and, per entry pair (i, j), one closed form and one stencil.
+    """
+    return _hitchin_residuals(p, modes, [v], [fd_step])[0][0]
+
+
+def _hitchin_residuals(p, modes, dirs, steps):
+    """Flatness residuals of ``modes`` at p along each direction of ``dirs``
+    for each of ``steps`` (None for the analytic derivative, else an fd
+    step): a list over steps of lists over directions.
+
+    dlam/dX_ij and dlam/dY_ij are taken once per entry pair (i, j) and step,
+    from the closed form (:func:`siegel._dlambda_dXY`) or one fd stencil,
+    so dZ and dZbar of one entry share them; mu's frame e is built once,
+    since it does not depend on the direction, and each direction contracts
+    it with G(v) once for every step.  A direction then only applies its
+    -/+ i sign.
     """
     if p.n > 1 and not p.is_normal:
         raise NonNormalError("flatness closed form needs a normal point")
-    if fd_step is None:
-        dlam = dlambda_dZ(p, modes, v)
-    else:
-        h = fd_step
-        D = _delta(p.n, v.i, v.j)
-        r, s = _mode_arrays(modes)
-        lam = [_laplace_eigenvalue(r, s, X, p.Y, p.Yinv)
-               for X in (p.X + h * D, p.X - h * D)]
-        for Y in (p.Y + h * D, p.Y - h * D):
-            # ||D|| = 1, so only a step as large as Y's smallest eigenvalue
-            # can leave the cone
-            if abs(h) >= p.min_eig_Y and not _positive_definite(Y):
-                raise InvalidPointError(
-                    f"fd step h = {h:g} leaves the Siegel space: the smallest "
-                    f"eigenvalue of Y is {p.min_eig_Y:.6g}")
-            lam.append(_laplace_eigenvalue(r, s, p.X, Y, np.linalg.inv(Y)))
-        dX = (lam[0] - lam[1]) / (2 * h)
-        dY = (lam[2] - lam[3]) / (2 * h)
-        sgn = -1j if v.holomorphic else 1j
-        dlam = 0.5 * (dX + sgn * dY)
-    # |.| as the builtin abs rounds it, so a list gives its one-mode values
-    return _abs(dlam + _mu_eigenvalue(p, modes, v) / (2 * np.pi))
+    r, s = _mode_arrays(modes)
+    e = _mu_frame(p, r, s)
+    mus = [_mu_eigenvalue(e, v) / (2 * np.pi) for v in dirs]
+    out = []
+    for h in steps:
+        halves = {}
+        for v in dirs:
+            if (v.i, v.j) not in halves:
+                D = _delta(p.n, v.i, v.j)
+                halves[v.i, v.j] = (_dlambda_dXY(p, r, s, D) if h is None
+                                    else _fd_dXY(p, r, s, D, h))
+        # |.| as the builtin abs rounds it, so a list gives its one-mode values
+        out.append([_abs(_wirtinger(*halves[v.i, v.j], v) + mu)
+                    for v, mu in zip(dirs, mus)])
+    return out
 
 
 def _as_series(f, order):

@@ -323,6 +323,11 @@ def _line_decomposition(modes):
 _NODES_PER_DEGREE = 8  # coarse sup grid: nodes per axis per unit of degree
 _NEWTON_STEPS = 8
 _NEWTON_STARTS = 64
+# pinv inverts the singular values above _PINV_RTOL times the largest, which
+# are normal floats, with finite inverses, once the largest entry is at least
+# _PINV_FLOOR (a symmetric matrix's norm is at least its largest entry)
+_PINV_RTOL = 1e-15
+_PINV_FLOOR = np.finfo(float).tiny / _PINV_RTOL
 
 
 def _trig_derivatives(c, t, theta):
@@ -383,8 +388,13 @@ def _trig_max(c, t):
         grad = 2 * (P.conj()[:, None] * dP).real
         hess = 2 * (dP.conj()[:, :, None] * dP[:, None, :]
                     + P.conj()[:, None, None] * d2P).real
-        step = np.linalg.pinv(hess, hermitian=True) @ grad[..., None]
-        trial = theta - step[..., 0]
+        # a Hessian below the floor, as when every coefficient but the
+        # constant is subnormal, takes no Newton step: pinv would overflow
+        step = np.zeros_like(theta)
+        big = np.abs(hess).max(axis=(1, 2)) >= _PINV_FLOOR
+        step[big] = (np.linalg.pinv(hess[big], rtol=_PINV_RTOL, hermitian=True)
+                     @ grad[big][..., None])[..., 0]
+        trial = theta - step
         # where Newton finds nothing better, as at a critical node, step a quarter cell
         stalled = np.abs(_trig_derivatives(c, t, trial)[0]) <= np.abs(P)
         trial[stalled] = theta[stalled] + 0.25 / np.array(shape)

@@ -270,11 +270,20 @@ def dlambda_dZ(p, modes, v):
     giving shape (M,).
     """
     r, s = _mode_arrays(modes)
-    D = _delta(p.n, v.i, v.j)
+    return _wirtinger(*_dlambda_dXY(p, r, s, _delta(p.n, v.i, v.j)), v)
+
+
+def _dlambda_dXY(p, r, s, D):
+    """dlam/dX_ij and dlam/dY_ij of the modes (r, s) for D = D_ij, the two
+    real halves of :func:`dlambda_dZ`; both directions of one entry pair
+    (i, j) read them."""
     u = _rows(s - _rows(r, p.X.T), p.Yinv.T)
     uD = _rows(u, D)
     dX = 4 * np.pi * np.vecdot(uD, r)
     dY = 2 * np.pi * (np.vecdot(uD, u) - np.vecdot(_rows(r, D), r))
-    if v.holomorphic:
-        return 0.5 * (dX - 1j * dY)
-    return 0.5 * (dX + 1j * dY)
+    return dX, dY
+
+
+def _wirtinger(dX, dY, v):
+    """(dX -/+ i dY)/2 for a direction v of kind 'z' / 'zbar'."""
+    return 0.5 * (dX + (-1j if v.holomorphic else 1j) * dY)

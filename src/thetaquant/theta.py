@@ -296,27 +296,30 @@ def heat_residuals(p, label, z, pairs):
 
     One window serves both verdicts: one certificate at DEFAULT_EPSILON for
     dz2 (its factor does not depend on i and j), one window per point and
-    one dz2/theta pass.  The stencil moves X only, so the window, the
-    truncation and the scale 2^e are the same at every stencil point and on
-    both sides.  The step h = 1e-4 min(1, 8/k) shrinks like 1/k above
-    k = 8, as the stencil's error grows like (hk)^4.
+    one term-wise pass for every dZ, every dz2 and the value.  The stencil
+    moves X only, so the window, the truncation and the scale 2^e are the
+    same at every stencil point and on both sides.  The step
+    h = 1e-4 min(1, 8/k) shrinks like 1/k above k = 8, as the stencil's
+    error grows like (hk)^4.
     """
     k = label.k
     policy = truncation_radius(p, k, DEFAULT_EPSILON, Derivative.dz2(0, 0))
     u, lin, _ = _window(p, label, z, policy)
-    phases = _phases(p.Z, k, u, lin)
-    exact = _termwise([Derivative.dZ(a, b) for a, b in pairs], k, u, phases)
+    S = len(pairs)
+    # one pass for every dZ, every dz2 and the value, each row summed alone
+    sums = _termwise([Derivative.dZ(a, b) for a, b in pairs]
+                     + [Derivative.dz2(i, j) for i, j in pairs] + [Derivative.value()],
+                     k, u, _phases(p.Z, k, u, lin))
+    exact, d2, theta = sums[:, :S], sums[:, S:-1], _abs(sums[:, -1:])
     h = 1e-4 * min(1, 8 / k)
     D = np.stack([_delta(p.n, a, b) for a, b in pairs])
     stencil = p.Z + np.multiply.outer([-2 * h, -h, h, 2 * h], D)
     th = np.sum(_phases(stencil, k, u, lin), axis=-1)  # (4, S, P)
     fd = _divide(th[0] - 8 * th[1] + 8 * th[2] - th[3], 12 * h).T
     lhs = np.stack([exact, fd])
-    d2 = _termwise([Derivative.dz2(i, j) for i, j in pairs], k, u, phases)
     sym = np.array([1.0 if i == j else 2.0 for i, j in pairs])
     # a / (i b) = (-i a) / b, and -i a is exact
     rhs = _divide(-1j * (sym * d2), 4 * np.pi * k)
-    theta = _abs(_termwise([Derivative.value()], k, u, phases))
     scale = np.maximum(np.maximum(_abs(lhs), _abs(rhs)), np.pi * k * theta)
     return _abs(lhs - rhs) / np.maximum(scale, 1e-300)
 

@@ -457,6 +457,39 @@ def trace_pair_sign(k, m1, m2):
     return -1 if (P // k) % 2 else 1
 
 
+def _sign_tables(k, l1, l2):
+    """The (M, 2n) tables of the modes of ``l1`` and ``l2`` for
+    :func:`_pair_signs`.  Entries of modulus at most E give |P| <= 4n E^2,
+    so the tables are int64 while that and k are below 2^63, and otherwise
+    Python ints in object arrays, exact at any mode size."""
+    rows1, rows2 = ([m.r + m.s for m in map(FourierMode.coerce, l)] for l in (l1, l2))
+    dims = {len(row) // 2 for row in rows1 + rows2}
+    if len(dims) > 1:  # broadcasting would pair a one-axis mode with a two-axis one
+        raise ValueError(f"modes of dimensions {min(dims)} and {max(dims)}")
+    n = max(dims, default=0)
+    big = max((abs(x) for row in rows1 + rows2 for x in row), default=0)
+    dtype = np.int64 if max(4 * n * big**2, k) < 2**63 else object
+    return (np.array(rows, dtype=dtype).reshape(len(rows), 2 * n) for rows in (rows1, rows2))
+
+
+def _pair_signs(k, t1, t2):
+    """trace_pair_sign(k, a, b) of every row a of ``t1`` and b of ``t2``,
+    shape (M1, M2), in one integer array pass over the two mode tables
+    (:func:`_sign_tables`): the congruence mask, then P = r.s + t.u - 2 s.t,
+    then the check that k divides P on the congruent pairs.
+    :func:`trace_pair_sign` is the scalar spelling and this one's oracle.
+    int64 arithmetic is exact mod 2^64, so a P that wrapped is off by a
+    multiple of 2^64: either k does not divide it and the check refuses, or
+    P/k moved by an even number and the sign stands."""
+    n = t1.shape[1] // 2
+    (r, s), (t, u) = (np.split(table, [n], axis=1) for table in (t1, t2))
+    congruent = np.all((t1[:, None] - t2) % k == 0, axis=-1)
+    P = np.sum(r * s, axis=1)[:, None] + np.sum(t * u, axis=1) - 2 * (s @ t.T)
+    if np.any(P[congruent] % k):
+        raise ArithmeticError("pair phase of congruent modes is not a sign")
+    return np.where(congruent, 1 - 2 * (P // k % 2), 0).astype(np.int64)
+
+
 def trace_pair_closed_form(p, k, m1, m2):
     """tr(T_{m1} (T_{m2})*) = eta(m1) eta(m2) tr(W_k(m1) W_k(m2)*).
 
@@ -465,11 +498,15 @@ def trace_pair_closed_form(p, k, m1, m2):
     :func:`trace_pair_sign`.  ``m1`` and ``m2`` are each one mode or a
     list of modes; the result is k^n sign eta(m1) eta(m2), 0 off the
     congruent pairs, as a complex for two modes and else as a complex
-    array of shape (M1, M2), (M1,) or (M2,).
+    array of shape (M1, M2), (M1,) or (M2,).  Every sign comes from one
+    integer array pass over the two mode tables (:func:`_pair_signs`), and
+    when ``m2`` is the list ``m1`` one eta table serves both sides.
     """
     l1, l2 = (m if isinstance(m, list) else [m] for m in (m1, m2))
-    signs = np.array([[trace_pair_sign(k, a, b) for b in l2] for a in l1])
-    closed = (k**p.n * signs * eta(p, k, l1)[:, None] * eta(p, k, l2)).astype(complex)
+    signs = _pair_signs(k, *_sign_tables(k, l1, l2))
+    e1 = eta(p, k, l1)
+    e2 = e1 if l2 is l1 else eta(p, k, l2)
+    closed = (k**p.n * signs * e1[:, None] * e2).astype(complex)
     shape = [len(m) for m in (m1, m2) if isinstance(m, list)]
     return closed.reshape(shape) if shape else complex(closed[0, 0])
 

@@ -258,6 +258,22 @@ def test_tiny_and_huge_coefficients_do_not_overflow():
             assert 0 <= sup.gap < sup.value
 
 
+@pytest.mark.parametrize("tiny", (2.2250738585e-313, 1e-320))
+@pytest.mark.parametrize("torus", (False, True))
+def test_a_subnormal_term_beside_a_constant_does_not_overflow(tiny, torus):
+    # scaling c by 2^e leaves the term subnormal, and so is the Hessian of
+    # |P|^2; its pseudo-inverse overflowed, and the RuntimeWarning filter
+    # failed the order test of tests/test_weyl_symbol.py on a random draw
+    terms = {((0, 0), (0, 0)): 1.0, ((0, 0), (0, 1)): tiny}
+    if torus:
+        terms[((1, 0), (0, 0))] = tiny
+    f = FourierFunction(terms)
+    sup = sup_abs(f)
+    assert sup.method == ("torus" if torus else "line")
+    assert sup.value <= 1 + len(terms) * tiny <= sup.value + sup.gap
+    assert sup.value == 1.0
+
+
 def test_two_cosine_sup_is_two():
     f = FourierFunction({((1,), (0,)): 1.0, ((-1,), (0,)): 1.0})
     sup = sup_abs(f)

@@ -1,11 +1,18 @@
 """The level-batched runners write the rows of one scalar call per row.
 
 heat-identity, trace-lemma and covariance evaluate every probe, derivative
-pair and mode pair of a level in one array pass, and flatness every mode of
-a point and direction.  Each row here is rebuilt
-from the scalar calls, one per row, and compared cell by cell.  The
-trace-lemma cell is also held to the size check of its closed forms, and a
-heat-identity cell to one theta window.
+pair and mode pair of a level in one array pass, and flatness every mode and
+direction of a point.  They share what does not depend on the level or the
+direction: covariance takes one eigenvalue table per point for every level
+and one table of W's values per level for every pair of points; flatness one
+fd stencil (or closed-form dlambda/dX, dlambda/dY) per entry pair (i, j) for
+both of its directions and one mu frame per point; trace-lemma every pair
+sign of a level from one integer array pass over the mode table; and
+heat-identity every dZ, dz2 and value sum of a (point, level) from one
+term-wise pass.  Each row here is rebuilt from the scalar calls, one per
+row, and compared cell by cell.  The trace-lemma cell is also held to the
+size check of its closed forms, a heat-identity cell to one theta window,
+and the covariance and flatness runners to their counts of shared tables.
 """
 
 import os
@@ -17,7 +24,7 @@ import numpy as np
 import pytest
 
 import thetaquant
-from thetaquant import theta
+from thetaquant import formal, siegel, theta, toeplitz
 from thetaquant.config import parse_config_all
 from thetaquant.experiments import (
     _mode_list,
@@ -175,6 +182,29 @@ def test_heat_identity_cell_certifies_and_windows_once(n, count_calls):
     run_experiment(m, use_cache=False)
     cells = len(m.points) * len(m.k_values)
     assert calls == {"truncation_radius": cells, "_window": cells}
+
+
+def test_covariance_takes_one_eigenvalue_table_per_point_and_one_w_per_level(count_calls):
+    # lambda does not depend on k nor W on the point pair; each cell once
+    # took both points' eigenvalues twice (the residual and the raw eta)
+    # and its own W, 36 eigenvalue and 9 W calls here
+    calls = count_calls((siegel, "_laplace_eigenvalue"), (formal, "_laplace_eigenvalue"),
+                        (formal, "_clock_shift_columns"), (toeplitz, "_clock_shift_columns"))
+    (m,) = parse_config_all("[covariance]\nn = 1\nk = 2, 4, 8\n")
+    run_experiment(m, use_cache=False)
+    assert len(m.points) == 3
+    assert calls == {"_laplace_eigenvalue": 3, "_clock_shift_columns": 3}
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_flatness_takes_one_stencil_per_point_and_entry_pair(n, count_calls):
+    # dZ and dZbar of one entry (i, i) share the four eigenvalue tables of
+    # its fd stencil, which once came once per direction: 24 tables at n = 1
+    # (three points) and 16 at n = 2 (one point, two entries)
+    calls = count_calls((siegel, "_laplace_eigenvalue"), (formal, "_laplace_eigenvalue"))
+    (m,) = parse_config_all(f"[flatness]\nn = {n}\n")
+    run_experiment(m, use_cache=False)
+    assert calls == {"_laplace_eigenvalue": 4 * len(m.points) * n}
 
 
 def test_batched_shapes_follow_the_arguments():

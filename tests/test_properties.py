@@ -39,11 +39,13 @@ from oracles import (
 
 from thetaquant.config import EXPERIMENT_IDS, EXPERIMENTS, parse_config
 from thetaquant.formal import (
+    _hitchin_residuals,
     _mu_eigenvalue,
+    _mu_frame,
     covariant_constancy_residual,
     formal_hitchin_residual,
 )
-from thetaquant.fourier import FourierMode
+from thetaquant.fourier import FourierMode, _mode_arrays
 from thetaquant.sections import (
     QuadratureGrid,
     _frame_norm,
@@ -62,9 +64,12 @@ from thetaquant.siegel import (
 from thetaquant.theta import ThetaLabel, heat_residuals, quasi_periodicity_residual
 from thetaquant.toeplitz import (
     _clock_shift_columns,
+    _pair_signs,
+    _sign_tables,
     eta,
     toeplitz_mode_closed_form,
     trace_pair_closed_form,
+    trace_pair_sign,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -250,7 +255,7 @@ def test_batched_flatness_matches_the_oracles(case):
     D[v.i, v.j] = D[v.j, v.i] = 1.0
     lam = laplace_eigenvalue(p, modes)
     dlam = dlambda_dZ(p, modes, v)
-    mu = _mu_eigenvalue(p, modes, v)
+    mu = _mu_eigenvalue(_mu_frame(p, *_mode_arrays(modes)), v)
     residual = formal_hitchin_residual(p, modes, v)
     residual_fd = formal_hitchin_residual(p, modes, v, fd_step=h)
     assert lam.shape == dlam.shape == mu.shape == residual.shape == (len(modes),)
@@ -374,6 +379,23 @@ def batch_cases(draw):
     return p, q, normal, k, v, modes, label, z, pairs
 
 
+@st.composite
+def sign_cases(draw):
+    """A level k = 1..6 and two lists of one to five modes at one n = 1..3,
+    each entry a residue in [0, k) plus k times a multiple of modulus up to
+    2^b, b one of 2, 31, 40 and 58: congruent pairs are frequent, and the
+    entries reach past 2^31, where the sign tables hold Python ints, and stay
+    below 2^62, where int64 differences of two entries do not wrap."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    bound = 2 ** draw(st.sampled_from((2, 31, 40, 58)))
+    entry = st.builds(lambda a, b: a + k * b, st.integers(0, k - 1),
+                      st.integers(-bound, bound))
+    vector = st.tuples(*[entry] * n)
+    modes = st.lists(st.tuples(vector, vector).map(lambda rs: FourierMode(*rs)),
+                     min_size=1, max_size=5)
+    return k, draw(modes), draw(modes)
+
+
 def _same_bits(batch, items):
     """Whether the batch is the stack of the one-item results, to the bit."""
     items = np.array(items)
@@ -381,8 +403,8 @@ def _same_bits(batch, items):
 
 
 @PROPERTY
-@given(batch_cases())
-def test_every_batch_is_its_one_item_calls_bitwise(case):
+@given(batch_cases(), sign_cases())
+def test_every_batch_is_its_one_item_calls_bitwise(case, signs):
     p, q, normal, k, v, modes, label, z, pairs = case
     calls = [
         lambda ms: laplace_eigenvalue(p, ms),
@@ -404,6 +426,25 @@ def test_every_batch_is_its_one_item_calls_bitwise(case):
         assert _same_bits(rows[:, P], heat_residuals(p, label, point, pairs)[:, 0])
         for S, pair in enumerate(pairs):
             assert _same_bits(rows[:, P, S], heat_residuals(p, label, point, [pair])[:, 0, 0])
+    # every direction of the normal point, analytic and fd, in one kernel call
+    dirs = [TangentDirection(i, j, kind) for i in range(normal.n)
+            for j in range(i, normal.n) for kind in ("z", "zbar")]
+    analytic, fd = _hitchin_residuals(normal, modes, dirs, [None, 1e-4])
+    for d, res, res_fd in zip(dirs, analytic, fd):
+        assert _same_bits(res, formal_hitchin_residual(normal, modes, d))
+        assert _same_bits(res_fd, formal_hitchin_residual(normal, modes, d, fd_step=1e-4))
+    # every pair sign of two lists in one pass, against the scalar sign
+    level, l1, l2 = signs
+    scalar = [[trace_pair_sign(level, a, b) for b in l2] for a in l1]
+    tables = list(_sign_tables(level, l1, l2))
+    assert _same_bits(_pair_signs(level, *tables), scalar)
+    # int64 tables are exact mod 2^64: a wrapped P gives the scalar sign or a
+    # non-sign P, which is refused
+    wrapping = [np.array([m.r + m.s for m in ms], dtype=np.int64) for ms in (l1, l2)]
+    try:
+        assert _same_bits(_pair_signs(level, *wrapping), scalar)
+    except ArithmeticError:
+        assert tables[0].dtype == object
 
 
 @PROPERTY
@@ -419,7 +460,8 @@ def test_fd_stencil_is_the_residual_at_built_points_bitwise(case, h):
     dX = (lam[0] - lam[1]) / (2 * h)
     dY = (lam[2] - lam[3]) / (2 * h)
     sgn = -1j if v.holomorphic else 1j
-    w = 0.5 * (dX + sgn * dY) + _mu_eigenvalue(p, modes, v) / (2 * np.pi)
+    mu = _mu_eigenvalue(_mu_frame(p, *_mode_arrays(modes)), v)
+    w = 0.5 * (dX + sgn * dY) + mu / (2 * np.pi)
     want = np.hypot(w.real, w.imag)  # |w| as the builtin abs rounds it
     assert np.array_equal(formal_hitchin_residual(p, modes, v, fd_step=h), want)
 

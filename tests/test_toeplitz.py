@@ -43,6 +43,8 @@ from thetaquant.toeplitz import (
     _c0_residual_norms,
     _fit_table,
     _line_norms,
+    _pair_signs,
+    _sign_tables,
 )
 
 from oracles import toeplitz_entry_brute, toeplitz_mode_loop
@@ -487,6 +489,32 @@ class TestTraceLemma:
     def test_incongruent_modes_have_no_trace(self):
         # P = 0 here, so a phase test alone would read the sign +1
         assert trace_pair_sign(3, ((1,), (0,)), ((0,), (1,))) == 0
+
+    def test_array_signs_refuse_a_wrapped_phase_and_hold_large_modes_exactly(self):
+        # the int64 products of these entries wrap mod 2^64, and k = 3 does
+        # not divide the wrapped P; the sign tables hold them as Python ints
+        modes = [FourierMode((-821353333820,), (-583020039108,)),
+                 FourierMode((-94007179859,), (-149422565235,))]
+        wrapping = np.array([m.r + m.s for m in modes], dtype=np.int64)
+        with pytest.raises(ArithmeticError, match="not a sign"):
+            _pair_signs(3, wrapping, wrapping)
+        tables = list(_sign_tables(3, modes, modes))
+        assert tables[0].dtype == object
+        signs = [[trace_pair_sign(3, a, b) for b in modes] for a in modes]
+        assert signs == [[1, -1], [-1, 1]]
+        assert _pair_signs(3, *tables).tolist() == signs
+
+    def test_array_signs_refuse_modes_of_two_dimensions(self):
+        with pytest.raises(ValueError, match="dimensions 1 and 2"):
+            trace_pair_closed_form(SiegelPoint(1j), 3, [((1,), (0,))], [((1, 0), (0, 0))])
+
+    def test_a_list_paired_with_itself_takes_one_eta_table(self, count_calls):
+        calls = count_calls((toeplitz, "eta"))
+        modes = [FourierMode((r,), (s,)) for r in range(-1, 2) for s in range(-1, 2)]
+        trace_pair_closed_form(SiegelPoint(1j), 2, modes, modes)
+        assert calls["eta"] == 1
+        trace_pair_closed_form(SiegelPoint(1j), 2, modes, list(modes))
+        assert calls["eta"] == 3
 
 
 class TestAsymptotics:

@@ -243,6 +243,9 @@ def reordered_symbols(draw):
 # its torus sup grid is refused (1.05 GiB), which once failed the test
 @example((WeylSymbol(7, 2, {((7, 0), (0, 8)): 1.0, ((0, -10), (-10, 0)): 1.0}),
           {((0, -10), (-10, 0)): 1.0, ((7, 0), (0, 8)): 1.0}))
+# a subnormal coefficient once overflowed the sup's Newton step (pinv)
+@example((WeylSymbol(1, 2, {((0, 0), (0, 0)): 1.0, ((0, 0), (0, 1)): 2.2250738585e-313}),
+          {((0, 0), (0, 1)): 2.2250738585e-313, ((0, 0), (0, 0)): 1.0}))
 def test_norm_and_sup_are_independent_of_the_order_of_the_terms(case):
     # every order gives the same sup, or every order the same refusal
     A, order = case

@@ -18,7 +18,12 @@ The documents:
 * every experiment but tqft at the skew point [[2i, 0.5i], [0.5i, 1i]] and
   at the normal point [[1+2i, 0.5+1i], [0.5+1i, 1+2i]];
 * ``bms`` of the line function F(-6,-6;-3,-3) + F(6,6;3,3) at a generic
-  n = 2 point, whose norms read one eigenvalue per mode.
+  n = 2 point, whose norms read one eigenvalue per mode;
+* ``covariance`` at k = 1 between 0.5i and i of the modes (0, 16) and
+  (1, 0), where eta of (0, 16) underflows at 0.5i and the rescaled residual
+  takes the significand of eta;
+* ``flatness`` at 0.00005i and i, where the fd stencil leaves the Siegel
+  space at the first point and that point's row is a refusal.
 """
 
 import hashlib
@@ -55,6 +60,9 @@ def documents():
                 docs[f"{e} Z = {z}"] = f"[{e}]\nn = 2\nZ = {z}\n"
     docs["bms at the generic point"] = (
         f"[bms]\nn = 2\nZ = {GENERIC}\nmodes = -6,-6,-3,-3; 6,6,3,3\n")
+    docs["covariance with an underflowed eta"] = (
+        "[covariance]\nn = 1\nk = 1\nZ = 0.5i; 1i\nmodes = 0,16; 1,0\n")
+    docs["flatness with a refused fd stencil"] = "[flatness]\nn = 1\nZ = 0.00005i; 1i\n"
     return docs
 
 
