@@ -27,6 +27,7 @@ from .sections import (
     GridError,
     QuadratureGrid,
     SectionVector,
+    gram_deviation,
     gram_matrix,
     l2_inner,
     lattice_weight_identity,

@@ -23,10 +23,17 @@ transform, is a product over the axes: each axis is folded on its own axis
 of the box, of about k N (L + 1) / gcd(k, N) nodes over a window of L^n
 lattice terms, every offset group of every distinct r_i of the modes once,
 into one table of (k, N) rows that one inverse FFT transforms; the table is
-gathered and freed before the outputs are written, all modes in one
-scatter.  Any other Z folds the box of n axes one offset group at a time
-into (k,)^n + (N,)^n arrays, in O(box + k^n N^n), beside the k^n x k^n
-outputs.  The k^n x N^{2n} frame itself is built only on request.  The
+gathered and freed before the pairings are formed.  Any other Z folds the
+box of n axes one offset group at a time into (k,)^n + (N,)^n arrays, in
+O(box + k^n N^n).  Every fold of a lattice writes its products into one
+reused buffer.  The pairings are kept on their support: a mode pairs label
+a with one partner label per offset group, so each mode and tuple of its
+groups is one row of k^n values and k^n partner labels, and the Gram's and
+the closed form's deviations are taken over those rows
+(:func:`_pairing_deviation`).  Only the dense callers, :func:`gram_matrix`
+and ``toeplitz.toeplitz_modes_quadrature``, scatter the rows into k^n x k^n
+matrices (:func:`_dense_pairings`).  The k^n x N^{2n} frame itself is built
+only on request.  The
 normalized variant multiplies by sqrt(2^n k^n det Y), making the theta
 frame orthonormal.  A grid is its node count N; theta sums are truncated
 at DEFAULT_EPSILON.  Each quadrature cell is sized once, by one plan
@@ -34,18 +41,20 @@ at DEFAULT_EPSILON.  Each quadrature cell is sized once, by one plan
 bandwidth rule N >= 4 (k R + m_max) in x, m_max the largest frequency of
 the modes, raised where the y-Gaussians of a large Y would alias
 (:func:`required_grid_size`), the grid's N, the path (axis fold or box),
-each axis's offset groups and the bytes the pairings hold.  The lattices,
-the folds and the byte figure read the plan and recompute none of it.
-Every quadrature passes one check on its plan (:func:`_checked_pairings`):
+each axis's offset groups, the rows and the bytes the pairings hold.  The
+lattices, the folds and the byte figure read the plan and recompute none of
+it.  Every quadrature passes one check on its plan (:func:`_checked_plan`):
 n is 1 or 2, N is at least the rule, and pairings that would hold more
-than the 1 GiB limit of :func:`fourier.check_bytes` are refused, with
-SizeLimitError, before anything is allocated.
+than the 1 GiB limit of :func:`fourier.check_bytes`, with the dense
+matrices of a dense caller, are refused, with SizeLimitError, before
+anything is allocated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
@@ -74,6 +83,7 @@ __all__ = [
     "theta_frame_on_grid",
     "l2_inner",
     "gram_matrix",
+    "gram_deviation",
     "integrand_periodicity_residual",
     "lattice_weight_identity",
     "cocycle_residual",
@@ -248,8 +258,8 @@ class _FineLattice:
     At a diagonal Z, exp(i pi k v.Zv) = prod_i exp(i pi k Z_ii v_i^2), and
     :meth:`axes` gives one lattice of one axis per factor, on which the
     quadrature folds; :meth:`build` gives the box of n axes.  G is
-    contiguous; :meth:`terms` reads it, and products on it, through
-    read-only strided views.
+    contiguous; :meth:`terms` reads it through read-only strided views, and
+    :meth:`fold` reads its products so in one buffer per lattice.
     """
 
     k: int
@@ -317,48 +327,60 @@ class _FineLattice:
         window at the y-node q, at c = (N/g)(k j + a) + (k/g) q past the
         offsets ``first`` on each axis.  ``shape`` is (labels..., rows...,
         y-nodes...)."""
-        st = box.strides
-        strides = (
-            tuple(self.step_u * s for s in st)
-            + tuple(self.k * self.step_u * s for s in st)
-            + tuple(self.step_y * s for s in st)
-        )
-        offset = sum(c * s for c, s in zip(first, st))
-        view = np.ndarray(shape, box.dtype, box, offset, strides)
+        offset = sum(c * s for c, s in zip(first, box.strides))
+        view = np.ndarray(shape, box.dtype, box, offset, self._term_strides(box))
         view.flags.writeable = False
         return view
 
-    def fold(self, d, out):
-        """Add S_d[a, q] = sum_j G[c] conj(G[c + (N/g) d]) over the terms
-        (a, j) at the y-node q whose partner k u + d lies in the window.
+    def _term_strides(self, box):
+        """The strides of the terms (a, j, q) on ``box``, as :meth:`terms`
+        lays them out: (N/g, k N/g, k/g) nodes per label, row and y-node."""
+        steps = (self.step_u, self.k * self.step_u, self.step_y)
+        return tuple(step * s for step in steps for s in box.strides)
+
+    @cached_property
+    def _product(self):
+        """The one product buffer of the lattice, reused by every fold, and
+        its term strides: shaped as the box, the largest sub-box (d = 0),
+        whose every sub-box is a view from its first node."""
+        buffer = np.empty_like(self.G)
+        return buffer, self._term_strides(buffer)
+
+    def fold(self, d, out, add=True):
+        """Sum S_d[a, q] = sum_j G[c] conj(G[c + (N/g) d]) over the terms
+        (a, j) at the y-node q whose partner k u + d lies in the window into
+        ``out``: added to it, or, with ``add`` False (the first offset of a
+        group), written over its zeros.
 
         ``out`` has shape (k,)*n + (N,)*n.  The product is formed once on
-        the sub-box of those terms, and each run of labels sharing its rows
-        (:func:`_label_runs`) is summed over the rows as one strided view.
+        the sub-box of those terms, in the lattice's one product buffer, and
+        each run of labels sharing its rows (:func:`_label_runs`) is summed
+        over the rows as one strided view by ``np.add.reduce``, straight into
+        ``out`` when ``add`` is False.
         """
-        k, N, step_u = self.k, self.N, self.step_u
-        n = self.G.ndim
-        left, right = [], []
+        k, N, su, sy, width = self.k, self.N, self.step_u, self.step_y, self.width
+        rows, tail = width // k, sy * (N - 1) + 1
+        left, right, sub = [], [], []
         for di in d:
-            c0 = step_u * max(0, -di)
-            c1 = step_u * (self.width - 1 - max(0, di)) + self.step_y * (N - 1) + 1
+            c0 = su * max(0, -di)
+            c1 = su * (width - 1 - max(0, di)) + tail
             left.append(slice(c0, c1))
-            right.append(slice(c0 + step_u * di, c1 + step_u * di))
-        product = np.conj(self.G[tuple(right)])
+            right.append(slice(c0 + su * di, c1 + su * di))
+            sub.append(c1 - c0)
+        buffer, strides = self._product
+        product = buffer[tuple(slice(0, c) for c in sub)]
+        np.conjugate(self.G[tuple(right)], out=product)
         product *= self.G[tuple(left)]
-        rows = self.width // k
+        n = len(d)
+        row_axes, y_nodes = tuple(range(n, 2 * n)), (N,) * n
         for runs in itertools.product(*(_label_runs(k, rows, di) for di in d)):
-            first = [
-                step_u * (k * j0 + a0 - max(0, -di))
-                for (a0, _, j0, _), di in zip(runs, d)
-            ]
-            shape = (
-                tuple(a1 - a0 for a0, a1, _, _ in runs)
-                + tuple(j1 - j0 for _, _, j0, j1 in runs)
-                + (N,) * n
-            )
-            summed = self.terms(product, first, shape).sum(axis=tuple(range(n, 2 * n)))
-            out[tuple(slice(a0, a1) for a0, a1, _, _ in runs)] += summed
+            index, labels, counts, first = zip(*runs)
+            offset = sum(map(operator.mul, first, strides))  # a label's strides lead
+            terms = np.ndarray(labels + counts + y_nodes, complex, buffer, offset, strides)
+            if add:
+                out[index] += np.add.reduce(terms, axis=row_axes)
+            else:
+                np.add.reduce(terms, axis=row_axes, out=out[index])
 
 
 def _label_runs(k, rows, d):
@@ -367,16 +389,18 @@ def _label_runs(k, rows, d):
     Term (a, j) of the window, k u - min k u = k j + a with j in
     [0, rows), meets k u + d = k (j + e) + a + f, e = d // k and
     f = d mod k: the label a + f mod k in row j + e, one row further when
-    a + f >= k.  Returns (a0, a1, j0, j1) for the label runs [0, k - f)
-    and [k - f, k), with [j0, j1) the rows j whose partner row is a row of
-    the window, and skips a run without one.
+    a + f >= k.  The label runs are [0, k - f) and [k - f, k), each with the
+    rows [j0, j1) whose partner row is a row of the window; a run without
+    one is skipped.  Returns, for each run, its labels as a slice, their
+    count, the count of its rows and its first term k j0 + a0 past the first
+    term of the sub-box of :meth:`_FineLattice.fold`, k u = max(0, -d).
     """
     e, f = divmod(d, k)
     runs = []
     for a0, a1, shift in ((0, k - f, e), (k - f, k, e + 1)):
         j0, j1 = max(0, -shift), min(rows, rows - shift)
         if a1 > a0 and j1 > j0:
-            runs.append((a0, a1, j0, j1))
+            runs.append((slice(a0, a1), a1 - a0, j1 - j0, k * j0 + a0 - max(0, -d)))
     return runs
 
 
@@ -420,8 +444,10 @@ class _Plan:
     product over the axes, or else the box of n axes; ``groups`` each
     axis's :func:`_axis_groups`, the (shift, offsets) of each offset group
     of each distinct r_i of the modes and each mode's range of them, which
-    both paths fold; and :attr:`bytes` the byte figure, computed from these
-    fields on its first read and kept.
+    both paths fold; :attr:`layout` the rows of the pairings, one per mode
+    and tuple of its groups, one on each axis; and :attr:`bytes` the byte
+    figure, computed, as the layout, from these fields on its first read and
+    kept.
     """
 
     p: object
@@ -436,46 +462,58 @@ class _Plan:
     groups: tuple
 
     @cached_property
+    def layout(self):
+        """The P rows of the pairings, mode by mode, one per tuple of the
+        mode's offset groups, one on each axis, the last axis fastest: each
+        row's mode, shape (P,), and on each axis the index of its group in
+        the axis's ``groups``, shape (n, P)."""
+        groups_of = [rows_of for _, rows_of in self.groups]  # each mode's groups, per axis
+        rows = np.array([(j, *g) for j, mode in enumerate(zip(*groups_of))
+                         for g in itertools.product(*mode)], dtype=np.int64)
+        rows = rows.reshape(-1, self.p.n + 1)  # (0, n + 1) when no mode meets the window
+        return rows[:, 0], rows[:, 1:].T
+
+    @cached_property
     def bytes(self):
         """Bytes the quadrature holds at once, an upper bound.
 
-        Both paths of :func:`_frame_pairings` end in the k^n x k^n outputs
-        and their moduli, which :func:`toeplitz.quadrature_deviation` and
-        the Gram's deviation from Id reduce in place, with four arrays of
-        the M k^n closed-form columns that the former subtracts from the
-        outputs; and any step may hold the numpy ufunc buffers of the three
-        operands of a cast or strided sum.
+        Both paths of :func:`_frame_pairings` end in the P rows of the
+        pairings on their support, k^n values and k^n partner labels each;
+        the deviation kernel (:func:`_pairing_deviation`) then holds with
+        them the partner labels of the closed form gathered to the rows, the
+        mask of their meetings and the rows' moduli, 56 bytes a row entry
+        in all, and, with the M k^n closed-form columns of
+        :func:`toeplitz.quadrature_deviation`, at most 128 bytes a column
+        entry; and any step may hold the numpy ufunc buffers of the three
+        operands of a cast or strided sum.  The k^n x k^n matrices of the
+        dense callers are not counted here: they refuse them with the plan.
 
         On the axis path the tables are folded, transformed and gathered
-        before the outputs are allocated, and the larger of two phases
-        counts.  The tables phase holds the box's axis and n + 1 complex
-        arrays on it, the n axis boxes and one product on one of them, which
-        also bound an axis box's build with its two temporaries; one run's
-        sum, k N; every axis's table, one (k, N) array per offset group of
-        ``groups``; and the gathered columns, partner labels and indices of
-        the P rows of :func:`_axis_columns`, below 64 n k bytes a row.  The
-        outputs phase holds the outputs, the gathered arrays and the
-        scatter's P k^n values and partner indices.
+        before the rows are formed, and the larger of two phases counts.
+        The tables phase holds the box's axis and 2n complex arrays on it,
+        the n axis boxes and each one's product buffer, which also bound an
+        axis box's build with its two temporaries; one run's sum, k N; every
+        axis's table, one (k, N) array per offset group of ``groups``; and
+        the gathered columns, partner labels and indices of the P rows of
+        :func:`_axis_columns`, below 64 n k bytes a row, which the rows
+        phase holds too.
 
-        On the box path add to the outputs the box of n axes and one
-        product on it, with the axis and, at most, n + 1 complex arrays on
-        it that the box build holds with them (the axis terms, and the cross
-        term's or one term's factor); and one group's folded sums, whose
-        spectra are computed in place, with one run's sum, k^n N^n each.
-        The closed-form columns bound one group's spectra and their scatter.
+        On the box path add to the rows the box of n axes and its product
+        buffer, with the axis and, at most, n + 1 complex arrays on it that
+        the box build holds with them (the axis terms, and the cross term's
+        or one term's factor); and one group's folded sums, whose spectra
+        are computed in place, with one run's sum, k^n N^n each.  The
+        closed-form columns bound one group's spectra and their scatter.
         """
         n, k, N, M = self.p.n, self.k, self.N, len(self.table)
         size = _FineLattice.box_size(k, N, self.width)
-        buffers = 48 * np.getbufsize()
-        outputs = 24 * M * k ** (2 * n) + 64 * M * k**n + buffers
+        rows, buffers = len(self.layout[0]), 48 * np.getbufsize()
+        support = 56 * rows * k**n + 128 * M * k**n + buffers
         if not self.diagonal:
-            return outputs + 16 * (2 * size**n + 2 * (k * N) ** n) + (8 + 16 * (n + 1)) * size
+            return support + 16 * (2 * size**n + 2 * (k * N) ** n) + (8 + 16 * (n + 1)) * size
         tables = k * N * sum(len(parts) for parts, _ in self.groups)
-        counts = [map(len, rows_of) for _, rows_of in self.groups]  # each mode's groups
-        rows = sum(map(math.prod, zip(*counts)))
-        gathered = 64 * n * k * rows
-        fold = 8 * size + 16 * ((n + 1) * size + k * N + tables) + gathered + buffers
-        return max(fold, outputs + gathered + 24 * rows * k**n)
+        fold = 8 * size + 16 * (2 * n * size + k * N + tables) + buffers
+        return 64 * n * k * rows + max(fold, support)
 
 
 def _table(n, modes):
@@ -491,7 +529,7 @@ def _plan(p, k, modes=None, N=None):
     The truncation certificate runs once, and the rule once at its radius
     and the largest |r_i|, |s_i| of the modes.  Building refuses nothing
     but what the certificate raises (TruncationError):
-    :func:`_checked_pairings` refuses on the plan, and :func:`_frame_pairings`
+    :func:`_checked_plan` refuses on the plan, and :func:`_frame_pairings`
     folds on it whatever its N.
     """
     table = _table(p.n, modes)
@@ -574,18 +612,19 @@ def integrand_periodicity_residual(p, s1, s2):
     return worst
 
 
-def _checked_pairings(p, k, grid, modes=None):
-    """The frame pairings of ``modes`` (a nonempty list of modes or their
-    (M, 2n) integer table; None for the Gram's zero mode), as
-    :func:`_frame_pairings`, on a grid that can carry them.
+def _checked_plan(p, k, grid, modes=None, dense=0):
+    """The plan of the frame pairings of ``modes`` (a nonempty list of modes
+    or their (M, 2n) integer table; None for the Gram's zero mode), checked
+    to carry them.
 
     ``grid`` is a :class:`QuadratureGrid`, whose plan is built here, or the
     plan built for (p, k, modes); a plan built for another point, level or
     modes raises ValueError.  On the plan, before anything is allocated,
     raises GridError when n is not 1 or 2, ValueError for modes of another
     dimension, GridError when N is below the bandwidth rule of the modes,
-    and SizeLimitError when the arrays the pairings hold would exceed the
-    1 GiB limit.
+    and SizeLimitError when the arrays the pairings hold, with the ``dense``
+    bytes of the k^n x k^n matrices a dense caller builds from them, would
+    exceed the 1 GiB limit.
     """
     table = _table(p.n, modes)
     plan = grid if isinstance(grid, _Plan) else _plan(p, k, table, grid.N)
@@ -599,8 +638,8 @@ def _checked_pairings(p, k, grid, modes=None):
         raise GridError(
             f"grid too coarse: N={plan.N}, bandwidth rule needs N >= {plan.rule}"
         )
-    check_bytes(plan.bytes, "quadrature", f"N={plan.N}")
-    return _frame_pairings(plan)
+    check_bytes(plan.bytes + dense, "quadrature", f"N={plan.N}")
+    return plan
 
 
 def _frame_norm(p, k):
@@ -609,17 +648,24 @@ def _frame_norm(p, k):
 
 
 def _frame_pairings(plan):
-    """Normalized frame pairings of the plan's Fourier modes, as one array of
-    shape (M, k^n, k^n): one k^n x k^n matrix per mode, on the plan's grid,
-    unchecked: a grid below the rule gives the aliased sums.
+    """Normalized frame pairings of the plan's Fourier modes on their
+    support, on the plan's grid, unchecked: a grid below the rule gives the
+    aliased sums.
 
-    Entry (i, a, b) for the mode (r, s) of row i is _frame_norm times the grid
-    mean of theta_a conj(theta_b) exp(-2 pi k y.Yy) F_{r,s} over the
-    N^{2n} nodes.  The x-sum is done exactly: sum_j exp(2 pi i q.j / N) is
-    N^n when q = 0 mod N and 0 otherwise, so lattice term (a, l) meets term
-    (b, l') only when k u_{b,l'} = k u_{a,l} + d for an integer vector
-    d = r mod N; every such d in the window is kept, aliased ones too.  The
-    y-phases cancel in the product of the two terms, which is then
+    Entry (i, a, b) for the mode (r, s) of row i of the table is _frame_norm
+    times the grid mean of theta_a conj(theta_b) exp(-2 pi k y.Yy) F_{r,s}
+    over the N^{2n} nodes.  Returns (mode_of, b_index, values): P rows, one
+    per mode and tuple of its offset groups (the plan's ``layout``), mode by
+    mode, where row t holds the entries (mode_of[t], a, b_index[t, a]) with
+    value values[t, a] for every label a; shapes (P,), (P, k^n) and
+    (P, k^n).  The rows of one mode meet disjoint entries, and every entry
+    no row meets is 0 (:func:`_dense_pairings` scatters them).
+
+    The x-sum is done exactly: sum_j exp(2 pi i q.j / N) is N^n when
+    q = 0 mod N and 0 otherwise, so lattice term (a, l) meets term (b, l')
+    only when k u_{b,l'} = k u_{a,l} + d for an integer vector d = r mod N;
+    every such d in the window is kept, aliased ones too.  The y-phases
+    cancel in the product of the two terms, which is then
     G[c] conj(G[c + (N/g) d]) on the fine lattice of :class:`_FineLattice`.
     For each d the terms of every label a are summed over the window rows
     whose partner lies in the window, by strided views
@@ -633,18 +679,20 @@ def _frame_pairings(plan):
     G = G_1 x ... x G_n, so every S_d, every group's sum and its spectrum is
     the outer product of one-axis ones: each axis folds every group of every
     distinct r_i of the modes once into one table and transforms it in one
-    FFT (:func:`_axis_columns`), and mode (r, s) reads prod_i A_i[a_i, s_i]
-    for each tuple of its groups, all modes in one scatter.  Any other Z
-    folds each d on the box of n axes into one (k,)^n + (N,)^n array per
-    group, takes its n-axis FFT in place and scatters it before the next
-    group (:func:`_fold_spectra`).  The plan's byte figure bounds both; no
-    array of N^{2n} nodes and no array over the meeting pairs is formed.
+    FFT (:func:`_axis_columns`), and the row of mode (r, s) and a tuple of
+    its groups is prod_i A_i[a_i, s_i].  Any other Z folds each d on the box
+    of n axes into one (k,)^n + (N,)^n array per group, takes its n-axis
+    FFT in place and writes its rows before the next group
+    (:func:`_fold_spectra`).  The plan's byte figure bounds both; no array
+    of N^{2n} nodes, no array over the meeting pairs and no k^n x k^n
+    matrix is formed.
     """
     p, k, N, n = plan.p, plan.k, plan.N, plan.p.n
     r, s = _mode_arrays(plan.table)
     dim, norm = k**n, _frame_norm(p, k)
+    mode_of, _ = plan.layout
     if plan.diagonal:
-        mode_of, columns, labels = _axis_columns(plan, s % N)
+        columns, labels = _axis_columns(plan, s % N)
 
         def outer(op):  # over the axes of each row, row-major in (a_1, ..., a_n)
             return lambda x, y: op(x[:, :, None], y[:, None, :]).reshape(
@@ -652,26 +700,59 @@ def _frame_pairings(plan):
 
         values = reduce(outer(np.multiply), columns)
         values *= norm
-        b_index = reduce(outer(lambda b, c: k * b + c), labels)
-        out = np.zeros((len(r), dim, dim), dtype=complex)
-        out[mode_of[:, None], np.arange(dim), b_index] = values
-        return out
+        return mode_of, reduce(outer(lambda b, c: k * b + c), labels), values
     fine = _FineLattice.build(plan)
-    a_index = np.arange(dim)
     labels = _index_vectors(n, k)
+    b_index = np.empty((len(mode_of), dim), dtype=np.int64)
+    values = np.empty((len(mode_of), dim), dtype=complex)
     by_r = {}
     for i, ri in enumerate(map(tuple, r.tolist())):
         by_r.setdefault(ri, []).append(i)
-    out = np.zeros((len(r), dim, dim), dtype=complex)
     for members in by_r.values():
-        m_index = np.array(members)[:, None]
         axes = [[parts[g] for g in rows_of[members[0]]] for parts, rows_of in plan.groups]
-        for shift, spectra in _fold_spectra(fine, axes, tuple((s[members] % N).T)):
-            b_index = np.ravel_multi_index(((labels + shift) % k).T, (k,) * n)
-            out[m_index, a_index, b_index] += norm * spectra.T
+        first = np.searchsorted(mode_of, members)  # each member's first row
+        spectra_of = _fold_spectra(fine, axes, tuple((s[members] % N).T))
+        for t, (shift, spectra) in enumerate(spectra_of):
+            at = first + t  # the t-th group tuple of each member
+            b_index[at] = np.ravel_multi_index(((labels + shift) % k).T, (k,) * n)
+            values[at] = norm * spectra.T
             # freed before the next group's fold, so that one never holds them
             del spectra
+    return mode_of, b_index, values
+
+
+def _dense_pairings(plan, pairings):
+    """The pairings of :func:`_frame_pairings` as one (M, k^n, k^n) array,
+    entry (i, a, b), zero off their support: the densify step of the dense
+    callers, which refuse its bytes on the plan (:func:`_checked_plan`)."""
+    mode_of, b_index, values = pairings
+    dim = plan.k**plan.p.n
+    out = np.zeros((len(plan.table), dim, dim), dtype=complex)
+    out[mode_of[:, None], np.arange(dim), b_index] = values
     return out
+
+
+def _pairing_deviation(pairings, rows, values):
+    """max |Q_i - C_i| over the entries, for each mode i, without a
+    k^n x k^n array: Q_i the pairings of :func:`_frame_pairings` on their
+    support, C_i the matrix with one entry per label a, ``values[i, a]`` at
+    (a, ``rows[i, a]``) in the pairings' (a, b) layout; both (M, k^n).
+
+    The maximum runs over the union of the two supports, off which both
+    are 0.  An entry of a row is |Q - C| where C's entry of its column
+    meets it and |Q| elsewhere; an entry of C that no row meets is |C|,
+    as |0 - C| reads; a NaN of either propagates.  Returns shape (M,).
+    """
+    mode_of, b_index, q = pairings
+    met_row, met_a = np.nonzero(b_index == rows[mode_of])
+    met_mode = mode_of[met_row]
+    dev = np.abs(q)
+    dev[met_row, met_a] = np.abs(q[met_row, met_a] - values[met_mode, met_a])
+    alone = np.abs(values)
+    alone[met_mode, met_a] = 0  # the rows hold C there
+    worst = alone.max(axis=1)
+    np.maximum.at(worst, mode_of, dev.max(axis=1))
+    return worst
 
 
 def _axis_columns(plan, s):
@@ -681,9 +762,9 @@ def _axis_columns(plan, s):
     as the plan lays them out (:func:`_axis_groups`), is folded once into
     its own (k, N) row of one table, and one inverse FFT over the table's
     last axis transforms them all.  Each mode j then has one row
-    (j, g_1, ..., g_n) per tuple of its groups, one on each axis.  Returns
-    the mode of each of those P rows, and per axis the (P, k) arrays of the
-    spectra A_i[:, s_i] of g_i's table row and of the partner labels
+    (j, g_1, ..., g_n) per tuple of its groups, one on each axis, as the
+    plan's ``layout`` lays them out.  Returns per axis the (P, k) arrays of
+    the spectra A_i[:, s_i] of g_i's table row and of the partner labels
     a + d mod k of g_i.  ``s`` is the (M, n) array of the modes' s, taken
     mod N.
     """
@@ -692,19 +773,15 @@ def _axis_columns(plan, s):
     for fine, (parts, _) in zip(_FineLattice.axes(plan), plan.groups):
         table = np.zeros((len(parts), k, N), dtype=complex)
         for row, (_, offsets) in zip(table, parts):
-            for d in offsets:
-                fine.fold((d,), row)
+            for i, d in enumerate(offsets):
+                fine.fold((d,), row, i > 0)
         np.fft.ifft(table, axis=-1, out=table)
         tables.append(table)
         shifts.append(np.array([shift for shift, _ in parts], dtype=np.int64))
-    groups_of = [rows_of for _, rows_of in plan.groups]  # each mode's groups, per axis
-    rows = np.array([(j, *g) for j, mode in enumerate(zip(*groups_of))
-                     for g in itertools.product(*mode)], dtype=np.int64)
-    rows = rows.reshape(-1, n + 1)  # (0, n + 1) when no mode meets the window
-    mode_of, table_rows = rows[:, 0], rows[:, 1:].T
-    columns = [t[g, :, s[mode_of, i]] for i, (t, g) in enumerate(zip(tables, table_rows))]
-    labels = [(np.arange(k) + sh[g, None]) % k for sh, g in zip(shifts, table_rows)]
-    return mode_of, columns, labels
+    mode_of, groups = plan.layout
+    columns = [t[g, :, s[mode_of, i]] for i, (t, g) in enumerate(zip(tables, groups))]
+    labels = [((np.arange(k) + sh[:, None]) % k)[g] for sh, g in zip(shifts, groups)]
+    return columns, labels
 
 
 def _fold_spectra(fine, axes, s_index):
@@ -723,8 +800,9 @@ def _fold_spectra(fine, axes, s_index):
     k, N, n = fine.k, fine.N, len(axes)
     for parts in itertools.product(*axes):
         folded = np.zeros((k,) * n + (N,) * n, dtype=complex)
-        for d in itertools.product(*(offsets for _, offsets in parts)):
-            fine.fold(d, folded)
+        offsets = itertools.product(*(offsets for _, offsets in parts))
+        for i, d in enumerate(offsets):
+            fine.fold(d, folded, i > 0)
         for ax in reversed(range(n, 2 * n)):
             np.fft.ifft(folded, axis=ax, out=folded)
         spectra = folded[(Ellipsis, *s_index)].reshape(k**n, -1)
@@ -758,8 +836,21 @@ def l2_inner(p, s1, s2, grid, normalized=True):
 def gram_matrix(p, k, grid):
     """Matrix of normalized frame inner products; Hermitian, close to Id.
     ``grid`` is a :class:`QuadratureGrid` or the plan of (p, k) built
-    without modes (:func:`_plan`)."""
-    return _checked_pairings(p, k, grid)[0]
+    without modes (:func:`_plan`).  Its k^n x k^n bytes are refused with
+    the plan's."""
+    plan = _checked_plan(p, k, grid, dense=16 * k ** (2 * p.n))
+    return _dense_pairings(plan, _frame_pairings(plan))[0]
+
+
+def gram_deviation(p, k, grid):
+    """max |G - Id| over the entries of the Gram matrix G, on the Gram's
+    support and Id's (:func:`_pairing_deviation` against W_k(0) with eta
+    = 1), with no k^n x k^n array.  ``grid`` is as for :func:`gram_matrix`.
+    """
+    plan = _checked_plan(p, k, grid)
+    pairings, dim = _frame_pairings(plan), k**p.n
+    identity = np.arange(dim)[None, :], np.ones((1, dim), dtype=complex)
+    return float(_pairing_deviation(pairings, *identity)[0])
 
 
 def lattice_weight_identity(p, z, lattice_index):

@@ -187,6 +187,20 @@ def truncation_radius(p, k, epsilon, sel=Derivative.value()):
     )
 
 
+def _window_nodes(p, policy):
+    """The window's radius r and its (2r + 1)^n lattice points."""
+    r = int(math.ceil(policy.radius))
+    return r, (2 * r + 1) ** p.n
+
+
+def _window_bytes(n, nodes, evaluations):
+    """Bytes :func:`_window` and one evaluation's terms hold: the offsets
+    and their indices (16n bytes a node); per evaluation u and its shifted
+    copy (16n), log |term| (8) and four complex arrays: the linear phases,
+    their scaled copy, the quadratic form and the terms."""
+    return nodes * (16 * n + evaluations * (16 * n + 72))
+
+
 def _window(p, label, z, policy):
     """Lattice windows u = l + alpha of the evaluations at z, one point or a
     stack (P, n), centred on each point's Gaussian minimiser: shape (P, L, n),
@@ -202,12 +216,8 @@ def _window(p, label, z, policy):
     alpha, k = label.alpha, label.k
     peaks = np.array([p.Yinv @ v for v in z.imag])  # Y^-1 v, v = Im z
     centers = np.rint(-alpha - peaks)
-    r = int(math.ceil(policy.radius))
-    nodes = (2 * r + 1) ** p.n
-    # the offsets and their indices (16n bytes a node); per evaluation u and
-    # its shifted copy (16n), log |term| (8) and four complex arrays: the
-    # linear phases, their scaled copy, the quadratic form and the terms
-    check_bytes(nodes * (16 * p.n + len(z) * (16 * p.n + 72)), "theta window",
+    r, nodes = _window_nodes(p, policy)
+    check_bytes(_window_bytes(p.n, nodes, len(z)), "theta window",
                 f"{nodes} lattice points (radius {r}, n = {p.n})")
     offsets = np.indices((2 * r + 1,) * p.n).reshape(p.n, -1).T - r
     u = offsets + centers[:, None, :] + alpha
@@ -300,12 +310,21 @@ def heat_residuals(p, label, z, pairs):
     moves X only, so the window, the truncation and the scale 2^e are the
     same at every stencil point and on both sides.  The step
     h = 1e-4 min(1, 8/k) shrinks like 1/k above k = 8, as the stencil's
-    error grows like (hk)^4.
+    error grows like (hk)^4.  The window and the stencil's and the pass's
+    arrays are refused together, with SizeLimitError, before allocation.
     """
     k = label.k
     policy = truncation_radius(p, k, DEFAULT_EPSILON, Derivative.dz2(0, 0))
+    r, nodes = _window_nodes(p, policy)
+    P, S = len(np.atleast_2d(z)), len(pairs)
+    # beside the window: three (4, S, P, L) complex arrays of the stencil's
+    # phases and their quadratic form, which bound the term-wise pass's
+    # (P, 2S + 1, L) factor stack and its product with the phases, and the
+    # ufunc buffers of a cast
+    check_bytes(_window_bytes(p.n, nodes, P) + 192 * S * P * nodes + 48 * np.getbufsize(),
+                "theta window", f"{nodes} lattice points (radius {r}, n = {p.n}) with "
+                f"the heat stencil of {P} points and {S} entry pairs")
     u, lin, _ = _window(p, label, z, policy)
-    S = len(pairs)
     # one pass for every dZ, every dz2 and the value, each row summed alone
     sums = _termwise([Derivative.dZ(a, b) for a, b in pairs]
                      + [Derivative.dz2(i, j) for i, j in pairs] + [Derivative.value()],

@@ -77,17 +77,18 @@ each frequency offset are folded over the window by strided sums, and one
 FFT over the y-nodes gives every mode sharing r.  At a diagonal Z (always
 at n = 1) the frame is a product over the axes, so each axis is folded and
 transformed on its own (k, N) array and the pairings are outer products of
-those, in O(box axis + k N) memory plus the outputs, which then dominate;
-any other Z folds the box of both axes in O(box + k^n N^n).  Grids whose
+those, in O(box axis + k N) memory plus the pairings; any other Z folds the
+box of both axes in O(box + k^n N^n).  The pairings are kept on their
+support, one row of k^n entries per mode and offset group.  Grids whose
 pairings would hold more than the 1 GiB limit of ``fourier.check_bytes``
 are refused, with SizeLimitError, before allocation.  The
 ``toeplitz-compare`` runner and the CLI verb compare it with the closed
-form through :func:`quadrature_deviation`: one stack of pairings per
-(point, level), folded on the cell's one plan (``sections._plan``), from
-which eta_k(m) W_k(m) is subtracted in place at the one nonzero of each
-column, with no dense closed form.  The dense route,
-``to_dense`` of each mode against ``toeplitz_modes_quadrature``, is the
-tests' oracle for it.
+form through :func:`quadrature_deviation`: the pairings of one
+(point, level), folded on the cell's one plan (``sections._plan``), against
+eta_k(m) W_k(m) at the one nonzero of each column, over the union of the
+two supports, with no k^n x k^n array.  The dense route, ``to_dense`` of
+each mode against ``toeplitz_modes_quadrature``, is the tests' oracle for
+it.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ from .fourier import (
     poisson_bracket,
     sup_abs,
 )
-from .sections import _checked_pairings
+from .sections import _checked_plan, _dense_pairings, _frame_pairings, _pairing_deviation
 from .siegel import laplace_eigenvalue
 
 __all__ = [
@@ -389,34 +390,35 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     F_{r,s}.  The result is keyed by the modes as the caller gave them, a
     :class:`FourierMode` or an ``(r, s)`` pair.  ``grid`` is a
     :class:`~thetaquant.sections.QuadratureGrid` or the plan built for
-    (p, k, modes) (``sections._plan``).
+    (p, k, modes) (``sections._plan``).  The dense pairings and each
+    operator's copy of its matrix are refused with the plan's bytes.
     """
     if not modes:
         return {}
-    pairings = _checked_pairings(p, k, grid, modes)
+    plan = _checked_plan(p, k, grid, modes, dense=32 * len(modes) * k ** (2 * p.n))
+    pairings = _dense_pairings(plan, _frame_pairings(plan))
     return {m: OperatorMatrix(k, p.n, a.T) for m, a in zip(modes, pairings)}
 
 
 def quadrature_deviation(p, k, modes, grid):
     """max |eta_k(m) W_k(m) - quadrature| over the entries, for each mode.
 
-    The closed form is subtracted in place from the stack of frame pairings,
-    which holds each quadrature matrix transposed: W_k(m) has one nonzero
-    per column a, in row a + r mod k (:func:`_clock_shift_columns`), so no
-    dense closed form is built.  ``modes`` is a list of modes or their
-    (M, 2n) integer table, which the plan, the columns and eta all read;
-    ``grid`` is a grid or the plan built for (p, k, modes)
+    The pairings stay on their support (``sections._frame_pairings``),
+    which holds each quadrature matrix transposed, and W_k(m) has one
+    nonzero per column a, in row a + r mod k (:func:`_clock_shift_columns`):
+    ``sections._pairing_deviation`` takes the maximum over the union of the
+    two supports, so no k^n x k^n array is built.  ``modes`` is a list of
+    modes or their (M, 2n) integer table, which the plan, the columns and
+    eta all read; ``grid`` is a grid or the plan built for (p, k, modes)
     (``sections._plan``).  Returns an array of shape (M,).
     """
     table = _mode_table(modes)
     if not len(table):
         return np.zeros(0)
-    stack = _checked_pairings(p, k, grid, table)
+    plan = _checked_plan(p, k, grid, table)
+    pairings = _frame_pairings(plan)
     rows, values = _clock_shift_columns(k, p.n, table)
-    M, dim = rows.shape
-    closed = eta(p, k, table)[:, None] * values
-    stack[np.arange(M)[:, None], np.arange(dim), rows] -= closed
-    return np.abs(stack).max(axis=(1, 2))
+    return _pairing_deviation(pairings, rows, eta(p, k, table)[:, None] * values)
 
 
 def toeplitz_function(p, k, f):

@@ -232,10 +232,12 @@ class TestRunAndCache:
         assert "1e-17" in doc.summary_text()
 
     def test_nan_gram_fails(self, monkeypatch):
-        # all-NaN Gram entries must not read as a pass
+        # all-NaN Gram entries must not read as a pass: here every pairing
+        # on the Gram's diagonal support is NaN
         monkeypatch.setattr(
-            "thetaquant.experiments.gram_matrix",
-            lambda p, k, grid: np.full((k**p.n, k**p.n), np.nan, dtype=complex),
+            "thetaquant.sections._frame_pairings",
+            lambda plan: (np.zeros(1, dtype=np.int64), np.arange(plan.k**plan.p.n)[None, :],
+                          np.full((1, plan.k**plan.p.n), np.nan, dtype=complex)),
         )
         m = parse_config("experiment = gram, n = 1, k = 32, Z = 1+2i")
         with np.errstate(all="ignore"):
@@ -254,12 +256,12 @@ class TestRunAndCache:
             assert np.isfinite(float(row[4]))
 
     def test_frame_too_large_is_refused(self):
-        # the k = 128 pairings would hold 6 GiB; refused before allocation
-        m = parse_config("experiment = gram\nn = 2\nk = 4, 128")
+        # the k = 4096 pairings would hold 3.0 GiB; refused before allocation
+        m = parse_config("experiment = gram\nn = 2\nk = 4, 4096")
         doc = run_experiment(m, use_cache=False)
         (measured, refused) = doc.rows
         assert measured[1] == "4" and measured[-1] == "pass"
-        assert refused[1] == "128" and refused[-1].startswith("refused:")
+        assert refused[1] == "4096" and refused[-1].startswith("refused:")
         assert "GiB" in refused[-1]
         assert not doc.passed
 
@@ -284,14 +286,26 @@ class TestRunAndCache:
         assert "refused_levels" not in doc.extras
         assert doc.passed
 
+    @pytest.mark.parametrize("experiment, ks", [
+        ("gram", "82, 128"), ("toeplitz-compare", "37, 64")])
+    def test_diagonal_n2_levels_past_the_stack_wall_pass(self, experiment, ks):
+        # refused at the default point while the pairings were scattered into
+        # an (M, k^n, k^n) stack: from k = 82 for the Gram (1.01 GiB) and
+        # from k = 37 for the 25 modes (1.06 GiB)
+        m = parse_config(f"experiment = {experiment}\nn = 2\nk = {ks}")
+        doc = run_experiment(m, use_cache=False)
+        assert doc.rows and all(row[-1] == "pass" for row in doc.rows)
+        assert "refused_levels" not in doc.extras
+        assert doc.passed
+
     def test_refused_rows_show_the_tried_grid(self):
         # the N cell is the given grid, or the rule's once the radius is
         # certified, which comes before the refusal of n = 3
         no_radius = "no certifiable truncation radius"
         n3 = "n in {1, 2}, got n = 3"
         for experiment, text, n_col, N, why in (
-            ("gram", "n = 2\nk = 128", 3, "512", "GiB at N=512"),
-            ("toeplitz-compare", "n = 2\nk = 48", 2, "200", "GiB at N=200"),
+            ("gram", "n = 2\nk = 4096", 3, "16384", "GiB at N=16384"),
+            ("toeplitz-compare", "n = 2\nk = 512", 2, "2056", "GiB at N=2056"),
             ("gram", "n = 1\nk = 2\nZ = 0.00001i", 3, "", no_radius),
             ("gram", "n = 1\nk = 2\nZ = 0.00001i\ngrid = 64", 3, "64", no_radius),
             ("gram", "k = 4\nZ = i\ngrid = 8", 3, "8", "N=8, bandwidth rule needs N >= 32"),
@@ -309,7 +323,7 @@ class TestRunAndCache:
 
     def test_refused_rows_fail_their_verdict(self):
         # a refused row once dropped out, so the rows left passed the sweep
-        for experiment, ks in (("gram", "2, 128"), ("toeplitz-compare", "2, 48")):
+        for experiment, ks in (("gram", "2, 4096"), ("toeplitz-compare", "2, 512")):
             m = parse_config(f"experiment = {experiment}\nn = 2\nk = {ks}")
             doc = run_experiment(m, use_cache=False)
             *measured, refused = doc.rows
@@ -914,7 +928,7 @@ class TestCli:
         rc = main(["gram", "--n", "2", "--k", "64", "--Z", "[[2i,0.5i],[0.5i,1i]]"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "8.45 GiB" in err
+        assert "8.07 GiB" in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [

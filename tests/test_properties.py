@@ -29,7 +29,7 @@ size give, bit for bit, the same arrays for the list of modes and for its
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     dlambda_dZ_oracle,
@@ -48,10 +48,13 @@ from thetaquant.formal import (
 from thetaquant.fourier import FourierMode, _mode_arrays
 from thetaquant.sections import (
     QuadratureGrid,
+    _dense_pairings,
     _frame_norm,
     _frame_pairings,
     _plan,
     cocycle_residual,
+    gram_deviation,
+    gram_matrix,
     required_grid_size,
     theta_frame_on_grid,
 )
@@ -67,6 +70,7 @@ from thetaquant.toeplitz import (
     _pair_signs,
     _sign_tables,
     eta,
+    quadrature_deviation,
     toeplitz_mode_closed_form,
     trace_pair_closed_form,
     trace_pair_sign,
@@ -497,9 +501,58 @@ def test_frame_pairings_equal_the_explicit_frame_pairing(case):
     frame = theta_frame_on_grid(p, k, grid)
     t = np.arange(grid.N) / grid.N
     scale = _frame_norm(p, k) / frame.shape[1]
-    for m, got in zip(modes, _frame_pairings(_plan(p, k, modes, grid.N))):
+    plan = _plan(p, k, modes, grid.N)
+    for m, got in zip(modes, _dense_pairings(plan, _frame_pairings(plan))):
         phase = np.ones(1)
         for f in m.r + m.s:  # F_m on the axes (x_1..x_n, y_1..y_n)
             phase = np.multiply.outer(phase, np.exp(2j * np.pi * f * t)).ravel()
         want = scale * (frame * phase) @ frame.conj().T
         assert np.max(np.abs(got - want)) <= 1e-14, (m, grid.N)
+
+
+@st.composite
+def support_cases(draw):
+    """A diagonal, skew (normal, off the diagonal) or non-normal point at
+    n = 1 or 2, a level, the zero mode and up to five modes of entries in
+    [-2, 2], and a grid at the bandwidth rule or up to k nodes above it.
+    On the axis path a mode with r_1 in [30, 40] may join them: at the
+    lower levels its offsets meet no term of the window, so no row of the
+    pairings meets its closed form."""
+    n = draw(st.sampled_from((1, 2)))
+    kind = draw(st.sampled_from(("diagonal", "skew", "non-normal")))
+    p = draw(points(n))
+    if n == 2 and kind == "diagonal":
+        p = SiegelPoint(np.diag(p.Z.diagonal()))
+    elif n == 2 and kind == "skew":
+        phi = draw(st.floats(0.1, 1.4))
+        R = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+        Z = R @ np.diag([complex(draw(_unit()), draw(st.floats(0.5, 2.0)))
+                         for _ in range(2)]) @ R.T
+        p = SiegelPoint((Z + Z.T) / 2)
+    k = draw(st.integers(1, 8 if n == 1 else 3))
+    vector = st.tuples(*[st.integers(-2, 2)] * n)
+    modes = [FourierMode((0,) * n, (0,) * n)] + [FourierMode(*rs) for rs in draw(
+        st.lists(st.tuples(vector, vector), max_size=5))]
+    if (n == 1 or kind == "diagonal") and draw(st.booleans()):
+        far = (draw(st.integers(30, 40)),) + (0,) * (n - 1)
+        modes.append(FourierMode(far, draw(vector)))
+    extra = draw(st.integers(0, k))
+    return p, k, modes, extra
+
+
+@settings(max_examples=40, deadline=None)
+@given(support_cases())
+@example((SiegelPoint(0.4j), 1, [FourierMode((0,), (0,)), FourierMode((30,), (1,))], 0))
+def test_support_deviations_are_the_dense_deviations_bitwise(case):
+    # the pairings kept on their support against the densified k^n x k^n
+    # matrices: the closed form's entries that no row meets, the rows'
+    # entries off the closed form and the meeting entries all count
+    p, k, modes, extra = case
+    plan = _plan(p, k, modes, _plan(p, k, modes).rule + extra)
+    dense = _dense_pairings(plan, _frame_pairings(plan))
+    closed = toeplitz_mode_closed_form(p, k, modes)
+    want = [np.abs(q - c.entries.T).max() for q, c in zip(dense, closed)]
+    assert np.array_equal(quadrature_deviation(p, k, modes, plan), want)
+    gram = _plan(p, k, N=_plan(p, k).rule + extra)
+    G = gram_matrix(p, k, gram)
+    assert gram_deviation(p, k, gram) == np.abs(G - np.eye(k**p.n)).max()

@@ -28,6 +28,7 @@ from thetaquant.sections import (
     section_eval,
     suggest_grid,
     _FineLattice,
+    _dense_pairings,
     _frame_norm,
     _frame_pairings,
     _lattice_terms,
@@ -179,7 +180,8 @@ class TestFramePairings:
         if N is not None:
             grid = QuadratureGrid(N)
         modes = _pairing_modes(p.n)
-        got = _frame_pairings(_plan(p, k, modes, grid.N))
+        plan = _plan(p, k, modes, grid.N)
+        got = _dense_pairings(plan, _frame_pairings(plan))
         frame = theta_frame_on_grid(p, k, grid)
         frame_conj = frame.conj().T
         weighted = np.empty_like(frame)
@@ -198,7 +200,8 @@ class TestFramePairings:
         # r = 40 is no offset of the window at k = 2 on the bandwidth grid,
         # so the diagonal path gathers no row at all
         p = SiegelPoint(Z)
-        got = _frame_pairings(_plan(p, 2, [mode]))  # on the rule's grid, N = 4 (2R + 41)
+        plan = _plan(p, 2, [mode])  # on the rule's grid, N = 4 (2R + 41)
+        got = _dense_pairings(plan, _frame_pairings(plan))
         assert got.shape == (1, 2**p.n, 2**p.n) and not got.any()
 
     @pytest.mark.parametrize("Z, k", [(1j, 12), ([[1j, 0], [0, 2j]], 4)])
@@ -214,9 +217,9 @@ class TestFramePairings:
         folds, transforms = [], []
         fold, ifft = _FineLattice.fold, np.fft.ifft
 
-        def counted_fold(self, d, out):
+        def counted_fold(self, d, out, *add):
             folds.append((id(self), self.width, d))
-            return fold(self, d, out)
+            return fold(self, d, out, *add)
 
         def counted_ifft(*args, **kwargs):
             transforms.append(args[0].shape)
@@ -296,15 +299,20 @@ class TestPairingBytes:
     # against 9.9 at k = 25); the 25 modes r, s in [-2, 2] are the
     # default, and 15 modes r in [-7, 7] at n = 1 give the diagonal path's
     # axis table, which is folded before the outputs exist: its 45 groups of
-    # k N take 13 MB against a 1 MB stack, so there the table sets the peak
+    # k N take 13 MB against a 1 MB stack, so there the table sets the peak.
+    # Since the pairings stay on their support, the diagonal point's 25-mode
+    # deviation at k = 64 and its Gram at k = 128 (the zero mode alone, so
+    # R = S = 0), once refused at 9.4 GiB and 6.0 GiB of (M, k^n, k^n) stack,
+    # hold their rows and the fold's tables
     @pytest.mark.parametrize("Z, k, R, S", [
         pytest.param(Z, k, 2, 2, id=f"{Z}-{k}") for Z, k in [
             ("1j", 16), ("1j", 64), ("[[1j, 0], [0, 2j]]", 6), ("[[1j, 0], [0, 2j]]", 16),
-            ("[[1j, 0], [0, 2j]]", 25),
+            ("[[1j, 0], [0, 2j]]", 25), ("[[1j, 0], [0, 2j]]", 64),
             ("[[2j, 0.5j], [0.5j, 1j]]", 6), ("[[2j, 0.5j], [0.5j, 1j]]", 16),
             ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 6), ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 16),
         ]
-    ] + [pytest.param("1j", 64, 7, 0, id="1j-64-15-modes")])
+    ] + [pytest.param("1j", 64, 7, 0, id="1j-64-15-modes"),
+         pytest.param("[[1j, 0], [0, 2j]]", 128, 0, 0, id="[[1j, 0], [0, 2j]]-128-gram")])
     def test_estimate_bounds_the_traced_peak(self, Z, k, R, S):
         src = Path(thetaquant.__file__).resolve().parents[1]
         args = [Z, str(k), str(R), str(S)]

@@ -1,6 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from thetaquant import theta
+from thetaquant.fourier import SizeLimitError
 from thetaquant.siegel import SiegelPoint
 from thetaquant.theta import (
     Derivative,
@@ -296,3 +301,33 @@ def test_heat_residuals_equal_the_theta_eval_reference(Z):
             for i, j in pairs:
                 rows = tuple(heat_residuals(p, label, z, [(i, j)]).ravel().tolist())
                 assert rows == _reference_heat_residuals(p, label, z, i, j)
+
+
+def test_heat_residuals_refuse_every_array_they_hold(monkeypatch):
+    # the window's one check once counted a term array per evaluation, while
+    # the fd stencil's (4, S, P, L) phases and the term-wise (P, 2S + 1, L)
+    # factor stack held 5.6 times that: 9.30 MB traced against 1.67 MB
+    # checked here (radius 27, 5 probes, 3 entry pairs)
+    p = SiegelPoint([[0.02j, 0], [0, 0.02j]])
+    label = ThetaLabel(1, (0, 0))
+    z = np.array([[0.1 + 0.3j, 0.2 - 0.1j], [0.3j, 0.1], [0.05 + 0.1j, 0.2j],
+                  [0.4, 0.3 + 0.2j], [0.2 + 0.2j, 0.1 + 0.1j]])
+    pairs = [(0, 0), (0, 1), (1, 1)]
+    checked = []
+    check = theta.check_bytes
+    monkeypatch.setattr(theta, "check_bytes",
+                        lambda size, *why: (checked.append(size), check(size, *why))[1])
+    heat_residuals(p, label, z, pairs)  # warm every cache before tracing
+    gc.collect()
+    checked.clear()
+    tracemalloc.start()
+    try:
+        heat_residuals(p, label, z, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(checked), (peak, checked)
+    # and a limit below the peak refuses the call before it allocates
+    monkeypatch.setattr("thetaquant.fourier.MAX_FRAME_BYTES", peak - 1)
+    with pytest.raises(SizeLimitError):
+        heat_residuals(p, label, z, pairs)

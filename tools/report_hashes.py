@@ -23,7 +23,10 @@ The documents:
   (1, 0), where eta of (0, 16) underflows at 0.5i and the rescaled residual
   takes the significand of eta;
 * ``flatness`` at 0.00005i and i, where the fd stencil leaves the Siegel
-  space at the first point and that point's row is a refusal.
+  space at the first point and that point's row is a refusal;
+* ``gram`` at k = 82, 128 and the 25-mode ``toeplitz-compare`` at k = 37,
+  64, both at the default n = 2 point diag(i, 2i), levels whose pairings
+  are kept on their support and would not fit as (M, k^n, k^n) stacks.
 """
 
 import hashlib
@@ -63,6 +66,8 @@ def documents():
     docs["covariance with an underflowed eta"] = (
         "[covariance]\nn = 1\nk = 1\nZ = 0.5i; 1i\nmodes = 0,16; 1,0\n")
     docs["flatness with a refused fd stencil"] = "[flatness]\nn = 1\nZ = 0.00005i; 1i\n"
+    docs["gram past the stack wall"] = "[gram]\nn = 2\nk = 82, 128\n"
+    docs["toeplitz-compare past the stack wall"] = "[toeplitz-compare]\nn = 2\nk = 37, 64\n"
     return docs
 
 
