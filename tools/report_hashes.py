@@ -26,7 +26,11 @@ The documents:
   space at the first point and that point's row is a refusal;
 * ``gram`` at k = 82, 128 and the 25-mode ``toeplitz-compare`` at k = 37,
   64, both at the default n = 2 point diag(i, 2i), levels whose pairings
-  are kept on their support and would not fit as (M, k^n, k^n) stacks.
+  are kept on their support and would not fit as (M, k^n, k^n) stacks;
+* ``star-fit`` at two off-diagonal n = 2 points, the skew point and the
+  generic one, with the default pairs and with the explicit modes
+  F(2,0;0,1), F(0,1;1,1): the c1 fits of two off-diagonal points in one
+  manifest.
 """
 
 import hashlib
@@ -68,6 +72,10 @@ def documents():
     docs["flatness with a refused fd stencil"] = "[flatness]\nn = 1\nZ = 0.00005i; 1i\n"
     docs["gram past the stack wall"] = "[gram]\nn = 2\nk = 82, 128\n"
     docs["toeplitz-compare past the stack wall"] = "[toeplitz-compare]\nn = 2\nk = 37, 64\n"
+    star = f"[star-fit]\nn = 2\nZ = {POINTS[0]}; {GENERIC}\n"
+    docs["star-fit at two off-diagonal points"] = star
+    docs["star-fit of explicit modes at two off-diagonal points"] = (
+        star + "modes = 2,0,0,1; 0,1,1,1\n")
     return docs
 
 
