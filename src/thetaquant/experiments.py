@@ -39,7 +39,7 @@ from .formal import (
     _checked_columns,
     _constancy_residual,
     _hitchin_residuals,
-    trivialized_star_compare,
+    _trivialized_star,
 )
 from .fourier import FourierFunction, FourierMode, SizeLimitError, _mode_table
 # gram_matrix is bound here, uncalled, for
@@ -58,9 +58,8 @@ from .theta import ThetaLabel, TruncationError, _abs, heat_residuals
 from .toeplitz import (
     _c0_residual_norms,
     _eta,
-    _fit_table,
+    _star_fits,
     bms_experiment,
-    c1_antisymmetry_constant,
     hs_inner,
     loglog_order,
     quadrature_deviation,
@@ -500,19 +499,18 @@ def _run_star_fit(m):
     c1_constants = []
     star_constants = []
     c0_orders = []
+    # one kernel call fits every pair's star and each point's c1, in one lstsq
+    functions = [(FourierFunction({m1: 1.0}), FourierFunction({m2: 1.0})) for m1, m2 in pairs]
+    fits, lams = _star_fits(points, functions, m.k_values)
     # The order fit needs the asymptotic regime (Gaussian-factor curvature
     # biases small k) and a small output mode; measure it on the first pair
     # over the doubled level range.
     doubled = tuple(2 * k for k in m.k_values)
-    for pair_idx, (m1, m2) in enumerate(pairs):
-        f = FourierFunction({m1: 1.0})
-        g = FourierFunction({m2: 1.0})
-        # the star fit takes no point: one per pair, against each point's c1
-        star = trivialized_star_compare(m1, m2, m.k_values)
-        for p in points:
-            comp = c1_antisymmetry_constant(p, f, g, m.k_values)
-            if pair_idx == 0:  # the c0 half of the fit alone
-                norms = _c0_residual_norms(doubled, f, g, *_fit_table(p, f, g))
+    for pair_idx, ((m1, m2), (f, g), fit) in enumerate(zip(pairs, functions, fits)):
+        star = _trivialized_star(m1, m2, fit)
+        for p, lam, comp in zip(points, lams, fit.c1):
+            if pair_idx == 0:  # the c0 half of the fit alone, on the point's table
+                norms = _c0_residual_norms(doubled, f, g, fit.out_modes, lam)
                 c0_orders.append(loglog_order(doubled, norms))
             c1_constants.append(comp.constant)
             star_constants.append(star.constant)

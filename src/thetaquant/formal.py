@@ -44,12 +44,7 @@ from .siegel import (
     laplace_eigenvalue,
 )
 from .theta import _abs
-from .toeplitz import (
-    _clock_shift_columns,
-    _eta,
-    _inverse_power_fit,
-    _product_projections,
-)
+from .toeplitz import _clock_shift_columns, _eta, _star_fits
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -345,22 +340,27 @@ def trivialized_star_compare(m1, m2, k_values):
     """Measure the star product seen through heat-rescaled operators.
 
     At every level the product of the two rescaled mode operators is
-    projected onto the rescaled operator of the mode sum, all K levels in
-    one array pass (:func:`toeplitz._product_projections` with exponents 0,
-    since the heat coefficient removes eta_k), and the scalar sequence is
-    fitted in 1/k; the linear coefficient is compared with the Moyal value
-    2 pi^2 i omega as a ratio (the global normalization constant).
-    The rescaled operators W_k(m) do not depend on the complex structure, so
-    neither does the fit, and it takes no Siegel point.
+    projected onto the rescaled operator of the mode sum, and the scalar
+    sequence is fitted in 1/k; the linear coefficient is compared with the
+    Moyal value 2 pi^2 i omega as a ratio (the global normalization
+    constant).  The rescaled operators W_k(m) do not depend on the complex
+    structure, so neither does the fit, and it takes no Siegel point: this
+    is ``toeplitz._star_fits`` of the one pair at no point, whose star
+    series is the projection with every exponent 0.  The ``star-fit``
+    runner reads the star of each pair from its one call of that kernel
+    (:func:`_trivialized_star`).
     """
     m1, m2 = FourierMode.coerce(m1), FourierMode.coerce(m2)
-    k_values = tuple(int(k) for k in k_values)
-    out = m1 + m2
-    samples = _product_projections(
-        k_values, {m1: 1.0}, {m2: 1.0}, [out], dict.fromkeys((m1, m2, out), 0.0)
-    )
-    coefficients, cond = _inverse_power_fit(k_values, samples)
-    c1 = coefficients[1, 0]
+    pair = FourierFunction({m1: 1.0}), FourierFunction({m2: 1.0})
+    (fit,), _ = _star_fits([], [pair], k_values)
+    return _trivialized_star(m1, m2, fit)
+
+
+def _trivialized_star(m1, m2, fit):
+    """The :class:`TrivializedStarFit` of the modes m1, m2 from the fits
+    (``toeplitz._PairFits``) of the pair F_m1, F_m2, whose one out mode is
+    m1 + m2."""
+    (c1,) = fit.star
     q = m1.symplectic_pairing(m2)
     moyal = _MOYAL_WEIGHT * q
     constant = c1 / moyal if q != 0 else 0.0 + 0.0j
@@ -368,5 +368,5 @@ def trivialized_star_compare(m1, m2, k_values):
         order1=complex(c1),
         moyal_order1=complex(moyal),
         constant=complex(constant),
-        condition_number=cond,
+        condition_number=fit.condition_number,
     )

@@ -43,21 +43,28 @@ adjoint and pairing of closed-form operators is taken on the symbol.
 
 The expansion fits (:func:`product_expansion_fit`,
 :func:`c1_antisymmetry_constant` and ``formal.trivialized_star_compare``)
-take all K levels in one array pass, with no symbol per level.  One table
-of Laplace eigenvalues gives every eta_k, and the Weyl weights
-exp(i pi omega / k) of the products are one (K, ...) array from the weight
-the symbol product uses.  The projection of T_f T_g onto each out mode sums
-its terms in the exponent, exp((lambda_i + lambda_j - lambda_m) / 4k), so a
-far mode whose eta_k(m)^2 underflows keeps its finite ratio; the c0
-residual of a line symbol takes its norms at every level in one pass over
-the sum of the k roots; and one ``lstsq`` fits every series in powers of
-1/k.  A fit has two halves over one level-free table of out modes and
-eigenvalues: the coefficients c_0 .. c_L, from the projections and the
-``lstsq``, and the norms of the c0 residual T_f T_g - T_{fg}.
-:func:`product_expansion_fit` returns both, for criterion 10, the tests
-and the demos; :func:`c1_antisymmetry_constant` reads the coefficient half
-of both orderings from one table, and the ``star-fit`` runner's c0 order
-reads the c0 half alone.
+take all K levels in one array pass, with no symbol per level.  What no
+Siegel point enters is built once per pair (f, g): the sorted out modes
+m_i + n_j, the pair signs of every level from one integer pass, whose rows
+are also those of T_g T_f and, at the top level, the signs between the out
+modes, and the Weyl weights exp(i pi omega / k) as one (K, P) array from
+the weight the symbol product uses.  A point adds one table of Laplace
+eigenvalues, which gives every eta_k.  The projection of T_f T_g onto each
+out mode sums its terms in the exponent, exp((lambda_i + lambda_j -
+lambda_m) / 4k), so a far mode whose eta_k(m)^2 underflows keeps its finite
+ratio; the c0 residual of a line symbol takes its norms at every level in
+one pass over the sum of the k roots; and one ``lstsq`` fits every series
+in powers of 1/k, each column as that series alone.  A fit has two halves
+over one level-free table of out modes and eigenvalues: the coefficients
+c_0 .. c_L, from the projections and the ``lstsq``, and the norms of the
+c0 residual T_f T_g - T_{fg}.  :func:`product_expansion_fit` returns both,
+for criterion 10, the tests and the demos.  The kernel ``_star_fits``
+takes the coefficient half of every pair, at every point and in both
+orderings, and the trivialized star's series, the projection with every
+exponent 0, in one ``lstsq``: :func:`c1_antisymmetry_constant` is its call
+at one point, ``formal.trivialized_star_compare`` its call at none, and the
+``star-fit`` runner calls it once and reads the c0 half from its
+eigenvalue tables.
 
 The norms approach sup |f| as k grows (``bms_experiment``), which takes the
 coefficients c_m eta_k(m) of all levels as one array and, for a line
@@ -93,9 +100,11 @@ it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,16 +258,11 @@ class WeylSymbol:
         )
 
     def pair(self, other):
-        """tr(A B*): k^n a_m conj(b_m') trace_pair_sign(k, m, m') summed over
-        the componentwise congruent pairs m = m' mod k."""
+        """tr(A B*): :func:`_trace_pairing` with the scalar
+        :func:`trace_pair_sign`."""
         self._check_level(other)
-        total = 0.0 + 0.0j
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                sign = trace_pair_sign(self.k, m1, m2)
-                if sign:
-                    total += c1 * c2.conjugate() * sign
-        return complex(self.k**self.n * total)
+        return _trace_pairing(self.k, self.n, self.coeffs, other.coeffs,
+                              functools.partial(trace_pair_sign, self.k))
 
     def to_dense(self):
         """The k^n x k^n matrix; refused above MAX_DENSE_DIM before allocation."""
@@ -285,6 +289,21 @@ class WeylSymbol:
             return operator_norm(self.to_dense())
         c = np.array([self.coeffs[m] for m in sorted(self.coeffs)], dtype=complex)
         return float(_line_norms([self.k], self.n, *line, c[None])[0])
+
+
+def _trace_pairing(k, n, a, b, sign):
+    """tr(A B*) of A = sum a_m W_k(m) and B = sum b_m W_k(m), coefficients
+    ``a`` and ``b``: k^n a_m conj(b_m') sign(m, m') summed over the pairs of
+    nonzero sign, in the order of ``a`` and then of ``b``.  ``sign(m, m')``
+    is trace_pair_sign(k, m, m'), from the scalar or from a table of it; a
+    table of Python ints rounds the sum as the scalar does."""
+    total = 0.0 + 0.0j
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            s = sign(m1, m2)
+            if s:
+                total += c1 * c2.conjugate() * s
+    return complex(k**n * total)
 
 
 def _dense_dim(k, n):
@@ -478,16 +497,19 @@ def _pair_signs(k, t1, t2):
     """trace_pair_sign(k, a, b) of every row a of ``t1`` and b of ``t2``,
     shape (M1, M2), in one integer array pass over the two mode tables
     (:func:`_sign_tables`): the congruence mask, then P = r.s + t.u - 2 s.t,
-    then the check that k divides P on the congruent pairs.
+    then the check that k divides P on the congruent pairs.  ``k`` may be
+    an array of K levels, below the largest the tables were built for,
+    which gives every level's signs, shape (K, M1, M2), in the same pass.
     :func:`trace_pair_sign` is the scalar spelling and this one's oracle.
     int64 arithmetic is exact mod 2^64, so a P that wrapped is off by a
     multiple of 2^64: either k does not divide it and the check refuses, or
     P/k moved by an even number and the sign stands."""
     n = t1.shape[1] // 2
-    (r, s), (t, u) = (np.split(table, [n], axis=1) for table in (t1, t2))
-    congruent = np.all((t1[:, None] - t2) % k == 0, axis=-1)
-    P = np.sum(r * s, axis=1)[:, None] + np.sum(t * u, axis=1) - 2 * (s @ t.T)
-    if np.any(P[congruent] % k):
+    k = np.asarray(k, dtype=t1.dtype)[..., None, None]  # Python ints in object tables
+    r, s, t, u = t1[:, :n], t1[:, n:], t2[:, :n], t2[:, n:]
+    congruent = ((t1[:, None] - t2) % k[..., None] == 0).all(axis=-1)
+    P = (r * s).sum(axis=1)[:, None] + (t * u).sum(axis=1) - 2 * (s @ t.T)
+    if np.where(congruent, P % k, 0).any():
         raise ArithmeticError("pair phase of congruent modes is not a sign")
     return np.where(congruent, 1 - 2 * (P // k % 2), 0).astype(np.int64)
 
@@ -558,50 +580,95 @@ def loglog_order(ks, errs):
 _FIT_ORDER = 3
 # Largest x whose exp(x) is a finite float
 _MAX_EXPONENT = math.log(np.finfo(float).max)
+# zgelsd rescales the right-hand sides when their largest modulus leaves
+# [2^-970, 2^970], and then every column rounds otherwise than alone; a factor
+# 2 inside keeps the modulus numpy reads on the side LAPACK reads
+_LSTSQ_RANGE = (2.0**-969, 2.0**969)
+
+
+def _fit_levels(k_values):
+    """The levels of an expansion fit as a tuple of ints, refused with
+    ValueError below _FIT_ORDER + 2 of them, before anything is computed."""
+    k_values = tuple(int(k) for k in k_values)
+    if len(k_values) < _FIT_ORDER + 2:
+        raise ValueError(f"need at least {_FIT_ORDER + 2} levels for the fit")
+    return k_values
 
 
 def _inverse_power_fit(k_values, samples):
     """Least-squares fit of samples ~ sum_{l <= _FIT_ORDER} c_l k^-l.
 
     ``samples`` has shape (K, S): row i holds the S fitted series at level
-    k_values[i], and one ``lstsq`` fits them all.  Returns the coefficients,
-    shape (_FIT_ORDER + 1, S) with row l holding c_l of every series, and
-    the condition number of the Vandermonde matrix in 1/k.
+    k_values[i].  One ``lstsq`` fits every series whose largest modulus is 0
+    or inside ``_LSTSQ_RANGE``, and each other series (NaN, infinite, or one
+    LAPACK would rescale) is fitted alone, so every column of a stack rounds
+    as its series alone.  Returns the coefficients, shape
+    (_FIT_ORDER + 1, S) with row l holding c_l of every series, and the
+    condition number of the Vandermonde matrix in 1/k.
     """
-    if len(k_values) < _FIT_ORDER + 2:
-        raise ValueError(f"need at least {_FIT_ORDER + 2} levels for the fit")
     x = 1.0 / np.asarray(k_values, dtype=float)
     V = np.vander(x, N=_FIT_ORDER + 1, increasing=True)
-    coefficients, _, _, sv = np.linalg.lstsq(V, samples, rcond=None)
+    peak = np.abs(samples).max(axis=0, initial=0.0)
+    inside = (peak == 0) | ((peak >= _LSTSQ_RANGE[0]) & (peak <= _LSTSQ_RANGE[1]))
+    # a zero column leaves the others as they are
+    coefficients, _, _, sv = np.linalg.lstsq(V, np.where(inside, samples, 0), rcond=None)
+    for j in np.flatnonzero(~inside):
+        coefficients[:, j] = np.linalg.lstsq(V, samples[:, j], rcond=None)[0]
     return coefficients, float(sv[0] / sv[-1])
 
 
-def _product_projections(k_values, f, g, out_modes, lam):
-    """tr(T_f T_g T_m*) / tr(T_m T_m*) for each out mode m at every level.
+class _Product(NamedTuple):
+    """T_f T_g projected onto the out modes, as far as no Siegel point
+    enters (:func:`_product_terms`)."""
 
-    ``f`` and ``g`` map modes to coefficients and ``lam`` maps each of their
-    modes and each out mode to the exponent of eta_k(m) = exp(lam[m] / 4k)
-    (0 for the heat-rescaled W_k(m)).  By the Weyl relation T_f T_g is
-    sum f_i g_j w_ij eta_k(m_i) eta_k(n_j) W_k(m_i + n_j), w_ij the weight
-    of :func:`_weyl_phase`, and its pairing with T_m keeps the products
-    congruent to m with the sign of :func:`trace_pair_sign`.  Each term of
-    the ratio is formed in the exponent,
-    sign f_i g_j w_ij exp((lam_i + lam_j - lam_m) / 4k), so a far mode
-    whose eta_k(m)^2 underflows still gives its finite ratio.  Returns an
-    array of shape (K, M).
+    pairs: list  # (a, b): a a mode of f, b one of g
+    out_modes: list
+    sign: np.ndarray  # (K, P, M): trace_pair_sign(k, a + b, m)
+    terms: np.ndarray  # (K, P): f_a g_b exp(i pi omega(a, b) / k)
+
+
+def _product_terms(k_values, f, g, out_modes):
+    """The Z-free halves of the projections of T_f T_g and of T_g T_f onto
+    the out modes at every level, two :class:`_Product`.
+
+    ``f`` and ``g`` map modes to coefficients.  By the Weyl relation T_f T_g
+    is sum f_a g_b w_ab eta_k(a) eta_k(b) W_k(a + b), w_ab the weight of
+    :func:`_weyl_phase`, and its pairing with T_m keeps the products
+    congruent to m with the sign of :func:`trace_pair_sign`.  The signs of
+    every level and pair are one :func:`_pair_signs` pass; T_g T_f has the
+    same sums b + a, so its signs are those rows in its order of the pairs,
+    and its weights are those of -omega.
     """
     ks = np.asarray(k_values)
     pairs = [(a, b) for a in f for b in g]
     sums = [a + b for a, b in pairs]
-    sign = np.array(
-        [[[trace_pair_sign(k, q, m) for m in out_modes] for q in sums]
-         for k in k_values]
-    ).reshape(len(ks), len(pairs), len(out_modes))
+    sign = _pair_signs(ks, *_sign_tables(max(k_values), sums, out_modes))
     omega = np.array([a.symplectic_pairing(b) for a, b in pairs], dtype=np.int64)
-    terms = np.array([f[a] * g[b] for a, b in pairs], dtype=complex)
-    terms = terms * _weyl_phase(ks[:, None])(omega)
-    lam_pairs = np.array([lam[a] + lam[b] for a, b in pairs], dtype=float)
-    exponent = np.subtract.outer(lam_pairs, [lam[m] for m in out_modes])
+    coeff = np.array([f[a] * g[b] for a, b in pairs], dtype=complex)
+    phase = _weyl_phase(ks[:, None])
+    # T_g T_f takes the pairs (b, a) in the order of g, then f: the pairs
+    # (a, b) of T_f T_g at these indices
+    swap = np.arange(len(pairs)).reshape(len(f), len(g)).T.ravel()
+    return (_Product(pairs, out_modes, sign, coeff * phase(omega)),
+            _Product([pairs[i][::-1] for i in swap], out_modes, sign[:, swap],
+                     coeff[swap] * phase(-omega[swap])))
+
+
+def _product_projections(k_values, product, lam):
+    """tr(T_f T_g T_m*) / tr(T_m T_m*) for each out mode m at every level.
+
+    ``product`` is the Z-free half (:func:`_product_terms`) and ``lam``
+    maps each mode of f and g and each out mode to the exponent of
+    eta_k(m) = exp(lam[m] / 4k) (0 for the heat-rescaled W_k(m)).  Each term
+    of the ratio is formed in the exponent,
+    sign f_a g_b w_ab exp((lam_a + lam_b - lam_m) / 4k), so a far mode
+    whose eta_k(m)^2 underflows still gives its finite ratio.  Returns an
+    array of shape (K, M).
+    """
+    ks = np.asarray(k_values)
+    sign = product.sign
+    lam_pairs = np.array([lam[a] + lam[b] for a, b in product.pairs], dtype=float)
+    exponent = np.subtract.outer(lam_pairs, [lam[m] for m in product.out_modes])
     exponent = exponent / (4 * ks[:, None, None])
     # off the congruent products the sign is 0 and the exponent may overflow
     top = exponent.max(where=sign != 0, initial=-np.inf)
@@ -609,7 +676,7 @@ def _product_projections(k_values, f, g, out_modes, lam):
         raise OverflowError(f"a projection of T_f T_g needs e^{top:.4g}, beyond the "
                             "float range: eta_k(m_i) eta_k(n_j) / eta_k(m) is too large")
     scale = np.exp(exponent, where=sign != 0, out=np.zeros(sign.shape))
-    return np.einsum("kpm,kp,kpm->km", sign, terms, scale)
+    return np.einsum("kpm,kp,kpm->km", sign, product.terms, scale)
 
 
 @dataclass
@@ -639,8 +706,8 @@ def _fit_coefficients(k_values, f, g, out_modes, lam):
     out modes at every level (:func:`_product_projections`), regressed on
     powers of 1/k.  Returns c_0 .. c_L as FourierFunctions and the
     condition number of the fit."""
-    samples = _product_projections(k_values, f.terms, g.terms, out_modes, lam)
-    rows, cond = _inverse_power_fit(k_values, samples)
+    product = _product_terms(k_values, f.terms, g.terms, out_modes)[0]
+    rows, cond = _inverse_power_fit(k_values, _product_projections(k_values, product, lam))
     return [FourierFunction(dict(zip(out_modes, row)), n=f.n) for row in rows], cond
 
 
@@ -673,12 +740,13 @@ def product_expansion_fit(p, f, g, k_values):
     powers of 1/k in one ``lstsq``.  The c0 half
     (:func:`_c0_residual_norms`) gives the norms of T_f T_g - T_{fg}.  This
     function returns both, which criterion 10, the tests and the demos
-    read; :func:`c1_antisymmetry_constant` reads the coefficient half
-    alone, and the ``star-fit`` runner's c0 order the c0 half alone.  Needs
+    read; :func:`_star_fits`, and so :func:`c1_antisymmetry_constant`,
+    takes the coefficient half alone, of both orderings at every point in
+    one ``lstsq``, and the ``star-fit`` runner's c0 order the c0 half alone.  Needs
     len(k_values) >= _FIT_ORDER + 2 and min(k) large enough that distinct
     output modes are incongruent.
     """
-    k_values = tuple(int(k) for k in k_values)
+    k_values = _fit_levels(k_values)
     table = _fit_table(p, f, g)
     coefficients, cond = _fit_coefficients(k_values, f, g, *table)
     c0_norms = _c0_residual_norms(k_values, f, g, *table)
@@ -702,6 +770,126 @@ class C1Comparison:
     condition_number: float
 
 
+class _PairTable(NamedTuple):
+    """What the fits of one pair (f, g) read at every point: no Siegel point
+    enters (:func:`_pair_table`)."""
+
+    f: FourierFunction
+    g: FourierFunction
+    out_modes: list  # the sums m_i + n_j, sorted
+    fg: _Product
+    gf: _Product
+    bracket: dict  # the terms of {f, g}, all on out modes
+    sign: object  # (m, m') -> trace_pair_sign(kmax, m, m') on the out modes
+
+
+def _pair_table(k_values, f, g):
+    """The :class:`_PairTable` of (f, g) at the levels ``k_values``: one
+    :func:`_pair_signs` pass gives the signs of both orderings at every
+    level and, in its rows at kmax, those between the out modes that the
+    pairings of the c1 scale read."""
+    out_modes = sorted({a + b for a in f.terms for b in g.terms})
+    fg, gf = _product_terms(k_values, f.terms, g.terms, out_modes)
+    # a row of the signs depends on its pair's sum alone
+    row = {a + b: i for i, (a, b) in enumerate(fg.pairs)}
+    signs = fg.sign[k_values.index(max(k_values))][[row[m] for m in out_modes]].tolist()
+    index = {m: i for i, m in enumerate(out_modes)}
+    return _PairTable(f, g, out_modes, fg, gf, poisson_bracket(f, g).terms,
+                      lambda a, b: signs[index[a]][index[b]])
+
+
+class _PairFits(NamedTuple):
+    """The fits of one pair (f, g) (:func:`_star_fits`)."""
+
+    out_modes: list  # the sums m_i + n_j, sorted
+    star: np.ndarray  # c_1 of W(f) W(g) projected onto each out mode's W_k(m)
+    c1: list  # the C1Comparison at each point
+    condition_number: float
+
+
+def _star_fits(points, pairs, k_values):
+    """The expansion fits of every pair (f, g) of ``pairs``: the trivialized
+    star, which takes no point, and the c1 comparison at every point.
+
+    Each pair's out modes, signs and Weyl terms are built once
+    (:func:`_pair_table`), and each point takes one eigenvalue table over
+    every pair's modes.  The series are stacked, in the order pair by pair,
+    the star and then each point's T_f T_g and T_g T_f, into one
+    :func:`_inverse_power_fit`, whose columns round as each series alone.
+    The star's series is the projection of T_f T_g with every exponent 0:
+    W(f) W(g), since the heat coefficient removes eta_k.  Returns a
+    :class:`_PairFits` per pair and each point's eigenvalue table, a dict
+    over the modes of f, g and the out modes of every pair, which the c0
+    half of a fit (:func:`_c0_residual_norms`) also reads.  Fewer than
+    _FIT_ORDER + 2 levels are refused first (:func:`_fit_levels`).  A
+    refused point, whose projection overflows or whose bracket's operator
+    vanishes, refuses the batch with its error; the first in the order pair
+    by pair, point by point is raised.
+    """
+    k_values = _fit_levels(k_values)
+    kmax = max(k_values)
+    tables = [_pair_table(k_values, f, g) for f, g in pairs]
+    modes = list(dict.fromkeys(m for t in tables for m in (*t.f.terms, *t.g.terms,
+                                                            *t.out_modes)))
+    lams = [dict(zip(modes, laplace_eigenvalue(p, modes))) for p in points]
+    series, refused = [], {}
+    for i, t in enumerate(tables):
+        series.append(_product_projections(k_values, t.fg, dict.fromkeys(modes, 0.0)))
+        for j, lam in enumerate(lams):
+            try:
+                series += [_product_projections(k_values, t.fg, lam),
+                           _product_projections(k_values, t.gf, lam)]
+            except OverflowError as error:
+                refused[i, j] = error
+    coefficients, cond = _inverse_power_fit(k_values, np.concatenate(series, axis=1))
+    c1 = iter(np.split(coefficients[1], np.cumsum([a.shape[1] for a in series])[:-1]))
+    fits = []
+    for i, t in enumerate(tables):
+        star = next(c1)
+        comparisons = []
+        for j, lam in enumerate(lams):
+            if (i, j) in refused:
+                raise refused[i, j]
+            comparisons.append(_c1_comparison(t, lam, kmax, next(c1), next(c1), cond))
+        fits.append(_PairFits(t.out_modes, star, comparisons, cond))
+    return fits, lams
+
+
+def _c1_comparison(t, lam, kmax, c_fg, c_gf, cond):
+    """The :class:`C1Comparison` of the pair table ``t`` at the point of the
+    eigenvalue table ``lam``, from the c_1 rows of T_f T_g and T_g T_f over
+    the out modes (see :func:`c1_antisymmetry_constant`)."""
+    n = t.f.n
+    anti = (FourierFunction(dict(zip(t.out_modes, c_fg)), n=n)
+            - FourierFunction(dict(zip(t.out_modes, c_gf)), n=n)).terms
+    top = max((lam[m] for m in t.bracket), default=0.0)
+
+    def scaled(terms):
+        return WeylSymbol(kmax, n, {m: c * math.exp((lam[m] - top) / (4 * kmax))
+                                    for m, c in terms.items()})
+
+    A, B = scaled(anti), scaled(t.bracket)
+    norm2 = _trace_pairing(kmax, n, B.coeffs, B.coeffs, t.sign)
+    if norm2 == 0:
+        raise ValueError(f"the operator of {{f, g}} vanishes at k = {kmax}: "
+                         "no scale to measure")
+    gamma = _trace_pairing(kmax, n, A.coeffs, B.coeffs, t.sign) / norm2
+    R = A - gamma * B
+    modes = sorted(A.coeffs)
+    if modes == sorted(R.coeffs):  # both norms in one pass, each row as norm() rounds it
+        rows = [[X.coeffs[m] for m in modes] for X in (R, A)]
+        norms = _level_norms((kmax, kmax), n, modes, np.array(rows, dtype=complex))
+    else:
+        norms = R.norm(), A.norm()
+    resid = norms[0] / max(norms[1], 1e-300)
+    return C1Comparison(
+        gamma=gamma,
+        constant=gamma / (-1j),
+        relative_residual=float(resid),
+        condition_number=cond,
+    )
+
+
 def c1_antisymmetry_constant(p, f, g, k_values):
     """Measure the global constant linking fitted c_1 antisymmetry to {f, g}.
 
@@ -713,34 +901,10 @@ def c1_antisymmetry_constant(p, f, g, k_values):
     returned ``constant`` is the measured ratio against -i {f, g}; a bracket
     whose operator vanishes is refused with ValueError.
 
-    Only the coefficient half of each fit is read (see
-    :func:`product_expansion_fit`): both orderings take it from one table,
-    which also holds the eigenvalues of the antisymmetry's and the
-    bracket's modes (all out modes), and no c0 norm is computed.
+    This is :func:`_star_fits` at the one point and the one pair, which the
+    ``star-fit`` runner calls once for all its points and pairs: only the
+    coefficient half of each fit (see :func:`product_expansion_fit`) is
+    taken, both orderings in one ``lstsq``, and no c0 norm is computed.
     """
-    k_values = tuple(int(k) for k in k_values)
-    out_modes, lam = _fit_table(p, f, g)
-    c_fg, cond_fg = _fit_coefficients(k_values, f, g, out_modes, lam)
-    c_gf, cond_gf = _fit_coefficients(k_values, g, f, out_modes, lam)
-    anti = (c_fg[1] - c_gf[1]).terms
-    bracket = poisson_bracket(f, g).terms
-    kmax = max(k_values)
-    top = max((lam[m] for m in bracket), default=0.0)
-
-    def scaled(terms):
-        return WeylSymbol(kmax, p.n, {m: c * math.exp((lam[m] - top) / (4 * kmax))
-                                      for m, c in terms.items()})
-
-    A, B = scaled(anti), scaled(bracket)
-    norm2 = B.pair(B)
-    if norm2 == 0:
-        raise ValueError(f"the operator of {{f, g}} vanishes at k = {kmax}: "
-                         "no scale to measure")
-    gamma = A.pair(B) / norm2
-    resid = (A - gamma * B).norm() / max(A.norm(), 1e-300)
-    return C1Comparison(
-        gamma=gamma,
-        constant=gamma / (-1j),
-        relative_residual=float(resid),
-        condition_number=max(cond_fg, cond_gf),
-    )
+    (fit,), _ = _star_fits([p], [(f, g)], k_values)
+    return fit.c1[0]

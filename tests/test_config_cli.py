@@ -627,42 +627,47 @@ class TestRunAndCache:
         assert doc.passed
 
     def test_star_fit_fits_each_pair_once(self, monkeypatch):
-        # the star fit takes no point, and was once repeated for each one
-        from thetaquant import experiments
+        # the star fit takes no point, and was once repeated for each one: its
+        # series, the projection with every exponent 0, is taken once a pair
+        from thetaquant import toeplitz
 
-        calls = []
-        star = experiments.trivialized_star_compare
-        monkeypatch.setattr(experiments, "trivialized_star_compare",
-                            lambda *args: calls.append(args) or star(*args))
+        exponents = []
+        project = toeplitz._product_projections
+        monkeypatch.setattr(toeplitz, "_product_projections",
+                            lambda k, product, lam: exponents.append(
+                                {lam[m] for m in product.out_modes}) or project(k, product, lam))
         doc = run_experiment(parse_config("[star-fit]"), use_cache=False)
         assert doc.passed and len(doc.rows) == 4
-        assert len(calls) == 2
+        # two pairs at two points: one star and two orderings at each point a pair
+        assert len(exponents) == 10
+        assert exponents.count({0.0}) == 2
 
     def test_star_fit_c0_order_runs_no_projection_and_no_lstsq(self, monkeypatch):
         # the c0 order once came from a full product_expansion_fit, whose
-        # projections and lstsq it dropped; only the c1 fits may run them
+        # projections and lstsq it dropped; only the kernel of the star and
+        # c1 fits may run them
         from thetaquant import experiments, toeplitz
 
         m = parse_config("[star-fit]")
         want = run_experiment(m, use_cache=False)
-        inside_c1 = []
+        inside_fits = []
 
         def guarded(fn):
             def call(*args):
-                assert inside_c1, f"{fn.__name__} ran outside the c1 fit"
+                assert inside_fits, f"{fn.__name__} ran outside the star and c1 fits"
                 return fn(*args)
             return call
 
-        def c1(*args):
-            inside_c1.append(True)
+        def fits(*args):
+            inside_fits.append(True)
             try:
-                return toeplitz.c1_antisymmetry_constant(*args)
+                return toeplitz._star_fits(*args)
             finally:
-                inside_c1.pop()
+                inside_fits.pop()
 
         for name in ("_product_projections", "_inverse_power_fit"):
             monkeypatch.setattr(toeplitz, name, guarded(getattr(toeplitz, name)))
-        monkeypatch.setattr(experiments, "c1_antisymmetry_constant", c1)
+        monkeypatch.setattr(experiments, "_star_fits", fits)
         doc = run_experiment(m, use_cache=False)
         assert doc.csv_bytes() == want.csv_bytes() and doc.verdicts == want.verdicts
         # the verdict reads the c0 order of the full fit at the doubled levels
@@ -673,6 +678,34 @@ class TestRunAndCache:
         orders = [product_expansion_fit(p, f, g, doubled).c0_fit_order for p in m.points[:2]]
         observed = next(v["observed"] for v in doc.verdicts if v["name"] == "c0-fit-order")
         assert float(observed) == min(orders)
+
+    def test_star_fit_computes_each_quantity_once(self, monkeypatch):
+        # each of 2 pairs once ran its own star fit and, at each of 2 points,
+        # both orderings' fits, each with a lstsq (10 in all) and its own
+        # eigenvalue table (4, and 2 more for the c0 order), and 58 scalar pair
+        # signs, point by point and ordering by ordering
+        from thetaquant import toeplitz
+
+        calls = {"lstsq": 0, "laplace_eigenvalue": 0, "_pair_signs": 0,
+                 "trace_pair_sign": 0}
+
+        def counted(module, name, key=None):
+            fn = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[key or name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        counted(np.linalg, "lstsq")
+        for name in ("laplace_eigenvalue", "_pair_signs", "trace_pair_sign"):
+            counted(toeplitz, name)
+        m = parse_config("[star-fit]")  # n = 1; the runner reads two points
+        doc = run_experiment(m, use_cache=False)
+        assert doc.passed and len(doc.rows) == 4
+        # one sign table a pair, no scalar sign: none per point or ordering
+        assert calls == {"lstsq": 1, "laplace_eigenvalue": 2, "_pair_signs": 2,
+                         "trace_pair_sign": 0}
 
     def test_star_fit_summary_has_constant(self, tmp_path):
         m = parse_config("experiment = star-fit, n = 1, Z = i; 1+2i, k = 8,16,32,64,128")

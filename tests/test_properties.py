@@ -23,7 +23,10 @@ points (X and Y share eigenvectors) with batches of up to eight modes of
 entries |r_i|, |s_i| <= 4, and checked mode by mode against the oracles.
 The same spectral functions of up to eight modes of entries up to 10^6 in
 size give, bit for bit, the same arrays for the list of modes and for its
-(M, 2n) integer table.
+(M, 2n) integer table.  The star and c1 fits of one to three points at
+n = 1 and 2 and one or two pairs of modes, some far enough that a
+projection overflows and some commuting, are taken in one batch and match,
+bit for bit and refusal for refusal, the one-point and one-pair calls.
 """
 
 import itertools
@@ -42,10 +45,12 @@ from thetaquant.formal import (
     _hitchin_residuals,
     _mu_eigenvalue,
     _mu_frame,
+    _trivialized_star,
     covariant_constancy_residual,
     formal_hitchin_residual,
+    trivialized_star_compare,
 )
-from thetaquant.fourier import FourierMode, _mode_arrays
+from thetaquant.fourier import FourierFunction, FourierMode, _mode_arrays
 from thetaquant.sections import (
     QuadratureGrid,
     _dense_pairings,
@@ -69,6 +74,8 @@ from thetaquant.toeplitz import (
     _clock_shift_columns,
     _pair_signs,
     _sign_tables,
+    _star_fits,
+    c1_antisymmetry_constant,
     eta,
     quadrature_deviation,
     toeplitz_mode_closed_form,
@@ -400,6 +407,28 @@ def sign_cases(draw):
     return k, draw(modes), draw(modes)
 
 
+@st.composite
+def star_cases(draw):
+    """One to three points at one n = 1, 2, off-diagonal entries included,
+    five or six levels in [1, 96] and one or two pairs of modes, entries in
+    [-3, 3] or, for far modes whose projections overflow at low levels, in
+    [-40, 40]; equal or commuting modes give a bracket that vanishes."""
+    n = draw(st.integers(1, 2))
+    pts = [draw(points_to_3(n)) for _ in range(draw(st.integers(1, 3)))]
+    levels = sorted(draw(st.sets(st.integers(1, 96), min_size=5, max_size=6)))
+    vector = st.tuples(*[st.one_of(st.integers(-3, 3), st.integers(-40, 40))] * n)
+    mode = st.tuples(vector, vector).map(lambda rs: FourierMode(*rs))
+    return pts, levels, draw(st.lists(st.tuples(mode, mode), min_size=1, max_size=2))
+
+
+def _outcome(compute):
+    """The result of ``compute``, or the repr of the refusal it raises."""
+    try:
+        return compute()
+    except (OverflowError, ValueError) as error:
+        return repr(error)
+
+
 def _same_bits(batch, items):
     """Whether the batch is the stack of the one-item results, to the bit."""
     items = np.array(items)
@@ -407,8 +436,8 @@ def _same_bits(batch, items):
 
 
 @PROPERTY
-@given(batch_cases(), sign_cases())
-def test_every_batch_is_its_one_item_calls_bitwise(case, signs):
+@given(batch_cases(), sign_cases(), star_cases())
+def test_every_batch_is_its_one_item_calls_bitwise(case, signs, stars):
     p, q, normal, k, v, modes, label, z, pairs = case
     calls = [
         lambda ms: laplace_eigenvalue(p, ms),
@@ -449,6 +478,20 @@ def test_every_batch_is_its_one_item_calls_bitwise(case, signs):
         assert _same_bits(_pair_signs(level, *wrapping), scalar)
     except ArithmeticError:
         assert tables[0].dtype == object
+    # every pair's star and every point's c1 in one kernel call and one
+    # lstsq, against the one-pair star and the one-point constant; a refused
+    # batch raises what its first refusing pair and point raise alone
+    pts, levels, pairs = stars
+    functions = [(FourierFunction({a: 1.0}), FourierFunction({b: 1.0})) for a, b in pairs]
+    alone = [_outcome(lambda: c1_antisymmetry_constant(p, f, g, levels))
+             for f, g in functions for p in pts]
+    fits = _outcome(lambda: _star_fits(pts, functions, levels)[0])
+    if isinstance(fits, str):
+        assert fits == next(a for a in alone if isinstance(a, str))
+        return
+    assert [repr(c) for fit in fits for c in fit.c1] == list(map(repr, alone))
+    for (a, b), fit in zip(pairs, fits):
+        assert repr(_trivialized_star(a, b, fit)) == repr(trivialized_star_compare(a, b, levels))
 
 
 @PROPERTY
