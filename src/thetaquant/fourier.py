@@ -328,6 +328,7 @@ _NEWTON_STARTS = 64
 # _PINV_FLOOR (a symmetric matrix's norm is at least its largest entry)
 _PINV_RTOL = 1e-15
 _PINV_FLOOR = np.finfo(float).tiny / _PINV_RTOL
+_EPS = np.finfo(float).eps
 
 
 def _trig_derivatives(c, t, theta):
@@ -350,10 +351,13 @@ def _trig_max(c, t):
     of N_d = 8 deg_d nodes on each axis d (one FFT); Newton steps on |P|^2
     then climb from the grid's local maxima near the top.  Returns
     ``(value, gap)`` with value <= max |P| <= value + gap.  ``value`` is
-    attained at a point.  For the gap: at the maximiser theta* of |P|,
-    g = Re(conj(u) P) with u the phase of P(theta*) has zero gradient and
-    g <= |P|, so the nearest node (|delta_d| <= 1/2N_d) has
+    |P| at a point, as evaluated in floats.  For the gap: at the maximiser
+    theta* of |P|, g = Re(conj(u) P) with u the phase of P(theta*) has zero
+    gradient and g <= |P|, so the nearest node (|delta_d| <= 1/2N_d) has
     |P| >= max |P| - bound, bound = (pi^2/2) sum_j |c_j| (sum_d |t_jd|/N_d)^2.
+    The grid values and the bound are rounded, so the gap also holds their
+    rounding, and value + gap is rounded up: it bounds max |P| in exact
+    arithmetic.
     """
     c = np.asarray(c, dtype=complex)
     t = np.asarray(t, dtype=np.int64)
@@ -403,7 +407,15 @@ def _trig_max(c, t):
             break
         theta[better] = trial[better]
     value = float(np.abs(_trig_derivatives(c, t, theta)[0]).max())
-    return math.ldexp(value, e), math.ldexp(max(grid_max + bound - value, 0.0), e)
+    # An FFT node is sum_j c_j w_j, each w_j a product of unit twiddles along
+    # one path of radix passes, so it rounds by at most a few eps per unit of
+    # the radices (whose sum is at most sum_d N_d) times sum_j |c_j|; the
+    # bound's M-term sum rounds by at most (M + D + 8) eps of itself.
+    rounding = _EPS * (8 * (sum(shape) + 4) * float(np.abs(c).sum())
+                       + (len(c) + len(shape) + 8) * bound)
+    upper = (grid_max + bound + rounding) * (1 + 4 * _EPS)
+    value, upper = math.ldexp(value, e), math.nextafter(math.ldexp(upper, e), math.inf)
+    return value, math.nextafter(max(upper - value, 0.0), math.inf)
 
 
 class SupBound(NamedTuple):

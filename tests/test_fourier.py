@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,20 +259,45 @@ def test_tiny_and_huge_coefficients_do_not_overflow():
             assert 0 <= sup.gap < sup.value
 
 
-@pytest.mark.parametrize("tiny", (2.2250738585e-313, 1e-320))
+@pytest.mark.parametrize("tiny", (2.2250738585e-313, 1e-320, 2.0**-60))
 @pytest.mark.parametrize("torus", (False, True))
 def test_a_subnormal_term_beside_a_constant_does_not_overflow(tiny, torus):
     # scaling c by 2^e leaves the term subnormal, and so is the Hessian of
     # |P|^2; its pseudo-inverse overflowed, and the RuntimeWarning filter
-    # failed the order test of tests/test_weyl_symbol.py on a random draw
+    # failed the order test of tests/test_weyl_symbol.py on a random draw.
+    # The sup, 1 + tiny and more at theta = 0, reads 1 on the grid, and the
+    # gap grid_max + bound - value once rounded the tiny terms away to 0
     terms = {((0, 0), (0, 0)): 1.0, ((0, 0), (0, 1)): tiny}
     if torus:
         terms[((1, 0), (0, 0))] = tiny
     f = FourierFunction(terms)
     sup = sup_abs(f)
     assert sup.method == ("torus" if torus else "line")
-    assert sup.value <= 1 + len(terms) * tiny <= sup.value + sup.gap
+    exact = sum(map(Fraction, terms.values()))
+    assert Fraction(sup.value) <= exact <= Fraction(sup.value) + Fraction(sup.gap)
     assert sup.value == 1.0
+
+
+@st.composite
+def nonnegative_functions(draw):
+    """A function at n = 1 or 2 of one to five modes of entries in [-3, 3]
+    and nonnegative coefficients of any size, whose sup is their sum."""
+    n = draw(st.integers(1, 2))
+    mode = st.tuples(*[entries] * (2 * n)).map(lambda v: (v[:n], v[n:]))
+    size = st.one_of(st.floats(0, 4), st.floats(0, 1e-12), st.floats(0, 1e-300))
+    modes = draw(st.lists(mode, min_size=1, max_size=5, unique=True))
+    return FourierFunction({m: draw(size) for m in modes}, n=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonnegative_functions())
+@example(FourierFunction({((0,), (0,)): 1.0, ((0,), (1,)): 2.0**-60}))
+def test_value_plus_gap_is_at_least_the_exact_sup(f):
+    # every phase is 1 at theta = 0, so the sum of the coefficients, taken
+    # in exact arithmetic, is the sup
+    sup = sup_abs(f)
+    exact = sum(Fraction(c.real) for c in f.terms.values())
+    assert exact <= Fraction(sup.value) + Fraction(sup.gap)
 
 
 def test_two_cosine_sup_is_two():
