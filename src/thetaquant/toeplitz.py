@@ -832,9 +832,9 @@ def _star_fits(points, pairs, k_values):
     modes = list(dict.fromkeys(m for t in tables for m in (*t.f.terms, *t.g.terms,
                                                             *t.out_modes)))
     lams = [dict(zip(modes, laplace_eigenvalue(p, modes))) for p in points]
-    series, refused = [], {}
+    series, refused, zero = [], {}, dict.fromkeys(modes, 0.0)
     for i, t in enumerate(tables):
-        series.append(_product_projections(k_values, t.fg, dict.fromkeys(modes, 0.0)))
+        series.append(_product_projections(k_values, t.fg, zero))
         for j, lam in enumerate(lams):
             try:
                 series += [_product_projections(k_values, t.fg, lam),
