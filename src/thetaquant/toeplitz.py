@@ -45,9 +45,9 @@ The expansion fits (:func:`product_expansion_fit`,
 :func:`c1_antisymmetry_constant` and ``formal.trivialized_star_compare``)
 take all K levels in one array pass, with no symbol per level.  What no
 Siegel point enters is built once per pair (f, g): the sorted out modes
-m_i + n_j, the pair signs of every level from one integer pass, whose rows
-are also those of T_g T_f and, at the top level, the signs between the out
-modes, and the Weyl weights exp(i pi omega / k) as one (K, P) array from
+m_i + n_j, one table of the pair signs between them at every level, which
+serves both orderings and, at the top level, the pairings of the c1 scale,
+and the Weyl weights exp(i pi omega / k) as one (K, P) array from
 the weight the symbol product uses.  A point adds one table of Laplace
 eigenvalues, which gives every eta_k.  The projection of T_f T_g onto each
 out mode sums its terms in the exponent, exp((lambda_i + lambda_j -
@@ -497,19 +497,16 @@ def _pair_signs(k, t1, t2):
     """trace_pair_sign(k, a, b) of every row a of ``t1`` and b of ``t2``,
     shape (M1, M2), in one integer array pass over the two mode tables
     (:func:`_sign_tables`): the congruence mask, then P = r.s + t.u - 2 s.t,
-    then the check that k divides P on the congruent pairs.  ``k`` may be
-    an array of K levels, below the largest the tables were built for,
-    which gives every level's signs, shape (K, M1, M2), in the same pass.
+    then the check that k divides P on the congruent pairs.
     :func:`trace_pair_sign` is the scalar spelling and this one's oracle.
     int64 arithmetic is exact mod 2^64, so a P that wrapped is off by a
     multiple of 2^64: either k does not divide it and the check refuses, or
     P/k moved by an even number and the sign stands."""
     n = t1.shape[1] // 2
-    k = np.asarray(k, dtype=t1.dtype)[..., None, None]  # Python ints in object tables
-    r, s, t, u = t1[:, :n], t1[:, n:], t2[:, :n], t2[:, n:]
-    congruent = ((t1[:, None] - t2) % k[..., None] == 0).all(axis=-1)
-    P = (r * s).sum(axis=1)[:, None] + (t * u).sum(axis=1) - 2 * (s @ t.T)
-    if np.where(congruent, P % k, 0).any():
+    (r, s), (t, u) = (np.split(table, [n], axis=1) for table in (t1, t2))
+    congruent = np.all((t1[:, None] - t2) % k == 0, axis=-1)
+    P = np.sum(r * s, axis=1)[:, None] + np.sum(t * u, axis=1) - 2 * (s @ t.T)
+    if np.any(P[congruent] % k):
         raise ArithmeticError("pair phase of congruent modes is not a sign")
     return np.where(congruent, 1 - 2 * (P // k % 2), 0).astype(np.int64)
 
@@ -543,7 +540,8 @@ def bms_experiment(p, f, k_values):
     The sup comes from the modes of f (:func:`fourier.sup_abs`): for a line
     function it is the maximum over one angle, for any other function a
     certified coarse-grid search plus Newton over the 2n angles; either way
-    sup <= sup |f| <= sup + sup_gap.  The norms come first, so a level that
+    sup |f| <= sup + sup_gap, and sup is |f| at a point, below sup |f| but
+    for its own rounding.  The norms come first, so a level that
     needs a refused dense matrix stops the run before the sup.
 
     The coefficients c_m eta_k(m) of all levels are one (K, M) array, and a
@@ -627,31 +625,35 @@ class _Product(NamedTuple):
     terms: np.ndarray  # (K, P): f_a g_b exp(i pi omega(a, b) / k)
 
 
-def _product_terms(k_values, f, g, out_modes):
-    """The Z-free halves of the projections of T_f T_g and of T_g T_f onto
-    the out modes at every level, two :class:`_Product`.
+def _out_mode_signs(k_values, out_modes):
+    """trace_pair_sign(k, m, m') of every two out modes at every level,
+    shape (K, M, M).  Every sum of a product's pair is an out mode, so
+    these rows are the signs of both orderings' projections
+    (:func:`_product_terms`)."""
+    K, M = len(k_values), len(out_modes)
+    return np.array(
+        [[[trace_pair_sign(k, a, b) for b in out_modes] for a in out_modes]
+         for k in k_values], dtype=np.int64).reshape(K, M, M)
 
-    ``f`` and ``g`` map modes to coefficients.  By the Weyl relation T_f T_g
+
+def _product_terms(k_values, f, g, out_modes, signs):
+    """The Z-free half of the projections of T_f T_g onto the out modes at
+    every level, a :class:`_Product`.
+
+    ``f`` and ``g`` map modes to coefficients and ``signs`` is
+    :func:`_out_mode_signs` of the out modes.  By the Weyl relation T_f T_g
     is sum f_a g_b w_ab eta_k(a) eta_k(b) W_k(a + b), w_ab the weight of
     :func:`_weyl_phase`, and its pairing with T_m keeps the products
-    congruent to m with the sign of :func:`trace_pair_sign`.  The signs of
-    every level and pair are one :func:`_pair_signs` pass; T_g T_f has the
-    same sums b + a, so its signs are those rows in its order of the pairs,
-    and its weights are those of -omega.
+    congruent to m with the sign of :func:`trace_pair_sign`: the row of
+    ``signs`` at the out mode a + b.
     """
     ks = np.asarray(k_values)
     pairs = [(a, b) for a in f for b in g]
-    sums = [a + b for a, b in pairs]
-    sign = _pair_signs(ks, *_sign_tables(max(k_values), sums, out_modes))
+    row = {m: i for i, m in enumerate(out_modes)}
     omega = np.array([a.symplectic_pairing(b) for a, b in pairs], dtype=np.int64)
-    coeff = np.array([f[a] * g[b] for a, b in pairs], dtype=complex)
-    phase = _weyl_phase(ks[:, None])
-    # T_g T_f takes the pairs (b, a) in the order of g, then f: the pairs
-    # (a, b) of T_f T_g at these indices
-    swap = np.arange(len(pairs)).reshape(len(f), len(g)).T.ravel()
-    return (_Product(pairs, out_modes, sign, coeff * phase(omega)),
-            _Product([pairs[i][::-1] for i in swap], out_modes, sign[:, swap],
-                     coeff[swap] * phase(-omega[swap])))
+    terms = np.array([f[a] * g[b] for a, b in pairs], dtype=complex)
+    return _Product(pairs, out_modes, signs[:, [row[a + b] for a, b in pairs]],
+                    terms * _weyl_phase(ks[:, None])(omega))
 
 
 def _product_projections(k_values, product, lam):
@@ -706,7 +708,8 @@ def _fit_coefficients(k_values, f, g, out_modes, lam):
     out modes at every level (:func:`_product_projections`), regressed on
     powers of 1/k.  Returns c_0 .. c_L as FourierFunctions and the
     condition number of the fit."""
-    product = _product_terms(k_values, f.terms, g.terms, out_modes)[0]
+    signs = _out_mode_signs(k_values, out_modes)
+    product = _product_terms(k_values, f.terms, g.terms, out_modes, signs)
     rows, cond = _inverse_power_fit(k_values, _product_projections(k_values, product, lam))
     return [FourierFunction(dict(zip(out_modes, row)), n=f.n) for row in rows], cond
 
@@ -785,17 +788,16 @@ class _PairTable(NamedTuple):
 
 def _pair_table(k_values, f, g):
     """The :class:`_PairTable` of (f, g) at the levels ``k_values``: one
-    :func:`_pair_signs` pass gives the signs of both orderings at every
-    level and, in its rows at kmax, those between the out modes that the
-    pairings of the c1 scale read."""
+    table of signs (:func:`_out_mode_signs`) serves both orderings at every
+    level and, in its rows at kmax, the pairings of the c1 scale."""
     out_modes = sorted({a + b for a in f.terms for b in g.terms})
-    fg, gf = _product_terms(k_values, f.terms, g.terms, out_modes)
-    # a row of the signs depends on its pair's sum alone
-    row = {a + b: i for i, (a, b) in enumerate(fg.pairs)}
-    signs = fg.sign[k_values.index(max(k_values))][[row[m] for m in out_modes]].tolist()
+    signs = _out_mode_signs(k_values, out_modes)
+    fg, gf = (_product_terms(k_values, a.terms, b.terms, out_modes, signs)
+              for a, b in ((f, g), (g, f)))
+    top = signs[k_values.index(max(k_values))].tolist()
     index = {m: i for i, m in enumerate(out_modes)}
     return _PairTable(f, g, out_modes, fg, gf, poisson_bracket(f, g).terms,
-                      lambda a, b: signs[index[a]][index[b]])
+                      lambda a, b: top[index[a]][index[b]])
 
 
 class _PairFits(NamedTuple):
@@ -874,14 +876,7 @@ def _c1_comparison(t, lam, kmax, c_fg, c_gf, cond):
         raise ValueError(f"the operator of {{f, g}} vanishes at k = {kmax}: "
                          "no scale to measure")
     gamma = _trace_pairing(kmax, n, A.coeffs, B.coeffs, t.sign) / norm2
-    R = A - gamma * B
-    modes = sorted(A.coeffs)
-    if modes == sorted(R.coeffs):  # both norms in one pass, each row as norm() rounds it
-        rows = [[X.coeffs[m] for m in modes] for X in (R, A)]
-        norms = _level_norms((kmax, kmax), n, modes, np.array(rows, dtype=complex))
-    else:
-        norms = R.norm(), A.norm()
-    resid = norms[0] / max(norms[1], 1e-300)
+    resid = (A - gamma * B).norm() / max(A.norm(), 1e-300)
     return C1Comparison(
         gamma=gamma,
         constant=gamma / (-1j),

@@ -686,7 +686,7 @@ class TestRunAndCache:
         # signs, point by point and ordering by ordering
         from thetaquant import toeplitz
 
-        calls = {"lstsq": 0, "laplace_eigenvalue": 0, "_pair_signs": 0,
+        calls = {"lstsq": 0, "laplace_eigenvalue": 0, "_out_mode_signs": 0,
                  "trace_pair_sign": 0}
 
         def counted(module, name, key=None):
@@ -698,14 +698,15 @@ class TestRunAndCache:
             monkeypatch.setattr(module, name, call)
 
         counted(np.linalg, "lstsq")
-        for name in ("laplace_eigenvalue", "_pair_signs", "trace_pair_sign"):
+        for name in ("laplace_eigenvalue", "_out_mode_signs", "trace_pair_sign"):
             counted(toeplitz, name)
         m = parse_config("[star-fit]")  # n = 1; the runner reads two points
         doc = run_experiment(m, use_cache=False)
         assert doc.passed and len(doc.rows) == 4
-        # one sign table a pair, no scalar sign: none per point or ordering
-        assert calls == {"lstsq": 1, "laplace_eigenvalue": 2, "_pair_signs": 2,
-                         "trace_pair_sign": 0}
+        # one sign table a pair, of its one out mode at the 5 levels: no sign
+        # is taken per point or per ordering
+        assert calls == {"lstsq": 1, "laplace_eigenvalue": 2, "_out_mode_signs": 2,
+                         "trace_pair_sign": 2 * len(m.k_values)}
 
     def test_star_fit_summary_has_constant(self, tmp_path):
         m = parse_config("experiment = star-fit, n = 1, Z = i; 1+2i, k = 8,16,32,64,128")
