@@ -350,14 +350,15 @@ def _trig_max(c, t):
     frequencies (or M integer powers, D = 1).  |P| is evaluated on the grid
     of N_d = 8 deg_d nodes on each axis d (one FFT); Newton steps on |P|^2
     then climb from the grid's local maxima near the top.  Returns
-    ``(value, gap)`` with value <= max |P| <= value + gap.  ``value`` is
-    |P| at a point, as evaluated in floats.  For the gap: at the maximiser
-    theta* of |P|, g = Re(conj(u) P) with u the phase of P(theta*) has zero
-    gradient and g <= |P|, so the nearest node (|delta_d| <= 1/2N_d) has
+    ``(value, gap)`` with max |P| <= value + gap in exact arithmetic.
+    ``value`` is |P| at a point, as evaluated in floats, so it is below
+    max |P| but for the rounding of that evaluation, which can put it a few
+    ulps above.  For the gap: at the maximiser theta* of |P|,
+    g = Re(conj(u) P) with u the phase of P(theta*) has zero gradient and
+    g <= |P|, so the nearest node (|delta_d| <= 1/2N_d) has
     |P| >= max |P| - bound, bound = (pi^2/2) sum_j |c_j| (sum_d |t_jd|/N_d)^2.
     The grid values and the bound are rounded, so the gap also holds their
-    rounding, and value + gap is rounded up: it bounds max |P| in exact
-    arithmetic.
+    rounding, and value + gap is rounded up.
     """
     c = np.asarray(c, dtype=complex)
     t = np.asarray(t, dtype=np.int64)
@@ -419,7 +420,8 @@ def _trig_max(c, t):
 
 
 class SupBound(NamedTuple):
-    """sup |f| from the modes of f: value <= sup |f| <= value + gap."""
+    """sup |f| from the modes of f: sup |f| <= value + gap, and value is
+    |f| at a point, below sup |f| but for its own rounding."""
 
     value: float
     gap: float

@@ -292,12 +292,17 @@ def nonnegative_functions(draw):
 @settings(max_examples=40, deadline=None)
 @given(nonnegative_functions())
 @example(FourierFunction({((0,), (0,)): 1.0, ((0,), (1,)): 2.0**-60}))
+@example(FourierFunction({((0,), (0,)): 1.0, ((0,), (1,)): 0.75 * 2.0**-52}))
 def test_value_plus_gap_is_at_least_the_exact_sup(f):
     # every phase is 1 at theta = 0, so the sum of the coefficients, taken
-    # in exact arithmetic, is the sup
+    # in exact arithmetic, is the sup.  The value is |f| at a point as
+    # evaluated in floats: it may pass the sup, but only by that rounding
+    # (the second example reads 1 + 2^-52 against 1 + 0.75 * 2^-52)
     sup = sup_abs(f)
     exact = sum(Fraction(c.real) for c in f.terms.values())
     assert exact <= Fraction(sup.value) + Fraction(sup.gap)
+    eps = Fraction(np.finfo(float).eps)
+    assert Fraction(sup.value) <= exact * (1 + 8 * (len(f.terms) + 2) * eps)
 
 
 def test_two_cosine_sup_is_two():
