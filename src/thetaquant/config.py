@@ -237,6 +237,10 @@ def _build_manifest(pairs, line_of):
             ) from None
         if not ks or any(k < 1 for k in ks):
             raise ConfigError("levels must be positive", line_of.get("k"))
+        if len(set(ks)) < len(ks):  # a repeat measures nothing new, and a fit loses rank
+            repeated = sorted({k for k in ks if ks.count(k) > 1})
+            raise ConfigError(f"levels repeat: {', '.join(map(str, repeated))}",
+                              line_of.get("k"))
         m.k_values = ks
     if "Z" in reads:
         m.points = siegel_points(pairs.get("Z"), n, line_of.get("Z"))

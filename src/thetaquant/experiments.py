@@ -18,6 +18,7 @@ each array is refused for its size by the function that allocates it.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import csv
 import functools
@@ -186,6 +187,12 @@ def _worst(values):
     0.0), so a verdict built on it could pass over NaN rows.
     """
     return float(np.max(values)) if len(values) else float("nan")
+
+
+def _relative_gap(value, ref):
+    """|value - ref| / |ref|; NaN when ref is 0 or not finite, which leaves
+    no scale to measure against, so a verdict on it fails."""
+    return abs(value - ref) / abs(ref) if ref != 0 and cmath.isfinite(ref) else float("nan")
 
 
 class _Sweep:
@@ -521,13 +528,12 @@ def _run_star_fit(m):
                  comp.relative_residual, fmt_complex(star.constant),
                  comp.condition_number, "pass" if ok else "fail"]
             )
-    ref = c1_constants[0]
-    stability = _worst([abs(c - ref) / abs(ref) for c in c1_constants])
+    stability = _worst([_relative_gap(c, c1_constants[0]) for c in c1_constants])
     # The c1 constant is measured against -i{f,g}; the Moyal ratio against
     # the full exponential coefficient.  Both estimate the same global
     # normalization, expected 1/(2 pi) in these units.
     cross = _worst(
-        [abs(sc - cc) / abs(cc) for sc, cc in zip(star_constants, c1_constants)]
+        [_relative_gap(sc, cc) for sc, cc in zip(star_constants, c1_constants)]
     )
     worst_resid = _worst([r[3] for r in rows])
     min_order = float(np.min(c0_orders))

@@ -18,12 +18,19 @@ mod N.  In that product the y-phases cancel and the Gaussians sit on one
 fine lattice of step gcd(k, N)/(kN): it is evaluated once per node, and
 for each offset d = r mod N between the frequencies the products of all
 labels are folded by strided sums and inverse FFTs over the y-nodes.
+Offsets with the same d mod k share their partner labels and form one
+offset group.  The bandwidth rule's N is a multiple of k, so there the
+step is 1/N and every offset of one r_i has the same d mod k: one group
+per r_i.  A grid that is not a multiple of k, which only an explicit grid
+gives, has a lattice k/gcd(k, N) times finer per axis and up to k/gcd(k, N)
+groups per r_i.
 At a diagonal Z (always at n = 1) the Gaussian, and so every fold and
 transform, is a product over the axes: each axis is folded on its own axis
 of the box, of about k N (L + 1) / gcd(k, N) nodes over a window of L^n
-lattice terms, every offset group of every distinct r_i of the modes once,
-into one table of (k, N) rows that one inverse FFT transforms; the table is
-gathered and freed before the pairings are formed.  Any other Z folds the
+lattice terms, N (L + 1) on the rule's grid, every offset group of every
+distinct r_i of the modes once, into one table of (k, N) rows that one
+inverse FFT transforms; the table is gathered and freed before the
+pairings are formed.  Any other Z folds the
 box of n axes one offset group at a time into (k,)^n + (N,)^n arrays, in
 O(box + k^n N^n).  Every fold of a lattice writes its products into one
 reused buffer.  The pairings are kept on their support: a mode pairs label
@@ -39,11 +46,11 @@ frame orthonormal.  A grid is its node count N; theta sums are truncated
 at DEFAULT_EPSILON.  Each quadrature cell is sized once, by one plan
 (:func:`_plan`): the truncation radius R and the lattice window, the
 bandwidth rule N >= 4 (k R + m_max) in x, m_max the largest frequency of
-the modes, raised where the y-Gaussians of a large Y would alias
-(:func:`required_grid_size`), the grid's N, the path (axis fold or box),
-each axis's offset groups, the rows and the bytes the pairings hold.  The
-lattices, the folds and the byte figure read the plan and recompute none of
-it.  Every quadrature passes one check on its plan (:func:`_checked_plan`):
+the modes, raised where the y-Gaussians of a large Y would alias and
+rounded up to a multiple of k (:func:`required_grid_size`), the grid's N,
+the path (axis fold or box), each axis's offset groups, the rows and the
+bytes the pairings hold.  The lattices, the folds and the byte figure read
+the plan and recompute none of it.  Every quadrature passes one check on its plan (:func:`_checked_plan`):
 n is 1 or 2, N is at least the rule, and pairings that would hold more
 than the 1 GiB limit of :func:`fourier.check_bytes`, with the dense
 matrices of a dense caller, are refused, with SizeLimitError, before
@@ -141,30 +148,39 @@ class QuadratureGrid:
 
 def required_grid_size(p, k, m_max=0):
     """Bandwidth-sufficient node count: :func:`_grid_rule` at the certified
-    truncation radius, as every quadrature plan sizes its grid."""
+    truncation radius, as every quadrature plan sizes its grid.  It is a
+    multiple of k, so the rule's grid folds with g = gcd(k, N) = k; a grid
+    with g < k comes only from an explicit ``grid`` at or above it."""
     return _grid_rule(p, k, m_max, truncation_radius(p, k, DEFAULT_EPSILON).radius)
 
 
 def _grid_rule(p, k, m_max, radius):
-    """The x-rule 4 (k ceil(R) + m_max), R the theta truncation ``radius``,
-    or the smallest N above it whose certified y-aliasing tail
-    (:func:`_y_alias_tail`) is below DEFAULT_EPSILON if the x-rule's is not.
+    """The smallest multiple of k at or above the x-rule 4 (k ceil(R) +
+    m_max), R the theta truncation ``radius``, or, if the x-rule's certified
+    y-aliasing tail (:func:`_y_alias_tail`) is not below DEFAULT_EPSILON, at
+    or above the smallest N whose tail is.
+
+    More nodes only lower the aliasing, and the tail falls as N grows, so
+    rounding up keeps the certificate.  With k | N, g = gcd(k, N) = k:
+    every offset d = r_i + N e of one axis has the same d mod k, so each r_i
+    has one offset group, and the fine lattice of :class:`_FineLattice` has
+    step 1/N; at g < k its step g/(kN) is k/g times finer.
     """
     N = 4 * (k * int(math.ceil(radius)) + int(m_max))
 
     def certified(N):
         return _y_alias_tail(p, k, m_max, N, DEFAULT_EPSILON) < DEFAULT_EPSILON
 
-    if certified(N):
-        return N
-    # the tail falls as N grows: double past it, then bisect
-    lo, hi = N, 2 * N
-    while not certified(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if certified(mid) else (mid, hi)
-    return hi
+    if not certified(N):
+        # the tail falls as N grows: double past it, then bisect
+        lo, hi = N, 2 * N
+        while not certified(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if certified(mid) else (mid, hi)
+        N = hi
+    return -(-N // k) * k
 
 
 def _shell(n, t):
@@ -255,6 +271,9 @@ class _FineLattice:
 
     over the box of c, of modulus exp(-pi k v.Yv) <= 1, so no level
     overflows.  The terms meet every node g^n times, and G evaluates it once.
+    The bandwidth rule's N is a multiple of k (:func:`_grid_rule`), so there
+    g = k, v = c/N and c = N u + q; a grid with g < k, which only an
+    explicit ``grid`` gives, makes the box k/g times finer per axis.
     At a diagonal Z, exp(i pi k v.Zv) = prod_i exp(i pi k Z_ii v_i^2), and
     :meth:`axes` gives one lattice of one axis per factor, on which the
     quadrature folds; :meth:`build` gives the box of n axes.  G is
@@ -540,7 +559,7 @@ def _plan(p, k, modes=None, N=None):
     width = k * (2 * half + 1)
     r, _ = _mode_arrays(table)
     groups = tuple(_axis_groups(ri, k, N, width) for ri in r.T.tolist())
-    diagonal = p.n == 1 or p.Z[0, 1] == p.Z[1, 0] == 0
+    diagonal = np.count_nonzero(p.Z) == p.n  # Im Z_ii > 0: no cross term at all
     return _Plan(p, k, table, radius, half, width, rule, N, diagonal, groups)
 
 
@@ -576,10 +595,15 @@ def theta_frame_on_grid(p, k, grid):
     in the order (x_1..x_n, y_1..y_n): the x-synthesis
     sum_l exp(2 pi i (k u.j mod N) / N) Y[a, l, y] of the lattice terms of
     :func:`_lattice_terms`, truncated at DEFAULT_EPSILON.  The
-    quadratures do not build it; it serves inspection and tests.
+    quadratures do not build it; it serves inspection and tests.  Raises
+    GridError at a non-diagonal point of n >= 3, whose box
+    :meth:`_FineLattice.build` does not form.
     """
     N = grid.N
-    ku, y_part = _lattice_terms(_plan(p, k, N=N))
+    plan = _plan(p, k, N=N)
+    if not plan.diagonal and p.n > 2:
+        raise GridError(f"the frame at a non-diagonal point supports n in {{1, 2}}, got n = {p.n}")
+    ku, y_part = _lattice_terms(plan)
     x_part = np.exp(2j * np.pi * ((ku @ _index_vectors(p.n, N).T) % N) / N)
     return np.matmul(x_part.transpose(0, 2, 1), y_part).reshape(k**p.n, -1)
 
@@ -619,17 +643,22 @@ def _checked_plan(p, k, grid, modes=None, dense=0):
 
     ``grid`` is a :class:`QuadratureGrid`, whose plan is built here, or the
     plan built for (p, k, modes); a plan built for another point, level or
-    modes raises ValueError.  On the plan, before anything is allocated,
-    raises GridError when n is not 1 or 2, ValueError for modes of another
-    dimension, GridError when N is below the bandwidth rule of the modes,
-    and SizeLimitError when the arrays the pairings hold, with the ``dense``
-    bytes of the k^n x k^n matrices a dense caller builds from them, would
-    exceed the 1 GiB limit.
+    modes raises ValueError.  The plan's own table object is taken as its
+    modes, and any other ``modes`` are coerced to a table and compared.  On
+    the plan, before anything is allocated, raises GridError when n is not 1
+    or 2, ValueError for modes of another dimension, GridError when N is
+    below the bandwidth rule of the modes, and SizeLimitError when the
+    arrays the pairings hold, with the ``dense`` bytes of the k^n x k^n
+    matrices a dense caller builds from them, would exceed the 1 GiB limit.
     """
-    table = _table(p.n, modes)
-    plan = grid if isinstance(grid, _Plan) else _plan(p, k, table, grid.N)
-    if plan.k != k or plan.p != p or not np.array_equal(plan.table, table):
-        raise ValueError("the quadrature plan was built for another point, level or modes")
+    if isinstance(grid, _Plan):
+        plan = grid
+        same = modes is plan.table or np.array_equal(plan.table, _table(p.n, modes))
+        if plan.k != k or plan.p != p or not same:
+            raise ValueError("the quadrature plan was built for another point, level or modes")
+    else:
+        plan = _plan(p, k, modes, grid.N)
+    table = plan.table
     if p.n not in (1, 2):
         raise GridError(f"quadrature supports n in {{1, 2}}, got n = {p.n}")
     if table.shape[1] != 2 * p.n:  # the axes would read the wrong columns

@@ -22,6 +22,7 @@ from thetaquant.experiments import (
     run_experiment,
 )
 from thetaquant.fourier import FourierFunction
+from thetaquant.sections import _plan
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import OperatorMatrix, WeylSymbol, product_expansion_fit
 
@@ -303,9 +304,13 @@ class TestRunAndCache:
         # certified, which comes before the refusal of n = 3
         no_radius = "no certifiable truncation radius"
         n3 = "n in {1, 2}, got n = 3"
+        # the rule's N of the 25 default modes, r and s in [-2, 2] on axis 1
+        span = range(-2, 3)
+        compare = _plan(SiegelPoint(np.diag([1j, 2j])), 512,
+                        [((r, 0), (s, 0)) for r in span for s in span]).N
         for experiment, text, n_col, N, why in (
             ("gram", "n = 2\nk = 4096", 3, "16384", "GiB at N=16384"),
-            ("toeplitz-compare", "n = 2\nk = 512", 2, "2056", "GiB at N=2056"),
+            ("toeplitz-compare", "n = 2\nk = 512", 2, str(compare), f"GiB at N={compare}"),
             ("gram", "n = 1\nk = 2\nZ = 0.00001i", 3, "", no_radius),
             ("gram", "n = 1\nk = 2\nZ = 0.00001i\ngrid = 64", 3, "64", no_radius),
             ("gram", "k = 4\nZ = i\ngrid = 8", 3, "8", "N=8, bandwidth rule needs N >= 32"),
@@ -707,6 +712,50 @@ class TestRunAndCache:
         # is taken per point or per ordering
         assert calls == {"lstsq": 1, "laplace_eigenvalue": 2, "_out_mode_signs": 2,
                          "trace_pair_sign": 2 * len(m.k_values)}
+
+    @pytest.mark.parametrize("body", [
+        "[star-fit]\nn = 1\nk = 1, 1, 1, 1, 1",
+        "[star-fit]\nn = 2\nmodes = 1,0,0,0; 0,0,1,0\nk = 40, 1, 40, 40, 40",
+        "[gram]\nk = 2, 4, 2",
+    ], ids=["star-fit-n1", "star-fit-n2", "gram"])
+    def test_repeated_levels_are_refused_in_one_line(self, tmp_path, capsys, body):
+        # a star-fit of one repeated level once ended in a ZeroDivisionError
+        # traceback, and of k = 2, 2, 2, 2, 2 fitted a rank-1 system on which
+        # c1-matches-bracket passed; repeats are refused for every experiment
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text(body + "\n")
+        rc = main(["experiment", "run", str(cfg), "--no-cache"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: line {body.count(chr(10)) + 1}: levels repeat: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("ref", [0j, complex("nan")])
+    def test_star_fit_ratios_fail_on_a_reference_without_scale(self, tmp_path, capsys,
+                                                               monkeypatch, ref):
+        # the stability ratio divides by the first c1 constant, which read 0
+        # on a degenerate fit: the run ended in a traceback
+        import dataclasses
+
+        from thetaquant import experiments
+
+        fits = experiments._star_fits
+
+        def first_constant(points, pairs, k_values):
+            out, lams = fits(points, pairs, k_values)
+            c1 = [dataclasses.replace(out[0].c1[0], constant=ref), *out[0].c1[1:]]
+            return [out[0]._replace(c1=c1), *out[1:]], lams
+
+        monkeypatch.setattr(experiments, "_star_fits", first_constant)
+        cfg = tmp_path / "star.cfg"
+        cfg.write_text("[star-fit]\nn = 1\n")
+        rc = main(["experiment", "run", str(cfg), "--no-cache"])
+        out = capsys.readouterr()
+        assert rc == 1 and out.err == "" and "overall: FAIL" in out.out
+        doc = run_experiment(parse_config("[star-fit]\nn = 1"), use_cache=False)
+        verdicts = {v["name"]: v for v in doc.verdicts}
+        for name in ("constant-stability", "star-matches-moyal-constant"):
+            assert verdicts[name]["observed"] == "nan" and not verdicts[name]["passed"]
 
     def test_star_fit_summary_has_constant(self, tmp_path):
         m = parse_config("experiment = star-fit, n = 1, Z = i; 1+2i, k = 8,16,32,64,128")

@@ -30,6 +30,7 @@ bit for bit and refusal for refusal, the one-point and one-pair calls.
 """
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -57,6 +58,7 @@ from thetaquant.sections import (
     _frame_norm,
     _frame_pairings,
     _plan,
+    _y_alias_tail,
     cocycle_residual,
     gram_deviation,
     gram_matrix,
@@ -69,7 +71,13 @@ from thetaquant.siegel import (
     dlambda_dZ,
     laplace_eigenvalue,
 )
-from thetaquant.theta import ThetaLabel, heat_residuals, quasi_periodicity_residual
+from thetaquant.theta import (
+    DEFAULT_EPSILON,
+    ThetaLabel,
+    heat_residuals,
+    quasi_periodicity_residual,
+    truncation_radius,
+)
 from thetaquant.toeplitz import (
     _clock_shift_columns,
     _pair_signs,
@@ -203,15 +211,16 @@ def configs(draw):
             lambda ms: not ms
             or FourierMode(*ms[0]).symplectic_pairing(FourierMode(*ms[1])) != 0
         )
-    # the config refuses a star-fit of fewer than five levels, and a
-    # covariance of fewer than two points
+    # the config refuses repeated levels, a star-fit of fewer than five
+    # levels and a covariance of fewer than two points
     fewest_levels = 5 if experiment == "star-fit" else 1
     fewest_points = 2 if experiment == "covariance" else 1
     return {
         "experiment": experiment,
         "n": n,
         "k": tuple(
-            draw(st.lists(st.integers(1, 512), min_size=fewest_levels, max_size=5))
+            draw(st.lists(st.integers(1, 512), min_size=fewest_levels, max_size=5,
+                          unique=True))
         ),
         "Z": tuple(
             tuple(p.Z.ravel().tolist())
@@ -511,6 +520,19 @@ def test_fd_stencil_is_the_residual_at_built_points_bitwise(case, h):
     w = 0.5 * (dX + sgn * dY) + mu / (2 * np.pi)
     want = np.hypot(w.real, w.imag)  # |w| as the builtin abs rounds it
     assert np.array_equal(formal_hitchin_residual(p, modes, v, fd_step=h), want)
+
+
+@PROPERTY
+@given(points(), st.floats(1, 40), st.integers(1, 64), st.integers(0, 8))
+@example(SiegelPoint(1j), 20.0, 4, 0)  # Z = 20i: the x-rule's grid aliases in y
+def test_the_rule_is_a_certified_multiple_of_k(p, y_scale, k, m_max):
+    # a larger Y raises the rule above the x-rule, where the y-Gaussians alias
+    p = SiegelPoint(p.X + 1j * y_scale * p.Y)
+    N = required_grid_size(p, k, m_max)
+    radius = truncation_radius(p, k, DEFAULT_EPSILON).radius
+    assert N % k == 0
+    assert N >= 4 * (k * math.ceil(radius) + m_max)
+    assert _y_alias_tail(p, k, m_max, N, DEFAULT_EPSILON) < DEFAULT_EPSILON
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from thetaquant.sections import (
     section_eval,
     suggest_grid,
     _FineLattice,
+    _checked_plan,
     _dense_pairings,
     _frame_norm,
     _frame_pairings,
@@ -140,6 +142,23 @@ class TestFrame:
                 got = frame[a, np.ravel_multi_index(node, (N,) * (2 * n))]
                 assert abs(got - want) < 1e-12
 
+    def test_n3_frame_is_the_section_or_refused(self):
+        # a point whose one cross term is Z[0, 2] was once folded axis by
+        # axis as if diagonal, and its frame differed from the section by up
+        # to 0.082; the box of n >= 3 axes is not built, so it is refused
+        k, N = 2, 8
+        p = SiegelPoint(np.diag([1j, 1.5j, 2j]))
+        frame = theta_frame_on_grid(p, k, QuadratureGrid(N))
+        for a in range(k**3):
+            for node in ((0,) * 6, (1, 3, 7, 2, 5, 6), (4, 0, 2, 7, 1, 3)):
+                x, y = np.array(node[:3]) / N, np.array(node[3:]) / N
+                want = section_eval(p, unit(k, 3, a), x, y) * np.exp(-np.pi * k * (y @ p.Y @ y))
+                assert abs(frame[a, np.ravel_multi_index(node, (N,) * 6)] - want) < 1e-12
+        cross = SiegelPoint([[1j, 0, 0.3j], [0, 1.5j, 0], [0.3j, 0, 2j]])
+        assert not _plan(cross, k, N=N).diagonal
+        with pytest.raises(GridError, match="non-diagonal point supports n in"):
+            theta_frame_on_grid(cross, k, QuadratureGrid(N))
+
 
 def _pairing_modes(n):
     """The zero mode and 25 modes with every component in [-2, 2] used."""
@@ -156,9 +175,11 @@ class TestFramePairings:
     # rule and below the lattice window: the spectral sum equals the frame
     # pairing on every grid, and only there do terms that collide mod N
     # carry weight (on a bandwidth grid they lie far apart, with products
-    # far below rounding); the rule's N = 44 would need a 540 MiB frame at
+    # far below rounding); the rule's N = 45 would need a 540 MiB frame at
     # the skew point.  The diagonal point pairs axis by axis, the others on
-    # the box of both axes
+    # the box of both axes.  The rule's N is a multiple of k, where each r
+    # has one offset group; N = 161 at k = 32 is coprime to k and above the
+    # rule, where r = 2 meets the window at two groups of d mod k
     @pytest.mark.parametrize(
         "Z, k, N",
         [
@@ -171,6 +192,7 @@ class TestFramePairings:
             ([[1j, 0], [0, 2j]], 2, None),
             ([[1j, 0], [0, 2j]], 3, None),
             ([[1j, 0], [0, 2j]], 3, 16),
+            (1j, 32, 161),
         ],
     )
     def test_match_explicit_frame_pairing(self, Z, k, N):
@@ -241,13 +263,20 @@ class TestFramePairings:
             assert {d % grid.N for (d,) in got} == {0}
 
     def test_window_collides_mod_n(self):
-        # k u of distinct lattice terms meet mod N, so the pairing must keep
-        # more than one partner per term
-        p = SiegelPoint(1j)
-        grid = suggest_grid(p, 32, m_max=2)
-        ku, _ = _lattice_terms(_plan(p, 32, N=grid.N))
-        assert ku.max() - ku.min() + 1 > grid.N
-        assert len(np.unique(ku % grid.N)) < ku.size
+        # on a grid coprime to k at or above the rule, the terms k u of one
+        # label a meet terms k u + d mod N, d = r mod N, at two offsets d of
+        # different d mod k, so the pairing must keep more than one partner
+        # label b = a + d mod k per label, one per offset group
+        # (test_match_explicit_frame_pairing checks the pairing at this N)
+        p, k, r = SiegelPoint(1j), 32, 2
+        grid = QuadratureGrid(required_grid_size(p, k, m_max=r) + 1)
+        assert math.gcd(k, grid.N) == 1
+        plan = _checked_plan(p, k, grid, [((r,), (0,))])  # refuses N below the rule
+        ku = _lattice_terms(plan)[0].ravel()
+        i, j = np.nonzero((ku[None, :] - ku[:, None] - r) % grid.N == 0)  # i meets j
+        partners = set(zip((ku[i] % k).tolist(), (ku[j] % k).tolist()))
+        assert len(partners) > k  # some label a has two partner labels b
+        assert len(plan.groups[0][0]) > 1  # in as many groups as the plan folds
 
 
 # Traced peak of a gram run and of a quadrature_deviation against the byte
@@ -303,12 +332,17 @@ class TestPairingBytes:
     # Since the pairings stay on their support, the diagonal point's 25-mode
     # deviation at k = 64 and its Gram at k = 128 (the zero mode alone, so
     # R = S = 0), once refused at 9.4 GiB and 6.0 GiB of (M, k^n, k^n) stack,
-    # hold their rows and the fold's tables
+    # hold their rows and the fold's tables.  The odd levels k = 63 on the
+    # axis path and k = 7 at the skew point on the box path fold on the
+    # rule's grid, a multiple of k, where the box is k times coarser per axis
+    # than on the coprime grid the rule once gave them
     @pytest.mark.parametrize("Z, k, R, S", [
         pytest.param(Z, k, 2, 2, id=f"{Z}-{k}") for Z, k in [
-            ("1j", 16), ("1j", 64), ("[[1j, 0], [0, 2j]]", 6), ("[[1j, 0], [0, 2j]]", 16),
+            ("1j", 16), ("1j", 63), ("1j", 64), ("[[1j, 0], [0, 2j]]", 6),
+            ("[[1j, 0], [0, 2j]]", 16),
             ("[[1j, 0], [0, 2j]]", 25), ("[[1j, 0], [0, 2j]]", 64),
-            ("[[2j, 0.5j], [0.5j, 1j]]", 6), ("[[2j, 0.5j], [0.5j, 1j]]", 16),
+            ("[[2j, 0.5j], [0.5j, 1j]]", 6), ("[[2j, 0.5j], [0.5j, 1j]]", 7),
+            ("[[2j, 0.5j], [0.5j, 1j]]", 16),
             ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 6), ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 16),
         ]
     ] + [pytest.param("1j", 64, 7, 0, id="1j-64-15-modes"),
@@ -359,12 +393,26 @@ class TestPlan:
             lambda: quadrature_deviation(q, 2, modes, plan),  # another point
             lambda: quadrature_deviation(p, 3, modes, plan),  # another level
             lambda: quadrature_deviation(p, 2, modes[:1], plan),  # other modes
+            lambda: quadrature_deviation(p, 2, plan.table[:1], plan),  # a view of its table
             lambda: toeplitz_modes_quadrature(p, 2, modes[::-1], plan),
             lambda: gram_matrix(p, 2, plan),  # the Gram's plan has the zero mode alone
         ):
             with pytest.raises(ValueError, match="plan was built for another"):
                 quadrature()
         gram_matrix(p, 2, _plan(p, 2))
+
+    def test_plans_own_table_is_not_coerced_again(self, monkeypatch):
+        # the runners hand the plan's table object back with the plan; other
+        # modes are coerced and compared
+        p, modes = SiegelPoint(1j), [FourierMode((1,), (0,)), FourierMode((0,), (1,))]
+        plan = _plan(p, 2, modes)
+        tables = []
+        table = sections._table
+        monkeypatch.setattr(sections, "_table", lambda *a: tables.append(a) or table(*a))
+        want = quadrature_deviation(p, 2, modes, plan)
+        assert len(tables) == 1
+        assert np.array_equal(quadrature_deviation(p, 2, plan.table, plan), want)
+        assert len(tables) == 1
 
     @pytest.mark.parametrize("Z, ks", [
         (1j, (2, 3, 5, 8)), (0.5 + 0.7j, (2, 3, 5, 8)), ([[1j, 0], [0, 2j]], (2, 3)),

@@ -27,6 +27,9 @@ The documents:
 * ``gram`` at k = 82, 128 and the 25-mode ``toeplitz-compare`` at k = 37,
   64, both at the default n = 2 point diag(i, 2i), levels whose pairings
   are kept on their support and would not fit as (M, k^n, k^n) stacks;
+* the 25-mode ``toeplitz-compare`` at n = 1, k = 735 (Z = i) and at the
+  skew point at k = 21, levels whose rule grids are multiples of k and
+  whose coprime grids of the old rule were refused at the 1 GiB limit;
 * ``star-fit`` at two off-diagonal n = 2 points, the skew point and the
   generic one, with the default pairs and with the explicit modes
   F(2,0;0,1), F(0,1;1,1): the c1 fits of two off-diagonal points in one
@@ -72,6 +75,10 @@ def documents():
     docs["flatness with a refused fd stencil"] = "[flatness]\nn = 1\nZ = 0.00005i; 1i\n"
     docs["gram past the stack wall"] = "[gram]\nn = 2\nk = 82, 128\n"
     docs["toeplitz-compare past the stack wall"] = "[toeplitz-compare]\nn = 2\nk = 37, 64\n"
+    docs["toeplitz-compare at n = 1 past the coprime-grid wall"] = (
+        "[toeplitz-compare]\nn = 1\nk = 735\nZ = i\n")
+    docs["toeplitz-compare at the skew point past the coprime-grid wall"] = (
+        f"[toeplitz-compare]\nn = 2\nk = 21\nZ = {POINTS[0]}\n")
     star = f"[star-fit]\nn = 2\nZ = {POINTS[0]}; {GENERIC}\n"
     docs["star-fit at two off-diagonal points"] = star
     docs["star-fit of explicit modes at two off-diagonal points"] = (
