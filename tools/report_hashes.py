@@ -1,14 +1,16 @@
 """Print the sha256 of every report of a fixed set of config documents.
 
-    python3 tools/report_hashes.py > hashes.json
+    python3 tools/report_hashes.py > tools/report_hashes.json
 
 Run from anywhere; the package is imported from ``src`` beside this
 directory.  Each document runs with the cache off, and its digest covers,
 section by section, the CSV bytes, the verdicts and the extras of the
-report; a document the config refuses is hashed as its message.  Two
-checkouts that print the same JSON object computed the same bytes on every
-document, so a change that claims byte-identical reports is checked by
-diffing this output against the parent commit's.
+report; a document the config refuses is hashed as its message.  The JSON
+object holds the digests and the environment they were computed in
+(Python, numpy and the BLAS numpy links).  The committed
+``report_hashes.json`` is the reference that ``tests/test_report_hashes.py``
+recomputes: a change that moves a report regenerates it, and its diff names
+the moved documents.
 
 The documents:
 
@@ -33,13 +35,20 @@ The documents:
 * ``star-fit`` at two off-diagonal n = 2 points, the skew point and the
   generic one, with the default pairs and with the explicit modes
   F(2,0;0,1), F(0,1;1,1): the c1 fits of two off-diagonal points in one
-  manifest.
+  manifest;
+* ``gram`` and the 25-mode ``toeplitz-compare`` on an explicit ``grid`` at
+  Z = i and at diag(i, 2i), at levels that divide the grid: some at or
+  above the rule, and one below it, whose row is refused as too coarse;
+* ``gram`` at k = 3, 4 on the grid 64, which 3 does not divide.
 """
 
 import hashlib
 import json
 import os
+import platform
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -54,6 +63,7 @@ POINTS = ("[[2i, 0.5i], [0.5i, 1i]]", "[[1+2i, 0.5+1i], [0.5+1i, 1+2i]]")
 _OFF = "0.8949588112985712-2.0285284541622097i"
 GENERIC = (f"[[-2.485464452354389+3.076206632657292i, {_OFF}],"
            f" [{_OFF}, 1.0292845187544788+2.9914846061117744i]]")
+DIAGONAL = "[[1i, 0], [0, 2i]]"
 
 
 def documents():
@@ -83,7 +93,24 @@ def documents():
     docs["star-fit at two off-diagonal points"] = star
     docs["star-fit of explicit modes at two off-diagonal points"] = (
         star + "modes = 2,0,0,1; 0,1,1,1\n")
+    # the rule's N at Z = i and diag(i, 2i): 32, 48 and 64 for the Gram at
+    # k = 4, 6 and 16; 50 and 75 for the compare at k = 5 and 15
+    docs["gram on an explicit grid"] = (
+        "[gram]\nn = 1\nk = 4, 6, 16\nZ = i\ngrid = 48\n\n"
+        f"[gram]\nn = 2\nk = 4, 16\nZ = {DIAGONAL}\ngrid = 48\n")
+    docs["toeplitz-compare on an explicit grid"] = (
+        "[toeplitz-compare]\nn = 1\nk = 5, 15\nZ = i\ngrid = 60\n\n"
+        f"[toeplitz-compare]\nn = 2\nk = 5, 15\nZ = {DIAGONAL}\ngrid = 60\n")
+    docs["gram on a grid that is not a multiple of its level"] = (
+        "[gram]\nn = 1\nk = 3, 4\nZ = i\ngrid = 64\n")
     return docs
+
+
+def environment():
+    """The Python, numpy and BLAS the digests are computed with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
 
 
 def digest(text):
@@ -103,8 +130,8 @@ def digest(text):
 
 
 def main():
-    print(json.dumps({name: digest(text) for name, text in documents().items()},
-                     indent=1))
+    digests = {name: digest(text) for name, text in documents().items()}
+    print(json.dumps({"environment": environment(), "digests": digests}, indent=1))
 
 
 if __name__ == "__main__":
