@@ -86,7 +86,7 @@ def _add_quadrature(sp):
     _add_common(sp)
     sp.add_argument("--tol", type=tolerance, default=None, help="pass tolerance")
     sp.add_argument("--grid", type=positive_int, default=None,
-                    help="nodes per coordinate")
+                    help="nodes per coordinate, a multiple of k")
 
 
 def build_parser():

@@ -14,47 +14,41 @@ it cannot overflow.  Every integral pairs that frame with itself under a
 Fourier mode F_{r,s}; the x-sum of the pairing is exact by the
 orthogonality of the grid characters, which leaves a sum over the N^n
 y-nodes for each pair of lattice terms whose frequencies k u + r meet
-mod N.  In that product the y-phases cancel and the Gaussians sit on one
-fine lattice of step gcd(k, N)/(kN): it is evaluated once per node, and
-for each offset d = r mod N between the frequencies the products of all
-labels are folded by strided sums and inverse FFTs over the y-nodes.
-Offsets with the same d mod k share their partner labels and form one
-offset group.  The bandwidth rule's N is a multiple of k, so there the
-step is 1/N and every offset of one r_i has the same d mod k: one group
-per r_i.  A grid that is not a multiple of k, which only an explicit grid
-gives, has a lattice k/gcd(k, N) times finer per axis and up to k/gcd(k, N)
-groups per r_i.
+mod N.  A grid is a multiple of k, so in that product the y-phases cancel
+and the Gaussians sit on one fine lattice of step 1/N: it is evaluated once
+per node, and for each offset d = r mod N between the frequencies the
+products of all labels are folded by strided sums and inverse FFTs over the
+y-nodes.  Every offset of one r_i has d = r_i mod k, and so the one partner
+label b = a + r mod k: the offsets of r_i form one offset group.
 At a diagonal Z (always at n = 1) the Gaussian, and so every fold and
 transform, is a product over the axes: each axis is folded on its own axis
-of the box, of about k N (L + 1) / gcd(k, N) nodes over a window of L^n
-lattice terms, N (L + 1) on the rule's grid, every offset group of every
-distinct r_i of the modes once, into one table of (k, N) rows that one
-inverse FFT transforms; the table is gathered and freed before the
-pairings are formed.  Any other Z folds the
-box of n axes one offset group at a time into (k,)^n + (N,)^n arrays, in
-O(box + k^n N^n).  Every fold of a lattice writes its products into one
-reused buffer.  The pairings are kept on their support: a mode pairs label
-a with one partner label per offset group, so each mode and tuple of its
-groups is one row of k^n values and k^n partner labels, and the Gram's and
-the closed form's deviations are taken over those rows
-(:func:`_pairing_deviation`).  Only the dense callers, :func:`gram_matrix`
-and ``toeplitz.toeplitz_modes_quadrature``, scatter the rows into k^n x k^n
-matrices (:func:`_dense_pairings`).  The k^n x N^{2n} frame itself is built
-only on request.  The
-normalized variant multiplies by sqrt(2^n k^n det Y), making the theta
-frame orthonormal.  A grid is its node count N; theta sums are truncated
-at DEFAULT_EPSILON.  Each quadrature cell is sized once, by one plan
-(:func:`_plan`): the truncation radius R and the lattice window, the
-bandwidth rule N >= 4 (k R + m_max) in x, m_max the largest frequency of
-the modes, raised where the y-Gaussians of a large Y would alias and
-rounded up to a multiple of k (:func:`required_grid_size`), the grid's N,
-the path (axis fold or box), each axis's offset groups, the rows and the
-bytes the pairings hold.  The lattices, the folds and the byte figure read
-the plan and recompute none of it.  Every quadrature passes one check on its plan (:func:`_checked_plan`):
-n is 1 or 2, N is at least the rule, and pairings that would hold more
-than the 1 GiB limit of :func:`fourier.check_bytes`, with the dense
-matrices of a dense caller, are refused, with SizeLimitError, before
-anything is allocated.
+of the box, of about N (L + 1) nodes over a window of L^n lattice terms,
+the offset group of every distinct r_i of the modes once, into one table of
+(k, N) rows that one inverse FFT transforms; the tables are gathered and
+freed before the pairings are formed.  Any other Z folds the box of n axes
+one distinct r at a time into (k,)^n + (N,)^n arrays, in O(box + k^n N^n).
+Every fold of a lattice writes its products into one reused buffer.  The
+pairings are kept on their support: a mode pairs label a with its one
+partner label, so each mode is one row of k^n values and k^n partner
+labels, and the Gram's and the closed form's deviations are taken over
+those rows (:func:`_pairing_deviation`).  Only the dense callers,
+:func:`gram_matrix` and ``toeplitz.toeplitz_modes_quadrature``, scatter the
+rows into k^n x k^n matrices (:func:`_dense_pairings`).  The k^n x N^{2n}
+frame itself is built only on request.  The normalized variant multiplies
+by sqrt(2^n k^n det Y), making the theta frame orthonormal.  A grid is its
+node count N; theta sums are truncated at DEFAULT_EPSILON.  Each quadrature
+cell is sized once, by one plan (:func:`_plan`): the truncation radius R
+and the lattice window, the bandwidth rule N >= 4 (k R + m_max) in x,
+m_max the largest frequency of the modes, raised where the y-Gaussians of
+a large Y would alias and rounded up to a multiple of k
+(:func:`required_grid_size`), the grid's N, refused unless it is a
+multiple of k too, the path (axis fold or box), each axis's offset groups
+and the bytes the pairings hold.  The lattices, the folds and the byte
+figure read the plan and recompute none of it.  Every quadrature passes
+one check on its plan (:func:`_checked_plan`): n is 1 or 2, N is at least
+the rule, and pairings that would hold more than the 1 GiB limit of
+:func:`fourier.check_bytes`, with the dense matrices of a dense caller,
+are refused, with SizeLimitError, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -98,8 +92,8 @@ __all__ = [
 
 
 class GridError(ValueError):
-    """Raised when a quadrature grid is too coarse for the integrand, or
-    the point's dimension is not 1 or 2."""
+    """Raised when a quadrature grid is too coarse for the integrand or not
+    a multiple of the level k, or the point's dimension is not 1 or 2."""
 
 
 @dataclass(frozen=True)
@@ -149,8 +143,7 @@ class QuadratureGrid:
 def required_grid_size(p, k, m_max=0):
     """Bandwidth-sufficient node count: :func:`_grid_rule` at the certified
     truncation radius, as every quadrature plan sizes its grid.  It is a
-    multiple of k, so the rule's grid folds with g = gcd(k, N) = k; a grid
-    with g < k comes only from an explicit ``grid`` at or above it."""
+    multiple of k, as every grid a quadrature folds must be."""
     return _grid_rule(p, k, m_max, truncation_radius(p, k, DEFAULT_EPSILON).radius)
 
 
@@ -161,10 +154,9 @@ def _grid_rule(p, k, m_max, radius):
     or above the smallest N whose tail is.
 
     More nodes only lower the aliasing, and the tail falls as N grows, so
-    rounding up keeps the certificate.  With k | N, g = gcd(k, N) = k:
-    every offset d = r_i + N e of one axis has the same d mod k, so each r_i
-    has one offset group, and the fine lattice of :class:`_FineLattice` has
-    step 1/N; at g < k its step g/(kN) is k/g times finer.
+    rounding up keeps the certificate.  With k | N every offset
+    d = r_i + N e of one axis has d = r_i mod k, so each r_i has one offset
+    group, and the fine lattice of :class:`_FineLattice` has step 1/N.
     """
     N = 4 * (k * int(math.ceil(radius)) + int(m_max))
 
@@ -263,17 +255,14 @@ class _FineLattice:
 
     Lattice term (a, l) of the frame has u = l + a/k with l in the window
     [-half, half]^n, so k u = k l + a runs over ``width`` = k (2 half + 1)
-    consecutive integers from -k half on each axis.  With g = gcd(k, N), its
-    node u + y at the y-node q, y = q/N, is c g/(kN) on each axis for the
-    integer c = (N/g) k u + (k/g) q, and
+    consecutive integers from -k half on each axis.  The grid's N is a
+    multiple of k (:func:`_plan`), so its node u + y at the y-node q,
+    y = q/N, is c/N on each axis for the integer c = (N/k) k u + q, and
 
-        G[c - c_min] = exp(i pi k v.Zv),   v = c g/(kN),
+        G[c - c_min] = exp(i pi k v.Zv),   v = c/N,
 
     over the box of c, of modulus exp(-pi k v.Yv) <= 1, so no level
-    overflows.  The terms meet every node g^n times, and G evaluates it once.
-    The bandwidth rule's N is a multiple of k (:func:`_grid_rule`), so there
-    g = k, v = c/N and c = N u + q; a grid with g < k, which only an
-    explicit ``grid`` gives, makes the box k/g times finer per axis.
+    overflows.  The terms meet every node k^n times, and G evaluates it once.
     At a diagonal Z, exp(i pi k v.Zv) = prod_i exp(i pi k Z_ii v_i^2), and
     :meth:`axes` gives one lattice of one axis per factor, on which the
     quadrature folds; :meth:`build` gives the box of n axes.  G is
@@ -285,23 +274,19 @@ class _FineLattice:
     N: int
     G: np.ndarray
     width: int  # k u - min k u runs over [0, width) on each axis
-    step_u: int  # N/g, the step of c per unit of k u
-    step_y: int  # k/g, the step of c per y-node
+    step_u: int  # N/k, the step of c per unit of k u; a y-node steps c by 1
 
     @staticmethod
     def box_size(k, N, width):
         """Nodes of the box on each axis."""
-        g = math.gcd(k, N)
-        return (N // g) * (width - 1) + (k // g) * (N - 1) + 1
+        return (N // k) * (width - 1) + N
 
     @classmethod
     def _axis(cls, plan):
         """The box's axis for the window and grid of ``plan``:
-        v = (c - (N/g) k half) g/(kN) at its node c."""
-        k, N = plan.k, plan.N
-        g = math.gcd(k, N)
-        v = np.arange(cls.box_size(k, N, plan.width)) - (N // g) * k * plan.half
-        return v / ((k // g) * N)
+        v = (c - N half)/N at its node c."""
+        N = plan.N
+        return (np.arange(cls.box_size(plan.k, N, plan.width)) - N * plan.half) / N
 
     @classmethod
     def axes(cls, plan):
@@ -309,12 +294,11 @@ class _FineLattice:
         the factor exp(i pi k Z_ii v^2) on the box's axis, over the window of
         the n-dimensional truncation, and the box is their outer product."""
         p, k, N = plan.p, plan.k, plan.N
-        g = math.gcd(k, N)
         v = cls._axis(plan)
         lattices = []
         for i in range(p.n):
             t = (1j * np.pi * k * p.Z[i, i] * v) * v
-            lattices.append(cls(k, N, np.exp(t, out=t), plan.width, N // g, k // g))
+            lattices.append(cls(k, N, np.exp(t, out=t), plan.width, N // k))
         return lattices
 
     @classmethod
@@ -332,18 +316,17 @@ class _FineLattice:
             axes = cls.axes(plan)
             return replace(axes[0], G=reduce(np.multiply.outer, [f.G for f in axes]))
         p, k, N = plan.p, plan.k, plan.N
-        g = math.gcd(k, N)
         v = cls._axis(plan)
         G = np.multiply.outer(1j * np.pi * k * (p.Z[0, 1] + p.Z[1, 0]) * v, v)
         G += ((1j * np.pi * k * p.Z[0, 0] * v) * v)[:, None]
         G += (1j * np.pi * k * p.Z[1, 1] * v) * v
         np.exp(G, out=G)
-        return cls(k, N, G, plan.width, N // g, k // g)
+        return cls(k, N, G, plan.width, N // k)
 
     def terms(self, box, first, shape):
         """A read-only view of ``box``, G or a product on a sub-box of it (a
         contiguous array), at the terms (a, j, q): label a in row j of the
-        window at the y-node q, at c = (N/g)(k j + a) + (k/g) q past the
+        window at the y-node q, at c = (N/k)(k j + a) + q past the
         offsets ``first`` on each axis.  ``shape`` is (labels..., rows...,
         y-nodes...)."""
         offset = sum(c * s for c, s in zip(first, box.strides))
@@ -353,8 +336,8 @@ class _FineLattice:
 
     def _term_strides(self, box):
         """The strides of the terms (a, j, q) on ``box``, as :meth:`terms`
-        lays them out: (N/g, k N/g, k/g) nodes per label, row and y-node."""
-        steps = (self.step_u, self.k * self.step_u, self.step_y)
+        lays them out: (N/k, N, 1) nodes per label, row and y-node."""
+        steps = (self.step_u, self.N, 1)
         return tuple(step * s for step in steps for s in box.strides)
 
     @cached_property
@@ -366,7 +349,7 @@ class _FineLattice:
         return buffer, self._term_strides(buffer)
 
     def fold(self, d, out, add=True):
-        """Sum S_d[a, q] = sum_j G[c] conj(G[c + (N/g) d]) over the terms
+        """Sum S_d[a, q] = sum_j G[c] conj(G[c + (N/k) d]) over the terms
         (a, j) at the y-node q whose partner k u + d lies in the window into
         ``out``: added to it, or, with ``add`` False (the first offset of a
         group), written over its zeros.
@@ -377,12 +360,12 @@ class _FineLattice:
         over the rows as one strided view by ``np.add.reduce``, straight into
         ``out`` when ``add`` is False.
         """
-        k, N, su, sy, width = self.k, self.N, self.step_u, self.step_y, self.width
-        rows, tail = width // k, sy * (N - 1) + 1
+        k, N, su, width = self.k, self.N, self.step_u, self.width
+        rows = width // k
         left, right, sub = [], [], []
         for di in d:
             c0 = su * max(0, -di)
-            c1 = su * (width - 1 - max(0, di)) + tail
+            c1 = su * (width - 1 - max(0, di)) + N
             left.append(slice(c0, c1))
             right.append(slice(c0 + su * di, c1 + su * di))
             sub.append(c1 - c0)
@@ -423,26 +406,14 @@ def _label_runs(k, rows, d):
     return runs
 
 
-def _offset_groups(ri, k, N, width):
-    """The offsets d = ri mod N of one axis that meet in the window,
-    |d| < ``width``, grouped by d mod k, which fixes the partner label
-    b = a + d mod k: a list of (d mod k, [d, ...]) in increasing d."""
-    groups = {}
-    for d in range((ri + width - 1) % N - width + 1, width, N):
-        groups.setdefault(d % k, []).append(d)
-    return list(groups.items())
-
-
-def _axis_groups(ri, k, N, width):
-    """The rows of one axis's table for the r_i of the modes: the (shift,
-    offsets) of each group (:func:`_offset_groups`) of each distinct r_i,
-    once, and for each mode the range of rows of its r_i's groups."""
-    first, parts = {}, []
-    for v in dict.fromkeys(ri):
-        groups = _offset_groups(v, k, N, width)
-        first[v] = range(len(parts), len(parts) + len(groups))
-        parts += groups
-    return parts, [first[v] for v in ri]
+def _axis_groups(ri, N, width):
+    """The offset groups of one axis for the r_i of the modes: the distinct
+    r_i, once each, the offsets d = r_i mod N of each that meet in the
+    window, |d| < ``width``, as a range of increasing d, which may be empty,
+    and for each mode the index of its r_i among them."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(ri))}
+    offsets = [range((v + width - 1) % N - width + 1, width, N) for v in index]
+    return offsets, [index[v] for v in ri]
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,15 +429,13 @@ class _Plan:
     and l runs over the window [-half, half]^n, half = ceil(radius) + 1, so
     that k u - min k u runs over [0, width) on each axis,
     width = k (2 half + 1); ``rule`` is the bandwidth rule's N
-    (:func:`_grid_rule`) and ``N`` the grid's; ``diagonal`` the path, the
-    axis fold at n = 1 or at a Z with no cross term, where the frame is a
-    product over the axes, or else the box of n axes; ``groups`` each
-    axis's :func:`_axis_groups`, the (shift, offsets) of each offset group
-    of each distinct r_i of the modes and each mode's range of them, which
-    both paths fold; :attr:`layout` the rows of the pairings, one per mode
-    and tuple of its groups, one on each axis; and :attr:`bytes` the byte
-    figure, computed, as the layout, from these fields on its first read and
-    kept.
+    (:func:`_grid_rule`) and ``N`` the grid's, both multiples of k;
+    ``diagonal`` the path, the axis fold at n = 1 or at a Z with no cross
+    term, where the frame is a product over the axes, or else the box of n
+    axes; ``groups`` each axis's :func:`_axis_groups`, the offsets of the
+    one group of each distinct r_i of the modes and each mode's index into
+    them, which both paths fold; and :attr:`bytes` the byte figure,
+    computed from these fields on its first read and kept.
     """
 
     p: object
@@ -481,27 +450,15 @@ class _Plan:
     groups: tuple
 
     @cached_property
-    def layout(self):
-        """The P rows of the pairings, mode by mode, one per tuple of the
-        mode's offset groups, one on each axis, the last axis fastest: each
-        row's mode, shape (P,), and on each axis the index of its group in
-        the axis's ``groups``, shape (n, P)."""
-        groups_of = [rows_of for _, rows_of in self.groups]  # each mode's groups, per axis
-        rows = np.array([(j, *g) for j, mode in enumerate(zip(*groups_of))
-                         for g in itertools.product(*mode)], dtype=np.int64)
-        rows = rows.reshape(-1, self.p.n + 1)  # (0, n + 1) when no mode meets the window
-        return rows[:, 0], rows[:, 1:].T
-
-    @cached_property
     def bytes(self):
         """Bytes the quadrature holds at once, an upper bound.
 
-        Both paths of :func:`_frame_pairings` end in the P rows of the
-        pairings on their support, k^n values and k^n partner labels each;
-        the deviation kernel (:func:`_pairing_deviation`) then holds with
-        them the partner labels of the closed form gathered to the rows, the
-        mask of their meetings and the rows' moduli, 56 bytes a row entry
-        in all, and, with the M k^n closed-form columns of
+        Both paths of :func:`_frame_pairings` end in the M rows of the
+        pairings on their support, one per mode, k^n values and k^n partner
+        labels each; the deviation kernel (:func:`_pairing_deviation`) then
+        holds with them the mask of their meetings with the closed form, the
+        moduli and the differences, below 56 bytes a row entry in all, and,
+        with the M k^n closed-form columns of
         :func:`toeplitz.quadrature_deviation`, at most 128 bytes a column
         entry; and any step may hold the numpy ufunc buffers of the three
         operands of a cast or strided sum.  The k^n x k^n matrices of the
@@ -511,28 +468,27 @@ class _Plan:
         before the rows are formed, and the larger of two phases counts.
         The tables phase holds the box's axis and 2n complex arrays on it,
         the n axis boxes and each one's product buffer, which also bound an
-        axis box's build with its two temporaries; one run's sum, k N; every
-        axis's table, one (k, N) array per offset group of ``groups``; and
-        the gathered columns, partner labels and indices of the P rows of
-        :func:`_axis_columns`, below 64 n k bytes a row, which the rows
-        phase holds too.
+        axis box's build with its two temporaries; one run's sum, k N; the
+        axis tables, one (k, N) array per distinct r_i of ``groups`` on
+        each axis; and the gathered columns and partner labels of the M
+        rows, below 64 n k bytes a row, which the rows phase holds too.
 
         On the box path add to the rows the box of n axes and its product
         buffer, with the axis and, at most, n + 1 complex arrays on it that
         the box build holds with them (the axis terms, and the cross term's
-        or one term's factor); and one group's folded sums, whose spectra
-        are computed in place, with one run's sum, k^n N^n each.  The
-        closed-form columns bound one group's spectra and their scatter.
+        or one term's factor); and one distinct r's folded sums, whose
+        spectra are computed in place, with one run's sum, k^n N^n each.
+        The closed-form columns bound one r's spectra and their scatter.
         """
         n, k, N, M = self.p.n, self.k, self.N, len(self.table)
         size = _FineLattice.box_size(k, N, self.width)
-        rows, buffers = len(self.layout[0]), 48 * np.getbufsize()
-        support = 56 * rows * k**n + 128 * M * k**n + buffers
+        buffers = 48 * np.getbufsize()
+        support = (56 + 128) * M * k**n + buffers
         if not self.diagonal:
             return support + 16 * (2 * size**n + 2 * (k * N) ** n) + (8 + 16 * (n + 1)) * size
-        tables = k * N * sum(len(parts) for parts, _ in self.groups)
+        tables = k * N * sum(len(offsets) for offsets, _ in self.groups)
         fold = 8 * size + 16 * (2 * n * size + k * N + tables) + buffers
-        return 64 * n * k * rows + max(fold, support)
+        return 64 * n * k * M + max(fold, support)
 
 
 def _table(n, modes):
@@ -546,19 +502,23 @@ def _plan(p, k, modes=None, N=None):
     on N nodes per coordinate or, when N is None, on the bandwidth rule's.
 
     The truncation certificate runs once, and the rule once at its radius
-    and the largest |r_i|, |s_i| of the modes.  Building refuses nothing
-    but what the certificate raises (TruncationError):
-    :func:`_checked_plan` refuses on the plan, and :func:`_frame_pairings`
-    folds on it whatever its N.
+    and the largest |r_i|, |s_i| of the modes.  Building refuses what the
+    certificate raises (TruncationError) and, with GridError, an N that is
+    not a multiple of k, which no path folds; :func:`_checked_plan` refuses
+    the rest on the plan, and :func:`_frame_pairings` folds on it whatever
+    its N.
     """
     table = _table(p.n, modes)
     radius = truncation_radius(p, k, DEFAULT_EPSILON).radius
     rule = _grid_rule(p, k, int(np.abs(table).max()), radius)
     N = rule if N is None else N
+    if N % k:
+        raise GridError(f"grid N={N} is not a multiple of k={k}: "
+                        f"the bandwidth rule gives N={rule}")
     half = int(math.ceil(radius)) + 1
     width = k * (2 * half + 1)
     r, _ = _mode_arrays(table)
-    groups = tuple(_axis_groups(ri, k, N, width) for ri in r.T.tolist())
+    groups = tuple(_axis_groups(ri, N, width) for ri in r.T.tolist())
     diagonal = np.count_nonzero(p.Z) == p.n  # Im Z_ii > 0: no cross term at all
     return _Plan(p, k, table, radius, half, width, rule, N, diagonal, groups)
 
@@ -596,8 +556,9 @@ def theta_frame_on_grid(p, k, grid):
     sum_l exp(2 pi i (k u.j mod N) / N) Y[a, l, y] of the lattice terms of
     :func:`_lattice_terms`, truncated at DEFAULT_EPSILON.  The
     quadratures do not build it; it serves inspection and tests.  Raises
-    GridError at a non-diagonal point of n >= 3, whose box
-    :meth:`_FineLattice.build` does not form.
+    GridError on a grid that is not a multiple of k (:func:`_plan`), and
+    at a non-diagonal point of n >= 3, whose box :meth:`_FineLattice.build`
+    does not form.
     """
     N = grid.N
     plan = _plan(p, k, N=N)
@@ -644,12 +605,14 @@ def _checked_plan(p, k, grid, modes=None, dense=0):
     ``grid`` is a :class:`QuadratureGrid`, whose plan is built here, or the
     plan built for (p, k, modes); a plan built for another point, level or
     modes raises ValueError.  The plan's own table object is taken as its
-    modes, and any other ``modes`` are coerced to a table and compared.  On
-    the plan, before anything is allocated, raises GridError when n is not 1
-    or 2, ValueError for modes of another dimension, GridError when N is
-    below the bandwidth rule of the modes, and SizeLimitError when the
-    arrays the pairings hold, with the ``dense`` bytes of the k^n x k^n
-    matrices a dense caller builds from them, would exceed the 1 GiB limit.
+    modes, and any other ``modes`` are coerced to a table and compared.  A
+    grid that is not a multiple of k is refused, with GridError, as its plan
+    is built (:func:`_plan`).  On the plan, before anything is allocated,
+    raises GridError when n is not 1 or 2, ValueError for modes of another
+    dimension, GridError when N is below the bandwidth rule of the modes,
+    and SizeLimitError when the arrays the pairings hold, with the ``dense``
+    bytes of the k^n x k^n matrices a dense caller builds from them, would
+    exceed the 1 GiB limit.
     """
     if isinstance(grid, _Plan):
         plan = grid
@@ -683,81 +646,70 @@ def _frame_pairings(plan):
 
     Entry (i, a, b) for the mode (r, s) of row i of the table is _frame_norm
     times the grid mean of theta_a conj(theta_b) exp(-2 pi k y.Yy) F_{r,s}
-    over the N^{2n} nodes.  Returns (mode_of, b_index, values): P rows, one
-    per mode and tuple of its offset groups (the plan's ``layout``), mode by
-    mode, where row t holds the entries (mode_of[t], a, b_index[t, a]) with
-    value values[t, a] for every label a; shapes (P,), (P, k^n) and
-    (P, k^n).  The rows of one mode meet disjoint entries, and every entry
-    no row meets is 0 (:func:`_dense_pairings` scatters them).
+    over the N^{2n} nodes.  Returns (b_index, values), one row per mode, both
+    of shape (M, k^n): row i holds the entries (i, a, b_index[i, a]) with
+    value values[i, a] for every label a, and every other entry is 0
+    (:func:`_dense_pairings` scatters them).  A mode that meets no term of
+    the window has a row of zeros.
 
     The x-sum is done exactly: sum_j exp(2 pi i q.j / N) is N^n when
     q = 0 mod N and 0 otherwise, so lattice term (a, l) meets term (b, l')
     only when k u_{b,l'} = k u_{a,l} + d for an integer vector d = r mod N;
-    every such d in the window is kept, aliased ones too.  The y-phases
+    every such d in the window is kept, aliased ones too.  N is a multiple
+    of k, so every d has d = r mod k and b = a + r mod k.  The y-phases
     cancel in the product of the two terms, which is then
-    G[c] conj(G[c + (N/g) d]) on the fine lattice of :class:`_FineLattice`.
+    G[c] conj(G[c + (N/k) d]) on the fine lattice of :class:`_FineLattice`.
     For each d the terms of every label a are summed over the window rows
     whose partner lies in the window, by strided views
-    (:meth:`_FineLattice.fold`), to S_d[a, q] with b = a + d mod k.  Offsets
-    with the same d mod k share b, and the inverse FFT over q of their
-    summed S_d gives the y-sums against exp(2 pi i s.y) for every s of the
-    modes sharing r.
+    (:meth:`_FineLattice.fold`), to S_d[a, q], and the inverse FFT over q of
+    the summed S_d of one r gives the y-sums against exp(2 pi i s.y) for
+    every s of the modes sharing r.
 
-    The offsets of one r, and the groups of one d mod k, are a product over
-    the axes of the plan's groups (:func:`_axis_groups`).  At a diagonal Z,
-    G = G_1 x ... x G_n, so every S_d, every group's sum and its spectrum is
-    the outer product of one-axis ones: each axis folds every group of every
-    distinct r_i of the modes once into one table and transforms it in one
-    FFT (:func:`_axis_columns`), and the row of mode (r, s) and a tuple of
-    its groups is prod_i A_i[a_i, s_i].  Any other Z folds each d on the box
-    of n axes into one (k,)^n + (N,)^n array per group, takes its n-axis
-    FFT in place and writes its rows before the next group
+    The offsets of one r are a product over the axes of the plan's groups
+    (:func:`_axis_groups`).  At a diagonal Z, G = G_1 x ... x G_n, so every
+    S_d, every sum and its spectrum is the outer product of one-axis ones:
+    each axis folds the group of every distinct r_i of the modes once into
+    one table and transforms it in one FFT (:func:`_axis_columns`), and the
+    row of mode (r, s) is prod_i A_i[a_i, s_i].  Any other Z folds each d on
+    the box of n axes into one (k,)^n + (N,)^n array per distinct r, takes
+    its n-axis FFT in place and writes its rows before the next r
     (:func:`_fold_spectra`).  The plan's byte figure bounds both; no array
     of N^{2n} nodes, no array over the meeting pairs and no k^n x k^n
     matrix is formed.
     """
-    p, k, N, n = plan.p, plan.k, plan.N, plan.p.n
+    p, k, N = plan.p, plan.k, plan.N
     r, s = _mode_arrays(plan.table)
-    dim, norm = k**n, _frame_norm(p, k)
-    mode_of, _ = plan.layout
+    norm = _frame_norm(p, k)
+
+    def outer(op):  # over the axes of each row, row-major in (a_1, ..., a_n)
+        return lambda x, y: op(x[:, :, None], y[:, None, :]).reshape(
+            len(y), x.shape[1] * y.shape[1])
+
+    labels = [(np.arange(k) + ri[:, None]) % k for ri in r.T]  # b_i = a_i + r_i mod k
+    b_index = reduce(outer(lambda b, c: k * b + c), labels)
     if plan.diagonal:
-        columns, labels = _axis_columns(plan, s % N)
-
-        def outer(op):  # over the axes of each row, row-major in (a_1, ..., a_n)
-            return lambda x, y: op(x[:, :, None], y[:, None, :]).reshape(
-                len(y), x.shape[1] * y.shape[1])
-
-        values = reduce(outer(np.multiply), columns)
+        values = reduce(outer(np.multiply), _axis_columns(plan, s % N))
         values *= norm
-        return mode_of, reduce(outer(lambda b, c: k * b + c), labels), values
+        return b_index, values
     fine = _FineLattice.build(plan)
-    labels = _index_vectors(n, k)
-    b_index = np.empty((len(mode_of), dim), dtype=np.int64)
-    values = np.empty((len(mode_of), dim), dtype=complex)
+    values = np.empty(b_index.shape, dtype=complex)
     by_r = {}
     for i, ri in enumerate(map(tuple, r.tolist())):
         by_r.setdefault(ri, []).append(i)
     for members in by_r.values():
-        axes = [[parts[g] for g in rows_of[members[0]]] for parts, rows_of in plan.groups]
-        first = np.searchsorted(mode_of, members)  # each member's first row
-        spectra_of = _fold_spectra(fine, axes, tuple((s[members] % N).T))
-        for t, (shift, spectra) in enumerate(spectra_of):
-            at = first + t  # the t-th group tuple of each member
-            b_index[at] = np.ravel_multi_index(((labels + shift) % k).T, (k,) * n)
-            values[at] = norm * spectra.T
-            # freed before the next group's fold, so that one never holds them
-            del spectra
-    return mode_of, b_index, values
+        offsets = [ranges[index[members[0]]] for ranges, index in plan.groups]
+        values[members] = norm * _fold_spectra(fine, offsets, tuple((s[members] % N).T)).T
+    return b_index, values
 
 
-def _dense_pairings(plan, pairings):
+def _dense_pairings(pairings):
     """The pairings of :func:`_frame_pairings` as one (M, k^n, k^n) array,
     entry (i, a, b), zero off their support: the densify step of the dense
     callers, which refuse its bytes on the plan (:func:`_checked_plan`)."""
-    mode_of, b_index, values = pairings
-    dim = plan.k**plan.p.n
-    out = np.zeros((len(plan.table), dim, dim), dtype=complex)
-    out[mode_of[:, None], np.arange(dim), b_index] = values
+    b_index, values = pairings
+    M, dim = b_index.shape
+    out = np.zeros((M, dim, dim), dtype=complex)
+    out[np.arange(M)[:, None], np.arange(dim), b_index] = values
     return out
 
 
@@ -765,79 +717,57 @@ def _pairing_deviation(pairings, rows, values):
     """max |Q_i - C_i| over the entries, for each mode i, without a
     k^n x k^n array: Q_i the pairings of :func:`_frame_pairings` on their
     support, C_i the matrix with one entry per label a, ``values[i, a]`` at
-    (a, ``rows[i, a]``) in the pairings' (a, b) layout; both (M, k^n).
+    (a, ``rows[i, a]``) in the pairings' (a, b) order; both (M, k^n).
 
     The maximum runs over the union of the two supports, off which both
-    are 0.  An entry of a row is |Q - C| where C's entry of its column
-    meets it and |Q| elsewhere; an entry of C that no row meets is |C|,
-    as |0 - C| reads; a NaN of either propagates.  Returns shape (M,).
+    are 0: label a's entries are |Q - C| where they meet and |Q| and |C|
+    where they do not; a NaN of either propagates.  Returns shape (M,).
     """
-    mode_of, b_index, q = pairings
-    met_row, met_a = np.nonzero(b_index == rows[mode_of])
-    met_mode = mode_of[met_row]
-    dev = np.abs(q)
-    dev[met_row, met_a] = np.abs(q[met_row, met_a] - values[met_mode, met_a])
-    alone = np.abs(values)
-    alone[met_mode, met_a] = 0  # the rows hold C there
-    worst = alone.max(axis=1)
-    np.maximum.at(worst, mode_of, dev.max(axis=1))
-    return worst
+    b_index, q = pairings
+    apart = np.maximum(np.abs(q), np.abs(values))
+    return np.where(b_index == rows, np.abs(q - values), apart).max(axis=1)
 
 
 def _axis_columns(plan, s):
-    """The one-axis spectra of every mode's offset groups at a diagonal Z.
+    """The one-axis spectra of every mode at a diagonal Z.
 
-    On each axis i, every offset group of every distinct r_i of the modes,
-    as the plan lays them out (:func:`_axis_groups`), is folded once into
-    its own (k, N) row of one table, and one inverse FFT over the table's
-    last axis transforms them all.  Each mode j then has one row
-    (j, g_1, ..., g_n) per tuple of its groups, one on each axis, as the
-    plan's ``layout`` lays them out.  Returns per axis the (P, k) arrays of
-    the spectra A_i[:, s_i] of g_i's table row and of the partner labels
-    a + d mod k of g_i.  ``s`` is the (M, n) array of the modes' s, taken
-    mod N.
+    On each axis i, the group of every distinct r_i of the modes, as the
+    plan lays them out (:func:`_axis_groups`), is folded once into its own
+    (k, N) row of one table, and one inverse FFT over the table's last axis
+    transforms them all.  Returns per axis the (M, k) array of the spectra
+    A_i[:, s_i] of each mode's table row.  ``s`` is the (M, n) array of the
+    modes' s, taken mod N.
     """
-    k, N, n = plan.k, plan.N, plan.p.n
-    tables, shifts = [], []
-    for fine, (parts, _) in zip(_FineLattice.axes(plan), plan.groups):
-        table = np.zeros((len(parts), k, N), dtype=complex)
-        for row, (_, offsets) in zip(table, parts):
-            for i, d in enumerate(offsets):
-                fine.fold((d,), row, i > 0)
+    k, N = plan.k, plan.N
+    columns = []
+    for i, (fine, (offsets, index)) in enumerate(zip(_FineLattice.axes(plan), plan.groups)):
+        table = np.zeros((len(offsets), k, N), dtype=complex)
+        for row, group in zip(table, offsets):
+            for j, d in enumerate(group):
+                fine.fold((d,), row, j > 0)
         np.fft.ifft(table, axis=-1, out=table)
-        tables.append(table)
-        shifts.append(np.array([shift for shift, _ in parts], dtype=np.int64))
-    mode_of, groups = plan.layout
-    columns = [t[g, :, s[mode_of, i]] for i, (t, g) in enumerate(zip(tables, groups))]
-    labels = [((np.arange(k) + sh[:, None]) % k)[g] for sh, g in zip(shifts, groups)]
-    return columns, labels
+        columns.append(table[index, :, s[:, i]])
+    return columns
 
 
-def _fold_spectra(fine, axes, s_index):
-    """Each offset group's (shift, spectra) for the modes sharing r on the
-    box of n axes of a non-diagonal Z, one group at a time.
+def _fold_spectra(fine, offsets, s_index):
+    """The spectra of the modes sharing one r on the box of n axes of a
+    non-diagonal Z.
 
-    The offsets d = r mod N with |d_i| < width on each axis, and so each
-    group of one d mod k, which fixes the partner label b = a + d mod k,
-    are a product of the axes' groups of r_i, ``axes`` (one list of
-    (shift, offsets) per axis, as :func:`_offset_groups`).  The group's folds
-    are summed in one (k,)^n + (N,)^n array, its inverse FFT over the
-    y-axes is taken in place (last axis first, as in ifftn), and the columns
-    at the modes' s (``s_index``, one array per axis), of shape (k^n, M_r),
-    are its spectra.
+    The offsets d = r mod N with |d_i| < width on each axis are the product
+    of the axes' ``offsets`` of r_i, and all share the partner label
+    b = a + r mod k.  Their folds are summed in one (k,)^n + (N,)^n array,
+    its inverse FFT over the y-axes is taken in place (last axis first, as
+    in ifftn), and the columns at the modes' s (``s_index``, one array per
+    axis), of shape (k^n, M_r), are the spectra.
     """
-    k, N, n = fine.k, fine.N, len(axes)
-    for parts in itertools.product(*axes):
-        folded = np.zeros((k,) * n + (N,) * n, dtype=complex)
-        offsets = itertools.product(*(offsets for _, offsets in parts))
-        for i, d in enumerate(offsets):
-            fine.fold(d, folded, i > 0)
-        for ax in reversed(range(n, 2 * n)):
-            np.fft.ifft(folded, axis=ax, out=folded)
-        spectra = folded[(Ellipsis, *s_index)].reshape(k**n, -1)
-        del folded
-        yield tuple(shift for shift, _ in parts), spectra
-        del spectra  # freed, with the caller's name, before the next fold
+    k, N, n = fine.k, fine.N, len(offsets)
+    folded = np.zeros((k,) * n + (N,) * n, dtype=complex)
+    for i, d in enumerate(itertools.product(*offsets)):
+        fine.fold(d, folded, i > 0)
+    for ax in reversed(range(n, 2 * n)):
+        np.fft.ifft(folded, axis=ax, out=folded)
+    return folded[(Ellipsis, *s_index)].reshape(k**n, -1)
 
 
 def l2_inner(p, s1, s2, grid, normalized=True):
@@ -868,7 +798,7 @@ def gram_matrix(p, k, grid):
     without modes (:func:`_plan`).  Its k^n x k^n bytes are refused with
     the plan's."""
     plan = _checked_plan(p, k, grid, dense=16 * k ** (2 * p.n))
-    return _dense_pairings(plan, _frame_pairings(plan))[0]
+    return _dense_pairings(_frame_pairings(plan))[0]
 
 
 def gram_deviation(p, k, grid):

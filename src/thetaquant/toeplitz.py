@@ -86,7 +86,7 @@ at n = 1) the frame is a product over the axes, so each axis is folded and
 transformed on its own (k, N) array and the pairings are outer products of
 those, in O(box axis + k N) memory plus the pairings; any other Z folds the
 box of both axes in O(box + k^n N^n).  The pairings are kept on their
-support, one row of k^n entries per mode and offset group.  Grids whose
+support, one row of k^n entries per mode.  Grids whose
 pairings would hold more than the 1 GiB limit of ``fourier.check_bytes``
 are refused, with SizeLimitError, before allocation.  The
 ``toeplitz-compare`` runner and the CLI verb compare it with the closed
@@ -415,16 +415,16 @@ def toeplitz_modes_quadrature(p, k, modes, grid):
     if not modes:
         return {}
     plan = _checked_plan(p, k, grid, modes, dense=32 * len(modes) * k ** (2 * p.n))
-    pairings = _dense_pairings(plan, _frame_pairings(plan))
+    pairings = _dense_pairings(_frame_pairings(plan))
     return {m: OperatorMatrix(k, p.n, a.T) for m, a in zip(modes, pairings)}
 
 
 def quadrature_deviation(p, k, modes, grid):
     """max |eta_k(m) W_k(m) - quadrature| over the entries, for each mode.
 
-    The pairings stay on their support (``sections._frame_pairings``),
-    which holds each quadrature matrix transposed, and W_k(m) has one
-    nonzero per column a, in row a + r mod k (:func:`_clock_shift_columns`):
+    The pairings stay on their support (``sections._frame_pairings``), one
+    row per mode holding its quadrature matrix transposed, and W_k(m) has
+    one nonzero per column a, in row a + r mod k (:func:`_clock_shift_columns`):
     ``sections._pairing_deviation`` takes the maximum over the union of the
     two supports, so no k^n x k^n array is built.  ``modes`` is a list of
     modes or their (M, 2n) integer table, which the plan, the columns and

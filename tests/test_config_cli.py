@@ -237,7 +237,7 @@ class TestRunAndCache:
         # on the Gram's diagonal support is NaN
         monkeypatch.setattr(
             "thetaquant.sections._frame_pairings",
-            lambda plan: (np.zeros(1, dtype=np.int64), np.arange(plan.k**plan.p.n)[None, :],
+            lambda plan: (np.arange(plan.k**plan.p.n)[None, :],
                           np.full((1, plan.k**plan.p.n), np.nan, dtype=complex)),
         )
         m = parse_config("experiment = gram, n = 1, k = 32, Z = 1+2i")
@@ -325,6 +325,17 @@ class TestRunAndCache:
             assert refused[-1].startswith("refused:") and why in refused[-1], text
             assert refused[n_col] == N, text
             assert not doc.passed
+
+    def test_grid_off_the_multiples_of_k_is_a_refused_row(self):
+        # k = 3 on 64 nodes was once folded on a lattice 3 times finer
+        m = parse_config("[gram]\nn = 1\nk = 3, 4\nZ = i\ngrid = 64")
+        doc = run_experiment(m, use_cache=False)
+        three, four = doc.rows
+        assert three[3] == four[3] == "64"
+        assert three[-1] == "refused: grid N=64 is not a multiple of k=3: " \
+                            "the bandwidth rule gives N=24"
+        assert four[-1] == "pass"
+        assert doc.extras == {"refused_levels": "3"} and not doc.passed
 
     def test_refused_rows_fail_their_verdict(self):
         # a refused row once dropped out, so the rows left passed the sweep
@@ -843,6 +854,12 @@ class TestCli:
             (["gram", "--n", "1", "--k", "2", "--Z", "1-2i"], "positive definite"),
             (["experiment", "run", str(cfg)], "line 2"),
             (["gram", "--n", "1", "--k", "2", "--Z", "i", "--grid", "4"], "too coarse"),
+            # grids at or above the rule that k does not divide were once
+            # folded on a lattice k times finer
+            (["gram", "--n", "1", "--k", "32", "--grid", "161"],
+             "grid N=161 is not a multiple of k=32: the bandwidth rule gives N=128"),
+            (["toeplitz", "compare", "--n", "1", "--k", "4", "--mode", "1,2", "--grid", "42"],
+             "grid N=42 is not a multiple of k=4: the bandwidth rule gives N=40"),
             (["theta", "eval", "--k", "2", "--alpha", "5"], "label entries"),
             (["gram", "--n", "3", "--Z", P3], N3_REFUSAL),
             (["toeplitz", "compare", "--n", "3", "--Z", P3, "--mode", "1,0,0,0,0,0"],

@@ -11,12 +11,12 @@ with ``genus`` as tqft's dimension and no ``Z`` for tqft), rendered as text
 in either layout (one line, or one key per line under a section header), and
 parsed back.
 
-The frame pairings are drawn at n = 1 and 2, levels k <= 5, with gcd(k, N)
-either 1 or k and up to eight modes of entries in [-2, 2], among them, at
-n = 2, r-tuples that share one axis's r_i but not the other's.  N runs from 3,
-below the lattice window where terms alias mod N, up to the bandwidth grid
-at n = 1, and up to 16 at n = 2, where the explicit k^n x N^4 frame stays
-below 21 MiB.
+The frame pairings are drawn at n = 1 and 2, levels k <= 5, on grids N
+that are multiples of k, and up to eight modes of entries in [-2, 2], among
+them, at n = 2, r-tuples that share one axis's r_i but not the other's.  N
+runs from k, below the lattice window where terms alias mod N, up to the
+bandwidth grid at n = 1, and up to 16 at n = 2, where the explicit
+k^n x N^4 frame stays below 21 MiB.
 
 The mode-batched eigenvalues and flatness residuals are drawn at normal
 points (X and Y share eigenvectors) with batches of up to eight modes of
@@ -541,12 +541,11 @@ def pairing_cases(draw):
     if p.n == 2 and draw(st.booleans()):  # a diagonal Z pairs axis by axis
         p = SiegelPoint(np.diag(p.Z.diagonal()))
     k = draw(st.integers(1, 5))
-    N = draw(st.integers(3, required_grid_size(p, k, 2) if p.n == 1 else 14))
     if draw(st.booleans()):
-        N = -(-N // k) * k  # gcd(k, N) = k, N <= 16 at n = 2
-    else:
-        while np.gcd(k, N) != 1:
-            N += 1
+        N = draw(st.integers(3, required_grid_size(p, k, 2) if p.n == 1 else 14))
+        N = -(-N // k) * k  # a multiple of k, N <= 16 at n = 2
+    else:  # coarse: below the lattice window, whose width is at least 5 k
+        N = k * draw(st.integers(1, 3))
     vector = st.tuples(*[st.integers(-2, 2)] * p.n)
     pairs = draw(st.lists(st.tuples(vector, vector), min_size=1, max_size=5))
     r, _ = pairs[0]
@@ -567,7 +566,7 @@ def test_frame_pairings_equal_the_explicit_frame_pairing(case):
     t = np.arange(grid.N) / grid.N
     scale = _frame_norm(p, k) / frame.shape[1]
     plan = _plan(p, k, modes, grid.N)
-    for m, got in zip(modes, _dense_pairings(plan, _frame_pairings(plan))):
+    for m, got in zip(modes, _dense_pairings(_frame_pairings(plan))):
         phase = np.ones(1)
         for f in m.r + m.s:  # F_m on the axes (x_1..x_n, y_1..y_n)
             phase = np.multiply.outer(phase, np.exp(2j * np.pi * f * t)).ravel()
@@ -579,10 +578,10 @@ def test_frame_pairings_equal_the_explicit_frame_pairing(case):
 def support_cases(draw):
     """A diagonal, skew (normal, off the diagonal) or non-normal point at
     n = 1 or 2, a level, the zero mode and up to five modes of entries in
-    [-2, 2], and a grid at the bandwidth rule or up to k nodes above it.
+    [-2, 2], and a grid at the bandwidth rule or k nodes above it.
     On the axis path a mode with r_1 in [30, 40] may join them: at the
-    lower levels its offsets meet no term of the window, so no row of the
-    pairings meets its closed form."""
+    lower levels its offsets meet no term of the window, so its row of the
+    pairings is zero."""
     n = draw(st.sampled_from((1, 2)))
     kind = draw(st.sampled_from(("diagonal", "skew", "non-normal")))
     p = draw(points(n))
@@ -601,7 +600,7 @@ def support_cases(draw):
     if (n == 1 or kind == "diagonal") and draw(st.booleans()):
         far = (draw(st.integers(30, 40)),) + (0,) * (n - 1)
         modes.append(FourierMode(far, draw(vector)))
-    extra = draw(st.integers(0, k))
+    extra = k * draw(st.integers(0, 1))  # grids are multiples of k
     return p, k, modes, extra
 
 
@@ -614,7 +613,7 @@ def test_support_deviations_are_the_dense_deviations_bitwise(case):
     # entries off the closed form and the meeting entries all count
     p, k, modes, extra = case
     plan = _plan(p, k, modes, _plan(p, k, modes).rule + extra)
-    dense = _dense_pairings(plan, _frame_pairings(plan))
+    dense = _dense_pairings(_frame_pairings(plan))
     closed = toeplitz_mode_closed_form(p, k, modes)
     want = [np.abs(q - c.entries.T).max() for q, c in zip(dense, closed)]
     assert np.array_equal(quadrature_deviation(p, k, modes, plan), want)

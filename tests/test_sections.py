@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -29,7 +28,6 @@ from thetaquant.sections import (
     section_eval,
     suggest_grid,
     _FineLattice,
-    _checked_plan,
     _dense_pairings,
     _frame_norm,
     _frame_pairings,
@@ -171,28 +169,28 @@ def _pairing_modes(n):
 
 
 class TestFramePairings:
-    # the n = 2 frames at k = 3 are paired on N = 16, below the bandwidth
-    # rule and below the lattice window: the spectral sum equals the frame
-    # pairing on every grid, and only there do terms that collide mod N
-    # carry weight (on a bandwidth grid they lie far apart, with products
-    # far below rounding); the rule's N = 45 would need a 540 MiB frame at
-    # the skew point.  The diagonal point pairs axis by axis, the others on
-    # the box of both axes.  The rule's N is a multiple of k, where each r
-    # has one offset group; N = 161 at k = 32 is coprime to k and above the
-    # rule, where r = 2 meets the window at two groups of d mod k
+    # the n = 2 frames at k = 3 are paired on N = 15, and the n = 1 frame
+    # at k = 32 on N = 128, multiples of k below the bandwidth rule and
+    # below the lattice window: the spectral sum equals the frame pairing on
+    # every grid, and only there do terms that collide mod N carry weight
+    # (on a bandwidth grid they lie far apart, with products far below
+    # rounding); the rule's N = 45 would need a 540 MiB frame at the skew
+    # point.  There each r_i has one offset group of several offsets
+    # d = r_i + N e.  The diagonal point pairs axis by axis, the others on
+    # the box of both axes
     @pytest.mark.parametrize(
         "Z, k, N",
         [
             (1j, 32, None),
             (0.5 + 0.7j, 12, None),
             ([[2j, 0.5j], [0.5j, 1j]], 2, None),
-            ([[2j, 0.5j], [0.5j, 1j]], 3, 16),
+            ([[2j, 0.5j], [0.5j, 1j]], 3, 15),
             ([[1 + 1j, 0.3], [0.3, 0.5 + 2j]], 2, None),
-            ([[1 + 1j, 0.3], [0.3, 0.5 + 2j]], 3, 16),
+            ([[1 + 1j, 0.3], [0.3, 0.5 + 2j]], 3, 15),
             ([[1j, 0], [0, 2j]], 2, None),
             ([[1j, 0], [0, 2j]], 3, None),
-            ([[1j, 0], [0, 2j]], 3, 16),
-            (1j, 32, 161),
+            ([[1j, 0], [0, 2j]], 3, 15),
+            (1j, 32, 128),
         ],
     )
     def test_match_explicit_frame_pairing(self, Z, k, N):
@@ -203,7 +201,7 @@ class TestFramePairings:
             grid = QuadratureGrid(N)
         modes = _pairing_modes(p.n)
         plan = _plan(p, k, modes, grid.N)
-        got = _dense_pairings(plan, _frame_pairings(plan))
+        got = _dense_pairings(_frame_pairings(plan))
         frame = theta_frame_on_grid(p, k, grid)
         frame_conj = frame.conj().T
         weighted = np.empty_like(frame)
@@ -220,10 +218,10 @@ class TestFramePairings:
         (1j, ((40,), (-41,))), ([[1j, 0], [0, 2j]], ((40, 0), (1, 1)))])
     def test_mode_that_meets_no_term_of_the_window_pairs_to_zero(self, Z, mode):
         # r = 40 is no offset of the window at k = 2 on the bandwidth grid,
-        # so the diagonal path gathers no row at all
+        # so the diagonal path folds nothing into its row
         p = SiegelPoint(Z)
         plan = _plan(p, 2, [mode])  # on the rule's grid, N = 4 (2R + 41)
-        got = _dense_pairings(plan, _frame_pairings(plan))
+        got = _dense_pairings(_frame_pairings(plan))
         assert got.shape == (1, 2**p.n, 2**p.n) and not got.any()
 
     @pytest.mark.parametrize("Z, k", [(1j, 12), ([[1j, 0], [0, 2j]], 4)])
@@ -263,20 +261,22 @@ class TestFramePairings:
             assert {d % grid.N for (d,) in got} == {0}
 
     def test_window_collides_mod_n(self):
-        # on a grid coprime to k at or above the rule, the terms k u of one
-        # label a meet terms k u + d mod N, d = r mod N, at two offsets d of
-        # different d mod k, so the pairing must keep more than one partner
-        # label b = a + d mod k per label, one per offset group
-        # (test_match_explicit_frame_pairing checks the pairing at this N)
-        p, k, r = SiegelPoint(1j), 32, 2
-        grid = QuadratureGrid(required_grid_size(p, k, m_max=r) + 1)
-        assert math.gcd(k, grid.N) == 1
-        plan = _checked_plan(p, k, grid, [((r,), (0,))])  # refuses N below the rule
+        # on a multiple of k below the rule and the lattice window, the terms
+        # k u of one label a meet terms k u + d mod N, d = r mod N, at
+        # several offsets d, all with d = r mod k: each label keeps its one
+        # partner label b = a + r mod k, and the plan folds every offset in
+        # the one group of r (test_match_explicit_frame_pairing checks the
+        # pairing at this N)
+        p, k, r, N = SiegelPoint(1j), 32, 2, 128
+        plan = _plan(p, k, [((r,), (0,))], N)
+        assert N < min(plan.rule, plan.width)
         ku = _lattice_terms(plan)[0].ravel()
-        i, j = np.nonzero((ku[None, :] - ku[:, None] - r) % grid.N == 0)  # i meets j
+        i, j = np.nonzero((ku[None, :] - ku[:, None] - r) % N == 0)  # i meets j
         partners = set(zip((ku[i] % k).tolist(), (ku[j] % k).tolist()))
-        assert len(partners) > k  # some label a has two partner labels b
-        assert len(plan.groups[0][0]) > 1  # in as many groups as the plan folds
+        assert partners == {(a, (a + r) % k) for a in range(k)}
+        (offsets,), _ = plan.groups[0]
+        assert list(offsets) == sorted(set((ku[j] - ku[i]).tolist()))
+        assert len(offsets) > 1
 
 
 # Traced peak of a gram run and of a quadrature_deviation against the byte
@@ -362,13 +362,13 @@ class TestPlan:
     # one plan sizes a cell: the runners once certified the radius four
     # times, searched the grid rule twice and laid out each axis's offset
     # groups twice per cell
-    @pytest.mark.parametrize("grid", [None, 64], ids=["rule", "given"])
+    @pytest.mark.parametrize("grid", [None, 48], ids=["rule", "given"])
     @pytest.mark.parametrize("Z", ["i", "[[1i, 0], [0, 2i]]", "[[2i, 0.5i], [0.5i, 1i]]"])
     @pytest.mark.parametrize("experiment, m_max", [("gram", 0), ("toeplitz-compare", 2)])
     def test_cell_certifies_sizes_and_lays_out_once(self, count_calls, experiment,
                                                     m_max, Z, grid):
         n = 1 if Z == "i" else 2
-        given = "" if grid is None else f"grid = {grid}\n"
+        given = "" if grid is None else f"grid = {grid}\n"  # a multiple of both levels
         (m,) = parse_config_all(f"[{experiment}]\nn = {n}\nk = 2, 3\nZ = {Z}\n{given}")
         (p,) = m.points
         calls = count_calls((theta, "truncation_radius"), (sections, "truncation_radius"),
@@ -438,10 +438,10 @@ class TestPlan:
 
 def _box_axis(fine):
     """The axis v of the box: node c of a window of half-width half sits
-    at v = (c - (N/g) k half) g/(kN)."""
+    at v = (c - N half)/N."""
     half = (fine.width // fine.k - 1) // 2
     size = fine.G.shape[0]
-    return (np.arange(size) - fine.step_u * fine.k * half) / (fine.step_y * fine.N)
+    return (np.arange(size) - fine.step_u * fine.k * half) / fine.N
 
 
 class TestFineLattice:
@@ -533,7 +533,21 @@ class TestGram:
         p = SiegelPoint(1j)
         need = required_grid_size(p, 4)
         with pytest.raises(GridError, match=str(need)):
-            gram_matrix(p, 4, QuadratureGrid(need - 1))
+            gram_matrix(p, 4, QuadratureGrid(need - 4))
+
+    @pytest.mark.parametrize("quadrature", [
+        lambda p, k, grid: gram_matrix(p, k, grid),
+        lambda p, k, grid: quadrature_deviation(p, k, [((0,), (0,))], grid),
+        theta_frame_on_grid,
+    ], ids=["gram_matrix", "quadrature_deviation", "theta_frame_on_grid"])
+    def test_grid_off_the_multiples_of_k_is_refused(self, quadrature):
+        # a grid coprime to k was once folded on a k times finer lattice;
+        # every path now folds multiples of k only, above the rule or below
+        p, k = SiegelPoint(1j), 4
+        need = required_grid_size(p, k)
+        with pytest.raises(GridError, match=f"N={need + 1} is not a multiple of k={k}: "
+                                            f"the bandwidth rule gives N={need}$"):
+            quadrature(p, k, QuadratureGrid(need + 1))
 
     @pytest.mark.parametrize("quadrature", [
         lambda p, grid, mode: gram_matrix(p, 2, grid),

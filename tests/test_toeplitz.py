@@ -65,9 +65,9 @@ def grid_for(p, k, m_max=0):
 
 @st.composite
 def deviation_cases(draw):
-    """A point, a level k <= 8 (k <= 4 at n = 2), a grid at or above the
-    bandwidth rule and modes that include |r|, |s| > k, r = 0 mod k and two
-    modes congruent mod k."""
+    """A point, a level k <= 8 (k <= 4 at n = 2), a grid at the bandwidth
+    rule or one or two multiples of k above it, and modes that include
+    |r|, |s| > k, r = 0 mod k and two modes congruent mod k."""
     Z = draw(st.sampled_from(Z_LIST + [[[1j, 0], [0, 2j]], [[2j, 0.5j], [0.5j, 1j]]]
                              + Z_N2_NON_NORMAL))
     p = SiegelPoint(Z)
@@ -87,7 +87,7 @@ def deviation_cases(draw):
         FourierMode((k + 1,) + (0,) * (n - 1), (-k - 2,) + (0,) * (n - 1)),
     ]
     m_max = max(max(abs(x) for x in m.r + m.s) for m in modes)
-    N = required_grid_size(p, k, m_max) + draw(st.integers(0, 3))
+    N = required_grid_size(p, k, m_max) + k * draw(st.integers(0, 2))
     return p, k, modes, QuadratureGrid(N)
 
 
