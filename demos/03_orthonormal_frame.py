@@ -14,7 +14,6 @@ from thetaquant.sections import (
     integrand_periodicity_residual,
     lattice_weight_identity,
     required_grid_size,
-    suggest_grid,
 )
 
 np.set_printoptions(precision=3, suppress=True)
@@ -34,9 +33,8 @@ G2 = gram_matrix(p, k, QuadratureGrid(2 * N))
 print("N vs 2N difference:", np.max(np.abs(G - G2)))
 
 # Individual inner products, normalized and not.
-e0 = SectionVector.basis_vector(k, 1, 0)
-e1 = SectionVector.basis_vector(k, 1, 1)
-grid = suggest_grid(p, k)
+e0, e1 = (SectionVector(k, 1, np.eye(k)[i]) for i in (0, 1))
+grid = QuadratureGrid(N)
 print("(theta_0, theta_0)_norm =", l2_inner(p, e0, e0, grid))
 print("(theta_0, theta_1)_norm =", l2_inner(p, e0, e1, grid))
 print("(theta_0, theta_0) raw  =", l2_inner(p, e0, e0, grid, normalized=False))
@@ -54,5 +52,5 @@ print("multiplier cocycle:", cocycle_residual(p, z, 0, 1))
 
 # Dimension two, diagonal modulus.
 p2 = SiegelPoint(np.diag([1j, 2j]))
-G = gram_matrix(p2, 2, suggest_grid(p2, 2))
+G = gram_matrix(p2, 2, QuadratureGrid(required_grid_size(p2, 2)))
 print("\nn=2 Gram deviation:", np.max(np.abs(G - np.eye(4))))

@@ -17,7 +17,7 @@ from thetaquant import (
     toeplitz_mode_closed_form,
     trace_pair_closed_form,
 )
-from thetaquant.sections import suggest_grid
+from thetaquant.sections import QuadratureGrid, required_grid_size
 from thetaquant.toeplitz import toeplitz_modes_quadrature
 
 np.set_printoptions(precision=4, suppress=True)
@@ -33,7 +33,7 @@ print("eta_2(1,0) =", eta(p, 2, ((1,), (0,))), "= e^{-pi/4} =", np.exp(-np.pi / 
 
 # The independent route: grid sums of theta_a conj(theta_b) F_m, with the
 # x-sum done exactly by the orthogonality of the grid characters.
-grid = suggest_grid(p, 2, m_max=1)
+grid = QuadratureGrid(required_grid_size(p, 2, 1))
 (B,) = toeplitz_modes_quadrature(p, 2, [((1,), (0,))], grid).values()
 print("closed form vs quadrature:", np.max(np.abs(A.entries - B.entries)))
 

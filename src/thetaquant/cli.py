@@ -159,6 +159,8 @@ def _cmd_theta_eval(args):
     z = np.array([parse_complex(c) for c in args.z.split(";")])
     if len(z) != p.n:
         raise ConfigError(f"z has {len(z)} coordinates, point has n={p.n}")
+    if not np.isfinite(z).all():
+        raise ConfigError(f"--z {args.z!r} has a non-finite coordinate")
     value = theta_eval(p, label, z, _selector(args.sel, p.n))
     print(fmt_complex(value))
     return 0

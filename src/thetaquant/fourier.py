@@ -219,13 +219,6 @@ class FourierFunction:
             {-m: np.conj(c) for m, c in self._terms.items()}, n=self._n
         )
 
-    def is_real(self, tol=1e-12):
-        """True iff lambda_{-m} = conj(lambda_m) for every stored mode."""
-        for m, c in self._terms.items():
-            if abs(self._terms.get(-m, 0.0) - np.conj(c)) > tol:
-                return False
-        return True
-
     def approx_eq(self, other, tol=1e-12):
         for m in set(self._terms) | set(other._terms):
             if abs(self.coefficient(m) - other.coefficient(m)) > tol:

@@ -79,7 +79,6 @@ __all__ = [
     "SectionVector",
     "QuadratureGrid",
     "required_grid_size",
-    "suggest_grid",
     "section_eval",
     "theta_frame_on_grid",
     "l2_inner",
@@ -112,12 +111,6 @@ class SectionVector:
             )
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def basis_vector(cls, k, n, index):
-        c = np.zeros(k**n, dtype=complex)
-        c[index] = 1.0
-        return cls(k, n, c)
 
     def __add__(self, other):
         if (other.k, other.n) != (self.k, self.n):
@@ -224,10 +217,6 @@ def _y_alias_tail(p, k, m_max, N, epsilon):
         tail += term
         if term < epsilon * 1e-8:
             return tail
-
-
-def suggest_grid(p, k, m_max=0):
-    return QuadratureGrid(required_grid_size(p, k, m_max))
 
 
 def section_eval(p, s, x, y):

@@ -205,7 +205,8 @@ def _window(p, label, z, policy):
     """Lattice windows u = l + alpha of the evaluations at z, one point or a
     stack (P, n), centred on each point's Gaussian minimiser: shape (P, L, n),
     their linear phases 2 pi i k u.z - e ln 2, shape (P, L), and each point's
-    scale exponent e, shape (P,)."""
+    scale exponent e, shape (P,).  A z with a non-finite entry is refused
+    with ValueError."""
     if not policy.compatible(p, label.k):
         raise ValueError(
             "truncation policy was certified for a different (level, point)"
@@ -213,6 +214,8 @@ def _window(p, label, z, policy):
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.ndim != 2 or z.shape[1] != p.n:
         raise ValueError(f"z must be one point or a stack (P, n), n = {p.n}")
+    if not np.isfinite(z).all():
+        raise ValueError("z has a non-finite entry")
     alpha, k = label.alpha, label.k
     peaks = np.array([p.Yinv @ v for v in z.imag])  # Y^-1 v, v = Im z
     centers = np.rint(-alpha - peaks)

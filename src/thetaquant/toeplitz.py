@@ -35,11 +35,13 @@ no Siegel point.  The algebra needs no k^n x k^n matrix:
   multiplicity k^{n-1}.  The operator is normal and its norm is
   max |sum_t a_t lambda^t| over those k roots, an O(M k) computation.
 
-The norm of any other symbol, and the public matrix constructors, go
-through :meth:`WeylSymbol.to_dense`, the one dense builder.  Its result, an
+The norm of any other symbol, :func:`rescaled_toeplitz` and
+:func:`toeplitz_function` go through :meth:`WeylSymbol.to_dense`;
+:func:`toeplitz_mode_closed_form` scatters each of a batch of modes into its
+own array from one :func:`_clock_shift_columns` call.  Their result, an
 :class:`OperatorMatrix`, is the dense oracle's record: the level, the
-dimension and the entries, with no algebra of its own.  Every product,
-adjoint and pairing of closed-form operators is taken on the symbol.
+dimension and the entries, with no algebra of its own.  Every product and
+pairing of closed-form operators is taken on the symbol.
 
 The expansion fits (:func:`product_expansion_fit`,
 :func:`c1_antisymmetry_constant` and ``formal.trivialized_star_compare``)
@@ -55,10 +57,10 @@ lambda_m) / 4k), so a far mode whose eta_k(m)^2 underflows keeps its finite
 ratio; the c0 residual of a line symbol takes its norms at every level in
 one pass over the sum of the k roots; and one ``lstsq`` fits every series
 in powers of 1/k, each column as that series alone.  A fit has two halves
-over one level-free table of out modes and eigenvalues: the coefficients
-c_0 .. c_L, from the projections and the ``lstsq``, and the norms of the
-c0 residual T_f T_g - T_{fg}.  :func:`product_expansion_fit` returns both,
-for criterion 10, the tests and the demos.  The kernel ``_star_fits``
+over the pair's table (``_pair_table``) and one point's eigenvalues: the
+coefficients c_0 .. c_L, from the projections and the ``lstsq``, and the
+norms of the c0 residual T_f T_g - T_{fg}.  :func:`product_expansion_fit`
+returns both, for criterion 10, the tests and the demos.  The kernel ``_star_fits``
 takes the coefficient half of every pair, at every point and in both
 orderings, and the trivialized star's series, the projection with every
 exponent 0, in one ``lstsq``: :func:`c1_antisymmetry_constant` is its call
@@ -250,12 +252,6 @@ class WeylSymbol:
         self._check_level(other)
         out = _mode_pair_sum(self.coeffs, other.coeffs, _weyl_phase(self.k))
         return WeylSymbol(self.k, self.n, out)
-
-    def adjoint(self):
-        """W_k(m)* = W_k(-m), so the adjoint conjugates and negates modes."""
-        return WeylSymbol(
-            self.k, self.n, {-m: c.conjugate() for m, c in self.coeffs.items()}
-        )
 
     def pair(self, other):
         """tr(A B*): :func:`_trace_pairing` with the scalar
@@ -478,37 +474,11 @@ def trace_pair_sign(k, m1, m2):
     return -1 if (P // k) % 2 else 1
 
 
-def _sign_tables(k, l1, l2):
-    """The (M, 2n) tables of the modes of ``l1`` and ``l2`` for
-    :func:`_pair_signs`.  Entries of modulus at most E give |P| <= 4n E^2,
-    so the tables are int64 while that and k are below 2^63, and otherwise
-    Python ints in object arrays, exact at any mode size."""
-    rows1, rows2 = ([m.r + m.s for m in map(FourierMode.coerce, l)] for l in (l1, l2))
-    dims = {len(row) // 2 for row in rows1 + rows2}
-    if len(dims) > 1:  # broadcasting would pair a one-axis mode with a two-axis one
-        raise ValueError(f"modes of dimensions {min(dims)} and {max(dims)}")
-    n = max(dims, default=0)
-    big = max((abs(x) for row in rows1 + rows2 for x in row), default=0)
-    dtype = np.int64 if max(4 * n * big**2, k) < 2**63 else object
-    return (np.array(rows, dtype=dtype).reshape(len(rows), 2 * n) for rows in (rows1, rows2))
-
-
-def _pair_signs(k, t1, t2):
-    """trace_pair_sign(k, a, b) of every row a of ``t1`` and b of ``t2``,
-    shape (M1, M2), in one integer array pass over the two mode tables
-    (:func:`_sign_tables`): the congruence mask, then P = r.s + t.u - 2 s.t,
-    then the check that k divides P on the congruent pairs.
-    :func:`trace_pair_sign` is the scalar spelling and this one's oracle.
-    int64 arithmetic is exact mod 2^64, so a P that wrapped is off by a
-    multiple of 2^64: either k does not divide it and the check refuses, or
-    P/k moved by an even number and the sign stands."""
-    n = t1.shape[1] // 2
-    (r, s), (t, u) = (np.split(table, [n], axis=1) for table in (t1, t2))
-    congruent = np.all((t1[:, None] - t2) % k == 0, axis=-1)
-    P = np.sum(r * s, axis=1)[:, None] + np.sum(t * u, axis=1) - 2 * (s @ t.T)
-    if np.any(P[congruent] % k):
-        raise ArithmeticError("pair phase of congruent modes is not a sign")
-    return np.where(congruent, 1 - 2 * (P // k % 2), 0).astype(np.int64)
+def _sign_table(k, l1, l2):
+    """trace_pair_sign(k, a, b) of every mode a of ``l1`` and b of ``l2``,
+    an int64 array of shape (M1, M2): the one table of pair signs."""
+    return np.array([[trace_pair_sign(k, a, b) for b in l2] for a in l1],
+                    dtype=np.int64).reshape(len(l1), len(l2))
 
 
 def trace_pair_closed_form(p, k, m1, m2):
@@ -519,12 +489,12 @@ def trace_pair_closed_form(p, k, m1, m2):
     :func:`trace_pair_sign`.  ``m1`` and ``m2`` are each one mode or a
     list of modes; the result is k^n sign eta(m1) eta(m2), 0 off the
     congruent pairs, as a complex for two modes and else as a complex
-    array of shape (M1, M2), (M1,) or (M2,).  Every sign comes from one
-    integer array pass over the two mode tables (:func:`_pair_signs`), and
-    when ``m2`` is the list ``m1`` one eta table serves both sides.
+    array of shape (M1, M2), (M1,) or (M2,).  The signs are one
+    :func:`_sign_table`, and when ``m2`` is the list ``m1`` one eta table
+    serves both sides.
     """
     l1, l2 = (m if isinstance(m, list) else [m] for m in (m1, m2))
-    signs = _pair_signs(k, *_sign_tables(k, l1, l2))
+    signs = _sign_table(k, l1, l2)
     e1 = eta(p, k, l1)
     e2 = e1 if l2 is l1 else eta(p, k, l2)
     closed = (k**p.n * signs * e1[:, None] * e2).astype(complex)
@@ -625,27 +595,16 @@ class _Product(NamedTuple):
     terms: np.ndarray  # (K, P): f_a g_b exp(i pi omega(a, b) / k)
 
 
-def _out_mode_signs(k_values, out_modes):
-    """trace_pair_sign(k, m, m') of every two out modes at every level,
-    shape (K, M, M).  Every sum of a product's pair is an out mode, so
-    these rows are the signs of both orderings' projections
-    (:func:`_product_terms`)."""
-    K, M = len(k_values), len(out_modes)
-    return np.array(
-        [[[trace_pair_sign(k, a, b) for b in out_modes] for a in out_modes]
-         for k in k_values], dtype=np.int64).reshape(K, M, M)
-
-
 def _product_terms(k_values, f, g, out_modes, signs):
     """The Z-free half of the projections of T_f T_g onto the out modes at
     every level, a :class:`_Product`.
 
-    ``f`` and ``g`` map modes to coefficients and ``signs`` is
-    :func:`_out_mode_signs` of the out modes.  By the Weyl relation T_f T_g
-    is sum f_a g_b w_ab eta_k(a) eta_k(b) W_k(a + b), w_ab the weight of
-    :func:`_weyl_phase`, and its pairing with T_m keeps the products
-    congruent to m with the sign of :func:`trace_pair_sign`: the row of
-    ``signs`` at the out mode a + b.
+    ``f`` and ``g`` map modes to coefficients and ``signs`` stacks the
+    :func:`_sign_table` of the out modes at every level, shape (K, M, M).
+    By the Weyl relation T_f T_g is sum f_a g_b w_ab eta_k(a) eta_k(b)
+    W_k(a + b), w_ab the weight of :func:`_weyl_phase`, and its pairing
+    with T_m keeps the products congruent to m with the sign of
+    :func:`trace_pair_sign`: the row of ``signs`` at the out mode a + b.
     """
     ks = np.asarray(k_values)
     pairs = [(a, b) for a in f for b in g]
@@ -693,27 +652,6 @@ class ProductExpansionFit:
     ill_conditioned: bool = False
 
 
-def _fit_table(p, f, g):
-    """The level-free table of a fit of T_f T_g: the out modes m_i + n_j,
-    sorted, and a dict from every mode of f, g and the out modes to its
-    Laplace eigenvalue, from one :func:`siegel.laplace_eigenvalue` call.
-    The fit of T_g T_f reads the same table."""
-    out_modes = sorted({m1 + m2 for m1 in f.terms for m2 in g.terms})
-    modes = [*f.terms, *g.terms, *out_modes]
-    return out_modes, dict(zip(modes, laplace_eigenvalue(p, modes)))
-
-
-def _fit_coefficients(k_values, f, g, out_modes, lam):
-    """The coefficient half of the fit: the projections of T_f T_g onto the
-    out modes at every level (:func:`_product_projections`), regressed on
-    powers of 1/k.  Returns c_0 .. c_L as FourierFunctions and the
-    condition number of the fit."""
-    signs = _out_mode_signs(k_values, out_modes)
-    product = _product_terms(k_values, f.terms, g.terms, out_modes, signs)
-    rows, cond = _inverse_power_fit(k_values, _product_projections(k_values, product, lam))
-    return [FourierFunction(dict(zip(out_modes, row)), n=f.n) for row in rows], cond
-
-
 def _c0_residual_norms(k_values, f, g, out_modes, lam):
     """The c0 half of the fit: ||T_f T_g - T_{fg}|| at every level, from the
     level-axis Weyl product of the symbols, whose coefficients are (K,)
@@ -735,27 +673,29 @@ def _c0_residual_norms(k_values, f, g, out_modes, lam):
 def product_expansion_fit(p, f, g, k_values):
     """Fit the expansion T_f T_g ~ sum_l T_{c_l} k^{-l} at every level at once.
 
-    Two halves read one level-free table of out modes and Laplace
-    eigenvalues (:func:`_fit_table`).  The coefficient half
-    (:func:`_fit_coefficients`) projects T_f T_g onto the mode operator of
-    every out mode (orthogonal for distinct small modes under the pair
-    trace) at all K levels in one array pass and regresses the samples on
-    powers of 1/k in one ``lstsq``.  The c0 half
+    Two halves read the pair's table (:func:`_pair_table`), its out modes
+    and the Weyl terms of T_f T_g, and one dict of the Laplace eigenvalues
+    of the modes of f, g and the out modes.  The coefficient half projects T_f T_g onto the mode operator of every out
+    mode (orthogonal for distinct small modes under the pair trace) at all K
+    levels in one array pass (:func:`_product_projections`) and regresses
+    the samples on powers of 1/k in one ``lstsq``.  The c0 half
     (:func:`_c0_residual_norms`) gives the norms of T_f T_g - T_{fg}.  This
     function returns both, which criterion 10, the tests and the demos
     read; :func:`_star_fits`, and so :func:`c1_antisymmetry_constant`,
     takes the coefficient half alone, of both orderings at every point in
-    one ``lstsq``, and the ``star-fit`` runner's c0 order the c0 half alone.  Needs
-    len(k_values) >= _FIT_ORDER + 2 and min(k) large enough that distinct
-    output modes are incongruent.
+    one ``lstsq``, and the ``star-fit`` runner's c0 order the c0 half alone.
+    Needs len(k_values) >= _FIT_ORDER + 2 and min(k) large enough that
+    distinct output modes are incongruent.
     """
     k_values = _fit_levels(k_values)
-    table = _fit_table(p, f, g)
-    coefficients, cond = _fit_coefficients(k_values, f, g, *table)
-    c0_norms = _c0_residual_norms(k_values, f, g, *table)
+    t = _pair_table(k_values, f, g)
+    modes = [*f.terms, *g.terms, *t.out_modes]
+    lam = dict(zip(modes, laplace_eigenvalue(p, modes)))
+    rows, cond = _inverse_power_fit(k_values, _product_projections(k_values, t.fg, lam))
+    c0_norms = _c0_residual_norms(k_values, f, g, t.out_modes, lam)
     return ProductExpansionFit(
         k_values=k_values,
-        coefficients=coefficients,
+        coefficients=[FourierFunction(dict(zip(t.out_modes, row)), n=f.n) for row in rows],
         c0_residual_norms=c0_norms,
         c0_fit_order=loglog_order(k_values, c0_norms),
         condition_number=cond,
@@ -787,11 +727,12 @@ class _PairTable(NamedTuple):
 
 
 def _pair_table(k_values, f, g):
-    """The :class:`_PairTable` of (f, g) at the levels ``k_values``: one
-    table of signs (:func:`_out_mode_signs`) serves both orderings at every
-    level and, in its rows at kmax, the pairings of the c1 scale."""
+    """The :class:`_PairTable` of (f, g) at the levels ``k_values``: the
+    :func:`_sign_table` of the out modes, stacked over the levels, serves
+    both orderings at every level and, at kmax, the pairings of the c1
+    scale."""
     out_modes = sorted({a + b for a in f.terms for b in g.terms})
-    signs = _out_mode_signs(k_values, out_modes)
+    signs = np.stack([_sign_table(k, out_modes, out_modes) for k in k_values])
     fg, gf = (_product_terms(k_values, a.terms, b.terms, out_modes, signs)
               for a, b in ((f, g), (g, f)))
     top = signs[k_values.index(max(k_values))].tolist()

@@ -49,16 +49,6 @@ class CurveClass:
             raise ValueError("orientation must be +1 or -1")
 
     @classmethod
-    def a_cycle(cls, g, i=0):
-        r = tuple(1 if a == i else 0 for a in range(g))
-        return cls(r, (0,) * g)
-
-    @classmethod
-    def b_cycle(cls, g, i=0):
-        s = tuple(1 if a == i else 0 for a in range(g))
-        return cls((0,) * g, s)
-
-    @classmethod
     def empty(cls, g):
         return cls((0,) * g, (0,) * g)
 

@@ -702,7 +702,7 @@ class TestRunAndCache:
         # signs, point by point and ordering by ordering
         from thetaquant import toeplitz
 
-        calls = {"lstsq": 0, "laplace_eigenvalue": 0, "_out_mode_signs": 0,
+        calls = {"lstsq": 0, "laplace_eigenvalue": 0, "_sign_table": 0,
                  "trace_pair_sign": 0}
 
         def counted(module, name, key=None):
@@ -714,14 +714,15 @@ class TestRunAndCache:
             monkeypatch.setattr(module, name, call)
 
         counted(np.linalg, "lstsq")
-        for name in ("laplace_eigenvalue", "_out_mode_signs", "trace_pair_sign"):
+        for name in ("laplace_eigenvalue", "_sign_table", "trace_pair_sign"):
             counted(toeplitz, name)
         m = parse_config("[star-fit]")  # n = 1; the runner reads two points
         doc = run_experiment(m, use_cache=False)
         assert doc.passed and len(doc.rows) == 4
-        # one sign table a pair, of its one out mode at the 5 levels: no sign
-        # is taken per point or per ordering
-        assert calls == {"lstsq": 1, "laplace_eigenvalue": 2, "_out_mode_signs": 2,
+        # one sign table a pair and level, of its one out mode at the 5
+        # levels: no sign is taken per point or per ordering
+        assert calls == {"lstsq": 1, "laplace_eigenvalue": 2,
+                         "_sign_table": 2 * len(m.k_values),
                          "trace_pair_sign": 2 * len(m.k_values)}
 
     @pytest.mark.parametrize("body", [
@@ -871,6 +872,10 @@ class TestCli:
             # and exited 0, the second printed a RuntimeWarning first
             (["theta", "eval", "--k", "2", "--Z", "nan+1i"], "non-finite"),
             (["theta", "eval", "--k", "2", "--Z", "nani"], "non-finite"),
+            # a non-finite z once printed nan+nani and exited 0, the second
+            # after a RuntimeWarning
+            (["theta", "eval", "--k", "2", "--z", "nan"], "non-finite"),
+            (["theta", "eval", "--k", "2", "--z", "1e400"], "non-finite"),
         ]
         for argv, message in cases:
             with warnings.catch_warnings():

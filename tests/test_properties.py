@@ -80,15 +80,12 @@ from thetaquant.theta import (
 )
 from thetaquant.toeplitz import (
     _clock_shift_columns,
-    _pair_signs,
-    _sign_tables,
     _star_fits,
     c1_antisymmetry_constant,
     eta,
     quadrature_deviation,
     toeplitz_mode_closed_form,
     trace_pair_closed_form,
-    trace_pair_sign,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -400,23 +397,6 @@ def batch_cases(draw):
 
 
 @st.composite
-def sign_cases(draw):
-    """A level k = 1..6 and two lists of one to five modes at one n = 1..3,
-    each entry a residue in [0, k) plus k times a multiple of modulus up to
-    2^b, b one of 2, 31, 40 and 58: congruent pairs are frequent, and the
-    entries reach past 2^31, where the sign tables hold Python ints, and stay
-    below 2^62, where int64 differences of two entries do not wrap."""
-    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 6))
-    bound = 2 ** draw(st.sampled_from((2, 31, 40, 58)))
-    entry = st.builds(lambda a, b: a + k * b, st.integers(0, k - 1),
-                      st.integers(-bound, bound))
-    vector = st.tuples(*[entry] * n)
-    modes = st.lists(st.tuples(vector, vector).map(lambda rs: FourierMode(*rs)),
-                     min_size=1, max_size=5)
-    return k, draw(modes), draw(modes)
-
-
-@st.composite
 def star_cases(draw):
     """One to three points at one n = 1, 2, off-diagonal entries included,
     five or six levels in [1, 96] and one or two pairs of modes, entries in
@@ -445,8 +425,8 @@ def _same_bits(batch, items):
 
 
 @PROPERTY
-@given(batch_cases(), sign_cases(), star_cases())
-def test_every_batch_is_its_one_item_calls_bitwise(case, signs, stars):
+@given(batch_cases(), star_cases())
+def test_every_batch_is_its_one_item_calls_bitwise(case, stars):
     p, q, normal, k, v, modes, label, z, pairs = case
     calls = [
         lambda ms: laplace_eigenvalue(p, ms),
@@ -475,18 +455,6 @@ def test_every_batch_is_its_one_item_calls_bitwise(case, signs, stars):
     for d, res, res_fd in zip(dirs, analytic, fd):
         assert _same_bits(res, formal_hitchin_residual(normal, modes, d))
         assert _same_bits(res_fd, formal_hitchin_residual(normal, modes, d, fd_step=1e-4))
-    # every pair sign of two lists in one pass, against the scalar sign
-    level, l1, l2 = signs
-    scalar = [[trace_pair_sign(level, a, b) for b in l2] for a in l1]
-    tables = list(_sign_tables(level, l1, l2))
-    assert _same_bits(_pair_signs(level, *tables), scalar)
-    # int64 tables are exact mod 2^64: a wrapped P gives the scalar sign or a
-    # non-sign P, which is refused
-    wrapping = [np.array([m.r + m.s for m in ms], dtype=np.int64) for ms in (l1, l2)]
-    try:
-        assert _same_bits(_pair_signs(level, *wrapping), scalar)
-    except ArithmeticError:
-        assert tables[0].dtype == object
     # every pair's star and every point's c1 in one kernel call and one
     # lstsq, against the one-pair star and the one-point constant; a refused
     # batch raises what its first refusing pair and point raise alone

@@ -26,24 +26,28 @@ from thetaquant.sections import (
     lattice_weight_identity,
     required_grid_size,
     section_eval,
-    suggest_grid,
     _FineLattice,
     _dense_pairings,
     _frame_norm,
     _frame_pairings,
     _lattice_terms,
+    _pairing_deviation,
     _plan,
     theta_frame_on_grid,
 )
 from thetaquant.siegel import SiegelPoint
 from thetaquant.theta import ThetaLabel, theta_eval, truncation_radius
-from thetaquant.toeplitz import quadrature_deviation, toeplitz_modes_quadrature
+from thetaquant.toeplitz import (
+    _clock_shift_columns,
+    quadrature_deviation,
+    toeplitz_modes_quadrature,
+)
 
 from oracles import inner_product_brute, theta_brute
 
 
 def unit(k, n, i):
-    return SectionVector.basis_vector(k, n, i)
+    return SectionVector(k, n, np.eye(k**n)[i])
 
 
 class TestSectionEval:
@@ -68,25 +72,25 @@ class TestSectionEval:
 class TestOrthonormality:
     def test_diagonal_level_two(self):
         p = SiegelPoint(1j)
-        grid = suggest_grid(p, 2)
+        grid = QuadratureGrid(required_grid_size(p, 2))
         v = l2_inner(p, unit(2, 1, 0), unit(2, 1, 0), grid)
         assert v == pytest.approx(1.0, abs=1e-8)
 
     def test_off_diagonal_vanishes(self):
         p = SiegelPoint(1j)
-        grid = suggest_grid(p, 2)
+        grid = QuadratureGrid(required_grid_size(p, 2))
         v = l2_inner(p, unit(2, 1, 0), unit(2, 1, 1), grid)
         assert abs(v) < 1e-8
 
     def test_scalar_case(self):
         p = SiegelPoint(2j)
-        grid = suggest_grid(p, 1)
+        grid = QuadratureGrid(required_grid_size(p, 1))
         v = l2_inner(p, unit(1, 1, 0), unit(1, 1, 0), grid)
         assert v == pytest.approx(1.0, abs=1e-8)
 
     def test_conjugate_symmetry(self):
         p = SiegelPoint(0.5 + 0.7j)
-        grid = suggest_grid(p, 2)
+        grid = QuadratureGrid(required_grid_size(p, 2))
         s1 = unit(2, 1, 0) + 0.5j * unit(2, 1, 1)
         s2 = unit(2, 1, 1)
         a = l2_inner(p, s1, s2, grid)
@@ -104,7 +108,7 @@ class TestOrthonormality:
     def test_unnormalized_value(self):
         # without the sqrt(2^n k^n det Y) factor the norm differs from 1
         p = SiegelPoint(2j)
-        grid = suggest_grid(p, 1)
+        grid = QuadratureGrid(required_grid_size(p, 1))
         raw = l2_inner(p, unit(1, 1, 0), unit(1, 1, 0), grid, normalized=False)
         assert raw == pytest.approx(1.0 / np.sqrt(2 * 2.0), abs=1e-8)
 
@@ -124,7 +128,7 @@ class TestFrame:
         # flattened in the order (x_1..x_n, y_1..y_n)
         p = SiegelPoint(Z)
         n = p.n
-        grid = suggest_grid(p, k)
+        grid = QuadratureGrid(required_grid_size(p, k))
         N = grid.N
         frame = theta_frame_on_grid(p, k, grid)
         assert frame.shape == (k**n, N ** (2 * n))
@@ -196,7 +200,7 @@ class TestFramePairings:
     def test_match_explicit_frame_pairing(self, Z, k, N):
         # sum over the N^{2n} nodes of frame_a conj(frame_b) F_m / N^{2n}
         p = SiegelPoint(Z)
-        grid = suggest_grid(p, k, m_max=2)
+        grid = QuadratureGrid(required_grid_size(p, k, 2))
         if N is not None:
             grid = QuadratureGrid(N)
         modes = _pairing_modes(p.n)
@@ -231,7 +235,7 @@ class TestFramePairings:
         # r_2 = 0, so axis 2 folds only the offsets of r_2 = 0, however many
         # r_1 share it
         p = SiegelPoint(Z)
-        grid = suggest_grid(p, k, m_max=2)
+        grid = QuadratureGrid(required_grid_size(p, k, 2))
         zero, span = (0,) * (p.n - 1), range(-2, 3)
         modes = [FourierMode((r,) + zero, (s,) + zero) for r in span for s in span]
         folds, transforms = [], []
@@ -277,6 +281,22 @@ class TestFramePairings:
         (offsets,), _ = plan.groups[0]
         assert list(offsets) == sorted(set((ku[j] - ku[i]).tolist()))
         assert len(offsets) > 1
+
+    @pytest.mark.parametrize("Z", [1j, [[1j, 0], [0, 2j]]])
+    def test_deviation_counts_the_entries_off_either_support(self, Z):
+        # a matrix C with its entries in rows a - r mod k, which the
+        # pairings' rows a + r mod k meet only at r = 0: off the meeting
+        # entries the deviation reads |Q| and |C|, as the densified max
+        # |Q - C| does
+        p, k = SiegelPoint(Z), 5
+        modes = _pairing_modes(p.n)
+        pairings = _frame_pairings(_plan(p, k, modes))
+        mirrored = [FourierMode(tuple(-r for r in m.r), m.s) for m in modes]
+        rows, values = _clock_shift_columns(k, p.n, mirrored)
+        assert (rows != pairings[0]).any(axis=1).tolist() == [any(m.r) for m in modes]
+        want = np.abs(_dense_pairings(pairings) - _dense_pairings((rows, values)))
+        np.testing.assert_array_equal(_pairing_deviation(pairings, rows, values),
+                                      want.max(axis=(1, 2)))
 
 
 # Traced peak of a gram run and of a quadrature_deviation against the byte
@@ -425,7 +445,7 @@ class TestPlan:
         for k in ks:
             rs = rng.integers(-3, 4, size=(7, 2 * p.n))
             modes = [FourierMode(tuple(v[:p.n]), tuple(v[p.n:])) for v in rs.tolist()]
-            grid = suggest_grid(p, k, m_max=int(np.abs(rs).max()))
+            grid = QuadratureGrid(required_grid_size(p, k, int(np.abs(rs).max())))
             got = quadrature_deviation(p, k, modes, grid)
             assert np.array_equal(got, quadrature_deviation(p, k, _mode_table(modes), grid))
             one = [quadrature_deviation(p, k, [m], grid)[0] for m in modes]
@@ -452,7 +472,7 @@ class TestFineLattice:
     @pytest.mark.parametrize("k", [1, 5, 16])
     def test_box_is_the_gaussian_bitwise_n1(self, Z, k):
         p = SiegelPoint(Z)
-        fine = _FineLattice.build(_plan(p, k, N=suggest_grid(p, k, m_max=2).N))
+        fine = _FineLattice.build(_plan(p, k, N=required_grid_size(p, k, 2)))
         v = _box_axis(fine)
         assert np.array_equal(fine.G, np.exp((1j * np.pi * k * p.Z[0, 0] * v) * v))
 
@@ -495,13 +515,13 @@ class TestGram:
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_identity_n1(self, z, k):
         p = SiegelPoint(z)
-        G = gram_matrix(p, k, suggest_grid(p, k))
+        G = gram_matrix(p, k, QuadratureGrid(required_grid_size(p, k)))
         assert np.max(np.abs(G - np.eye(k))) < 1e-8
         assert np.max(np.abs(G - G.conj().T)) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_identity_n2(self, point_n2, k):
-        G = gram_matrix(point_n2, k, suggest_grid(point_n2, k))
+        G = gram_matrix(point_n2, k, QuadratureGrid(required_grid_size(point_n2, k)))
         assert np.max(np.abs(G - np.eye(k**2))) < 1e-7
 
     @pytest.mark.parametrize("z", [20j, 50j])
@@ -510,7 +530,7 @@ class TestGram:
         # the y-Gaussians of a large Y alias on the x-rule's grid: Z = 20i
         # at k = 4 once took N = 16 and read |Gram - Id| = 1.3e-2
         p = SiegelPoint(z)
-        G = gram_matrix(p, k, suggest_grid(p, k))
+        G = gram_matrix(p, k, QuadratureGrid(required_grid_size(p, k)))
         assert np.max(np.abs(G - np.eye(k))) < 1e-8
 
     def test_grid_rule_never_drops_below_the_x_rule(self):

@@ -117,6 +117,16 @@ class TestValues:
         with pytest.raises(OverflowError, match=f"level k={k} is beyond the float range"):
             theta_eval(SiegelPoint(1 + 2j), ThetaLabel(k, (1,)), z)
 
+    @pytest.mark.parametrize("z", [np.inf, np.nan, complex(0.1, np.inf)])
+    def test_non_finite_z_is_refused(self, z):
+        # theta_eval once returned nan+nanj at z = inf; the heat residuals
+        # read the same window
+        p, label = SiegelPoint(1j), ThetaLabel(2, (0,))
+        with pytest.raises(ValueError, match="non-finite"):
+            theta_eval(p, label, z)
+        with pytest.raises(ValueError, match="non-finite"):
+            heat_residuals(p, label, [[0.1], [z]], [(0, 0)])
+
     @pytest.mark.parametrize("z", Z_LIST)
     @pytest.mark.parametrize("k,a", [(1, (0,)), (2, (1,)), (3, (2,))])
     def test_matches_brute_oracle(self, z, k, a):

@@ -23,7 +23,7 @@ from thetaquant.fourier import (
     poisson_bracket,
 )
 from thetaquant.sections import GridError, QuadratureGrid, required_grid_size
-from thetaquant.siegel import SiegelPoint
+from thetaquant.siegel import SiegelPoint, laplace_eigenvalue
 from thetaquant.toeplitz import (
     C1Comparison,
     OperatorMatrix,
@@ -43,10 +43,8 @@ from thetaquant.toeplitz import (
     trace_pair_closed_form,
     trace_pair_sign,
     _c0_residual_norms,
-    _fit_table,
     _line_norms,
-    _pair_signs,
-    _sign_tables,
+    _sign_table,
 )
 
 from oracles import toeplitz_entry_brute, toeplitz_mode_loop
@@ -287,7 +285,6 @@ class TestToeplitzFunction:
             {((1,), (0,)): 0.5 - 0.2j, ((-1,), (0,)): 0.5 + 0.2j,
              ((2,), (1,)): 1j, ((-2,), (-1,)): -1j}
         )
-        assert f.is_real()
         for p in points_n1:
             A = toeplitz_function(p, 3, f).entries
             assert np.max(np.abs(A - A.conj().T)) < 1e-10
@@ -492,21 +489,14 @@ class TestTraceLemma:
         # P = 0 here, so a phase test alone would read the sign +1
         assert trace_pair_sign(3, ((1,), (0,)), ((0,), (1,))) == 0
 
-    def test_array_signs_refuse_a_wrapped_phase_and_hold_large_modes_exactly(self):
-        # the int64 products of these entries wrap mod 2^64, and k = 3 does
-        # not divide the wrapped P; the sign tables hold them as Python ints
+    def test_sign_table_holds_large_modes_exactly(self):
+        # the int64 products of these entries would wrap mod 2^64, and k = 3
+        # does not divide the wrapped P; the signs are taken in Python ints
         modes = [FourierMode((-821353333820,), (-583020039108,)),
                  FourierMode((-94007179859,), (-149422565235,))]
-        wrapping = np.array([m.r + m.s for m in modes], dtype=np.int64)
-        with pytest.raises(ArithmeticError, match="not a sign"):
-            _pair_signs(3, wrapping, wrapping)
-        tables = list(_sign_tables(3, modes, modes))
-        assert tables[0].dtype == object
-        signs = [[trace_pair_sign(3, a, b) for b in modes] for a in modes]
-        assert signs == [[1, -1], [-1, 1]]
-        assert _pair_signs(3, *tables).tolist() == signs
+        assert _sign_table(3, modes, modes).tolist() == [[1, -1], [-1, 1]]
 
-    def test_array_signs_refuse_modes_of_two_dimensions(self):
+    def test_closed_form_refuses_modes_of_two_dimensions(self):
         with pytest.raises(ValueError, match="dimensions 1 and 2"):
             trace_pair_closed_form(SiegelPoint(1j), 3, [((1,), (0,))], [((1, 0), (0, 0))])
 
@@ -805,6 +795,14 @@ def _shuffled_function(draw, n, modes):
     return FourierFunction(dict(terms), n=n)
 
 
+def _fit_eigenvalues(p, f, g):
+    """The sorted out modes of T_f T_g and the dict of the Laplace
+    eigenvalues of the modes of f, g and the out modes."""
+    out_modes = sorted({a + b for a in f.terms for b in g.terms})
+    modes = [*f.terms, *g.terms, *out_modes]
+    return out_modes, dict(zip(modes, laplace_eigenvalue(p, modes)))
+
+
 @st.composite
 def split_fit_cases(draw):
     """A point, five or six levels and f, g of two to five terms each in a
@@ -838,7 +836,7 @@ def test_c1_constant_is_the_one_of_two_full_fits_bitwise(case):
         fg, gf = (product_expansion_fit(p, a, b, levels) for a, b in ((f, g), (g, f)))
         anti = (fg.coefficients[1] - gf.coefficients[1]).terms
         bracket = poisson_bracket(f, g).terms
-        lam, kmax = _fit_table(p, f, g)[1], max(levels)
+        lam, kmax = _fit_eigenvalues(p, f, g)[1], max(levels)
         top = max((lam[m] for m in bracket), default=0.0)
 
         def scaled(terms):
@@ -866,7 +864,7 @@ def test_c0_half_is_the_full_fit_bitwise(case):
         fit = product_expansion_fit(p, f, g, levels)
     except OverflowError:
         assume(False)
-    norms = _c0_residual_norms(levels, f, g, *_fit_table(p, f, g))
+    norms = _c0_residual_norms(levels, f, g, *_fit_eigenvalues(p, f, g))
     assert norms == fit.c0_residual_norms
     # the star-fit runner's c0 order
     np.testing.assert_array_equal(loglog_order(levels, norms), fit.c0_fit_order)

@@ -17,17 +17,17 @@ from thetaquant.tqft import (
 
 class TestCurveClasses:
     def test_homology_basis_modes(self):
-        a = CurveClass.a_cycle(1)
-        b = CurveClass.b_cycle(1)
+        a = CurveClass((1,), (0,))
+        b = CurveClass((0,), (1,))
         assert holonomy_mode(a).r == (1,) and holonomy_mode(a).s == (0,)
         assert holonomy_mode(b).r == (0,) and holonomy_mode(b).s == (1,)
 
     def test_orientation_reversal_negates(self):
-        a = CurveClass.a_cycle(1)
+        a = CurveClass((1,), (0,))
         assert holonomy_mode(a.reversed()).r == (-1,)
 
     def test_genus_two_basis(self):
-        a2 = CurveClass.a_cycle(2, 1)
+        a2 = CurveClass((0, 1), (0, 0))
         assert holonomy_mode(a2).r == (0, 1)
 
 
@@ -44,18 +44,18 @@ class TestCurveOperators:
             assert operator_norm(A) == pytest.approx(1.0, abs=1e-12)
 
     def test_level_two_shift_matrix(self):
-        A = curve_operator(2, CurveClass.a_cycle(1)).entries
+        A = curve_operator(2, CurveClass((1,), (0,))).entries
         assert np.allclose(A, [[0, 1], [1, 0]], atol=1e-14)
 
 
 class TestPairings:
     def test_self_pairing_is_one(self):
         for k in (1, 2, 4, 8):
-            for c in [CurveClass.a_cycle(1), CurveClass((2,), (-1,))]:
+            for c in [CurveClass((1,), (0,)), CurveClass((2,), (-1,))]:
                 assert curve_pairing(k, c, c) == pytest.approx(1.0, abs=1e-12)
 
     def test_distinct_cycles_vanish(self):
-        v = curve_pairing(2, CurveClass.a_cycle(1), CurveClass.b_cycle(1))
+        v = curve_pairing(2, CurveClass((1,), (0,)), CurveClass((0,), (1,)))
         assert abs(v) < 1e-14
 
     def test_limit_matches_mode_delta(self):
@@ -131,13 +131,13 @@ class TestMappingTorus:
         assert v == pytest.approx(k**2, abs=1e-10)
 
     def test_equal_curves_trace_is_dimension(self):
-        c = CurveClass.a_cycle(1)
+        c = CurveClass((1,), (0,))
         for k in (1, 3, 5):
             assert mapping_torus_invariant(1, k, c, c) == pytest.approx(k, abs=1e-12)
 
     def test_curves_of_another_genus_are_refused(self):
         # with two genus-2 curves the k^g scaling would be taken at g = 1
-        c = CurveClass.a_cycle(2)
+        c = CurveClass((1, 0), (0, 0))
         with pytest.raises(ValueError, match="genus 2 on a surface of genus 1"):
             mapping_torus_invariant(1, 3, c, c)
         with pytest.raises(ValueError, match="dimension"):
@@ -145,6 +145,6 @@ class TestMappingTorus:
 
     def test_transverse_curves_vanish(self):
         v = mapping_torus_invariant(
-            1, 2, CurveClass.a_cycle(1), CurveClass.b_cycle(1)
+            1, 2, CurveClass((1,), (0,)), CurveClass((0,), (1,))
         )
         assert abs(v) < 1e-14
