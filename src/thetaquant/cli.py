@@ -9,7 +9,9 @@ Verbs:
     thetaquant tqft invariant [--g 1] --k 5 [--mode 1,0 --mode2 0,1]
 
 Without --Z a verb runs at the default point of its dimension (i at n = 1,
-diag(i, 2i, ..., ni) above), and without --n at the point's dimension.
+diag(i, 2i, ..., ni) above), and without --n at the point's dimension;
+--alpha and --z default to zeros of that dimension, and --mode to the
+mode (1, 0) on the first axis.
 ``tqft invariant`` takes no point, as curve operators do not depend on it;
 its genus --g is 1 by default.  ``experiment run`` flags override the
 config values of the experiments that read them, and ``gram`` and
@@ -35,7 +37,7 @@ from .config import (
     parse_config_all,
     siegel_points,
 )
-from .experiments import emit_outputs, fmt_complex, run_experiment
+from .experiments import _first_coordinate, emit_outputs, fmt_complex, run_experiment
 from .fourier import FourierMode
 from .sections import GridError, SizeLimitError, _plan, gram_deviation
 from .siegel import InvalidPointError
@@ -100,8 +102,8 @@ def build_parser():
     theta_sub = theta_p.add_subparsers(dest="action", required=True)
     ev = theta_sub.add_parser("eval", help="evaluate a theta frame element")
     _add_common(ev)
-    ev.add_argument("--alpha", default="0", help="label integers, comma separated")
-    ev.add_argument("--z", default="0", help="complex point, ';' separated coords")
+    ev.add_argument("--alpha", help="label integers, comma separated (default: zeros)")
+    ev.add_argument("--z", help="complex point, ';' separated coords (default: zeros)")
     ev.add_argument("--sel", default="value",
                     help="value | dz:i | dz2:i,j | dZ:i,j")
 
@@ -112,7 +114,7 @@ def build_parser():
     toep_sub = toep.add_subparsers(dest="action", required=True)
     cmp_p = toep_sub.add_parser("compare", help="closed form vs quadrature")
     _add_quadrature(cmp_p)
-    cmp_p.add_argument("--mode", default="1,0", help="mode integers r,s")
+    cmp_p.add_argument("--mode", help="mode integers r,s (default: 1,0 on the first axis)")
 
     exp = sub.add_parser("experiment", help="manifest-driven experiments")
     exp_sub = exp.add_subparsers(dest="action", required=True)
@@ -152,11 +154,14 @@ def _selector(text, n):
 
 def _cmd_theta_eval(args):
     p = _point(args.Z, args.n)
+    alpha = [0] * p.n if args.alpha is None else args.alpha.split(",")
     try:
-        label = ThetaLabel(args.k, tuple(int(x) for x in args.alpha.split(",")))
+        label = ThetaLabel(args.k, tuple(int(x) for x in alpha))
     except ValueError as exc:
         raise ConfigError(f"--alpha {args.alpha!r}: {exc}") from None
-    z = np.array([parse_complex(c) for c in args.z.split(";")])
+    if label.n != p.n:
+        raise ConfigError(f"--alpha {args.alpha!r} has {label.n} entries, point has n={p.n}")
+    z = np.zeros(p.n) if args.z is None else np.array([parse_complex(c) for c in args.z.split(";")])
     if len(z) != p.n:
         raise ConfigError(f"z has {len(z)} coordinates, point has n={p.n}")
     if not np.isfinite(z).all():
@@ -177,7 +182,8 @@ def _cmd_gram(args):
 
 def _cmd_toeplitz_compare(args):
     p = _point(args.Z, args.n)
-    mode = FourierMode(*_parse_mode(args.mode, p.n))
+    mode = _first_coordinate(p.n, 1, 0) if args.mode is None else FourierMode(
+        *_parse_mode(args.mode, p.n))
     plan = _plan(p, args.k, [mode], args.grid)
     (diff,) = quadrature_deviation(p, args.k, [mode], plan).tolist()
     tol = EXPERIMENTS["toeplitz-compare"].tolerance(p.n, args.tol)

@@ -20,35 +20,39 @@ per node, and for each offset d = r mod N between the frequencies the
 products of all labels are folded by strided sums and inverse FFTs over the
 y-nodes.  Every offset of one r_i has d = r_i mod k, and so the one partner
 label b = a + r mod k: the offsets of r_i form one offset group.
-At a diagonal Z (always at n = 1) the Gaussian, and so every fold and
-transform, is a product over the axes: each axis is folded on its own axis
-of the box, of about N (L + 1) nodes over a window of L^n lattice terms,
-the offset group of every distinct r_i of the modes once, into one table of
-(k, N) rows that one inverse FFT transforms; the tables are gathered and
-freed before the pairings are formed.  Any other Z folds the box of n axes
-one distinct r at a time into (k,)^n + (N,)^n arrays, in O(box + k^n N^n).
-Every fold of a lattice writes its products into one reused buffer.  The
-pairings are kept on their support: a mode pairs label a with its one
-partner label, so each mode is one row of k^n values and k^n partner
-labels, and the Gram's and the closed form's deviations are taken over
-those rows (:func:`_pairing_deviation`).  Only the dense callers,
-:func:`gram_matrix` and ``toeplitz.toeplitz_modes_quadrature``, scatter the
-rows into k^n x k^n matrices (:func:`_dense_pairings`).  The k^n x N^{2n}
-frame itself is built only on request.  The normalized variant multiplies
-by sqrt(2^n k^n det Y), making the theta frame orthonormal.  A grid is its
-node count N; theta sums are truncated at DEFAULT_EPSILON.  Each quadrature
-cell is sized once, by one plan (:func:`_plan`): the truncation radius R
-and the lattice window, the bandwidth rule N >= 4 (k R + m_max) in x,
-m_max the largest frequency of the modes, raised where the y-Gaussians of
-a large Y would alias and rounded up to a multiple of k
-(:func:`required_grid_size`), the grid's N, refused unless it is a
-multiple of k too, the path (axis fold or box), each axis's offset groups
-and the bytes the pairings hold.  The lattices, the folds and the byte
-figure read the plan and recompute none of it.  Every quadrature passes
-one check on its plan (:func:`_checked_plan`): n is 1 or 2, N is at least
-the rule, and pairings that would hold more than the 1 GiB limit of
-:func:`fourier.check_bytes`, with the dense matrices of a dense caller,
-are refused, with SizeLimitError, before anything is allocated.
+One fold-and-transform (:func:`_fold_spectra`) serves every point: it folds
+a stack of offset groups, each into its own zeroed row of one table, and
+transforms the table by one inverse FFT over its y-axes.  At a diagonal Z
+(always at n = 1) the Gaussian, and so every fold and transform, is a
+product over the axes, at any n: each axis is folded on its own axis of the
+box, of about N (L + 1) nodes over a window of L^n lattice terms, the
+offset group of every distinct r_i of the modes once, into one table of
+(k, N) rows; the tables are gathered and freed before the pairings are
+formed.  Any other Z folds the box of n axes one distinct r at a time, a
+stack of one (k,)^n + (N,)^n row, in O(box + k^n N^n); that box is built
+for two axes only, so a non-diagonal point of n > 2 is refused with
+GridError as its plan is built, the one check of the dimension.  Every fold
+of a lattice writes its products into one reused buffer.  The pairings are
+kept on their support: a mode pairs label a with its one partner label, so
+each mode is one row of k^n values and k^n partner labels, and the Gram's
+and the closed form's deviations are taken over those rows
+(:func:`_pairing_deviation`).  Only the dense callers, :func:`gram_matrix`
+and ``toeplitz.toeplitz_modes_quadrature``, scatter the rows into k^n x k^n
+matrices (:func:`_dense_pairings`).  The k^n x N^{2n} frame itself is built
+only on request.  The normalized variant multiplies by sqrt(2^n k^n det Y),
+making the theta frame orthonormal.  A grid is its node count N; theta sums
+are truncated at DEFAULT_EPSILON.  Each quadrature cell is sized once, by
+one plan (:func:`_plan`): the truncation radius R and the lattice window,
+the bandwidth rule N >= 4 (k R + m_max) in x, m_max the largest frequency
+of the modes, raised where the y-Gaussians of a large Y would alias and
+rounded up to a multiple of k (:func:`required_grid_size`), the grid's N,
+refused unless it is a multiple of k too, the path (axis fold or box), each
+axis's offset groups and the bytes the pairings hold.  The lattices, the
+folds and the byte figure read the plan and recompute none of it.  Every
+quadrature passes one check on its plan (:func:`_checked_plan`): N is at
+least the rule, and pairings that would hold more than the 1 GiB limit of
+:func:`fourier.check_bytes`, with the dense matrices of a dense caller, are
+refused, with SizeLimitError, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ __all__ = [
 
 class GridError(ValueError):
     """Raised when a quadrature grid is too coarse for the integrand or not
-    a multiple of the level k, or the point's dimension is not 1 or 2."""
+    a multiple of the level k, or the point is non-diagonal with n > 2,
+    where no fold of the quadrature runs."""
 
 
 @dataclass(frozen=True)
@@ -183,8 +188,10 @@ def _y_alias_tail(p, k, m_max, N, epsilon):
     lattice, the N-node y-sum of its normalized transform, which decays as
     exp(-pi xi.Y^-1 xi/(2k)), aliases at the frequencies N j, j != 0.  With
     a = pi/(2k lmax) and b = pi lmin/(2k), lmin and lmax the extreme
-    eigenvalues of Y (lmax <= tr Y - (n - 1) lmin, exact for n <= 2), the
-    error is at most, shell by shell in the sup norms t of e and t_j of j,
+    eigenvalues of Y (lmax <= tr Y - (n - 1) lmin, exact for n <= 2 and an
+    upper bound above, where a larger lmax only lowers a and raises the
+    bound, so the certificate holds at every n), the error is at most,
+    shell by shell in the sup norms t of e and t_j of j,
 
         A(S_0) + sum_{t >= 1} |shell t| exp(-b (N t - m_max)^2) A(S_t),
         A(S) = sum_{t_j >= 1} |shell t_j| exp(-a max(0, t_j N - S)^2),
@@ -491,12 +498,17 @@ def _plan(p, k, modes=None, N=None):
     on N nodes per coordinate or, when N is None, on the bandwidth rule's.
 
     The truncation certificate runs once, and the rule once at its radius
-    and the largest |r_i|, |s_i| of the modes.  Building refuses what the
-    certificate raises (TruncationError) and, with GridError, an N that is
-    not a multiple of k, which no path folds; :func:`_checked_plan` refuses
-    the rest on the plan, and :func:`_frame_pairings` folds on it whatever
-    its N.
+    and the largest |r_i|, |s_i| of the modes.  Building refuses, in this
+    order: with GridError a non-diagonal point of n > 2, whose box
+    :meth:`_FineLattice.build` does not form, the one check of the
+    dimension; what the certificate raises (TruncationError); and with
+    GridError an N that is not a multiple of k, which no path folds.
+    :func:`_checked_plan` refuses the rest on the plan, and
+    :func:`_frame_pairings` folds on it whatever its N.
     """
+    diagonal = np.count_nonzero(p.Z) == p.n  # Im Z_ii > 0: no cross term at all
+    if not diagonal and p.n > 2:  # the box is built for two axes
+        raise GridError(f"quadrature at a non-diagonal point supports n in {{1, 2}}, got n = {p.n}")
     table = _table(p.n, modes)
     radius = truncation_radius(p, k, DEFAULT_EPSILON).radius
     rule = _grid_rule(p, k, int(np.abs(table).max()), radius)
@@ -508,7 +520,6 @@ def _plan(p, k, modes=None, N=None):
     width = k * (2 * half + 1)
     r, _ = _mode_arrays(table)
     groups = tuple(_axis_groups(ri, N, width) for ri in r.T.tolist())
-    diagonal = np.count_nonzero(p.Z) == p.n  # Im Z_ii > 0: no cross term at all
     return _Plan(p, k, table, radius, half, width, rule, N, diagonal, groups)
 
 
@@ -544,18 +555,22 @@ def theta_frame_on_grid(p, k, grid):
     in the order (x_1..x_n, y_1..y_n): the x-synthesis
     sum_l exp(2 pi i (k u.j mod N) / N) Y[a, l, y] of the lattice terms of
     :func:`_lattice_terms`, truncated at DEFAULT_EPSILON.  The
-    quadratures do not build it; it serves inspection and tests.  Raises
-    GridError on a grid that is not a multiple of k (:func:`_plan`), and
-    at a non-diagonal point of n >= 3, whose box :meth:`_FineLattice.build`
-    does not form.
+    quadratures do not build it; it serves inspection and tests.  Its plan
+    (:func:`_plan`) refuses what it refuses, with GridError, and before
+    anything is allocated SizeLimitError refuses a frame whose arrays would
+    hold more than 1 GiB, at 16 bytes an entry: twice the box (its Gaussian
+    and the factor it is built from), two y-parts and two x-parts of one
+    entry a lattice term at every y-node (the x-part's integer phases count
+    as one), one more for a copy of the matmul, and the frame.
     """
-    N = grid.N
+    N, n = grid.N, p.n
     plan = _plan(p, k, N=N)
-    if not plan.diagonal and p.n > 2:
-        raise GridError(f"the frame at a non-diagonal point supports n in {{1, 2}}, got n = {p.n}")
+    terms = (plan.width * N) ** n  # the lattice terms at every y-node
+    box = _FineLattice.box_size(k, N, plan.width) ** n
+    check_bytes(16 * (2 * box + 5 * terms + k**n * N ** (2 * n)), "theta frame", f"N={N}")
     ku, y_part = _lattice_terms(plan)
-    x_part = np.exp(2j * np.pi * ((ku @ _index_vectors(p.n, N).T) % N) / N)
-    return np.matmul(x_part.transpose(0, 2, 1), y_part).reshape(k**p.n, -1)
+    x_part = np.exp(2j * np.pi * ((ku @ _index_vectors(n, N).T) % N) / N)
+    return np.matmul(x_part.transpose(0, 2, 1), y_part).reshape(k**n, -1)
 
 
 def integrand_periodicity_residual(p, s1, s2):
@@ -595,9 +610,8 @@ def _checked_plan(p, k, grid, modes=None, dense=0):
     plan built for (p, k, modes); a plan built for another point, level or
     modes raises ValueError.  The plan's own table object is taken as its
     modes, and any other ``modes`` are coerced to a table and compared.  A
-    grid that is not a multiple of k is refused, with GridError, as its plan
-    is built (:func:`_plan`).  On the plan, before anything is allocated,
-    raises GridError when n is not 1 or 2, ValueError for modes of another
+    plan that :func:`_plan` refuses is not built.  On the plan, before
+    anything is allocated, raises ValueError for modes of another
     dimension, GridError when N is below the bandwidth rule of the modes,
     and SizeLimitError when the arrays the pairings hold, with the ``dense``
     bytes of the k^n x k^n matrices a dense caller builds from them, would
@@ -611,8 +625,6 @@ def _checked_plan(p, k, grid, modes=None, dense=0):
     else:
         plan = _plan(p, k, modes, grid.N)
     table = plan.table
-    if p.n not in (1, 2):
-        raise GridError(f"quadrature supports n in {{1, 2}}, got n = {p.n}")
     if table.shape[1] != 2 * p.n:  # the axes would read the wrong columns
         raise ValueError(f"mode dimension {table.shape[1] // 2} does not match n = {p.n}")
     if plan.N < plan.rule:
@@ -655,20 +667,20 @@ def _frame_pairings(plan):
     every s of the modes sharing r.
 
     The offsets of one r are a product over the axes of the plan's groups
-    (:func:`_axis_groups`).  At a diagonal Z, G = G_1 x ... x G_n, so every
+    (:func:`_axis_groups`), and both paths fold and transform them in
+    :func:`_fold_spectra`.  At a diagonal Z, G = G_1 x ... x G_n, so every
     S_d, every sum and its spectrum is the outer product of one-axis ones:
-    each axis folds the group of every distinct r_i of the modes once into
-    one table and transforms it in one FFT (:func:`_axis_columns`), and the
-    row of mode (r, s) is prod_i A_i[a_i, s_i].  Any other Z folds each d on
-    the box of n axes into one (k,)^n + (N,)^n array per distinct r, takes
-    its n-axis FFT in place and writes its rows before the next r
-    (:func:`_fold_spectra`).  The plan's byte figure bounds both; no array
-    of N^{2n} nodes, no array over the meeting pairs and no k^n x k^n
-    matrix is formed.
+    each axis's call stacks the group of every distinct r_i of the modes
+    once and transforms them in one FFT, and the row of mode (r, s) is
+    prod_i A_i[a_i, s_i].  Any other Z (n <= 2, :func:`_plan`) calls it on
+    the box of n axes once per distinct r, a stack of one, and writes its
+    rows before the next r.  The plan's byte figure bounds both; no array of
+    N^{2n} nodes, no array over the meeting pairs and no k^n x k^n matrix
+    is formed.
     """
     p, k, N = plan.p, plan.k, plan.N
     r, s = _mode_arrays(plan.table)
-    norm = _frame_norm(p, k)
+    s, norm = (s % N).T, _frame_norm(p, k)  # s as (n, M): one row per axis
 
     def outer(op):  # over the axes of each row, row-major in (a_1, ..., a_n)
         return lambda x, y: op(x[:, :, None], y[:, None, :]).reshape(
@@ -677,7 +689,10 @@ def _frame_pairings(plan):
     labels = [(np.arange(k) + ri[:, None]) % k for ri in r.T]  # b_i = a_i + r_i mod k
     b_index = reduce(outer(lambda b, c: k * b + c), labels)
     if plan.diagonal:
-        values = reduce(outer(np.multiply), _axis_columns(plan, s % N))
+        values = reduce(outer(np.multiply), [
+            _fold_spectra(fine, list(zip(offsets)), index, s[i:i + 1])  # groups of one axis
+            for i, (fine, (offsets, index))
+            in enumerate(zip(_FineLattice.axes(plan), plan.groups))])
         values *= norm
         return b_index, values
     fine = _FineLattice.build(plan)
@@ -686,8 +701,8 @@ def _frame_pairings(plan):
     for i, ri in enumerate(map(tuple, r.tolist())):
         by_r.setdefault(ri, []).append(i)
     for members in by_r.values():
-        offsets = [ranges[index[members[0]]] for ranges, index in plan.groups]
-        values[members] = norm * _fold_spectra(fine, offsets, tuple((s[members] % N).T)).T
+        stack = [[ranges[index[members[0]]] for ranges, index in plan.groups]]
+        values[members] = norm * _fold_spectra(fine, stack, [0] * len(members), s[:, members])
     return b_index, values
 
 
@@ -717,46 +732,27 @@ def _pairing_deviation(pairings, rows, values):
     return np.where(b_index == rows, np.abs(q - values), apart).max(axis=1)
 
 
-def _axis_columns(plan, s):
-    """The one-axis spectra of every mode at a diagonal Z.
+def _fold_spectra(fine, stack, rows, s):
+    """The spectra of the modes, from one lattice of d axes: every axis's at
+    a diagonal Z (d = 1), or the box of n axes (d = n).
 
-    On each axis i, the group of every distinct r_i of the modes, as the
-    plan lays them out (:func:`_axis_groups`), is folded once into its own
-    (k, N) row of one table, and one inverse FFT over the table's last axis
-    transforms them all.  Returns per axis the (M, k) array of the spectra
-    A_i[:, s_i] of each mode's table row.  ``s`` is the (M, n) array of the
-    modes' s, taken mod N.
+    Each entry of ``stack`` is an offset group, the ranges of d_i on each of
+    the d axes (:func:`_axis_groups`), whose product is the offsets d of one
+    r that meet in the window; all share the partner label b = a + r mod k.
+    Their folds are summed into the entry's own zeroed (k,)^d + (N,)^d row
+    of one table, the inverse FFT over the y-axes of the table is taken in
+    place (last axis first, as in ifftn), and mode i reads row ``rows[i]``
+    at its y-frequency, column i of ``s`` (taken mod N, one row per axis,
+    shape (d, M)): the (M, k^d) spectra.
     """
-    k, N = plan.k, plan.N
-    columns = []
-    for i, (fine, (offsets, index)) in enumerate(zip(_FineLattice.axes(plan), plan.groups)):
-        table = np.zeros((len(offsets), k, N), dtype=complex)
-        for row, group in zip(table, offsets):
-            for j, d in enumerate(group):
-                fine.fold((d,), row, j > 0)
-        np.fft.ifft(table, axis=-1, out=table)
-        columns.append(table[index, :, s[:, i]])
-    return columns
-
-
-def _fold_spectra(fine, offsets, s_index):
-    """The spectra of the modes sharing one r on the box of n axes of a
-    non-diagonal Z.
-
-    The offsets d = r mod N with |d_i| < width on each axis are the product
-    of the axes' ``offsets`` of r_i, and all share the partner label
-    b = a + r mod k.  Their folds are summed in one (k,)^n + (N,)^n array,
-    its inverse FFT over the y-axes is taken in place (last axis first, as
-    in ifftn), and the columns at the modes' s (``s_index``, one array per
-    axis), of shape (k^n, M_r), are the spectra.
-    """
-    k, N, n = fine.k, fine.N, len(offsets)
-    folded = np.zeros((k,) * n + (N,) * n, dtype=complex)
-    for i, d in enumerate(itertools.product(*offsets)):
-        fine.fold(d, folded, i > 0)
-    for ax in reversed(range(n, 2 * n)):
-        np.fft.ifft(folded, axis=ax, out=folded)
-    return folded[(Ellipsis, *s_index)].reshape(k**n, -1)
+    k, N, d = fine.k, fine.N, len(s)
+    table = np.zeros((len(stack),) + (k,) * d + (N,) * d, dtype=complex)
+    for row, offsets in zip(table, stack):
+        for j, di in enumerate(itertools.product(*offsets)):
+            fine.fold(di, row, j > 0)
+    for ax in range(2 * d, d, -1):
+        np.fft.ifft(table, axis=ax, out=table)
+    return table[(rows, Ellipsis, *s)].reshape(len(rows), -1)
 
 
 def l2_inner(p, s1, s2, grid, normalized=True):

@@ -205,8 +205,10 @@ def _window(p, label, z, policy):
     """Lattice windows u = l + alpha of the evaluations at z, one point or a
     stack (P, n), centred on each point's Gaussian minimiser: shape (P, L, n),
     their linear phases 2 pi i k u.z - e ln 2, shape (P, L), and each point's
-    scale exponent e, shape (P,).  A z with a non-finite entry is refused
-    with ValueError."""
+    scale exponent e, shape (P,).  A label of another dimension than the
+    point's and a z with a non-finite entry are refused with ValueError."""
+    if label.n != p.n:
+        raise ValueError(f"label of dimension {label.n} at a point of n = {p.n}")
     if not policy.compatible(p, label.k):
         raise ValueError(
             "truncation policy was certified for a different (level, point)"

@@ -83,12 +83,14 @@ theta_a conj(theta_b) F_m, paired term by term in the lattice sums
 uses no eta, W_k or closed form: the Gaussians of the lattice terms are
 evaluated once per node of a fine lattice, the products of the pairs at
 each frequency offset are folded over the window by strided sums, and one
-FFT over the y-nodes gives every mode sharing r.  At a diagonal Z (always
-at n = 1) the frame is a product over the axes, so each axis is folded and
-transformed on its own (k, N) array and the pairings are outer products of
-those, in O(box axis + k N) memory plus the pairings; any other Z folds the
-box of both axes in O(box + k^n N^n).  The pairings are kept on their
-support, one row of k^n entries per mode.  Grids whose
+FFT over the y-nodes gives every mode sharing r; one function folds and
+transforms for both paths.  At a diagonal Z (always at n = 1) the frame is
+a product over the axes, so at any n each axis is folded and transformed
+on its own (k, N) rows and the pairings are outer products of those, in
+O(box axis + k N) memory plus the pairings; any other Z folds the box of
+both axes in O(box + k^n N^n), and is refused, with GridError, at n > 2,
+where no box is built: the one check of the dimension.  The pairings are
+kept on their support, one row of k^n entries per mode.  Grids whose
 pairings would hold more than the 1 GiB limit of ``fourier.check_bytes``
 are refused, with SizeLimitError, before allocation.  The
 ``toeplitz-compare`` runner and the CLI verb compare it with the closed

@@ -28,7 +28,9 @@ from thetaquant.toeplitz import OperatorMatrix, WeylSymbol, product_expansion_fi
 
 N2 = "[[1i, 0], [0, 2i]]"
 P3 = "[[1i, 0, 0], [0, 2i, 0], [0, 0, 3i]]"
-N3_REFUSAL = "quadrature supports n in {1, 2}, got n = 3"
+# a non-diagonal n = 3 point, whose only cross term Z[0, 2] has no box to fold on
+CROSS3 = "[[1i, 0, 0.3i], [0, 2i, 0], [0.3i, 0, 3i]]"
+N3_REFUSAL = "quadrature at a non-diagonal point supports n in {1, 2}, got n = 3"
 
 
 class TestParsing:
@@ -97,14 +99,17 @@ class TestParsing:
 
     def test_n_above_two_defaults_to_the_diagonal_point(self, tmp_path, capsys):
         # n = 3 once had no default point; it runs at diag(i, 2i, 3i), which
-        # the quadrature refuses in every row
+        # the quadrature folds axis by axis, while a non-diagonal point is
+        # refused in every row
         m = parse_config("experiment = gram\nn = 3\nk = 1, 2")
         (p,) = m.points
         assert np.array_equal(p.Z, np.diag([1j, 2j, 3j]))
+        assert run_experiment(m, use_cache=False).passed
+        m = parse_config(f"experiment = gram\nn = 3\nk = 1, 2\nZ = {CROSS3}")
         doc = run_experiment(m, use_cache=False)
         assert [row[-1] for row in doc.rows] == [f"refused: {N3_REFUSAL}"] * 2
         cfg = tmp_path / "gram.cfg"
-        cfg.write_text("[gram]\nn = 3\nk = 1, 2\n")
+        cfg.write_text(f"[gram]\nn = 3\nk = 1, 2\nZ = {CROSS3}\n")
         assert main(["experiment", "run", str(cfg), "--no-cache"]) == 1
         assert "overall: FAIL" in capsys.readouterr().out
 
@@ -301,7 +306,7 @@ class TestRunAndCache:
 
     def test_refused_rows_show_the_tried_grid(self):
         # the N cell is the given grid, or the rule's once the radius is
-        # certified, which comes before the refusal of n = 3
+        # certified; a non-diagonal n = 3 point is refused before it
         no_radius = "no certifiable truncation radius"
         n3 = "n in {1, 2}, got n = 3"
         # the rule's N of the 25 default modes, r and s in [-2, 2] on axis 1
@@ -314,8 +319,8 @@ class TestRunAndCache:
             ("gram", "n = 1\nk = 2\nZ = 0.00001i", 3, "", no_radius),
             ("gram", "n = 1\nk = 2\nZ = 0.00001i\ngrid = 64", 3, "64", no_radius),
             ("gram", "k = 4\nZ = i\ngrid = 8", 3, "8", "N=8, bandwidth rule needs N >= 32"),
-            ("gram", "n = 3\nk = 2", 3, "24", n3),
-            ("gram", "n = 3\nk = 2\ngrid = 64", 3, "64", n3),
+            ("gram", f"n = 3\nk = 2\nZ = {CROSS3}", 3, "", n3),
+            ("gram", f"n = 3\nk = 2\nZ = {CROSS3}\ngrid = 64", 3, "64", n3),
             ("toeplitz-compare", "n = 1\nk = 2\nZ = 0.00001i\ngrid = 64", 2, "64",
              no_radius),
         ):
@@ -353,7 +358,7 @@ class TestRunAndCache:
     @pytest.mark.parametrize("experiment", ["gram", "toeplitz-compare"])
     def test_n3_quadrature_is_refused_in_its_rows(self, experiment):
         # a grid's own range check once ended these runs in a traceback
-        m = parse_config(f"experiment = {experiment}\nk = 1, 2\nZ = {P3}")
+        m = parse_config(f"experiment = {experiment}\nk = 1, 2\nZ = {CROSS3}")
         doc = run_experiment(m, use_cache=False)
         assert [row[-1] for row in doc.rows] == [f"refused: {N3_REFUSAL}"] * 2
         assert doc.verdicts[0]["observed"] == "nan" and not doc.passed
@@ -862,8 +867,11 @@ class TestCli:
             (["toeplitz", "compare", "--n", "1", "--k", "4", "--mode", "1,2", "--grid", "42"],
              "grid N=42 is not a multiple of k=4: the bandwidth rule gives N=40"),
             (["theta", "eval", "--k", "2", "--alpha", "5"], "label entries"),
-            (["gram", "--n", "3", "--Z", P3], N3_REFUSAL),
-            (["toeplitz", "compare", "--n", "3", "--Z", P3, "--mode", "1,0,0,0,0,0"],
+            # a label of dimension 2 at i once ended in numpy's matmul error
+            (["theta", "eval", "--alpha", "0,1", "--z", "0.1"],
+             "--alpha '0,1' has 2 entries, point has n=1"),
+            (["gram", "--n", "3", "--Z", CROSS3], N3_REFUSAL),
+            (["toeplitz", "compare", "--n", "3", "--Z", CROSS3, "--mode", "1,0,0,0,0,0"],
              N3_REFUSAL),
             # --n was once ignored, and this ran at n = 2 and passed
             (["gram", "--n", "1", "--Z", N2], "point dimension 2 != n = 1"),
@@ -999,6 +1007,19 @@ class TestCli:
         assert main([*argv, "--n", "2"]) == 0
         default = capsys.readouterr().out
         assert main([*argv, "--Z", N2]) == 0
+        assert capsys.readouterr().out == default != ""
+
+    @pytest.mark.parametrize("argv, explicit", [
+        (["toeplitz", "compare", "--n", "2"], ["--mode", "1,0,0,0"]),
+        (["toeplitz", "compare", "--Z", N2], ["--mode", "1,0,0,0"]),
+        (["theta", "eval", "--n", "2"], ["--alpha", "0,0", "--z", "0;0"]),
+    ], ids=["compare --n 2", "compare --Z", "theta --n 2"])
+    def test_defaults_fit_the_dimension_of_the_point(self, capsys, argv, explicit):
+        # each once exited 2: the default mode 1,0, label 0 and z 0 fit n = 1
+        # only; the mode is now (1, 0) on the first axis, as in the runners
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + explicit) == 0
         assert capsys.readouterr().out == default != ""
 
     def test_run_flags_override_only_the_experiments_that_read_them(self, tmp_path,

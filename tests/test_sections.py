@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from functools import reduce
@@ -19,6 +20,7 @@ from thetaquant.sections import (
     GridError,
     QuadratureGrid,
     SectionVector,
+    SizeLimitError,
     cocycle_residual,
     gram_matrix,
     integrand_periodicity_residual,
@@ -147,7 +149,8 @@ class TestFrame:
     def test_n3_frame_is_the_section_or_refused(self):
         # a point whose one cross term is Z[0, 2] was once folded axis by
         # axis as if diagonal, and its frame differed from the section by up
-        # to 0.082; the box of n >= 3 axes is not built, so it is refused
+        # to 0.082; the box of n >= 3 axes is not built, so its plan is
+        # refused
         k, N = 2, 8
         p = SiegelPoint(np.diag([1j, 1.5j, 2j]))
         frame = theta_frame_on_grid(p, k, QuadratureGrid(N))
@@ -157,9 +160,29 @@ class TestFrame:
                 want = section_eval(p, unit(k, 3, a), x, y) * np.exp(-np.pi * k * (y @ p.Y @ y))
                 assert abs(frame[a, np.ravel_multi_index(node, (N,) * 6)] - want) < 1e-12
         cross = SiegelPoint([[1j, 0, 0.3j], [0, 1.5j, 0], [0.3j, 0, 2j]])
-        assert not _plan(cross, k, N=N).diagonal
         with pytest.raises(GridError, match="non-diagonal point supports n in"):
             theta_frame_on_grid(cross, k, QuadratureGrid(N))
+
+    def test_frame_is_refused_before_allocation(self):
+        # its (16, 2304, 2304) frame alone, 1.27 GiB, was once allocated
+        p = SiegelPoint(np.diag([1j, 2j]))
+        tracemalloc.start()
+        with pytest.raises(SizeLimitError, match="theta frame needs .* GiB at N=48"):
+            theta_frame_on_grid(p, 4, QuadratureGrid(48))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_frame_figure_bounds_the_traced_peak(self):
+        # the frame once had no figure; it counts the box, the y- and
+        # x-parts and the frame, at n = 1, 2 and 3
+        src = Path(thetaquant.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", _FRAME_PEAK_SCRIPT],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        for case, (peak, figure) in json.loads(done.stdout).items():
+            assert peak <= figure, (case, peak, figure)
 
 
 def _pairing_modes(n):
@@ -167,9 +190,38 @@ def _pairing_modes(n):
     rng = range(-2, 3)
     if n == 1:
         modes = [FourierMode((i,), (j,)) for i in rng for j in rng]
-    else:
-        modes = [FourierMode((i, j), (j, -i)) for i in rng for j in rng]
+    else:  # axes past the second repeat the first
+        modes = [FourierMode((i, j) + (i,) * (n - 2), (j, -i) + (j,) * (n - 2))
+                 for i in rng for j in rng]
     return [FourierMode((0,) * n, (0,) * n)] + modes
+
+
+# Traced peak of theta_frame_on_grid against the byte figure it checks,
+# read off its call of check_bytes, at n = 1, 2 and 3, in a fresh
+# interpreter as _PEAK_SCRIPT below runs.
+_FRAME_PEAK_SCRIPT = """
+import gc, json, tracemalloc
+import numpy as np
+from thetaquant import sections
+from thetaquant.sections import QuadratureGrid, required_grid_size, theta_frame_on_grid
+from thetaquant.siegel import SiegelPoint
+
+figures, check = [], sections.check_bytes
+sections.check_bytes = lambda size, *args: (figures.append(size), check(size, *args))
+out = {}
+for Z, k, N in [(1j, 16, None), (1 + 2j, 8, None), (np.diag([1j, 2j]), 3, None),
+                ([[2j, 0.5j], [0.5j, 1j]], 2, None), ([[1 + 1j, 0.3], [0.3, 0.5 + 2j]], 2, 8),
+                (np.diag([1j, 2j, 3j]), 2, 8), (np.diag([1j, 2j, 3j]), 1, 8)]:
+    p = SiegelPoint(Z)
+    grid = QuadratureGrid(N or required_grid_size(p, k))
+    theta_frame_on_grid(p, k, grid)
+    gc.collect()
+    tracemalloc.start()
+    theta_frame_on_grid(p, k, grid)
+    out[f"{Z}-{k}-{grid.N}"] = (tracemalloc.get_traced_memory()[1], figures[-1])
+    tracemalloc.stop()
+print(json.dumps(out))
+"""
 
 
 class TestFramePairings:
@@ -180,8 +232,9 @@ class TestFramePairings:
     # (on a bandwidth grid they lie far apart, with products far below
     # rounding); the rule's N = 45 would need a 540 MiB frame at the skew
     # point.  There each r_i has one offset group of several offsets
-    # d = r_i + N e.  The diagonal point pairs axis by axis, the others on
-    # the box of both axes
+    # d = r_i + N e.  The diagonal points pair axis by axis, the others on
+    # the box of both axes; diag(i, 2i, 3i) at k = 2 pairs on N = 8, below
+    # its rule, whose frame would hold 8 32^6 nodes
     @pytest.mark.parametrize(
         "Z, k, N",
         [
@@ -195,6 +248,7 @@ class TestFramePairings:
             ([[1j, 0], [0, 2j]], 3, None),
             ([[1j, 0], [0, 2j]], 3, 15),
             (1j, 32, 128),
+            (np.diag([1j, 2j, 3j]), 2, 8),
         ],
     )
     def test_match_explicit_frame_pairing(self, Z, k, N):
@@ -365,6 +419,8 @@ class TestPairingBytes:
             ("[[2j, 0.5j], [0.5j, 1j]]", 16),
             ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 6), ("[[1+1j, 0.3], [0.3, 0.5+2j]]", 16),
         ]
+    ] + [pytest.param("[[1j, 0, 0], [0, 2j, 0], [0, 0, 3j]]", k, 2, 2, id=f"diag3-{k}")
+         for k in (6, 16)
     ] + [pytest.param("1j", 64, 7, 0, id="1j-64-15-modes"),
          pytest.param("[[1j, 0], [0, 2j]]", 128, 0, 0, id="[[1j, 0], [0, 2j]]-128-gram")])
     def test_estimate_bounds_the_traced_peak(self, Z, k, R, S):
@@ -524,6 +580,20 @@ class TestGram:
         G = gram_matrix(point_n2, k, QuadratureGrid(required_grid_size(point_n2, k)))
         assert np.max(np.abs(G - np.eye(k**2))) < 1e-7
 
+    @pytest.mark.parametrize("n, gram_levels, compare_levels", [
+        (3, range(2, 17), range(2, 9)), (4, range(2, 7), range(2, 7))])
+    def test_criteria_1_and_2_hold_at_a_diagonal_point_of_genus_3_and_4(
+            self, n, gram_levels, compare_levels):
+        # the default point diag(i, ..., ni) was once refused at n > 2; the
+        # axis path folds it at every n, at rounding level
+        for experiment, levels in (("gram", gram_levels), ("toeplitz-compare", compare_levels)):
+            ks = ", ".join(map(str, levels))
+            (m,) = parse_config_all(f"[{experiment}]\nn = {n}\nk = {ks}\n")
+            assert np.array_equal(m.points[0].Z, np.diag(1j * np.arange(1, n + 1)))
+            doc = run_experiment(m, use_cache=False)
+            assert doc.passed, experiment
+            assert float(doc.verdicts[0]["observed"]) < 1e-14, experiment
+
     @pytest.mark.parametrize("z", [20j, 50j])
     @pytest.mark.parametrize("k", range(2, 9))
     def test_identity_at_wide_y_bandwidth(self, z, k):
@@ -577,10 +647,13 @@ class TestGram:
     ], ids=["gram_matrix", "l2_inner", "toeplitz_modes_quadrature",
             "quadrature_deviation"])
     def test_every_quadrature_refuses_n3(self, quadrature):
-        # a grid's own range check once raised a bare ValueError here
-        p = SiegelPoint(np.diag([1j, 2j, 3j]))
+        # a grid's own range check once raised a bare ValueError here; the
+        # diagonal n = 3 point runs, and one whose only cross term is
+        # Z[0, 2] has no box to fold on
+        p = SiegelPoint([[1j, 0, 0.3j], [0, 2j, 0], [0.3j, 0, 3j]])
         mode = FourierMode((1, 0, 0), (0, 0, 0))
-        with pytest.raises(GridError, match=r"n in \{1, 2\}, got n = 3"):
+        refusal = r"non-diagonal point supports n in \{1, 2\}, got n = 3"
+        with pytest.raises(GridError, match=refusal):
             quadrature(p, QuadratureGrid(64), mode)
 
     def test_periodicity_certificate(self):

@@ -127,6 +127,19 @@ class TestValues:
         with pytest.raises(ValueError, match="non-finite"):
             heat_residuals(p, label, [[0.1], [z]], [(0, 0)])
 
+    @pytest.mark.parametrize("Z, a", [(1j, (0, 1)), (np.diag([1j, 2j]), (1,))])
+    def test_label_of_another_dimension_is_refused(self, Z, a):
+        # a label of dimension 2 at i once ended in numpy's matmul error, and
+        # one of dimension 1 at diag(i, 2i) was broadcast over both axes
+        p, label = SiegelPoint(Z), ThetaLabel(2, a)
+        z = np.full(p.n, 0.1)
+        message = f"label of dimension {len(a)} at a point of n = {p.n}"
+        for call in (lambda: theta_eval(p, label, z),
+                     lambda: heat_residuals(p, label, z, [(0, 0)]),
+                     lambda: quasi_periodicity_residual(p, label, z, 0)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     @pytest.mark.parametrize("z", Z_LIST)
     @pytest.mark.parametrize("k,a", [(1, (0,)), (2, (1,)), (3, (2,))])
     def test_matches_brute_oracle(self, z, k, a):

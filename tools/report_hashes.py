@@ -39,6 +39,11 @@ The documents:
 * ``gram`` and the 25-mode ``toeplitz-compare`` on an explicit ``grid`` at
   Z = i and at diag(i, 2i), at levels that divide the grid: some at or
   above the rule, and one below it, whose row is refused as too coarse;
+* the ``gram`` and ``toeplitz-compare`` defaults at n = 3, at
+  diag(i, 2i, 3i), and ``gram`` at diag(i, 2i, 3i, 4i), k = 2, 4, 6: the
+  diagonal quadrature at genus 3 and 4;
+* ``toeplitz-compare`` at a point of n = 3 whose only cross term is Z[0, 2],
+  which has no box to fold on, so each row is refused;
 * ``gram`` at k = 3, 4 on the grid 64, which 3 does not divide.
 """
 
@@ -101,6 +106,11 @@ def documents():
     docs["toeplitz-compare on an explicit grid"] = (
         "[toeplitz-compare]\nn = 1\nk = 5, 15\nZ = i\ngrid = 60\n\n"
         f"[toeplitz-compare]\nn = 2\nk = 5, 15\nZ = {DIAGONAL}\ngrid = 60\n")
+    for e in ("gram", "toeplitz-compare"):
+        docs[f"{e} n = 3"] = f"[{e}]\nn = 3\n"
+    docs["gram n = 4"] = "[gram]\nn = 4\nk = 2, 4, 6\n"
+    docs["toeplitz-compare at a non-diagonal n = 3 point"] = (
+        "[toeplitz-compare]\nn = 3\nZ = [[1i, 0, 0.3i], [0, 2i, 0], [0.3i, 0, 3i]]\n")
     docs["gram on a grid that is not a multiple of its level"] = (
         "[gram]\nn = 1\nk = 3, 4\nZ = i\ngrid = 64\n")
     return docs
