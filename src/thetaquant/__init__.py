@@ -27,7 +27,6 @@ from .sections import (
     GridError,
     QuadratureGrid,
     SectionVector,
-    gram_deviation,
     gram_matrix,
     l2_inner,
     lattice_weight_identity,

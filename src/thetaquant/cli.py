@@ -38,8 +38,8 @@ from .config import (
     siegel_points,
 )
 from .experiments import _first_coordinate, emit_outputs, fmt_complex, run_experiment
-from .fourier import FourierMode
-from .sections import GridError, SizeLimitError, _plan, gram_deviation
+from .fourier import FourierMode, _mode_table
+from .sections import GridError, SizeLimitError, _plan
 from .siegel import InvalidPointError
 from .theta import Derivative, ThetaLabel, TruncationError, theta_eval
 from .toeplitz import quadrature_deviation
@@ -171,25 +171,24 @@ def _cmd_theta_eval(args):
     return 0
 
 
-def _cmd_gram(args):
+def _cmd_quadrature(args):
+    """``gram`` and ``toeplitz compare``: one mode's quadrature against its
+    closed form, the zero mode's (T_k(1) = Id) for ``gram``, else --mode's."""
     p = _point(args.Z, args.n)
-    dev = gram_deviation(p, args.k, _plan(p, args.k, N=args.grid))
-    tol = EXPERIMENTS["gram"].tolerance(p.n, args.tol)
+    if args.verb == "gram":
+        experiment, label = "gram", "max |Gram - Id|"
+        table = np.zeros((1, 2 * p.n), dtype=np.int64)
+    else:
+        experiment, label = "toeplitz-compare", "max entry difference"
+        mode = _first_coordinate(p.n, 1, 0) if args.mode is None else FourierMode(
+            *_parse_mode(args.mode, p.n))
+        table = _mode_table([mode])
+    plan = _plan(p, args.k, table, args.grid)
+    (dev,) = quadrature_deviation(p, args.k, table, plan).tolist()
+    tol = EXPERIMENTS[experiment].tolerance(p.n, args.tol)
     status = "PASS" if dev < tol else "FAIL"
-    print(f"max |Gram - Id| = {dev:.3e}  (tolerance {tol:g})  {status}")
+    print(f"{label} = {dev:.3e}  (tolerance {tol:g})  {status}")
     return 0 if dev < tol else 1
-
-
-def _cmd_toeplitz_compare(args):
-    p = _point(args.Z, args.n)
-    mode = _first_coordinate(p.n, 1, 0) if args.mode is None else FourierMode(
-        *_parse_mode(args.mode, p.n))
-    plan = _plan(p, args.k, [mode], args.grid)
-    (diff,) = quadrature_deviation(p, args.k, [mode], plan).tolist()
-    tol = EXPERIMENTS["toeplitz-compare"].tolerance(p.n, args.tol)
-    status = "PASS" if diff < tol else "FAIL"
-    print(f"max entry difference = {diff:.3e}  (tolerance {tol:g})  {status}")
-    return 0 if diff < tol else 1
 
 
 def _cmd_experiment_run(args):
@@ -234,10 +233,8 @@ def main(argv=None):
     try:
         if args.verb == "theta":
             return _cmd_theta_eval(args)
-        if args.verb == "gram":
-            return _cmd_gram(args)
-        if args.verb == "toeplitz":
-            return _cmd_toeplitz_compare(args)
+        if args.verb in ("gram", "toeplitz"):
+            return _cmd_quadrature(args)
         if args.verb == "experiment":
             return _cmd_experiment_run(args)
         if args.verb == "tqft":

@@ -46,7 +46,7 @@ from .fourier import FourierFunction, FourierMode, SizeLimitError, _mode_table
 # gram_matrix is bound here, uncalled, for
 # perfbench/test_perfbench.py::test_wrappers_are_installed_everywhere_and_fully_removed,
 # which reads thetaquant.experiments.gram_matrix
-from .sections import GridError, _plan, gram_deviation, gram_matrix  # noqa: F401
+from .sections import GridError, _plan, gram_matrix  # noqa: F401
 from .siegel import InvalidPointError, NonNormalError, TangentDirection, laplace_eigenvalue
 from .tqft import (
     CurveClass,
@@ -269,46 +269,43 @@ def _mode_list(m, bound):
 # ----------------------------------------------------------------- experiments
 
 
-def _run_gram(m):
+def _quadrature_sweep(m, table, columns, verdict, row, labels):
+    """Each mode of ``table`` against its closed form, per point and level
+    (``toeplitz.quadrature_deviation``), into the verdict ``verdict`` and the
+    rows ``row(k, point, N, *label, deviation, status)``, ``label`` the mode's
+    cells in ``labels``, or one refused row with blank mode cells."""
     tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
-    sweep = _Sweep(["n", "k", "Z", "N", "max_deviation", "status"], "gram-identity")
+    sweep = _Sweep(columns, verdict)
+    blank = [""] * len(labels[0])
     for p in m.points:
         point = fmt_point(p)
         for k in m.k_values:
             N = "" if m.grid is None else m.grid  # the rule's N once it is certified
-            with sweep.cell(k, lambda why: [m.n, k, point, N, np.nan, why]):
-                plan = _plan(p, k, N=m.grid)
-                N = plan.N
-                dev = gram_deviation(p, k, plan)
-                sweep.values["gram-identity"].append(dev)
-                sweep.rows.append(
-                    [m.n, k, point, N, dev, "pass" if dev < tol else "fail"]
-                )
-    return sweep.report([sweep.below("gram-identity", tol)])
-
-
-def _run_toeplitz_compare(m):
-    tol = EXPERIMENTS[m.experiment].tolerance(m.n, m.tol)
-    modes = _mode_list(m, 2)
-    table = _mode_table(modes)
-    labels = _mode_labels(modes)
-    sweep = _Sweep(["k", "Z", "N", "r", "s", "max_entry_diff", "status"],
-                   "closed-form-vs-quadrature")
-    diffs = sweep.values["closed-form-vs-quadrature"]
-    for p in m.points:
-        point = fmt_point(p)
-        for k in m.k_values:
-            N = "" if m.grid is None else m.grid  # the rule's N once it is certified
-            with sweep.cell(k, lambda why: [k, point, N, "", "", np.nan, why]):
+            with sweep.cell(k, lambda why: row(k, point, N, *blank, np.nan, why)):
                 plan = _plan(p, k, table, m.grid)
                 N = plan.N
                 devs = quadrature_deviation(p, k, table, plan).tolist()
-                diffs.extend(devs)
-                for (r, s), diff in zip(labels, devs):
+                sweep.values[verdict].extend(devs)
+                for label, dev in zip(labels, devs):
                     sweep.rows.append(
-                        [k, point, N, r, s, diff, "pass" if diff < tol else "fail"]
+                        row(k, point, N, *label, dev, "pass" if dev < tol else "fail")
                     )
-    return sweep.report([sweep.below("closed-form-vs-quadrature", tol)])
+    return sweep.report([sweep.below(verdict, tol)])
+
+
+def _run_gram(m):
+    # the frame is orthonormal: the Gram is the zero mode's T_k(1) = Id
+    return _quadrature_sweep(m, np.zeros((1, 2 * m.n), dtype=np.int64),
+                             ["n", "k", "Z", "N", "max_deviation", "status"],
+                             "gram-identity", lambda *cells: [m.n, *cells], [()])
+
+
+def _run_toeplitz_compare(m):
+    modes = _mode_list(m, 2)
+    return _quadrature_sweep(m, _mode_table(modes),
+                             ["k", "Z", "N", "r", "s", "max_entry_diff", "status"],
+                             "closed-form-vs-quadrature", lambda *cells: [*cells],
+                             _mode_labels(modes))
 
 
 def _run_heat_identity(m):
@@ -521,7 +518,8 @@ def _run_star_fit(m):
                 c0_orders.append(loglog_order(doubled, norms))
             c1_constants.append(comp.constant)
             star_constants.append(star.constant)
-            ok = comp.relative_residual < tol
+            # a fit with no finite condition number measured nothing
+            ok = comp.relative_residual < tol and np.isfinite(comp.condition_number)
             rows.append(
                 [f"F[{fmt_ints(m1.r)};{fmt_ints(m1.s)}]*F[{fmt_ints(m2.r)};{fmt_ints(m2.s)}]",
                  fmt_point(p), fmt_complex(comp.constant),
@@ -535,7 +533,7 @@ def _run_star_fit(m):
     cross = _worst(
         [_relative_gap(sc, cc) for sc, cc in zip(star_constants, c1_constants)]
     )
-    worst_resid = _worst([r[3] for r in rows])
+    worst_resid = _worst([r[3] if np.isfinite(r[5]) else np.nan for r in rows])
     min_order = float(np.min(c0_orders))
     verdicts = [
         _verdict("c0-fit-order", min_order >= 0.9, min_order, ">= 0.9"),

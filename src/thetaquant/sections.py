@@ -34,10 +34,11 @@ for two axes only, so a non-diagonal point of n > 2 is refused with
 GridError as its plan is built, the one check of the dimension.  Every fold
 of a lattice writes its products into one reused buffer.  The pairings are
 kept on their support: a mode pairs label a with its one partner label, so
-each mode is one row of k^n values and k^n partner labels, and the Gram's
-and the closed form's deviations are taken over those rows
-(:func:`_pairing_deviation`).  Only the dense callers, :func:`gram_matrix`
-and ``toeplitz.toeplitz_modes_quadrature``, scatter the rows into k^n x k^n
+each mode is one row of k^n values and k^n partner labels, and the closed
+form's deviation is taken over those rows (``toeplitz.quadrature_deviation``
+alone calls :func:`_pairing_deviation`), the Gram's at the zero mode since
+T_k(1) = Id.  Only the dense callers, :func:`gram_matrix` and
+``toeplitz.toeplitz_modes_quadrature``, scatter the rows into k^n x k^n
 matrices (:func:`_dense_pairings`).  The k^n x N^{2n} frame itself is built
 only on request.  The normalized variant multiplies by sqrt(2^n k^n det Y),
 making the theta frame orthonormal.  A grid is its node count N; theta sums
@@ -87,7 +88,6 @@ __all__ = [
     "theta_frame_on_grid",
     "l2_inner",
     "gram_matrix",
-    "gram_deviation",
     "integrand_periodicity_residual",
     "lattice_weight_identity",
     "cocycle_residual",
@@ -784,17 +784,6 @@ def gram_matrix(p, k, grid):
     the plan's."""
     plan = _checked_plan(p, k, grid, dense=16 * k ** (2 * p.n))
     return _dense_pairings(_frame_pairings(plan))[0]
-
-
-def gram_deviation(p, k, grid):
-    """max |G - Id| over the entries of the Gram matrix G, on the Gram's
-    support and Id's (:func:`_pairing_deviation` against W_k(0) with eta
-    = 1), with no k^n x k^n array.  ``grid`` is as for :func:`gram_matrix`.
-    """
-    plan = _checked_plan(p, k, grid)
-    pairings, dim = _frame_pairings(plan), k**p.n
-    identity = np.arange(dim)[None, :], np.ones((1, dim), dtype=complex)
-    return float(_pairing_deviation(pairings, *identity)[0])
 
 
 def lattice_weight_identity(p, z, lattice_index):

@@ -35,8 +35,9 @@ no Siegel point.  The algebra needs no k^n x k^n matrix:
   multiplicity k^{n-1}.  The operator is normal and its norm is
   max |sum_t a_t lambda^t| over those k roots, an O(M k) computation.
 
-The norm of any other symbol, :func:`rescaled_toeplitz` and
-:func:`toeplitz_function` go through :meth:`WeylSymbol.to_dense`;
+Every norm goes through ``_level_norms``: the line pass above, else the
+dense SVD, which, as :func:`rescaled_toeplitz` and
+:func:`toeplitz_function` do, goes through :meth:`WeylSymbol.to_dense`;
 :func:`toeplitz_mode_closed_form` scatters each of a batch of modes into its
 own array from one :func:`_clock_shift_columns` call.  Their result, an
 :class:`OperatorMatrix`, is the dense oracle's record: the level, the
@@ -92,14 +93,14 @@ both axes in O(box + k^n N^n), and is refused, with GridError, at n > 2,
 where no box is built: the one check of the dimension.  The pairings are
 kept on their support, one row of k^n entries per mode.  Grids whose
 pairings would hold more than the 1 GiB limit of ``fourier.check_bytes``
-are refused, with SizeLimitError, before allocation.  The
-``toeplitz-compare`` runner and the CLI verb compare it with the closed
-form through :func:`quadrature_deviation`: the pairings of one
-(point, level), folded on the cell's one plan (``sections._plan``), against
-eta_k(m) W_k(m) at the one nonzero of each column, over the union of the
-two supports, with no k^n x k^n array.  The dense route, ``to_dense`` of
-each mode against ``toeplitz_modes_quadrature``, is the tests' oracle for
-it.
+are refused, with SizeLimitError, before allocation.  The ``gram`` and
+``toeplitz-compare`` runners and CLI verbs compare it with the closed form
+through :func:`quadrature_deviation`, the Gram as T_k(1) = Id: the pairings
+of one (point, level), folded on the cell's one plan (``sections._plan``),
+against eta_k(m) W_k(m) at the one nonzero of each column, over the union
+of the two supports, with no k^n x k^n array.  The dense route, ``to_dense``
+of each mode against ``toeplitz_modes_quadrature``, is the tests' oracle
+for it.
 """
 
 from __future__ import annotations
@@ -273,20 +274,15 @@ class WeylSymbol:
             cols = np.arange(dim)
             for row, value, m in zip(rows, values, modes):
                 entries[row, cols] += self.coeffs[m] * value
+        entries.setflags(write=False)  # handed over to the operator, not copied
         return OperatorMatrix(k, n, entries)
 
-    def _line(self):
-        """``_line_decomposition`` of the sorted modes: (m0, powers) or None."""
-        return _line_decomposition(sorted(self.coeffs))
-
     def norm(self):
-        """Operator norm: exact on a line symbol (see the module docstring),
-        else the dense SVD; either is independent of the order of the terms."""
-        line = self._line()
-        if line is None:
-            return operator_norm(self.to_dense())
-        c = np.array([self.coeffs[m] for m in sorted(self.coeffs)], dtype=complex)
-        return float(_line_norms([self.k], self.n, *line, c[None])[0])
+        """Operator norm by :func:`_level_norms` at this level: exact on a line
+        symbol, else the dense SVD; independent of the order of the terms."""
+        modes = sorted(self.coeffs)
+        c = np.array([self.coeffs[m] for m in modes], dtype=complex)
+        return _level_norms([self.k], self.n, modes, c[None])[0]
 
 
 def _trace_pairing(k, n, a, b, sign):
@@ -350,14 +346,14 @@ def _line_norms(k_values, n, m0, t, c):
 def _level_norms(k_values, n, modes, coeffs):
     """Norms of sum_j coeffs[i, j] W_k(modes[j]) at each level k = k_values[i].
 
-    ``modes`` are sorted as ``norm()`` sorts them and ``coeffs`` has shape
-    (K, len(modes)).  Modes on one line take one :func:`_line_norms` pass
-    over all levels, any others ``norm()`` level by level; either way each
-    norm is ``norm()`` of that level's symbol.
+    ``modes`` are sorted and ``coeffs`` has shape (K, len(modes)).  Modes on
+    one line take one :func:`_line_norms` pass over all levels, any others
+    the dense SVD level by level: the one norm route, which
+    :meth:`WeylSymbol.norm` takes at its one level.
     """
     line = _line_decomposition(modes)
     if line is None:
-        return [WeylSymbol(k, n, dict(zip(modes, row))).norm()
+        return [operator_norm(WeylSymbol(k, n, dict(zip(modes, row))).to_dense())
                 for k, row in zip(k_values, coeffs)]
     return _line_norms(k_values, n, *line, coeffs).tolist()
 
@@ -427,7 +423,8 @@ def quadrature_deviation(p, k, modes, grid):
     two supports, so no k^n x k^n array is built.  ``modes`` is a list of
     modes or their (M, 2n) integer table, which the plan, the columns and
     eta all read; ``grid`` is a grid or the plan built for (p, k, modes)
-    (``sections._plan``).  Returns an array of shape (M,).
+    (``sections._plan``).  Returns an array of shape (M,).  At the zero mode,
+    ``np.zeros((1, 2n), np.int64)``, T_k(1) = Id and it is max |Gram - Id|.
     """
     table = _mode_table(modes)
     if not len(table):
@@ -658,7 +655,7 @@ def _c0_residual_norms(k_values, f, g, out_modes, lam):
     """The c0 half of the fit: ||T_f T_g - T_{fg}|| at every level, from the
     level-axis Weyl product of the symbols, whose coefficients are (K,)
     arrays, less T_{fg}: one :func:`_line_norms` pass when its modes lie
-    on one line, else ``norm()`` level by level (:func:`_level_norms`)."""
+    on one line, else the dense SVD level by level (:func:`_level_norms`)."""
     ks = np.asarray(k_values)
 
     def at_levels(terms):

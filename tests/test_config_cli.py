@@ -19,10 +19,11 @@ from thetaquant.experiments import (
     emit_outputs,
     fmt_cell,
     fmt_ints,
+    fmt_point,
     run_experiment,
 )
 from thetaquant.fourier import FourierFunction
-from thetaquant.sections import _plan
+from thetaquant.sections import _plan, gram_matrix
 from thetaquant.siegel import SiegelPoint
 from thetaquant.toeplitz import OperatorMatrix, WeylSymbol, product_expansion_fit
 
@@ -241,7 +242,7 @@ class TestRunAndCache:
         # all-NaN Gram entries must not read as a pass: here every pairing
         # on the Gram's diagonal support is NaN
         monkeypatch.setattr(
-            "thetaquant.sections._frame_pairings",
+            "thetaquant.toeplitz._frame_pairings",
             lambda plan: (np.arange(plan.k**plan.p.n)[None, :],
                           np.full((1, plan.k**plan.p.n), np.nan, dtype=complex)),
         )
@@ -774,6 +775,19 @@ class TestRunAndCache:
         for name in ("constant-stability", "star-matches-moyal-constant"):
             assert verdicts[name]["observed"] == "nan" and not verdicts[name]["passed"]
 
+    def test_c1_verdict_fails_on_a_fit_without_a_finite_condition(self, monkeypatch):
+        # a singular Vandermonde fit measured nothing, yet its residual alone
+        # once passed c1-matches-bracket
+        from thetaquant import toeplitz
+
+        fit = toeplitz._inverse_power_fit
+        monkeypatch.setattr(toeplitz, "_inverse_power_fit",
+                            lambda k_values, samples: (fit(k_values, samples)[0], np.inf))
+        doc = run_experiment(parse_config("[star-fit]\nn = 1"), use_cache=False)
+        (verdict,) = [v for v in doc.verdicts if v["name"] == "c1-matches-bracket"]
+        assert verdict["observed"] == "nan" and not verdict["passed"]
+        assert all(row[-1] == "fail" for row in doc.rows)
+
     def test_star_fit_summary_has_constant(self, tmp_path):
         m = parse_config("experiment = star-fit, n = 1, Z = i; 1+2i, k = 8,16,32,64,128")
         m.cache_dir = str(tmp_path)
@@ -817,6 +831,23 @@ class TestCli:
         rc = main(["gram", "--n", "1", "--k", "4", "--Z", "i"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gram_line_row_and_dense_deviation_agree(self, capsys, n):
+        # the Gram is the zero mode's comparison: the verb, the runner and the
+        # densified Gram matrix read one value at every default level
+        m = parse_config(f"[gram]\nn = {n}")
+        points = {fmt_point(p): p for p in m.points}
+        tol = EXPERIMENTS["gram"].tolerance(n, None)
+        rows = run_experiment(m, use_cache=False).rows
+        assert len(rows) == len(points) * len(m.k_values)
+        for row in rows:
+            k, p = int(row[1]), points[row[2]]
+            want = np.abs(gram_matrix(p, k, _plan(p, k)) - np.eye(k**n)).max()
+            assert float(row[4]) == want
+            assert main(["gram", "--k", str(k), "--Z", row[2]]) == 0
+            assert capsys.readouterr().out == (
+                f"max |Gram - Id| = {want:.3e}  (tolerance {tol:g})  PASS\n")
 
     def test_toeplitz_compare_verb(self, capsys):
         rc = main(["toeplitz", "compare", "--k", "2", "--Z", "i", "--mode", "1,0"])

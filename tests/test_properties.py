@@ -60,7 +60,6 @@ from thetaquant.sections import (
     _plan,
     _y_alias_tail,
     cocycle_residual,
-    gram_deviation,
     gram_matrix,
     required_grid_size,
     theta_frame_on_grid,
@@ -587,4 +586,5 @@ def test_support_deviations_are_the_dense_deviations_bitwise(case):
     assert np.array_equal(quadrature_deviation(p, k, modes, plan), want)
     gram = _plan(p, k, N=_plan(p, k).rule + extra)
     G = gram_matrix(p, k, gram)
-    assert gram_deviation(p, k, gram) == np.abs(G - np.eye(k**p.n)).max()
+    zero = np.zeros((1, 2 * p.n), dtype=np.int64)  # the Gram: T_k(1) = Id
+    assert quadrature_deviation(p, k, zero, gram)[0] == np.abs(G - np.eye(k**p.n)).max()

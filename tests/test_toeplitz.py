@@ -20,6 +20,7 @@ from thetaquant.fourier import (
     FourierMode,
     SizeLimitError,
     SupBound,
+    _line_decomposition,
     poisson_bracket,
 )
 from thetaquant.sections import GridError, QuadratureGrid, required_grid_size
@@ -185,6 +186,17 @@ class TestClosedForm:
         owned = np.eye(2, dtype=complex)
         owned.setflags(write=False)
         assert OperatorMatrix(2, 1, owned).entries is owned
+
+    def test_dense_symbol_holds_one_matrix(self):
+        # to_dense hands its array to the operator: a copy would peak at 2x
+        A = WeylSymbol(32, 2, {((1, 0), (0, 1)): 1.0, ((0, 1), (1, 1)): 0.5j})
+        tracemalloc.start()
+        try:
+            size = A.to_dense().entries.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size, (peak, size)
 
     def test_single_entry_against_brute_grid(self):
         # one entry computed from scratch: (F_{1,0} theta_0, theta_1) at k=2
@@ -685,7 +697,7 @@ def test_line_norms_over_levels_are_the_one_level_norms(Z, data):
     levels = data.draw(st.lists(st.integers(1, 64 if p.n == 1 else 8),
                                 min_size=1, max_size=5))
     # the decomposition and coefficient order that norm() takes
-    line = WeylSymbol(levels[0], p.n, coeffs)._line()
+    line = _line_decomposition(sorted(coeffs))
     c = np.array([coeffs[m] for m in sorted(coeffs)])
     norms = _line_norms(levels, p.n, *line, np.tile(c, (len(levels), 1)))
     for k, norm in zip(levels, norms):
@@ -702,7 +714,8 @@ def test_a_level_norm_does_not_depend_on_the_levels_beside_it():
     coeffs = {FourierMode((t,), (t,)): (1 + 1j) / 8 for t in range(4)}
     symbol = WeylSymbol(1, 1, coeffs)
     c = np.array([coeffs[m] for m in sorted(coeffs)])
-    norms = _line_norms([1, 1, 2], 1, *symbol._line(), np.tile(c, (3, 1)))
+    norms = _line_norms([1, 1, 2], 1, *_line_decomposition(sorted(coeffs)),
+                        np.tile(c, (3, 1)))
     assert norms[0] == norms[1] == symbol.norm()
     assert norms[2] == WeylSymbol(2, 1, coeffs).norm()
 
